@@ -288,7 +288,7 @@ let test_ablation_lumping =
          let built = Core.Measures.built m in
          let chain = built.Core.Semantics.chain in
          let key s =
-           let st = built.Core.Semantics.states.(s) in
+           let st = Core.Semantics.state built s in
            let count lo hi =
              let acc = ref 0 in
              for i = lo to hi do

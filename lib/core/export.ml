@@ -153,8 +153,9 @@ let chain_to_dot ?(max_states = 500) built =
   let names = Array.of_list (Model.component_names built.Semantics.model) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph ctmc {\n  rankdir=LR;\n  node [fontname=\"Helvetica\"];\n";
+  let service_level = Semantics.service_level built in
   for s = 0 to n - 1 do
-    let st = built.Semantics.states.(s) in
+    let st = Semantics.state built s in
     let failed =
       Array.to_list names
       |> List.filteri (fun i _ -> not st.Semantics.up.(i))
@@ -162,7 +163,7 @@ let chain_to_dot ?(max_states = 500) built =
     let label =
       if failed = [] then "all up" else String.concat "," failed
     in
-    let level = Semantics.service_level built s in
+    let level = service_level s in
     (* shade: full service white, no service dark *)
     let grey = 100 - int_of_float (level *. 60.) in
     Buffer.add_string buf

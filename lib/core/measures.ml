@@ -4,6 +4,7 @@ type t = {
   built : Semantics.built;
   analysis : Ctmc.Analysis.t;
   csl : Csl.Checker.model;
+  cost : Ctmc.Rewards.structure;
   lump : bool;
 }
 
@@ -18,7 +19,7 @@ let level_label_name levels x =
   in
   Printf.sprintf "sl_ge_%d" (position 0 levels)
 
-let make_csl_model ~analysis ~lump built =
+let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
   let levels = Model.service_levels built.Semantics.model in
   let model = built.Semantics.model in
   let component_labels =
@@ -48,9 +49,9 @@ let make_csl_model ~analysis ~lump built =
   in
   let rewards =
     [
-      (Some "cost", Semantics.cost_structure built);
-      (Some "component_cost", Semantics.component_cost_structure built);
-      (Some "repair_cost", Semantics.repair_cost_structure built);
+      (Some "cost", cost);
+      (Some "component_cost", component_cost);
+      (Some "repair_cost", repair_cost);
     ]
   in
   Csl.Checker.of_chain ~analysis ~lump ~labels ~rewards built.Semantics.chain
@@ -60,7 +61,12 @@ let wrap ?(lump = false) built =
      through {!to_csl_model}, shares its cached uniformized matrix,
      Fox-Glynn weights, absorbed chains and steady-state vector *)
   let analysis = Ctmc.Analysis.create built.Semantics.chain in
-  { built; analysis; csl = make_csl_model ~analysis ~lump built; lump }
+  let component_cost, repair_cost = Semantics.cost_structures built in
+  let cost = Numeric.Vec.add component_cost repair_cost in
+  let csl =
+    make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built
+  in
+  { built; analysis; csl; cost; lump }
 
 let analyze ?max_states ?initial ?lump model =
   let built =
@@ -208,7 +214,7 @@ let describe_scenario t psi =
       let names = Array.of_list (Model.component_names built.Semantics.model) in
       let rec diffs = function
         | a :: (b :: _ as rest) ->
-            let sa = built.Semantics.states.(a) and sb = built.Semantics.states.(b) in
+            let sa = Semantics.state built a and sb = Semantics.state built b in
             let events = ref [] in
             Array.iteri
               (fun i name ->
@@ -233,37 +239,37 @@ let most_likely_loss_scenario t = describe_scenario t (Semantics.down_pred t.bui
 let instantaneous_cost t ~time =
   span "instantaneous_cost" @@ fun () ->
   Ctmc.Rewards.instantaneous ~lump:t.lump ~analysis:t.analysis (chain t)
-    ~reward:(Semantics.cost_structure t.built)
+    ~reward:t.cost
     ~at:time
 
 let accumulated_cost t ~time =
   span "accumulated_cost" @@ fun () ->
   Ctmc.Rewards.accumulated ~lump:t.lump ~analysis:t.analysis (chain t)
-    ~reward:(Semantics.cost_structure t.built)
+    ~reward:t.cost
     ~upto:time
 
 let instantaneous_cost_curve t ~times =
   span "instantaneous_cost_curve" @@ fun () ->
   Ctmc.Rewards.instantaneous_curve ~lump:t.lump ~analysis:t.analysis (chain t)
-    ~reward:(Semantics.cost_structure t.built)
+    ~reward:t.cost
     ~times
 
 let accumulated_cost_curve t ~times =
   span "accumulated_cost_curve" @@ fun () ->
   Ctmc.Rewards.accumulated_curve ~lump:t.lump ~analysis:t.analysis (chain t)
-    ~reward:(Semantics.cost_structure t.built)
+    ~reward:t.cost
     ~times
 
 let cost_curves t ~times =
   span "cost_curves" @@ fun () ->
   Ctmc.Rewards.both_curves ~lump:t.lump ~analysis:t.analysis (chain t)
-    ~reward:(Semantics.cost_structure t.built)
+    ~reward:t.cost
     ~times
 
 let steady_state_cost t =
   span "steady_state_cost" @@ fun () ->
   Ctmc.Rewards.steady_state ~lump:t.lump ~analysis:t.analysis (chain t)
-    ~reward:(Semantics.cost_structure t.built)
+    ~reward:t.cost
 
 let combined_availability avails =
   1. -. List.fold_left (fun acc a -> acc *. (1. -. a)) 1. avails

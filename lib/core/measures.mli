@@ -13,6 +13,9 @@ type t = {
           model): uniformized matrix, Fox–Glynn weights, absorbed chains
           and the steady-state vector are each computed at most once *)
   csl : Csl.Checker.model;
+  cost : Ctmc.Rewards.structure;
+      (** {!Semantics.cost_structure}, computed once; the cost measures
+          and the CSL model's ["cost"] reward share it *)
   lump : bool;
       (** when true, every measure runs its vector iterations on cached
           lumping quotients ({!Ctmc.Analysis.quotient}) that respect the

@@ -1,5 +1,6 @@
 module Vec = Numeric.Vec
 module Sparse = Numeric.Sparse
+module Intern = Numeric.Intern
 module Chain = Ctmc.Chain
 
 type state = {
@@ -15,14 +16,6 @@ type state = {
          mode; only meaningful while the component is down) *)
 }
 
-type built = {
-  model : Model.t;
-  chain : Chain.t;
-  states : state array;
-  component_index : string -> int;
-  state_index : state -> int option;
-}
-
 exception Build_error of string
 
 let () =
@@ -32,42 +25,78 @@ let () =
 
 let error fmt = Printf.ksprintf (fun msg -> raise (Build_error msg)) fmt
 
-(* Static per-model data precomputed once per build. *)
+(* A bit field of a packed state key: [(key.(word) lsr shift) land mask].
+   Zero-width fields (mask 0) hold only 0. *)
+type field = { word : int; shift : int; mask : int }
+
+(* Static per-model data precomputed once per build: component names are
+   resolved to index arrays, rates to per-mode tables, and the packed key
+   layout is fixed.
+
+   Packed layout: per component an up bit, a failure-mode field and a
+   completed-stage field (each only as wide as the component needs); per
+   repair unit [min crews members] in-repair slots and [members] queue
+   slots, each holding the member's position in the unit plus one (0 =
+   empty), the lists packed from slot 0. Fields never straddle words; the
+   key is [width] words of 62 bits. *)
 type ctx = {
   comps : Component.t array;
   modes : Component.failure_mode array array; (* per component *)
   index : (string, int) Hashtbl.t;
   rus : Repair.t array;
-  ru_of : int option array; (* repair-unit index per component *)
+  ru_of : int array; (* repair-unit index per component, -1 when none *)
   rank : int array array;
       (* scheduling rank per component and failure mode (0 when no RU);
          under FRF/FFF the mode determines the repair/failure rate and
          hence the priority *)
-  smu_of : Spare.t option array;
+  members : int array array; (* per unit, member components in unit order *)
+  member_pos : int array; (* per component, its position in [members] *)
+  fail_rate : float array array; (* per component and mode *)
+  stage_rate : float array array; (* per component and mode *)
+  spare_group : int array array;
+      (* per component, the members of its spare unit ([||] when none) *)
+  spare_needed : int array; (* per component, its spare unit's primary count *)
+  dormancy : float array; (* per component, its spare unit's factor *)
+  width : int;
+  up_f : field array;
+  mode_f : field array;
+  stage_f : field array;
+  rep_f : field array array; (* per unit, in-repair slots *)
+  queue_f : field array array; (* per unit, queue slots *)
 }
+
+let is_dedicated ru = ru.Repair.strategy = Repair.Dedicated
+
+(* bits needed to store the values 0 .. v *)
+let bits_for v =
+  let rec go b = if v lsr b = 0 then b else go (b + 1) in
+  go 0
 
 let make_ctx model =
   let comps = Array.of_list model.Model.components in
   let index = Hashtbl.create (Array.length comps) in
   Array.iteri (fun i c -> Hashtbl.replace index c.Component.name i) comps;
+  let find name = Hashtbl.find index name in
   let modes = Array.map (fun c -> Array.of_list (Component.modes c)) comps in
   let rus = Array.of_list model.Model.repair_units in
   let n = Array.length comps in
-  let ru_of = Array.make n None in
+  let members =
+    Array.map (fun ru -> Array.of_list (List.map find ru.Repair.components)) rus
+  in
+  let ru_of = Array.make n (-1) and member_pos = Array.make n (-1) in
   Array.iteri
-    (fun u ru ->
-      List.iter
-        (fun name -> ru_of.(Hashtbl.find index name) <- Some u)
-        ru.Repair.components)
-    rus;
+    (fun u m ->
+      Array.iteri
+        (fun p i ->
+          ru_of.(i) <- u;
+          member_pos.(i) <- p)
+        m)
+    members;
   (* per-unit rank tables: distinct rate values across every (component,
      mode) pair of the unit, ascending *)
   let rank = Array.init n (fun i -> Array.make (Array.length modes.(i)) 0) in
   Array.iteri
     (fun u ru ->
-      let members =
-        List.map (fun name -> Hashtbl.find index name) ru.Repair.components
-      in
       let value_of i m =
         match ru.Repair.strategy with
         | Repair.Dedicated | Repair.Fcfs -> 0.
@@ -87,7 +116,7 @@ let make_ctx model =
           (List.concat_map
              (fun i ->
                List.init (Array.length modes.(i)) (fun m -> value_of i m))
-             members)
+             (Array.to_list members.(u)))
       in
       let rank_of v =
         let rec position p = function
@@ -96,61 +125,259 @@ let make_ctx model =
         in
         position 0 values
       in
-      List.iter
+      Array.iter
         (fun i ->
           Array.iteri (fun m _ -> rank.(i).(m) <- rank_of (value_of i m)) modes.(i))
-        members;
-      ignore u)
+        members.(u))
     rus;
-  let smu_of =
-    Array.init n (fun i ->
-        Model.spare_unit_of model comps.(i).Component.name)
+  let spare_group = Array.make n [||]
+  and spare_needed = Array.make n 0
+  and dormancy = Array.make n 1. in
+  Array.iteri
+    (fun i c ->
+      match Model.spare_unit_of model c.Component.name with
+      | None -> ()
+      | Some smu ->
+          spare_group.(i) <- Array.of_list (List.map find (Spare.members smu));
+          spare_needed.(i) <- List.length smu.Spare.primaries;
+          dormancy.(i) <- Spare.dormancy_factor smu)
+    comps;
+  (* key layout *)
+  let word = ref 0 and used = ref 0 in
+  let field values =
+    (* a field holding 0 .. values - 1 *)
+    let bits = bits_for (values - 1) in
+    if bits = 0 then { word = 0; shift = 0; mask = 0 }
+    else begin
+      if !used + bits > 62 then begin
+        incr word;
+        used := 0
+      end;
+      let f = { word = !word; shift = !used; mask = (1 lsl bits) - 1 } in
+      used := !used + bits;
+      f
+    end
   in
-  { comps; modes; index; rus; ru_of; rank; smu_of }
-
-(* the scheduling rank of a failed component in a given state *)
-let current_rank ctx state i = ctx.rank.(i).(state.failed_mode.(i))
+  let up_f = Array.init n (fun _ -> field 2) in
+  let mode_f = Array.init n (fun i -> field (Array.length modes.(i))) in
+  let stage_f =
+    Array.init n (fun i ->
+        field
+          (Array.fold_left
+             (fun acc fm -> max acc fm.Component.fm_repair_stages)
+             1 modes.(i)))
+  in
+  let slots u cap =
+    Array.init cap (fun _ -> field (Array.length members.(u) + 1))
+  in
+  let rep_f =
+    Array.mapi
+      (fun u ru ->
+        if is_dedicated ru || ru.Repair.preemptive then [||]
+        else slots u (min ru.Repair.crews (Array.length members.(u))))
+      rus
+  in
+  let queue_f =
+    Array.mapi
+      (fun u ru ->
+        if is_dedicated ru then [||] else slots u (Array.length members.(u)))
+      rus
+  in
+  {
+    comps;
+    modes;
+    index;
+    rus;
+    ru_of;
+    rank;
+    members;
+    member_pos;
+    fail_rate = Array.map (Array.map Component.mode_failure_rate) modes;
+    stage_rate = Array.map (Array.map Component.mode_stage_rate) modes;
+    spare_group;
+    spare_needed;
+    dormancy;
+    width = !word + 1;
+    up_f;
+    mode_f;
+    stage_f;
+    rep_f;
+    queue_f;
+  }
 
 let component_count ctx = Array.length ctx.comps
 
-(* Failure-rate multiplier of component [i] in a state: 1 unless the
-   component is a dormant member of a spare unit. *)
-let failure_factor ctx state i =
-  match ctx.smu_of.(i) with
-  | None -> 1.
-  | Some smu ->
-      let up name = state.up.(Hashtbl.find ctx.index name) in
-      let assignments = Spare.active_set smu ~up in
-      let name = ctx.comps.(i).Component.name in
-      let active = try List.assoc name assignments with Not_found -> false in
-      if active then 1. else Spare.dormancy_factor smu
+(* --- Packed keys ------------------------------------------------------ *)
 
-let is_dedicated ru = ru.Repair.strategy = Repair.Dedicated
+let get key off f = (key.(off + f.word) lsr f.shift) land f.mask
 
-(* The set of components a unit is currently repairing. *)
-let repairing ctx state u =
+let set key off f v =
+  let p = off + f.word in
+  key.(p) <- key.(p) land lnot (f.mask lsl f.shift) lor (v lsl f.shift)
+
+(* Write a record state into [key]; false when it does not fit the layout
+   (wrong dimensions, an unknown mode, a list entry that is not a member
+   of its unit, or a list longer than its slots). *)
+let encode ctx st key =
+  let n = component_count ctx and nu = Array.length ctx.rus in
+  Array.fill key 0 ctx.width 0;
+  let write_list u slots l =
+    List.length l <= Array.length slots
+    && List.for_all (fun x -> x >= 0 && x < n && ctx.ru_of.(x) = u) l
+    && begin
+         List.iteri (fun k x -> set key 0 slots.(k) (ctx.member_pos.(x) + 1)) l;
+         true
+       end
+  in
+  Array.length st.up = n
+  && Array.length st.stage = n
+  && Array.length st.failed_mode = n
+  && Array.length st.in_repair = nu
+  && Array.length st.queue = nu
+  && begin
+       let ok = ref true in
+       for i = 0 to n - 1 do
+         let m = st.failed_mode.(i) and k = st.stage.(i) in
+         if m >= 0 && m < Array.length ctx.modes.(i)
+            && k >= 0 && k <= ctx.stage_f.(i).mask
+         then begin
+           set key 0 ctx.up_f.(i) (if st.up.(i) then 1 else 0);
+           set key 0 ctx.mode_f.(i) m;
+           set key 0 ctx.stage_f.(i) k
+         end
+         else ok := false
+       done;
+       for u = 0 to nu - 1 do
+         if not (write_list u ctx.rep_f.(u) st.in_repair.(u)
+                 && write_list u ctx.queue_f.(u) st.queue.(u))
+         then ok := false
+       done;
+       !ok
+     end
+
+(* Unpack the list in [slots] of unit [u] into [dst] as component
+   indices; returns its length. *)
+let unpack_list ctx key off u slots dst =
+  let len = ref 0 in
+  while !len < Array.length slots && get key off slots.(!len) <> 0 do
+    dst.(!len) <- ctx.members.(u).(get key off slots.(!len) - 1);
+    incr len
+  done;
+  !len
+
+let read_list ctx key off u slots =
+  let dst = Array.make (Array.length slots) 0 in
+  let len = unpack_list ctx key off u slots dst in
+  Array.to_list (Array.sub dst 0 len)
+
+let decode ctx key off =
+  let n = component_count ctx in
+  {
+    up = Array.init n (fun i -> get key off ctx.up_f.(i) = 1);
+    in_repair = Array.mapi (fun u slots -> read_list ctx key off u slots) ctx.rep_f;
+    queue = Array.mapi (fun u slots -> read_list ctx key off u slots) ctx.queue_f;
+    stage = Array.init n (fun i -> get key off ctx.stage_f.(i));
+    failed_mode = Array.init n (fun i -> get key off ctx.mode_f.(i));
+  }
+
+(* The components unit [u] is currently repairing: dedicated units every
+   failed member; preemptive units the head of the canonical queue (it is
+   rank-sorted with FCFS inside each class, so the crews work on its
+   prefix); other units their in-repair list. *)
+let repairing ctx key off u =
   let ru = ctx.rus.(u) in
   if is_dedicated ru then
-    List.filter_map
-      (fun name ->
-        let i = Hashtbl.find ctx.index name in
-        if state.up.(i) then None else Some i)
-      ru.Repair.components
-  else if ru.Repair.preemptive then begin
-    (* the canonical queue is rank-sorted with FCFS inside each class, so
-       the crews work on its prefix *)
-    let rec take k = function
-      | [] -> []
-      | i :: rest -> if k = 0 then [] else i :: take (k - 1) rest
-    in
-    take ru.Repair.crews state.queue.(u)
-  end
-  else state.in_repair.(u)
+    List.filter
+      (fun i -> get key off ctx.up_f.(i) = 0)
+      (Array.to_list ctx.members.(u))
+  else if ru.Repair.preemptive then
+    List.filteri
+      (fun k _ -> k < ru.Repair.crews)
+      (read_list ctx key off u ctx.queue_f.(u))
+  else read_list ctx key off u ctx.rep_f.(u)
 
-(* Pick the most urgent waiting component: the canonical queue's head
-   (minimal rank, earliest arrival within its rank class). *)
-let pick_next queue =
-  match queue with [] -> None | chosen :: rest -> Some (chosen, rest)
+(* --- Successor generation --------------------------------------------- *)
+
+(* The state being expanded, unpacked once: per-component fields and the
+   units' lists as component indices. *)
+type work = {
+  w_up : bool array;
+  w_mode : int array;
+  w_stage : int array;
+  w_rep : int array array;
+  w_rep_len : int array;
+  w_queue : int array array;
+  w_queue_len : int array;
+  w_tmp : int array;
+  (* successors of the expanded state, [width] words each *)
+  keys : int array;
+  rates : float array;
+  mutable count : int;
+}
+
+let make_work ctx =
+  let n = component_count ctx in
+  let sizes = Array.map Array.length ctx.members in
+  (* one successor per failure mode of every component, plus at most one
+     repair event per component *)
+  let max_succ =
+    Array.fold_left (fun acc m -> acc + Array.length m) n ctx.modes
+  in
+  {
+    w_up = Array.make n true;
+    w_mode = Array.make n 0;
+    w_stage = Array.make n 0;
+    w_rep = Array.map (fun k -> Array.make k 0) sizes;
+    w_rep_len = Array.make (Array.length sizes) 0;
+    w_queue = Array.map (fun k -> Array.make k 0) sizes;
+    w_queue_len = Array.make (Array.length sizes) 0;
+    w_tmp = Array.make (Array.fold_left max 0 sizes) 0;
+    keys = Array.make (max_succ * ctx.width) 0;
+    rates = Array.make max_succ 0.;
+    count = 0;
+  }
+
+let unpack ctx w key =
+  for i = 0 to component_count ctx - 1 do
+    w.w_up.(i) <- get key 0 ctx.up_f.(i) = 1;
+    w.w_mode.(i) <- get key 0 ctx.mode_f.(i);
+    w.w_stage.(i) <- get key 0 ctx.stage_f.(i)
+  done;
+  for u = 0 to Array.length ctx.rus - 1 do
+    w.w_rep_len.(u) <- unpack_list ctx key 0 u ctx.rep_f.(u) w.w_rep.(u);
+    w.w_queue_len.(u) <- unpack_list ctx key 0 u ctx.queue_f.(u) w.w_queue.(u)
+  done
+
+(* Start a successor as a copy of [cur]; returns its offset in [w.keys]. *)
+let push ctx w cur rate =
+  let k = w.count in
+  let off = k * ctx.width in
+  for f = 0 to ctx.width - 1 do
+    w.keys.(off + f) <- cur.(f)
+  done;
+  w.rates.(k) <- rate;
+  w.count <- k + 1;
+  off
+
+(* Write [slots] from the list [src.(0 .. len-1)] with [i] inserted before
+   the first entry that sorts after it (the slots from [len + 1] on are
+   already empty). Queues sort by scheduling rank ([by_rank], [i] having
+   rank [rank]), FCFS within a rank class; in-repair lists sort by
+   component index. *)
+let write_inserted ctx w key off slots src len i ~by_rank ~rank =
+  let o = ref 0 in
+  for p = 0 to len - 1 do
+    let x = src.(p) in
+    if !o = p
+       && (if by_rank then ctx.rank.(x).(w.w_mode.(x)) > rank else i < x)
+    then begin
+      set key off slots.(p) (ctx.member_pos.(i) + 1);
+      incr o
+    end;
+    set key off slots.(!o) (ctx.member_pos.(x) + 1);
+    incr o
+  done;
+  if !o = len then set key off slots.(len) (ctx.member_pos.(i) + 1)
 
 (* Queues are kept in canonical form: stably sorted by scheduling rank.
    Dispatch only ever takes the queue head (minimal rank, earliest arrival
@@ -158,145 +385,231 @@ let pick_next queue =
    interleaving of different rank classes are bisimilar; canonicalizing at
    insertion collapses them and shrinks the state space by orders of
    magnitude on models with many rate classes. *)
-let enqueue ctx state queue i =
-  let rank = current_rank ctx state i in
-  let rec go = function
-    | [] -> [ i ]
-    | x :: rest as full ->
-        if current_rank ctx state x > rank then i :: full else x :: go rest
-  in
-  go queue
+let enqueue ctx w key off u i rank =
+  write_inserted ctx w key off ctx.queue_f.(u) w.w_queue.(u) w.w_queue_len.(u)
+    i ~by_rank:true ~rank
 
-let insert_sorted i l =
-  let rec go = function
-    | [] -> [ i ]
-    | x :: rest as full -> if i < x then i :: full else x :: go rest
-  in
-  go l
+let start_repair ctx w key off u i =
+  write_inserted ctx w key off ctx.rep_f.(u) w.w_rep.(u) w.w_rep_len.(u) i
+    ~by_rank:false ~rank:0
 
-let copy_state state =
-  {
-    up = Array.copy state.up;
-    in_repair = Array.copy state.in_repair;
-    queue = Array.copy state.queue;
-    stage = Array.copy state.stage;
-    failed_mode = Array.copy state.failed_mode;
-  }
+(* Failure-rate multiplier of component [i]: 1 unless it is a dormant
+   member of a spare unit. Walking the unit's members in order, each
+   operational one is active while fewer than [needed] are. *)
+let failure_factor ctx w i =
+  let group = ctx.spare_group.(i) in
+  if Array.length group = 0 then 1.
+  else begin
+    let active = ref 0 and p = ref 0 in
+    while group.(!p) <> i do
+      if w.w_up.(group.(!p)) && !active < ctx.spare_needed.(i) then incr active;
+      incr p
+    done;
+    if w.w_up.(i) && !active < ctx.spare_needed.(i) then 1. else ctx.dormancy.(i)
+  end
 
-(* Transitions out of a state: (rate, successor) list. *)
-let successors ctx state =
-  let n = component_count ctx in
-  let out = ref [] in
-  (* failures: one transition per failure mode *)
-  for i = 0 to n - 1 do
-    if state.up.(i) then begin
-      let factor = failure_factor ctx state i in
+let fail ctx w cur i m factor =
+  let off = push ctx w cur (ctx.fail_rate.(i).(m) *. factor) in
+  let key = w.keys in
+  set key off ctx.up_f.(i) 0;
+  set key off ctx.mode_f.(i) m;
+  let u = ctx.ru_of.(i) in
+  if u >= 0 then begin
+    let ru = ctx.rus.(u) in
+    if is_dedicated ru then ()
+    else if ru.Repair.preemptive || w.w_rep_len.(u) >= ru.Repair.crews then
+      enqueue ctx w key off u i ctx.rank.(i).(m)
+    else start_repair ctx w key off u i
+  end
+
+(* Repairs are Erlang-[k] distributed: each of the [k] stages completes at
+   rate [k / mttr]; the state tracks the completed-stage count, so an
+   interrupted repair resumes where it stopped (preemptive-resume; for
+   k = 1 this is the memoryless case). *)
+let repair ctx w cur u i =
+  let ru = ctx.rus.(u) in
+  let m = w.w_mode.(i) in
+  let off = push ctx w cur ctx.stage_rate.(i).(m) in
+  let key = w.keys in
+  if w.w_stage.(i) < ctx.modes.(i).(m).Component.fm_repair_stages - 1 then
+    (* an intermediate stage completes *)
+    set key off ctx.stage_f.(i) (w.w_stage.(i) + 1)
+  else begin
+    (* the final stage completes: the component is repaired *)
+    set key off ctx.up_f.(i) 1;
+    set key off ctx.stage_f.(i) 0;
+    set key off ctx.mode_f.(i) 0;
+    let queue = w.w_queue.(u) and qlen = w.w_queue_len.(u) in
+    let qslots = ctx.queue_f.(u) in
+    if is_dedicated ru then ()
+    else if ru.Repair.preemptive then begin
+      let o = ref 0 in
+      for p = 0 to qlen - 1 do
+        if queue.(p) <> i then begin
+          set key off qslots.(!o) (ctx.member_pos.(queue.(p)) + 1);
+          incr o
+        end
+      done;
+      for k = !o to qlen - 1 do
+        set key off qslots.(k) 0
+      done
+    end
+    else begin
+      (* free the crew, then dispatch free crews to the queue head *)
+      let busy = w.w_tmp and len = ref 0 in
+      for p = 0 to w.w_rep_len.(u) - 1 do
+        let x = w.w_rep.(u).(p) in
+        if x <> i then begin
+          busy.(!len) <- x;
+          incr len
+        end
+      done;
+      let head = ref 0 in
+      while !len < ru.Repair.crews && !head < qlen do
+        let chosen = queue.(!head) in
+        let q = ref !len in
+        while !q > 0 && busy.(!q - 1) > chosen do
+          busy.(!q) <- busy.(!q - 1);
+          decr q
+        done;
+        busy.(!q) <- chosen;
+        incr len;
+        incr head
+      done;
+      (* only the slots of the old lists can change *)
+      let rslots = ctx.rep_f.(u) in
+      for k = 0 to max !len w.w_rep_len.(u) - 1 do
+        set key off rslots.(k)
+          (if k < !len then ctx.member_pos.(busy.(k)) + 1 else 0)
+      done;
+      for k = 0 to qlen - 1 do
+        set key off qslots.(k)
+          (if !head + k < qlen then ctx.member_pos.(queue.(!head + k)) + 1
+           else 0)
+      done
+    end
+  end
+
+(* Fill [w.keys]/[w.rates] with the transitions out of [cur] (unpacked in
+   [w]), in generation order: failures by component and mode, then repair
+   progress and completions by unit. *)
+let successors ctx w cur =
+  w.count <- 0;
+  for i = 0 to component_count ctx - 1 do
+    if w.w_up.(i) then begin
+      let factor = failure_factor ctx w i in
       if factor > 0. then
-        Array.iteri
-          (fun m fm ->
-            let rate = Component.mode_failure_rate fm *. factor in
-            let s' = copy_state state in
-            s'.up.(i) <- false;
-            s'.failed_mode.(i) <- m;
-            (match ctx.ru_of.(i) with
-            | None -> ()
-            | Some u ->
-                let ru = ctx.rus.(u) in
-                if is_dedicated ru then ()
-                else if ru.Repair.preemptive then
-                  s'.queue.(u) <- enqueue ctx s' s'.queue.(u) i
-                else if List.length s'.in_repair.(u) < ru.Repair.crews then
-                  s'.in_repair.(u) <- insert_sorted i s'.in_repair.(u)
-                else s'.queue.(u) <- enqueue ctx s' s'.queue.(u) i);
-            out := (rate, s') :: !out)
-          ctx.modes.(i)
+        for m = 0 to Array.length ctx.modes.(i) - 1 do
+          fail ctx w cur i m factor
+        done
     end
   done;
-  (* repair progress and completions. Repairs are Erlang-[k] distributed:
-     each of the [k] stages completes at rate [k / mttr]; the state tracks
-     the completed-stage count, so an interrupted repair resumes where it
-     stopped (preemptive-resume; for k = 1 this is the memoryless case). *)
-  Array.iteri
-    (fun u ru ->
-      List.iter
-        (fun i ->
-          let fm = ctx.modes.(i).(state.failed_mode.(i)) in
-          let stages = fm.Component.fm_repair_stages in
-          let rate = Component.mode_stage_rate fm in
-          if state.stage.(i) < stages - 1 then begin
-            (* an intermediate stage completes *)
-            let s' = copy_state state in
-            s'.stage.(i) <- s'.stage.(i) + 1;
-            out := (rate, s') :: !out
-          end
-          else begin
-            (* the final stage completes: the component is repaired *)
-            let s' = copy_state state in
-            s'.up.(i) <- true;
-            s'.stage.(i) <- 0;
-            s'.failed_mode.(i) <- 0;
-            if is_dedicated ru then ()
-            else if ru.Repair.preemptive then
-              s'.queue.(u) <- List.filter (fun j -> j <> i) s'.queue.(u)
-            else begin
-              s'.in_repair.(u) <- List.filter (fun j -> j <> i) s'.in_repair.(u);
-              let rec dispatch () =
-                if List.length s'.in_repair.(u) < ru.Repair.crews then
-                  match pick_next s'.queue.(u) with
-                  | None -> ()
-                  | Some (chosen, rest) ->
-                      s'.in_repair.(u) <- insert_sorted chosen s'.in_repair.(u);
-                      s'.queue.(u) <- rest;
-                      dispatch ()
-              in
-              dispatch ()
-            end;
-            out := (rate, s') :: !out
-          end)
-        (repairing ctx state u))
-    ctx.rus;
-  !out
+  for u = 0 to Array.length ctx.rus - 1 do
+    let ru = ctx.rus.(u) in
+    if is_dedicated ru then
+      for p = 0 to Array.length ctx.members.(u) - 1 do
+        let i = ctx.members.(u).(p) in
+        if not w.w_up.(i) then repair ctx w cur u i
+      done
+    else if ru.Repair.preemptive then
+      for p = 0 to min ru.Repair.crews w.w_queue_len.(u) - 1 do
+        repair ctx w cur u w.w_queue.(u).(p)
+      done
+    else
+      for p = 0 to w.w_rep_len.(u) - 1 do
+        repair ctx w cur u w.w_rep.(u).(p)
+      done
+  done
 
-(* Canonical string encoding of a state, used as the hash key (the default
-   polymorphic hash only inspects a bounded prefix of the structure, which
-   would degenerate on large state vectors). *)
-let encode state =
-  let buf = Buffer.create 64 in
-  Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) state.up;
-  Array.iter
-    (fun l ->
-      Buffer.add_char buf '|';
-      List.iter
-        (fun i ->
-          Buffer.add_string buf (string_of_int i);
-          Buffer.add_char buf ',')
-        l)
-    state.in_repair;
-  Array.iter
-    (fun l ->
-      Buffer.add_char buf '/';
-      List.iter
-        (fun i ->
-          Buffer.add_string buf (string_of_int i);
-          Buffer.add_char buf ',')
-        l)
-    state.queue;
-  Array.iter
-    (fun k ->
-      if k > 0 then begin
-        Buffer.add_char buf '.';
-        Buffer.add_string buf (string_of_int k)
-      end
-      else Buffer.add_char buf '-')
-    state.stage;
-  Array.iter
-    (fun m ->
-      if m > 0 then begin
-        Buffer.add_char buf 'm';
-        Buffer.add_string buf (string_of_int m)
-      end)
-    state.failed_mode;
-  Buffer.contents buf
+(* --- Observations ------------------------------------------------------ *)
+
+(* A fault or service tree with its basic events resolved to (component,
+   mode) pairs; mode -1 matches any failure mode. *)
+type ctree =
+  | Leaf of int * int
+  | All of ctree list
+  | Any of ctree list
+  | Atleast of int * ctree list
+
+type packed = {
+  ctx : ctx;
+  table : Intern.t;
+  fault : ctree;
+  service : ctree;
+}
+
+type built = {
+  model : Model.t;
+  chain : Chain.t;
+  packed : packed;
+  component_index : string -> int;
+  state_index : state -> int option;
+}
+
+let resolve_component ctx name =
+  match Hashtbl.find_opt ctx.index name with
+  | Some i -> i
+  | None -> error "unknown component %s" name
+
+(* "c" is the component failed in any mode, "c:m" failed in mode m *)
+let resolve_literal ctx literal =
+  let name, mode_name = Model.split_literal literal in
+  let i = resolve_component ctx name in
+  match mode_name with
+  | None -> (i, -1)
+  | Some mn ->
+      let rec position m =
+        if m >= Array.length ctx.modes.(i) then
+          error "unknown failure mode %s:%s" name mn
+        else if ctx.modes.(i).(m).Component.fm_name = mn then m
+        else position (m + 1)
+      in
+      (i, position 0)
+
+let rec compile ctx = function
+  | Fault_tree.Basic literal ->
+      let i, m = resolve_literal ctx literal in
+      Leaf (i, m)
+  | Fault_tree.And inputs -> All (List.map (compile ctx) inputs)
+  | Fault_tree.Or inputs -> Any (List.map (compile ctx) inputs)
+  | Fault_tree.Kofn (k, inputs) -> Atleast (k, List.map (compile ctx) inputs)
+
+let field_at p s f = (Intern.get p.table s f.word lsr f.shift) land f.mask
+
+let failed p s i m =
+  field_at p s p.ctx.up_f.(i) = 0
+  && (m < 0 || field_at p s p.ctx.mode_f.(i) = m)
+
+let rec holds p s = function
+  | Leaf (i, m) -> failed p s i m
+  | All gs -> all_hold p s gs
+  | Any gs -> any_holds p s gs
+  | Atleast (k, gs) -> count_holding p s 0 gs >= k
+
+and all_hold p s = function [] -> true | g :: gs -> holds p s g && all_hold p s gs
+
+and any_holds p s = function [] -> false | g :: gs -> holds p s g || any_holds p s gs
+
+and count_holding p s n = function
+  | [] -> n
+  | g :: gs -> count_holding p s (if holds p s g then n + 1 else n) gs
+
+(* The quantitative service semantics of {!Fault_tree.eval_quantitative}
+   (AND = min, OR = average, K-of-N = min 1 (sum / k)) with the same
+   operation order, over operational literals. *)
+let rec level p s = function
+  | Leaf (i, m) -> if failed p s i m then 0. else 1.
+  | All gs -> min_level p s infinity gs
+  | Any gs -> sum_level p s 0. gs /. float_of_int (List.length gs)
+  | Atleast (k, gs) -> Float.min 1. (sum_level p s 0. gs /. float_of_int k)
+
+and min_level p s acc = function
+  | [] -> acc
+  | g :: gs -> min_level p s (Float.min acc (level p s g)) gs
+
+and sum_level p s acc = function
+  | [] -> acc
+  | g :: gs -> sum_level p s (acc +. level p s g) gs
 
 let all_up_state model =
   let n = List.length model.Model.components in
@@ -308,6 +621,9 @@ let all_up_state model =
     stage = Array.make n 0;
     failed_mode = Array.make n 0;
   }
+
+(* the scheduling rank of a failed component in a given state *)
+let current_rank ctx state i = ctx.rank.(i).(state.failed_mode.(i))
 
 let disaster_state model ~failed =
   let ctx = make_ctx model in
@@ -337,7 +653,7 @@ let disaster_state model ~failed =
       if not (is_dedicated ru) then begin
         let failed_members = ref [] in
         for i = n - 1 downto 0 do
-          if (not state.up.(i)) && ctx.ru_of.(i) = Some u then
+          if (not state.up.(i)) && ctx.ru_of.(i) = u then
             failed_members := i :: !failed_members
         done;
         let ordered =
@@ -363,117 +679,134 @@ let disaster_state model ~failed =
     ctx.rus;
   state
 
+(* Breadth-first exploration over packed keys. States are numbered in
+   discovery order, so the BFS queue is simply the id range: state [i] is
+   expanded from its interned key, and its successors are interned in
+   reverse generation order. Transitions are appended to flat arrays row
+   by row and handed to the sparse builder once the state count is
+   known. *)
 let build ?(max_states = 5_000_000) ?initial model =
   let ctx = make_ctx model in
   let initial = match initial with Some s -> s | None -> all_up_state model in
   if Array.length initial.up <> component_count ctx then
     error "build: initial state has wrong component count";
-  let table : (string, int) Hashtbl.t = Hashtbl.create 4096 in
-  let states_rev = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern s =
-    let key = encode s in
-    match Hashtbl.find_opt table key with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        if i >= max_states then error "state space exceeds max_states = %d" max_states;
-        Hashtbl.replace table key i;
-        states_rev := s :: !states_rev;
-        incr count;
-        Queue.add (s, i) queue;
-        i
+  let width = ctx.width in
+  let cur = Array.make width 0 in
+  if not (encode ctx initial cur) then
+    error "build: initial state does not fit the model";
+  let table = Intern.create ~width () in
+  let intern key off =
+    let j = Intern.intern table key off in
+    if Intern.count table > max_states then
+      error "state space exceeds max_states = %d" max_states;
+    j
   in
-  ignore (intern initial);
-  let transitions = ref [] in
-  while not (Queue.is_empty queue) do
-    let s, i = Queue.pop queue in
-    List.iter
-      (fun (rate, s') ->
-        let j = intern s' in
-        if i <> j then transitions := (i, j, rate) :: !transitions)
-      (successors ctx s)
+  ignore (intern cur 0);
+  let w = make_work ctx in
+  let src = ref (Array.make 4096 0)
+  and dst = ref (Array.make 4096 0)
+  and rate = ref (Array.make 4096 0.)
+  and m = ref 0 in
+  let i = ref 0 in
+  while !i < Intern.count table do
+    Intern.blit table !i cur 0;
+    unpack ctx w cur;
+    successors ctx w cur;
+    if !m + w.count > Array.length !src then begin
+      let grow a fill =
+        let a' = Array.make (2 * (!m + w.count)) fill in
+        Array.blit a 0 a' 0 !m;
+        a'
+      in
+      src := grow !src 0;
+      dst := grow !dst 0;
+      rate := grow !rate 0.
+    end;
+    for k = w.count - 1 downto 0 do
+      let j = intern w.keys (k * width) in
+      if j <> !i then begin
+        !src.(!m) <- !i;
+        !dst.(!m) <- j;
+        !rate.(!m) <- w.rates.(k);
+        incr m
+      end
+    done;
+    incr i
   done;
-  let n = !count in
-  let states = Array.make n initial in
-  List.iteri (fun k s -> states.(n - 1 - k) <- s) !states_rev;
+  let n = Intern.count table in
   let b = Sparse.Builder.create ~rows:n ~cols:n in
-  List.iter (fun (i, j, r) -> Sparse.Builder.add b i j r) !transitions;
+  for p = 0 to !m - 1 do
+    Sparse.Builder.add b !src.(p) !dst.(p) !rate.(p)
+  done;
   let chain = Chain.make ~init:(Vec.unit n 0) (Sparse.Builder.to_csr b) in
+  let packed =
+    {
+      ctx;
+      table;
+      fault = compile ctx model.Model.fault_tree;
+      service = compile ctx (Model.service_tree model);
+    }
+  in
   {
     model;
     chain;
-    states;
-    component_index =
-      (fun name ->
-        match Hashtbl.find_opt ctx.index name with
-        | Some i -> i
-        | None -> error "unknown component %s" name);
-    state_index = (fun s -> Hashtbl.find_opt table (encode s));
+    packed;
+    component_index = resolve_component ctx;
+    state_index =
+      (fun s ->
+        let key = Array.make width 0 in
+        if not (encode ctx s key) then None
+        else
+          let id = Intern.find table key 0 in
+          if id < 0 then None else Some id);
   }
 
+let state built s =
+  let p = built.packed in
+  decode p.ctx (Intern.key p.table s) 0
+
 let component_up built s name =
-  built.states.(s).up.(built.component_index name)
+  let p = built.packed in
+  field_at p s p.ctx.up_f.(built.component_index name) = 1
 
-(* fault-tree literal evaluation: "c" is true when the component is failed
-   in any mode; "c:m" when it is failed in that specific mode *)
 let literal_pred built literal =
-  let name, mode_name = Model.split_literal literal in
-  let i = built.component_index name in
-  match mode_name with
-  | None -> fun s -> not built.states.(s).up.(i)
-  | Some mn ->
-      let comp = Model.component built.model name in
-      let rec position m = function
-        | [] -> Build_error (Printf.sprintf "unknown failure mode %s:%s" name mn) |> raise
-        | fm :: rest -> if fm.Component.fm_name = mn then m else position (m + 1) rest
-      in
-      let mode_index = position 0 (Component.modes comp) in
-      fun s ->
-        let st = built.states.(s) in
-        (not st.up.(i)) && st.failed_mode.(i) = mode_index
+  let p = built.packed in
+  let i, m = resolve_literal p.ctx literal in
+  fun s -> failed p s i m
 
-let truth_of_state built s =
-  fun literal -> literal_pred built literal s
-
-let down_pred built s = Fault_tree.eval built.model.Model.fault_tree (truth_of_state built s)
+let down_pred built s = holds built.packed s built.packed.fault
 
 let operational_pred built s = not (down_pred built s)
 
-let service_level built s =
-  let tree = Model.service_tree built.model in
-  let truth = truth_of_state built s in
-  Fault_tree.eval_quantitative tree (fun literal -> if truth literal then 0. else 1.)
+let service_level built s = level built.packed s built.packed.service
 
-let service_at_least built x =
-  fun s -> service_level built s >= x -. 1e-9
+let service_at_least built x = fun s -> service_level built s >= x -. 1e-9
 
 let under_repair built s =
-  let ctx = make_ctx built.model in
-  let state = built.states.(s) in
-  List.concat (List.init (Array.length ctx.rus) (fun u -> repairing ctx state u))
+  let p = built.packed in
+  let key = Intern.key p.table s in
+  List.concat (List.init (Array.length p.ctx.rus) (fun u -> repairing p.ctx key 0 u))
 
-(* Cost structures. The context is rebuilt per call; these run once per
-   analysis, over every state, so we inline the loop. *)
+(* Cost structures: one pass over the packed states. *)
 let cost_structures built =
-  let ctx = make_ctx built.model in
-  let n = Array.length built.states in
-  let comp_cost = Vec.zeros n in
-  let ru_cost = Vec.zeros n in
+  let p = built.packed in
+  let ctx = p.ctx in
+  let n = Intern.count p.table in
+  let comp_cost = Vec.zeros n and ru_cost = Vec.zeros n in
+  let key = Array.make ctx.width 0 in
   for s = 0 to n - 1 do
-    let state = built.states.(s) in
+    Intern.blit p.table s key 0;
     Array.iteri
       (fun i c ->
         comp_cost.(s) <-
           comp_cost.(s)
           +.
-          if state.up.(i) then c.Component.operational_cost
-          else ctx.modes.(i).(state.failed_mode.(i)).Component.fm_failed_cost)
+          if get key 0 ctx.up_f.(i) = 1 then c.Component.operational_cost
+          else ctx.modes.(i).(get key 0 ctx.mode_f.(i)).Component.fm_failed_cost)
       ctx.comps;
     Array.iteri
       (fun u ru ->
-        let busy = List.length (repairing ctx state u) in
+        let busy = List.length (repairing ctx key 0 u) in
         let idle = Repair.crew_count ru - busy in
         ru_cost.(s) <-
           ru_cost.(s)
@@ -482,10 +815,6 @@ let cost_structures built =
       ctx.rus
   done;
   (comp_cost, ru_cost)
-
-let component_cost_structure built = fst (cost_structures built)
-
-let repair_cost_structure built = snd (cost_structures built)
 
 let cost_structure built =
   let comp, ru = cost_structures built in

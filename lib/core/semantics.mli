@@ -34,12 +34,22 @@ type state = {
           priority. *)
 }
 
+type packed
+(** The explored states in packed form: one fixed-width integer key per
+    state (per component an up bit, a failure-mode field and a stage
+    field; per repair unit in-repair and queue slots), interned in a
+    {!Numeric.Intern} table whose ids are the chain's state indices, plus
+    the model's fault and service trees with their literals resolved. *)
+
 type built = {
   model : Model.t;
   chain : Ctmc.Chain.t;
-  states : state array;
+  packed : packed;
   component_index : string -> int;
+      (** raises {!Build_error} for an unknown name *)
   state_index : state -> int option;
+      (** the index of a state record; [None] when the state was not
+          reached or does not fit the model *)
 }
 
 exception Build_error of string
@@ -58,9 +68,16 @@ val disaster_state : Model.t -> failed:string list -> state
 val build : ?max_states:int -> ?initial:state -> Model.t -> built
 (** Explore the reachable state space from [initial] (default
     {!all_up_state}) and build the CTMC (initial distribution: point mass
-    on [initial]). [max_states] defaults to [5_000_000]. *)
+    on [initial]). State [i] of the chain is the [i]-th state discovered
+    breadth-first. Raises {!Build_error} when more than [max_states]
+    (default [5_000_000]) states are reachable, or when [initial] does not
+    match the model (dimensions, failure modes, list entries that are not
+    members of their repair unit). *)
 
 (** {2 Per-state observations} *)
+
+val state : built -> int -> state
+(** [state b s] decodes state [s] (a fresh record). *)
 
 val component_up : built -> int -> string -> bool
 (** [component_up b s name]: is the component operational in state [s]? *)
@@ -91,6 +108,6 @@ val cost_structure : built -> Ctmc.Rewards.structure
     rates) plus, per repair unit, idle crews times idle cost and busy crews
     times busy cost. *)
 
-val component_cost_structure : built -> Ctmc.Rewards.structure
-
-val repair_cost_structure : built -> Ctmc.Rewards.structure
+val cost_structures : built -> Ctmc.Rewards.structure * Ctmc.Rewards.structure
+(** The two summands of {!cost_structure}, computed in one pass: component
+    costs and repair-unit crew costs. *)

@@ -266,8 +266,7 @@ let cached_steady t ~tol compute =
       pi
 
 (* FNV-1a, 64 bit: cheap streaming hash for predicate bitmaps and
-   partition arrays, so unnamed-predicate cache keys cost O(1) storage
-   per lookup instead of an O(n) string each time. *)
+   partition arrays, used as the cache-table keys. *)
 let fnv_offset = 0xcbf29ce484222325L
 
 let fnv_prime = 0x100000001b3L
@@ -282,13 +281,8 @@ let fnv_int h i =
 
 let fnv1a64 s =
   let h = ref fnv_offset in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
-  !h
-
-let pred_hash pred n =
-  let h = ref fnv_offset in
-  for s = 0 to n - 1 do
-    h := fnv_byte !h (if pred s then 1 else 0)
+  for k = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s k))
   done;
   !h
 
@@ -298,15 +292,6 @@ let pred_bitmap pred n =
     Bytes.unsafe_set b s (if pred s then '1' else '0')
   done;
   Bytes.unsafe_to_string b
-
-(* compare a stored bitmap against the predicate without re-allocating *)
-let pred_matches bitmap pred n =
-  String.length bitmap = n
-  &&
-  let rec go s =
-    s >= n || (String.unsafe_get bitmap s = (if pred s then '1' else '0')) && go (s + 1)
-  in
-  go 0
 
 let absorbed ?name t ~pred =
   match name with
@@ -323,14 +308,14 @@ let absorbed ?name t ~pred =
           Hashtbl.replace t.absorbed_named nm sub;
           sub)
   | None -> (
-      let n = Chain.states t.chain in
-      let h = pred_hash pred n in
+      (* the predicate is evaluated once per state: the bitmap is the
+         hash input, the stored key and the absorbing set *)
+      let bitmap = pred_bitmap pred (Chain.states t.chain) in
+      let h = fnv1a64 bitmap in
       let bucket =
         match Hashtbl.find_opt t.absorbed_pred h with Some l -> l | None -> []
       in
-      match
-        List.find_opt (fun (bitmap, _) -> pred_matches bitmap pred n) bucket
-      with
+      match List.find_opt (fun (b, _) -> String.equal b bitmap) bucket with
       | Some (_, sub) ->
           t.counters.absorbed_hits <- t.counters.absorbed_hits + 1;
           Obs.Metrics.incr m_absorbed_hits;
@@ -341,11 +326,11 @@ let absorbed ?name t ~pred =
               t.counters.absorbed_collisions + 1;
             Obs.Metrics.incr m_absorbed_collisions
           end;
+          let pred s = String.unsafe_get bitmap s = '1' in
           let sub = create (Chain.absorbing t.chain ~pred) in
           t.counters.absorbed_builds <- t.counters.absorbed_builds + 1;
           Obs.Metrics.incr m_absorbed_builds;
-          Hashtbl.replace t.absorbed_pred h
-            ((pred_bitmap pred n, sub) :: bucket);
+          Hashtbl.replace t.absorbed_pred h ((bitmap, sub) :: bucket);
           sub)
 
 (* ------------------------------------------------------------------ *)

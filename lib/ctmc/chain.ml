@@ -100,7 +100,9 @@ let embedded m =
 
 let absorbing m ~pred =
   let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in
-  Sparse.iteri m.rates (fun i j x -> if not (pred i) then Sparse.Builder.add b i j x);
+  for i = 0 to m.n - 1 do
+    if not (pred i) then Sparse.iter_row m.rates i (Sparse.Builder.add b i)
+  done;
   let rates = Sparse.Builder.to_csr b in
   { m with rates; exit = Sparse.row_sums rates }
 

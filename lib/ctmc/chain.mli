@@ -59,7 +59,8 @@ val embedded : t -> Numeric.Sparse.t
 
 val absorbing : t -> pred:(int -> bool) -> t
 (** [absorbing m ~pred] removes all outgoing transitions of states satisfying
-    [pred] (they become absorbing). The initial distribution is kept. *)
+    [pred] (they become absorbing). [pred] is called once per state. The
+    initial distribution is kept. *)
 
 val restrict_reachable : t -> t * int array
 (** Drop states unreachable from the support of the initial distribution.

@@ -19,99 +19,139 @@ let idx (a : index_array) p = Int32.to_int (A1.unsafe_get a p)
 module Builder = struct
   type matrix = t
 
+  (* Triplets in three growable unboxed arrays, in insertion order. *)
   type t = {
     b_rows : int;
     b_cols : int;
-    mutable entries : (int * int * float) list;
+    mutable ri : int array;
+    mutable ci : int array;
+    mutable vs : float array;
     mutable count : int;
   }
 
   let create ~rows ~cols =
     if rows < 0 || cols < 0 then invalid_arg "Sparse.Builder.create";
-    { b_rows = rows; b_cols = cols; entries = []; count = 0 }
+    { b_rows = rows; b_cols = cols; ri = [||]; ci = [||]; vs = [||]; count = 0 }
+
+  let grow b =
+    let cap = max 16 (2 * b.count) in
+    let extend a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 b.count;
+      a'
+    in
+    b.ri <- extend b.ri 0;
+    b.ci <- extend b.ci 0;
+    b.vs <- extend b.vs 0.
 
   let add b i j x =
     if i < 0 || i >= b.b_rows || j < 0 || j >= b.b_cols then
       invalid_arg
         (Printf.sprintf "Sparse.Builder.add: (%d,%d) out of %dx%d" i j
            b.b_rows b.b_cols);
-    b.entries <- (i, j, x) :: b.entries;
-    b.count <- b.count + 1
+    let k = b.count in
+    if k = Array.length b.ri then grow b;
+    Array.unsafe_set b.ri k i;
+    Array.unsafe_set b.ci k j;
+    Array.unsafe_set b.vs k x;
+    b.count <- k + 1
 
-  (* Finalization: counting sort by row, then sort each row by column and
-     merge duplicates. *)
+  (* Rows up to this length are column-sorted by insertion sort; longer
+     ones by a stable merge sort over a permutation. *)
+  let insertion_limit = 64
+
+  (* Stable sort of entries [lo, hi) of (cols, vals) by column. *)
+  let sort_row (cols : index_array) (vals : value_array) lo hi =
+    if hi - lo <= insertion_limit then
+      for p = lo + 1 to hi - 1 do
+        let c = A1.unsafe_get cols p and v = A1.unsafe_get vals p in
+        let q = ref (p - 1) in
+        while !q >= lo && idx cols !q > Int32.to_int c do
+          A1.unsafe_set cols (!q + 1) (A1.unsafe_get cols !q);
+          A1.unsafe_set vals (!q + 1) (A1.unsafe_get vals !q);
+          decr q
+        done;
+        A1.unsafe_set cols (!q + 1) c;
+        A1.unsafe_set vals (!q + 1) v
+      done
+    else begin
+      let perm = Array.init (hi - lo) (fun q -> lo + q) in
+      Array.stable_sort
+        (fun a b -> Int.compare (idx cols a) (idx cols b))
+        perm;
+      let c = Array.map (fun p -> A1.unsafe_get cols p) perm in
+      let v = Array.map (fun p -> A1.unsafe_get vals p) perm in
+      for q = 0 to hi - lo - 1 do
+        A1.unsafe_set cols (lo + q) c.(q);
+        A1.unsafe_set vals (lo + q) v.(q)
+      done
+    end
+
+  (* Finalization: a stable counting sort by row scatters the triplets
+     into the column/value Bigarrays, each row is stably sorted by column,
+     and one compaction pass sums duplicates in insertion order and drops
+     exact-zero sums. *)
   let to_csr b : matrix =
     let rows = b.b_rows and cols = b.b_cols in
     let n = b.count in
-    let ri = Array.make n 0 and ci = Array.make n 0 and vs = Array.make n 0. in
-    let k = ref (n - 1) in
-    List.iter
-      (fun (i, j, x) ->
-        ri.(!k) <- i;
-        ci.(!k) <- j;
-        vs.(!k) <- x;
-        decr k)
-      b.entries;
-    (* bucket by row *)
-    let counts = Array.make (rows + 1) 0 in
+    let ri = b.ri and ci = b.ci and vs = b.vs in
+    let next = Array.make (rows + 1) 0 in
     for p = 0 to n - 1 do
-      counts.(ri.(p) + 1) <- counts.(ri.(p) + 1) + 1
+      let r = Array.unsafe_get ri p + 1 in
+      Array.unsafe_set next r (Array.unsafe_get next r + 1)
     done;
     for r = 1 to rows do
-      counts.(r) <- counts.(r) + counts.(r - 1)
+      next.(r) <- next.(r) + next.(r - 1)
     done;
-    let order = Array.make n 0 in
-    let next = Array.copy counts in
+    let col_idx = A1.create Bigarray.int32 Bigarray.c_layout n in
+    let values = A1.create Bigarray.float64 Bigarray.c_layout n in
     for p = 0 to n - 1 do
-      let r = ri.(p) in
-      order.(next.(r)) <- p;
-      next.(r) <- next.(r) + 1
+      let r = Array.unsafe_get ri p in
+      let q = Array.unsafe_get next r in
+      A1.unsafe_set col_idx q (Int32.of_int (Array.unsafe_get ci p));
+      A1.unsafe_set values q (Array.unsafe_get vs p);
+      Array.unsafe_set next r (q + 1)
     done;
-    (* per row: sort indices by column, merge duplicates, drop exact zeros *)
-    let row_ends = Array.make (rows + 1) 0 in
-    let out_cols = ref [] and out_vals = ref [] in
-    let total = ref 0 in
+    (* [next.(r)] is now the end of row [r], i.e. the start of row r+1 *)
+    let row_ptr = A1.create Bigarray.int32 Bigarray.c_layout (rows + 1) in
+    A1.unsafe_set row_ptr 0 0l;
+    let w = ref 0 and lo = ref 0 in
     for r = 0 to rows - 1 do
-      row_ends.(r) <- !total;
-      let lo = counts.(r) and hi = counts.(r + 1) in
-      let row_entries =
-        Array.init (hi - lo) (fun q ->
-            let p = order.(lo + q) in
-            (ci.(p), vs.(p)))
-      in
-      Array.sort (fun (c1, _) (c2, _) -> compare c1 c2) row_entries;
-      let m = Array.length row_entries in
-      let q = ref 0 in
-      while !q < m do
-        let c, _ = row_entries.(!q) in
+      let hi = next.(r) in
+      sort_row col_idx values !lo hi;
+      let p = ref !lo in
+      while !p < hi do
+        let c = A1.unsafe_get col_idx !p in
         let acc = ref 0. in
-        while !q < m && fst row_entries.(!q) = c do
-          acc := !acc +. snd row_entries.(!q);
-          incr q
+        while !p < hi && idx col_idx !p = Int32.to_int c do
+          acc := !acc +. A1.unsafe_get values !p;
+          incr p
         done;
         if !acc <> 0. then begin
-          out_cols := c :: !out_cols;
-          out_vals := !acc :: !out_vals;
-          incr total
+          A1.unsafe_set col_idx !w c;
+          A1.unsafe_set values !w !acc;
+          incr w
         end
-      done
+      done;
+      A1.unsafe_set row_ptr (r + 1) (Int32.of_int !w);
+      lo := hi
     done;
-    row_ends.(rows) <- !total;
-    let nnz = !total in
-    let row_ptr = A1.create Bigarray.int32 Bigarray.c_layout (rows + 1) in
-    for r = 0 to rows do
-      A1.unsafe_set row_ptr r (Int32.of_int row_ends.(r))
-    done;
-    let col_idx = A1.create Bigarray.int32 Bigarray.c_layout nnz in
-    let values = A1.create Bigarray.float64 Bigarray.c_layout nnz in
-    let k = ref (nnz - 1) in
-    List.iter2
-      (fun c v ->
-        A1.unsafe_set col_idx !k (Int32.of_int c);
-        A1.unsafe_set values !k v;
-        decr k)
-      !out_cols !out_vals;
-    { rows; cols; row_ptr; col_idx; values }
+    let nnz = !w in
+    let exact a kind =
+      if nnz = n then a
+      else begin
+        let a' = A1.create kind Bigarray.c_layout nnz in
+        A1.blit (A1.sub a 0 nnz) a';
+        a'
+      end
+    in
+    {
+      rows;
+      cols;
+      row_ptr;
+      col_idx = exact col_idx Bigarray.int32;
+      values = exact values Bigarray.float64;
+    }
 end
 
 let of_triplets ~rows ~cols triplets =

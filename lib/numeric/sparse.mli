@@ -14,8 +14,10 @@
 
 type t
 
-(** Mutable triplet accumulator. Duplicate [(row, col)] entries are summed
-    when the matrix is finalized. *)
+(** Mutable triplet accumulator over unboxed growable arrays. Duplicate
+    [(row, col)] entries are summed in insertion order (starting from
+    [0.]) when the matrix is finalized, exact-zero sums are dropped, and
+    the columns of every row come out strictly increasing. *)
 module Builder : sig
   type matrix := t
   type t
@@ -24,7 +26,8 @@ module Builder : sig
 
   val add : t -> int -> int -> float -> unit
   (** [add b i j x] accumulates [x] at position [(i, j)]. Zero contributions
-      are kept until finalization, where exact-zero sums are dropped. *)
+      are kept until finalization, where exact-zero sums are dropped.
+      Raises [Invalid_argument] when [(i, j)] is out of range. *)
 
   val to_csr : t -> matrix
 end

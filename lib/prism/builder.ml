@@ -197,39 +197,27 @@ let build ?(max_states = 2_000_000) model =
       actions;
     !out
   in
-  (* BFS exploration *)
-  let initial = Array.map (fun v -> v.init) vars in
-  let index_table : (int array, int) Hashtbl.t = Hashtbl.create 1024 in
-  let states_rev = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
+  (* BFS exploration: states are numbered in discovery order, so the BFS
+     queue is the id range of the interning table *)
+  let table = Numeric.Intern.create ~width:nvars () in
   let intern state =
-    match Hashtbl.find_opt index_table state with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        if i >= max_states then error "state space exceeds max_states = %d" max_states;
-        Hashtbl.replace index_table state i;
-        states_rev := state :: !states_rev;
-        incr count;
-        Queue.add state queue;
-        i
+    let i = Numeric.Intern.intern table state 0 in
+    if Numeric.Intern.count table > max_states then
+      error "state space exceeds max_states = %d" max_states;
+    i
   in
-  ignore (intern initial);
+  ignore (intern (Array.map (fun v -> v.init) vars));
   let transitions = ref [] in
-  while not (Queue.is_empty queue) do
-    let state = Queue.pop queue in
-    let i = Hashtbl.find index_table state in
+  let i = ref 0 in
+  while !i < Numeric.Intern.count table do
     List.iter
-      (fun (rate, state') ->
-        let j = intern state' in
-        transitions := (i, j, rate) :: !transitions)
-      (try successors state
-       with Eval.Eval_error msg -> error "evaluating transitions: %s" msg)
+      (fun (rate, state') -> transitions := (!i, intern state', rate) :: !transitions)
+      (try successors (Numeric.Intern.key table !i)
+       with Eval.Eval_error msg -> error "evaluating transitions: %s" msg);
+    incr i
   done;
-  let n = !count in
-  let state_vectors = Array.make n [||] in
-  List.iteri (fun k s -> state_vectors.(n - 1 - k) <- s) !states_rev;
+  let n = Numeric.Intern.count table in
+  let state_vectors = Array.init n (Numeric.Intern.key table) in
   let b = Sparse.Builder.create ~rows:n ~cols:n in
   List.iter (fun (i, j, r) -> Sparse.Builder.add b i j r) !transitions;
   let init = Vec.unit n 0 in
@@ -270,7 +258,11 @@ let build ?(max_states = 2_000_000) model =
     var_names = Array.map (fun v -> v.name) vars;
     var_is_bool = Array.map (fun v -> v.is_bool) vars;
     state_vectors;
-    index_of_vector = (fun v -> Hashtbl.find_opt index_table v);
+    index_of_vector =
+      (fun v ->
+        if Array.length v <> nvars then None
+        else
+          match Numeric.Intern.find table v 0 with -1 -> None | i -> Some i);
     labels;
     reward_structures;
   }

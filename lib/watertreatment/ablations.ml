@@ -93,7 +93,7 @@ let strategy_matrix line =
    they agree on the number of up components of each kind. *)
 let kind_signature built s =
   let model = built.Semantics.model in
-  let state = built.Semantics.states.(s) in
+  let state = Semantics.state built s in
   let counts = Hashtbl.create 4 in
   List.iteri
     (fun i name ->

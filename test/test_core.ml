@@ -15,6 +15,9 @@ module Chain = Ctmc.Chain
 let check_close ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
+let decoded_states built =
+  Array.init (Chain.states built.Semantics.chain) (Semantics.state built)
+
 (* substring containment without external deps *)
 module Astring_like = struct
   let contains haystack needle =
@@ -176,7 +179,7 @@ let test_semantics_invariants () =
       List.iter
         (fun i -> Alcotest.(check bool) "in_repair failed" false st.Semantics.up.(i))
         in_r)
-    built.Semantics.states
+    (decoded_states built)
 
 let test_semantics_single_crew_counts () =
   (* FCFS with 1 crew on 3 distinct components: states = sum over failed
@@ -286,7 +289,7 @@ let test_semantics_service_levels_per_state () =
         check_close "half service" 0.5 (Semantics.service_level built s);
         Alcotest.(check bool) "not down" false (Semantics.down_pred built s)
       end)
-    built.Semantics.states;
+    (decoded_states built);
   Alcotest.(check bool) "state found" true !found
 
 let test_semantics_cost_structure () =
@@ -305,13 +308,49 @@ let test_semantics_cost_structure () =
         Array.fold_left (fun acc up -> if up then acc else acc + 1) 0 st.Semantics.up
       in
       check_close "cost formula" ((3. *. float_of_int k) +. float_of_int (3 - k)) cost.(s))
-    built.Semantics.states
+    (decoded_states built)
 
 let test_disaster_state_unknown_component () =
   let model = abc_model () in
   match Semantics.disaster_state model ~failed:[ "zz" ] with
   | exception Semantics.Build_error _ -> ()
   | _ -> Alcotest.fail "expected Build_error"
+
+let test_semantics_max_states () =
+  let model = abc_model ~repair_units:[ fcfs_unit () ] () in
+  (match Semantics.build ~max_states:15 model with
+  | exception Semantics.Build_error _ -> ()
+  | _ -> Alcotest.fail "expected Build_error at 16 > 15 states");
+  Alcotest.(check int) "exactly at the limit" 16
+    (Chain.states (Semantics.build ~max_states:16 model).Semantics.chain)
+
+let test_semantics_state_index_roundtrip () =
+  let model = abc_model ~repair_units:[ fcfs_unit ~crews:2 () ] () in
+  let disaster = Semantics.disaster_state model ~failed:[ "a"; "b"; "c" ] in
+  let from_up = Semantics.build model in
+  (* the disaster state is reachable from all-up: it decodes back to itself *)
+  (match from_up.Semantics.state_index disaster with
+  | None -> Alcotest.fail "disaster state not found"
+  | Some s ->
+      Alcotest.(check bool) "decodes to the disaster state" true
+        (Semantics.state from_up s = disaster));
+  Alcotest.(check (option int)) "initial state is 0" (Some 0)
+    ((Semantics.build ~initial:disaster model).Semantics.state_index disaster);
+  (* every state's decoding indexes back to it *)
+  Array.iteri
+    (fun s st ->
+      Alcotest.(check (option int)) "roundtrip" (Some s)
+        (from_up.Semantics.state_index st))
+    (decoded_states from_up);
+  (* states outside the layout or the explored space are absent *)
+  let bad = { disaster with Semantics.queue = [| [ 0; 1; 2; 0 ] |] } in
+  Alcotest.(check (option int)) "queue longer than the unit" None
+    (from_up.Semantics.state_index bad);
+  Alcotest.(check (option int)) "wrong dimensions" None
+    (from_up.Semantics.state_index (Semantics.all_up_state (abc_model ())));
+  match Semantics.build ~initial:bad model with
+  | exception Semantics.Build_error _ -> ()
+  | _ -> Alcotest.fail "expected Build_error for an unrepresentable initial state"
 
 (* ------------------------------------------------------------------ *)
 (* Measures *)
@@ -470,7 +509,7 @@ let test_stages_queue_strategy () =
               (List.mem i st.Semantics.in_repair.(0))
           end)
         st.Semantics.stage)
-    built.Semantics.states;
+    (decoded_states built);
   (* and the two tool-chain paths still agree *)
   let pbuilt = Prism.Builder.build (Prism.Parser.parse_model (To_prism.to_string model)) in
   Alcotest.(check int) "states agree" (Chain.states built.Semantics.chain)
@@ -536,7 +575,7 @@ let test_modes_specific_literal () =
   let leak_states = ref 0 and down_states = ref 0 in
   for s = 0 to Chain.states built.Semantics.chain - 1 do
     if Semantics.down_pred built s then incr leak_states;
-    if not built.Semantics.states.(s).Semantics.up.(0) then incr down_states
+    if not (Semantics.state built s).Semantics.up.(0) then incr down_states
   done;
   Alcotest.(check int) "one leak state" 1 !leak_states;
   Alcotest.(check int) "two failed states" 2 !down_states;
@@ -1093,6 +1132,190 @@ let prop_survivability_monotone =
           s1 <= s2 +. 1e-9)
         levels)
 
+(* ------------------------------------------------------------------ *)
+(* Golden chains: the state numbering and every CSR entry, bit for bit *)
+
+(* FNV-1a over each row's entries (column, value bits) and the running
+   entry count after each row, i.e. over row_ptr, col_idx and values *)
+let chain_digest chain =
+  let rates = Chain.rates chain in
+  let buf = Buffer.create 4096 in
+  let nnz = ref 0 in
+  Buffer.add_int64_le buf 0L;
+  for i = 0 to Numeric.Sparse.rows rates - 1 do
+    Numeric.Sparse.iter_row rates i (fun j x ->
+        incr nnz;
+        Buffer.add_int32_le buf (Int32.of_int j);
+        Buffer.add_int64_le buf (Int64.bits_of_float x));
+    Buffer.add_int64_le buf (Int64.of_int !nnz)
+  done;
+  Ctmc.Analysis.fnv1a64 (Buffer.contents buf)
+
+(* FNV-1a over the decoded state sequence *)
+let states_digest built =
+  let buf = Buffer.create 4096 in
+  let ints a =
+    Array.iter
+      (fun k ->
+        Buffer.add_string buf (string_of_int k);
+        Buffer.add_char buf ';')
+      a
+  in
+  let lists a =
+    Array.iter
+      (fun l ->
+        Buffer.add_char buf '[';
+        List.iter
+          (fun i ->
+            Buffer.add_string buf (string_of_int i);
+            Buffer.add_char buf ',')
+          l)
+      a
+  in
+  for s = 0 to Chain.states built.Semantics.chain - 1 do
+    let st = Semantics.state built s in
+    Array.iter (fun b -> Buffer.add_char buf (if b then 'u' else 'd')) st.Semantics.up;
+    lists st.Semantics.in_repair;
+    lists st.Semantics.queue;
+    ints st.Semantics.stage;
+    ints st.Semantics.failed_mode;
+    Buffer.add_char buf '\n'
+  done;
+  Ctmc.Analysis.fnv1a64 (Buffer.contents buf)
+
+let check_golden label (states, transitions, chain_hash, states_hash) built =
+  let chain = built.Semantics.chain in
+  Alcotest.(check int) (label ^ " states") states (Chain.states chain);
+  Alcotest.(check int) (label ^ " transitions") transitions
+    (Chain.transition_count chain);
+  Alcotest.(check int64) (label ^ " chain digest") chain_hash (chain_digest chain);
+  Alcotest.(check int64) (label ^ " state digest") states_hash (states_digest built)
+
+(* Every shipped model, explored from the all-up state. *)
+let golden_models =
+  [
+    ("line1_ded.xml", 2048, 22528, -3504436808075133679L, 4434662310564172501L);
+    ("line1_fff-1.xml", 111809, 469007, -3231262100839475136L, 7758544712459425206L);
+    ("line1_fff-2.xml", 178606, 895331, 2029478207367730564L, 305686819690012978L);
+    ("line1_frf-1.xml", 111809, 469007, -6344368156931673848L, 1574032655637831646L);
+    ("line1_frf-2.xml", 178606, 895331, -1536654179314587818L, 1150005812857804834L);
+    ("line2_ded.xml", 512, 4608, 5915470442944404219L, -5577991532869338383L);
+    ("line2_fff-1.xml", 8129, 32029, -496850197430132548L, 8750228025740787460L);
+    ("line2_fff-2.xml", 11956, 56013, -4415164702190698263L, 2611190669274177322L);
+    ("line2_frf-1.xml", 8129, 32029, -7558827746619601156L, -736954301202559172L);
+    ("line2_frf-2.xml", 11956, 56013, -1860065632700741737L, 260273729665080122L);
+    ("pipeline_modes.xml", 169, 451, -7526181682802337721L, 8786470014261349387L);
+    ("substation.xml", 3969, 19529, -3958245545381277830L, 2836014195695590384L);
+  ]
+
+let test_golden_models () =
+  List.iter
+    (fun (file, states, transitions, chain_hash, states_hash) ->
+      let model, _ = Xml_io.load ("../models/" ^ file) in
+      check_golden file
+        (states, transitions, chain_hash, states_hash)
+        (Semantics.build model))
+    golden_models
+
+(* The paper's Table 1: states and transitions per line and strategy. *)
+let golden_table1 =
+  [
+    ("line1", "DED", 2048, 22528, -3504436808075133679L, 4434662310564172501L);
+    ("line1", "FRF-1", 111809, 469007, -6344368156931673848L, 1574032655637831646L);
+    ("line1", "FRF-2", 178606, 895331, -1536654179314587818L, 1150005812857804834L);
+    ("line1", "FFF-1", 111809, 469007, -3231262100839475136L, 7758544712459425206L);
+    ("line1", "FFF-2", 178606, 895331, 2029478207367730564L, 305686819690012978L);
+    ("line2", "DED", 512, 4608, 5915470442944404219L, -5577991532869338383L);
+    ("line2", "FRF-1", 8129, 32029, -7558827746619601156L, -736954301202559172L);
+    ("line2", "FRF-2", 11956, 56013, -1860065632700741737L, 260273729665080122L);
+    ("line2", "FFF-1", 8129, 32029, -496850197430132548L, 8750228025740787460L);
+    ("line2", "FFF-2", 11956, 56013, -4415164702190698263L, 2611190669274177322L);
+  ]
+
+let test_golden_table1 () =
+  let open Watertreatment in
+  List.iter
+    (fun (line, config, states, transitions, chain_hash, states_hash) ->
+      let line = if line = "line1" then Facility.Line1 else Facility.Line2 in
+      let config =
+        List.find (fun c -> Facility.config_name c = config) Facility.paper_configs
+      in
+      let label = Facility.line_name line ^ " " ^ Facility.config_name config in
+      check_golden label
+        (states, transitions, chain_hash, states_hash)
+        (Semantics.build (Facility.line_model line config)))
+    golden_table1
+
+(* Disaster starts: pre-filled queues and in-repair lists, spares, failure
+   modes and Erlang stages in the initial state. *)
+let golden_disasters =
+  [
+    ("line2/DED", 512, 4608, -8261682764022375373L, -3631221149959028203L);
+    ("line2/FRF-1", 8129, 32029, -3396668626836126662L, -8352572404757432988L);
+    ("line2/FRF-2", 11956, 56013, 5071531781461327558L, 6565840544379870082L);
+    ("line2/FFF-1", 8129, 32029, -4436330140577640325L, 8750119238793964540L);
+    ("line2/FFF-2", 11956, 56013, 5280865307625737208L, -314980081578164382L);
+    ("substation/storm", 3969, 19529, 1376133206687322898L, -1620213431620399384L);
+  ]
+
+let test_golden_disasters () =
+  let open Watertreatment in
+  List.iter
+    (fun (label, states, transitions, chain_hash, states_hash) ->
+      let model, failed =
+        match String.split_on_char '/' label with
+        | [ "substation"; _ ] -> (Substation.model, Substation.storm)
+        | [ _; config ] ->
+            let config =
+              List.find (fun c -> Facility.config_name c = config) Facility.paper_configs
+            in
+            (Facility.line_model Facility.Line2 config, Facility.disaster1 Facility.Line2)
+        | _ -> Alcotest.fail label
+      in
+      let initial = Semantics.disaster_state model ~failed in
+      let built = Semantics.build ~initial model in
+      check_golden label (states, transitions, chain_hash, states_hash) built;
+      Alcotest.(check (option int)) (label ^ " initial index") (Some 0)
+        (built.Semantics.state_index initial))
+    golden_disasters
+
+(* The compiled trees against Fault_tree's own evaluators on the decoded
+   states, bit for bit, on models with failure modes and spares. *)
+let test_observations_match_fault_tree () =
+  List.iter
+    (fun file ->
+      let model, _ = Xml_io.load ("../models/" ^ file) in
+      let built = Semantics.build model in
+      let service_tree = Model.service_tree model in
+      let literals = Fault_tree.basics model.Model.fault_tree in
+      let down = Semantics.down_pred built
+      and level = Semantics.service_level built in
+      let preds = List.map (fun l -> (l, Semantics.literal_pred built l)) literals in
+      Array.iteri
+        (fun s st ->
+          let truth literal =
+            let name, mode = Model.split_literal literal in
+            let i = built.Semantics.component_index name in
+            (not st.Semantics.up.(i))
+            && match mode with
+               | None -> true
+               | Some mn ->
+                   (List.nth (Component.modes (Model.component model name))
+                      st.Semantics.failed_mode.(i)).Component.fm_name = mn
+          in
+          List.iter
+            (fun (l, pred) -> Alcotest.(check bool) (file ^ " " ^ l) (truth l) (pred s))
+            preds;
+          Alcotest.(check bool) (file ^ " down") (Fault_tree.eval model.Model.fault_tree truth)
+            (down s);
+          let reference =
+            Fault_tree.eval_quantitative service_tree (fun l -> if truth l then 0. else 1.)
+          in
+          Alcotest.(check int64) (file ^ " service level")
+            (Int64.bits_of_float reference) (Int64.bits_of_float (level s)))
+        (decoded_states built))
+    [ "pipeline_modes.xml"; "substation.xml"; "line2_frf-2.xml" ]
+
 let () =
   Alcotest.run "core"
     [
@@ -1127,6 +1350,9 @@ let () =
             test_semantics_service_levels_per_state;
           Alcotest.test_case "cost structure" `Quick test_semantics_cost_structure;
           Alcotest.test_case "bad disaster" `Quick test_disaster_state_unknown_component;
+          Alcotest.test_case "max_states limit" `Quick test_semantics_max_states;
+          Alcotest.test_case "state_index roundtrip" `Quick
+            test_semantics_state_index_roundtrip;
         ] );
       ( "measures",
         [
@@ -1191,6 +1417,14 @@ let () =
           Alcotest.test_case "model dot" `Quick test_export_model;
           Alcotest.test_case "chain dot" `Quick test_export_chain;
           Alcotest.test_case "size limit" `Quick test_export_chain_too_large;
+        ] );
+      ( "golden-chains",
+        [
+          Alcotest.test_case "shipped models" `Quick test_golden_models;
+          Alcotest.test_case "table 1" `Quick test_golden_table1;
+          Alcotest.test_case "disaster starts" `Quick test_golden_disasters;
+          Alcotest.test_case "observations vs fault tree" `Quick
+            test_observations_match_fault_tree;
         ] );
       ( "model-properties",
         List.map QCheck_alcotest.to_alcotest

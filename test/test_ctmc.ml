@@ -58,7 +58,13 @@ let test_chain_absorbing () =
   let m = two_state 2. 3. in
   let m' = Chain.absorbing m ~pred:(fun s -> s = 1) in
   check_close "no exit from 1" 0. (Chain.exit_rates m').(1);
-  check_close "0 unchanged" 2. (Chain.exit_rates m').(0)
+  check_close "0 unchanged" 2. (Chain.exit_rates m').(0);
+  (* the predicate is asked once per state, not once per stored entry *)
+  let m = Chain.of_transitions ~states:3 [ (0, 1, 1.); (0, 2, 2.); (1, 0, 1.); (1, 2, 4.) ] in
+  let calls = ref 0 in
+  let m' = Chain.absorbing m ~pred:(fun s -> incr calls; s = 0) in
+  Alcotest.(check int) "one call per state" 3 !calls;
+  check_close "1 unchanged" 5. (Chain.exit_rates m').(1)
 
 let test_restrict_reachable () =
   let m =
@@ -875,7 +881,14 @@ let test_analysis_absorbed_hash_keys () =
   let s = Analysis.stats a in
   Alcotest.(check int) "two absorbed builds" 2 s.Analysis.absorbed_builds;
   Alcotest.(check int) "one absorbed hit" 1 s.Analysis.absorbed_hits;
-  Alcotest.(check int) "no collisions" 0 s.Analysis.absorbed_collisions
+  Alcotest.(check int) "no collisions" 0 s.Analysis.absorbed_collisions;
+  (* one predicate evaluation per state, on a build and on a hit *)
+  let calls = ref 0 in
+  let counted s = incr calls; s <= 1 in
+  ignore (Analysis.absorbed a ~pred:counted);
+  Alcotest.(check int) "build: once per state" 5 !calls;
+  ignore (Analysis.absorbed a ~pred:counted);
+  Alcotest.(check int) "hit: once per state" 10 !calls
 
 let test_analysis_wrong_chain_ignored () =
   let m = analysis_chain () in

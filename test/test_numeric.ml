@@ -4,6 +4,7 @@
 module Vec = Numeric.Vec
 module Multivec = Numeric.Multivec
 module Sparse = Numeric.Sparse
+module Intern = Numeric.Intern
 module Fox_glynn = Numeric.Fox_glynn
 module Solver = Numeric.Solver
 module Digraph = Numeric.Digraph
@@ -187,6 +188,69 @@ let sparse_triplets_gen =
            (float_range (-10.) 10.))
     in
     return (rows, cols, entries))
+
+(* Triplets with duplicates, explicit zeros, cancellations to zero, empty
+   rows and (with few rows and up to 400 entries) rows longer than 64
+   entries. *)
+let builder_triplets_gen =
+  QCheck.Gen.(
+    let* rows = int_range 1 8 in
+    let* cols = int_range 1 90 in
+    let* n = int_range 0 400 in
+    let value =
+      oneof [ return 0.; return 1.; return (-0.5); return 0.1; float_range (-5.) 5. ]
+    in
+    let* entries =
+      list_size (return n)
+        (quad (int_range 0 (rows - 1)) (int_range 0 (cols - 1)) value bool)
+    in
+    (* a [true] flag appends the entry's negation: the pair sums to zero *)
+    return
+      ( rows,
+        cols,
+        List.concat_map
+          (fun (i, j, x, cancel) -> if cancel then [ (i, j, x); (i, j, -.x) ] else [ (i, j, x) ])
+          entries ))
+
+let prop_builder_matches_dense =
+  QCheck.Test.make ~count:300
+    ~name:"builder equals an insertion-order dense sum, columns increasing"
+    (QCheck.make builder_triplets_gen)
+    (fun (rows, cols, entries) ->
+      let b = Sparse.Builder.create ~rows ~cols in
+      let dense = Array.make_matrix rows cols 0. in
+      List.iter
+        (fun (i, j, x) ->
+          Sparse.Builder.add b i j x;
+          dense.(i).(j) <- dense.(i).(j) +. x)
+        entries;
+      let rejected i j =
+        match Sparse.Builder.add b i j 1. with
+        | exception Invalid_argument _ -> true
+        | () -> false
+      in
+      let out_of_range =
+        rejected rows 0 && rejected 0 cols && rejected (-1) 0 && rejected 0 (-1)
+      in
+      let m = Sparse.Builder.to_csr b in
+      let stored = ref 0 in
+      let exact = ref true in
+      for i = 0 to rows - 1 do
+        let last = ref (-1) in
+        Sparse.iter_row m i (fun j x ->
+            if j <= !last || x = 0. then exact := false;
+            last := j)
+      done;
+      Array.iter
+        (Array.iter (fun x -> if x <> 0. then incr stored))
+        dense;
+      let same =
+        Array.for_all2
+          (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)))
+          dense (Sparse.to_dense m)
+      in
+      out_of_range && !exact && same && Sparse.nnz m = !stored
+      && Sparse.rows m = rows && Sparse.cols m = cols)
 
 let prop_spmv_matches_dense =
   QCheck.Test.make ~count:200 ~name:"sparse mul_vec matches dense multiply"
@@ -837,6 +901,78 @@ let test_getenv_positive_int () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Intern *)
+
+let intern_key w k = Array.init w (fun f -> (k * 31) + f)
+
+(* intern keys 0..count-1 and check ids, lookups and stored copies *)
+let check_interned t ~width ~count =
+  for k = 0 to count - 1 do
+    Alcotest.(check int) "first-seen id" k (Intern.intern t (intern_key width k) 0)
+  done;
+  Alcotest.(check int) "count" count (Intern.count t);
+  for k = 0 to count - 1 do
+    Alcotest.(check int) "re-intern" k (Intern.intern t (intern_key width k) 0);
+    Alcotest.(check int) "find" k (Intern.find t (intern_key width k) 0);
+    Alcotest.(check (array int)) "stored key" (intern_key width k) (Intern.key t k)
+  done;
+  Alcotest.(check int) "count unchanged" count (Intern.count t)
+
+let test_intern_collisions () =
+  (* every key hashes alike: all go through the key comparison, and the
+     probe chain runs past a slot-table resize *)
+  let t = Intern.create ~hash:(fun _ _ -> 7) ~width:2 () in
+  check_interned t ~width:2 ~count:1500;
+  Alcotest.(check int) "absent despite equal hash" (-1)
+    (Intern.find t [| -1; -1 |] 0)
+
+let test_intern_growth () =
+  (* from room for 1024 keys to 20 000 keys: five arena and slot resizes *)
+  let t = Intern.create ~width:3 () in
+  check_interned t ~width:3 ~count:20_000;
+  (* a key read from the middle of a larger buffer *)
+  let buf = Array.append [| 9; 9 |] (intern_key 3 1234) in
+  Alcotest.(check int) "offset key" 1234 (Intern.find t buf 2)
+
+let test_intern_absent () =
+  let t = Intern.create ~width:2 () in
+  Alcotest.(check int) "empty table" (-1) (Intern.find t [| 1; 2 |] 0);
+  ignore (Intern.intern t [| 1; 2 |] 0);
+  Alcotest.(check int) "other key" (-1) (Intern.find t [| 2; 1 |] 0);
+  Alcotest.(check int) "find does not insert" 1 (Intern.count t)
+
+let test_intern_widths () =
+  List.iter
+    (fun width ->
+      let t = Intern.create ~width () in
+      Alcotest.(check int) "width" width (Intern.width t);
+      check_interned t ~width ~count:500;
+      if width > 0 then
+        Alcotest.(check int) "get" (intern_key width 42).(width - 1)
+          (Intern.get t 42 (width - 1)))
+    [ 1; 9; 17 ];
+  (* width 0: the empty key is the only key *)
+  let t = Intern.create ~width:0 () in
+  Alcotest.(check int) "empty key" 0 (Intern.intern t [||] 0);
+  Alcotest.(check int) "same empty key" 0 (Intern.intern t [| 5 |] 1);
+  Alcotest.(check int) "one key" 1 (Intern.count t)
+
+let test_intern_errors () =
+  Alcotest.check_raises "negative width"
+    (Invalid_argument "Intern.create: negative width") (fun () ->
+      ignore (Intern.create ~width:(-1) ()));
+  let t = Intern.create ~width:2 () in
+  Alcotest.check_raises "short key"
+    (Invalid_argument "Intern.intern: key out of bounds") (fun () ->
+      ignore (Intern.intern t [| 1 |] 0));
+  Alcotest.check_raises "key past the end"
+    (Invalid_argument "Intern.find: key out of bounds") (fun () ->
+      ignore (Intern.find t [| 1; 2 |] 1));
+  Alcotest.check_raises "unknown id"
+    (Invalid_argument "Intern.get: id 0 out of 0") (fun () ->
+      ignore (Intern.get t 0 0))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -872,9 +1008,17 @@ let () =
         ]
         @ qsuite
             [
-              prop_spmv_matches_dense; prop_transpose_involution;
-              prop_blocked_matches_columns;
+              prop_builder_matches_dense; prop_spmv_matches_dense;
+              prop_transpose_involution; prop_blocked_matches_columns;
             ] );
+      ( "intern",
+        [
+          Alcotest.test_case "forced hash collisions" `Quick test_intern_collisions;
+          Alcotest.test_case "growth across resizes" `Quick test_intern_growth;
+          Alcotest.test_case "absent key" `Quick test_intern_absent;
+          Alcotest.test_case "key widths" `Quick test_intern_widths;
+          Alcotest.test_case "invalid input" `Quick test_intern_errors;
+        ] );
       ( "fox-glynn",
         [
           Alcotest.test_case "matches direct pmf" `Quick test_fox_glynn_small;

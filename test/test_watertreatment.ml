@@ -369,7 +369,7 @@ let test_lumping_reduces_line2 () =
   (* initial partition: states with the same (st count, sf count, res, pump
      count, full-service flag) are candidates for merging *)
   let key s =
-    let st = built.Semantics.states.(s) in
+    let st = Semantics.state built s in
     let count lo hi =
       let acc = ref 0 in
       for i = lo to hi do
