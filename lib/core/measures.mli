@@ -80,9 +80,9 @@ val reliability : t -> time:float -> float
 
 val reliability_curve : t -> times:float list -> (float * float) list
 (** All [*_curve] functions evaluate every point in one shared
-    uniformization sweep ({!Ctmc.Analysis.poisson_mixture_multi}) and
-    return points aligned 1:1 with [times]: caller order is preserved and
-    duplicates are kept. *)
+    uniformization sweep, through the kernel's reward-projected face
+    ({!Ctmc.Analysis.poisson_mixture_values}), and return points aligned
+    1:1 with [times]: caller order is preserved and duplicates are kept. *)
 
 val availability : t -> float
 (** Long-run probability that the line is {e fully} operational (service

@@ -157,7 +157,10 @@ let uniformized t =
       Obs.Metrics.incr m_uniformized_hits;
       u
   | None ->
-      let u = Chain.uniformized t.chain in
+      let u =
+        Obs.Trace.with_span "analysis.uniformize" @@ fun _ ->
+        Chain.uniformized t.chain
+      in
       t.counters.uniformized_builds <- t.counters.uniformized_builds + 1;
       Obs.Metrics.incr m_uniformized_builds;
       t.unif <- Some u;
@@ -445,16 +448,29 @@ type coeff = Pmf | Tail_over_lambda
    grid — ride one {e blocked} sweep. The K iterates live in a
    {!Multivec.t} and each step is a single blocked SpMV
    ({!Sparse.vec_mul_multi_into} / {!Sparse.mul_multi_into}), so the
-   matrix is decoded once per step no matter how many streams ride it. *)
+   matrix is decoded once per step no matter how many streams ride it.
+
+   The sweep has two faces that differ only in how a step consumes the
+   iterate block. The vector face keeps one full-length accumulator per
+   (stream, distinct time) and adds [c_k v_k] into it. The values face
+   serves callers that only want [<sum_k c_k v_k, r>] for a reward or
+   indicator vector [r]: it records the scalar [y_k = <v_k, r>] once per
+   stream per step and adds [c_k y_k] per time point, so a step costs one
+   dot per stream instead of one full-length axpy per time point. A
+   per-stream step mask limits the dots to steps where some coefficient
+   of that stream is non-zero: a Pmf stream whose narrow window sits at
+   the end of a long sweep (stretched by another stream, or by the
+   window's own left edge) pays nothing before its window opens. *)
 
 type batch = { start : Vec.t; coeff : coeff; times : float list }
 
-(* per (stream, distinct time) state for the shared sweep *)
-type accum = {
-  acc : Vec.t;
+(* one distinct positive time of one stream *)
+type point = {
+  col : int;  (** which column of the iterate block feeds this point *)
+  time : float;
   coeff_at : int -> float;
+  first : int;  (** no non-zero coefficients before this step index *)
   last : int;  (** no non-zero coefficients beyond this step index *)
-  col : int;  (** which column of the iterate block feeds this accumulator *)
 }
 
 let coefficients t ~coeff w =
@@ -462,7 +478,7 @@ let coefficients t ~coeff w =
   match coeff with
   | Pmf ->
       let f k = if k >= left && k <= right then wts.(k - left) else 0. in
-      (f, right)
+      (f, left, right)
   | Tail_over_lambda ->
       let lambda, _ = uniformized t in
       let tail = Fox_glynn.cumulative_tail w in
@@ -475,132 +491,200 @@ let coefficients t ~coeff w =
          else tail.(k1 - left))
         /. lambda
       in
-      (f, right - 1)
+      (f, 0, right - 1)
+
+let check_times who times =
+  List.iter
+    (fun tm ->
+      (* [tm < 0.] alone would let NaN through: it fails every comparison *)
+      if not (Float.is_finite tm && tm >= 0.) then
+        invalid_arg
+          (Printf.sprintf "%s: times must be finite and non-negative (got %g)"
+             who tm))
+    times
+
+(* The one sweep loop behind both faces. It validates the streams, builds
+   the Fox–Glynn coefficient streams, keeps the counters and spans, and
+   runs the blocked SpMVs. [prepare points ~steps] is called once the
+   windows are known (and only if some stream has a positive time); it
+   sets up the face's accumulators and returns the action applied to the
+   iterate block [v_k] at every step [k = 0 .. steps - 1]. *)
+let sweep ?epsilon t ~dir ~who barr ~prepare =
+  let n = Chain.states t.chain in
+  Array.iter
+    (fun b ->
+      if Vec.dim b.start <> n then invalid_arg (who ^ ": dimension mismatch");
+      check_times who b.times)
+    barr;
+  let width = Array.length barr in
+  let distinct =
+    Array.map
+      (fun b -> List.sort_uniq compare (List.filter (fun tm -> tm > 0.) b.times))
+      barr
+  in
+  if Array.exists (fun l -> l <> []) distinct then begin
+    Obs.Trace.with_span "analysis.mixture" @@ fun mix_span ->
+    let _, p = uniformized t in
+    (* phase 1: Fox-Glynn windows + per-(stream, time) coefficient
+       streams *)
+    (* worst truncation error across the Fox–Glynn windows of this
+       pass: 1 - total weight mass inside the [left, right] window *)
+    let fg_deficit = ref 0. in
+    let points =
+      Obs.Trace.with_span "mixture.weights" @@ fun _ ->
+      Array.of_list
+        (List.concat
+           (List.init width (fun col ->
+                List.map
+                  (fun time ->
+                    let w = weights ?epsilon t time in
+                    fg_deficit :=
+                      Float.max !fg_deficit (1. -. Fox_glynn.total_mass w);
+                    let coeff_at, first, last =
+                      coefficients t ~coeff:barr.(col).coeff w
+                    in
+                    { col; time; coeff_at; first; last })
+                  distinct.(col))))
+    in
+    let right_max = Array.fold_left (fun m pt -> max m pt.last) 0 points in
+    let consume = prepare points ~steps:(right_max + 1) in
+    let total_times =
+      Array.fold_left (fun s b -> s + List.length b.times) 0 barr
+    in
+    t.counters.mixture_passes <- t.counters.mixture_passes + 1;
+    Obs.Metrics.incr m_mixture_passes;
+    t.counters.batch_passes <- t.counters.batch_passes + 1;
+    Obs.Metrics.incr m_batch_passes;
+    t.counters.batch_columns <- t.counters.batch_columns + width;
+    Obs.Metrics.add m_batch_columns width;
+    Obs.Metrics.observe m_sweep_len (float_of_int (right_max + 1));
+    Obs.Metrics.set_gauge m_fg_mass_deficit !fg_deficit;
+    if Obs.Trace.recording mix_span then begin
+      Obs.Trace.add_attr mix_span "states" (Obs.Int n);
+      Obs.Trace.add_attr mix_span "batch_width" (Obs.Int width);
+      Obs.Trace.add_attr mix_span "times" (Obs.Int total_times);
+      Obs.Trace.add_attr mix_span "distinct" (Obs.Int (Array.length points));
+      Obs.Trace.add_attr mix_span "sweep_length" (Obs.Int (right_max + 1));
+      Obs.Trace.add_attr mix_span "spmvs" (Obs.Int right_max);
+      Obs.Trace.add_attr mix_span "fg_mass_deficit" (Obs.Float !fg_deficit);
+      Obs.Trace.add_attr mix_span "epsilon"
+        (Obs.Float (Option.value epsilon ~default:default_epsilon))
+    end;
+    (* phase 2: the shared blocked sweep (right_max blocked SpMVs, each
+       one matrix pass for all [width] streams) *)
+    ( Obs.Trace.with_span "mixture.sweep" @@ fun sweep_span ->
+      if Obs.Trace.recording sweep_span then
+        Obs.Trace.add_attr sweep_span "batch_width" (Obs.Int width);
+      let v = ref (Multivec.of_cols (Array.map (fun b -> b.start) barr)) in
+      let next = ref (Multivec.create ~dim:n ~width) in
+      for k = 0 to right_max do
+        consume k !v;
+        if k < right_max then begin
+          (match dir with
+          | Forward -> Sparse.vec_mul_multi_into !v p !next
+          | Backward -> Sparse.mul_multi_into p !v !next);
+          t.counters.mixture_steps <- t.counters.mixture_steps + 1;
+          let tmp = !v in
+          v := !next;
+          next := tmp
+        end
+      done );
+    Obs.Metrics.add m_mixture_steps right_max
+  end
+
+(* [f i pt c] for every point [i] whose coefficient [c] at step [k] is
+   non-zero *)
+let iter_coeffs points k f =
+  Array.iteri
+    (fun i pt ->
+      if k >= pt.first && k <= pt.last then
+        let c = pt.coeff_at k in
+        if c <> 0. then f i pt c)
+    points
 
 let poisson_mixture_batch ?epsilon t ~dir batches =
-  if batches = [] then []
-  else begin
-    let n = Chain.states t.chain in
-    List.iter
-      (fun b ->
-        if Vec.dim b.start <> n then
-          invalid_arg "Analysis.poisson_mixture_batch: dimension mismatch";
-        List.iter
-          (fun tm ->
-            (* [not (tm >= 0.)] also catches NaN, which would otherwise
-               slip past every comparison and surface as a bare
-               [Not_found] when the results are assembled *)
-            if not (Float.is_finite tm) || tm < 0. then
-              invalid_arg
-                "Analysis.poisson_mixture_batch: times must be finite and \
-                 non-negative")
-          b.times)
-      batches;
-    let barr = Array.of_list batches in
-    let width = Array.length barr in
-    let distinct =
-      Array.map
-        (fun b -> List.sort_uniq compare (List.filter (fun tm -> tm > 0.) b.times))
-        barr
-    in
-    let by_time = Array.map (fun ts -> Hashtbl.create (List.length ts + 1)) distinct in
-    if Array.exists (fun l -> l <> []) distinct then begin
-      Obs.Trace.with_span "analysis.mixture" @@ fun mix_span ->
-      let _, p = uniformized t in
-      (* phase 1: Fox-Glynn windows + per-(stream, time) coefficient
-         streams *)
-      (* worst truncation error across the Fox–Glynn windows of this
-         pass: 1 - total weight mass inside the [left, right] window *)
-      let fg_deficit = ref 0. in
-      let accums =
-        Obs.Trace.with_span "mixture.weights" @@ fun _ ->
-        List.concat
-          (List.init width (fun col ->
-               List.map
-                 (fun tm ->
-                   let w = weights ?epsilon t tm in
-                   fg_deficit :=
-                     Float.max !fg_deficit (1. -. Fox_glynn.total_mass w);
-                   let coeff_at, last =
-                     coefficients t ~coeff:barr.(col).coeff w
-                   in
-                   let a = { acc = Vec.zeros n; coeff_at; last; col } in
-                   Hashtbl.replace by_time.(col) tm a.acc;
-                   a)
-                 distinct.(col)))
+  let n = Chain.states t.chain in
+  let barr = Array.of_list batches in
+  let by_time = Array.map (fun _ -> Hashtbl.create 8) barr in
+  sweep ?epsilon t ~dir ~who:"Analysis.poisson_mixture_batch" barr
+    ~prepare:(fun points ~steps:_ ->
+      let accs =
+        Array.map
+          (fun pt ->
+            let acc = Vec.zeros n in
+            Hashtbl.replace by_time.(pt.col) pt.time acc;
+            acc)
+          points
       in
-      let right_max = List.fold_left (fun m a -> max m a.last) 0 accums in
-      let total_times =
-        Array.fold_left (fun s b -> s + List.length b.times) 0 barr
+      fun k v ->
+        iter_coeffs points k (fun i pt c ->
+            Multivec.axpy_from_col c v pt.col accs.(i)));
+  (* align 1:1 with each stream's time list; duplicates get private
+     copies so every returned vector can be mutated independently *)
+  List.mapi
+    (fun col b ->
+      let at_zero () =
+        match b.coeff with
+        | Pmf -> Vec.copy b.start
+        | Tail_over_lambda -> Vec.zeros n
       in
-      t.counters.mixture_passes <- t.counters.mixture_passes + 1;
-      Obs.Metrics.incr m_mixture_passes;
-      t.counters.batch_passes <- t.counters.batch_passes + 1;
-      Obs.Metrics.incr m_batch_passes;
-      t.counters.batch_columns <- t.counters.batch_columns + width;
-      Obs.Metrics.add m_batch_columns width;
-      Obs.Metrics.observe m_sweep_len (float_of_int (right_max + 1));
-      Obs.Metrics.set_gauge m_fg_mass_deficit !fg_deficit;
-      if Obs.Trace.recording mix_span then begin
-        Obs.Trace.add_attr mix_span "states" (Obs.Int n);
-        Obs.Trace.add_attr mix_span "batch_width" (Obs.Int width);
-        Obs.Trace.add_attr mix_span "times" (Obs.Int total_times);
-        Obs.Trace.add_attr mix_span "distinct"
-          (Obs.Int (List.length accums));
-        Obs.Trace.add_attr mix_span "sweep_length" (Obs.Int (right_max + 1));
-        Obs.Trace.add_attr mix_span "spmvs" (Obs.Int right_max);
-        Obs.Trace.add_attr mix_span "fg_mass_deficit" (Obs.Float !fg_deficit);
-        Obs.Trace.add_attr mix_span "epsilon"
-          (Obs.Float (Option.value epsilon ~default:default_epsilon))
-      end;
-      (* phase 2: the shared blocked sweep (right_max blocked SpMVs, each
-         one matrix pass for all [width] streams) *)
-      ( Obs.Trace.with_span "mixture.sweep" @@ fun sweep_span ->
-        if Obs.Trace.recording sweep_span then
-          Obs.Trace.add_attr sweep_span "batch_width" (Obs.Int width);
-        let v = ref (Multivec.of_cols (Array.map (fun b -> b.start) barr)) in
-        let next = ref (Multivec.create ~dim:n ~width) in
-        for k = 0 to right_max do
-          List.iter
-            (fun a ->
-              if k <= a.last then
-                let c = a.coeff_at k in
-                if c <> 0. then Multivec.axpy_from_col c !v a.col a.acc)
-            accums;
-          if k < right_max then begin
-            (match dir with
-            | Forward -> Sparse.vec_mul_multi_into !v p !next
-            | Backward -> Sparse.mul_multi_into p !v !next);
-            t.counters.mixture_steps <- t.counters.mixture_steps + 1;
-            let tmp = !v in
-            v := !next;
-            next := tmp
-          end
-        done );
-      Obs.Metrics.add m_mixture_steps right_max
-    end;
-    (* align 1:1 with each stream's time list; duplicates get private
-       copies so every returned vector can be mutated independently *)
-    List.mapi
-      (fun col b ->
-        let at_zero () =
-          match b.coeff with
-          | Pmf -> Vec.copy b.start
-          | Tail_over_lambda -> Vec.zeros n
-        in
-        let handed_out = Hashtbl.create 8 in
-        List.map
-          (fun tm ->
-            if tm = 0. then at_zero ()
-            else if Hashtbl.mem handed_out tm then
-              Vec.copy (Hashtbl.find by_time.(col) tm)
-            else begin
-              Hashtbl.add handed_out tm ();
-              Hashtbl.find by_time.(col) tm
-            end)
-          b.times)
-      batches
-  end
+      let handed_out = Hashtbl.create 8 in
+      List.map
+        (fun tm ->
+          if tm = 0. then at_zero ()
+          else if Hashtbl.mem handed_out tm then
+            Vec.copy (Hashtbl.find by_time.(col) tm)
+          else begin
+            Hashtbl.add handed_out tm ();
+            Hashtbl.find by_time.(col) tm
+          end)
+        b.times)
+    batches
+
+let poisson_mixture_values ?epsilon t ~dir pairs =
+  let who = "Analysis.poisson_mixture_values" in
+  let n = Chain.states t.chain in
+  List.iter
+    (fun (_, r) ->
+      if Vec.dim r <> n then invalid_arg (who ^ ": reward dimension mismatch"))
+    pairs;
+  let barr = Array.of_list (List.map fst pairs) in
+  let rewards = Array.of_list (List.map snd pairs) in
+  (* one unboxed one-cell accumulator per (stream, distinct time) *)
+  let by_time = Array.map (fun _ -> Hashtbl.create 8) barr in
+  sweep ?epsilon t ~dir ~who barr ~prepare:(fun points ~steps ->
+      (* per-stream step mask: '1' where some coefficient is non-zero *)
+      let mask = Array.map (fun _ -> Bytes.make steps '0') barr in
+      let sums =
+        Array.map
+          (fun pt ->
+            for k = pt.first to pt.last do
+              if pt.coeff_at k <> 0. then Bytes.set mask.(pt.col) k '1'
+            done;
+            let sum = [| 0. |] in
+            Hashtbl.replace by_time.(pt.col) pt.time sum;
+            sum)
+          points
+      in
+      let y = Array.make (Array.length barr) 0. in
+      fun k v ->
+        for col = 0 to Array.length mask - 1 do
+          if Bytes.get mask.(col) k = '1' then
+            y.(col) <- Multivec.dot_col v col rewards.(col)
+        done;
+        iter_coeffs points k (fun i pt c ->
+            sums.(i).(0) <- sums.(i).(0) +. (c *. y.(pt.col))));
+  List.mapi
+    (fun col (b, r) ->
+      List.map
+        (fun tm ->
+          if tm > 0. then (Hashtbl.find by_time.(col) tm).(0)
+          else
+            match b.coeff with
+            | Pmf -> Vec.dot b.start r
+            | Tail_over_lambda -> 0.)
+        b.times)
+    pairs
 
 let poisson_mixture_multi ?epsilon t ~dir ~coeff start ~times =
   List.iter

@@ -206,6 +206,35 @@ val poisson_mixture_batch :
     {!poisson_mixture_multi}). [poisson_mixture_multi] is the
     single-stream special case and delegates here. *)
 
+val poisson_mixture_values :
+  ?epsilon:float ->
+  t ->
+  dir:dir ->
+  (batch * Numeric.Vec.t) list ->
+  float list list
+(** Reward-projected face of {!poisson_mixture_batch}: each stream comes
+    with a reward (or indicator) vector [r], and every point is the scalar
+    [<sum_k c_k v_k, r>] instead of the vector. The same blocked sweep
+    runs, but a step records [y_k = <v_k, r>] once per stream and each
+    time point adds [c_k * y_k], so no full-length accumulator exists; a
+    stream is dotted only at steps where one of its coefficients is
+    non-zero. This is the face behind the scalar curve entry points
+    ({!Rewards.instantaneous_curve}, {!Rewards.accumulated_curve},
+    {!Rewards.both_curves}, {!Reachability.bounded_until_curve}).
+
+    Results align 1:1 with the pairs and with each stream's [times];
+    duplicates and unsorted times are kept as given, and a zero time
+    yields [<start, r>] ([Pmf]) or [0.] ([Tail_over_lambda]). Counters,
+    spans and validation are those of {!poisson_mixture_batch}; raises
+    [Invalid_argument] also when a reward's dimension differs from the
+    chain's. *)
+
+val check_times : string -> float list -> unit
+(** [check_times who times] raises [Invalid_argument "<who>: times must be
+    finite and non-negative (got x)"] on the first negative, NaN or
+    infinite time — the validation the mixture kernel and the curve entry
+    points share. *)
+
 (** {2 Instrumentation} *)
 
 type stats = {
@@ -223,16 +252,16 @@ type stats = {
           nonzero value is harmless (the bitmap check catches it) but worth
           watching *)
   mixture_passes : int;
-      (** sweeps of the shared uniformization kernel ({!poisson_mixture} /
-          {!poisson_mixture_multi} invocations that did numerical work) *)
+      (** sweeps of the shared uniformization kernel (calls of any of its
+          entry points, vector or values face, that did numerical work) *)
   mixture_steps : int;
       (** matrix passes performed across all kernel sweeps (a blocked step
           counts once however many streams ride it) — the observable a
           multi-point curve saves on versus per-point segments *)
   batch_passes : int;
-      (** {!poisson_mixture_batch} sweeps that did numerical work
-          (including the single-stream ones delegated from
-          {!poisson_mixture_multi}) *)
+      (** blocked sweeps that did numerical work ({!poisson_mixture_batch}
+          and {!poisson_mixture_values}, including the single-stream ones
+          delegated from {!poisson_mixture_multi}) *)
   batch_columns : int;
       (** total stream count across those sweeps; [batch_columns /
           batch_passes] is the mean batch width *)
@@ -253,12 +282,14 @@ type stats = {
     [analysis.lumped_states] as a gauge, plus an [analysis.sweep_length]
     histogram), which aggregate across {e all} sessions and domains. With
     metrics enabled, a fresh registry and a single fresh session therefore
-    agree field by field. When tracing is on, {!poisson_mixture_batch}
-    (and hence {!poisson_mixture_multi}) runs under an [analysis.mixture]
-    span (with [states]/[batch_width]/[times]/[sweep_length]/[spmvs]
-    attributes) with [mixture.weights] and [mixture.sweep] child phases
-    ([mixture.sweep] carries [batch_width] too), and {!quotient} builds
-    under an [analysis.lump] span. *)
+    agree field by field. When tracing is on, every kernel sweep (either
+    face) runs under an [analysis.mixture] span (with
+    [states]/[batch_width]/[times]/[sweep_length]/[spmvs] attributes)
+    with [mixture.weights] (Fox–Glynn) and [mixture.sweep] (blocked SpMVs
+    plus the per-step accumulation) child phases ([mixture.sweep] carries
+    [batch_width] too); the first {!uniformized} build of a session runs
+    under an [analysis.uniformize] span, and {!quotient} builds under an
+    [analysis.lump] span. *)
 
 val stats : t -> stats
 

@@ -36,34 +36,25 @@ let bounded_until_from_init ?epsilon ?lump ?analysis m ~phi ~psi ~bound =
   Transient.probability_at ?epsilon ?lump ?analysis:sub m' ~pred:psi bound
 
 let bounded_until_curve ?epsilon ?(lump = false) ?analysis m ~phi ~psi ~bounds =
+  Analysis.check_times "Reachability.bounded_until_curve" bounds;
   let m', sub = absorb_for_until ?analysis m ~phi ~psi in
-  let qa, quot =
-    if lump then begin
-      let a = Analysis.for_chain sub m' in
+  let a = Analysis.for_chain sub m' in
+  let a, psi =
+    if lump then
       let quot = Analysis.quotient a ~respect:[ Analysis.Pred psi ] in
-      (Some quot.Analysis.q, Some quot)
-    end
-    else (sub, None)
+      (quot.Analysis.q, Analysis.block_pred quot psi)
+    else (a, psi)
   in
-  let m'', psi'' =
-    match quot with
-    | Some quot -> (Analysis.chain quot.Analysis.q, Analysis.block_pred quot psi)
-    | None -> (m', psi)
-  in
-  let points = Transient.curve ?epsilon ?analysis:qa m'' ~times:bounds in
-  (* evaluate psi once per state, not once per (state, point) *)
-  let psi_states =
-    let n = Chain.states m'' in
-    let idx = ref [] in
-    for s = n - 1 downto 0 do
-      if psi'' s then idx := s :: !idx
-    done;
-    Array.of_list !idx
-  in
-  let mass pi =
-    Array.fold_left (fun acc s -> acc +. pi.(s)) 0. psi_states
-  in
-  List.map (fun (t, pi) -> (t, mass pi)) points
+  (* the psi mass of each transient distribution, through the values face
+     of the kernel with the psi indicator as reward *)
+  let m'' = Analysis.chain a in
+  let start = Chain.initial m'' and goal = indicator (Chain.states m'') psi in
+  match
+    Analysis.poisson_mixture_values ?epsilon a ~dir:Analysis.Forward
+      [ ({ Analysis.start; coeff = Analysis.Pmf; times = bounds }, goal) ]
+  with
+  | [ mass ] -> List.combine bounds mass
+  | _ -> assert false
 
 let interval_until ?epsilon ?analysis m ~phi ~psi ~lower ~upper =
   if lower < 0. || upper < lower then

@@ -46,9 +46,12 @@ val bounded_until_curve :
   (float * float) list
 (** [bounded_until_curve m ~phi ~psi ~bounds] evaluates
     {!bounded_until_from_init} at each time bound, sharing one forward
-    uniformization sweep across all bounds
-    ({!Analysis.poisson_mixture_multi}). The result is aligned 1:1 with
-    [bounds]: order is preserved and duplicates each yield a point. *)
+    uniformization sweep across all bounds through the reward-projected
+    face of the kernel ({!Analysis.poisson_mixture_values}, dotting each
+    step with the psi indicator). The result is aligned 1:1 with
+    [bounds]: order is preserved and duplicates each yield a point.
+    Raises [Invalid_argument "Reachability.bounded_until_curve: ..."] on a
+    negative, NaN or infinite bound. *)
 
 val interval_until :
   ?epsilon:float ->

@@ -27,16 +27,28 @@ let instantaneous ?epsilon ?(lump = false) ?analysis m ~reward ~at =
   let pi = Transient.distribution ?epsilon ?analysis m at in
   Vec.dot pi reward
 
-let instantaneous_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
+(* The scalar curves take the values face of the kernel: each step dots
+   the iterate with the reward once, instead of keeping one full-length
+   accumulator per time point. *)
+let curves ?epsilon ~lump ?analysis m ~reward ~times ~who coeffs =
   check_reward m reward;
-  let analysis, m, reward =
-    if lump then
-      let qa, qm, qr = lumped analysis m ~reward in
-      (Some qa, qm, qr)
-    else (analysis, m, reward)
+  Analysis.check_times who times;
+  let a, m, reward =
+    if lump then lumped analysis m ~reward
+    else (Analysis.for_chain analysis m, m, reward)
   in
-  let points = Transient.curve ?epsilon ?analysis m ~times in
-  List.map (fun (t, pi) -> (t, Vec.dot pi reward)) points
+  let start = Chain.initial m in
+  Analysis.poisson_mixture_values ?epsilon a ~dir:Analysis.Forward
+    (List.map (fun coeff -> ({ Analysis.start; coeff; times }, reward)) coeffs)
+  |> List.map (List.combine times)
+
+let instantaneous_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
+  match
+    curves ?epsilon ~lump ?analysis m ~reward ~times
+      ~who:"Rewards.instantaneous_curve" [ Analysis.Pmf ]
+  with
+  | [ inst ] -> inst
+  | _ -> assert false
 
 (* E[int_0^t rho(X_u) du] from start distribution [start]:
      sum_{k>=0} (1/lambda) * P(N_{lambda t} >= k+1) * (v_k . rho)
@@ -65,44 +77,23 @@ let accumulated ?epsilon ?(lump = false) ?analysis m ~reward ~upto =
    of the former two passes (reward integral + transient restart) per
    segment *)
 let accumulated_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
-  check_reward m reward;
-  List.iter
-    (fun t -> if t < 0. then invalid_arg "Rewards.accumulated_curve: negative time")
-    times;
-  let a, m, reward =
-    if lump then lumped analysis m ~reward
-    else (Analysis.for_chain analysis m, m, reward)
-  in
-  let weighted =
-    Analysis.poisson_mixture_multi ?epsilon a ~dir:Analysis.Forward
-      ~coeff:Analysis.Tail_over_lambda (Chain.initial m) ~times
-  in
-  List.map2 (fun t w -> (t, Vec.dot w reward)) times weighted
+  match
+    curves ?epsilon ~lump ?analysis m ~reward ~times
+      ~who:"Rewards.accumulated_curve" [ Analysis.Tail_over_lambda ]
+  with
+  | [ acc ] -> acc
+  | _ -> assert false
 
 (* Instantaneous and accumulated cost curves share one BLOCKED sweep: a
    Pmf stream and a Tail_over_lambda stream from the same start ride the
    same uniformization, so the matrix is decoded once per step for both
    figures instead of once per curve. *)
 let both_curves ?epsilon ?(lump = false) ?analysis m ~reward ~times =
-  check_reward m reward;
-  List.iter
-    (fun t -> if t < 0. then invalid_arg "Rewards.both_curves: negative time")
-    times;
-  let a, m, reward =
-    if lump then lumped analysis m ~reward
-    else (Analysis.for_chain analysis m, m, reward)
-  in
-  let start = Chain.initial m in
   match
-    Analysis.poisson_mixture_batch ?epsilon a ~dir:Analysis.Forward
-      [
-        { Analysis.start; coeff = Analysis.Pmf; times };
-        { Analysis.start; coeff = Analysis.Tail_over_lambda; times };
-      ]
+    curves ?epsilon ~lump ?analysis m ~reward ~times ~who:"Rewards.both_curves"
+      [ Analysis.Pmf; Analysis.Tail_over_lambda ]
   with
-  | [ pis; ws ] ->
-      ( List.map2 (fun t pi -> (t, Vec.dot pi reward)) times pis,
-        List.map2 (fun t w -> (t, Vec.dot w reward)) times ws )
+  | [ inst; acc ] -> (inst, acc)
   | _ -> assert false
 
 let steady_state ?tol ?(lump = false) ?analysis m ~reward =

@@ -36,8 +36,12 @@ val instantaneous_curve :
   times:float list ->
   (float * float) list
 (** Instantaneous reward at several time points, sharing one forward
-    uniformization sweep ({!Analysis.poisson_mixture_multi}). The result
-    is aligned 1:1 with [times] (order preserved, duplicates kept). *)
+    uniformization sweep through the reward-projected face of the kernel
+    ({!Analysis.poisson_mixture_values}: one dot with the reward per
+    step, no per-point vectors). The result is aligned 1:1 with [times]
+    (order preserved, duplicates kept). Like every curve below, raises
+    [Invalid_argument] naming the function on a negative, NaN or infinite
+    time. *)
 
 val accumulated :
   ?epsilon:float ->
@@ -60,7 +64,8 @@ val accumulated_curve :
   times:float list ->
   (float * float) list
 (** Accumulated reward at several time points through one shared
-    [Tail_over_lambda] sweep with a per-point accumulator — one pass of
+    [Tail_over_lambda] sweep with a per-point scalar accumulator
+    ({!Analysis.poisson_mixture_values}) — one pass of
     SpMVs for the whole curve, where the former segmented evaluation paid
     two passes (reward integral + transient restart) per segment. The
     result is aligned 1:1 with [times] (order preserved, duplicates
@@ -75,7 +80,7 @@ val both_curves :
   times:float list ->
   (float * float) list * (float * float) list
 (** [(instantaneous_curve, accumulated_curve)] over the same time grid
-    from {e one} blocked sweep ({!Analysis.poisson_mixture_batch}): the
+    from {e one} blocked sweep ({!Analysis.poisson_mixture_values}): the
     [Pmf] and [Tail_over_lambda] coefficient streams ride the same
     uniformization, so both figures cost a single pass of blocked SpMVs.
     Point values equal {!instantaneous_curve} and {!accumulated_curve}

@@ -16,9 +16,7 @@ let distribution ?epsilon ?analysis m t =
   distribution_from ?epsilon ?analysis m (Chain.initial m) t
 
 let curve ?epsilon ?analysis m ~times =
-  List.iter
-    (fun t -> if t < 0. then invalid_arg "Transient.curve: negative time")
-    times;
+  Analysis.check_times "Transient.curve" times;
   let a = Analysis.for_chain analysis m in
   let pis =
     Analysis.poisson_mixture_multi ?epsilon a ~dir:Analysis.Forward

@@ -96,6 +96,18 @@ let axpy_from_col a v c y =
       (Array.unsafe_get y i +. (a *. A1.unsafe_get v.buf ((i * k) + c)))
   done
 
+let dot_col v c r =
+  if c < 0 || c >= v.mv_width then
+    invalid_arg "Multivec.dot_col: column out of range";
+  if Vec.dim r <> v.mv_dim then
+    invalid_arg "Multivec.dot_col: dimension mismatch";
+  let k = v.mv_width in
+  let acc = ref 0. in
+  for i = 0 to v.mv_dim - 1 do
+    acc := !acc +. (A1.unsafe_get v.buf ((i * k) + c) *. Array.unsafe_get r i)
+  done;
+  !acc
+
 let check_alphas name v alphas =
   if Array.length alphas <> v.mv_width then
     invalid_arg (Printf.sprintf "Multivec.%s: %d coefficients for width %d"

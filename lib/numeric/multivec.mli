@@ -61,6 +61,10 @@ val axpy_from_col : float -> t -> int -> Vec.t -> unit
 (** [axpy_from_col a v c y] updates [y <- y + a * v[:,c]] — the
     per-accumulator update of the batched uniformization sweep. *)
 
+val dot_col : t -> int -> Vec.t -> float
+(** [dot_col v c r] is the inner product [<v[:,c], r>] — the per-step
+    reward projection of the batched uniformization sweep. *)
+
 val axpy : float array -> t -> t -> unit
 (** [axpy alphas x y] updates [y[:,c] <- y[:,c] + alphas.(c) * x[:,c]]
     for every column; [alphas] must have length [width]. *)

@@ -953,8 +953,15 @@ and handle_request srv fd req =
   in
   let tp = ("traceparent", Obs.Trace.format_traceparent ctx) in
   let meta = fresh_meta () in
+  (* the latency clock stops when the reply is handed to the socket: it
+     never covers the span and log bookkeeping that follows the reply, and
+     (unlike a stamp taken after the write returns, which a client thread
+     in the same process can delay) it can never exceed the latency the
+     client sees *)
+  let t_replied = ref None in
   let respond ?(keep_alive = keep_alive) ?content_type ~status body =
     meta.m_status <- status;
+    t_replied := Some (Obs.monotonic_ns ());
     Http.write_response ?content_type ~keep_alive ~headers:[ tp ] fd ~status
       ~body
   in
@@ -1034,7 +1041,10 @@ and handle_request srv fd req =
     end;
     keep
   in
-  let latency_ms = ns_to_ms (Int64.sub (Obs.monotonic_ns ()) t_start) in
+  let t_end =
+    match !t_replied with Some t -> t | None -> Obs.monotonic_ns ()
+  in
+  let latency_ms = ns_to_ms (Int64.sub t_end t_start) in
   Obs.Metrics.observe (h_endpoint_latency endpoint) latency_ms;
   write_access_log srv ~req ~meta ~trace_id:ctx.Obs.Trace.trace_id ~latency_ms;
   (* post-mortem evidence for failed requests: 5xx always, and 422 —

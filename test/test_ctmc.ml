@@ -1133,6 +1133,134 @@ let test_unbounded_until_scc_order () =
         v_scc.(s))
     v_nat
 
+(* ------------------------------------------------------------------ *)
+(* The reward-projected face of the kernel: every point must equal the
+   vector face dotted with the same reward, with the same work counters *)
+
+let close_rel a b =
+  Float.abs (a -. b) <= 1e-12 *. Float.max (Float.abs a) (Float.abs b)
+
+(* [faces_agree m ~reward ~times] runs both coefficient kinds in both
+   directions through the two faces on fresh sessions *)
+let faces_agree m ~reward ~times =
+  let init = Chain.initial m in
+  List.for_all
+    (fun dir ->
+      let start, r =
+        match dir with
+        | Analysis.Forward -> (init, reward)
+        | Analysis.Backward -> (reward, init)
+      in
+      let batches =
+        List.map
+          (fun coeff -> { Analysis.start; coeff; times })
+          [ Analysis.Pmf; Analysis.Tail_over_lambda ]
+      in
+      let av = Analysis.create m and ap = Analysis.create m in
+      let vectors = Analysis.poisson_mixture_batch av ~dir batches in
+      let values =
+        Analysis.poisson_mixture_values ap ~dir
+          (List.map (fun b -> (b, r)) batches)
+      in
+      let sv = Analysis.stats av and sp = Analysis.stats ap in
+      sv.Analysis.mixture_passes = sp.Analysis.mixture_passes
+      && sv.Analysis.mixture_steps = sp.Analysis.mixture_steps
+      && sv.Analysis.batch_columns = sp.Analysis.batch_columns
+      && List.for_all2
+           (fun vs xs ->
+             List.length xs = List.length times
+             && List.for_all2 (fun v x -> close_rel (Vec.dot v r) x) vs xs)
+           vectors values)
+    [ Analysis.Forward; Analysis.Backward ]
+
+let prop_projected_matches_vector =
+  QCheck.Test.make ~count:100
+    ~name:"values face = vector face dotted with the reward"
+    (QCheck.make
+       QCheck.Gen.(
+         pair chain_gen
+           (list_size (int_range 0 6) (oneofl [ 0.; 0.3; 1.; 2.5; 4. ]))))
+    (fun ((n, entries), times) ->
+      QCheck.assume (entries <> []);
+      let m = Chain.of_transitions ~states:n entries in
+      let reward = Array.init n (fun s -> float_of_int ((3 * s) mod 5) +. 0.5) in
+      faces_agree m ~reward ~times)
+
+let test_projected_contract () =
+  let m = analysis_chain () in
+  let a = Analysis.create m in
+  let n = Chain.states m in
+  let start = Chain.initial m in
+  let reward = Array.init n (fun s -> float_of_int s +. 1.) in
+  let run coeff times =
+    match
+      Analysis.poisson_mixture_values a ~dir:Analysis.Forward
+        [ ({ Analysis.start; coeff; times }, reward) ]
+    with
+    | [ xs ] -> xs
+    | _ -> Alcotest.fail "expected one stream"
+  in
+  Alcotest.(check int) "no streams" 0
+    (List.length (Analysis.poisson_mixture_values a ~dir:Analysis.Forward []));
+  Alcotest.(check int) "empty times" 0 (List.length (run Analysis.Pmf []));
+  (match run Analysis.Pmf [ 0.; 2.6; 0.4; 2.6 ] with
+  | [ x0; x1; x2; x3 ] ->
+      check_close ~eps:0. "t=0 pmf is <start, r>" (Vec.dot start reward) x0;
+      check_close ~eps:0. "duplicates agree" x1 x3;
+      check_close ~eps:1e-12 "unsorted point"
+        (Vec.dot (Transient.distribution m 0.4) reward)
+        x2
+  | _ -> Alcotest.fail "expected four points");
+  (match run Analysis.Tail_over_lambda [ 0.; 1.1 ] with
+  | [ x0; x1 ] ->
+      check_close ~eps:0. "t=0 tail is 0" 0. x0;
+      check_close ~eps:1e-12 "accumulated point"
+        (Rewards.accumulated m ~reward ~upto:1.1)
+        x1
+  | _ -> Alcotest.fail "expected two points");
+  Alcotest.(check bool) "zero-only times do no sweep" true
+    (let before = (Analysis.stats a).Analysis.mixture_passes in
+     ignore (run Analysis.Pmf [ 0.; 0. ]);
+     (Analysis.stats a).Analysis.mixture_passes = before);
+  expect_invalid_arg "reward dimension" (fun () ->
+      Analysis.poisson_mixture_values a ~dir:Analysis.Forward
+        [ ({ Analysis.start; coeff = Analysis.Pmf; times = [ 1. ] }, [| 1. |]) ])
+
+(* each scalar curve entry point rejects negative, NaN and infinite times
+   under its own name *)
+let test_curve_rejects_bad_times (who, run) () =
+  List.iter
+    (fun bad ->
+      match run [ 1.; bad ] with
+      | _ -> Alcotest.failf "%s accepted time %g" who bad
+      | exception Invalid_argument msg ->
+          let prefix = who ^ ": " in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s names %s" msg who)
+            true
+            (String.length msg >= String.length prefix
+            && String.sub msg 0 (String.length prefix) = prefix))
+    [ -1.; Float.nan; Float.infinity ]
+
+let curve_entry_points =
+  let m = analysis_chain () in
+  let reward = Array.init (Chain.states m) float_of_int in
+  let ignore_curve f times = ignore (f times : (float * float) list) in
+  [
+    ( "Rewards.instantaneous_curve",
+      ignore_curve (fun times -> Rewards.instantaneous_curve m ~reward ~times) );
+    ( "Rewards.accumulated_curve",
+      ignore_curve (fun times -> Rewards.accumulated_curve m ~reward ~times) );
+    ( "Rewards.both_curves",
+      ignore_curve (fun times -> fst (Rewards.both_curves m ~reward ~times)) );
+    ( "Reachability.bounded_until_curve",
+      ignore_curve (fun bounds ->
+          Reachability.bounded_until_curve m
+            ~phi:(fun _ -> true)
+            ~psi:(fun s -> s = 4)
+            ~bounds) );
+  ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1269,6 +1397,17 @@ let () =
           Alcotest.test_case "scc-ordered unbounded until" `Quick
             test_unbounded_until_scc_order;
         ] );
+      ( "projected-kernel",
+        [
+          Alcotest.test_case "values face contract" `Quick
+            test_projected_contract;
+        ]
+        @ List.map
+            (fun ((who, _) as entry) ->
+              Alcotest.test_case (who ^ " rejects bad times") `Quick
+                (test_curve_rejects_bad_times entry))
+            curve_entry_points
+        @ qsuite [ prop_projected_matches_vector ] );
       ( "lumping",
         [
           Alcotest.test_case "symmetric pair" `Quick test_lump_symmetric_pair;

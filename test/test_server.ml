@@ -557,6 +557,51 @@ let test_access_log () =
          && Json.string_field "model_hash" j <> None)
        lines)
 
+let test_access_log_latency_bounded () =
+  (* the server's clock stops when the reply is written, so the logged
+     latency of a request can never exceed what the client measured
+     around the same request *)
+  let path = Filename.temp_file "arcade_access" ".log" in
+  Unix.putenv "OBS_ACCESS_LOG" path;
+  let client_ms = Hashtbl.create 4 in
+  let timed label f =
+    let t0 = Obs.monotonic_ns () in
+    let status = f () in
+    Hashtbl.replace client_ms label
+      (Int64.to_float (Int64.sub (Obs.monotonic_ns ()) t0) /. 1e6);
+    Alcotest.(check int) (label ^ " status") 200 status
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "OBS_ACCESS_LOG" "")
+    (fun () ->
+      with_server (fun port ->
+          timed "/health" (fun () ->
+              fst
+                (Http.request ~host:"127.0.0.1" ~port ~meth:"GET"
+                   ~path:"/health" ()));
+          timed "/analyze" (fun () -> fst (post_analyze port))));
+  let lines =
+    List.filter
+      (fun l -> String.trim l <> "")
+      (String.split_on_char '\n' (read_file path))
+  in
+  Sys.remove path;
+  Hashtbl.iter
+    (fun label client ->
+      match
+        List.find_opt
+          (fun l -> Json.string_field "path" (Json.parse l) = Some label)
+          lines
+      with
+      | None -> Alcotest.fail ("no access-log line for " ^ label)
+      | Some l ->
+          let server = num_field "latency_ms" (Json.parse l) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: server %.3f ms <= client %.3f ms" label
+               server client)
+            true (server <= client))
+    client_ms
+
 let test_flight_dump_on_reject () =
   let path = Filename.temp_file "arcade_flightdump" ".json" in
   Sys.remove path;
@@ -625,6 +670,8 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick
             test_metrics_prometheus;
           Alcotest.test_case "access log" `Quick test_access_log;
+          Alcotest.test_case "access-log latency within client time" `Quick
+            test_access_log_latency_bounded;
           Alcotest.test_case "flight dump on rejection" `Quick
             test_flight_dump_on_reject;
         ] );

@@ -720,6 +720,116 @@ let test_ablation_importance () =
   | first :: _ -> Alcotest.(check string) "res first" "res" (List.hd first)
   | [] -> Alcotest.fail "empty table"
 
+(* ------------------------------------------------------------------ *)
+(* The reward-projected kernel face on the paper's chains: every point of
+   [poisson_mixture_values] must equal the vector face dotted with the
+   same reward, on the full chain and on its lumping quotient, in both
+   directions, with identical work counters *)
+
+module Analysis = Ctmc.Analysis
+
+(* 25 points: t = 0, an ascending grid, then an unsorted pair that also
+   duplicates two grid points *)
+let projected_times =
+  List.init 23 (fun i -> 2.5 *. float_of_int i) @ [ 20.; 5. ]
+
+let check_rel msg expected actual =
+  let scale = Float.max (Float.abs expected) (Float.abs actual) in
+  if Float.abs (expected -. actual) > 1e-12 *. scale then
+    Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
+
+let work a =
+  let s = Analysis.stats a in
+  (s.Analysis.mixture_passes, s.Analysis.mixture_steps, s.Analysis.batch_columns)
+
+let check_projected_faces label chain reward =
+  let n = Chain.states chain in
+  let init = Chain.initial chain in
+  List.iter
+    (fun (dir, dir_name) ->
+      (* forward: start from the initial distribution, project on the
+         reward; backward: start from the reward, project on the initial
+         distribution *)
+      let start, r =
+        match dir with
+        | Analysis.Forward -> (init, reward)
+        | Analysis.Backward -> (reward, init)
+      in
+      let batches =
+        List.map
+          (fun coeff -> { Analysis.start; coeff; times = projected_times })
+          [ Analysis.Pmf; Analysis.Tail_over_lambda ]
+      in
+      let av = Analysis.create chain and ap = Analysis.create chain in
+      let vectors = Analysis.poisson_mixture_batch av ~dir batches in
+      let values =
+        Analysis.poisson_mixture_values ap ~dir
+          (List.map (fun b -> (b, r)) batches)
+      in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%s %s: same passes/steps/columns" label dir_name)
+        (work av) (work ap);
+      List.iteri
+        (fun stream (vs, xs) ->
+          Alcotest.(check int) "aligned with times" 25 (List.length xs);
+          List.iteri
+            (fun i ((tm, v), x) ->
+              Alcotest.(check int) "dimension" n (Array.length v);
+              check_rel
+                (Printf.sprintf "%s %s stream %d point %d (t=%g)" label
+                   dir_name stream i tm)
+                (Numeric.Vec.dot v r) x)
+            (List.combine (List.combine projected_times vs) xs))
+        (List.combine vectors values))
+    [ (Analysis.Forward, "forward"); (Analysis.Backward, "backward") ]
+
+let test_projected_faces_agree config () =
+  let m = analyze Facility.Line2 config in
+  let chain = chain_of m in
+  let reward = m.Measures.cost in
+  let name = Facility.config_name config in
+  check_projected_faces name chain reward;
+  (* ~lump:true runs the same kernel on the quotient that respects the
+     reward, against the block reward *)
+  let quot =
+    Analysis.quotient (Analysis.create chain)
+      ~respect:[ Analysis.Reward reward ]
+  in
+  let qchain = Analysis.chain quot.Analysis.q in
+  Alcotest.(check bool) "quotient is smaller" true
+    (Chain.states qchain < Chain.states chain);
+  check_projected_faces (name ^ " lumped") qchain
+    (Analysis.block_reward quot reward);
+  (* and the cost-curve entry point agrees with the vector face, with and
+     without lumping *)
+  List.iter
+    (fun lump ->
+      let inst, acc =
+        Ctmc.Rewards.both_curves ~lump chain ~reward ~times:projected_times
+      in
+      let a, ch, r =
+        if lump then (quot.Analysis.q, qchain, Analysis.block_reward quot reward)
+        else (Analysis.create chain, chain, reward)
+      in
+      let start = Chain.initial ch in
+      let expect coeff =
+        match
+          Analysis.poisson_mixture_batch a ~dir:Analysis.Forward
+            [ { Analysis.start; coeff; times = projected_times } ]
+        with
+        | [ vs ] -> List.map (fun v -> Numeric.Vec.dot v r) vs
+        | _ -> assert false
+      in
+      List.iter2
+        (fun (label, curve) expected ->
+          List.iter2
+            (fun (_, x) e ->
+              check_rel (Printf.sprintf "%s lump=%b %s" name lump label) e x)
+            curve expected)
+        [ ("instantaneous", inst); ("accumulated", acc) ]
+        [ expect Analysis.Pmf; expect Analysis.Tail_over_lambda ])
+    [ false; true ]
+
 let () =
   Alcotest.run "watertreatment"
     [
@@ -766,6 +876,13 @@ let () =
         [
           Alcotest.test_case "fff-1 slowest, ded fastest" `Slow test_fig8_fff1_slowest;
           Alcotest.test_case "higher level slower" `Slow test_fig9_x3_llevels;
+        ] );
+      ( "projected-kernel",
+        [
+          Alcotest.test_case "values = vectors . r (line2 frf-1)" `Quick
+            (test_projected_faces_agree (Facility.frf 1));
+          Alcotest.test_case "values = vectors . r (line2 ded)" `Quick
+            (test_projected_faces_agree Facility.ded);
         ] );
       ( "fig10-11",
         [
