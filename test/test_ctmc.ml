@@ -1397,7 +1397,7 @@ let () =
           Alcotest.test_case "scc-ordered unbounded until" `Quick
             test_unbounded_until_scc_order;
         ] );
-      ( "projected-kernel",
+      ( "projected",
         [
           Alcotest.test_case "values face contract" `Quick
             test_projected_contract;
