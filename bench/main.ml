@@ -339,77 +339,75 @@ let kernel_counters () =
   Format.printf "kernel: 10-pt accumulated curve -> %a@."
     Ctmc.Analysis.pp_stats a;
   let s = Ctmc.Analysis.stats a in
-  (* Blocked-kernel contrast (the BATCH knob, default 5): the same K
-     fig7-style Tail_over_lambda streams (accumulated cost over a
-     10-point grid to t=50) evaluated as K separate single-stream sweeps,
-     as one width-K blocked sweep on the same warmed session, and as the
-     same blocked sweep through the reward-projected face. CI gates on
+  (* Blocked-kernel contrast (the BATCH knob, default 5): K fig7-style
+     Tail_over_lambda streams (accumulated cost over a 10-point grid to
+     t=50), each from its own point-mass start so that no two share an
+     iterate column, evaluated as K separate single-stream sweeps, as one
+     width-K blocked sweep on the same warmed session, and as the same
+     blocked sweep through the reward-projected face. CI gates on
      projected_seconds < batched_seconds < unbatched_seconds. *)
   let batch_width = max 1 (getenv_int "BATCH" 5) in
   let chain = (Core.Measures.built m).Core.Semantics.chain in
   let batch_times = grid 10 50. in
-  let start = Ctmc.Chain.initial chain in
+  let full_n = Ctmc.Chain.states chain in
   let streams =
-    List.init batch_width (fun _ ->
+    List.init batch_width (fun i ->
         {
-          Ctmc.Analysis.start;
+          Ctmc.Analysis.start = Numeric.Vec.unit full_n (i * full_n / batch_width);
           coeff = Ctmc.Analysis.Tail_over_lambda;
           times = batch_times;
         })
   in
-  let time_min f =
-    (* best of three: the first rep doubles as warm-up *)
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let unbatched_seconds =
-    time_min (fun () ->
-        List.iter
-          (fun b ->
-            ignore
-              (Ctmc.Analysis.poisson_mixture_multi a ~dir:Ctmc.Analysis.Forward
-                 ~coeff:b.Ctmc.Analysis.coeff b.Ctmc.Analysis.start
-                 ~times:b.Ctmc.Analysis.times
-                : Numeric.Vec.t list))
-          streams)
-  in
-  let before = Ctmc.Analysis.stats a in
-  let batched_seconds =
-    time_min (fun () ->
+  let unbatched () =
+    List.iter
+      (fun b ->
         ignore
-          (Ctmc.Analysis.poisson_mixture_batch a ~dir:Ctmc.Analysis.Forward
-             streams
-            : Numeric.Vec.t list list))
+          (Ctmc.Analysis.poisson_mixture_multi a ~dir:Ctmc.Analysis.Forward
+             ~coeff:b.Ctmc.Analysis.coeff b.Ctmc.Analysis.start
+             ~times:b.Ctmc.Analysis.times
+            : Numeric.Vec.t list))
+      streams
   in
-  let after = Ctmc.Analysis.stats a in
+  let batched () =
+    ignore
+      (Ctmc.Analysis.poisson_mixture_batch a ~dir:Ctmc.Analysis.Forward streams
+        : Numeric.Vec.t list list)
+  in
   (* the same K streams through the reward-projected face, each dotted
      with the cost vector: one dot per stream per step instead of one
      full-length axpy per (stream, time point) *)
-  let projected_seconds =
-    time_min (fun () ->
-        ignore
-          (Ctmc.Analysis.poisson_mixture_values a ~dir:Ctmc.Analysis.Forward
-             (List.map (fun b -> (b, m.Core.Measures.cost)) streams)
-            : float list list))
+  let projected () =
+    ignore
+      (Ctmc.Analysis.poisson_mixture_values a ~dir:Ctmc.Analysis.Forward
+         (List.map (fun b -> (b, m.Core.Measures.cost)) streams)
+        : float list list)
   in
-  let passes =
-    max 1 (after.Ctmc.Analysis.batch_passes - before.Ctmc.Analysis.batch_passes)
-  in
+  (* one untimed batched sweep warms the session and counts its steps *)
+  let before = Ctmc.Analysis.stats a in
+  batched ();
+  let after = Ctmc.Analysis.stats a in
+  (* best of five per side, the three sides timed in alternating rounds
+     so that a slow spell of the machine hits all of them alike *)
+  let best = [| infinity; infinity; infinity |] in
+  for _ = 1 to 5 do
+    List.iteri
+      (fun side f ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        best.(side) <- Float.min best.(side) (Unix.gettimeofday () -. t0))
+      [ unbatched; batched; projected ]
+  done;
+  let unbatched_seconds = best.(0)
+  and batched_seconds = best.(1)
+  and projected_seconds = best.(2) in
   let sweeps_per_solve =
-    (after.Ctmc.Analysis.mixture_steps - before.Ctmc.Analysis.mixture_steps)
-    / passes
+    after.Ctmc.Analysis.mixture_steps - before.Ctmc.Analysis.mixture_steps
   in
   (* streamed-bytes estimate of one blocked sweep: CSR values (8 B) and
      column indices (4 B) per stored entry (transitions + uniformization
      diagonal), row pointers (4 B), and the K-wide interleaved vectors
      read and written once per state per step *)
-  let full_states = float_of_int (Ctmc.Chain.states chain) in
+  let full_states = float_of_int full_n in
   let nnz = float_of_int (Ctmc.Chain.transition_count chain) +. full_states in
   let step_bytes =
     (nnz *. 12.) +. ((full_states +. 1.) *. 4.)

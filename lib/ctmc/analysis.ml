@@ -89,7 +89,11 @@ let m_sweep_len = Obs.Metrics.histogram "analysis.sweep_length"
 
 type t = {
   chain : Chain.t;
-  mutable unif : (float * Sparse.t) option;
+  mutable rate : float option;
+  (* the uniformized operator P (backward sweeps) and its transpose P^T
+     (forward sweeps), each built on first demand *)
+  mutable unif : Sparse.t option;
+  mutable unif_t : Sparse.t option;
   mutable emb : Sparse.t option;
   mutable graph : Digraph.t option;
   mutable scc : (int array * int list array) option;
@@ -111,7 +115,9 @@ and quotient = { lumping : Lumping.result; q : t }
 let create chain =
   {
     chain;
+    rate = None;
     unif = None;
+    unif_t = None;
     emb = None;
     graph = None;
     scc = None;
@@ -150,21 +156,38 @@ let wraps t m = t.chain == m
 let for_chain analysis m =
   match analysis with Some a when wraps a m -> a | Some _ | None -> create m
 
-let uniformized t =
-  match t.unif with
-  | Some u ->
+let uniformization_rate t =
+  match t.rate with
+  | Some l -> l
+  | None ->
+      let l = Chain.uniformization_rate t.chain in
+      t.rate <- Some l;
+      l
+
+(* Builds and hits of either orientation feed the same counters. *)
+let cached_operator t slot store build =
+  match slot with
+  | Some p ->
       t.counters.uniformized_hits <- t.counters.uniformized_hits + 1;
       Obs.Metrics.incr m_uniformized_hits;
-      u
+      p
   | None ->
-      let u =
-        Obs.Trace.with_span "analysis.uniformize" @@ fun _ ->
-        Chain.uniformized t.chain
-      in
+      let p = Obs.Trace.with_span "analysis.uniformize" @@ fun _ -> build t.chain in
       t.counters.uniformized_builds <- t.counters.uniformized_builds + 1;
       Obs.Metrics.incr m_uniformized_builds;
-      t.unif <- Some u;
-      u
+      store p;
+      p
+
+let uniformized t =
+  ( uniformization_rate t,
+    cached_operator t t.unif
+      (fun p -> t.unif <- Some p)
+      (fun m -> snd (Chain.uniformized m)) )
+
+let uniformized_transposed t =
+  cached_operator t t.unif_t
+    (fun p -> t.unif_t <- Some p)
+    Chain.uniformized_transposed
 
 let embedded t =
   match t.emb with
@@ -238,7 +261,7 @@ let validate_positive ~what x =
 let weights ?(epsilon = default_epsilon) t time =
   validate_positive ~what:"Analysis.weights: epsilon" epsilon;
   validate_finite ~what:"Analysis.weights: time" time;
-  let lambda, _ = uniformized t in
+  let lambda = uniformization_rate t in
   validate_finite ~what:"Analysis.weights: uniformization rate * time"
     (lambda *. time);
   let key = (lambda *. time, epsilon) in
@@ -445,27 +468,37 @@ type coeff = Pmf | Tail_over_lambda
 
 (* The batched variant generalizes this further: K independent coefficient
    streams — each with its own start vector, coefficient kind and time
-   grid — ride one {e blocked} sweep. The K iterates live in a
-   {!Multivec.t} and each step is a single blocked SpMV
-   ({!Sparse.vec_mul_multi_into} / {!Sparse.mul_multi_into}), so the
-   matrix is decoded once per step no matter how many streams ride it.
+   grid — ride one {e blocked} sweep. The iterates live in a
+   {!Multivec.t} and each step is a single blocked gather
+   ({!Sparse.mul_multi_into}): over P for backward sweeps and over the
+   session-cached transpose P^T for forward ones, so the operator is
+   decoded once per step no matter how many streams ride it. Streams
+   whose start vectors are equal bit for bit share one iterate column
+   (their iterates agree at every step), so the block is as wide as the
+   number of distinct starts: the instantaneous and accumulated cost
+   curves, a Pmf and a Tail stream from the same initial distribution,
+   sweep a single column.
 
    The sweep has two faces that differ only in how a step consumes the
    iterate block. The vector face keeps one full-length accumulator per
-   (stream, distinct time) and adds [c_k v_k] into it. The values face
-   serves callers that only want [<sum_k c_k v_k, r>] for a reward or
-   indicator vector [r]: it records the scalar [y_k = <v_k, r>] once per
-   stream per step and adds [c_k y_k] per time point, so a step costs one
-   dot per stream instead of one full-length axpy per time point. A
-   per-stream step mask limits the dots to steps where some coefficient
-   of that stream is non-zero: a Pmf stream whose narrow window sits at
-   the end of a long sweep (stretched by another stream, or by the
+   (stream, distinct time) and adds [c_k v_k] into it; in a block wider
+   than one column, each column a step needs is first copied out of the
+   interleaved layout once, and the axpys read the contiguous copy. The
+   values face serves callers that only want [<sum_k c_k v_k, r>] for a
+   reward or indicator vector [r]: it records the scalar [y_k = <v_k, r>]
+   once per (column, reward) per step and adds [c_k y_k] per time point,
+   so a step costs one dot per distinct (column, reward) instead of one
+   full-length axpy per time point. A step mask — the OR of the masks of
+   the streams sharing the dot — limits the dots to steps where some of
+   their coefficients are non-zero: a Pmf stream whose narrow window sits
+   at the end of a long sweep (stretched by another stream, or by the
    window's own left edge) pays nothing before its window opens. *)
 
 type batch = { start : Vec.t; coeff : coeff; times : float list }
 
 (* one distinct positive time of one stream *)
 type point = {
+  stream : int;  (** the stream this point belongs to *)
   col : int;  (** which column of the iterate block feeds this point *)
   time : float;
   coeff_at : int -> float;
@@ -480,7 +513,7 @@ let coefficients t ~coeff w =
       let f k = if k >= left && k <= right then wts.(k - left) else 0. in
       (f, left, right)
   | Tail_over_lambda ->
-      let lambda, _ = uniformized t in
+      let lambda = uniformization_rate t in
       let tail = Fox_glynn.cumulative_tail w in
       let total = Fox_glynn.total_mass w in
       let f k =
@@ -503,12 +536,41 @@ let check_times who times =
              who tm))
     times
 
-(* The one sweep loop behind both faces. It validates the streams, builds
-   the Fox–Glynn coefficient streams, keeps the counters and spans, and
-   runs the blocked SpMVs. [prepare points ~steps] is called once the
-   windows are known (and only if some stream has a positive time); it
-   sets up the face's accumulators and returns the action applied to the
-   iterate block [v_k] at every step [k = 0 .. steps - 1]. *)
+(* Bit-for-bit vector equality: unlike [=], it keeps -0/+0 apart and
+   never merges NaNs by value. *)
+let same_bits (a : Vec.t) (b : Vec.t) =
+  a == b
+  || Vec.dim a = Vec.dim b
+     &&
+     let rec from i =
+       i = Vec.dim a
+       || Int64.equal (Int64.bits_of_float a.(i)) (Int64.bits_of_float b.(i))
+          && from (i + 1)
+     in
+     from 0
+
+(* [classes n same] numbers the classes of the equivalence [same] on
+   [0 .. n - 1] in order of first appearance: [class_of.(s)] is the class
+   of [s] and [first.(c)] the first member of class [c]. *)
+let classes n same =
+  let class_of = Array.make n 0 and firsts = ref [] in
+  for s = 0 to n - 1 do
+    match List.find_opt (fun r -> same r s) !firsts with
+    | Some r -> class_of.(s) <- class_of.(r)
+    | None ->
+        class_of.(s) <- List.length !firsts;
+        firsts := s :: !firsts
+  done;
+  (class_of, Array.of_list (List.rev !firsts))
+
+(* The one sweep loop behind both faces. It validates the streams, maps
+   them onto iterate columns, builds the Fox–Glynn coefficient streams,
+   keeps the counters and spans, and runs the blocked gathers.
+   [prepare ~cols points ~steps] is called once the windows are known
+   (and only if some stream has a positive time), with [cols.(s)] the
+   column of stream [s]; it sets up the face's accumulators and returns
+   the action applied to the iterate block [v_k] at every step
+   [k = 0 .. steps - 1]. *)
 let sweep ?epsilon t ~dir ~who barr ~prepare =
   let n = Chain.states t.chain in
   Array.iter
@@ -516,7 +578,7 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
       if Vec.dim b.start <> n then invalid_arg (who ^ ": dimension mismatch");
       check_times who b.times)
     barr;
-  let width = Array.length barr in
+  let streams = Array.length barr in
   let distinct =
     Array.map
       (fun b -> List.sort_uniq compare (List.filter (fun tm -> tm > 0.) b.times))
@@ -524,7 +586,15 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
   in
   if Array.exists (fun l -> l <> []) distinct then begin
     Obs.Trace.with_span "analysis.mixture" @@ fun mix_span ->
-    let _, p = uniformized t in
+    let cols, firsts =
+      classes streams (fun r s -> same_bits barr.(r).start barr.(s).start)
+    in
+    let width = Array.length firsts in
+    let op =
+      match dir with
+      | Forward -> uniformized_transposed t
+      | Backward -> snd (uniformized t)
+    in
     (* phase 1: Fox-Glynn windows + per-(stream, time) coefficient
        streams *)
     (* worst truncation error across the Fox–Glynn windows of this
@@ -534,20 +604,20 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
       Obs.Trace.with_span "mixture.weights" @@ fun _ ->
       Array.of_list
         (List.concat
-           (List.init width (fun col ->
+           (List.init streams (fun stream ->
                 List.map
                   (fun time ->
                     let w = weights ?epsilon t time in
                     fg_deficit :=
                       Float.max !fg_deficit (1. -. Fox_glynn.total_mass w);
                     let coeff_at, first, last =
-                      coefficients t ~coeff:barr.(col).coeff w
+                      coefficients t ~coeff:barr.(stream).coeff w
                     in
-                    { col; time; coeff_at; first; last })
-                  distinct.(col))))
+                    { stream; col = cols.(stream); time; coeff_at; first; last })
+                  distinct.(stream))))
     in
     let right_max = Array.fold_left (fun m pt -> max m pt.last) 0 points in
-    let consume = prepare points ~steps:(right_max + 1) in
+    let consume = prepare ~cols points ~steps:(right_max + 1) in
     let total_times =
       Array.fold_left (fun s b -> s + List.length b.times) 0 barr
     in
@@ -555,13 +625,14 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
     Obs.Metrics.incr m_mixture_passes;
     t.counters.batch_passes <- t.counters.batch_passes + 1;
     Obs.Metrics.incr m_batch_passes;
-    t.counters.batch_columns <- t.counters.batch_columns + width;
-    Obs.Metrics.add m_batch_columns width;
+    t.counters.batch_columns <- t.counters.batch_columns + streams;
+    Obs.Metrics.add m_batch_columns streams;
     Obs.Metrics.observe m_sweep_len (float_of_int (right_max + 1));
     Obs.Metrics.set_gauge m_fg_mass_deficit !fg_deficit;
     if Obs.Trace.recording mix_span then begin
       Obs.Trace.add_attr mix_span "states" (Obs.Int n);
       Obs.Trace.add_attr mix_span "batch_width" (Obs.Int width);
+      Obs.Trace.add_attr mix_span "streams" (Obs.Int streams);
       Obs.Trace.add_attr mix_span "times" (Obs.Int total_times);
       Obs.Trace.add_attr mix_span "distinct" (Obs.Int (Array.length points));
       Obs.Trace.add_attr mix_span "sweep_length" (Obs.Int (right_max + 1));
@@ -570,19 +641,19 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
       Obs.Trace.add_attr mix_span "epsilon"
         (Obs.Float (Option.value epsilon ~default:default_epsilon))
     end;
-    (* phase 2: the shared blocked sweep (right_max blocked SpMVs, each
-       one matrix pass for all [width] streams) *)
+    (* phase 2: the shared blocked sweep (right_max blocked gathers, each
+       one operator pass for all [width] columns) *)
     ( Obs.Trace.with_span "mixture.sweep" @@ fun sweep_span ->
-      if Obs.Trace.recording sweep_span then
+      if Obs.Trace.recording sweep_span then begin
         Obs.Trace.add_attr sweep_span "batch_width" (Obs.Int width);
-      let v = ref (Multivec.of_cols (Array.map (fun b -> b.start) barr)) in
+        Obs.Trace.add_attr sweep_span "streams" (Obs.Int streams)
+      end;
+      let v = ref (Multivec.of_cols (Array.map (fun s -> barr.(s).start) firsts)) in
       let next = ref (Multivec.create ~dim:n ~width) in
       for k = 0 to right_max do
         consume k !v;
         if k < right_max then begin
-          (match dir with
-          | Forward -> Sparse.vec_mul_multi_into !v p !next
-          | Backward -> Sparse.mul_multi_into p !v !next);
+          Sparse.mul_multi_into op !v !next;
           t.counters.mixture_steps <- t.counters.mixture_steps + 1;
           let tmp = !v in
           v := !next;
@@ -592,37 +663,53 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
     Obs.Metrics.add m_mixture_steps right_max
   end
 
-(* [f i pt c] for every point [i] whose coefficient [c] at step [k] is
-   non-zero *)
-let iter_coeffs points k f =
-  Array.iteri
-    (fun i pt ->
-      if k >= pt.first && k <= pt.last then
-        let c = pt.coeff_at k in
-        if c <> 0. then f i pt c)
-    points
+(* a point's coefficient at step [k]: zero outside its window *)
+let coeff_of pt k = if k >= pt.first && k <= pt.last then pt.coeff_at k else 0.
 
 let poisson_mixture_batch ?epsilon t ~dir batches =
   let n = Chain.states t.chain in
   let barr = Array.of_list batches in
   let by_time = Array.map (fun _ -> Hashtbl.create 8) barr in
   sweep ?epsilon t ~dir ~who:"Analysis.poisson_mixture_batch" barr
-    ~prepare:(fun points ~steps:_ ->
+    ~prepare:(fun ~cols points ~steps:_ ->
       let accs =
         Array.map
           (fun pt ->
             let acc = Vec.zeros n in
-            Hashtbl.replace by_time.(pt.col) pt.time acc;
+            Hashtbl.replace by_time.(pt.stream) pt.time acc;
             acc)
           points
       in
+      (* the points each column feeds *)
+      let width = Array.fold_left (fun w c -> max w (c + 1)) 0 cols in
+      let feeds = Array.make width [] in
+      for i = Array.length points - 1 downto 0 do
+        let c = points.(i).col in
+        feeds.(c) <- i :: feeds.(c)
+      done;
+      let scratch = Vec.zeros (if width > 1 then n else 0) in
       fun k v ->
-        iter_coeffs points k (fun i pt c ->
-            Multivec.axpy_from_col c v pt.col accs.(i)));
+        Array.iteri
+          (fun col fed ->
+            let copied = ref false in
+            List.iter
+              (fun i ->
+                let c = coeff_of points.(i) k in
+                if c <> 0. then
+                  if width = 1 then Multivec.axpy_from_col c v col accs.(i)
+                  else begin
+                    if not !copied then begin
+                      Multivec.col_into v col scratch;
+                      copied := true
+                    end;
+                    Vec.axpy c scratch accs.(i)
+                  end)
+              fed)
+          feeds);
   (* align 1:1 with each stream's time list; duplicates get private
      copies so every returned vector can be mutated independently *)
   List.mapi
-    (fun col b ->
+    (fun stream b ->
       let at_zero () =
         match b.coeff with
         | Pmf -> Vec.copy b.start
@@ -633,10 +720,10 @@ let poisson_mixture_batch ?epsilon t ~dir batches =
         (fun tm ->
           if tm = 0. then at_zero ()
           else if Hashtbl.mem handed_out tm then
-            Vec.copy (Hashtbl.find by_time.(col) tm)
+            Vec.copy (Hashtbl.find by_time.(stream) tm)
           else begin
             Hashtbl.add handed_out tm ();
-            Hashtbl.find by_time.(col) tm
+            Hashtbl.find by_time.(stream) tm
           end)
         b.times)
     batches
@@ -652,33 +739,44 @@ let poisson_mixture_values ?epsilon t ~dir pairs =
   let rewards = Array.of_list (List.map snd pairs) in
   (* one unboxed one-cell accumulator per (stream, distinct time) *)
   let by_time = Array.map (fun _ -> Hashtbl.create 8) barr in
-  sweep ?epsilon t ~dir ~who barr ~prepare:(fun points ~steps ->
-      (* per-stream step mask: '1' where some coefficient is non-zero *)
-      let mask = Array.map (fun _ -> Bytes.make steps '0') barr in
+  sweep ?epsilon t ~dir ~who barr ~prepare:(fun ~cols points ~steps ->
+      (* streams on one column with the same reward share one dot *)
+      let dot_of, dots =
+        classes (Array.length barr) (fun r s ->
+            cols.(r) = cols.(s) && same_bits rewards.(r) rewards.(s))
+      in
+      (* per-dot step mask: '1' where some coefficient is non-zero *)
+      let mask = Array.map (fun _ -> Bytes.make steps '0') dots in
       let sums =
         Array.map
           (fun pt ->
+            let m = mask.(dot_of.(pt.stream)) in
             for k = pt.first to pt.last do
-              if pt.coeff_at k <> 0. then Bytes.set mask.(pt.col) k '1'
+              if pt.coeff_at k <> 0. then Bytes.set m k '1'
             done;
             let sum = [| 0. |] in
-            Hashtbl.replace by_time.(pt.col) pt.time sum;
+            Hashtbl.replace by_time.(pt.stream) pt.time sum;
             sum)
           points
       in
-      let y = Array.make (Array.length barr) 0. in
+      let y = Array.make (Array.length dots) 0. in
       fun k v ->
-        for col = 0 to Array.length mask - 1 do
-          if Bytes.get mask.(col) k = '1' then
-            y.(col) <- Multivec.dot_col v col rewards.(col)
-        done;
-        iter_coeffs points k (fun i pt c ->
-            sums.(i).(0) <- sums.(i).(0) +. (c *. y.(pt.col))));
+        Array.iteri
+          (fun d s ->
+            if Bytes.get mask.(d) k = '1' then
+              y.(d) <- Multivec.dot_col v cols.(s) rewards.(s))
+          dots;
+        Array.iteri
+          (fun i pt ->
+            let c = coeff_of pt k in
+            if c <> 0. then
+              sums.(i).(0) <- sums.(i).(0) +. (c *. y.(dot_of.(pt.stream))))
+          points);
   List.mapi
-    (fun col (b, r) ->
+    (fun stream (b, r) ->
       List.map
         (fun tm ->
-          if tm > 0. then (Hashtbl.find by_time.(col) tm).(0)
+          if tm > 0. then (Hashtbl.find by_time.(stream) tm).(0)
           else
             match b.coeff with
             | Pmf -> Vec.dot b.start r
@@ -687,10 +785,7 @@ let poisson_mixture_values ?epsilon t ~dir pairs =
     pairs
 
 let poisson_mixture_multi ?epsilon t ~dir ~coeff start ~times =
-  List.iter
-    (fun tm ->
-      if tm < 0. then invalid_arg "Analysis.poisson_mixture_multi: negative time")
-    times;
+  check_times "Analysis.poisson_mixture_multi" times;
   if Vec.dim start <> Chain.states t.chain then
     invalid_arg "Analysis.poisson_mixture_multi: dimension mismatch";
   match poisson_mixture_batch ?epsilon t ~dir [ { start; coeff; times } ] with
@@ -698,7 +793,7 @@ let poisson_mixture_multi ?epsilon t ~dir ~coeff start ~times =
   | _ -> assert false
 
 let poisson_mixture ?epsilon t ~dir ~coeff start ~time =
-  if time < 0. then invalid_arg "Analysis.poisson_mixture: negative time";
+  check_times "Analysis.poisson_mixture" [ time ];
   if Vec.dim start <> Chain.states t.chain then
     invalid_arg "Analysis.poisson_mixture: dimension mismatch";
   match poisson_mixture_multi ?epsilon t ~dir ~coeff start ~times:[ time ] with

@@ -35,7 +35,12 @@ val for_chain : t option -> Chain.t -> t
 (** {2 Memoized derived artifacts} *)
 
 val uniformized : t -> float * Numeric.Sparse.t
-(** [(lambda, P)] as {!Chain.uniformized}, built once per session. *)
+(** [(lambda, P)] as {!Chain.uniformized}, built once per session.
+    Backward sweeps gather over [P]; forward sweeps gather over its
+    transpose ({!Chain.uniformized_transposed}), which the session caches
+    separately and also builds only on first demand, so a session that
+    only sweeps forward never materializes [P]. Builds and hits of either
+    orientation count in [uniformized_builds] / [uniformized_hits]. *)
 
 val embedded : t -> Numeric.Sparse.t
 (** The embedded jump matrix, built once per session. *)
@@ -160,8 +165,9 @@ val poisson_mixture :
     [lambda * time]. This one kernel implements forward transient
     distributions, backward value vectors (bounded until) and accumulated
     rewards. [time = 0] yields a copy of [start] ([Pmf]) or zeros
-    ([Tail_over_lambda]). Raises [Invalid_argument] on a negative time or
-    a dimension mismatch. *)
+    ([Tail_over_lambda]). Raises [Invalid_argument] on a negative, NaN or
+    infinite time (named [Analysis.poisson_mixture], see {!check_times})
+    or a dimension mismatch. *)
 
 val poisson_mixture_multi :
   ?epsilon:float ->
@@ -180,8 +186,8 @@ val poisson_mixture_multi :
     The result list is aligned 1:1 with [times]: the caller's order is
     preserved, [times] need not be sorted, and duplicates each get their
     own (independently mutable) vector. An empty [times] yields [[]].
-    Raises [Invalid_argument] on any negative time or on a dimension
-    mismatch. *)
+    Raises [Invalid_argument] on any negative, NaN or infinite time (named
+    [Analysis.poisson_mixture_multi]) or on a dimension mismatch. *)
 
 type batch = {
   start : Numeric.Vec.t;  (** this stream's [v_0] *)
@@ -195,11 +201,15 @@ val poisson_mixture_batch :
 (** [poisson_mixture_batch t ~dir batches] evaluates K independent
     mixture streams — each with its own start vector, coefficient kind
     and time grid, but sharing the chain and direction — with {e one}
-    blocked sweep: the K iterates form a {!Numeric.Multivec.t} and every
-    step is a single blocked SpMV, so the matrix is decoded once per step
-    for all K streams (this is how an instantaneous- and an
+    blocked sweep: the iterates form a {!Numeric.Multivec.t} and every
+    step is a single blocked gather ({!Numeric.Sparse.mul_multi_into} over
+    [P] backward, over [P^T] forward), so the operator is decoded once per
+    step for all K streams (this is how an instantaneous- and an
     accumulated-cost curve, or several initial distributions, ride one
-    uniformization). The sweep runs to the largest Fox–Glynn right edge
+    uniformization). Streams whose start vectors are physically equal or
+    equal bit for bit share one iterate column (so [-0.] and [+0.], or two
+    NaNs, never merge); the block is as wide as the number of distinct
+    starts. Every result is bit-identical to the stream's solo sweep. The sweep runs to the largest Fox–Glynn right edge
     across all streams; streams with shorter windows simply stop
     accumulating early. Results align 1:1 with [batches] and with each
     stream's [times] (same duplicate/zero-time semantics as
@@ -215,10 +225,11 @@ val poisson_mixture_values :
 (** Reward-projected face of {!poisson_mixture_batch}: each stream comes
     with a reward (or indicator) vector [r], and every point is the scalar
     [<sum_k c_k v_k, r>] instead of the vector. The same blocked sweep
-    runs, but a step records [y_k = <v_k, r>] once per stream and each
-    time point adds [c_k * y_k], so no full-length accumulator exists; a
-    stream is dotted only at steps where one of its coefficients is
-    non-zero. This is the face behind the scalar curve entry points
+    runs, but a step records [y_k = <v_k, r>] once per distinct (iterate
+    column, reward) — streams sharing a column and a bit-equal reward
+    share the dot — and each time point adds [c_k * y_k], so no
+    full-length accumulator exists; a dot is taken only at steps where a
+    coefficient of one of its streams is non-zero. This is the face behind the scalar curve entry points
     ({!Rewards.instantaneous_curve}, {!Rewards.accumulated_curve},
     {!Rewards.both_curves}, {!Reachability.bounded_until_curve}).
 
@@ -264,7 +275,8 @@ type stats = {
           delegated from {!poisson_mixture_multi}) *)
   batch_columns : int;
       (** total stream count across those sweeps; [batch_columns /
-          batch_passes] is the mean batch width *)
+          batch_passes] is the mean number of streams per sweep (streams
+          that share an iterate column each count) *)
   lump_builds : int;  (** lumpings computed by {!quotient} *)
   lump_hits : int;  (** {!quotient} calls served from the memo table *)
   lumped_states : int;
@@ -284,12 +296,14 @@ type stats = {
     metrics enabled, a fresh registry and a single fresh session therefore
     agree field by field. When tracing is on, every kernel sweep (either
     face) runs under an [analysis.mixture] span (with
-    [states]/[batch_width]/[times]/[sweep_length]/[spmvs] attributes)
-    with [mixture.weights] (Fox–Glynn) and [mixture.sweep] (blocked SpMVs
+    [states]/[batch_width]/[streams]/[times]/[sweep_length]/[spmvs]
+    attributes; [batch_width] is the iterate block width, i.e. the number
+    of distinct start vectors, and [streams] the stream count) with
+    [mixture.weights] (Fox–Glynn) and [mixture.sweep] (blocked gathers
     plus the per-step accumulation) child phases ([mixture.sweep] carries
-    [batch_width] too); the first {!uniformized} build of a session runs
-    under an [analysis.uniformize] span, and {!quotient} builds under an
-    [analysis.lump] span. *)
+    [batch_width] and [streams] too); the first build of each orientation
+    of the uniformized operator runs under an [analysis.uniformize] span,
+    and {!quotient} builds under an [analysis.lump] span. *)
 
 val stats : t -> stats
 

@@ -73,6 +73,21 @@ let uniformization_rate m =
   let max_exit = Vec.max_entry m.exit in
   Float.max 1e-10 (max_exit *. 1.02)
 
+(* P = I + Q/lambda, or its transpose built directly from the same
+   triplets with the indices swapped: no intermediate P, and the rows of
+   P^T list their source states in increasing order (the Builder sorts
+   each row by column). *)
+let uniformized_matrix ~transposed m lambda =
+  let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in
+  Sparse.iteri m.rates (fun i j x ->
+      if transposed then Sparse.Builder.add b j i (x /. lambda)
+      else Sparse.Builder.add b i j (x /. lambda));
+  for i = 0 to m.n - 1 do
+    let self = 1. -. (m.exit.(i) /. lambda) in
+    if self <> 0. then Sparse.Builder.add b i i self
+  done;
+  Sparse.Builder.to_csr b
+
 let uniformized ?lambda m =
   let lambda =
     match lambda with
@@ -82,13 +97,10 @@ let uniformized ?lambda m =
         l
     | None -> uniformization_rate m
   in
-  let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in
-  Sparse.iteri m.rates (fun i j x -> Sparse.Builder.add b i j (x /. lambda));
-  for i = 0 to m.n - 1 do
-    let self = 1. -. (m.exit.(i) /. lambda) in
-    if self <> 0. then Sparse.Builder.add b i i self
-  done;
-  (lambda, Sparse.Builder.to_csr b)
+  (lambda, uniformized_matrix ~transposed:false m lambda)
+
+let uniformized_transposed m =
+  uniformized_matrix ~transposed:true m (uniformization_rate m)
 
 let embedded m =
   let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in

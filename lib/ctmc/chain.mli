@@ -53,6 +53,13 @@ val uniformized : ?lambda:float -> t -> float * Numeric.Sparse.t
 (** [uniformized m] is [(lambda, P)] with [P = I + Q/lambda] the uniformized
     stochastic matrix (diagonal included). *)
 
+val uniformized_transposed : t -> Numeric.Sparse.t
+(** [P^T] for the default [lambda] ({!uniformization_rate}), built
+    directly (no intermediate [P]) from the same entries with their
+    indices swapped. Row [j] lists its source states [i] in increasing
+    order, so it equals [Numeric.Sparse.transpose (snd (uniformized m))]
+    bit for bit. Forward sweeps gather over it. *)
+
 val embedded : t -> Numeric.Sparse.t
 (** The embedded jump matrix: [P(i, j) = R(i, j) / exit(i)] for non-absorbing
     [i]; absorbing states get a self-loop with probability 1. *)

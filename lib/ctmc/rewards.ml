@@ -55,7 +55,6 @@ let instantaneous_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
    which is the Tail_over_lambda mixture dotted with rho; the loop is the
    shared Analysis.poisson_mixture kernel. *)
 let accumulated_from ?epsilon a start ~reward t =
-  if t < 0. then invalid_arg "Rewards.accumulated: negative time";
   if t = 0. then 0.
   else
     let weighted =
@@ -66,6 +65,7 @@ let accumulated_from ?epsilon a start ~reward t =
 
 let accumulated ?epsilon ?(lump = false) ?analysis m ~reward ~upto =
   check_reward m reward;
+  Analysis.check_times "Rewards.accumulated" [ upto ];
   if lump then
     let qa, qm, qr = lumped analysis m ~reward in
     accumulated_from ?epsilon qa (Chain.initial qm) ~reward:qr upto
@@ -84,10 +84,10 @@ let accumulated_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
   | [ acc ] -> acc
   | _ -> assert false
 
-(* Instantaneous and accumulated cost curves share one BLOCKED sweep: a
-   Pmf stream and a Tail_over_lambda stream from the same start ride the
-   same uniformization, so the matrix is decoded once per step for both
-   figures instead of once per curve. *)
+(* Instantaneous and accumulated cost curves share one sweep: a Pmf stream
+   and a Tail_over_lambda stream from the same start (the same vector, so
+   one iterate column) with the same reward (so one dot per step) ride
+   one width-1 uniformization; only the per-point coefficients differ. *)
 let both_curves ?epsilon ?(lump = false) ?analysis m ~reward ~times =
   match
     curves ?epsilon ~lump ?analysis m ~reward ~times ~who:"Rewards.both_curves"

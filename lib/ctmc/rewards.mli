@@ -53,7 +53,9 @@ val accumulated :
   float
 (** [accumulated m ~reward ~upto] is [E(int_0^upto reward(X_u) du)],
     computed by the uniformization integral
-    [sum_k (1/lambda) P(Poisson(lambda t) > k) (v_k . rho)]. *)
+    [sum_k (1/lambda) P(Poisson(lambda t) > k) (v_k . rho)]. Raises
+    [Invalid_argument] naming the function on a negative, NaN or infinite
+    [upto]. *)
 
 val accumulated_curve :
   ?epsilon:float ->
@@ -81,8 +83,9 @@ val both_curves :
   (float * float) list * (float * float) list
 (** [(instantaneous_curve, accumulated_curve)] over the same time grid
     from {e one} blocked sweep ({!Analysis.poisson_mixture_values}): the
-    [Pmf] and [Tail_over_lambda] coefficient streams ride the same
-    uniformization, so both figures cost a single pass of blocked SpMVs.
+    [Pmf] and [Tail_over_lambda] coefficient streams start from the same
+    initial distribution, so they share one iterate column and both
+    figures cost a single width-1 sweep.
     Point values equal {!instantaneous_curve} and {!accumulated_curve}
     respectively. *)
 

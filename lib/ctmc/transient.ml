@@ -5,7 +5,7 @@ module Vec = Numeric.Vec
    keeps the time bookkeeping and the forward/backward entry points. *)
 
 let distribution_from ?epsilon ?analysis m start t =
-  if t < 0. then invalid_arg "Transient.distribution_from: negative time";
+  Analysis.check_times "Transient.distribution_from" [ t ];
   if t = 0. then Vec.copy start
   else
     let a = Analysis.for_chain analysis m in
@@ -27,10 +27,7 @@ let curve ?epsilon ?analysis m ~times =
 (* K start distributions through one blocked sweep: the batched kernel
    decodes the uniformized matrix once per step for all of them. *)
 let distribution_batch ?epsilon ?analysis m ~starts ~times =
-  List.iter
-    (fun t ->
-      if t < 0. then invalid_arg "Transient.distribution_batch: negative time")
-    times;
+  Analysis.check_times "Transient.distribution_batch" times;
   List.iter
     (fun start ->
       if Vec.dim start <> Chain.states m then
@@ -43,7 +40,7 @@ let distribution_batch ?epsilon ?analysis m ~starts ~times =
        starts)
 
 let backward_batch ?epsilon ?analysis m vs t =
-  if t < 0. then invalid_arg "Transient.backward_batch: negative time";
+  Analysis.check_times "Transient.backward_batch" [ t ];
   List.iter
     (fun v ->
       if Vec.dim v <> Chain.states m then
@@ -76,7 +73,7 @@ let probability_at ?epsilon ?(lump = false) ?analysis m ~pred t =
   else mass pred (distribution ?epsilon ?analysis m t)
 
 let backward ?epsilon ?(lump = false) ?analysis m v t =
-  if t < 0. then invalid_arg "Transient.backward: negative time";
+  Analysis.check_times "Transient.backward" [ t ];
   if Vec.dim v <> Chain.states m then
     invalid_arg "Transient.backward: dimension mismatch";
   if t = 0. then Vec.copy v

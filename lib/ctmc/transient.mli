@@ -7,7 +7,11 @@
     Every entry point takes an optional [?analysis] session
     ({!Analysis.t}); when given (and wrapping the same chain), the
     uniformized matrix and Fox–Glynn weights are fetched from — and
-    memoized into — the session instead of being rebuilt per call. *)
+    memoized into — the session instead of being rebuilt per call.
+
+    Every entry point raises [Invalid_argument "Transient.<function>:
+    times must be finite and non-negative (got x)"] on a negative, NaN or
+    infinite time ({!Analysis.check_times}). *)
 
 val distribution :
   ?epsilon:float -> ?analysis:Analysis.t -> Chain.t -> float -> Numeric.Vec.t
@@ -49,8 +53,8 @@ val distribution_batch :
   Numeric.Vec.t list list
 (** [distribution_batch m ~starts ~times] evaluates the transient
     distribution from each start vector at each time with {e one} blocked
-    sweep ({!Analysis.poisson_mixture_batch}): the uniformized matrix is
-    decoded once per step for all K starts. Result [i] aligns with start
+    sweep ({!Analysis.poisson_mixture_batch}): the transposed uniformized
+    matrix is decoded once per step for every distinct start. Result [i] aligns with start
     [i] and, within it, 1:1 with [times] (same semantics as {!curve}). *)
 
 val probability_at :

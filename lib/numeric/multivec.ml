@@ -68,6 +68,16 @@ let of_cols cols =
   done;
   v
 
+let col_into v c y =
+  if c < 0 || c >= v.mv_width then
+    invalid_arg "Multivec.col_into: column out of range";
+  if Vec.dim y <> v.mv_dim then
+    invalid_arg "Multivec.col_into: dimension mismatch";
+  let k = v.mv_width in
+  for i = 0 to v.mv_dim - 1 do
+    Array.unsafe_set y i (A1.unsafe_get v.buf ((i * k) + c))
+  done
+
 let col v c =
   if c < 0 || c >= v.mv_width then invalid_arg "Multivec.col: column out of range";
   let k = v.mv_width in

@@ -4,8 +4,8 @@
     float64 {!Bigarray} with {e interleaved} layout: element [(i, c)] —
     entry [i] of column [c] — lives at offset [i * width + c]. The K
     entries of one index are therefore contiguous, which is exactly what
-    the multi-RHS sparse kernels ({!Sparse.mul_multi_into},
-    {!Sparse.vec_mul_multi_into}) need: every matrix entry that is decoded
+    the multi-RHS sparse kernels ({!Sparse.mul_multi_into} and the
+    blocked relaxation sweeps) need: every matrix entry that is decoded
     once serves all K columns from one cache line.
 
     Columns are exchanged with the rest of the engine as plain {!Vec.t}
@@ -53,6 +53,11 @@ val to_cols : t -> Vec.t array
 
 val col : t -> int -> Vec.t
 (** [col v c] is a fresh copy of column [c]. *)
+
+val col_into : t -> int -> Vec.t -> unit
+(** [col_into v c y] copies column [c] into [y] (of dimension [dim v]),
+    so a column read many times is gathered out of the interleaved
+    layout once. *)
 
 val set_col : t -> int -> Vec.t -> unit
 (** Overwrite column [c] from a vector of dimension [dim v]. *)

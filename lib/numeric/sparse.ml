@@ -256,68 +256,80 @@ let vec_mul x m =
 
 (* --- Multi-vector (blocked) kernels ------------------------------------ *)
 
-let check_multi name _m x y =
-  if Multivec.width x <> Multivec.width y then
-    invalid_arg (Printf.sprintf "Sparse.%s: width mismatch" name);
-  if Multivec.width x = 0 then
-    invalid_arg (Printf.sprintf "Sparse.%s: empty block" name)
-
-(* y <- m * x, one matrix pass serving all K columns: the K entries of
-   state j are contiguous in the interleaved layout, so each decoded
-   (value, column) pair feeds K fused multiply-adds from one cache line. *)
+(* y <- m * x as a gather, one matrix pass serving all K columns: row i
+   of [m] produces entry i of every column, summed in the row's column
+   order. The accumulators are local float refs, which the compiler keeps
+   unboxed in registers. Width 1 takes a direct-index loop; a wider block
+   is walked in register groups of 4, then 2, then 1 columns per row (the
+   row's entries stay in L1 between groups, and the K entries of state j
+   share a cache line in the interleaved layout). Each column is summed
+   in the same order at every width, so the result does not depend on
+   which other columns ride along. Forward sweeps call this on the
+   transposed operator, whose rows list their source states in increasing
+   order: entry j is then summed exactly as a scatter [x^T m] over rows
+   0, 1, ... would sum it. *)
 let mul_multi_into m x y =
-  check_multi "mul_multi_into" m x y;
+  if Multivec.width x <> Multivec.width y then
+    invalid_arg "Sparse.mul_multi_into: width mismatch";
+  if Multivec.width x = 0 then invalid_arg "Sparse.mul_multi_into: empty block";
   if Multivec.dim x <> m.cols || Multivec.dim y <> m.rows then
     invalid_arg "Sparse.mul_multi_into: dimension mismatch";
   let k = Multivec.width x in
   let xd = Multivec.data x and yd = Multivec.data y in
-  let acc = Array.make k 0. in
-  for i = 0 to m.rows - 1 do
-    Array.fill acc 0 k 0.;
-    for p = idx m.row_ptr i to idx m.row_ptr (i + 1) - 1 do
-      let v = A1.unsafe_get m.values p in
-      let base = idx m.col_idx p * k in
-      for c = 0 to k - 1 do
-        Array.unsafe_set acc c
-          (Array.unsafe_get acc c +. (v *. A1.unsafe_get xd (base + c)))
-      done
-    done;
-    let yb = i * k in
-    for c = 0 to k - 1 do
-      A1.unsafe_set yd (yb + c) (Array.unsafe_get acc c)
+  let rp = m.row_ptr and ci = m.col_idx and vs = m.values in
+  if k = 1 then
+    for i = 0 to m.rows - 1 do
+      let acc = ref 0. in
+      for p = idx rp i to idx rp (i + 1) - 1 do
+        acc := !acc +. (A1.unsafe_get vs p *. A1.unsafe_get xd (idx ci p))
+      done;
+      A1.unsafe_set yd i !acc
     done
-  done
-
-(* y <- x^T * m column-wise (scatter form). Rows whose K entries are all
-   zero are skipped — the blocked analogue of the [xi <> 0.] test in
-   [vec_mul_into], which matters because distributions start as point
-   masses. *)
-let vec_mul_multi_into x m y =
-  check_multi "vec_mul_multi_into" m x y;
-  if Multivec.dim x <> m.rows || Multivec.dim y <> m.cols then
-    invalid_arg "Sparse.vec_mul_multi_into: dimension mismatch";
-  let k = Multivec.width x in
-  let xd = Multivec.data x and yd = Multivec.data y in
-  Multivec.fill y 0.;
-  let row = Array.make k 0. in
-  for i = 0 to m.rows - 1 do
-    let xb = i * k in
-    let nonzero = ref false in
-    for c = 0 to k - 1 do
-      let v = A1.unsafe_get xd (xb + c) in
-      Array.unsafe_set row c v;
-      if v <> 0. then nonzero := true
-    done;
-    if !nonzero then
-      for p = idx m.row_ptr i to idx m.row_ptr (i + 1) - 1 do
-        let v = A1.unsafe_get m.values p in
-        let base = idx m.col_idx p * k in
-        for c = 0 to k - 1 do
-          A1.unsafe_set yd (base + c)
-            (A1.unsafe_get yd (base + c) +. (Array.unsafe_get row c *. v))
-        done
-      done
-  done
+  else
+    for i = 0 to m.rows - 1 do
+      let lo = idx rp i and hi = idx rp (i + 1) - 1 in
+      let yb = i * k in
+      let c = ref 0 in
+      while !c + 4 <= k do
+        let c0 = !c in
+        let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+        for p = lo to hi do
+          let v = A1.unsafe_get vs p in
+          let b = (idx ci p * k) + c0 in
+          a0 := !a0 +. (v *. A1.unsafe_get xd b);
+          a1 := !a1 +. (v *. A1.unsafe_get xd (b + 1));
+          a2 := !a2 +. (v *. A1.unsafe_get xd (b + 2));
+          a3 := !a3 +. (v *. A1.unsafe_get xd (b + 3))
+        done;
+        A1.unsafe_set yd (yb + c0) !a0;
+        A1.unsafe_set yd (yb + c0 + 1) !a1;
+        A1.unsafe_set yd (yb + c0 + 2) !a2;
+        A1.unsafe_set yd (yb + c0 + 3) !a3;
+        c := c0 + 4
+      done;
+      if !c + 2 <= k then begin
+        let c0 = !c in
+        let a0 = ref 0. and a1 = ref 0. in
+        for p = lo to hi do
+          let v = A1.unsafe_get vs p in
+          let b = (idx ci p * k) + c0 in
+          a0 := !a0 +. (v *. A1.unsafe_get xd b);
+          a1 := !a1 +. (v *. A1.unsafe_get xd (b + 1))
+        done;
+        A1.unsafe_set yd (yb + c0) !a0;
+        A1.unsafe_set yd (yb + c0 + 1) !a1;
+        c := c0 + 2
+      end;
+      if !c < k then begin
+        let c0 = !c in
+        let a0 = ref 0. in
+        for p = lo to hi do
+          a0 :=
+            !a0 +. (A1.unsafe_get vs p *. A1.unsafe_get xd ((idx ci p * k) + c0))
+        done;
+        A1.unsafe_set yd (yb + c0) !a0
+      end
+    done
 
 (* --- Solver sweep kernels ----------------------------------------------
    One relaxation sweep of [a x = b]; the iteration/convergence logic

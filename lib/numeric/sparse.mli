@@ -7,10 +7,9 @@
     Storage is unboxed: row pointers and column indices live in int32
     {!Bigarray}s and values in a float64 {!Bigarray}, so one matrix pass
     streams three flat buffers. On top of the single-vector products the
-    module exposes {e blocked} kernels ({!mul_multi_into},
-    {!vec_mul_multi_into}, and the relaxation sweeps) that push a
-    {!Multivec.t} of K vectors through the matrix in a single pass —
-    every decoded entry serves all K columns. *)
+    module exposes {e blocked} kernels ({!mul_multi_into} and the
+    relaxation sweeps) that push a {!Multivec.t} of K vectors through the
+    matrix in a single pass — every decoded entry serves all K columns. *)
 
 type t
 
@@ -77,13 +76,16 @@ val vec_mul_into : Vec.t -> t -> Vec.t -> unit
     cache line instead of re-reading the matrix K times. *)
 
 val mul_multi_into : t -> Multivec.t -> Multivec.t -> unit
-(** [mul_multi_into m x y] writes [m * x] into [y] column-wise.
-    [x] and [y] must not alias and must share their width. *)
-
-val vec_mul_multi_into : Multivec.t -> t -> Multivec.t -> unit
-(** [vec_mul_multi_into x m y] writes [x^T * m] into [y] column-wise
-    (distribution push-forward for K distributions at once). States whose
-    K entries are all zero are skipped, as in {!vec_mul_into}. *)
+(** [mul_multi_into m x y] writes [m * x] into [y] column-wise, as a
+    gather: entry [i] of each column is summed over row [i] of [m] in
+    increasing column order, in local accumulators (a direct loop at
+    width 1, register groups of 4, 2 and 1 columns above). Each column's
+    result is bit-identical to {!mul_vec} on that column, whatever the
+    width. For the row-vector product [x^T * m] (distribution
+    push-forward) call it on [transpose m]: the rows of a built
+    transpose list their source states in increasing order, so for a
+    finite [x] every entry comes out bit for bit as {!vec_mul} sums it. [x] and [y] must not
+    alias and must share their width. *)
 
 (** {2 Relaxation sweep kernels}
 

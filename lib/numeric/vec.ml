@@ -49,7 +49,7 @@ let scale_in_place a v =
 let axpy a x y =
   check_same_dim "axpy" x y;
   for i = 0 to Array.length x - 1 do
-    y.(i) <- y.(i) +. (a *. x.(i))
+    Array.unsafe_set y i (Array.unsafe_get y i +. (a *. Array.unsafe_get x i))
   done
 
 let add a b =

@@ -36,9 +36,11 @@ let reliability_cache_dls : (string, Measures.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
 (* Cost-figure pair cache: both cost curves of a strategy come out of one
-   blocked two-stream sweep ({!Measures.cost_curves}), so whichever cost
-   figure runs first pays the sweep and the sibling figure over the same
-   time grid reads its half from the cache. Domain-local for the same
+   sweep ({!Measures.cost_curves}: two coefficient streams from the same
+   initial distribution on one shared iterate column, dotted once per step
+   with the cost vector), so whichever cost figure runs first pays the
+   sweep and the sibling figure over the same time grid reads its half
+   from the cache. Domain-local for the same
    reason as the chain caches above. *)
 let cost_pair_cache_dls :
     (string, (float * float) list * (float * float) list) Hashtbl.t

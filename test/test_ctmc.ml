@@ -48,6 +48,36 @@ let test_chain_uniformized () =
   check_close "row 0 stochastic" 1. sums.(0);
   check_close "row 1 stochastic" 1. sums.(1)
 
+(* a 40-state chain with uneven rates, so that every sum rounds *)
+let ring_chain () =
+  Chain.of_transitions ~states:40
+    (List.concat
+       (List.init 40 (fun i ->
+            [
+              (i, (i + 1) mod 40, 1. +. (float_of_int (i mod 7) /. 3.));
+              (i, ((7 * i) + 3) mod 40, 0.1 *. float_of_int (1 + (i mod 5)));
+            ])))
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let test_chain_uniformized_transposed () =
+  List.iter
+    (fun m ->
+      let _, p = Chain.uniformized m in
+      let pt = Chain.uniformized_transposed m in
+      let expected = Numeric.Sparse.transpose p in
+      Alcotest.(check int) "same entries" (Numeric.Sparse.nnz expected)
+        (Numeric.Sparse.nnz pt);
+      Alcotest.(check bool) "transpose bit for bit" true
+        (Array.for_all2 same_bits
+           (Numeric.Sparse.to_dense expected)
+           (Numeric.Sparse.to_dense pt)))
+    [ two_state 2. 3.; ring_chain () ]
+
 let test_chain_embedded () =
   let m = Chain.of_transitions ~states:3 [ (0, 1, 1.); (0, 2, 3.) ] in
   let e = Chain.embedded m in
@@ -958,7 +988,9 @@ let test_multi_kernel_times_contract () =
   | [ v0; _ ] -> check_vec "t=0 is the start vector" start v0
   | _ -> Alcotest.fail "expected two points");
   Alcotest.check_raises "negative time"
-    (Invalid_argument "Analysis.poisson_mixture_multi: negative time") (fun () ->
+    (Invalid_argument
+       "Analysis.poisson_mixture_multi: times must be finite and non-negative \
+        (got -2)") (fun () ->
       ignore (run [ 1.; -2. ]))
 
 let test_multi_kernel_counters () =
@@ -1226,12 +1258,12 @@ let test_projected_contract () =
       Analysis.poisson_mixture_values a ~dir:Analysis.Forward
         [ ({ Analysis.start; coeff = Analysis.Pmf; times = [ 1. ] }, [| 1. |]) ])
 
-(* each scalar curve entry point rejects negative, NaN and infinite times
-   under its own name *)
-let test_curve_rejects_bad_times (who, run) () =
+(* Every single-time and batch entry point of the kernel rejects negative,
+   NaN and infinite times under its own name, before any work. *)
+let test_rejects_bad_time (who, run) () =
   List.iter
     (fun bad ->
-      match run [ 1.; bad ] with
+      match run bad with
       | _ -> Alcotest.failf "%s accepted time %g" who bad
       | exception Invalid_argument msg ->
           let prefix = who ^ ": " in
@@ -1241,6 +1273,11 @@ let test_curve_rejects_bad_times (who, run) () =
             (String.length msg >= String.length prefix
             && String.sub msg 0 (String.length prefix) = prefix))
     [ -1.; Float.nan; Float.infinity ]
+
+(* each scalar curve entry point rejects negative, NaN and infinite times
+   under its own name *)
+let test_curve_rejects_bad_times (who, run) () =
+  test_rejects_bad_time (who, fun bad -> run [ 1.; bad ]) ()
 
 let curve_entry_points =
   let m = analysis_chain () in
@@ -1261,6 +1298,192 @@ let curve_entry_points =
             ~bounds) );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Exactness of the blocked gather: the batched kernel must reproduce, bit
+   for bit, the sweep spelled out one step at a time with the single-vector
+   scatter [Sparse.vec_mul] (forward) and gather [Sparse.mul_vec]
+   (backward) over the uniformized matrix P *)
+
+let reference_mixture m ~dir ~coeff start time =
+  let lambda, p = Chain.uniformized m in
+  let w = Numeric.Fox_glynn.compute ~epsilon:1e-12 (lambda *. time) in
+  let { Numeric.Fox_glynn.left; right; weights; _ } = w in
+  let coeff_at, last =
+    match coeff with
+    | Analysis.Pmf ->
+        ((fun k -> if k >= left then weights.(k - left) else 0.), right)
+    | Analysis.Tail_over_lambda ->
+        let tail = Numeric.Fox_glynn.cumulative_tail w in
+        let total = Numeric.Fox_glynn.total_mass w in
+        ( (fun k ->
+            (if k + 1 <= left then total else tail.(k + 1 - left)) /. lambda),
+          right - 1 )
+  in
+  let acc = Vec.zeros (Chain.states m) in
+  let v = ref (Vec.copy start) in
+  for k = 0 to last do
+    let c = coeff_at k in
+    if c <> 0. then Array.iteri (fun i x -> acc.(i) <- acc.(i) +. (c *. x)) !v;
+    if k < last then
+      v :=
+        match dir with
+        | Analysis.Forward -> Numeric.Sparse.vec_mul !v p
+        | Analysis.Backward -> Numeric.Sparse.mul_vec p !v
+  done;
+  acc
+
+let check_batch_matches_reference ~dir starts () =
+  let times = [ 0.4; 2.6; 9. ] in
+  List.iter
+    (fun m ->
+      let n = Chain.states m in
+      let starts = starts n in
+      List.iter
+        (fun coeff ->
+          let results =
+            Analysis.poisson_mixture_batch (Analysis.create m) ~dir
+              (List.map (fun start -> { Analysis.start; coeff; times }) starts)
+          in
+          List.iteri
+            (fun s (start, vs) ->
+              List.iter2
+                (fun t v ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%d states, stream %d, t=%g" n s t)
+                    true
+                    (same_bits (reference_mixture m ~dir ~coeff start t) v))
+                times vs)
+            (List.combine starts results))
+        [ Analysis.Pmf; Analysis.Tail_over_lambda ])
+    [ analysis_chain (); ring_chain () ]
+
+(* five distinct starts: a block of width 5 runs a register group of 4
+   and one of 1 *)
+let forward_starts n =
+  Array.make n (1. /. float_of_int n)
+  :: List.init 4 (fun i -> Vec.unit n (((3 * i) + 1) mod n))
+
+let backward_starts n =
+  List.init 4 (fun i -> Array.init n (fun s -> if s mod 4 = i then 1. else 0.))
+  @ [ Array.init n (fun s -> float_of_int ((3 * s) mod 5) /. 7.) ]
+
+(* [mixture_spans f] runs [f] with tracing on and returns the
+   [(batch_width, streams)] attributes of every [analysis.mixture] and
+   [mixture.sweep] span it recorded *)
+let mixture_spans f =
+  let path = Filename.temp_file "arcade_ctmc_spans" ".json" in
+  Obs.Trace.set_output (Some path);
+  let result = Fun.protect ~finally:(fun () -> Obs.Trace.flush ()) f in
+  Obs.Trace.set_output None;
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let module J = Server.Json in
+  let events = match J.parse text with J.List evs -> evs | _ -> [] in
+  let attr args key =
+    match J.member key args with Some (J.Num x) -> int_of_float x | _ -> -1
+  in
+  let spans name =
+    List.filter_map
+      (fun ev ->
+        match (J.string_field "name" ev, J.member "args" ev) with
+        | Some nm, Some args when nm = name ->
+            Some (attr args "batch_width", attr args "streams")
+        | _ -> None)
+      events
+  in
+  (result, spans "analysis.mixture", spans "mixture.sweep")
+
+let test_equal_starts_share_column () =
+  let m = ring_chain () in
+  let n = Chain.states m in
+  let start = Chain.initial m and twin = Vec.copy (Chain.initial m) in
+  let reward = Array.init n (fun s -> float_of_int (s mod 3) +. 0.5) in
+  let times = [ 0.7; 2.6 ] in
+  let pmf = { Analysis.start; coeff = Analysis.Pmf; times } in
+  let tail =
+    { Analysis.start = twin; coeff = Analysis.Tail_over_lambda; times }
+  in
+  let run_vectors bs =
+    Analysis.poisson_mixture_batch (Analysis.create m) ~dir:Analysis.Forward bs
+  in
+  let run_values bs =
+    Analysis.poisson_mixture_values (Analysis.create m) ~dir:Analysis.Forward
+      bs
+  in
+  let vectors, mix, sweep = mixture_spans (fun () -> run_vectors [ pmf; tail ]) in
+  let one_column = [ (1, 2) ] in
+  Alcotest.(check (list (pair int int))) "mixture span: width 1, 2 streams"
+    one_column mix;
+  Alcotest.(check (list (pair int int))) "sweep span: width 1, 2 streams"
+    one_column sweep;
+  List.iter2
+    (fun solo shared ->
+      List.iter2
+        (fun u v -> Alcotest.(check bool) "shared = solo" true (same_bits u v))
+        solo shared)
+    (run_vectors [ pmf ] @ run_vectors [ tail ])
+    vectors;
+  (* the first two streams share a dot; the third rides the same column
+     with another reward *)
+  let other = Array.init n (fun s -> float_of_int (s mod 5)) in
+  let values, mix, _ =
+    mixture_spans (fun () ->
+        run_values [ (pmf, reward); (tail, Vec.copy reward); (pmf, other) ])
+  in
+  Alcotest.(check (list (pair int int))) "values face: width 1, 3 streams"
+    [ (1, 3) ] mix;
+  List.iter2
+    (fun solo shared ->
+      List.iter2
+        (fun x y -> check_close ~eps:0. "shared value = solo" x y)
+        solo shared)
+    (run_values [ (pmf, reward) ]
+    @ run_values [ (tail, reward) ]
+    @ run_values [ (pmf, other) ])
+    values
+
+let test_signed_zeros_do_not_share () =
+  let m = analysis_chain () in
+  let start = [| 1.; 0.; 0.; 0.; 0. |] in
+  let negative = [| 1.; 0.; -0.; 0.; 0. |] in
+  let _, mix, sweep =
+    mixture_spans (fun () ->
+        Analysis.poisson_mixture_batch (Analysis.create m)
+          ~dir:Analysis.Forward
+          [
+            { Analysis.start; coeff = Analysis.Pmf; times = [ 1. ] };
+            { Analysis.start = negative; coeff = Analysis.Pmf; times = [ 1. ] };
+          ])
+  in
+  Alcotest.(check (list (pair int int))) "two columns" [ (2, 2) ] mix;
+  Alcotest.(check (list (pair int int))) "sweep: two columns" [ (2, 2) ] sweep
+
+let time_entry_points =
+  let m = analysis_chain () in
+  let n = Chain.states m in
+  let a = Analysis.create m in
+  let start = Chain.initial m and v = Array.make n 1. in
+  let reward = Array.init n float_of_int in
+  let drop f t = ignore (f t) in
+  [
+    ( "Analysis.poisson_mixture",
+      drop (fun time ->
+          Analysis.poisson_mixture a ~dir:Analysis.Forward ~coeff:Analysis.Pmf
+            start ~time) );
+    ( "Analysis.poisson_mixture_multi",
+      drop (fun t ->
+          Analysis.poisson_mixture_multi a ~dir:Analysis.Forward
+            ~coeff:Analysis.Pmf start ~times:[ 1.; t ]) );
+    ("Transient.distribution_from", drop (Transient.distribution_from m start));
+    ( "Transient.distribution_batch",
+      drop (fun t -> Transient.distribution_batch m ~starts:[ start ] ~times:[ 1.; t ])
+    );
+    ("Transient.backward_batch", drop (Transient.backward_batch m [ v ]));
+    ("Transient.backward", drop (Transient.backward m v));
+    ( "Rewards.accumulated",
+      drop (fun upto -> Rewards.accumulated m ~reward ~upto) );
+  ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1271,6 +1494,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_chain_validation;
           Alcotest.test_case "accessors" `Quick test_chain_accessors;
           Alcotest.test_case "uniformized" `Quick test_chain_uniformized;
+          Alcotest.test_case "uniformized transposed" `Quick
+            test_chain_uniformized_transposed;
           Alcotest.test_case "embedded" `Quick test_chain_embedded;
           Alcotest.test_case "absorbing" `Quick test_chain_absorbing;
           Alcotest.test_case "restrict reachable" `Quick test_restrict_reachable;
@@ -1396,7 +1621,22 @@ let () =
             test_long_run_probabilities;
           Alcotest.test_case "scc-ordered unbounded until" `Quick
             test_unbounded_until_scc_order;
+          Alcotest.test_case "forward = per-step vec_mul" `Quick
+            (check_batch_matches_reference ~dir:Analysis.Forward forward_starts);
+          Alcotest.test_case "backward = per-step mul_vec" `Quick
+            (check_batch_matches_reference ~dir:Analysis.Backward
+               backward_starts);
+          Alcotest.test_case "equal starts share a column" `Quick
+            test_equal_starts_share_column;
+          Alcotest.test_case "signed zeros do not share" `Quick
+            test_signed_zeros_do_not_share;
         ] );
+      ( "times",
+        List.map
+          (fun ((who, _) as entry) ->
+            Alcotest.test_case (who ^ " rejects bad times") `Quick
+              (test_rejects_bad_time entry))
+          time_entry_points );
       ( "projected",
         [
           Alcotest.test_case "values face contract" `Quick

@@ -163,7 +163,8 @@ let test_sparse_mul_multi () =
     (Multivec.col y 0);
   Alcotest.(check (array (float 1e-12))) "m*x col 1" [| 3.; 0.; 0. |]
     (Multivec.col y 1);
-  Sparse.vec_mul_multi_into x m y;
+  (* x*m is the gather over the transpose *)
+  Sparse.mul_multi_into (Sparse.transpose m) x y;
   Alcotest.(check (array (float 1e-12))) "x*m col 0" [| 6.; 3.; 17. |]
     (Multivec.col y 0);
   Alcotest.(check (array (float 1e-12))) "x*m col 1" [| 3.; 0.; 1. |]
@@ -273,43 +274,46 @@ let prop_transpose_involution =
       let m = Sparse.of_triplets ~rows ~cols entries in
       Sparse.equal m (Sparse.transpose (Sparse.transpose m)))
 
+(* Every width 1..9, so the kernel's register groups of 4, 2 and 1
+   columns all run with every remainder; results must be bit-identical to
+   the single-vector products, the forward case ([x^T m]) through the
+   gather over [transpose m]. *)
 let prop_blocked_matches_columns =
   QCheck.Test.make ~count:200
     ~name:"blocked multi kernels match per-column products"
-    (QCheck.make sparse_triplets_gen)
-    (fun (rows, cols, entries) ->
+    (QCheck.make
+       QCheck.Gen.(pair sparse_triplets_gen (int_range 1 9)))
+    (fun ((rows, cols, entries), width) ->
       let m = Sparse.of_triplets ~rows ~cols entries in
-      let width = 3 in
-      let close a b =
-        Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-12) a b
+      let same a b =
+        Array.for_all2
+          (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+          a b
+      in
+      let columns_match xs product got =
+        Array.for_all
+          (fun c -> same (product xs.(c)) (Multivec.col got c))
+          (Array.init width Fun.id)
       in
       let xs =
         Array.init width (fun c ->
             Array.init cols (fun i ->
-                (* include exact zeros to exercise the scatter skip *)
+                (* exact zeros: rows the scatter [vec_mul] skips *)
                 if (i + c) mod 3 = 0 then 0.
                 else float_of_int (((c + 1) * (i + 2)) mod 7) -. 3.))
       in
       let y = Multivec.create ~dim:rows ~width in
       Sparse.mul_multi_into m (Multivec.of_cols xs) y;
-      let forward_ok =
-        Array.for_all
-          (fun c -> close (Sparse.mul_vec m xs.(c)) (Multivec.col y c))
-          (Array.init width Fun.id)
-      in
+      let backward_ok = columns_match xs (Sparse.mul_vec m) y in
       let zs =
         Array.init width (fun c ->
             Array.init rows (fun i ->
-                if (i + c) mod 2 = 0 then float_of_int (i - c) else 0.))
+                if (i + c) mod 2 = 0 then float_of_int (i - c) /. 3. else 0.))
       in
       let w = Multivec.create ~dim:cols ~width in
-      Sparse.vec_mul_multi_into (Multivec.of_cols zs) m w;
-      let backward_ok =
-        Array.for_all
-          (fun c -> close (Sparse.vec_mul zs.(c) m) (Multivec.col w c))
-          (Array.init width Fun.id)
-      in
-      forward_ok && backward_ok)
+      Sparse.mul_multi_into (Sparse.transpose m) (Multivec.of_cols zs) w;
+      let forward_ok = columns_match zs (fun z -> Sparse.vec_mul z m) w in
+      backward_ok && forward_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Fox-Glynn *)
