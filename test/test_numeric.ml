@@ -94,7 +94,18 @@ let test_multivec_errors () =
   let mv = Multivec.create ~dim:2 ~width:2 in
   Alcotest.check_raises "column out of range"
     (Invalid_argument "Multivec.col: column out of range") (fun () ->
-      ignore (Multivec.col mv 2))
+      ignore (Multivec.col mv 2));
+  Alcotest.check_raises "col_into column out of range"
+    (Invalid_argument "Multivec.col_into: column out of range") (fun () ->
+      Multivec.col_into mv (-1) [| 0.; 0. |]);
+  Alcotest.check_raises "col_into dimension"
+    (Invalid_argument "Multivec.col_into: dimension mismatch") (fun () ->
+      Multivec.col_into mv 0 [| 0. |]);
+  Multivec.set mv 1 1 7.;
+  let dst = [| 1.; 1. |] in
+  Multivec.col_into mv 1 dst;
+  Alcotest.(check (array (float 0.))) "col_into copies the column" [| 0.; 7. |]
+    dst
 
 (* ------------------------------------------------------------------ *)
 (* Sparse *)
