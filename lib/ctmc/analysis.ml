@@ -95,9 +95,10 @@ type t = {
   mutable unif : Sparse.t option;
   mutable unif_t : Sparse.t option;
   mutable emb : Sparse.t option;
-  mutable graph : Digraph.t option;
-  mutable scc : (int array * int list array) option;
-  mutable bscc : int list array option;
+  (* R^T: the steady-state sweep and coreachability read its rows *)
+  mutable rates_t : Sparse.t option;
+  mutable scc : (int array * int array array) option;
+  mutable bscc : int array array option;
   weight_tbl : (float * float, Fox_glynn.t) Hashtbl.t;
   steady_tbl : (float, Vec.t) Hashtbl.t;
   absorbed_named : (string, t) Hashtbl.t;
@@ -119,7 +120,7 @@ let create chain =
     unif = None;
     unif_t = None;
     emb = None;
-    graph = None;
+    rates_t = None;
     scc = None;
     bscc = None;
     weight_tbl = Hashtbl.create 16;
@@ -199,19 +200,25 @@ let embedded t =
       t.emb <- Some e;
       e
 
-let graph t =
-  match t.graph with
-  | Some g -> g
+let rates_transposed t =
+  match t.rates_t with
+  | Some r -> r
   | None ->
-      let g = Digraph.of_sparse (Chain.rates t.chain) in
-      t.graph <- Some g;
-      g
+      let r =
+        Obs.Trace.with_span "analysis.transpose_rates" @@ fun _ ->
+        Sparse.transpose (Chain.rates t.chain)
+      in
+      t.rates_t <- Some r;
+      r
 
 let sccs t =
   match t.scc with
   | Some s -> s
   | None ->
-      let s = Digraph.sccs (graph t) in
+      let s =
+        Obs.Trace.with_span "analysis.sccs" @@ fun _ ->
+        Digraph.sccs (Chain.rates t.chain)
+      in
       t.scc <- Some s;
       s
 
@@ -219,7 +226,7 @@ let bottom_sccs t =
   match t.bscc with
   | Some b -> b
   | None ->
-      let b = Digraph.bottom_sccs (graph t) in
+      let b = Digraph.bottom_sccs (Chain.rates t.chain) (sccs t) in
       t.bscc <- Some b;
       b
 

@@ -54,14 +54,18 @@ val weights : ?epsilon:float -> t -> float -> Numeric.Fox_glynn.t
     equality has [nan <> nan]), so they are rejected at the entry point
     instead of silently recomputing forever. *)
 
-val graph : t -> Numeric.Digraph.t
-(** The transition digraph, built once per session. *)
+val rates_transposed : t -> Numeric.Sparse.t
+(** [R^T], the transposed rate matrix (row [j] lists the states with a
+    rate into [j]), built once per session. The steady-state sweep reads
+    its rows; unbounded until searches it for coreachability. *)
 
-val sccs : t -> int array * int list array
-(** {!Numeric.Digraph.sccs} of {!graph}, computed once per session. *)
+val sccs : t -> int array * int array array
+(** {!Numeric.Digraph.sccs} over the rate matrix itself, computed once
+    per session. *)
 
-val bottom_sccs : t -> int list array
-(** The recurrent classes, computed once per session. *)
+val bottom_sccs : t -> int array array
+(** The recurrent classes, derived once per session from {!sccs}
+    (no second Tarjan run). *)
 
 val is_irreducible : t -> bool
 
@@ -303,7 +307,9 @@ type stats = {
     plus the per-step accumulation) child phases ([mixture.sweep] carries
     [batch_width] and [streams] too); the first build of each orientation
     of the uniformized operator runs under an [analysis.uniformize] span,
-    and {!quotient} builds under an [analysis.lump] span. *)
+    {!rates_transposed} and {!sccs} build under [analysis.transpose_rates]
+    and [analysis.sccs] spans, and {!quotient} builds under an
+    [analysis.lump] span. *)
 
 val stats : t -> stats
 

@@ -118,28 +118,37 @@ let absorbing m ~pred =
   let rates = Sparse.Builder.to_csr b in
   { m with rates; exit = Sparse.row_sums rates }
 
+(* Exit rates are carried over, not re-summed in the new column order:
+   a closed set keeps all of a state's transitions. The index is a
+   Hashtbl, not an n-array, so that restricting to each of many small
+   recurrent classes costs their size, not the chain's. *)
+let restrict m states =
+  let k = Array.length states in
+  if k = 0 then invalid_arg "Chain.restrict: empty state set";
+  let index = Hashtbl.create k in
+  Array.iteri
+    (fun i s ->
+      if Hashtbl.mem index s then invalid_arg "Chain.restrict: repeated state";
+      Hashtbl.replace index s i)
+    states;
+  let b = Sparse.Builder.create ~rows:k ~cols:k in
+  Array.iteri
+    (fun i s ->
+      Sparse.iter_row m.rates s (fun j x ->
+          match Hashtbl.find_opt index j with
+          | Some jj -> Sparse.Builder.add b i jj x
+          | None -> invalid_arg "Chain.restrict: a transition leaves the set"))
+    states;
+  let exit = Array.map (Array.get m.exit) states in
+  { n = k; rates = Sparse.Builder.to_csr b; exit; init = Vec.unit k 0 }
+
 let restrict_reachable m =
-  let g = Numeric.Digraph.of_sparse m.rates in
-  let seeds = ref [] in
-  Array.iteri (fun s p -> if p > 0. then seeds := s :: !seeds) m.init;
-  let keep = Numeric.Digraph.reachable g !seeds in
-  let new_of_old = Array.make m.n (-1) in
-  let old_of_new = ref [] and count = ref 0 in
-  for s = 0 to m.n - 1 do
-    if keep.(s) then begin
-      new_of_old.(s) <- !count;
-      old_of_new := s :: !old_of_new;
-      incr count
-    end
-  done;
-  let old_of_new = Array.of_list (List.rev !old_of_new) in
-  let n' = !count in
-  let b = Sparse.Builder.create ~rows:n' ~cols:n' in
-  Sparse.iteri m.rates (fun i j x ->
-      if keep.(i) && keep.(j) then Sparse.Builder.add b new_of_old.(i) new_of_old.(j) x);
-  let init = Vec.zeros n' in
-  Array.iteri (fun s p -> if keep.(s) then init.(new_of_old.(s)) <- p) m.init;
-  (make ~init (Sparse.Builder.to_csr b), old_of_new)
+  let states = List.init m.n Fun.id in
+  let seeds = List.filter (fun s -> m.init.(s) > 0.) states in
+  let keep = Numeric.Digraph.reachable m.rates seeds in
+  let old_of_new = Array.of_list (List.filter (Array.get keep) states) in
+  let init = Array.map (Array.get m.init) old_of_new in
+  (with_init (restrict m old_of_new) init, old_of_new)
 
 let pp_stats ppf m =
   Format.fprintf ppf "ctmc: %d states, %d transitions, max exit rate %g" m.n

@@ -69,6 +69,13 @@ val absorbing : t -> pred:(int -> bool) -> t
     [pred] (they become absorbing). [pred] is called once per state. The
     initial distribution is kept. *)
 
+val restrict : t -> int array -> t
+(** [restrict m states] is the sub-chain on the {e closed} state set
+    [states] (e.g. a recurrent class): state [k] is [m]'s [states.(k)]
+    and keeps its exit rate bit for bit. Starts in state 0. Raises
+    [Invalid_argument] on an empty or repeating set or a transition
+    leaving it. *)
+
 val restrict_reachable : t -> t * int array
 (** Drop states unreachable from the support of the initial distribution.
     Returns the restricted chain and the map from new indices to old. *)

@@ -79,15 +79,15 @@ let interval_until ?epsilon ?analysis m ~phi ~psi ~lower ~upper =
 let unbounded_until ?(tol = 1e-13) ?(scc_order = true) ?analysis m ~phi ~psi =
   let n = Chain.states m in
   let result = Vec.zeros n in
-  (* graph restricted to edges leaving phi-and-not-psi states *)
-  let g = Numeric.Digraph.create n in
-  Sparse.iteri (Chain.rates m) (fun i j _ ->
-      if phi i && not (psi i) then Numeric.Digraph.add_edge g i j);
-  let targets = ref [] in
-  for s = 0 to n - 1 do
-    if psi s then targets := s :: !targets
-  done;
-  let can_reach = Numeric.Digraph.coreachable g !targets in
+  let a = Analysis.for_chain analysis m in
+  (* states that reach psi along transitions out of phi-and-not-psi
+     states: a backward search over the rows of R^T *)
+  let can_reach =
+    Numeric.Digraph.reachable
+      ~enter:(fun s -> phi s && not (psi s))
+      (Analysis.rates_transposed a)
+      (List.filter psi (List.init n Fun.id))
+  in
   let maybe = Array.init n (fun s -> (not (psi s)) && phi s && can_reach.(s)) in
   let index = Array.make n (-1) in
   let count = ref 0 in
@@ -102,7 +102,6 @@ let unbounded_until ?(tol = 1e-13) ?(scc_order = true) ?analysis m ~phi ~psi =
     if psi s then result.(s) <- 1.
   done;
   if nm > 0 then begin
-    let a = Analysis.for_chain analysis m in
     let emb = Analysis.embedded a in
     (* (I - A) x = b *)
     let b = Sparse.Builder.create ~rows:nm ~cols:nm in

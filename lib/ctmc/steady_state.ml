@@ -9,71 +9,43 @@ let default_tol = 1e-12
 let is_irreducible ?analysis m =
   Analysis.is_irreducible (Analysis.for_chain analysis m)
 
-(* Stationary vector of an irreducible generator. Gauss-Seidel on the
-   normalized singular system converges fast on most chains but is not
-   guaranteed to (the iteration matrix of a singular splitting can have
-   modulus-1 eigenvalues); when it gives up we fall back to power iteration
-   on the uniformized DTMC, which is aperiodic by construction (the
-   uniformization rate strictly exceeds the maximal exit rate, so every
-   state keeps a self-loop) and therefore always converges. *)
-let stationary_of_generator ?tol q =
+(* Stationary vector of the irreducible chain of session [a], solved
+   from the rates directly: Gauss–Seidel over the rows of the session's
+   R^T, dividing by the exit rates (no generator is formed). It
+   converges fast on most chains but is not guaranteed to (the iteration
+   matrix of a singular splitting can have modulus-1 eigenvalues); when
+   it gives up we fall back to power iteration on the uniformized DTMC,
+   which is aperiodic by construction (the uniformization rate strictly
+   exceeds the maximal exit rate, so every state keeps a self-loop) and
+   therefore always converges. *)
+let stationary ?tol a =
+  let m = Analysis.chain a in
   Obs.Trace.with_span "steady_state.stationary" @@ fun span ->
   if Obs.Trace.recording span then
-    Obs.Trace.add_attr span "states" (Obs.Int (Sparse.rows q));
-  match Numeric.Solver.steady_state_gauss_seidel ?tol q with
+    Obs.Trace.add_attr span "states" (Obs.Int (Chain.states m));
+  match
+    Numeric.Solver.steady_state_gauss_seidel ?tol ~exit:(Chain.exit_rates m)
+      (Analysis.rates_transposed a)
+  with
   | pi, _ -> pi
   | exception Numeric.Solver.Did_not_converge _ ->
       Obs.Trace.add_attr span "fallback" (Obs.Str "power_iteration");
-      let n = Sparse.rows q in
-      let max_exit =
-        let m = ref 0. in
-        Sparse.iteri q (fun i j x -> if i = j && -.x > !m then m := -.x);
-        !m
+      let n = Chain.states m in
+      let _, p = Chain.uniformized m in
+      let pi, _ =
+        Numeric.Solver.power_iteration ?tol p (Vec.create n (1. /. float_of_int n))
       in
-      let lambda = Float.max 1e-10 (max_exit *. 1.02) in
-      let b = Sparse.Builder.create ~rows:n ~cols:n in
-      Sparse.iteri q (fun i j x ->
-          if i = j then Sparse.Builder.add b i i (1. +. (x /. lambda))
-          else Sparse.Builder.add b i j (x /. lambda));
-      (* states with no diagonal entry in q are absorbing: self-loop 1 *)
-      let has_diag = Array.make n false in
-      Sparse.iteri q (fun i j _ -> if i = j then has_diag.(i) <- true);
-      Array.iteri (fun i present -> if not present then Sparse.Builder.add b i i 1.) has_diag;
-      let p = Sparse.Builder.to_csr b in
-      let pi0 = Vec.create n (1. /. float_of_int n) in
-      let pi, _ = Numeric.Solver.power_iteration ?tol p pi0 in
       Vec.normalize_l1 pi;
       pi
 
-let solve_irreducible ?tol ?analysis m =
-  if not (is_irreducible ?analysis m) then
-    invalid_arg "Steady_state.solve_irreducible: chain is reducible";
-  stationary_of_generator ?tol (Chain.generator m)
-
-(* Local steady state of one recurrent class, embedded back into the full
+(* Local steady state of one recurrent class — the class's own closed
+   sub-chain, solved in a throwaway session — embedded back into the full
    state space scaled by [weight]. *)
 let add_local_solution ?tol m members weight result =
   match members with
-  | [] -> ()
-  | [ s ] -> result.(s) <- result.(s) +. weight
+  | [| s |] -> result.(s) <- result.(s) +. weight
   | _ ->
-      let members = Array.of_list members in
-      let k = Array.length members in
-      let index = Hashtbl.create k in
-      Array.iteri (fun i s -> Hashtbl.replace index s i) members;
-      let b = Sparse.Builder.create ~rows:k ~cols:k in
-      Array.iteri
-        (fun i s ->
-          Sparse.iter_row (Chain.rates m) s (fun j r ->
-              match Hashtbl.find_opt index j with
-              | Some jj ->
-                  Sparse.Builder.add b i jj r;
-                  Sparse.Builder.add b i i (-.r)
-              | None ->
-                  (* a BSCC has no outgoing edges; defensive *)
-                  invalid_arg "Steady_state: edge leaving a recurrent class"))
-        members;
-      let pi = stationary_of_generator ?tol (Sparse.Builder.to_csr b) in
+      let pi = stationary ?tol (Analysis.create (Chain.restrict m members)) in
       Array.iteri (fun i s -> result.(s) <- result.(s) +. (weight *. pi.(i))) members
 
 (* weights.(c) = P(eventually enter class c) from the initial
@@ -140,13 +112,12 @@ let bscc_weights ?tol a m bsccs in_bscc =
 
 let solve_fresh ?tol a m =
   let n = Chain.states m in
-  let _, sccs = Analysis.sccs a in
-  if Array.length sccs = 1 then stationary_of_generator ?tol (Chain.generator m)
+  if Analysis.is_irreducible a then stationary ?tol a
   else begin
     let bsccs = Analysis.bottom_sccs a in
     let result = Vec.zeros n in
     let in_bscc = Array.make n (-1) in
-    Array.iteri (fun c members -> List.iter (fun s -> in_bscc.(s) <- c) members) bsccs;
+    Array.iteri (fun c members -> Array.iter (fun s -> in_bscc.(s) <- c) members) bsccs;
     let weights = bscc_weights ?tol a m bsccs in_bscc in
     Array.iteri
       (fun c members ->

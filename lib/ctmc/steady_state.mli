@@ -1,8 +1,10 @@
 (** Long-run (steady-state) analysis.
 
-    For an irreducible chain this is one Gauss–Seidel solve. The general
-    case decomposes the chain into bottom strongly connected components
-    (recurrent classes), solves each in isolation, and weights the local
+    For an irreducible chain this is one Gauss–Seidel solve over the
+    session's transposed rates ({!Analysis.rates_transposed}); no
+    generator is formed. The general case decomposes the chain into
+    bottom strongly connected components (recurrent classes), solves each
+    as its own closed sub-chain ({!Chain.restrict}), and weights the local
     solutions by the probability of reaching each class from the initial
     distribution — exactly PRISM's treatment of CSL's [S] operator.
 
@@ -20,11 +22,6 @@
 val solve : ?tol:float -> ?analysis:Analysis.t -> Chain.t -> Numeric.Vec.t
 (** [solve m] is the long-run probability distribution over states, taking
     the initial distribution into account when the chain is reducible. *)
-
-val solve_irreducible :
-  ?tol:float -> ?analysis:Analysis.t -> Chain.t -> Numeric.Vec.t
-(** Fast path: requires the whole chain to be a single recurrent class;
-    raises [Invalid_argument] otherwise. Initial-distribution independent. *)
 
 val long_run_probability :
   ?tol:float ->

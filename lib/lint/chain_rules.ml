@@ -28,20 +28,22 @@ let skeleton_of_component ~repaired (rc : M.raw_component) =
   (* vertex 0 = up; then one vertex per (mode, stage), modes in order *)
   let stages m = max 1 (Option.value m.M.rm_stages ~default:1) in
   let total = List.fold_left (fun acc m -> acc + stages m) 0 rc.M.rc_modes in
-  let g = Numeric.Digraph.create (1 + total) in
+  let b = Numeric.Sparse.Builder.create ~rows:(1 + total) ~cols:(1 + total) in
+  let edge u v = Numeric.Sparse.Builder.add b u v 1. in
   let base = ref 1 in
   List.iter
     (fun m ->
       let s = stages m in
-      Numeric.Digraph.add_edge g 0 !base;
+      edge 0 !base;
       if repaired then (
         for k = 0 to s - 2 do
-          Numeric.Digraph.add_edge g (!base + k) (!base + k + 1)
+          edge (!base + k) (!base + k + 1)
         done;
-        Numeric.Digraph.add_edge g (!base + s - 1) 0);
+        edge (!base + s - 1) 0);
       base := !base + s)
     rc.M.rc_modes;
-  let bottom = Array.length (Numeric.Digraph.bottom_sccs g) in
+  let g = Numeric.Sparse.Builder.to_csr b in
+  let bottom = Numeric.Digraph.(Array.length (bottom_sccs g (sccs g))) in
   {
     sk_component = rc.M.rc_name;
     sk_pos = rc.M.rc_pos;

@@ -1,7 +1,7 @@
 (** Chain-layer lint rules (ARC-C family): structural facts about the CTMC the
     model would generate, computed from per-component skeleton digraphs
-    ({!Numeric.Digraph} over a few dozen vertices) instead of the product
-    state space.
+    (sparsity patterns of a few dozen vertices, analysed with
+    {!Numeric.Digraph}) instead of the product state space.
 
     Rule catalogue:
     - [ARC-C001] (info): the chain has absorbing failure configurations —

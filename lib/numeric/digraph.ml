@@ -1,124 +1,100 @@
-type t = {
-  n : int;
-  adj : int list array;
-}
+let vertex_count g =
+  let n = Sparse.rows g in
+  if Sparse.cols g <> n then invalid_arg "Digraph: matrix not square";
+  n
 
-let create n =
-  if n < 0 then invalid_arg "Digraph.create";
-  { n; adj = Array.make n [] }
-
-let add_edge g u v =
-  if u < 0 || u >= g.n || v < 0 || v >= g.n then
-    invalid_arg "Digraph.add_edge: vertex out of range";
-  g.adj.(u) <- v :: g.adj.(u)
-
-let of_sparse m =
-  let g = create (max (Sparse.rows m) (Sparse.cols m)) in
-  Sparse.iteri m (fun i j _ -> add_edge g i j);
-  g
-
-let vertex_count g = g.n
-
-let successors g v = g.adj.(v)
-
-let reverse g =
-  let r = create g.n in
-  Array.iteri (fun u vs -> List.iter (fun v -> add_edge r v u) vs) g.adj;
-  r
-
-(* Iterative Tarjan. The explicit stack holds (vertex, remaining successors)
-   frames so deep chains do not overflow the OCaml stack. *)
+(* Iterative Tarjan over the CSR arrays. A DFS frame is a vertex and the
+   position of the next entry of its row to try; positions run from the
+   row's last entry down to its first, the successor order of the
+   prepend-built adjacency lists this replaces, so component numbering
+   (and with it every SCC-ordered solve) is unchanged. The vertex stack
+   is an array: an SCC's members are the slice above its root, in
+   discovery order. *)
 let sccs g =
-  let n = g.n in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = Stack.create () in
-  let next_index = ref 0 in
-  let comp = Array.make n (-1) in
-  let members_rev = ref [] in
-  let comp_count = ref 0 in
-  let visit root =
-    let frames = Stack.create () in
-    let push v =
-      index.(v) <- !next_index;
-      lowlink.(v) <- !next_index;
-      incr next_index;
-      Stack.push v stack;
-      on_stack.(v) <- true;
-      Stack.push (v, ref g.adj.(v)) frames
-    in
-    push root;
-    while not (Stack.is_empty frames) do
-      let v, rest = Stack.top frames in
-      match !rest with
-      | w :: tl ->
-          rest := tl;
+  let n = vertex_count g in
+  let index = Array.make n (-1) and lowlink = Array.make n 0 in
+  let on_stack = Array.make n false and comp = Array.make n (-1) in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let frame_v = Array.make n 0 and frame_p = Array.make n 0 and fp = ref 0 in
+  let next_index = ref 0 and members_rev = ref [] and comp_count = ref 0 in
+  let push v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
+    incr next_index;
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    frame_v.(!fp) <- v;
+    frame_p.(!fp) <- Sparse.row_start g (v + 1) - 1;
+    incr fp
+  in
+  for root = 0 to n - 1 do
+    if index.(root) = -1 then begin
+      push root;
+      while !fp > 0 do
+        let top = !fp - 1 in
+        let v = frame_v.(top) and p = frame_p.(top) in
+        if p >= Sparse.row_start g v then begin
+          frame_p.(top) <- p - 1;
+          let w = Sparse.col_at g p in
           if index.(w) = -1 then push w
-          else if on_stack.(w) then
-            lowlink.(v) <- min lowlink.(v) index.(w)
-      | [] ->
-          ignore (Stack.pop frames);
+          else if on_stack.(w) then lowlink.(v) <- Int.min lowlink.(v) index.(w)
+        end
+        else begin
+          fp := top;
           if lowlink.(v) = index.(v) then begin
             (* v is the root of an SCC: pop it off the vertex stack *)
-            let members = ref [] in
-            let continue = ref true in
-            while !continue do
-              let w = Stack.pop stack in
+            let hi = !sp in
+            let rec pop () =
+              decr sp;
+              let w = stack.(!sp) in
               on_stack.(w) <- false;
               comp.(w) <- !comp_count;
-              members := w :: !members;
-              if w = v then continue := false
-            done;
-            members_rev := !members :: !members_rev;
+              if w <> v then pop ()
+            in
+            pop ();
+            members_rev := Array.sub stack !sp (hi - !sp) :: !members_rev;
             incr comp_count
           end;
-          (match Stack.top_opt frames with
-          | Some (parent, _) -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          | None -> ())
-    done
-  in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then visit v
+          if top > 0 then begin
+            let parent = frame_v.(top - 1) in
+            lowlink.(parent) <- Int.min lowlink.(parent) lowlink.(v)
+          end
+        end
+      done
+    end
   done;
-  let members = Array.make !comp_count [] in
-  List.iteri (fun i ms -> members.(i) <- ms) (List.rev !members_rev);
-  (comp, members)
+  (comp, Array.of_list (List.rev !members_rev))
 
-let bottom_sccs g =
-  let comp, members = sccs g in
-  let nc = Array.length members in
-  let has_exit = Array.make nc false in
-  Array.iteri
-    (fun u vs ->
-      List.iter (fun v -> if comp.(u) <> comp.(v) then has_exit.(comp.(u)) <- true) vs)
-    g.adj;
+let bottom_sccs g (comp, members) =
+  let n = vertex_count g in
+  if Array.length comp <> n then
+    invalid_arg "Digraph.bottom_sccs: decomposition of another graph";
+  let has_exit = Array.make (Array.length members) false in
+  for u = 0 to n - 1 do
+    let cu = comp.(u) in
+    for p = Sparse.row_start g u to Sparse.row_start g (u + 1) - 1 do
+      if comp.(Sparse.col_at g p) <> cu then has_exit.(cu) <- true
+    done
+  done;
   let out = ref [] in
-  for c = nc - 1 downto 0 do
+  for c = Array.length members - 1 downto 0 do
     if not has_exit.(c) then out := members.(c) :: !out
   done;
   Array.of_list !out
 
-let reachable g seeds =
-  let seen = Array.make g.n false in
-  let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      if not seen.(s) then begin
-        seen.(s) <- true;
-        Queue.add s queue
-      end)
-    seeds;
+let reachable ?(enter = fun _ -> true) g seeds =
+  let seen = Array.make (vertex_count g) false and queue = Queue.create () in
+  let mark v =
+    seen.(v) <- true;
+    Queue.add v queue
+  in
+  List.iter (fun s -> if not seen.(s) then mark s) seeds;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    List.iter
-      (fun v ->
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          Queue.add v queue
-        end)
-      g.adj.(u)
+    for p = Sparse.row_start g u to Sparse.row_start g (u + 1) - 1 do
+      let v = Sparse.col_at g p in
+      if (not seen.(v)) && enter v then mark v
+    done
   done;
   seen
-
-let coreachable g targets = reachable (reverse g) targets

@@ -1,43 +1,24 @@
-(** Directed graphs over integer vertices [0 .. n-1].
+(** Graph algorithms over the sparsity pattern of a square {!Sparse.t}:
+    an edge [(i, j)] per stored entry, so a CTMC's rate matrix is its own
+    transition graph. Strongly connected components (iterative Tarjan,
+    safe on hundreds of thousands of vertices), bottom SCCs and
+    reachability (coreachability: over the transpose). Non-square
+    matrices raise [Invalid_argument]. *)
 
-    Provides the graph algorithms stochastic model checking needs: strongly
-    connected components (Tarjan, iterative — safe on state spaces with
-    hundreds of thousands of vertices), bottom SCC identification, forward /
-    backward reachability, and a topological order of the condensation. *)
-
-type t
-
-val create : int -> t
-(** [create n] is an empty graph with [n] vertices. *)
-
-val of_sparse : Sparse.t -> t
-(** Graph with an edge [(i, j)] for every stored non-zero entry [(i, j)]. *)
-
-val add_edge : t -> int -> int -> unit
-(** Idempotence is not enforced; parallel edges are harmless for the
-    algorithms here. *)
-
-val vertex_count : t -> int
-
-val successors : t -> int -> int list
-(** Successors in reverse insertion order. *)
-
-val sccs : t -> int array * int list array
+val sccs : Sparse.t -> int array * int array array
 (** [sccs g] is [(comp, members)]: [comp.(v)] is the SCC index of [v] and
-    [members.(c)] lists the vertices of SCC [c]. SCC indices are a reverse
-    topological order of the condensation: every edge between distinct SCCs
-    [(c1, c2)] has [c1 > c2]. *)
+    [members.(c)] holds the vertices of SCC [c] in discovery order. SCC
+    indices are a reverse topological order of the condensation: every
+    edge between distinct SCCs [(c1, c2)] has [c1 > c2]. Roots are tried
+    in increasing vertex order and each row's entries are walked from
+    the last column to the first. *)
 
-val bottom_sccs : t -> int list array
-(** The SCCs with no edge leaving them (each as its member list). For a CTMC
-    these are the recurrent classes. *)
+val bottom_sccs : Sparse.t -> int array * int array array -> int array array
+(** [bottom_sccs g (sccs g)] is the SCCs with no edge leaving them (for
+    a CTMC, the recurrent classes) in increasing SCC index, derived from
+    the given decomposition without running Tarjan again. *)
 
-val reachable : t -> int list -> bool array
-(** [reachable g seeds] marks every vertex reachable from [seeds] (the seeds
-    included). *)
-
-val coreachable : t -> int list -> bool array
-(** [coreachable g targets] marks every vertex from which some target is
-    reachable (the targets included). *)
-
-val reverse : t -> t
+val reachable : ?enter:(int -> bool) -> Sparse.t -> int list -> bool array
+(** [reachable g seeds] marks every vertex reachable from [seeds] (the
+    seeds included). With [enter], a non-seed vertex is marked (and
+    expanded) only when [enter v] holds. *)

@@ -271,15 +271,15 @@ let solve_jacobi_multi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs ?x0
   in
   (x, records)
 
-(* pi Q = 0  <=>  Q^T pi^T = 0. Gauss-Seidel on the transposed system:
-   pi(j) <- sum_{i<>j} pi(i) * Q(i,j) / (-Q(j,j)), then renormalize. *)
+(* pi Q = 0 with Q = R - diag(exit), swept over the rows of R^T:
+   pi(j) <- sum_{i<>j} pi(i) * R(i,j) / exit(j), then renormalize. *)
 let steady_state_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
-    ?obs q =
-  let n = Sparse.rows q in
-  if Sparse.cols q <> n then invalid_arg "Solver.steady_state: not square";
+    ?obs ~exit rt =
+  let n = Sparse.rows rt in
+  if Sparse.cols rt <> n then invalid_arg "Solver.steady_state: not square";
+  if Vec.dim exit <> n then
+    invalid_arg "Solver.steady_state: exit rates dimension mismatch";
   if n = 0 then invalid_arg "Solver.steady_state: empty generator";
-  let qt = Sparse.transpose q in
-  let d = diagonal q in
   (* A state with exit rate 0 in an irreducible chain means n = 1. *)
   if n = 1 then begin
     let c =
@@ -292,28 +292,20 @@ let steady_state_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
     (Vec.create 1 1., c)
   end
   else begin
-    check_diagonal "steady_state_gauss_seidel" d;
+    check_diagonal "steady_state_gauss_seidel" exit;
     let pi = Vec.create n (1. /. float_of_int n) in
     span_states "steady_gauss_seidel" n @@ fun span ->
     let rec sweep iter =
-      let delta = ref 0. in
-      for j = 0 to n - 1 do
-        let acc = ref 0. in
-        Sparse.iter_row qt j (fun i v -> if i <> j then acc := !acc +. (v *. pi.(i)));
-        let pj = !acc /. -.d.(j) in
-        let change = Float.abs (pj -. pi.(j)) in
-        if change > !delta then delta := change;
-        pi.(j) <- pj
-      done;
+      let delta = Sparse.steady_sweep rt ~exit ~x:pi in
       Vec.normalize_l1 pi;
       let scale = if rel_tol = None then 0. else max_abs pi in
-      match fired ~tol ~rel_tol ~scale !delta with
+      match fired ~tol ~rel_tol ~scale delta with
       | Some crit ->
-          { iterations = iter; residual = !delta; converged = true;
+          { iterations = iter; residual = delta; converged = true;
             criterion = Some crit }
       | None ->
           if iter >= max_iter then
-            { iterations = iter; residual = !delta; converged = false;
+            { iterations = iter; residual = delta; converged = false;
               criterion = None }
           else sweep (iter + 1)
     in

@@ -113,12 +113,15 @@ val steady_state_gauss_seidel :
   ?rel_tol:float ->
   ?max_iter:int ->
   ?obs:(convergence -> unit) ->
+  exit:Vec.t ->
   Sparse.t ->
   Vec.t * convergence
-(** [steady_state_gauss_seidel q] solves [pi Q = 0] with [sum pi = 1] for an
-    {e irreducible} CTMC generator [q] (row [i] holds the rates out of state
-    [i]; diagonal holds the negative exit rates). Gauss–Seidel on the
-    transposed system with per-sweep normalization. *)
+(** [steady_state_gauss_seidel ~exit rt] solves [pi Q = 0] with
+    [sum pi = 1] for an {e irreducible} CTMC with generator
+    [Q = R - diag(exit)], from the transposed rates [rt = R^T] and the
+    exit rates, without forming [Q]: {!Sparse.steady_sweep} plus L1
+    renormalization per sweep, from the uniform vector. A zero exit
+    rate raises [Invalid_argument] (a one-state chain returns [[|1.|]]). *)
 
 val power_iteration :
   ?tol:float ->

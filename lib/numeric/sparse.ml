@@ -201,6 +201,10 @@ let get m i j =
   done;
   !result
 
+let row_start m i = Int32.to_int (A1.get m.row_ptr i)
+
+let col_at m p = Int32.to_int (A1.get m.col_idx p)
+
 let iter_row m i f =
   if i < 0 || i >= m.rows then
     invalid_arg (Printf.sprintf "Sparse.iter_row: row %d out of %d" i m.rows);
@@ -354,6 +358,24 @@ let gauss_seidel_sweep ?order m ~diag ~b ~x =
   done;
   !delta
 
+(* Q's off-diagonal entries are R's and -Q(j,j) = exit(j), so this sums
+   exactly what a sweep over the rows of Q^T sums, bit for bit. *)
+let steady_sweep rt ~exit ~x =
+  let delta = ref 0. in
+  for j = 0 to rt.rows - 1 do
+    let acc = ref 0. in
+    for p = idx rt.row_ptr j to idx rt.row_ptr (j + 1) - 1 do
+      let i = idx rt.col_idx p in
+      if i <> j then
+        acc := !acc +. (A1.unsafe_get rt.values p *. Array.unsafe_get x i)
+    done;
+    let xj = !acc /. Array.unsafe_get exit j in
+    let change = Float.abs (xj -. Array.unsafe_get x j) in
+    if change > !delta then delta := change;
+    Array.unsafe_set x j xj
+  done;
+  !delta
+
 let jacobi_sweep m ~diag ~b ~x ~x' =
   let n = m.rows in
   for i = 0 to n - 1 do
@@ -430,10 +452,36 @@ let jacobi_sweep_multi m ~diag ~b ~x ~x' =
 
 (* ----------------------------------------------------------------------- *)
 
+(* Counting sort by column: scattering rows in order leaves each row of
+   the transpose sorted. Stored zeros are dropped, as the Builder would. *)
 let transpose m =
-  let b = Builder.create ~rows:m.cols ~cols:m.rows in
-  iteri m (fun i j x -> Builder.add b j i x);
-  Builder.to_csr b
+  let next = Array.make (m.cols + 1) 0 in
+  for p = 0 to nnz m - 1 do
+    if A1.unsafe_get m.values p <> 0. then begin
+      let c = idx m.col_idx p + 1 in
+      Array.unsafe_set next c (Array.unsafe_get next c + 1)
+    end
+  done;
+  for c = 1 to m.cols do
+    next.(c) <- next.(c) + next.(c - 1)
+  done;
+  let row_ptr = A1.create Bigarray.int32 Bigarray.c_layout (m.cols + 1) in
+  Array.iteri (fun c q -> A1.unsafe_set row_ptr c (Int32.of_int q)) next;
+  let col_idx = A1.create Bigarray.int32 Bigarray.c_layout next.(m.cols) in
+  let values = A1.create Bigarray.float64 Bigarray.c_layout next.(m.cols) in
+  for i = 0 to m.rows - 1 do
+    for p = idx m.row_ptr i to idx m.row_ptr (i + 1) - 1 do
+      let x = A1.unsafe_get m.values p in
+      if x <> 0. then begin
+        let c = idx m.col_idx p in
+        let q = Array.unsafe_get next c in
+        A1.unsafe_set col_idx q (Int32.of_int i);
+        A1.unsafe_set values q x;
+        Array.unsafe_set next c (q + 1)
+      end
+    done
+  done;
+  { rows = m.cols; cols = m.rows; row_ptr; col_idx; values }
 
 let map f m =
   let n = nnz m in
@@ -443,23 +491,10 @@ let map f m =
   done;
   { m with values }
 
-let scale a m = map (fun x -> a *. x) m
-
-let add_mat a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Sparse.add_mat: dimension mismatch";
-  let bl = Builder.create ~rows:a.rows ~cols:a.cols in
-  iteri a (fun i j x -> Builder.add bl i j x);
-  iteri b (fun i j x -> Builder.add bl i j x);
-  Builder.to_csr bl
-
 let row_sums m =
   let v = Vec.zeros m.rows in
   iteri m (fun i _ x -> v.(i) <- v.(i) +. x);
   v
-
-let identity n =
-  of_triplets ~rows:n ~cols:n (List.init n (fun i -> (i, i, 1.)))
 
 let equal ?(eps = 0.) a b =
   a.rows = b.rows && a.cols = b.cols

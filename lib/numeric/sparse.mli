@@ -55,6 +55,15 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
 
 val iteri : t -> (int -> int -> float -> unit) -> unit
 
+val row_start : t -> int -> int
+(** [row_start m i] is the position of row [i]'s first stored entry
+    ([row_start m (rows m) = nnz m]; bounds-checked). With {!col_at} it
+    lets graph algorithms ({!Digraph}) walk the pattern without a
+    closure. *)
+
+val col_at : t -> int -> int
+(** [col_at m p] is the column of the stored entry at position [p]. *)
+
 val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
 
 val mul_vec : t -> Vec.t -> Vec.t
@@ -99,6 +108,12 @@ val gauss_seidel_sweep :
   ?order:int array -> t -> diag:Vec.t -> b:Vec.t -> x:Vec.t -> float
 (** Updates [x] in place, returns the max-norm change of the sweep. *)
 
+val steady_sweep : t -> exit:Vec.t -> x:Vec.t -> float
+(** One in-place Gauss–Seidel sweep of [x Q = 0], [Q = R - diag(exit)],
+    over the transposed rates [rt = R^T]: in state order,
+    [x(j) <- sum_{i <> j} rt(j,i) x(i) / exit(j)], row [j] summed in
+    increasing [i]. Returns the max-norm change; does not normalize. *)
+
 val jacobi_sweep : t -> diag:Vec.t -> b:Vec.t -> x:Vec.t -> x':Vec.t -> unit
 (** Writes the next Jacobi iterate of [x] into [x']. *)
 
@@ -117,17 +132,13 @@ val jacobi_sweep_multi :
   t -> diag:Vec.t -> b:Multivec.t -> x:Multivec.t -> x':Multivec.t -> unit
 
 val transpose : t -> t
+(** Row [j] of [transpose m] lists the rows [i] of [m] with a stored
+    entry in column [j], in increasing [i]; stored zeros are dropped. *)
 
 val map : (float -> float) -> t -> t
 (** Apply a function to every stored entry (structure preserved). *)
 
-val scale : float -> t -> t
-
-val add_mat : t -> t -> t
-
 val row_sums : t -> Vec.t
-
-val identity : int -> t
 
 val equal : ?eps:float -> t -> t -> bool
 (** Entry-wise comparison within [eps] (default [0.]), including entries

@@ -104,6 +104,30 @@ let test_restrict_reachable () =
   Alcotest.(check int) "two reachable" 2 (Chain.states m');
   Alcotest.(check (array int)) "mapping" [| 0; 1 |] old_of_new
 
+let test_chain_restrict () =
+  let m =
+    Chain.of_transitions ~states:4
+      [ (0, 1, 1.); (1, 2, 2.); (2, 1, 0.5); (2, 3, 0.25); (3, 2, 4.) ]
+  in
+  (* {1, 2, 3} is closed; new state k is old state [|3; 1; 2|].(k) *)
+  let sub = Chain.restrict m [| 3; 1; 2 |] in
+  Alcotest.(check int) "three states" 3 (Chain.states sub);
+  Alcotest.(check (array (float 0.))) "rates follow the states"
+    [| 4.; 2.; 0.5; 0.25 |]
+    [| Chain.rate sub 0 2; Chain.rate sub 1 2; Chain.rate sub 2 1; Chain.rate sub 2 0 |];
+  Alcotest.(check bool) "exit rates carried over" true
+    (same_bits (Chain.exit_rates sub)
+       (Array.map (fun s -> (Chain.exit_rates m).(s)) [| 3; 1; 2 |]));
+  Alcotest.check_raises "open set"
+    (Invalid_argument "Chain.restrict: a transition leaves the set")
+    (fun () -> ignore (Chain.restrict m [| 0; 1 |]));
+  Alcotest.check_raises "repeated state"
+    (Invalid_argument "Chain.restrict: repeated state")
+    (fun () -> ignore (Chain.restrict m [| 1; 2; 3; 1 |]));
+  Alcotest.check_raises "empty set"
+    (Invalid_argument "Chain.restrict: empty state set")
+    (fun () -> ignore (Chain.restrict m [||]))
+
 (* ------------------------------------------------------------------ *)
 (* Transient *)
 
@@ -1367,10 +1391,9 @@ let backward_starts n =
   List.init 4 (fun i -> Array.init n (fun s -> if s mod 4 = i then 1. else 0.))
   @ [ Array.init n (fun s -> float_of_int ((3 * s) mod 5) /. 7.) ]
 
-(* [mixture_spans f] runs [f] with tracing on and returns the
-   [(batch_width, streams)] attributes of every [analysis.mixture] and
-   [mixture.sweep] span it recorded *)
-let mixture_spans f =
+(* [traced f] runs [f] with tracing on and returns its result with the
+   [(name, args)] of every span it recorded *)
+let traced f =
   let path = Filename.temp_file "arcade_ctmc_spans" ".json" in
   Obs.Trace.set_output (Some path);
   let result = Fun.protect ~finally:(fun () -> Obs.Trace.flush ()) f in
@@ -1379,19 +1402,31 @@ let mixture_spans f =
   Sys.remove path;
   let module J = Server.Json in
   let events = match J.parse text with J.List evs -> evs | _ -> [] in
-  let attr args key =
-    match J.member key args with Some (J.Num x) -> int_of_float x | _ -> -1
-  in
-  let spans name =
+  ( result,
     List.filter_map
       (fun ev ->
         match (J.string_field "name" ev, J.member "args" ev) with
-        | Some nm, Some args when nm = name ->
-            Some (attr args "batch_width", attr args "streams")
-        | _ -> None)
-      events
+        | Some nm, args -> Some (nm, args)
+        | None, _ -> None)
+      events )
+
+(* [mixture_spans f] is [f]'s result with the [(batch_width, streams)]
+   attributes of every [analysis.mixture] and [mixture.sweep] span *)
+let mixture_spans f =
+  let result, spans = traced f in
+  let attr args key =
+    match Option.bind args (Server.Json.member key) with
+    | Some (Server.Json.Num x) -> int_of_float x
+    | _ -> -1
   in
-  (result, spans "analysis.mixture", spans "mixture.sweep")
+  let named name =
+    List.filter_map
+      (fun (nm, args) ->
+        if nm = name then Some (attr args "batch_width", attr args "streams")
+        else None)
+      spans
+  in
+  (result, named "analysis.mixture", named "mixture.sweep")
 
 let test_equal_starts_share_column () =
   let m = ring_chain () in
@@ -1484,6 +1519,178 @@ let time_entry_points =
       drop (fun upto -> Rewards.accumulated m ~reward ~upto) );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Steady state from the rates: differential checks against the
+   generator path it replaced (Q built, transposed through the triplet
+   Builder, swept with a per-entry closure over the rows of Q^T) *)
+
+let builder_transpose m =
+  let n = Numeric.Sparse.rows m in
+  let b = Numeric.Sparse.Builder.create ~rows:n ~cols:n in
+  Numeric.Sparse.iteri m (fun i j x -> Numeric.Sparse.Builder.add b j i x);
+  Numeric.Sparse.Builder.to_csr b
+
+(* the former stationary Gauss-Seidel on a generator: [(pi, sweeps)] *)
+let generator_steady ?(tol = 1e-12) q =
+  let n = Numeric.Sparse.rows q in
+  let qt = builder_transpose q in
+  let d = Vec.zeros n in
+  Numeric.Sparse.iteri q (fun i j x -> if i = j then d.(i) <- d.(i) +. x);
+  let pi = Vec.create n (1. /. float_of_int n) in
+  let rec sweep iter =
+    let delta = ref 0. in
+    for j = 0 to n - 1 do
+      let acc = ref 0. in
+      Numeric.Sparse.iter_row qt j (fun i v ->
+          if i <> j then acc := !acc +. (v *. pi.(i)));
+      let pj = !acc /. -.d.(j) in
+      let change = Float.abs (pj -. pi.(j)) in
+      if change > !delta then delta := change;
+      pi.(j) <- pj
+    done;
+    Vec.normalize_l1 pi;
+    if !delta <= tol then iter
+    else if iter >= 100_000 then failwith "generator_steady: no convergence"
+    else sweep (iter + 1)
+  in
+  let sweeps = if n = 1 then 0 else sweep 1 in
+  (pi, sweeps)
+
+(* the former local generator of a recurrent class, indexed through a
+   Hashtbl in member order *)
+let generator_of_class m members =
+  let k = Array.length members in
+  let index = Hashtbl.create k in
+  Array.iteri (fun i s -> Hashtbl.replace index s i) members;
+  let b = Numeric.Sparse.Builder.create ~rows:k ~cols:k in
+  Array.iteri
+    (fun i s ->
+      Numeric.Sparse.iter_row (Chain.rates m) s (fun j r ->
+          let jj = Hashtbl.find index j in
+          Numeric.Sparse.Builder.add b i jj r;
+          Numeric.Sparse.Builder.add b i i (-.r)))
+    members;
+  Numeric.Sparse.Builder.to_csr b
+
+(* a ring through every state (irreducible) plus random chords *)
+let irreducible_gen ~max_states ~rate =
+  QCheck.Gen.(
+    let* n = int_range 2 max_states in
+    let* ring = list_repeat n rate in
+    let* chords =
+      list_size (int_range 0 (3 * n))
+        (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) rate)
+    in
+    return
+      ( n,
+        List.mapi (fun i r -> (i, (i + 1) mod n, r)) ring
+        @ List.filter (fun (i, j, _) -> i <> j) chords ))
+
+let prop_steady_rates_match_generator =
+  QCheck.Test.make ~count:300 ~name:"rates solve = Q^T path, bitwise"
+    (QCheck.make
+       (irreducible_gen ~max_states:30
+          ~rate:QCheck.Gen.(oneof [ float_range 0.01 5.; float_range 5. 80. ])))
+    (fun (n, entries) ->
+      let m = Chain.of_transitions ~states:n entries in
+      let expected, sweeps = generator_steady (Chain.generator m) in
+      let pi, c =
+        Numeric.Solver.steady_state_gauss_seidel ~exit:(Chain.exit_rates m)
+          (Numeric.Sparse.transpose (Chain.rates m))
+      in
+      c.Numeric.Solver.iterations = sweeps
+      && same_bits expected pi
+      && same_bits expected (Steady_state.solve m))
+
+(* Closed classes (rings with chords) after a few transient states, each
+   of which feeds some class; the initial mass is spread over all states *)
+let reducible_gen =
+  QCheck.Gen.(
+    let rate = float_range 0.05 5. in
+    let* sizes = list_size (int_range 2 3) (int_range 1 6) in
+    let* nt = int_range 1 4 in
+    let n = nt + List.fold_left ( + ) 0 sizes in
+    let* classes =
+      flatten_l
+        (List.mapi
+           (fun c size ->
+             let base = nt + List.fold_left ( + ) 0 (List.filteri (fun d _ -> d < c) sizes) in
+             let* ring = list_repeat size rate in
+             let* chords =
+               list_size (int_range 0 (2 * size))
+                 (triple (int_range 0 (size - 1)) (int_range 0 (size - 1)) rate)
+             in
+             return
+               (List.filter_map
+                  (fun (i, j, r) -> if i <> j then Some (base + i, base + j, r) else None)
+                  (List.mapi (fun i r -> (i, (i + 1) mod size, r)) ring @ chords)))
+           sizes)
+    in
+    let* feeds = list_repeat nt (pair (int_range nt (n - 1)) rate) in
+    let* extra =
+      list_size (int_range 0 (2 * nt))
+        (triple (int_range 0 (nt - 1)) (int_range 0 (n - 1)) rate)
+    in
+    return
+      ( n,
+        List.concat classes
+        @ List.mapi (fun t (j, r) -> (t, j, r)) feeds
+        @ List.filter (fun (i, j, _) -> i <> j) extra ))
+
+(* Class weights are read back from the result (their code is unchanged);
+   each class's local vector is the former generator path's. *)
+let prop_reducible_matches_generator =
+  QCheck.Test.make ~count:200 ~name:"2+ BSCCs agree with the Q^T path"
+    (QCheck.make reducible_gen)
+    (fun (n, entries) ->
+      let m =
+        Chain.of_transitions ~init:(Vec.create n (1. /. float_of_int n)) ~states:n
+          entries
+      in
+      let a = Analysis.create m in
+      let pi = Steady_state.solve ~analysis:a m in
+      let bsccs = Analysis.bottom_sccs a in
+      let expected = Vec.zeros n in
+      Array.iter
+        (fun members ->
+          let weight = Array.fold_left (fun acc s -> acc +. pi.(s)) 0. members in
+          let local, _ = generator_steady (generator_of_class m members) in
+          Array.iteri (fun i s -> expected.(s) <- weight *. local.(i)) members)
+        bsccs;
+      Array.length bsccs >= 2
+      && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-12) expected pi)
+
+let prop_power_iteration_matches_gs =
+  QCheck.Test.make ~count:100
+    ~name:"power iteration = Gauss-Seidel"
+    (QCheck.make (irreducible_gen ~max_states:12 ~rate:(QCheck.Gen.float_range 0.1 5.)))
+    (fun (n, entries) ->
+      let m = Chain.of_transitions ~states:n entries in
+      let _, p = Chain.uniformized m in
+      let pi, _ =
+        Numeric.Solver.power_iteration ~tol:1e-14 p (Vec.create n (1. /. float_of_int n))
+      in
+      Vec.normalize_l1 pi;
+      Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-9) pi (Steady_state.solve m))
+
+(* the BSCC derivation reads the session's Tarjan result instead of
+   running Tarjan again *)
+let test_steady_one_tarjan () =
+  let m = analysis_chain () in
+  let a = Analysis.create m in
+  let (), spans =
+    traced (fun () ->
+        ignore (Steady_state.solve ~analysis:a m);
+        ignore (Steady_state.is_irreducible ~analysis:a m);
+        ignore (Analysis.bottom_sccs a))
+  in
+  let count name = List.length (List.filter (fun (nm, _) -> nm = name) spans) in
+  Alcotest.(check int) "one analysis.sccs span" 1 (count "analysis.sccs");
+  (* {3, 4} is the only class: one local solve on its sub-chain *)
+  Alcotest.(check int) "one stationary solve" 1 (count "steady_state.stationary");
+  Alcotest.(check int) "one steady sweep loop" 1 (count "solver.steady_gauss_seidel");
+  Alcotest.(check int) "one R^T (the class's)" 1 (count "analysis.transpose_rates")
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1499,6 +1706,7 @@ let () =
           Alcotest.test_case "embedded" `Quick test_chain_embedded;
           Alcotest.test_case "absorbing" `Quick test_chain_absorbing;
           Alcotest.test_case "restrict reachable" `Quick test_restrict_reachable;
+          Alcotest.test_case "restrict closed set" `Quick test_chain_restrict;
         ] );
       ( "transient",
         [
@@ -1558,8 +1766,13 @@ let () =
             test_steady_depends_on_init;
           Alcotest.test_case "long-run probability" `Quick test_long_run_probability;
           Alcotest.test_case "irreducibility check" `Quick test_is_irreducible;
+          Alcotest.test_case "one Tarjan per session" `Quick test_steady_one_tarjan;
         ]
-        @ qsuite [ prop_steady_state_is_distribution ] );
+        @ qsuite
+            [
+              prop_steady_state_is_distribution; prop_steady_rates_match_generator;
+              prop_reducible_matches_generator; prop_power_iteration_matches_gs;
+            ] );
       ( "rewards",
         [
           Alcotest.test_case "instantaneous" `Quick test_instantaneous_reward;

@@ -285,6 +285,28 @@ let prop_transpose_involution =
       let m = Sparse.of_triplets ~rows ~cols entries in
       Sparse.equal m (Sparse.transpose (Sparse.transpose m)))
 
+(* The triplet route the counting-sort transpose replaced. *)
+let builder_transpose m =
+  let b = Sparse.Builder.create ~rows:(Sparse.cols m) ~cols:(Sparse.rows m) in
+  Sparse.iteri m (fun i j x -> Sparse.Builder.add b j i x);
+  Sparse.Builder.to_csr b
+
+let entries_bits m =
+  Sparse.fold m ~init:[] ~f:(fun acc i j x -> (i, j, Int64.bits_of_float x) :: acc)
+
+(* Stored zeros (left by [map]) must be dropped as the Builder drops them;
+   everything else keeps its bits and its row order. *)
+let prop_transpose_matches_builder =
+  QCheck.Test.make ~count:200 ~name:"transpose = Builder transpose"
+    (QCheck.make builder_triplets_gen)
+    (fun (rows, cols, entries) ->
+      let m = Sparse.of_triplets ~rows ~cols entries in
+      let m = Sparse.map (fun x -> if x > 1. then 0. else x) m in
+      let t = Sparse.transpose m and r = builder_transpose m in
+      Sparse.rows t = Sparse.rows r
+      && Sparse.cols t = Sparse.cols r
+      && entries_bits t = entries_bits r)
+
 (* Every width 1..9, so the kernel's register groups of 4, 2 and 1
    columns all run with every remainder; results must be bit-identical to
    the single-vector products, the forward case ([x^T m]) through the
@@ -426,17 +448,26 @@ let test_gs_zero_diagonal () =
     (Invalid_argument "Solver.solve_gauss_seidel: zero diagonal at row 0") (fun () ->
       ignore (Solver.solve_gauss_seidel a [| 1.; 1. |]))
 
+(* [pi Q = 0] for a dense generator: the solver takes the transposed
+   off-diagonal rates and the exit rates. *)
+let steady_of_generator q =
+  let n = Array.length q in
+  let rt =
+    Sparse.of_dense
+      (Array.init n (fun j -> Array.init n (fun i -> if i = j then 0. else q.(i).(j))))
+  in
+  Solver.steady_state_gauss_seidel ~exit:(Array.init n (fun i -> -.q.(i).(i))) rt
+
 let test_steady_state_two_state () =
   (* generator for rates 0->1: 2, 1->0: 3 *)
-  let q = Sparse.of_dense [| [| -2.; 2. |]; [| 3.; -3. |] |] in
-  let pi, _ = Solver.steady_state_gauss_seidel q in
+  let pi, _ = steady_of_generator [| [| -2.; 2. |]; [| 3.; -3. |] |] in
   check_close ~eps:1e-10 "pi0" 0.6 pi.(0);
   check_close ~eps:1e-10 "pi1" 0.4 pi.(1)
 
 let test_steady_state_birth_death () =
   (* M/M/1/3 queue, lambda=1, mu=2: pi_i ~ (1/2)^i *)
-  let q =
-    Sparse.of_dense
+  let pi, _ =
+    steady_of_generator
       [|
         [| -1.; 1.; 0.; 0. |];
         [| 2.; -3.; 1.; 0. |];
@@ -444,11 +475,24 @@ let test_steady_state_birth_death () =
         [| 0.; 0.; 2.; -2. |];
       |]
   in
-  let pi, _ = Solver.steady_state_gauss_seidel q in
   let z = 1. +. 0.5 +. 0.25 +. 0.125 in
   List.iteri
     (fun i expected -> check_close ~eps:1e-10 (Printf.sprintf "pi%d" i) expected pi.(i))
     [ 1. /. z; 0.5 /. z; 0.25 /. z; 0.125 /. z ]
+
+let test_steady_state_edge_cases () =
+  let pi, c = steady_of_generator [| [| 0. |] |] in
+  Alcotest.(check (array (float 0.))) "one state" [| 1. |] pi;
+  Alcotest.(check int) "no sweep" 0 c.Solver.iterations;
+  Alcotest.check_raises "zero exit rate"
+    (Invalid_argument "Solver.steady_state_gauss_seidel: zero diagonal at row 1")
+    (fun () -> ignore (steady_of_generator [| [| -1.; 1. |]; [| 0.; 0. |] |]));
+  Alcotest.check_raises "exit rates of another size"
+    (Invalid_argument "Solver.steady_state: exit rates dimension mismatch")
+    (fun () ->
+      ignore
+        (Solver.steady_state_gauss_seidel ~exit:[| 1. |]
+           (Sparse.of_dense [| [| 0.; 1. |]; [| 1.; 0. |] |])))
 
 let test_power_iteration () =
   let p = Sparse.of_dense [| [| 0.5; 0.5 |]; [| 0.25; 0.75 |] |] in
@@ -620,58 +664,83 @@ let test_expm_not_square () =
 (* ------------------------------------------------------------------ *)
 (* Digraph *)
 
+let graph n edges =
+  Sparse.of_triplets ~rows:n ~cols:n (List.map (fun (u, v) -> (u, v, 1.)) edges)
+
+let successors g u =
+  let out = ref [] in
+  Sparse.iter_row g u (fun v _ -> out := v :: !out);
+  !out
+
 let test_scc_simple_cycle () =
-  let g = Digraph.create 3 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 2;
-  Digraph.add_edge g 2 0;
+  let g = graph 3 [ (0, 1); (1, 2); (2, 0) ] in
   let comp, members = Digraph.sccs g in
   Alcotest.(check int) "one SCC" 1 (Array.length members);
   Alcotest.(check int) "all same" comp.(0) comp.(2)
 
 let test_scc_chain () =
-  let g = Digraph.create 4 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 2;
-  Digraph.add_edge g 2 3;
+  let g = graph 4 [ (0, 1); (1, 2); (2, 3) ] in
   let comp, members = Digraph.sccs g in
   Alcotest.(check int) "four SCCs" 4 (Array.length members);
   (* reverse topological order: edges go from higher comp index to lower *)
   Alcotest.(check bool) "rev topo" true (comp.(0) > comp.(1) && comp.(1) > comp.(2))
 
 let test_scc_two_components () =
-  let g = Digraph.create 5 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 1 0;
-  Digraph.add_edge g 1 2;
-  Digraph.add_edge g 2 3;
-  Digraph.add_edge g 3 2;
   (* vertex 4 isolated *)
-  let _, members = Digraph.sccs g in
-  Alcotest.(check int) "three SCCs" 3 (Array.length members);
-  let bsccs = Digraph.bottom_sccs g in
+  let g = graph 5 [ (0, 1); (1, 0); (1, 2); (2, 3); (3, 2) ] in
+  let sccs = Digraph.sccs g in
+  Alcotest.(check int) "three SCCs" 3 (Array.length (snd sccs));
+  let bsccs = Digraph.bottom_sccs g sccs in
   (* bottom SCCs: {2,3} and {4} *)
   Alcotest.(check int) "two BSCCs" 2 (Array.length bsccs)
 
 let test_scc_deep_chain_no_overflow () =
   let n = 200_000 in
-  let g = Digraph.create n in
-  for i = 0 to n - 2 do
-    Digraph.add_edge g i (i + 1)
-  done;
+  let g = graph n (List.init (n - 1) (fun i -> (i, i + 1))) in
   let _, members = Digraph.sccs g in
   Alcotest.(check int) "all singletons" n (Array.length members)
 
+(* 10^5-vertex paths, both directions, and the cycle closing one: the DFS
+   is 10^5 frames deep, and the cycle's SCC holds every vertex *)
+let test_scc_long_path () =
+  let n = 100_000 in
+  let forward = graph n (List.init (n - 1) (fun i -> (i, i + 1))) in
+  let sccs = Digraph.sccs forward in
+  let comp, members = sccs in
+  Alcotest.(check int) "forward: singletons" n (Array.length members);
+  Alcotest.(check bool) "forward: rev topo" true
+    (Array.for_all Fun.id (Array.init (n - 1) (fun i -> comp.(i) > comp.(i + 1))));
+  Alcotest.(check (array (array int))) "forward: the last vertex is bottom"
+    [| [| n - 1 |] |]
+    (Digraph.bottom_sccs forward sccs);
+  Alcotest.(check bool) "forward: all reachable from 0" true
+    (Array.for_all Fun.id (Digraph.reachable forward [ 0 ]));
+  let backward = graph n (List.init (n - 1) (fun i -> (i + 1, i))) in
+  let sccs = Digraph.sccs backward in
+  Alcotest.(check int) "backward: singletons" n (Array.length (snd sccs));
+  Alcotest.(check (array (array int))) "backward: vertex 0 is bottom"
+    [| [| 0 |] |]
+    (Digraph.bottom_sccs backward sccs);
+  let cycle = graph n ((n - 1, 0) :: List.init (n - 1) (fun i -> (i, i + 1))) in
+  let comp, members = Digraph.sccs cycle in
+  Alcotest.(check int) "cycle: one SCC" 1 (Array.length members);
+  Alcotest.(check (array int)) "cycle: members in discovery order"
+    (Array.init n Fun.id) members.(0);
+  Alcotest.(check bool) "cycle: comp all 0" true (Array.for_all (( = ) 0) comp)
+
 let test_reachability () =
-  let g = Digraph.create 4 in
-  Digraph.add_edge g 0 1;
-  Digraph.add_edge g 2 3;
+  let g = graph 4 [ (0, 1); (2, 3) ] in
   let r = Digraph.reachable g [ 0 ] in
   Alcotest.(check (list bool)) "reach from 0" [ true; true; false; false ]
     (Array.to_list r);
-  let co = Digraph.coreachable g [ 3 ] in
+  let co = Digraph.reachable (Sparse.transpose g) [ 3 ] in
   Alcotest.(check (list bool)) "coreach 3" [ false; false; true; true ]
-    (Array.to_list co)
+    (Array.to_list co);
+  let g = graph 4 [ (0, 1); (1, 2); (2, 3) ] in
+  Alcotest.(check (list bool)) "enter blocks 2" [ true; true; false; false ]
+    (Array.to_list (Digraph.reachable ~enter:(fun v -> v <> 2) g [ 0 ]));
+  Alcotest.(check (list bool)) "seeds ignore enter" [ false; false; true; true ]
+    (Array.to_list (Digraph.reachable ~enter:(fun _ -> false) g [ 2; 3 ]))
 
 let random_graph_gen =
   QCheck.Gen.(
@@ -683,25 +752,109 @@ let prop_condensation_acyclic =
   QCheck.Test.make ~count:200 ~name:"SCC condensation has no forward edges"
     (QCheck.make random_graph_gen)
     (fun (n, edges) ->
-      let g = Digraph.create n in
-      List.iter (fun (u, v) -> Digraph.add_edge g u v) edges;
-      let comp, _ = Digraph.sccs g in
+      let comp, _ = Digraph.sccs (graph n edges) in
       List.for_all (fun (u, v) -> comp.(u) >= comp.(v)) edges)
 
 let prop_bottom_sccs_have_no_exit =
   QCheck.Test.make ~count:200 ~name:"bottom SCCs have no leaving edges"
     (QCheck.make random_graph_gen)
     (fun (n, edges) ->
-      let g = Digraph.create n in
-      List.iter (fun (u, v) -> Digraph.add_edge g u v) edges;
-      let bsccs = Digraph.bottom_sccs g in
+      let g = graph n edges in
+      let bsccs = Digraph.bottom_sccs g (Digraph.sccs g) in
       Array.for_all
         (fun members ->
-          List.for_all
-            (fun u ->
-              List.for_all (fun v -> List.mem v members) (Digraph.successors g u))
+          Array.for_all
+            (fun u -> List.for_all (fun v -> Array.mem v members) (successors g u))
             members)
         bsccs)
+
+(* The list-adjacency Tarjan the CSR one replaced: adjacency built by
+   prepending each row's entries (so successors come last column first),
+   an explicit stack of (vertex, remaining successors) frames, members
+   consed up while popping. *)
+module List_tarjan = struct
+  let adjacency g =
+    let adj = Array.make (Sparse.rows g) [] in
+    Sparse.iteri g (fun i j _ -> adj.(i) <- j :: adj.(i));
+    adj
+
+  let sccs adj =
+    let n = Array.length adj in
+    let index = Array.make n (-1) and lowlink = Array.make n 0 in
+    let on_stack = Array.make n false and stack = Stack.create () in
+    let next_index = ref 0 and comp = Array.make n (-1) in
+    let members_rev = ref [] and comp_count = ref 0 in
+    let visit root =
+      let frames = Stack.create () in
+      let push v =
+        index.(v) <- !next_index;
+        lowlink.(v) <- !next_index;
+        incr next_index;
+        Stack.push v stack;
+        on_stack.(v) <- true;
+        Stack.push (v, ref adj.(v)) frames
+      in
+      push root;
+      while not (Stack.is_empty frames) do
+        let v, rest = Stack.top frames in
+        match !rest with
+        | w :: tl ->
+            rest := tl;
+            if index.(w) = -1 then push w
+            else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+        | [] ->
+            ignore (Stack.pop frames);
+            if lowlink.(v) = index.(v) then begin
+              let members = ref [] and continue = ref true in
+              while !continue do
+                let w = Stack.pop stack in
+                on_stack.(w) <- false;
+                comp.(w) <- !comp_count;
+                members := w :: !members;
+                if w = v then continue := false
+              done;
+              members_rev := !members :: !members_rev;
+              incr comp_count
+            end;
+            (match Stack.top_opt frames with
+            | Some (parent, _) -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+            | None -> ())
+      done
+    in
+    for v = 0 to n - 1 do
+      if index.(v) = -1 then visit v
+    done;
+    (comp, Array.of_list (List.rev !members_rev))
+
+  let bottom_sccs adj (comp, members) =
+    let has_exit = Array.make (Array.length members) false in
+    Array.iteri
+      (fun u vs ->
+        List.iter (fun v -> if comp.(u) <> comp.(v) then has_exit.(comp.(u)) <- true) vs)
+      adj;
+    List.filteri (fun c _ -> not has_exit.(c)) (Array.to_list members)
+end
+
+let larger_graph_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 60 in
+    let* edges =
+      list_size (int_range 0 150) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+    in
+    return (n, edges))
+
+let prop_csr_tarjan_matches_list =
+  QCheck.Test.make ~count:300 ~name:"CSR Tarjan = list Tarjan (comp, members)"
+    (QCheck.make larger_graph_gen)
+    (fun (n, edges) ->
+      let g = graph n edges in
+      let adj = List_tarjan.adjacency g in
+      let ((comp, members) as sccs) = Digraph.sccs g in
+      let ((comp', members') as sccs') = List_tarjan.sccs adj in
+      comp = comp'
+      && Array.map Array.to_list members = members'
+      && List.map Array.to_list (Array.to_list (Digraph.bottom_sccs g sccs))
+         = List_tarjan.bottom_sccs adj sccs')
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -1024,7 +1177,8 @@ let () =
         @ qsuite
             [
               prop_builder_matches_dense; prop_spmv_matches_dense;
-              prop_transpose_involution; prop_blocked_matches_columns;
+              prop_transpose_involution; prop_transpose_matches_builder;
+              prop_blocked_matches_columns;
             ] );
       ( "intern",
         [
@@ -1059,6 +1213,8 @@ let () =
           Alcotest.test_case "SCC-style update order" `Quick test_gs_order;
           Alcotest.test_case "invalid order rejected" `Quick
             test_gs_order_invalid;
+          Alcotest.test_case "steady state edge cases" `Quick
+            test_steady_state_edge_cases;
         ]
         @ qsuite [ prop_gs_solves_random_dd_system ] );
       ( "expm",
@@ -1078,8 +1234,13 @@ let () =
           Alcotest.test_case "deep chain (iterative tarjan)" `Slow
             test_scc_deep_chain_no_overflow;
           Alcotest.test_case "reachability" `Quick test_reachability;
+          Alcotest.test_case "10^5-vertex paths" `Slow test_scc_long_path;
         ]
-        @ qsuite [ prop_condensation_acyclic; prop_bottom_sccs_have_no_exit ] );
+        @ qsuite
+            [
+              prop_condensation_acyclic; prop_bottom_sccs_have_no_exit;
+              prop_csr_tarjan_matches_list;
+            ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
