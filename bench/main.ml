@@ -200,7 +200,7 @@ let test_fig11 =
          Core.Measures.accumulated_cost (Lazy.force good_line2_frf1) ~time:50.))
 
 (* Engine: the cost of one transient query without and with the shared
-   analysis session. The fresh path rebuilds the uniformized matrix and
+   analysis session. The fresh path transposes the rates and computes the
    Fox-Glynn weights per call (the pre-engine behaviour); the cached path
    is what every measure above now does. *)
 

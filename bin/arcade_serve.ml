@@ -63,8 +63,8 @@ let cmd =
       `S Manpage.s_description;
       `P "Serve Arcade XML models and CSL/CSRL queries from long-lived \
           analysis sessions: models are keyed by content hash, so repeated \
-          requests share uniformized matrices, Fox-Glynn weights, absorbed \
-          chains and steady-state vectors; same-model queries arriving \
+          requests share transposed rate matrices, Fox-Glynn weights, \
+          quotients and steady-state vectors; same-model queries arriving \
           within the batch window coalesce into single blocked sweeps.";
       `P "Endpoints: POST /analyze, GET /health, GET /stats, GET /metrics, \
           POST /shutdown.";

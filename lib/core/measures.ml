@@ -58,8 +58,8 @@ let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
 
 let wrap ?(lump = false) built =
   (* one session per state space: every measure below, and every CSL query
-     through {!to_csl_model}, shares its cached uniformized matrix,
-     Fox-Glynn weights, absorbed chains and steady-state vector *)
+     through {!to_csl_model}, shares its cached transposed rates,
+     Fox-Glynn weights, quotients and steady-state vector *)
   let analysis = Ctmc.Analysis.create built.Semantics.chain in
   let component_cost, repair_cost = Semantics.cost_structures built in
   let cost = Numeric.Vec.add component_cost repair_cost in

@@ -10,8 +10,8 @@ type t = {
   built : Semantics.built;
   analysis : Ctmc.Analysis.t;
       (** the analysis session shared by every measure (and by the CSL
-          model): uniformized matrix, Fox–Glynn weights, absorbed chains
-          and the steady-state vector are each computed at most once *)
+          model): transposed rates, Fox–Glynn weights, quotients and the
+          steady-state vector are each computed at most once *)
   csl : Csl.Checker.model;
   cost : Ctmc.Rewards.structure;
       (** {!Semantics.cost_structure}, computed once; the cost measures

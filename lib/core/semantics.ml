@@ -536,6 +536,7 @@ type packed = {
   table : Intern.t;
   fault : ctree;
   service : ctree;
+  levels : float array option Atomic.t;  (* per state, on first use *)
 }
 
 type built = {
@@ -745,6 +746,7 @@ let build ?(max_states = 5_000_000) ?initial model =
       table;
       fault = compile ctx model.Model.fault_tree;
       service = compile ctx (Model.service_tree model);
+      levels = Atomic.make None;
     }
   in
   {
@@ -780,7 +782,19 @@ let operational_pred built s = not (down_pred built s)
 
 let service_level built s = level built.packed s built.packed.service
 
-let service_at_least built x = fun s -> service_level built s >= x -. 1e-9
+(* One service-tree scan per state space, however many levels are asked
+   for (a race between domains only computes it twice). *)
+let levels p =
+  match Atomic.get p.levels with
+  | Some l -> l
+  | None ->
+      let l = Array.init (Intern.count p.table) (fun s -> level p s p.service) in
+      Atomic.set p.levels (Some l);
+      l
+
+let service_at_least built x =
+  let p = built.packed in
+  fun s -> (levels p).(s) >= x -. 1e-9
 
 let under_repair built s =
   let p = built.packed in

@@ -97,7 +97,10 @@ val service_level : built -> int -> float
 
 val service_at_least : built -> float -> int -> bool
 (** [service_at_least b x]: predicate for the paper's [S_sl(x)] sets
-    (service level >= x, with a 1e-9 tolerance). *)
+    (service level >= x, with a 1e-9 tolerance). The first evaluation of
+    any such predicate computes {!service_level} for every state once;
+    later predicates on [b] (or on a copy sharing its [packed] states)
+    read that array. *)
 
 val under_repair : built -> int -> int list
 (** Component indices under repair in a state (across all units, including

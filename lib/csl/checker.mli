@@ -9,8 +9,8 @@ type model = {
   chain : Ctmc.Chain.t;
   analysis : Ctmc.Analysis.t;
       (** the cached analysis session every query runs through: checking
-          several formulas against one model shares the uniformized matrix,
-          Fox–Glynn weights, absorbed chains and steady-state vector *)
+          several formulas against one model shares the transposed rates,
+          Fox–Glynn weights, quotients and steady-state vector *)
   label : string -> (int -> bool) option;  (** resolve a quoted label *)
   atomic : Prism.Ast.expr -> (int -> bool) option;
       (** resolve an atomic expression over state variables *)

@@ -5,16 +5,11 @@ module Fox_glynn = Numeric.Fox_glynn
 module Digraph = Numeric.Digraph
 
 type counters = {
-  mutable uniformized_builds : int;
-  mutable uniformized_hits : int;
   mutable embedded_builds : int;
   mutable weight_computes : int;
   mutable weight_hits : int;
   mutable steady_solves : int;
   mutable steady_hits : int;
-  mutable absorbed_builds : int;
-  mutable absorbed_hits : int;
-  mutable absorbed_collisions : int;
   mutable mixture_passes : int;
   mutable mixture_steps : int;
   mutable batch_passes : int;
@@ -25,16 +20,11 @@ type counters = {
 }
 
 type stats = {
-  uniformized_builds : int;
-  uniformized_hits : int;
   embedded_builds : int;
   weight_computes : int;
   weight_hits : int;
   steady_solves : int;
   steady_hits : int;
-  absorbed_builds : int;
-  absorbed_hits : int;
-  absorbed_collisions : int;
   mixture_passes : int;
   mixture_steps : int;
   batch_passes : int;
@@ -49,10 +39,6 @@ type stats = {
    bump also feeds the process-wide registry (a single flag check, one
    atomic increment when metrics are on), aggregating the same events
    across all sessions and domains. *)
-let m_uniformized_builds = Obs.Metrics.counter "analysis.uniformized_builds"
-
-let m_uniformized_hits = Obs.Metrics.counter "analysis.uniformized_hits"
-
 let m_embedded_builds = Obs.Metrics.counter "analysis.embedded_builds"
 
 let m_weight_computes = Obs.Metrics.counter "analysis.weight_computes"
@@ -62,12 +48,6 @@ let m_weight_hits = Obs.Metrics.counter "analysis.weight_hits"
 let m_steady_solves = Obs.Metrics.counter "analysis.steady_solves"
 
 let m_steady_hits = Obs.Metrics.counter "analysis.steady_hits"
-
-let m_absorbed_builds = Obs.Metrics.counter "analysis.absorbed_builds"
-
-let m_absorbed_hits = Obs.Metrics.counter "analysis.absorbed_hits"
-
-let m_absorbed_collisions = Obs.Metrics.counter "analysis.absorbed_collisions"
 
 let m_fg_mass_deficit = Obs.Metrics.gauge "analysis.fg_mass_deficit"
 
@@ -90,23 +70,17 @@ let m_sweep_len = Obs.Metrics.histogram "analysis.sweep_length"
 type t = {
   chain : Chain.t;
   mutable rate : float option;
-  (* the uniformized operator P (backward sweeps) and its transpose P^T
-     (forward sweeps), each built on first demand *)
-  mutable unif : Sparse.t option;
-  mutable unif_t : Sparse.t option;
   mutable emb : Sparse.t option;
-  (* R^T: the steady-state sweep and coreachability read its rows *)
+  (* R^T: forward sweeps, the steady-state sweep and coreachability read
+     its rows *)
   mutable rates_t : Sparse.t option;
   mutable scc : (int array * int array array) option;
   mutable bscc : int array array option;
   weight_tbl : (float * float, Fox_glynn.t) Hashtbl.t;
   steady_tbl : (float, Vec.t) Hashtbl.t;
-  absorbed_named : (string, t) Hashtbl.t;
-  (* unnamed absorbed chains, keyed by an FNV-1a hash of the predicate's
-     bitmap over the state space; each bucket entry keeps the full bitmap
-     only to verify the hit (and to detect hash collisions) *)
-  absorbed_pred : (int64, (string * t) list) Hashtbl.t;
-  (* lumping quotients, keyed the same way by the dense initial partition *)
+  (* lumping quotients, keyed by an FNV-1a hash of the dense initial
+     partition; each bucket entry keeps the full partition to verify the
+     hit *)
   quot_tbl : (int64, (int array * quotient) list) Hashtbl.t;
   counters : counters;
 }
@@ -117,29 +91,20 @@ let create chain =
   {
     chain;
     rate = None;
-    unif = None;
-    unif_t = None;
     emb = None;
     rates_t = None;
     scc = None;
     bscc = None;
     weight_tbl = Hashtbl.create 16;
     steady_tbl = Hashtbl.create 4;
-    absorbed_named = Hashtbl.create 8;
-    absorbed_pred = Hashtbl.create 8;
     quot_tbl = Hashtbl.create 4;
     counters =
       {
-        uniformized_builds = 0;
-        uniformized_hits = 0;
         embedded_builds = 0;
         weight_computes = 0;
         weight_hits = 0;
         steady_solves = 0;
         steady_hits = 0;
-        absorbed_builds = 0;
-        absorbed_hits = 0;
-        absorbed_collisions = 0;
         mixture_passes = 0;
         mixture_steps = 0;
         batch_passes = 0;
@@ -164,31 +129,6 @@ let uniformization_rate t =
       let l = Chain.uniformization_rate t.chain in
       t.rate <- Some l;
       l
-
-(* Builds and hits of either orientation feed the same counters. *)
-let cached_operator t slot store build =
-  match slot with
-  | Some p ->
-      t.counters.uniformized_hits <- t.counters.uniformized_hits + 1;
-      Obs.Metrics.incr m_uniformized_hits;
-      p
-  | None ->
-      let p = Obs.Trace.with_span "analysis.uniformize" @@ fun _ -> build t.chain in
-      t.counters.uniformized_builds <- t.counters.uniformized_builds + 1;
-      Obs.Metrics.incr m_uniformized_builds;
-      store p;
-      p
-
-let uniformized t =
-  ( uniformization_rate t,
-    cached_operator t t.unif
-      (fun p -> t.unif <- Some p)
-      (fun m -> snd (Chain.uniformized m)) )
-
-let uniformized_transposed t =
-  cached_operator t t.unif_t
-    (fun p -> t.unif_t <- Some p)
-    Chain.uniformized_transposed
 
 let embedded t =
   match t.emb with
@@ -265,10 +205,12 @@ let validate_positive ~what x =
   if not (Float.is_finite x && x > 0.) then
     invalid_arg (Printf.sprintf "%s must be finite and positive (got %h)" what x)
 
-let weights ?(epsilon = default_epsilon) t time =
+(* Keyed by the product [lambda * time], so a masked pass (whose rate
+   is that of its absorbing rows, see {!absorbing}) shares the table with
+   unmasked ones. *)
+let weights_at ?(epsilon = default_epsilon) t ~lambda time =
   validate_positive ~what:"Analysis.weights: epsilon" epsilon;
   validate_finite ~what:"Analysis.weights: time" time;
-  let lambda = uniformization_rate t in
   validate_finite ~what:"Analysis.weights: uniformization rate * time"
     (lambda *. time);
   let key = (lambda *. time, epsilon) in
@@ -284,6 +226,9 @@ let weights ?(epsilon = default_epsilon) t time =
       Hashtbl.replace t.weight_tbl key w;
       w
 
+let weights ?epsilon t time =
+  weights_at ?epsilon t ~lambda:(uniformization_rate t) time
+
 let cached_steady t ~tol compute =
   validate_positive ~what:"Analysis.cached_steady: tol" tol;
   match Hashtbl.find_opt t.steady_tbl tol with
@@ -298,8 +243,8 @@ let cached_steady t ~tol compute =
       Hashtbl.replace t.steady_tbl tol (Vec.copy pi);
       pi
 
-(* FNV-1a, 64 bit: cheap streaming hash for predicate bitmaps and
-   partition arrays, used as the cache-table keys. *)
+(* FNV-1a, 64 bit: cheap streaming hash for partition arrays, used as
+   the quotient-table keys. *)
 let fnv_offset = 0xcbf29ce484222325L
 
 let fnv_prime = 0x100000001b3L
@@ -318,53 +263,6 @@ let fnv1a64 s =
     h := fnv_byte !h (Char.code (String.unsafe_get s k))
   done;
   !h
-
-let pred_bitmap pred n =
-  let b = Bytes.create n in
-  for s = 0 to n - 1 do
-    Bytes.unsafe_set b s (if pred s then '1' else '0')
-  done;
-  Bytes.unsafe_to_string b
-
-let absorbed ?name t ~pred =
-  match name with
-  | Some nm -> (
-      match Hashtbl.find_opt t.absorbed_named nm with
-      | Some sub ->
-          t.counters.absorbed_hits <- t.counters.absorbed_hits + 1;
-          Obs.Metrics.incr m_absorbed_hits;
-          sub
-      | None ->
-          let sub = create (Chain.absorbing t.chain ~pred) in
-          t.counters.absorbed_builds <- t.counters.absorbed_builds + 1;
-          Obs.Metrics.incr m_absorbed_builds;
-          Hashtbl.replace t.absorbed_named nm sub;
-          sub)
-  | None -> (
-      (* the predicate is evaluated once per state: the bitmap is the
-         hash input, the stored key and the absorbing set *)
-      let bitmap = pred_bitmap pred (Chain.states t.chain) in
-      let h = fnv1a64 bitmap in
-      let bucket =
-        match Hashtbl.find_opt t.absorbed_pred h with Some l -> l | None -> []
-      in
-      match List.find_opt (fun (b, _) -> String.equal b bitmap) bucket with
-      | Some (_, sub) ->
-          t.counters.absorbed_hits <- t.counters.absorbed_hits + 1;
-          Obs.Metrics.incr m_absorbed_hits;
-          sub
-      | None ->
-          if bucket <> [] then begin
-            t.counters.absorbed_collisions <-
-              t.counters.absorbed_collisions + 1;
-            Obs.Metrics.incr m_absorbed_collisions
-          end;
-          let pred s = String.unsafe_get bitmap s = '1' in
-          let sub = create (Chain.absorbing t.chain ~pred) in
-          t.counters.absorbed_builds <- t.counters.absorbed_builds + 1;
-          Obs.Metrics.incr m_absorbed_builds;
-          Hashtbl.replace t.absorbed_pred h ((bitmap, sub) :: bucket);
-          sub)
 
 (* ------------------------------------------------------------------ *)
 (* Lumping quotient sessions                                          *)
@@ -451,6 +349,24 @@ let block_reward quot reward =
   let blocks = quot.lumping.Lumping.blocks in
   Array.map (fun members -> reward.(List.hd members)) blocks
 
+(* ------------------------------------------------------------------ *)
+(* Absorbing-row masks                                                *)
+
+type absorbing = { of_chain : Chain.t; rows : Bytes.t; lambda : float }
+
+let absorbing t pred =
+  let rows =
+    Bytes.init (Chain.states t.chain) (fun s -> if pred s then '\001' else '\000')
+  in
+  let lambda =
+    Chain.uniformization_rate
+      ~absorbing:(fun s -> Bytes.unsafe_get rows s <> '\000')
+      t.chain
+  in
+  { of_chain = t.chain; rows; lambda }
+
+let absorbs a s = Bytes.get a.rows s <> '\000'
+
 type dir = Forward | Backward
 
 type coeff = Pmf | Tail_over_lambda
@@ -461,8 +377,9 @@ type coeff = Pmf | Tail_over_lambda
      sum_{k=0}^{right} c_k v_k   with   v_{k+1} = step(v_k),
 
    where step is [v P] (Forward) or [P v] (Backward) over the uniformized
-   matrix P, and the coefficients are either the truncated Poisson
-   probabilities (Pmf: the transient mixture) or the scaled upper tails
+   matrix P = I + (R - diag exit)/lambda, and the coefficients are either
+   the truncated Poisson probabilities (Pmf: the transient mixture) or the
+   scaled upper tails
    [P(N_{lambda t} >= k+1) / lambda] (Tail_over_lambda: the accumulated-
    reward integral). Steps below the Fox-Glynn window's left edge can have
    zero coefficients but must still be applied.
@@ -477,9 +394,11 @@ type coeff = Pmf | Tail_over_lambda
    streams — each with its own start vector, coefficient kind and time
    grid — ride one {e blocked} sweep. The iterates live in a
    {!Multivec.t} and each step is a single blocked gather
-   ({!Sparse.mul_multi_into}): over P for backward sweeps and over the
-   session-cached transpose P^T for forward ones, so the operator is
-   decoded once per step no matter how many streams ride it. Streams
+   ({!Sparse.mul_multi_into} with [~uniformize]) that applies P on the
+   fly from the rates: over R for backward sweeps and over the
+   session-cached R^T for forward ones, so the operator is decoded once
+   per step no matter how many streams ride it, and no session ever holds
+   a scaled copy of its rates. Streams
    whose start vectors are equal bit for bit share one iterate column
    (their iterates agree at every step), so the block is as wide as the
    number of distinct starts: the instantaneous and accumulated cost
@@ -499,7 +418,18 @@ type coeff = Pmf | Tail_over_lambda
    the streams sharing the dot — limits the dots to steps where some of
    their coefficients are non-zero: a Pmf stream whose narrow window sits
    at the end of a long sweep (stretched by another stream, or by the
-   window's own left edge) pays nothing before its window opens. *)
+   window's own left edge) pays nothing before its window opens.
+
+   A pass may also carry an absorbing-row mask ({!absorbing}): it then
+   sweeps the chain in which the masked states are absorbing, at that
+   chain's rate, without building it. Backward, the masked rows are not
+   gathered and keep their start values (their P row is the identity).
+   Forward, the iterate [u_k] carries only the mass outside the mask
+   (masked rows are skipped and stay zero); the values face adds what the
+   absorbed mass is worth to [r]: the masked part of [<v_0, r>] plus
+   [<u_m, g> / lambda] per step [m < k], [g(i) = sum_{j masked} R(i,j)
+   r(j)]. The vector face would have to gather every row for that, so it
+   takes no mask forward. *)
 
 type batch = { start : Vec.t; coeff : coeff; times : float list }
 
@@ -513,14 +443,13 @@ type point = {
   last : int;  (** no non-zero coefficients beyond this step index *)
 }
 
-let coefficients t ~coeff w =
+let coefficients ~lambda ~coeff w =
   let { Fox_glynn.left; right; weights = wts; _ } = w in
   match coeff with
   | Pmf ->
       let f k = if k >= left && k <= right then wts.(k - left) else 0. in
       (f, left, right)
   | Tail_over_lambda ->
-      let lambda = uniformization_rate t in
       let tail = Fox_glynn.cumulative_tail w in
       let total = Fox_glynn.total_mass w in
       let f k =
@@ -572,19 +501,24 @@ let classes n same =
 
 (* The one sweep loop behind both faces. It validates the streams, maps
    them onto iterate columns, builds the Fox–Glynn coefficient streams,
-   keeps the counters and spans, and runs the blocked gathers.
-   [prepare ~cols points ~steps] is called once the windows are known
-   (and only if some stream has a positive time), with [cols.(s)] the
-   column of stream [s]; it sets up the face's accumulators and returns
-   the action applied to the iterate block [v_k] at every step
-   [k = 0 .. steps - 1]. *)
-let sweep ?epsilon t ~dir ~who barr ~prepare =
+   keeps the counters and spans, and runs the blocked gathers, masked by
+   [absorbing] when given. [prepare ~cols points ~steps] is called once
+   the windows are known (and only if some stream has a positive time),
+   with [cols.(s)] the column of stream [s]; it sets up the face's
+   accumulators and returns the action applied to the iterate block
+   [v_k] at every step [k = 0 .. steps - 1]. *)
+let sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare =
   let n = Chain.states t.chain in
   Array.iter
     (fun b ->
       if Vec.dim b.start <> n then invalid_arg (who ^ ": dimension mismatch");
       check_times who b.times)
     barr;
+  Option.iter
+    (fun a ->
+      if a.of_chain != t.chain then
+        invalid_arg (who ^ ": absorbing mask of another chain"))
+    absorbing;
   let streams = Array.length barr in
   let distinct =
     Array.map
@@ -597,11 +531,16 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
       classes streams (fun r s -> same_bits barr.(r).start barr.(s).start)
     in
     let width = Array.length firsts in
+    let lambda =
+      match absorbing with Some a -> a.lambda | None -> uniformization_rate t
+    in
     let op =
       match dir with
-      | Forward -> uniformized_transposed t
-      | Backward -> snd (uniformized t)
+      | Forward -> rates_transposed t
+      | Backward -> Chain.rates t.chain
     in
+    let uniformize = Some (Chain.exit_rates t.chain, lambda) in
+    let skip = Option.map (fun a -> a.rows) absorbing in
     (* phase 1: Fox-Glynn windows + per-(stream, time) coefficient
        streams *)
     (* worst truncation error across the Fox–Glynn windows of this
@@ -614,11 +553,11 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
            (List.init streams (fun stream ->
                 List.map
                   (fun time ->
-                    let w = weights ?epsilon t time in
+                    let w = weights_at ?epsilon t ~lambda time in
                     fg_deficit :=
                       Float.max !fg_deficit (1. -. Fox_glynn.total_mass w);
                     let coeff_at, first, last =
-                      coefficients t ~coeff:barr.(stream).coeff w
+                      coefficients ~lambda ~coeff:barr.(stream).coeff w
                     in
                     { stream; col = cols.(stream); time; coeff_at; first; last })
                   distinct.(stream))))
@@ -656,11 +595,26 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
         Obs.Trace.add_attr sweep_span "streams" (Obs.Int streams)
       end;
       let v = ref (Multivec.of_cols (Array.map (fun s -> barr.(s).start) firsts)) in
-      let next = ref (Multivec.create ~dim:n ~width) in
+      let next =
+        match (absorbing, dir) with
+        | None, _ -> ref (Multivec.create ~dim:n ~width)
+        | Some _, Backward ->
+            (* skipped rows keep their start values in both buffers *)
+            ref (Multivec.copy !v)
+        | Some a, Forward ->
+            (* skipped rows hold no mass in either buffer *)
+            for i = 0 to n - 1 do
+              if absorbs a i then
+                for c = 0 to width - 1 do
+                  Multivec.set !v i c 0.
+                done
+            done;
+            ref (Multivec.create ~dim:n ~width)
+      in
       for k = 0 to right_max do
         consume k !v;
         if k < right_max then begin
-          Sparse.mul_multi_into op !v !next;
+          Sparse.mul_multi_into ?uniformize ?skip op !v !next;
           t.counters.mixture_steps <- t.counters.mixture_steps + 1;
           let tmp = !v in
           v := !next;
@@ -673,11 +627,14 @@ let sweep ?epsilon t ~dir ~who barr ~prepare =
 (* a point's coefficient at step [k]: zero outside its window *)
 let coeff_of pt k = if k >= pt.first && k <= pt.last then pt.coeff_at k else 0.
 
-let poisson_mixture_batch ?epsilon t ~dir batches =
+let poisson_mixture_batch ?epsilon ?absorbing t ~dir batches =
+  let who = "Analysis.poisson_mixture_batch" in
+  if dir = Forward && absorbing <> None then
+    invalid_arg (who ^ ": forward sweeps take an absorbing mask only as values");
   let n = Chain.states t.chain in
   let barr = Array.of_list batches in
   let by_time = Array.map (fun _ -> Hashtbl.create 8) barr in
-  sweep ?epsilon t ~dir ~who:"Analysis.poisson_mixture_batch" barr
+  sweep ?epsilon ?absorbing t ~dir ~who barr
     ~prepare:(fun ~cols points ~steps:_ ->
       let accs =
         Array.map
@@ -735,7 +692,25 @@ let poisson_mixture_batch ?epsilon t ~dir batches =
         b.times)
     batches
 
-let poisson_mixture_values ?epsilon t ~dir pairs =
+(* A forward masked dot (kernel notes above): [held] is the masked part of
+   [<v_k, r>], [g] its inflow, and [direct] whether [r] is non-zero off
+   the mask at all (a psi indicator is not: no dot with the iterate). *)
+type inflow = { g : Vec.t; direct : bool; mutable held : float }
+
+let inflow m a r start =
+  let n = Chain.states m in
+  let g = Vec.zeros n and direct = ref false and held = ref 0. in
+  for i = 0 to n - 1 do
+    if absorbs a i then held := !held +. (start.(i) *. r.(i))
+    else begin
+      if r.(i) <> 0. then direct := true;
+      Sparse.iter_row (Chain.rates m) i (fun j x ->
+          if absorbs a j then g.(i) <- g.(i) +. (x *. r.(j)))
+    end
+  done;
+  { g; direct = !direct; held = !held }
+
+let poisson_mixture_values ?epsilon ?absorbing t ~dir pairs =
   let who = "Analysis.poisson_mixture_values" in
   let n = Chain.states t.chain in
   List.iter
@@ -746,7 +721,7 @@ let poisson_mixture_values ?epsilon t ~dir pairs =
   let rewards = Array.of_list (List.map snd pairs) in
   (* one unboxed one-cell accumulator per (stream, distinct time) *)
   let by_time = Array.map (fun _ -> Hashtbl.create 8) barr in
-  sweep ?epsilon t ~dir ~who barr ~prepare:(fun ~cols points ~steps ->
+  sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare:(fun ~cols points ~steps ->
       (* streams on one column with the same reward share one dot *)
       let dot_of, dots =
         classes (Array.length barr) (fun r s ->
@@ -767,18 +742,40 @@ let poisson_mixture_values ?epsilon t ~dir pairs =
           points
       in
       let y = Array.make (Array.length dots) 0. in
-      fun k v ->
-        Array.iteri
-          (fun d s ->
-            if Bytes.get mask.(d) k = '1' then
-              y.(d) <- Multivec.dot_col v cols.(s) rewards.(s))
-          dots;
+      let accumulate k =
         Array.iteri
           (fun i pt ->
             let c = coeff_of pt k in
             if c <> 0. then
               sums.(i).(0) <- sums.(i).(0) +. (c *. y.(dot_of.(pt.stream))))
-          points);
+          points
+      in
+      match (absorbing, dir) with
+      | Some a, Forward ->
+          let flows =
+            Array.map (fun s -> inflow t.chain a rewards.(s) barr.(s).start) dots
+          in
+          fun k v ->
+            Array.iteri
+              (fun d s ->
+                let f = flows.(d) in
+                if Bytes.get mask.(d) k = '1' then
+                  y.(d) <-
+                    (if f.direct then Multivec.dot_col v cols.(s) rewards.(s)
+                     else 0.)
+                    +. f.held;
+                if k < steps - 1 then
+                  f.held <- f.held +. (Multivec.dot_col v cols.(s) f.g /. a.lambda))
+              dots;
+            accumulate k
+      | _ ->
+          fun k v ->
+            Array.iteri
+              (fun d s ->
+                if Bytes.get mask.(d) k = '1' then
+                  y.(d) <- Multivec.dot_col v cols.(s) rewards.(s))
+              dots;
+            accumulate k);
   List.mapi
     (fun stream (b, r) ->
       List.map
@@ -810,16 +807,11 @@ let poisson_mixture ?epsilon t ~dir ~coeff start ~time =
 let stats t =
   let c = t.counters in
   {
-    uniformized_builds = c.uniformized_builds;
-    uniformized_hits = c.uniformized_hits;
     embedded_builds = c.embedded_builds;
     weight_computes = c.weight_computes;
     weight_hits = c.weight_hits;
     steady_solves = c.steady_solves;
     steady_hits = c.steady_hits;
-    absorbed_builds = c.absorbed_builds;
-    absorbed_hits = c.absorbed_hits;
-    absorbed_collisions = c.absorbed_collisions;
     mixture_passes = c.mixture_passes;
     mixture_steps = c.mixture_steps;
     batch_passes = c.batch_passes;
@@ -832,11 +824,9 @@ let stats t =
 let pp_stats ppf t =
   let s = stats t in
   Format.fprintf ppf
-    "analysis: unif %d built/%d hits, fg %d computed/%d hits, steady %d \
-     solved/%d hits, absorbed %d built/%d hits/%d collisions, mixture %d \
+    "analysis: fg %d computed/%d hits, steady %d solved/%d hits, mixture %d \
      passes/%d steps, batch %d passes/%d columns, lump %d built/%d hits \
      (%d states)"
-    s.uniformized_builds s.uniformized_hits s.weight_computes s.weight_hits
-    s.steady_solves s.steady_hits s.absorbed_builds s.absorbed_hits
-    s.absorbed_collisions s.mixture_passes s.mixture_steps s.batch_passes
-    s.batch_columns s.lump_builds s.lump_hits s.lumped_states
+    s.weight_computes s.weight_hits s.steady_solves s.steady_hits
+    s.mixture_passes s.mixture_steps s.batch_passes s.batch_columns
+    s.lump_builds s.lump_hits s.lumped_states

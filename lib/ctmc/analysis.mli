@@ -2,13 +2,15 @@
 
     The paper's tool chain builds each model once and then checks many
     CSL/CSRL properties against it. The expensive derived artifacts —
-    uniformized matrix, Fox–Glynn weight vectors, embedded jump matrix,
-    (B)SCC decomposition, steady-state vector, absorbed-chain variants —
-    are shared across queries through an analysis session: every query
-    module ({!Transient}, {!Reachability}, {!Rewards}, {!Steady_state},
-    {!Absorption}) accepts an optional [?analysis] session and memoizes
-    what it derives into it, so checking the full measure suite builds the
-    uniformized matrix at most once per distinct chain.
+    the transposed rate matrix forward sweeps gather over, Fox–Glynn
+    weight vectors, embedded jump matrix, (B)SCC decomposition,
+    steady-state vector, lumping quotients — are shared across queries
+    through an analysis session: every query module ({!Transient},
+    {!Reachability}, {!Rewards}, {!Steady_state}, {!Absorption}) accepts
+    an optional [?analysis] session and memoizes what it derives into it.
+    A session holds one rate operator: transient sweeps uniformize it on
+    the fly, and time-bounded until masks its rows instead of building an
+    absorbed copy of the chain.
 
     Sessions are not thread-safe; use one per chain per thread. *)
 
@@ -34,14 +36,6 @@ val for_chain : t option -> Chain.t -> t
 
 (** {2 Memoized derived artifacts} *)
 
-val uniformized : t -> float * Numeric.Sparse.t
-(** [(lambda, P)] as {!Chain.uniformized}, built once per session.
-    Backward sweeps gather over [P]; forward sweeps gather over its
-    transpose ({!Chain.uniformized_transposed}), which the session caches
-    separately and also builds only on first demand, so a session that
-    only sweeps forward never materializes [P]. Builds and hits of either
-    orientation count in [uniformized_builds] / [uniformized_hits]. *)
-
 val embedded : t -> Numeric.Sparse.t
 (** The embedded jump matrix, built once per session. *)
 
@@ -56,8 +50,9 @@ val weights : ?epsilon:float -> t -> float -> Numeric.Fox_glynn.t
 
 val rates_transposed : t -> Numeric.Sparse.t
 (** [R^T], the transposed rate matrix (row [j] lists the states with a
-    rate into [j]), built once per session. The steady-state sweep reads
-    its rows; unbounded until searches it for coreachability. *)
+    rate into [j]), built once per session. Forward sweeps and the
+    steady-state sweep read its rows; unbounded until searches it for
+    coreachability. *)
 
 val sccs : t -> int array * int array array
 (** {!Numeric.Digraph.sccs} over the rate matrix itself, computed once
@@ -90,21 +85,10 @@ val cached_steady : t -> tol:float -> (unit -> Numeric.Vec.t) -> Numeric.Vec.t
     every call). *)
 
 val fnv1a64 : string -> int64
-(** 64-bit FNV-1a hash of a string — the same streaming hash the session
-    caches use for predicate bitmaps, exposed for content-addressing whole
+(** 64-bit FNV-1a hash of a string — the same streaming hash the quotient
+    cache uses for partitions, exposed for content-addressing whole
     inputs (e.g. the analysis daemon keys its model-session cache on the
     hash of the XML source). *)
-
-val absorbed : ?name:string -> t -> pred:(int -> bool) -> t
-(** [absorbed t ~pred] is the sub-session for [Chain.absorbing chain ~pred]
-    (the transformed chain bounded-until model checking runs on), memoized
-    so repeated queries against the same target set reuse one absorbed
-    chain and its uniformized matrix. Keyed by [name] when given (the
-    caller vouches that equal names mean equal predicates); otherwise by a
-    64-bit FNV-1a hash of the predicate's bitmap over the state space, with
-    the full bitmap stored once per entry and re-checked on every hash hit,
-    so distinct predicates can never be confused — a hash collision only
-    costs one extra comparison (counted in [absorbed_collisions]). *)
 
 (** {2 Lumping quotient sessions} *)
 
@@ -151,6 +135,21 @@ val block_reward : quotient -> Numeric.Vec.t -> Numeric.Vec.t
     states; requires [Reward reward] (or a refinement of it) among the
     respected structures. *)
 
+(** {2 Absorbing-row masks} *)
+
+type absorbing
+(** A set of states of the session's chain made absorbing, with the
+    uniformization rate of the chain in which they are. *)
+
+val absorbing : t -> (int -> bool) -> absorbing
+(** [absorbing t pred] masks the states satisfying [pred] ([pred] is
+    called once per state). A mixture pass given the mask sweeps
+    [Chain.absorbing (chain t) ~pred] — exactly, in exact arithmetic —
+    without building it: its rate is
+    [Chain.uniformization_rate ~absorbing:pred (chain t)], so Fox–Glynn
+    windows and step counts are those of the absorbed chain, and its
+    gathers skip the masked rows of the session's own rate operator. *)
+
 (** {2 The shared uniformization kernel} *)
 
 type dir = Forward | Backward
@@ -164,7 +163,9 @@ val poisson_mixture :
   ?epsilon:float -> t -> dir:dir -> coeff:coeff -> Numeric.Vec.t -> time:float -> Numeric.Vec.t
 (** [poisson_mixture t ~dir ~coeff start ~time] is
     [sum_k c_k v_k] with [v_0 = start] and [v_{k+1} = v_k P] ([Forward])
-    or [P v_k] ([Backward]) over the uniformized matrix, [c_k] given by
+    or [P v_k] ([Backward]) over the uniformized matrix
+    [P = I + Q/lambda] (applied on the fly from the rates, never built),
+    [c_k] given by
     [coeff], and [k] ranging over the Fox–Glynn window for
     [lambda * time]. This one kernel implements forward transient
     distributions, backward value vectors (bounded until) and accumulated
@@ -201,13 +202,19 @@ type batch = {
 (** One coefficient stream of a batched sweep. *)
 
 val poisson_mixture_batch :
-  ?epsilon:float -> t -> dir:dir -> batch list -> Numeric.Vec.t list list
+  ?epsilon:float ->
+  ?absorbing:absorbing ->
+  t ->
+  dir:dir ->
+  batch list ->
+  Numeric.Vec.t list list
 (** [poisson_mixture_batch t ~dir batches] evaluates K independent
     mixture streams — each with its own start vector, coefficient kind
     and time grid, but sharing the chain and direction — with {e one}
     blocked sweep: the iterates form a {!Numeric.Multivec.t} and every
-    step is a single blocked gather ({!Numeric.Sparse.mul_multi_into} over
-    [P] backward, over [P^T] forward), so the operator is decoded once per
+    step is a single blocked gather ({!Numeric.Sparse.mul_multi_into} with
+    [~uniformize], over [R] backward and over {!rates_transposed}
+    forward), so the operator is decoded once per
     step for all K streams (this is how an instantaneous- and an
     accumulated-cost curve, or several initial distributions, ride one
     uniformization). Streams whose start vectors are physically equal or
@@ -218,10 +225,17 @@ val poisson_mixture_batch :
     accumulating early. Results align 1:1 with [batches] and with each
     stream's [times] (same duplicate/zero-time semantics as
     {!poisson_mixture_multi}). [poisson_mixture_multi] is the
-    single-stream special case and delegates here. *)
+    single-stream special case and delegates here.
+
+    With [~absorbing] (backward only) the pass sweeps the chain in which
+    the masked states are absorbing: their rows are not gathered and keep
+    their start values, and the pass's rate is the mask's. Raises
+    [Invalid_argument] for a forward pass with a mask (use
+    {!poisson_mixture_values}) or a mask of another session's chain. *)
 
 val poisson_mixture_values :
   ?epsilon:float ->
+  ?absorbing:absorbing ->
   t ->
   dir:dir ->
   (batch * Numeric.Vec.t) list ->
@@ -242,7 +256,14 @@ val poisson_mixture_values :
     yields [<start, r>] ([Pmf]) or [0.] ([Tail_over_lambda]). Counters,
     spans and validation are those of {!poisson_mixture_batch}; raises
     [Invalid_argument] also when a reward's dimension differs from the
-    chain's. *)
+    chain's.
+
+    [~absorbing] works in both directions. Forward, the iterates carry
+    only the mass outside the mask (its rows are skipped); the masked part
+    of [<v_k, r>] is the masked part of [<v_0, r>] plus a running inflow,
+    one extra dot per step with [g(i) = sum_{j masked} R(i,j) r(j)],
+    built once per pass from the rows of [R]. Equal to the sweep of the
+    absorbed chain in exact arithmetic; rounding differs. *)
 
 val check_times : string -> float list -> unit
 (** [check_times who times] raises [Invalid_argument "<who>: times must be
@@ -253,19 +274,11 @@ val check_times : string -> float list -> unit
 (** {2 Instrumentation} *)
 
 type stats = {
-  uniformized_builds : int;
-  uniformized_hits : int;
   embedded_builds : int;
   weight_computes : int;
   weight_hits : int;
   steady_solves : int;
   steady_hits : int;
-  absorbed_builds : int;
-  absorbed_hits : int;
-  absorbed_collisions : int;
-      (** hash-bucket collisions among unnamed absorbed predicates — a
-          nonzero value is harmless (the bitmap check catches it) but worth
-          watching *)
   mixture_passes : int;
       (** sweeps of the shared uniformization kernel (calls of any of its
           entry points, vector or values face, that did numerical work) *)
@@ -287,8 +300,8 @@ type stats = {
       (** state count of the most recent quotient chain (0 when {!quotient}
           was never called) *)
 }
-(** Cache-effectiveness counters for this session alone (sub-sessions from
-    {!absorbed} keep their own). Exposed so tests can assert that repeated
+(** Cache-effectiveness counters for this session alone (quotient
+    sessions keep their own). Exposed so tests can assert that repeated
     queries do not rebuild artifacts, and so the bench can report hit
     rates and kernel work.
 
@@ -305,8 +318,7 @@ type stats = {
     of distinct start vectors, and [streams] the stream count) with
     [mixture.weights] (Fox–Glynn) and [mixture.sweep] (blocked gathers
     plus the per-step accumulation) child phases ([mixture.sweep] carries
-    [batch_width] and [streams] too); the first build of each orientation
-    of the uniformized operator runs under an [analysis.uniformize] span,
+    [batch_width] and [streams] too); masked passes are no different.
     {!rates_transposed} and {!sccs} build under [analysis.transpose_rates]
     and [analysis.sccs] spans, and {!quotient} builds under an
     [analysis.lump] span. *)

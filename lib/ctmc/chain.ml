@@ -69,38 +69,25 @@ let generator m =
 
 let transition_count m = Sparse.nnz m.rates
 
-let uniformization_rate m =
-  let max_exit = Vec.max_entry m.exit in
-  Float.max 1e-10 (max_exit *. 1.02)
+(* Absorbing rows count with exit rate 0, as in [absorbing m ~pred]: the
+   fold is the one [Vec.max_entry] makes over that chain's exit rates. *)
+let uniformization_rate ?(absorbing = fun _ -> false) m =
+  let max_exit = ref neg_infinity in
+  Array.iteri
+    (fun s e -> max_exit := Float.max !max_exit (if absorbing s then 0. else e))
+    m.exit;
+  Float.max 1e-10 (!max_exit *. 1.02)
 
-(* P = I + Q/lambda, or its transpose built directly from the same
-   triplets with the indices swapped: no intermediate P, and the rows of
-   P^T list their source states in increasing order (the Builder sorts
-   each row by column). *)
-let uniformized_matrix ~transposed m lambda =
+(* P = I + Q/lambda *)
+let uniformized m =
+  let lambda = uniformization_rate m in
   let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in
-  Sparse.iteri m.rates (fun i j x ->
-      if transposed then Sparse.Builder.add b j i (x /. lambda)
-      else Sparse.Builder.add b i j (x /. lambda));
+  Sparse.iteri m.rates (fun i j x -> Sparse.Builder.add b i j (x /. lambda));
   for i = 0 to m.n - 1 do
     let self = 1. -. (m.exit.(i) /. lambda) in
     if self <> 0. then Sparse.Builder.add b i i self
   done;
-  Sparse.Builder.to_csr b
-
-let uniformized ?lambda m =
-  let lambda =
-    match lambda with
-    | Some l ->
-        if l < Vec.max_entry m.exit then
-          invalid_arg "Chain.uniformized: lambda below max exit rate";
-        l
-    | None -> uniformization_rate m
-  in
-  (lambda, uniformized_matrix ~transposed:false m lambda)
-
-let uniformized_transposed m =
-  uniformized_matrix ~transposed:true m (uniformization_rate m)
+  (lambda, Sparse.Builder.to_csr b)
 
 let embedded m =
   let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in

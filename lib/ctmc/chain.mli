@@ -43,22 +43,20 @@ val generator : t -> Numeric.Sparse.t
 val transition_count : t -> int
 (** Number of (off-diagonal) transitions. *)
 
-val uniformization_rate : t -> float
+val uniformization_rate : ?absorbing:(int -> bool) -> t -> float
 (** A rate [lambda >= max exit rate] suitable for uniformization (slightly
     inflated to keep the self-loop probability of the fastest state positive,
     which guarantees aperiodicity of the uniformized DTMC). At least 1e-10,
-    so absorbing-only chains still uniformize. *)
+    so absorbing-only chains still uniformize. With [~absorbing], the rate
+    of [absorbing m ~pred:absorbing], bit for bit, without building that
+    chain: the rows it makes absorbing count with exit rate 0. *)
 
-val uniformized : ?lambda:float -> t -> float * Numeric.Sparse.t
+val uniformized : t -> float * Numeric.Sparse.t
 (** [uniformized m] is [(lambda, P)] with [P = I + Q/lambda] the uniformized
-    stochastic matrix (diagonal included). *)
-
-val uniformized_transposed : t -> Numeric.Sparse.t
-(** [P^T] for the default [lambda] ({!uniformization_rate}), built
-    directly (no intermediate [P]) from the same entries with their
-    indices swapped. Row [j] lists its source states [i] in increasing
-    order, so it equals [Numeric.Sparse.transpose (snd (uniformized m))]
-    bit for bit. Forward sweeps gather over it. *)
+    stochastic matrix (diagonal included). The analysis sweeps apply [P]
+    on the fly from the rates instead ({!Numeric.Sparse.mul_multi_into}
+    with [~uniformize]); this explicit matrix serves the steady-state
+    power-iteration fallback and tests. *)
 
 val embedded : t -> Numeric.Sparse.t
 (** The embedded jump matrix: [P(i, j) = R(i, j) / exit(i)] for non-absorbing

@@ -1,72 +1,81 @@
 module Vec = Numeric.Vec
 module Sparse = Numeric.Sparse
 
-let indicator n pred =
-  Array.init n (fun s -> if pred s then 1. else 0.)
+(* The CSL reduction of [phi U<=t psi] makes the psi and the not-phi
+   states absorbing. [masked] evaluates [psi] and [phi] once per state,
+   at most, into one class per state (1: psi, 2: absorbing without psi,
+   0: neither) and returns the session to sweep, its absorbing-row mask,
+   the psi indicator and the lift of per-state values back to [m]: no
+   absorbed chain is built. Under [~lump] the quotient respects the
+   classes (so the mask and the psi indicator are block-constant) and
+   the mask applies on the quotient's operator. *)
+let masked ~lump ?analysis m ~phi ~psi =
+  Obs.Trace.with_span "reachability.mask" @@ fun _ ->
+  let a = Analysis.for_chain analysis m in
+  let cls =
+    Array.init (Chain.states m) (fun s -> if psi s then 1. else if phi s then 0. else 2.)
+  in
+  let session, cls, lift =
+    if lump then
+      let quot = Analysis.quotient a ~respect:[ Analysis.Reward cls ] in
+      (quot.Analysis.q, Analysis.block_reward quot cls, Analysis.lift quot)
+    else (a, cls, Fun.id)
+  in
+  ( session,
+    Analysis.absorbing session (fun s -> cls.(s) <> 0.),
+    Array.map (fun c -> if c = 1. then 1. else 0.) cls,
+    lift )
 
-(* The transformed chain bounded-until model checking runs on, plus its
-   sub-session when a session is available (so repeated queries against the
-   same [phi]/[psi] reuse one absorbed chain and uniformized matrix). *)
-let absorb ?analysis m ~pred =
-  match analysis with
-  | Some a when Analysis.wraps a m ->
-      let sub = Analysis.absorbed a ~pred in
-      (Analysis.chain sub, Some sub)
-  | Some _ | None -> (Chain.absorbing m ~pred, None)
+(* the value vector of [start] backward over [time], [absorbing] masked *)
+let backward ?epsilon session absorbing start time =
+  match
+    Analysis.poisson_mixture_batch ?epsilon ~absorbing session
+      ~dir:Analysis.Backward
+      [ { Analysis.start; coeff = Analysis.Pmf; times = [ time ] } ]
+  with
+  | [ [ v ] ] -> v
+  | _ -> assert false
 
-let absorb_for_until ?analysis m ~phi ~psi =
-  absorb ?analysis m ~pred:(fun s -> psi s || not (phi s))
-
-(* Lumping note: the quotient of the absorbed chain must respect [psi] —
-   otherwise the absorbing psi states could merge with absorbing
-   not-phi states (both have all-zero generator rows) and the target
-   mass would be wrong. [Transient.probability_at ~lump] /
-   [Transient.backward ~lump] respect exactly the predicate/vector they
-   evaluate, which is psi (or its indicator), so that is guaranteed. *)
-
-let bounded_until ?epsilon ?lump ?analysis m ~phi ~psi ~bound =
+let bounded_until ?epsilon ?(lump = false) ?analysis m ~phi ~psi ~bound =
   if bound < 0. then invalid_arg "Reachability.bounded_until: negative bound";
-  let m', sub = absorb_for_until ?analysis m ~phi ~psi in
-  let goal = indicator (Chain.states m) psi in
-  Transient.backward ?epsilon ?lump ?analysis:sub m' goal bound
+  let session, absorbing, goal, lift = masked ~lump ?analysis m ~phi ~psi in
+  lift (backward ?epsilon session absorbing goal bound)
 
-let bounded_until_from_init ?epsilon ?lump ?analysis m ~phi ~psi ~bound =
-  if bound < 0. then invalid_arg "Reachability.bounded_until: negative bound";
-  let m', sub = absorb_for_until ?analysis m ~phi ~psi in
-  Transient.probability_at ?epsilon ?lump ?analysis:sub m' ~pred:psi bound
-
+(* the psi mass of each transient distribution, through the values face of
+   the kernel with the psi indicator as reward *)
 let bounded_until_curve ?epsilon ?(lump = false) ?analysis m ~phi ~psi ~bounds =
   Analysis.check_times "Reachability.bounded_until_curve" bounds;
-  let m', sub = absorb_for_until ?analysis m ~phi ~psi in
-  let a = Analysis.for_chain sub m' in
-  let a, psi =
-    if lump then
-      let quot = Analysis.quotient a ~respect:[ Analysis.Pred psi ] in
-      (quot.Analysis.q, Analysis.block_pred quot psi)
-    else (a, psi)
-  in
-  (* the psi mass of each transient distribution, through the values face
-     of the kernel with the psi indicator as reward *)
-  let m'' = Analysis.chain a in
-  let start = Chain.initial m'' and goal = indicator (Chain.states m'') psi in
+  let session, absorbing, goal, _ = masked ~lump ?analysis m ~phi ~psi in
+  let start = Chain.initial (Analysis.chain session) in
   match
-    Analysis.poisson_mixture_values ?epsilon a ~dir:Analysis.Forward
+    Analysis.poisson_mixture_values ?epsilon ~absorbing session
+      ~dir:Analysis.Forward
       [ ({ Analysis.start; coeff = Analysis.Pmf; times = bounds }, goal) ]
   with
   | [ mass ] -> List.combine bounds mass
   | _ -> assert false
 
+let bounded_until_from_init ?epsilon ?lump ?analysis m ~phi ~psi ~bound =
+  if bound < 0. then invalid_arg "Reachability.bounded_until: negative bound";
+  match
+    bounded_until_curve ?epsilon ?lump ?analysis m ~phi ~psi ~bounds:[ bound ]
+  with
+  | [ (_, p) ] -> p
+  | _ -> assert false
+
 let interval_until ?epsilon ?analysis m ~phi ~psi ~lower ~upper =
   if lower < 0. || upper < lower then
     invalid_arg "Reachability.interval_until: bad interval";
+  let in_phi = Array.init (Chain.states m) phi in
+  let phi s = in_phi.(s) in
   if lower = 0. then bounded_until ?epsilon ?analysis m ~phi ~psi ~bound:upper
   else begin
     let w = bounded_until ?epsilon ?analysis m ~phi ~psi ~bound:(upper -. lower) in
     (* during [0, lower) the path must stay inside phi; leaving phi zeroes
        the continuation value *)
     let w' = Array.mapi (fun s v -> if phi s then v else 0.) w in
-    let m1, sub1 = absorb ?analysis m ~pred:(fun s -> not (phi s)) in
-    let v = Transient.backward ?epsilon ?analysis:sub1 m1 w' lower in
+    let a = Analysis.for_chain analysis m in
+    let v = backward ?epsilon a (Analysis.absorbing a (fun s -> not (phi s))) w' lower in
     Array.mapi (fun s x -> if phi s then x else 0.) v
   end
 

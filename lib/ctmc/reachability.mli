@@ -6,9 +6,13 @@
     of sitting in a [psi] state at time [t] in the modified chain.
     [unbounded_until] solves the linear system over the embedded DTMC.
 
-    With an [?analysis] session the absorbed chain (and its uniformized
-    matrix) is memoized per target set via {!Analysis.absorbed}, and the
-    embedded matrix of the unbounded case is shared. *)
+    The modified chain is never built. Each time-bounded query evaluates
+    [psi] once per state and [phi] at most once per state (under a
+    [reachability.mask] span) and sweeps the chain's own rates with the
+    absorbing rows masked ({!Analysis.absorbing}); with an [?analysis]
+    session it shares the session's transposed rates and Fox–Glynn
+    weights, and the embedded matrix of the unbounded case. Results equal
+    the absorbed chain's in exact arithmetic. *)
 
 val bounded_until :
   ?epsilon:float ->
@@ -20,9 +24,10 @@ val bounded_until :
   bound:float ->
   Numeric.Vec.t
 (** Per-state probability of [phi U<=bound psi]. With [~lump:true] the
-    vector iteration runs on the psi-respecting lumping quotient of the
-    absorbed chain ({!Analysis.quotient}) and the per-block values are
-    lifted back — exact, and faster whenever the quotient is smaller. *)
+    vector iteration runs on the lumping quotient of the chain that
+    respects [psi] and [phi] ({!Analysis.quotient}), masked, and the
+    per-block values are lifted back — exact, and faster whenever the
+    quotient is smaller. *)
 
 val bounded_until_from_init :
   ?epsilon:float ->
@@ -47,8 +52,9 @@ val bounded_until_curve :
 (** [bounded_until_curve m ~phi ~psi ~bounds] evaluates
     {!bounded_until_from_init} at each time bound, sharing one forward
     uniformization sweep across all bounds through the reward-projected
-    face of the kernel ({!Analysis.poisson_mixture_values}, dotting each
-    step with the psi indicator). The result is aligned 1:1 with
+    face of the kernel ({!Analysis.poisson_mixture_values} over the mask:
+    the psi mass is the initial psi mass plus its inflow, one dot per
+    step). The result is aligned 1:1 with
     [bounds]: order is preserved and duplicates each yield a point.
     Raises [Invalid_argument "Reachability.bounded_until_curve: ..."] on a
     negative, NaN or infinite bound. *)

@@ -8,7 +8,7 @@
     - steady-state reward [R=? [S]]: long-run average reward rate.
 
     All operators accept an [?analysis] session; with one, the transient
-    runs share the memoized uniformized matrix and Fox–Glynn weights and
+    runs share the memoized transposed rates and Fox–Glynn weights and
     the steady-state operator shares the cached stationary vector. *)
 
 type structure = Numeric.Vec.t

@@ -25,7 +25,7 @@ let curve ?epsilon ?analysis m ~times =
   List.map2 (fun t pi -> (t, pi)) times pis
 
 (* K start distributions through one blocked sweep: the batched kernel
-   decodes the uniformized matrix once per step for all of them. *)
+   decodes the transposed rates once per step for all of them. *)
 let distribution_batch ?epsilon ?analysis m ~starts ~times =
   Analysis.check_times "Transient.distribution_batch" times;
   List.iter
@@ -72,23 +72,11 @@ let probability_at ?epsilon ?(lump = false) ?analysis m ~pred t =
   end
   else mass pred (distribution ?epsilon ?analysis m t)
 
-let backward ?epsilon ?(lump = false) ?analysis m v t =
+let backward ?epsilon ?analysis m v t =
   Analysis.check_times "Transient.backward" [ t ];
   if Vec.dim v <> Chain.states m then
     invalid_arg "Transient.backward: dimension mismatch";
   if t = 0. then Vec.copy v
-  else if lump then begin
-    (* respect the value vector itself, so it is block-constant; backward
-       value vectors then lift exactly *)
-    let a = Analysis.for_chain analysis m in
-    let quot = Analysis.quotient a ~respect:[ Analysis.Reward v ] in
-    let qa = quot.Analysis.q in
-    let bv =
-      Analysis.poisson_mixture ?epsilon qa ~dir:Analysis.Backward
-        ~coeff:Analysis.Pmf (Analysis.block_reward quot v) ~time:t
-    in
-    Analysis.lift quot bv
-  end
   else
     let a = Analysis.for_chain analysis m in
     Analysis.poisson_mixture ?epsilon a ~dir:Analysis.Backward ~coeff:Analysis.Pmf

@@ -6,7 +6,7 @@
 
     Every entry point takes an optional [?analysis] session
     ({!Analysis.t}); when given (and wrapping the same chain), the
-    uniformized matrix and Fox–Glynn weights are fetched from — and
+    transposed rates and Fox–Glynn weights are fetched from — and
     memoized into — the session instead of being rebuilt per call.
 
     Every entry point raises [Invalid_argument "Transient.<function>:
@@ -53,8 +53,8 @@ val distribution_batch :
   Numeric.Vec.t list list
 (** [distribution_batch m ~starts ~times] evaluates the transient
     distribution from each start vector at each time with {e one} blocked
-    sweep ({!Analysis.poisson_mixture_batch}): the transposed uniformized
-    matrix is decoded once per step for every distinct start. Result [i] aligns with start
+    sweep ({!Analysis.poisson_mixture_batch}): the transposed rate matrix
+    is decoded once per step for every distinct start. Result [i] aligns with start
     [i] and, within it, 1:1 with [times] (same semantics as {!curve}). *)
 
 val probability_at :
@@ -72,18 +72,13 @@ val probability_at :
 
 val backward :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   Numeric.Vec.t ->
   float ->
   Numeric.Vec.t
 (** [backward m v t] is [e^(Q t) v]: entry [s] is the expected value of
-    [v] at time [t] conditional on starting in state [s]. This is the
-    per-start-state view used by bounded-until model checking. With
-    [~lump:true] the iteration runs on the quotient that respects [v]
-    (so [v] is block-constant) and the per-block result is lifted back —
-    exact for ordinary lumpability. *)
+    [v] at time [t] conditional on starting in state [s]. *)
 
 val backward_batch :
   ?epsilon:float ->

@@ -260,6 +260,11 @@ let vec_mul x m =
 
 (* --- Multi-vector (blocked) kernels ------------------------------------ *)
 
+(* entry [o] of [y] from its row sum [acc]; [d] is the row's self-loop
+   weight when [unif] *)
+let[@inline] store ~unif ~s (yd : Multivec.buffer) (xd : Multivec.buffer) d o acc =
+  A1.unsafe_set yd o (if unif then (d *. A1.unsafe_get xd o) +. (s *. acc) else acc)
+
 (* y <- m * x as a gather, one matrix pass serving all K columns: row i
    of [m] produces entry i of every column, summed in the row's column
    order. The accumulators are local float refs, which the compiler keeps
@@ -271,69 +276,84 @@ let vec_mul x m =
    which other columns ride along. Forward sweeps call this on the
    transposed operator, whose rows list their source states in increasing
    order: entry j is then summed exactly as a scatter [x^T m] over rows
-   0, 1, ... would sum it. *)
-let mul_multi_into m x y =
+   0, 1, ... would sum it.
+
+   [~uniformize] finishes each row sum as the uniformized operator
+   [I + (m - diag exit)/lambda] would (see the interface); rows flagged in
+   [skip] are not gathered and keep whatever [y] held. *)
+let mul_multi_into ?uniformize ?skip m x y =
   if Multivec.width x <> Multivec.width y then
     invalid_arg "Sparse.mul_multi_into: width mismatch";
   if Multivec.width x = 0 then invalid_arg "Sparse.mul_multi_into: empty block";
   if Multivec.dim x <> m.cols || Multivec.dim y <> m.rows then
     invalid_arg "Sparse.mul_multi_into: dimension mismatch";
+  let unif = uniformize <> None in
+  let exit = match uniformize with Some (e, _) -> e | None -> [||] in
+  let s = match uniformize with Some (_, l) -> 1. /. l | None -> 1. in
+  if unif && (m.rows <> m.cols || Vec.dim exit <> m.rows) then
+    invalid_arg "Sparse.mul_multi_into: uniformize needs a square matrix";
+  let skipping = skip <> None in
+  let skip = Option.value skip ~default:Bytes.empty in
+  if skipping && Bytes.length skip <> m.rows then
+    invalid_arg "Sparse.mul_multi_into: skip length mismatch";
   let k = Multivec.width x in
   let xd = Multivec.data x and yd = Multivec.data y in
   let rp = m.row_ptr and ci = m.col_idx and vs = m.values in
-  if k = 1 then
-    for i = 0 to m.rows - 1 do
-      let acc = ref 0. in
-      for p = idx rp i to idx rp (i + 1) - 1 do
-        acc := !acc +. (A1.unsafe_get vs p *. A1.unsafe_get xd (idx ci p))
-      done;
-      A1.unsafe_set yd i !acc
-    done
-  else
-    for i = 0 to m.rows - 1 do
+  for i = 0 to m.rows - 1 do
+    if not (skipping && Bytes.unsafe_get skip i <> '\000') then begin
+      let d = if unif then 1. -. (Array.unsafe_get exit i *. s) else 0. in
       let lo = idx rp i and hi = idx rp (i + 1) - 1 in
-      let yb = i * k in
-      let c = ref 0 in
-      while !c + 4 <= k do
-        let c0 = !c in
-        let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+      if k = 1 then begin
+        let acc = ref 0. in
         for p = lo to hi do
-          let v = A1.unsafe_get vs p in
-          let b = (idx ci p * k) + c0 in
-          a0 := !a0 +. (v *. A1.unsafe_get xd b);
-          a1 := !a1 +. (v *. A1.unsafe_get xd (b + 1));
-          a2 := !a2 +. (v *. A1.unsafe_get xd (b + 2));
-          a3 := !a3 +. (v *. A1.unsafe_get xd (b + 3))
+          acc := !acc +. (A1.unsafe_get vs p *. A1.unsafe_get xd (idx ci p))
         done;
-        A1.unsafe_set yd (yb + c0) !a0;
-        A1.unsafe_set yd (yb + c0 + 1) !a1;
-        A1.unsafe_set yd (yb + c0 + 2) !a2;
-        A1.unsafe_set yd (yb + c0 + 3) !a3;
-        c := c0 + 4
-      done;
-      if !c + 2 <= k then begin
-        let c0 = !c in
-        let a0 = ref 0. and a1 = ref 0. in
-        for p = lo to hi do
-          let v = A1.unsafe_get vs p in
-          let b = (idx ci p * k) + c0 in
-          a0 := !a0 +. (v *. A1.unsafe_get xd b);
-          a1 := !a1 +. (v *. A1.unsafe_get xd (b + 1))
-        done;
-        A1.unsafe_set yd (yb + c0) !a0;
-        A1.unsafe_set yd (yb + c0 + 1) !a1;
-        c := c0 + 2
-      end;
-      if !c < k then begin
-        let c0 = !c in
-        let a0 = ref 0. in
-        for p = lo to hi do
-          a0 :=
-            !a0 +. (A1.unsafe_get vs p *. A1.unsafe_get xd ((idx ci p * k) + c0))
-        done;
-        A1.unsafe_set yd (yb + c0) !a0
+        store ~unif ~s yd xd d i !acc
       end
-    done
+      else begin
+        let yb = i * k in
+        let c = ref 0 in
+        while !c + 4 <= k do
+          let c0 = !c in
+          let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
+          for p = lo to hi do
+            let v = A1.unsafe_get vs p in
+            let b = (idx ci p * k) + c0 in
+            a0 := !a0 +. (v *. A1.unsafe_get xd b);
+            a1 := !a1 +. (v *. A1.unsafe_get xd (b + 1));
+            a2 := !a2 +. (v *. A1.unsafe_get xd (b + 2));
+            a3 := !a3 +. (v *. A1.unsafe_get xd (b + 3))
+          done;
+          store ~unif ~s yd xd d (yb + c0) !a0;
+          store ~unif ~s yd xd d (yb + c0 + 1) !a1;
+          store ~unif ~s yd xd d (yb + c0 + 2) !a2;
+          store ~unif ~s yd xd d (yb + c0 + 3) !a3;
+          c := c0 + 4
+        done;
+        if !c + 2 <= k then begin
+          let c0 = !c in
+          let a0 = ref 0. and a1 = ref 0. in
+          for p = lo to hi do
+            let v = A1.unsafe_get vs p in
+            let b = (idx ci p * k) + c0 in
+            a0 := !a0 +. (v *. A1.unsafe_get xd b);
+            a1 := !a1 +. (v *. A1.unsafe_get xd (b + 1))
+          done;
+          store ~unif ~s yd xd d (yb + c0) !a0;
+          store ~unif ~s yd xd d (yb + c0 + 1) !a1;
+          c := c0 + 2
+        end;
+        if !c < k then begin
+          let c0 = !c in
+          let a0 = ref 0. in
+          for p = lo to hi do
+            a0 := !a0 +. (A1.unsafe_get vs p *. A1.unsafe_get xd ((idx ci p * k) + c0))
+          done;
+          store ~unif ~s yd xd d (yb + c0) !a0
+        end
+      end
+    end
+  done
 
 (* --- Solver sweep kernels ----------------------------------------------
    One relaxation sweep of [a x = b]; the iteration/convergence logic

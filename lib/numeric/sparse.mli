@@ -84,7 +84,8 @@ val vec_mul_into : Vec.t -> t -> Vec.t -> unit
     decoded [(value, column)] pair feeds K fused multiply-adds from one
     cache line instead of re-reading the matrix K times. *)
 
-val mul_multi_into : t -> Multivec.t -> Multivec.t -> unit
+val mul_multi_into :
+  ?uniformize:Vec.t * float -> ?skip:Bytes.t -> t -> Multivec.t -> Multivec.t -> unit
 (** [mul_multi_into m x y] writes [m * x] into [y] column-wise, as a
     gather: entry [i] of each column is summed over row [i] of [m] in
     increasing column order, in local accumulators (a direct loop at
@@ -94,7 +95,18 @@ val mul_multi_into : t -> Multivec.t -> Multivec.t -> unit
     push-forward) call it on [transpose m]: the rows of a built
     transpose list their source states in increasing order, so for a
     finite [x] every entry comes out bit for bit as {!vec_mul} sums it. [x] and [y] must not
-    alias and must share their width. *)
+    alias and must share their width.
+
+    [~uniformize:(exit, lambda)] applies the uniformized operator
+    [I + (m - diag exit) / lambda] of a square rate matrix [m] on the
+    fly: entry [i] of each column becomes
+    [(1 - exit(i)/lambda) x(i) + (1/lambda) (sum_j m(i,j) x(j))], one
+    reciprocal serving both scalings. Called on [R] it is a backward
+    uniformization step, on [R^T] a forward one, with no scaled copy of
+    the matrix. [~skip] (one byte per row) leaves every row [i] with
+    [skip.[i] <> '\000'] ungathered: [y] keeps its entries there. Raises
+    [Invalid_argument] when [exit] or [skip] has the wrong length or
+    [uniformize] is given for a non-square matrix. *)
 
 (** {2 Relaxation sweep kernels}
 

@@ -721,12 +721,8 @@ let stats_json srv =
             a "batch_columns";
             a "weight_computes";
             a "weight_hits";
-            a "uniformized_builds";
-            a "uniformized_hits";
             a "steady_solves";
             a "steady_hits";
-            a "absorbed_builds";
-            a "absorbed_hits";
             a "lump_builds";
             a "lump_hits";
           ] );

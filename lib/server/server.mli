@@ -7,9 +7,9 @@
 
     - {b Model-hash session cache}: sessions are keyed by an FNV-1a
       content hash of the model source ({!Ctmc.Analysis.fnv1a64}), so
-      repeated requests for the same model share its uniformized matrix,
-      Fox–Glynn weights, absorbed chains, quotients and steady-state
-      vector instead of rebuilding the state space per request. A
+      repeated requests for the same model share its transposed rates,
+      Fox–Glynn weights, quotients and steady-state vector instead of
+      rebuilding the state space per request. A
       capacity-bounded LRU keeps the portfolio's working set resident.
     - {b Admission control}: every model is linted ({!Lint}) and every
       query parsed ({!Csl.Parser}) {e before} any state-space work;

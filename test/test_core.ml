@@ -1132,6 +1132,50 @@ let prop_survivability_monotone =
           s1 <= s2 +. 1e-9)
         levels)
 
+(* Survivability curves over an absorbing-row mask against the absorbed
+   chain: [Chain.absorbing], its [Chain.uniformized] P, and a plain
+   forward loop with the Fox-Glynn weights of its own rate *)
+let absorbed_psi_mass chain ~psi t =
+  let absorbed = Chain.absorbing chain ~pred:psi in
+  let lambda, p = Chain.uniformized absorbed in
+  let { Numeric.Fox_glynn.left; right; weights; _ } =
+    Numeric.Fox_glynn.compute ~epsilon:1e-12 (lambda *. t)
+  in
+  let acc = Array.make (Chain.states chain) 0. in
+  let v = ref (Chain.initial chain) in
+  for k = 0 to right do
+    if k >= left then
+      Array.iteri (fun i x -> acc.(i) <- acc.(i) +. (weights.(k - left) *. x)) !v;
+    if k < right then v := Numeric.Sparse.vec_mul !v p
+  done;
+  let mass = ref 0. in
+  Array.iteri (fun s x -> if psi s then mass := !mass +. x) acc;
+  !mass
+
+let prop_survivability_matches_absorbed =
+  QCheck.Test.make ~count:25
+    ~name:"random models: masked survivability = absorbed chain"
+    (QCheck.make random_model_gen)
+    (fun model ->
+      let failed =
+        match Model.component_names model with
+        | a :: b :: _ -> [ a; b ]
+        | other -> other
+      in
+      let m =
+        Measures.analyze ~initial:(Semantics.disaster_state model ~failed) model
+      in
+      let chain = (Measures.built m).Semantics.chain in
+      let times = [ 0.5; 4.; 30. ] in
+      List.for_all
+        (fun level ->
+          let psi = Semantics.service_at_least (Measures.built m) level in
+          List.for_all2
+            (fun t (_, p) -> Float.abs (p -. absorbed_psi_mass chain ~psi t) <= 1e-12)
+            times
+            (Measures.survivability_curve m ~service_level:level ~times))
+        (Model.service_levels model))
+
 (* ------------------------------------------------------------------ *)
 (* Golden chains: the state numbering and every CSR entry, bit for bit *)
 
@@ -1428,7 +1472,10 @@ let () =
         ] );
       ( "model-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_two_paths_agree; prop_measures_sane; prop_survivability_monotone ] );
+          [
+            prop_two_paths_agree; prop_measures_sane; prop_survivability_monotone;
+            prop_survivability_matches_absorbed;
+          ] );
       ( "to-prism",
         [
           Alcotest.test_case "fcfs agrees" `Quick test_to_prism_fcfs;

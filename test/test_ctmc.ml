@@ -64,20 +64,6 @@ let same_bits a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-let test_chain_uniformized_transposed () =
-  List.iter
-    (fun m ->
-      let _, p = Chain.uniformized m in
-      let pt = Chain.uniformized_transposed m in
-      let expected = Numeric.Sparse.transpose p in
-      Alcotest.(check int) "same entries" (Numeric.Sparse.nnz expected)
-        (Numeric.Sparse.nnz pt);
-      Alcotest.(check bool) "transpose bit for bit" true
-        (Array.for_all2 same_bits
-           (Numeric.Sparse.to_dense expected)
-           (Numeric.Sparse.to_dense pt)))
-    [ two_state 2. 3.; ring_chain () ]
-
 let test_chain_embedded () =
   let m = Chain.of_transitions ~states:3 [ (0, 1, 1.); (0, 2, 3.) ] in
   let e = Chain.embedded m in
@@ -712,6 +698,25 @@ let analysis_chain () =
       (3, 4, 2.5); (4, 3, 1.);
     ]
 
+(* [traced f] runs [f] with tracing on and returns its result with the
+   [(name, args)] of every span it recorded *)
+let traced f =
+  let path = Filename.temp_file "arcade_ctmc_spans" ".json" in
+  Obs.Trace.set_output (Some path);
+  let result = Fun.protect ~finally:(fun () -> Obs.Trace.flush ()) f in
+  Obs.Trace.set_output None;
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let module J = Server.Json in
+  let events = match J.parse text with J.List evs -> evs | _ -> [] in
+  ( result,
+    List.filter_map
+      (fun ev ->
+        match (J.string_field "name" ev, J.member "args" ev) with
+        | Some nm, args -> Some (nm, args)
+        | None, _ -> None)
+      events )
+
 let check_vec msg expected actual =
   Array.iteri
     (fun i e -> check_close (Printf.sprintf "%s[%d]" msg i) e actual.(i))
@@ -769,30 +774,56 @@ let test_analysis_hit_counters () =
   let m = analysis_chain () in
   let a = Analysis.create m in
   let query () = Transient.probability_at ~analysis:a m ~pred:(fun s -> s = 0) 2. in
-  let v1 = query () in
-  let s1 = Analysis.stats a in
-  Alcotest.(check int) "one uniformized build" 1 s1.Analysis.uniformized_builds;
-  Alcotest.(check int) "one weight compute" 1 s1.Analysis.weight_computes;
-  let v2 = query () in
+  let (v1, s1, v2), spans =
+    traced (fun () ->
+        let v1 = query () in
+        let s1 = Analysis.stats a in
+        (v1, s1, query ()))
+  in
   check_close "identical queries agree" v1 v2;
+  Alcotest.(check int) "one weight compute" 1 s1.Analysis.weight_computes;
   let s2 = Analysis.stats a in
-  Alcotest.(check int) "still one uniformized build" 1 s2.Analysis.uniformized_builds;
   Alcotest.(check int) "still one weight compute" 1 s2.Analysis.weight_computes;
-  Alcotest.(check bool) "matrix fetch was a hit" true
-    (s2.Analysis.uniformized_hits > s1.Analysis.uniformized_hits);
   Alcotest.(check bool) "weight fetch was a hit" true
-    (s2.Analysis.weight_hits > s1.Analysis.weight_hits)
+    (s2.Analysis.weight_hits > s1.Analysis.weight_hits);
+  (* both forward sweeps gather over the one cached R^T *)
+  let count name = List.length (List.filter (fun (nm, _) -> nm = name) spans) in
+  Alcotest.(check int) "two sweeps" 2 (count "analysis.mixture");
+  Alcotest.(check int) "one R^T per session" 1 (count "analysis.transpose_rates")
 
-let test_analysis_absorbed_cache () =
+(* time-bounded until asks [psi] once per state, and [phi] at most once
+   per state, per query: one class scan feeds the mask and the target
+   indicator, also under [~lump] *)
+let test_until_predicates_once () =
   let m = analysis_chain () in
+  let n = Chain.states m in
   let a = Analysis.create m in
-  let phi s = s <= 3 and psi s = s = 4 in
-  let v1 = Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:1. in
-  let v2 = Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:1. in
-  check_vec "identical queries agree" v1 v2;
-  let s = Analysis.stats a in
-  Alcotest.(check int) "one absorbed chain" 1 s.Analysis.absorbed_builds;
-  Alcotest.(check bool) "second query reuses it" true (s.Analysis.absorbed_hits >= 1)
+  let phi_calls = ref 0 and psi_calls = ref 0 in
+  let phi s = incr phi_calls; s <> 1 and psi s = incr psi_calls; s = 4 in
+  let check name query =
+    phi_calls := 0;
+    psi_calls := 0;
+    ignore (query ());
+    Alcotest.(check int) (name ^ ": psi once per state") n !psi_calls;
+    Alcotest.(check bool) (name ^ ": phi at most once per state") true
+      (!phi_calls <= n)
+  in
+  List.iter
+    (fun lump ->
+      let name what = Printf.sprintf "%s (lump %b)" what lump in
+      check (name "bounded until") (fun () ->
+          Reachability.bounded_until ~lump ~analysis:a m ~phi ~psi ~bound:1.);
+      check (name "from init") (fun () ->
+          [| Reachability.bounded_until_from_init ~lump ~analysis:a m ~phi ~psi
+               ~bound:1. |]);
+      check (name "curve") (fun () ->
+          Array.of_list
+            (List.map snd
+               (Reachability.bounded_until_curve ~lump ~analysis:a m ~phi ~psi
+                  ~bounds:[ 0.5; 1. ]))))
+    [ false; true ];
+  check "interval until" (fun () ->
+      Reachability.interval_until ~analysis:a m ~phi ~psi ~lower:0.5 ~upper:1.)
 
 let expect_invalid_arg msg f =
   match f () with
@@ -921,29 +952,6 @@ let test_analysis_quotient_measures_agree () =
     (Rewards.steady_state m ~reward)
     (Rewards.steady_state ~lump:true ~analysis:a m ~reward)
 
-let test_analysis_absorbed_hash_keys () =
-  (* unnamed predicates are cached by bitmap hash: equal bitmaps hit,
-     different bitmaps build, and no collision is miscounted as a hit *)
-  let m = analysis_chain () in
-  let a = Analysis.create m in
-  let sub1 = Analysis.absorbed a ~pred:(fun s -> s = 4) in
-  let sub2 = Analysis.absorbed a ~pred:(fun s -> s = 4) in
-  Alcotest.(check bool) "same predicate, same sub-session" true (sub1 == sub2);
-  let sub3 = Analysis.absorbed a ~pred:(fun s -> s >= 3) in
-  Alcotest.(check bool) "different predicate, different sub-session" true
-    (sub1 != sub3);
-  let s = Analysis.stats a in
-  Alcotest.(check int) "two absorbed builds" 2 s.Analysis.absorbed_builds;
-  Alcotest.(check int) "one absorbed hit" 1 s.Analysis.absorbed_hits;
-  Alcotest.(check int) "no collisions" 0 s.Analysis.absorbed_collisions;
-  (* one predicate evaluation per state, on a build and on a hit *)
-  let calls = ref 0 in
-  let counted s = incr calls; s <= 1 in
-  ignore (Analysis.absorbed a ~pred:counted);
-  Alcotest.(check int) "build: once per state" 5 !calls;
-  ignore (Analysis.absorbed a ~pred:counted);
-  Alcotest.(check int) "hit: once per state" 10 !calls
-
 let test_analysis_wrong_chain_ignored () =
   let m = analysis_chain () in
   let a = Analysis.create (two_state 1. 2.) in
@@ -951,7 +959,7 @@ let test_analysis_wrong_chain_ignored () =
     (Transient.distribution m 1.)
     (Transient.distribution ~analysis:a m 1.);
   let s = Analysis.stats a in
-  Alcotest.(check int) "foreign session untouched" 0 s.Analysis.uniformized_builds
+  Alcotest.(check int) "foreign session untouched" 0 s.Analysis.mixture_passes
 
 (* ------------------------------------------------------------------ *)
 (* The multi-time-point kernel: one shared sweep must match per-point
@@ -1323,10 +1331,16 @@ let curve_entry_points =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Exactness of the blocked gather: the batched kernel must reproduce, bit
-   for bit, the sweep spelled out one step at a time with the single-vector
-   scatter [Sparse.vec_mul] (forward) and gather [Sparse.mul_vec]
-   (backward) over the uniformized matrix P *)
+(* The on-the-fly gather against the explicit operator: the batched
+   kernel, which uniformizes the rates as it gathers, must reproduce the
+   sweep spelled out one step at a time with the single-vector scatter
+   [Sparse.vec_mul] (forward) and gather [Sparse.mul_vec] (backward) over
+   the uniformized matrix P, within 1e-12 — the scalings round
+   differently — at width 1 and at width k *)
+
+let close_within eps a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a b
 
 let reference_mixture m ~dir ~coeff start time =
   let lambda, p = Chain.uniformized m in
@@ -1364,20 +1378,25 @@ let check_batch_matches_reference ~dir starts () =
       let starts = starts n in
       List.iter
         (fun coeff ->
-          let results =
-            Analysis.poisson_mixture_batch (Analysis.create m) ~dir
+          let a = Analysis.create m in
+          let run starts =
+            Analysis.poisson_mixture_batch a ~dir
               (List.map (fun start -> { Analysis.start; coeff; times }) starts)
           in
+          let blocked = run starts
+          and solo = List.map (fun start -> List.hd (run [ start ])) starts in
           List.iteri
-            (fun s (start, vs) ->
+            (fun s (start, (vs, solo_vs)) ->
               List.iter2
-                (fun t v ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%d states, stream %d, t=%g" n s t)
-                    true
-                    (same_bits (reference_mixture m ~dir ~coeff start t) v))
-                times vs)
-            (List.combine starts results))
+                (fun t (v, solo_v) ->
+                  let reference = reference_mixture m ~dir ~coeff start t in
+                  let what = Printf.sprintf "%d states, stream %d, t=%g" n s t in
+                  Alcotest.(check bool) (what ^ ", width k") true
+                    (close_within 1e-12 reference v);
+                  Alcotest.(check bool) (what ^ ", width 1") true
+                    (close_within 1e-12 reference solo_v))
+                times (List.combine vs solo_vs))
+            (List.combine starts (List.combine blocked solo)))
         [ Analysis.Pmf; Analysis.Tail_over_lambda ])
     [ analysis_chain (); ring_chain () ]
 
@@ -1390,25 +1409,6 @@ let forward_starts n =
 let backward_starts n =
   List.init 4 (fun i -> Array.init n (fun s -> if s mod 4 = i then 1. else 0.))
   @ [ Array.init n (fun s -> float_of_int ((3 * s) mod 5) /. 7.) ]
-
-(* [traced f] runs [f] with tracing on and returns its result with the
-   [(name, args)] of every span it recorded *)
-let traced f =
-  let path = Filename.temp_file "arcade_ctmc_spans" ".json" in
-  Obs.Trace.set_output (Some path);
-  let result = Fun.protect ~finally:(fun () -> Obs.Trace.flush ()) f in
-  Obs.Trace.set_output None;
-  let text = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
-  let module J = Server.Json in
-  let events = match J.parse text with J.List evs -> evs | _ -> [] in
-  ( result,
-    List.filter_map
-      (fun ev ->
-        match (J.string_field "name" ev, J.member "args" ev) with
-        | Some nm, args -> Some (nm, args)
-        | None, _ -> None)
-      events )
 
 (* [mixture_spans f] is [f]'s result with the [(batch_width, streams)]
    attributes of every [analysis.mixture] and [mixture.sweep] span *)
@@ -1427,6 +1427,188 @@ let mixture_spans f =
       spans
   in
   (result, named "analysis.mixture", named "mixture.sweep")
+
+(* ------------------------------------------------------------------ *)
+(* Absorbing-row masks against the absorbed chain: a masked pass over the
+   session's own rates must match the plain P loop over
+   [Chain.absorbing] (its own lambda, its own P) within 1e-12 *)
+
+let absorbed_reference m ~absorbing ~dir ~coeff start t =
+  if t = 0. then
+    match coeff with
+    | Analysis.Pmf -> Vec.copy start
+    | Analysis.Tail_over_lambda -> Vec.zeros (Chain.states m)
+  else reference_mixture (Chain.absorbing m ~pred:absorbing) ~dir ~coeff start t
+
+let masked_gen =
+  QCheck.Gen.(
+    let* n, entries = chain_gen in
+    let flags weight = map Array.of_list (list_size (return n) weight) in
+    let* phi = flags (frequency [ (3, return true); (1, return false) ]) in
+    let* psi = flags (frequency [ (1, return true); (3, return false) ]) in
+    let* init = flags (float_range 0. 1.) in
+    return (n, entries, phi, psi, init))
+
+let masked_chain (n, entries, _, _, init) =
+  let total = Array.fold_left ( +. ) 0. init in
+  let init =
+    if total > 0. then Array.map (fun x -> x /. total) init else Vec.unit n 0
+  in
+  Chain.of_transitions ~init ~states:n entries
+
+let masked_times = [ 0.; 0.3; 1.7; 6. ]
+
+let prop_until_matches_absorbed =
+  QCheck.Test.make ~count:200 ~name:"until over a mask = absorbed-chain loop"
+    (QCheck.make masked_gen)
+    (fun ((n, entries, phi, psi, _) as case) ->
+      QCheck.assume (entries <> []);
+      let m = masked_chain case in
+      let phi s = phi.(s) and psi s = psi.(s) in
+      let absorbing s = psi s || not (phi s) in
+      let goal = Array.init n (fun s -> if psi s then 1. else 0.) in
+      let a = Analysis.create m in
+      List.for_all
+        (fun (t, p) ->
+          let pi =
+            absorbed_reference m ~absorbing ~dir:Analysis.Forward
+              ~coeff:Analysis.Pmf (Chain.initial m) t
+          in
+          Float.abs (p -. Vec.dot pi goal) <= 1e-12)
+        (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi
+           ~bounds:masked_times)
+      && List.for_all
+           (fun t ->
+             close_within 1e-12
+               (absorbed_reference m ~absorbing ~dir:Analysis.Backward
+                  ~coeff:Analysis.Pmf goal t)
+               (Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:t))
+           masked_times)
+
+(* the values face over a mask with a reward that is non-zero on both
+   sides of it, both coefficient kinds, both directions *)
+let prop_masked_values_match_absorbed =
+  QCheck.Test.make ~count:200 ~name:"masked values face = absorbed-chain loop"
+    (QCheck.make masked_gen)
+    (fun ((n, entries, _, psi, _) as case) ->
+      QCheck.assume (entries <> []);
+      let m = masked_chain case in
+      let absorbing s = psi.(s) in
+      let reward = Array.init n (fun s -> float_of_int ((3 * s) mod 5) +. 0.5) in
+      let a = Analysis.create m in
+      let mask = Analysis.absorbing a absorbing in
+      List.for_all
+        (fun (dir, start) ->
+          List.for_all
+            (fun coeff ->
+              match
+                Analysis.poisson_mixture_values ~absorbing:mask a ~dir
+                  [ ({ Analysis.start; coeff; times = masked_times }, reward) ]
+              with
+              | [ values ] ->
+                  List.for_all2
+                    (fun t x ->
+                      let v = absorbed_reference m ~absorbing ~dir ~coeff start t in
+                      let y = Vec.dot v reward in
+                      Float.abs (x -. y) <= 1e-12 *. Float.max 1. (Float.abs y))
+                    masked_times values
+              | _ -> false)
+            [ Analysis.Pmf; Analysis.Tail_over_lambda ])
+        [ (Analysis.Forward, Chain.initial m); (Analysis.Backward, reward) ])
+
+let test_mask_edge_cases () =
+  let m = analysis_chain () in
+  let n = Chain.states m in
+  let a = Analysis.create m in
+  let times = [ 0.4; 2.6 ] in
+  let reward = Array.init n (fun s -> float_of_int s +. 1.) in
+  let values ?absorbing dir start =
+    List.hd
+      (Analysis.poisson_mixture_values ?absorbing a ~dir
+         [ ({ Analysis.start; coeff = Analysis.Pmf; times }, reward) ])
+  in
+  (* an empty mask is no mask *)
+  let none = Analysis.absorbing a (fun _ -> false) in
+  List.iter
+    (fun (dir, start) ->
+      Alcotest.(check bool) "empty mask, values bit for bit" true
+        (same_bits
+           (Array.of_list (values dir start))
+           (Array.of_list (values ~absorbing:none dir start))))
+    [ (Analysis.Forward, Chain.initial m); (Analysis.Backward, reward) ];
+  Alcotest.(check bool) "empty mask, backward vectors bit for bit" true
+    (List.for_all2 same_bits
+       (List.hd
+          (Analysis.poisson_mixture_batch a ~dir:Analysis.Backward
+             [ { Analysis.start = reward; coeff = Analysis.Pmf; times } ]))
+       (List.hd
+          (Analysis.poisson_mixture_batch ~absorbing:none a ~dir:Analysis.Backward
+             [ { Analysis.start = reward; coeff = Analysis.Pmf; times } ])));
+  (* every state masked: the floor rate, and nothing moves *)
+  let phi _ = false and psi s = s >= 3 in
+  let init = Array.init n (fun s -> float_of_int (s + 1) /. 15.) in
+  let m' = Chain.with_init m init in
+  List.iter
+    (fun (_, p) -> check_close ~eps:1e-15 "all masked: psi mass stays" 0.6 p)
+    (Reachability.bounded_until_curve m' ~phi ~psi ~bounds:times);
+  check_vec "all masked: backward keeps the goal"
+    [| 0.; 0.; 0.; 1.; 1. |]
+    (Reachability.bounded_until m ~phi ~psi ~bound:2.6);
+  (* initial mass inside psi is reached at time 0 and kept (up to the
+     Fox-Glynn truncation) *)
+  let psi s = s = 1 in
+  List.iter
+    (fun (_, p) -> check_close ~eps:1e-12 "start in psi" 1. p)
+    (Reachability.bounded_until_curve (Chain.with_point_init m 1)
+       ~phi:(fun _ -> true) ~psi ~bounds:(0. :: times));
+  (* phi <> true: not-phi states absorb without counting; the masked
+     pass runs the absorbed chain's step count *)
+  let phi s = s <> 2 and psi s = s = 4 in
+  let absorbing s = psi s || not (phi s) in
+  let absorbed = Chain.absorbing m ~pred:absorbing in
+  let reference = Analysis.create absorbed in
+  let goal = Array.init n (fun s -> if psi s then 1. else 0.) in
+  let expected =
+    List.hd
+      (Analysis.poisson_mixture_values reference ~dir:Analysis.Forward
+         [ ({ Analysis.start = Chain.initial m; coeff = Analysis.Pmf; times }, goal) ])
+  in
+  let before = Analysis.stats a in
+  List.iter2
+    (fun e (_, p) -> check_close ~eps:1e-12 "phi constraint" e p)
+    expected
+    (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi ~bounds:times);
+  let after = Analysis.stats a in
+  Alcotest.(check int) "absorbed chain's step count"
+    (Analysis.stats reference).Analysis.mixture_steps
+    (after.Analysis.mixture_steps - before.Analysis.mixture_steps);
+  Alcotest.(check int) "one pass, one column" 1
+    (after.Analysis.batch_columns - before.Analysis.batch_columns);
+  (* the quotient respects phi and psi; the mask applies on it *)
+  let m = analysis_symmetric_chain () in
+  let phi s = s <> 3 and psi s = s = 1 || s = 2 in
+  let full = Analysis.create m and lumped = Analysis.create m in
+  List.iter2
+    (fun (_, p) (_, q) -> check_close ~eps:1e-12 "lumped curve" p q)
+    (Reachability.bounded_until_curve ~analysis:full m ~phi ~psi ~bounds:times)
+    (Reachability.bounded_until_curve ~lump:true ~analysis:lumped m ~phi ~psi
+       ~bounds:times);
+  Alcotest.(check bool) "lumped backward" true
+    (close_within 1e-12
+       (Reachability.bounded_until ~analysis:full m ~phi ~psi ~bound:1.7)
+       (Reachability.bounded_until ~lump:true ~analysis:lumped m ~phi ~psi
+          ~bound:1.7));
+  Alcotest.(check bool) "the quotient is smaller" true
+    ((Analysis.stats lumped).Analysis.lumped_states < Chain.states m);
+  (* a mask belongs to its session's chain, and a forward vector pass
+     takes none *)
+  expect_invalid_arg "mask of another chain" (fun () ->
+      Analysis.poisson_mixture_values ~absorbing:none (Analysis.create m)
+        ~dir:Analysis.Backward
+        [ ({ Analysis.start = Vec.zeros 4; coeff = Analysis.Pmf; times }, Vec.zeros 4) ]);
+  expect_invalid_arg "forward vector face" (fun () ->
+      Analysis.poisson_mixture_batch ~absorbing:none a ~dir:Analysis.Forward
+        [ { Analysis.start = Chain.initial (analysis_chain ()); coeff = Analysis.Pmf; times } ])
 
 let test_equal_starts_share_column () =
   let m = ring_chain () in
@@ -1701,8 +1883,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_chain_validation;
           Alcotest.test_case "accessors" `Quick test_chain_accessors;
           Alcotest.test_case "uniformized" `Quick test_chain_uniformized;
-          Alcotest.test_case "uniformized transposed" `Quick
-            test_chain_uniformized_transposed;
           Alcotest.test_case "embedded" `Quick test_chain_embedded;
           Alcotest.test_case "absorbing" `Quick test_chain_absorbing;
           Alcotest.test_case "restrict reachable" `Quick test_restrict_reachable;
@@ -1795,15 +1975,13 @@ let () =
           Alcotest.test_case "steady-state equivalence" `Quick
             test_analysis_steady_equiv;
           Alcotest.test_case "hit counters" `Quick test_analysis_hit_counters;
-          Alcotest.test_case "absorbed-chain cache" `Quick
-            test_analysis_absorbed_cache;
+          Alcotest.test_case "until predicates once per state" `Quick
+            test_until_predicates_once;
           Alcotest.test_case "foreign session ignored" `Quick
             test_analysis_wrong_chain_ignored;
           Alcotest.test_case "quotient cache" `Quick test_analysis_quotient_cache;
           Alcotest.test_case "quotient measures agree" `Quick
             test_analysis_quotient_measures_agree;
-          Alcotest.test_case "absorbed hash keys" `Quick
-            test_analysis_absorbed_hash_keys;
           Alcotest.test_case "weight cache hits on repeat" `Quick
             test_analysis_weights_cache_hit;
           Alcotest.test_case "nan keys rejected" `Quick
@@ -1844,6 +2022,10 @@ let () =
           Alcotest.test_case "signed zeros do not share" `Quick
             test_signed_zeros_do_not_share;
         ] );
+      ( "masked",
+        [ Alcotest.test_case "edge cases" `Quick test_mask_edge_cases ]
+        @ qsuite
+            [ prop_until_matches_absorbed; prop_masked_values_match_absorbed ] );
       ( "times",
         List.map
           (fun ((who, _) as entry) ->

@@ -814,8 +814,6 @@ let test_stats_registry_compat () =
     [
       ("analysis.steady_solves", s.Analysis.steady_solves);
       ("analysis.steady_hits", s.Analysis.steady_hits);
-      ("analysis.uniformized_builds", s.Analysis.uniformized_builds);
-      ("analysis.uniformized_hits", s.Analysis.uniformized_hits);
       ("analysis.weight_computes", s.Analysis.weight_computes);
       ("analysis.weight_hits", s.Analysis.weight_hits);
       ("analysis.mixture_passes", s.Analysis.mixture_passes);
