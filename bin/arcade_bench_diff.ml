@@ -13,7 +13,6 @@
    within threshold, 1 on regression, 2 on usage or parse errors. *)
 
 open Cmdliner
-module Json = Server.Json
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Failure msg)) fmt
 

@@ -4,7 +4,6 @@
    uniformization sweeps vs the one-query-per-request baseline). *)
 
 open Cmdliner
-module Json = Server.Json
 module Http = Server.Http
 
 (* The measure suite of the paper's evaluation, per request: two

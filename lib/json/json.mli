@@ -1,10 +1,10 @@
-(** A minimal JSON value type, parser and printer.
+(** A minimal JSON value type, parser and printer: the one codec behind
+    every JSON artifact (daemon replies, Chrome traces, metrics snapshots,
+    bench timings and history lines, load reports).
 
-    The dependency set has no JSON library; the server's wire format (and
-    the load generator's reports) need one. Covers all of RFC 8259 except
-    [\uXXXX] surrogate pairs (non-BMP escapes decode to U+FFFD); numbers
-    are IEEE doubles. NaN and infinities print as [null], matching the
-    convention of [Obs]'s emitters. *)
+    Covers all of RFC 8259 except [\uXXXX] surrogate pairs (non-BMP
+    escapes decode to U+FFFD); numbers are IEEE doubles, so integers up to
+    2{^53} round-trip exactly. NaN and infinities print as [null]. *)
 
 type t =
   | Null

@@ -8,34 +8,11 @@ external monotonic_ns : unit -> (int64[@unboxed])
   = "obs_monotonic_ns" "obs_monotonic_ns_unboxed"
 [@@noalloc]
 
-(* ------------------------------------------------------------------ *)
-(* Shared JSON helpers (no JSON library in the dependency set)        *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON has no NaN/Infinity literals; map them to null. *)
-let json_float x =
-  if Float.is_finite x then Printf.sprintf "%.17g" x else "null"
-
-let json_attr = function
-  | Int i -> string_of_int i
-  | Float x -> json_float x
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Bool b -> string_of_bool b
+let json_of_attr : attr -> Json.t = function
+  | Int i -> Num (float_of_int i)
+  | Float x -> Num x
+  | Str s -> Str s
+  | Bool b -> Bool b
 
 (* Each writer gets its own temp name (pid + per-process sequence), so
    concurrent flushes to the same path — two domains, or two processes —
@@ -310,54 +287,40 @@ module Metrics = struct
     end;
     Format.fprintf ppf "@]"
 
-  let to_json s =
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"counters\": {";
-    List.iteri
-      (fun i (name, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s\n    \"%s\": %d"
-             (if i = 0 then "" else ",")
-             (json_escape name) v))
-      s.counters;
-    Buffer.add_string buf "\n  },\n  \"gauges\": {";
-    List.iteri
-      (fun i (name, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s\n    \"%s\": %s"
-             (if i = 0 then "" else ",")
-             (json_escape name) (json_float v)))
-      s.gauges;
-    Buffer.add_string buf "\n  },\n  \"histograms\": {";
-    List.iteri
-      (fun i (name, h) ->
-        let floats a =
-          String.concat ", " (Array.to_list (Array.map json_float a))
-        in
-        let ints a =
-          String.concat ", " (Array.to_list (Array.map string_of_int a))
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%s\n    \"%s\": {\"bounds\": [%s], \"counts\": [%s], \
-              \"total\": %d, \"sum\": %s}"
-             (if i = 0 then "" else ",")
-             (json_escape name) (floats h.bounds) (ints h.counts) h.total
-             (json_float h.sum)))
-      s.histograms;
-    Buffer.add_string buf "\n  },\n  \"solves\": [";
-    List.iteri
-      (fun i v ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%s\n    {\"solver\": \"%s\", \"size\": %d, \"iterations\": %d, \
-              \"residual\": %s, \"converged\": %b}"
-             (if i = 0 then "" else ",")
-             (json_escape v.solver) v.size v.iterations (json_float v.residual)
-             v.converged))
-      s.solves;
-    Buffer.add_string buf "\n  ]\n}\n";
-    Buffer.contents buf
+  let to_json s : Json.t =
+    let int i = Json.Num (float_of_int i) in
+    let array f a = Json.List (Array.to_list (Array.map f a)) in
+    Obj
+      [
+        ("counters", Obj (List.map (fun (n, v) -> (n, int v)) s.counters));
+        ("gauges", Obj (List.map (fun (n, v) -> (n, Json.Num v)) s.gauges));
+        ( "histograms",
+          Obj
+            (List.map
+               (fun (name, h) ->
+                 ( name,
+                   Json.Obj
+                     [
+                       ("bounds", array Json.num h.bounds);
+                       ("counts", array int h.counts);
+                       ("total", int h.total);
+                       ("sum", Num h.sum);
+                     ] ))
+               s.histograms) );
+        ( "solves",
+          List
+            (List.map
+               (fun v ->
+                 Json.Obj
+                   [
+                     ("solver", Str v.solver);
+                     ("size", int v.size);
+                     ("iterations", int v.iterations);
+                     ("residual", Num v.residual);
+                     ("converged", Bool v.converged);
+                   ])
+               s.solves) );
+      ]
 
   (* ---------------------------------------------------------------- *)
   (* Prometheus text exposition (format 0.0.4)                        *)
@@ -741,43 +704,52 @@ module Trace = struct
             | None -> None);
         }
 
-  let event_json buf ev =
-    let us ns = Int64.to_float (Int64.sub ns t0) /. 1e3 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"name\": \"%s\", \"cat\": \"arcade\", \"ph\": \"%s\", \
-          \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d"
-         (json_escape ev.ev_name) ev.ph (us ev.ts)
-         (Int64.to_float ev.dur /. 1e3)
-         ev.tid);
-    (match ev.ph with
-    | "i" -> Buffer.add_string buf ", \"s\": \"t\""
-    | _ -> ());
+  (* One Chrome trace event; timestamps and durations in µs. *)
+  let event_json ev : Json.t =
+    let us ns = Json.Num (Int64.to_float ns /. 1e3) in
     let args =
-      ev.ev_attrs
+      List.map (fun (k, v) -> (k, json_of_attr v)) ev.ev_attrs
       @
       match ev.ev_trace with
       | None -> []
       | Some t ->
-          ("trace_id", Str t.tr_trace)
+          ("trace_id", Json.Str t.tr_trace)
           :: ("span_id", Str t.tr_span)
           ::
           (match t.tr_parent with
           | Some p -> [ ("parent_span_id", Str p) ]
           | None -> [])
     in
-    if args <> [] then begin
-      Buffer.add_string buf ", \"args\": {";
-      List.iteri
-        (fun i (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\"%s\": %s"
-               (if i = 0 then "" else ", ")
-               (json_escape k) (json_attr v)))
-        args;
-      Buffer.add_string buf "}"
-    end;
-    Buffer.add_string buf "}"
+    Obj
+      (List.concat
+         [
+           [
+             ("name", Json.Str ev.ev_name);
+             ("cat", Str "arcade");
+             ("ph", Str ev.ph);
+             ("ts", us (Int64.sub ev.ts t0));
+             ("dur", us ev.dur);
+             ("pid", Num 1.);
+             ("tid", Num (float_of_int ev.tid));
+           ];
+           (if ev.ph = "i" then [ ("s", Json.Str "t") ] else []);
+           (if args = [] then [] else [ ("args", Json.Obj args) ]);
+         ])
+
+  (* One event per line: the incremental flush appends lines, the
+     rewrite flush and the flight dump write a closed array of them. *)
+  let add_event buf ev = Buffer.add_string buf (Json.to_string (event_json ev))
+
+  let array_text events =
+    let buf = Buffer.create 65536 in
+    Buffer.add_string buf "[";
+    List.iteri
+      (fun i ev ->
+        Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+        add_event buf ev)
+      events;
+    Buffer.add_string buf "\n]\n";
+    Buffer.contents buf
 
   let gather_events () =
     Mutex.protect buffers_mutex (fun () ->
@@ -810,16 +782,8 @@ module Trace = struct
     match !output_path with
     | None -> ()
     | Some path ->
-        let events = List.sort by_ts (gather_events ()) in
-        let buf = Buffer.create 65536 in
-        Buffer.add_string buf "[";
-        List.iteri
-          (fun i ev ->
-            Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-            event_json buf ev)
-          events;
-        Buffer.add_string buf "\n]\n";
-        write_file_atomic path (Buffer.contents buf)
+        write_file_atomic path
+          (array_text (List.sort by_ts (gather_events ())))
 
   (* Incremental mode, for long-lived daemons: each flush drains the
      buffers and appends their events to the output file, which starts
@@ -861,7 +825,7 @@ module Trace = struct
                 (fun ev ->
                   Buffer.add_string buf
                     (if !inc_written = 0 then "\n" else ",\n");
-                  event_json buf ev;
+                  add_event buf ev;
                   incr inc_written)
                 events;
               Buffer.add_string buf "\n";
@@ -980,16 +944,8 @@ module Flight = struct
         ev_trace = None;
       }
     in
-    let events = List.sort Trace.by_ts events @ [ marker ] in
-    let buf = Buffer.create 65536 in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i ev ->
-        Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-        Trace.event_json buf ev)
-      events;
-    Buffer.add_string buf "\n]\n";
-    write_file_atomic !out_path (Buffer.contents buf);
+    write_file_atomic !out_path
+      (Trace.array_text (List.sort Trace.by_ts events @ [ marker ]));
     ignore (Atomic.fetch_and_add dump_total 1 : int);
     Metrics.incr m_dumps
 
@@ -1048,5 +1004,6 @@ let init () =
     | Some path ->
         Metrics.set_enabled true;
         at_exit (fun () ->
-            write_file_atomic path (Metrics.to_json (Metrics.snapshot ())))
+            write_file_atomic path
+              (Json.to_string (Metrics.to_json (Metrics.snapshot ())) ^ "\n"))
   end

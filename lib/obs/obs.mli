@@ -165,9 +165,10 @@ module Metrics : sig
 
   val pp : Format.formatter -> snapshot -> unit
 
-  val to_json : snapshot -> string
+  val to_json : snapshot -> Json.t
   (** The snapshot as one JSON object with [counters], [gauges],
-      [histograms] and [solves] members. *)
+      [histograms] and [solves] members; non-finite gauges, sums and
+      residuals print as [null]. *)
 
   val to_prometheus : snapshot -> string
   (** The snapshot in Prometheus text exposition format 0.0.4. Every

@@ -995,7 +995,7 @@ and handle_request srv fd req =
                 ~content_type:"text/plain; version=0.0.4; charset=utf-8"
                 ~status:200
                 (Obs.Metrics.to_prometheus snap)
-            else respond ~status:200 (Obs.Metrics.to_json snap);
+            else respond_json ~status:200 (Obs.Metrics.to_json snap);
             keep_alive
         | "POST", "/shutdown" ->
             respond_json ~keep_alive:false ~status:200

@@ -40,6 +40,9 @@
     for the full protocol. *)
 
 module Json = Json
+(** The wire codec: the leaf [json] library, re-exported for clients that
+    name it through the server. *)
+
 module Http = Http
 
 type config = {

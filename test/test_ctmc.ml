@@ -707,12 +707,11 @@ let traced f =
   Obs.Trace.set_output None;
   let text = In_channel.with_open_text path In_channel.input_all in
   Sys.remove path;
-  let module J = Server.Json in
-  let events = match J.parse text with J.List evs -> evs | _ -> [] in
+  let events = match Json.parse text with Json.List evs -> evs | _ -> [] in
   ( result,
     List.filter_map
       (fun ev ->
-        match (J.string_field "name" ev, J.member "args" ev) with
+        match (Json.string_field "name" ev, Json.member "args" ev) with
         | Some nm, args -> Some (nm, args)
         | None, _ -> None)
       events )
@@ -1415,8 +1414,8 @@ let backward_starts n =
 let mixture_spans f =
   let result, spans = traced f in
   let attr args key =
-    match Option.bind args (Server.Json.member key) with
-    | Some (Server.Json.Num x) -> int_of_float x
+    match Option.bind args (Json.member key) with
+    | Some (Json.Num x) -> int_of_float x
     | _ -> -1
   in
   let named name =

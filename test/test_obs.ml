@@ -1,9 +1,8 @@
 (* Tests for the Obs observability layer: Chrome-trace span export
-   (parsed back with a minimal JSON reader, since the dependency set has
-   no JSON library), the metrics registry and its cross-domain merging,
-   solver-convergence telemetry, the Analysis stats/registry agreement,
-   and the guarantee that enabling observability does not perturb
-   analysis results. *)
+   (parsed back with the shared Json codec), the metrics registry and its
+   cross-domain merging, solver-convergence telemetry, the Analysis
+   stats/registry agreement, and the guarantee that enabling
+   observability does not perturb analysis results. *)
 
 module Solver = Numeric.Solver
 module Sparse = Numeric.Sparse
@@ -11,166 +10,14 @@ module Chain = Ctmc.Chain
 module Analysis = Ctmc.Analysis
 module Experiments = Watertreatment.Experiments
 
-(* ------------------------------------------------------------------ *)
-(* A minimal JSON reader, enough to validate what Obs emits *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = Some c then incr pos
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let k = String.length word in
-    if !pos + k <= n && String.sub s !pos k = word then begin
-      pos := !pos + k;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-          incr pos;
-          Buffer.contents buf
-      | '\\' ->
-          incr pos;
-          if !pos >= n then fail "truncated escape";
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              pos := !pos + 4;
-              (* control characters only; good enough for our own output *)
-              Buffer.add_char buf (Char.chr (code land 0xff))
-          | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      incr pos
-    done;
-    if !pos = start then fail "expected a value";
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ((key, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                Jobj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or } in object"
-          in
-          members []
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jlist []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elems (v :: acc)
-            | Some ']' ->
-                incr pos;
-                Jlist (List.rev (v :: acc))
-            | _ -> fail "expected , or ] in array"
-          in
-          elems []
-        end
-    | Some _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function Jobj kvs -> List.assoc_opt key kvs | _ -> None
-
 let get_num key ev =
-  match member key ev with
-  | Some (Jnum x) -> x
+  match Json.member key ev with
+  | Some (Json.Num x) -> x
   | _ -> Alcotest.fail (Printf.sprintf "missing numeric member %S" key)
 
 let get_str key ev =
-  match member key ev with
-  | Some (Jstr x) -> x
+  match Json.member key ev with
+  | Some (Json.Str x) -> x
   | _ -> Alcotest.fail (Printf.sprintf "missing string member %S" key)
 
 let read_file path =
@@ -192,6 +39,25 @@ let spin () =
   done;
   ignore (Sys.opaque_identity !acc)
 
+(* [traced_events f] runs [f] with tracing on and parses the trace back *)
+let traced_events f =
+  let path = Filename.temp_file "arcade_obs_trace" ".json" in
+  Obs.Trace.set_output (Some path);
+  f ();
+  Obs.Trace.flush ();
+  Obs.Trace.set_output None;
+  let text = read_file path in
+  Sys.remove path;
+  match Json.parse text with
+  | Json.List evs -> evs
+  | _ -> Alcotest.fail "trace is not a JSON array"
+
+let named name ev = Json.member "name" ev = Some (Json.Str name)
+
+let count_named name events = List.length (List.filter (named name) events)
+
+let arg key ev = Option.bind (Json.member "args" ev) (Json.member key)
+
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
@@ -208,36 +74,32 @@ let test_trace_disabled () =
   Alcotest.(check int) "body still runs" 3 r
 
 let test_trace_roundtrip () =
-  let path = Filename.temp_file "arcade_obs_trace" ".json" in
-  Obs.Trace.set_output (Some path);
-  Alcotest.(check bool) "enabled" true (Obs.Trace.enabled ());
-  let result =
-    Obs.Trace.with_span "outer"
-      ~attrs:[ ("kind", Obs.Str "test") ]
-      (fun outer ->
-        Alcotest.(check bool) "span is live" true (Obs.Trace.recording outer);
-        Obs.Trace.add_attr outer "answer" (Obs.Int 42);
-        spin ();
-        Obs.Trace.instant "tick";
-        let v = Obs.Trace.with_span "inner" (fun _ -> spin (); 17) in
-        spin ();
-        v)
-  in
-  Alcotest.(check int) "body result" 17 result;
-  Obs.Trace.flush ();
-  Obs.Trace.set_output None;
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
-    | _ -> Alcotest.fail "trace is not a JSON array"
+    traced_events (fun () ->
+        Alcotest.(check bool) "enabled" true (Obs.Trace.enabled ());
+        let result =
+          Obs.Trace.with_span "outer"
+            ~attrs:[ ("kind", Obs.Str "test") ]
+            (fun outer ->
+              Alcotest.(check bool)
+                "span is live" true (Obs.Trace.recording outer);
+              Obs.Trace.add_attr outer "answer" (Obs.Int 42);
+              spin ();
+              Obs.Trace.instant "tick";
+              let v = Obs.Trace.with_span "inner" (fun _ -> spin (); 17) in
+              spin ();
+              v)
+        in
+        Alcotest.(check int) "body result" 17 result)
   in
-  Sys.remove path;
   Alcotest.(check bool) "trace has events" true (events <> []);
   List.iter
     (fun ev ->
       List.iter
         (fun k ->
-          Alcotest.(check bool) (k ^ " present") true (member k ev <> None))
+          Alcotest.(check bool)
+            (k ^ " present") true
+            (Json.member k ev <> None))
         [ "name"; "ph"; "ts"; "pid"; "tid" ])
     events;
   let ts = List.map (get_num "ts") events in
@@ -247,9 +109,7 @@ let test_trace_roundtrip () =
   in
   Alcotest.(check bool) "events ordered by timestamp" true (sorted ts);
   let find name =
-    match
-      List.find_opt (fun ev -> member "name" ev = Some (Jstr name)) events
-    with
+    match List.find_opt (named name) events with
     | Some ev -> ev
     | None -> Alcotest.fail (Printf.sprintf "no event named %S" name)
   in
@@ -266,15 +126,40 @@ let test_trace_roundtrip () =
   let t0 = get_num "ts" tick in
   Alcotest.(check bool) "instant inside outer" true
     (t0 +. slack >= o0 && t0 <= o0 +. odur +. slack);
-  match member "args" outer with
-  | Some (Jobj args) ->
+  match Json.member "args" outer with
+  | Some (Json.Obj args) ->
       Alcotest.(check bool)
         "creation attribute kept" true
-        (List.assoc_opt "kind" args = Some (Jstr "test"));
+        (List.assoc_opt "kind" args = Some (Json.Str "test"));
       Alcotest.(check bool)
         "added attribute kept" true
-        (List.assoc_opt "answer" args = Some (Jnum 42.))
+        (List.assoc_opt "answer" args = Some (Json.Num 42.))
   | _ -> Alcotest.fail "outer span lost its args"
+
+(* strings with quotes, backslashes and control characters come back byte
+   for byte; integers up to 2^53 come back exactly *)
+let test_trace_attrs_exact () =
+  let nasty = "q\"b\\n\nt\tc\x01 end" and big = 1 lsl 53 in
+  let events =
+    traced_events (fun () ->
+        Obs.Trace.with_span nasty
+          ~attrs:
+            [ ("text", Obs.Str nasty); ("big", Obs.Int big);
+              ("neg", Obs.Int (-big)) ]
+          ignore)
+  in
+  match List.filter (named nasty) events with
+  | [ ev ] ->
+      Alcotest.(check bool)
+        "string attribute" true
+        (arg "text" ev = Some (Json.Str nasty));
+      List.iter
+        (fun (key, want) ->
+          match arg key ev with
+          | Some (Json.Num x) -> Alcotest.(check int) key want (Float.to_int x)
+          | _ -> Alcotest.fail (key ^ " is not a number"))
+        [ ("big", big); ("neg", -big) ]
+  | _ -> Alcotest.fail "span name did not parse back byte for byte"
 
 (* ------------------------------------------------------------------ *)
 (* W3C trace-context *)
@@ -344,41 +229,28 @@ let test_traceparent_format_roundtrip () =
   | None -> Alcotest.fail "formatted traceparent does not parse back"
 
 let test_trace_context_propagation () =
-  let path = Filename.temp_file "arcade_obs_ctx" ".json" in
-  Obs.Trace.set_output (Some path);
   let ctx = Obs.Trace.new_context () in
-  Obs.Trace.with_context (Some ctx) (fun () ->
-      Alcotest.(check bool)
-        "ambient context installed" true
-        (Obs.Trace.current_context () = Some ctx);
-      Obs.Trace.with_span "ctx_root" ~ctx (fun _ ->
-          (* pool workers must re-install the submitter's context *)
-          ignore
-            (Numeric.Parallel.map ~domains:2
-               (fun i ->
-                 Obs.Trace.with_span "ctx_worker" (fun _ -> spin ());
-                 i)
-               [ 1; 2; 3; 4 ])));
-  Obs.Trace.flush ();
-  Obs.Trace.set_output None;
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
-    | _ -> Alcotest.fail "context trace is not a JSON array"
+    traced_events (fun () ->
+        Obs.Trace.with_context (Some ctx) (fun () ->
+            Alcotest.(check bool)
+              "ambient context installed" true
+              (Obs.Trace.current_context () = Some ctx);
+            Obs.Trace.with_span "ctx_root" ~ctx (fun _ ->
+                (* pool workers must re-install the submitter's context *)
+                ignore
+                  (Numeric.Parallel.map ~domains:2
+                     (fun i ->
+                       Obs.Trace.with_span "ctx_worker" (fun _ -> spin ());
+                       i)
+                     [ 1; 2; 3; 4 ]))))
   in
-  Sys.remove path;
-  let args_of ev =
-    match member "args" ev with Some (Jobj kvs) -> kvs | _ -> []
-  in
-  let named name ev = member "name" ev = Some (Jstr name) in
   (match List.find_opt (named "ctx_root") events with
   | Some ev ->
       Alcotest.(check bool)
         "root carries the caller-minted ids" true
-        (List.assoc_opt "trace_id" (args_of ev)
-         = Some (Jstr ctx.Obs.Trace.trace_id)
-        && List.assoc_opt "span_id" (args_of ev)
-           = Some (Jstr ctx.Obs.Trace.span_id))
+        (arg "trace_id" ev = Some (Json.Str ctx.Obs.Trace.trace_id)
+        && arg "span_id" ev = Some (Json.Str ctx.Obs.Trace.span_id))
   | None -> Alcotest.fail "no ctx_root span");
   let workers = List.filter (named "ctx_worker") events in
   Alcotest.(check bool) "worker spans recorded" true (workers <> []);
@@ -386,39 +258,28 @@ let test_trace_context_propagation () =
     (fun ev ->
       Alcotest.(check bool)
         "worker span joins the submitting trace" true
-        (List.assoc_opt "trace_id" (args_of ev)
-        = Some (Jstr ctx.Obs.Trace.trace_id)))
+        (arg "trace_id" ev = Some (Json.Str ctx.Obs.Trace.trace_id)))
     workers
 
 (* ------------------------------------------------------------------ *)
 (* Bounded buffers, output cycling, incremental flush *)
 
-let count_named name events =
-  List.length
-    (List.filter (fun ev -> member "name" ev = Some (Jstr name)) events)
-
 let test_trace_bounded_buffers () =
-  let path = Filename.temp_file "arcade_obs_bounded" ".json" in
-  Obs.Trace.set_output (Some path);
-  Obs.Trace.clear ();
-  Obs.Trace.set_buffer_capacity (Some 4);
-  Alcotest.(check bool)
-    "capacity readable" true
-    (Obs.Trace.buffer_capacity () = Some 4);
-  Alcotest.(check int) "clean slate" 0 (Obs.Trace.dropped_events ());
-  for i = 1 to 10 do
-    Obs.Trace.instant (Printf.sprintf "bounded_ev%d" i)
-  done;
-  Alcotest.(check int) "oldest six dropped" 6 (Obs.Trace.dropped_events ());
-  Obs.Trace.flush ();
-  Obs.Trace.set_buffer_capacity None;
-  Obs.Trace.set_output None;
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
-    | _ -> Alcotest.fail "bounded trace is not a JSON array"
+    traced_events (fun () ->
+        Obs.Trace.clear ();
+        Obs.Trace.set_buffer_capacity (Some 4);
+        Alcotest.(check bool)
+          "capacity readable" true
+          (Obs.Trace.buffer_capacity () = Some 4);
+        Alcotest.(check int) "clean slate" 0 (Obs.Trace.dropped_events ());
+        for i = 1 to 10 do
+          Obs.Trace.instant (Printf.sprintf "bounded_ev%d" i)
+        done;
+        Alcotest.(check int)
+          "oldest six dropped" 6 (Obs.Trace.dropped_events ()))
   in
-  Sys.remove path;
+  Obs.Trace.set_buffer_capacity None;
   Alcotest.(check int) "only the capacity survives" 4 (List.length events);
   List.iter
     (fun i ->
@@ -448,8 +309,8 @@ let test_trace_output_cycling () =
   Obs.Trace.flush ();
   Obs.Trace.set_output None;
   let parse path =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail (path ^ " is not a JSON array")
   in
   let e1 = parse p1 and e2 = parse p2 in
@@ -491,8 +352,8 @@ let test_trace_incremental_flush () =
     t ^ "]"
   in
   let events =
-    match parse_json closed with
-    | Jlist evs -> evs
+    match Json.parse closed with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "closed incremental trace is not a JSON array"
   in
   Alcotest.(check int) "first flush appended once" 1 (count_named "inc_a" events);
@@ -576,8 +437,8 @@ let test_flight_ring_dump () =
   Obs.Flight.dump ~reason:"unit_test" ();
   Alcotest.(check int) "dump counted" (n0 + 1) (Obs.Flight.dump_count ());
   let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
     | _ -> Alcotest.fail "flight dump is not a JSON array"
   in
   Alcotest.(check int) "ring kept the span" 1 (count_named "flight_span" events);
@@ -585,15 +446,15 @@ let test_flight_ring_dump () =
     (count_named "flight_tick" events);
   (match
      List.find_opt
-       (fun ev -> member "name" ev = Some (Jstr "flight.dump"))
+       (named "flight.dump")
        events
    with
   | Some marker -> (
-      match member "args" marker with
-      | Some (Jobj kvs) ->
+      match Json.member "args" marker with
+      | Some (Json.Obj kvs) ->
           Alcotest.(check bool)
             "marker carries the reason" true
-            (List.assoc_opt "reason" kvs = Some (Jstr "unit_test"))
+            (List.assoc_opt "reason" kvs = Some (Json.Str "unit_test"))
       | _ -> Alcotest.fail "flight.dump marker has no args")
   | None -> Alcotest.fail "no flight.dump marker");
   (* async-signal path: request only sets a flag, poll performs the dump *)
@@ -678,6 +539,7 @@ let test_metrics_json () =
   Obs.Metrics.reset ();
   let c = Obs.Metrics.counter "test.json_counter" in
   Obs.Metrics.add c 7;
+  Obs.Metrics.add (Obs.Metrics.counter "test.json_big") (1 lsl 53);
   Obs.Metrics.record_solve ~solver:"unit_test" ~size:3 ~iterations:12
     ~residual:1e-13 ~converged:true;
   Obs.Metrics.set_enabled false;
@@ -689,22 +551,55 @@ let test_metrics_json () =
       Alcotest.(check bool) "ring keeps convergence" true
         solve.Obs.Metrics.converged
   | None -> Alcotest.fail "recorded solve missing from ring");
-  match parse_json (Obs.Metrics.to_json snap) with
-  | Jobj members ->
+  match Json.parse (Json.to_string (Obs.Metrics.to_json snap)) with
+  | Json.Obj members ->
       List.iter
         (fun k ->
           Alcotest.(check bool) (k ^ " member") true (List.mem_assoc k members))
         [ "counters"; "gauges"; "histograms"; "solves" ];
       (match List.assoc "counters" members with
-      | Jobj cs ->
+      | Json.Obj cs ->
           Alcotest.(check bool)
             "counter serialized" true
-            (List.assoc_opt "test.json_counter" cs = Some (Jnum 7.))
+            (List.assoc_opt "test.json_counter" cs = Some (Json.Num 7.));
+          Alcotest.(check bool)
+            "2^53 counter exact" true
+            (List.assoc_opt "test.json_big" cs = Some (Json.Num 0x1p53))
       | _ -> Alcotest.fail "counters member is not an object");
       (match List.assoc "solves" members with
-      | Jlist (_ :: _) -> ()
+      | Json.List (_ :: _) -> ()
       | _ -> Alcotest.fail "solves member is not a non-empty array")
   | _ -> Alcotest.fail "snapshot JSON is not an object"
+
+let test_metrics_json_nonfinite () =
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  List.iter
+    (fun (name, x) -> Obs.Metrics.set_gauge (Obs.Metrics.gauge name) x)
+    [ ("test.nan", Float.nan); ("test.inf", Float.infinity);
+      ("test.neg_inf", Float.neg_infinity) ];
+  Obs.Metrics.observe (Obs.Metrics.histogram "test.nan_hist") Float.nan;
+  Obs.Metrics.observe (Obs.Metrics.histogram "test.inf_hist") Float.infinity;
+  Obs.Metrics.set_enabled false;
+  let json =
+    Json.parse (Json.to_string (Obs.Metrics.to_json (Obs.Metrics.snapshot ())))
+  in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool)
+        (String.concat " " path ^ " is null")
+        true
+        (List.fold_left
+           (fun j key -> Option.bind j (Json.member key))
+           (Some json) path
+        = Some Json.Null))
+    [
+      [ "gauges"; "test.nan" ];
+      [ "gauges"; "test.inf" ];
+      [ "gauges"; "test.neg_inf" ];
+      [ "histograms"; "test.nan_hist"; "sum" ];
+      [ "histograms"; "test.inf_hist"; "sum" ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver telemetry *)
@@ -905,13 +800,11 @@ let test_obs_invariance () =
       figure_values (Experiments.fig4 ~points:3 ()) )
   in
   let base3, base4 = run () in
-  let path = Filename.temp_file "arcade_obs_invariance" ".json" in
-  Obs.Trace.set_output (Some path);
+  let observed = ref ([], []) in
   Obs.Metrics.set_enabled true;
-  let obs3, obs4 = run () in
-  Obs.Trace.flush ();
-  Obs.Trace.set_output None;
+  let events = traced_events (fun () -> observed := run ()) in
   Obs.Metrics.set_enabled false;
+  let obs3, obs4 = !observed in
   let check_same label xs ys =
     Alcotest.(check int) (label ^ " same size") (List.length xs)
       (List.length ys);
@@ -921,18 +814,7 @@ let test_obs_invariance () =
   in
   check_same "fig3" base3 obs3;
   check_same "fig4" base4 obs4;
-  let events =
-    match parse_json (read_file path) with
-    | Jlist evs -> evs
-    | _ -> Alcotest.fail "experiment trace is not a JSON array"
-  in
-  Sys.remove path;
-  let has name =
-    List.exists
-      (fun ev ->
-        match member "name" ev with Some (Jstr s) -> s = name | _ -> false)
-      events
-  in
+  let has name = List.exists (named name) events in
   Alcotest.(check bool) "fig3 artifact span" true (has "experiment.fig3");
   Alcotest.(check bool) "fig4 artifact span" true (has "experiment.fig4");
   Alcotest.(check bool) "mixture span" true (has "analysis.mixture");
@@ -953,6 +835,8 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_trace_disabled;
           Alcotest.test_case "chrome-trace roundtrip" `Quick
             test_trace_roundtrip;
+          Alcotest.test_case "attributes round-trip exactly" `Quick
+            test_trace_attrs_exact;
         ] );
       ( "trace-context",
         [
@@ -989,6 +873,8 @@ let () =
             test_metrics_counters_domains;
           Alcotest.test_case "histogram buckets" `Quick test_metrics_histogram;
           Alcotest.test_case "snapshot json" `Quick test_metrics_json;
+          Alcotest.test_case "non-finite prints null" `Quick
+            test_metrics_json_nonfinite;
         ] );
       ( "atomic-write",
         [

@@ -2,7 +2,6 @@
    control, session caching and batching amortization — everything over a
    real socket against a server on an ephemeral port. *)
 
-module Json = Server.Json
 module Http = Server.Http
 
 let contains hay needle =
