@@ -1,5 +1,4 @@
 module Vec = Numeric.Vec
-module Sparse = Numeric.Sparse
 
 (* For non-target states s with almost-sure absorption:
      t(s) = rho(s) / E(s) + sum_{s'} P_emb(s, s') t(s')
@@ -12,46 +11,27 @@ let expected_reward_to ?(tol = 1e-13) ?analysis m ~reward ~psi =
   let reach = Reachability.eventually ~tol ~analysis:a m ~psi in
   let result = Vec.create n infinity in
   let certain = Array.init n (fun s -> reach.(s) >= 1. -. 1e-9) in
-  let solve_states =
-    Array.init n (fun s -> certain.(s) && not (psi s))
-  in
-  let index = Array.make n (-1) in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    if solve_states.(s) then begin
-      index.(s) <- !count;
-      incr count
-    end
-  done;
   for s = 0 to n - 1 do
     if psi s then result.(s) <- 0.
   done;
-  let nm = !count in
-  if nm > 0 then begin
-    let exits = Chain.exit_rates m in
-    let emb = Analysis.embedded a in
-    let b = Sparse.Builder.create ~rows:nm ~cols:nm in
-    let rhs = Vec.zeros nm in
-    let states = Array.make nm 0 in
-    for s = 0 to n - 1 do
-      if solve_states.(s) then begin
-        (* a state certain to reach psi and not in psi must have exits *)
-        assert (exits.(s) > 0.);
-        states.(index.(s)) <- s;
-        rhs.(index.(s)) <- reward.(s) /. exits.(s);
-        Sparse.Builder.add b index.(s) index.(s) 1.;
-        Sparse.iter_row emb s (fun j p ->
-            if solve_states.(j) then Sparse.Builder.add b index.(s) index.(j) (-.p))
-      end
-    done;
-    let order = Analysis.scc_solve_order a states in
-    let x, _ =
-      Numeric.Solver.solve_gauss_seidel ~tol ~order (Sparse.Builder.to_csr b) rhs
-    in
-    for s = 0 to n - 1 do
-      if solve_states.(s) then result.(s) <- x.(index.(s))
-    done
-  end;
+  (match
+     Analysis.restricted_system a
+       (fun s -> certain.(s) && not (psi s))
+       ~rhs:Vec.zeros ~leave:(fun _ _ _ _ -> ())
+   with
+  | None -> ()
+  | Some ({ Analysis.states; matrix; order }, rhs) ->
+      let exits = Chain.exit_rates m in
+      Array.iteri
+        (fun i s ->
+          (* a state certain to reach psi and not in psi must have exits *)
+          assert (exits.(s) > 0.);
+          rhs.(i) <- reward.(s) /. exits.(s))
+        states;
+      let x, _ =
+        Numeric.Solver.solve_gauss_seidel ~tol ~order matrix rhs
+      in
+      Array.iteri (fun i s -> result.(s) <- x.(i)) states);
   result
 
 let expected_time_to ?tol ?analysis m ~psi =

@@ -190,6 +190,46 @@ let scc_solve_order t states =
     order;
   order
 
+type restricted = { states : int array; matrix : Sparse.t; order : int array }
+
+(* The row numbering and the entry order (diagonal first, then the
+   embedded row in order) fix the CSR layout, and with it every
+   Gauss–Seidel iterate of unbounded until, mean time to absorption and
+   the BSCC weights. An empty S touches neither the embedded matrix nor
+   the SCCs. *)
+let restricted_system t inside ~rhs ~leave =
+  let n = Chain.states t.chain in
+  let index = Array.make n (-1) in
+  let count = ref 0 in
+  for s = 0 to n - 1 do
+    if inside s then begin
+      index.(s) <- !count;
+      incr count
+    end
+  done;
+  let dim = !count in
+  if dim = 0 then None
+  else begin
+    let emb = embedded t in
+    let b = Sparse.Builder.create ~rows:dim ~cols:dim in
+    let r = rhs dim in
+    let states = Array.make dim 0 in
+    for s = 0 to n - 1 do
+      let i = index.(s) in
+      if i >= 0 then begin
+        states.(i) <- s;
+        Sparse.Builder.add b i i 1.;
+        Sparse.iter_row emb s (fun j p ->
+            if index.(j) >= 0 then Sparse.Builder.add b i index.(j) (-.p)
+            else leave r i j p)
+      end
+    done;
+    Some
+      ( { states; matrix = Sparse.Builder.to_csr b;
+          order = scc_solve_order t states },
+        r )
+  end
+
 let default_epsilon = 1e-12
 
 (* The weight and steady-state caches are keyed by floats under generic

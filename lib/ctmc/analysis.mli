@@ -64,16 +64,34 @@ val bottom_sccs : t -> int array array
 
 val is_irreducible : t -> bool
 
-val scc_solve_order : t -> int array -> int array
-(** [scc_solve_order t states] is a Gauss–Seidel update order (a
-    permutation of [0 .. Array.length states - 1]) for an [(I - A)]
-    linear system whose row [i] concerns original state [states.(i)]:
-    rows sorted by the Tarjan component index of their state (ties keep
-    the natural order). Since component indices reverse-topologically
-    order the condensation, ascending order updates a state's successors
-    before the state itself, which collapses the sweep count on DAG-like
-    subgraphs (e.g. reachability systems of acyclic reliability models).
-    Uses the session-cached {!sccs}. *)
+type restricted = {
+  states : int array;  (** row [i] of the system solves state [states.(i)] *)
+  matrix : Numeric.Sparse.t;  (** [I - A_S] *)
+  order : int array;  (** the SCC Gauss–Seidel update order of the rows *)
+}
+(** An [(I - A_S) x = b] system over the embedded jump matrix [A]
+    restricted to a state set [S]. *)
+
+val restricted_system :
+  t ->
+  (int -> bool) ->
+  rhs:(int -> 'r) ->
+  leave:('r -> int -> int -> float -> unit) ->
+  (restricted * 'r) option
+(** [restricted_system t inside ~rhs ~leave] builds the system over
+    [S = { s | inside s }]: rows are numbered in state order, and row [i]
+    stores its diagonal [1.] followed by [-p] for each embedded step
+    [states.(i) -> j] with [j] in [S], in row order. [rhs dim] creates
+    the caller's right-hand side; every embedded step [states.(i) -> j]
+    that leaves [S] is handed to [leave rhs i j p] in the same pass.
+    [order] sorts the rows by the Tarjan component index of their state
+    (ties keep the natural order): component indices reverse-
+    topologically order the condensation, so ascending order updates a
+    state's successors before the state itself, which collapses the
+    Gauss–Seidel sweep count on DAG-like subgraphs (e.g. reachability
+    systems of acyclic reliability models). Uses the session-cached
+    {!embedded} matrix and {!sccs}. [None] when [S] is empty, without
+    building either. *)
 
 val cached_steady : t -> tol:float -> (unit -> Numeric.Vec.t) -> Numeric.Vec.t
 (** [cached_steady t ~tol compute] returns the memoized steady-state vector

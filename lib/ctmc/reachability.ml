@@ -1,5 +1,4 @@
 module Vec = Numeric.Vec
-module Sparse = Numeric.Sparse
 
 (* The CSL reduction of [phi U<=t psi] makes the psi and the not-phi
    states absorbing. [masked] evaluates [psi] and [phi] once per state,
@@ -98,43 +97,21 @@ let unbounded_until ?(tol = 1e-13) ?(scc_order = true) ?analysis m ~phi ~psi =
       (List.filter psi (List.init n Fun.id))
   in
   let maybe = Array.init n (fun s -> (not (psi s)) && phi s && can_reach.(s)) in
-  let index = Array.make n (-1) in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    if maybe.(s) then begin
-      index.(s) <- !count;
-      incr count
-    end
-  done;
-  let nm = !count in
   for s = 0 to n - 1 do
     if psi s then result.(s) <- 1.
   done;
-  if nm > 0 then begin
-    let emb = Analysis.embedded a in
-    (* (I - A) x = b *)
-    let b = Sparse.Builder.create ~rows:nm ~cols:nm in
-    let rhs = Vec.zeros nm in
-    let states = Array.make nm 0 in
-    for s = 0 to n - 1 do
-      if maybe.(s) then begin
-        states.(index.(s)) <- s;
-        Sparse.Builder.add b index.(s) index.(s) 1.;
-        Sparse.iter_row emb s (fun j p ->
-            if psi j then rhs.(index.(s)) <- rhs.(index.(s)) +. p
-            else if maybe.(j) then Sparse.Builder.add b index.(s) index.(j) (-.p))
-      end
-    done;
-    (* sweeping successors-first (SCC topological order) collapses the
-       iteration count on DAG-like phi-regions *)
-    let order = if scc_order then Some (Analysis.scc_solve_order a states) else None in
-    let x, _ =
-      Numeric.Solver.solve_gauss_seidel ~tol ?order (Sparse.Builder.to_csr b) rhs
-    in
-    for s = 0 to n - 1 do
-      if maybe.(s) then result.(s) <- x.(index.(s))
-    done
-  end;
+  (* (I - A) x = b, b the one-step probability into psi *)
+  (match
+     Analysis.restricted_system a (fun s -> maybe.(s)) ~rhs:Vec.zeros
+       ~leave:(fun rhs i j p -> if psi j then rhs.(i) <- rhs.(i) +. p)
+   with
+  | None -> ()
+  | Some ({ Analysis.states; matrix; order }, rhs) ->
+      (* sweeping successors-first (SCC topological order) collapses the
+         iteration count on DAG-like phi-regions *)
+      let order = if scc_order then Some order else None in
+      let x, _ = Numeric.Solver.solve_gauss_seidel ~tol ?order matrix rhs in
+      Array.iteri (fun i s -> result.(s) <- x.(i)) states);
   result
 
 let eventually ?tol ?scc_order ?analysis m ~psi =

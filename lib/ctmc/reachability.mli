@@ -86,7 +86,7 @@ val unbounded_until :
     (cannot reach [psi] within [phi]) are identified graph-theoretically
     before solving, so the linear system is non-singular. [scc_order]
     (default [true]) sweeps the Gauss–Seidel solve in SCC topological
-    order ({!Analysis.scc_solve_order}), which converges in a handful of
+    order ({!Analysis.restricted_system}), which converges in a handful of
     sweeps on DAG-like models; pass [false] for the natural state order
     (same fixpoint, more sweeps). *)
 

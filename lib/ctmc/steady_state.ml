@@ -1,5 +1,4 @@
 module Vec = Numeric.Vec
-module Sparse = Numeric.Sparse
 module Multivec = Numeric.Multivec
 
 (* Matches the Numeric.Solver iterative-solver default; used as the cache
@@ -58,7 +57,6 @@ let add_local_solution ?tol m members weight result =
    transient set) and the blocked sweep decodes the matrix once for all
    classes, in SCC topological order. *)
 let bscc_weights ?tol a m bsccs in_bscc =
-  let n = Chain.states m in
   let nb = Array.length bsccs in
   let init = Chain.initial m in
   let weights = Array.make nb 0. in
@@ -69,45 +67,30 @@ let bscc_weights ?tol a m bsccs in_bscc =
         if in_bscc.(s) >= 0 then weights.(in_bscc.(s)) <- weights.(in_bscc.(s)) +. p
         else transient_mass := !transient_mass +. p)
     init;
-  let index = Array.make n (-1) in
-  let count = ref 0 in
-  for s = 0 to n - 1 do
-    if in_bscc.(s) < 0 then begin
-      index.(s) <- !count;
-      incr count
-    end
-  done;
-  let nt = !count in
-  if nt > 0 && !transient_mass > 0. then begin
-    let emb = Analysis.embedded a in
-    let bld = Sparse.Builder.create ~rows:nt ~cols:nt in
-    let rhs = Multivec.create ~dim:nt ~width:nb in
-    let states = Array.make nt 0 in
-    for s = 0 to n - 1 do
-      if in_bscc.(s) < 0 then begin
-        states.(index.(s)) <- s;
-        Sparse.Builder.add bld index.(s) index.(s) 1.;
-        Sparse.iter_row emb s (fun j p ->
-            let c = in_bscc.(j) in
-            if c >= 0 then
-              Multivec.set rhs index.(s) c (Multivec.get rhs index.(s) c +. p)
-            else Sparse.Builder.add bld index.(s) index.(j) (-.p))
-      end
-    done;
-    let order = Analysis.scc_solve_order a states in
-    let tol = Option.value tol ~default:1e-13 in
-    let x, _ =
-      Numeric.Solver.solve_gauss_seidel_multi ~tol ~order
-        (Sparse.Builder.to_csr bld) rhs
-    in
-    Array.iteri
-      (fun s p ->
-        if p <> 0. && in_bscc.(s) < 0 then
-          for c = 0 to nb - 1 do
-            weights.(c) <- weights.(c) +. (p *. Multivec.get x index.(s) c)
-          done)
-      init
-  end;
+  (if !transient_mass > 0. then
+     match
+       Analysis.restricted_system a
+         (fun s -> in_bscc.(s) < 0)
+         ~rhs:(fun dim -> Multivec.create ~dim ~width:nb)
+         ~leave:(fun rhs i j p ->
+           let c = in_bscc.(j) in
+           Multivec.set rhs i c (Multivec.get rhs i c +. p))
+     with
+     | None -> ()
+     | Some ({ Analysis.states; matrix; order }, rhs) ->
+         let tol = Option.value tol ~default:1e-13 in
+         let x, _ =
+           Numeric.Solver.solve_gauss_seidel_multi ~tol ~order
+             matrix rhs
+         in
+         Array.iteri
+           (fun i s ->
+             let p = init.(s) in
+             if p <> 0. then
+               for c = 0 to nb - 1 do
+                 weights.(c) <- weights.(c) +. (p *. Multivec.get x i c)
+               done)
+           states);
   weights
 
 let solve_fresh ?tol a m =

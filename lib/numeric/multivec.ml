@@ -47,10 +47,6 @@ let check_same_shape name a b =
       (Printf.sprintf "Multivec.%s: shape mismatch (%dx%d vs %dx%d)" name
          a.mv_dim a.mv_width b.mv_dim b.mv_width)
 
-let blit ~src ~dst =
-  check_same_shape "blit" src dst;
-  A1.blit src.buf dst.buf
-
 let of_cols cols =
   let k = Array.length cols in
   if k = 0 then invalid_arg "Multivec.of_cols: no columns";
@@ -168,21 +164,6 @@ let max_norms v =
     for c = 0 to k - 1 do
       let x = Float.abs (A1.unsafe_get v.buf (base + c)) in
       if x > Array.unsafe_get out c then Array.unsafe_set out c x
-    done
-  done;
-  out
-
-let linf_distances a b =
-  check_same_shape "linf_distances" a b;
-  let k = a.mv_width in
-  let out = Array.make k 0. in
-  for i = 0 to a.mv_dim - 1 do
-    let base = i * k in
-    for c = 0 to k - 1 do
-      let d =
-        Float.abs (A1.unsafe_get a.buf (base + c) -. A1.unsafe_get b.buf (base + c))
-      in
-      if d > Array.unsafe_get out c then Array.unsafe_set out c d
     done
   done;
   out

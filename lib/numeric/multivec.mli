@@ -40,9 +40,6 @@ val fill : t -> float -> unit
 
 val copy : t -> t
 
-val blit : src:t -> dst:t -> unit
-(** Copy [src] into [dst]; both shapes must match. *)
-
 val of_cols : Vec.t array -> t
 (** Pack an array of equal-length vectors as the columns of a fresh
     multivector. Raises [Invalid_argument] on an empty array or ragged
@@ -85,10 +82,6 @@ val scale_uniform : float -> t -> unit
 
 val max_norms : t -> float array
 (** Per-column max norm [max_i |v(i, c)|]. *)
-
-val linf_distances : t -> t -> float array
-(** Per-column max-norm distance between two multivectors of equal
-    shape. *)
 
 val abs_row_sum_max : t -> float
 (** [max_i sum_c |v(i, c)|] — the matrix infinity norm when the

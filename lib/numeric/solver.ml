@@ -24,28 +24,6 @@ let () =
              solver max_iter info.residual)
     | _ -> None)
 
-(* Every solve — converged or not — is reported the same way: to the
-   caller's [?obs] hook, to the metrics registry (per-solver counters,
-   last-residual gauge, residual histogram, recent-solve ring) and onto
-   the enclosing trace span. Only then does non-convergence raise, so
-   iteration counts and final residuals are never discarded. *)
-let finish ?obs ~solver ~size ~max_iter span (c : convergence) =
-  (match obs with Some f -> f c | None -> ());
-  Obs.Metrics.record_solve ~solver ~size ~iterations:c.iterations
-    ~residual:c.residual ~converged:c.converged;
-  if Obs.Trace.recording span then begin
-    Obs.Trace.add_attr span "iterations" (Obs.Int c.iterations);
-    Obs.Trace.add_attr span "residual" (Obs.Float c.residual);
-    Obs.Trace.add_attr span "converged" (Obs.Bool c.converged)
-  end;
-  if not c.converged then raise (Did_not_converge { solver; max_iter; info = c })
-
-let span_states solver size f =
-  Obs.Trace.with_span ("solver." ^ solver) (fun span ->
-      if Obs.Trace.recording span then
-        Obs.Trace.add_attr span "states" (Obs.Int size);
-      f span)
-
 let diagonal a =
   let n = Sparse.rows a in
   let d = Vec.zeros n in
@@ -95,7 +73,7 @@ let fired ~tol ~rel_tol ~scale delta =
     | Some r when delta <= r *. scale -> Some Relative
     | _ -> None
 
-(* Per-column iteration counts of the multi-RHS solvers: the regression
+(* Per-column iteration counts of every iterating solve: the regression
    oracle for SCC ordering (ordered sweeps should shift this histogram
    left). *)
 let column_iterations =
@@ -103,76 +81,32 @@ let column_iterations =
     ~buckets:[| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 5000. |]
     "solver.column_iterations"
 
-let solve_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs
-    ?order ?x0 a b =
-  let n = Sparse.rows a in
-  if Sparse.cols a <> n || Vec.dim b <> n then
-    invalid_arg "Solver.solve_gauss_seidel: dimension mismatch";
-  let d = diagonal a in
-  check_diagonal "solve_gauss_seidel" d;
-  check_order "solve_gauss_seidel" n order;
-  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
-  span_states "gauss_seidel" n @@ fun span ->
-  let rec sweep iter =
-    let delta = Sparse.gauss_seidel_sweep ?order a ~diag:d ~b ~x in
-    let scale = if rel_tol = None then 0. else max_abs x in
-    match fired ~tol ~rel_tol ~scale delta with
-    | Some crit ->
-        { iterations = iter; residual = delta; converged = true;
-          criterion = Some crit }
-    | None ->
-        if iter >= max_iter then
-          { iterations = iter; residual = delta; converged = false;
-            criterion = None }
-        else sweep (iter + 1)
-  in
-  let c = sweep 1 in
-  finish ?obs ~solver:"gauss_seidel" ~size:n ~max_iter span c;
-  (x, c)
+(* The one sweep loop behind every solver. [sweep deltas] performs one
+   relaxation sweep over all [width] columns and writes each column's
+   max-norm change into [deltas]; [scales ()] is the per-column max norm
+   of the iterate after it, read only under [rel_tol]. All columns
+   iterate together — one matrix pass per sweep regardless of width —
+   and each keeps its own record: [done_at.(c)] is the sweep at which
+   column [c] (most recently) entered the converged state.
 
-let solve_jacobi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs ?x0 a b =
-  let n = Sparse.rows a in
-  if Sparse.cols a <> n || Vec.dim b <> n then
-    invalid_arg "Solver.solve_jacobi: dimension mismatch";
-  let d = diagonal a in
-  check_diagonal "solve_jacobi" d;
-  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
-  let x' = Vec.zeros n in
-  span_states "jacobi" n @@ fun span ->
-  let rec sweep iter =
-    Sparse.jacobi_sweep a ~diag:d ~b ~x ~x';
-    let delta = Vec.linf_distance x x' in
-    Vec.blit ~src:x' ~dst:x;
-    let scale = if rel_tol = None then 0. else max_abs x in
-    match fired ~tol ~rel_tol ~scale delta with
-    | Some crit ->
-        { iterations = iter; residual = delta; converged = true;
-          criterion = Some crit }
-    | None ->
-        if iter >= max_iter then
-          { iterations = iter; residual = delta; converged = false;
-            criterion = None }
-        else sweep (iter + 1)
-  in
-  let c = sweep 1 in
-  finish ?obs ~solver:"jacobi" ~size:n ~max_iter span c;
-  (x, c)
-
-(* Shared driver for the multi-RHS solvers: [do_sweep] performs one
-   blocked relaxation sweep and fills [deltas]. All K columns iterate
-   together — one matrix pass per sweep regardless of K — and each
-   column keeps its own convergence record: [done_at.(c)] is the sweep
-   at which column [c] (most recently) entered the converged state. *)
-let drive_multi ~solver ~tol ~rel_tol ~max_iter ?obs ~size ~width ~x do_sweep =
-  span_states solver size @@ fun span ->
-  if Obs.Trace.recording span then
-    Obs.Trace.add_attr span "batch_width" (Obs.Int width);
+   Every solve — converged or not — is reported the same way, per
+   column: to the caller's [?obs] hook, to the metrics registry
+   (per-solver counters, last-residual gauge, residual histogram, the
+   recent-solve ring, [solver.column_iterations]) and onto the
+   [solver.<name>] span. Only then does the first unconverged column
+   raise, so iteration counts and final residuals are never discarded. *)
+let drive ~solver ~tol ~rel_tol ~max_iter ?obs ~size ~width ~scales sweep =
+  Obs.Trace.with_span ("solver." ^ solver) @@ fun span ->
+  if Obs.Trace.recording span then begin
+    Obs.Trace.add_attr span "states" (Obs.Int size);
+    Obs.Trace.add_attr span "batch_width" (Obs.Int width)
+  end;
   let deltas = Array.make width 0. in
   let done_at = Array.make width 0 in
   let crits = Array.make width None in
-  let rec sweep iter =
-    do_sweep ~deltas;
-    let scales = if rel_tol = None then None else Some (Multivec.max_norms x) in
+  let rec loop iter =
+    sweep deltas;
+    let scales = if rel_tol = None then None else Some (scales ()) in
     let all = ref true in
     for c = 0 to width - 1 do
       let scale = match scales with None -> 0. | Some s -> s.(c) in
@@ -186,9 +120,9 @@ let drive_multi ~solver ~tol ~rel_tol ~max_iter ?obs ~size ~width ~x do_sweep =
           crits.(c) <- None;
           all := false
     done;
-    if !all || iter >= max_iter then iter else sweep (iter + 1)
+    if !all || iter >= max_iter then iter else loop (iter + 1)
   in
-  let last = sweep 1 in
+  let last = loop 1 in
   let records =
     Array.init width (fun c ->
         let converged = crits.(c) <> None in
@@ -197,8 +131,6 @@ let drive_multi ~solver ~tol ~rel_tol ~max_iter ?obs ~size ~width ~x do_sweep =
           converged;
           criterion = crits.(c) })
   in
-  (* Report per column — hook, registry, histogram — before raising on
-     the first unconverged column, exactly like the single-RHS path. *)
   Array.iter
     (fun c ->
       (match obs with Some f -> f c | None -> ());
@@ -208,7 +140,8 @@ let drive_multi ~solver ~tol ~rel_tol ~max_iter ?obs ~size ~width ~x do_sweep =
     records;
   if Obs.Trace.recording span then begin
     Obs.Trace.add_attr span "iterations" (Obs.Int last);
-    Obs.Trace.add_attr span "residual" (Obs.Float (max_abs deltas));
+    Obs.Trace.add_attr span "residual"
+      (Obs.Float (Array.fold_left Float.max 0. deltas));
     Obs.Trace.add_attr span "converged"
       (Obs.Bool (Array.for_all (fun c -> c.converged) records))
   end;
@@ -219,55 +152,57 @@ let drive_multi ~solver ~tol ~rel_tol ~max_iter ?obs ~size ~width ~x do_sweep =
     records;
   records
 
-let check_multi_shapes name a b x0 =
+(* The scalar solvers run the loop at width 1 over their own [Vec]
+   kernels. *)
+let drive_vec ~solver ~tol ~rel_tol ~max_iter ?obs ~size x sweep =
+  let records =
+    drive ~solver ~tol ~rel_tol ~max_iter ?obs ~size ~width:1
+      ~scales:(fun () -> [| max_abs x |])
+      (fun deltas -> deltas.(0) <- sweep ())
+  in
+  (x, records.(0))
+
+let solve_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs
+    ?order ?x0 a b =
   let n = Sparse.rows a in
-  if Sparse.cols a <> n || Multivec.dim b <> n then
-    invalid_arg (Printf.sprintf "Solver.%s: dimension mismatch" name);
-  if Multivec.width b = 0 then
-    invalid_arg (Printf.sprintf "Solver.%s: empty block" name);
-  match x0 with
-  | Some v when Multivec.dim v <> n || Multivec.width v <> Multivec.width b ->
-      invalid_arg (Printf.sprintf "Solver.%s: x0 shape mismatch" name)
-  | _ -> ()
+  if Sparse.cols a <> n || Vec.dim b <> n then
+    invalid_arg "Solver.solve_gauss_seidel: dimension mismatch";
+  (match x0 with
+  | Some v when Vec.dim v <> n ->
+      invalid_arg "Solver.solve_gauss_seidel: x0 dimension mismatch"
+  | _ -> ());
+  let d = diagonal a in
+  check_diagonal "solve_gauss_seidel" d;
+  check_order "solve_gauss_seidel" n order;
+  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
+  drive_vec ~solver:"gauss_seidel" ~tol ~rel_tol ~max_iter ?obs ~size:n x
+    (fun () -> Sparse.gauss_seidel_sweep ?order a ~diag:d ~b ~x)
 
 let solve_gauss_seidel_multi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
     ?obs ?order ?x0 a b =
-  check_multi_shapes "solve_gauss_seidel_multi" a b x0;
+  let name = "solve_gauss_seidel_multi" in
   let n = Sparse.rows a and k = Multivec.width b in
+  if Sparse.cols a <> n || Multivec.dim b <> n then
+    invalid_arg (Printf.sprintf "Solver.%s: dimension mismatch" name);
+  if k = 0 then invalid_arg (Printf.sprintf "Solver.%s: empty block" name);
+  (match x0 with
+  | Some v when Multivec.dim v <> n || Multivec.width v <> k ->
+      invalid_arg (Printf.sprintf "Solver.%s: x0 shape mismatch" name)
+  | _ -> ());
   let d = diagonal a in
-  check_diagonal "solve_gauss_seidel_multi" d;
-  check_order "solve_gauss_seidel_multi" n order;
+  check_diagonal name d;
+  check_order name n order;
   let x =
     match x0 with
     | Some v -> Multivec.copy v
     | None -> Multivec.create ~dim:n ~width:k
   in
   let records =
-    drive_multi ~solver:"gauss_seidel_multi" ~tol ~rel_tol ~max_iter ?obs
-      ~size:n ~width:k ~x (fun ~deltas ->
+    drive ~solver:"gauss_seidel_multi" ~tol ~rel_tol ~max_iter ?obs ~size:n
+      ~width:k
+      ~scales:(fun () -> Multivec.max_norms x)
+      (fun deltas ->
         Sparse.gauss_seidel_sweep_multi ?order a ~diag:d ~b ~x ~deltas)
-  in
-  (x, records)
-
-let solve_jacobi_multi ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000) ?obs ?x0
-    a b =
-  check_multi_shapes "solve_jacobi_multi" a b x0;
-  let n = Sparse.rows a and k = Multivec.width b in
-  let d = diagonal a in
-  check_diagonal "solve_jacobi_multi" d;
-  let x =
-    match x0 with
-    | Some v -> Multivec.copy v
-    | None -> Multivec.create ~dim:n ~width:k
-  in
-  let x' = Multivec.create ~dim:n ~width:k in
-  let records =
-    drive_multi ~solver:"jacobi_multi" ~tol ~rel_tol ~max_iter ?obs ~size:n
-      ~width:k ~x (fun ~deltas ->
-        Sparse.jacobi_sweep_multi a ~diag:d ~b ~x ~x';
-        let ds = Multivec.linf_distances x x' in
-        Array.blit ds 0 deltas 0 k;
-        Multivec.blit ~src:x' ~dst:x)
   in
   (x, records)
 
@@ -294,24 +229,11 @@ let steady_state_gauss_seidel ?(tol = 1e-12) ?rel_tol ?(max_iter = 100_000)
   else begin
     check_diagonal "steady_state_gauss_seidel" exit;
     let pi = Vec.create n (1. /. float_of_int n) in
-    span_states "steady_gauss_seidel" n @@ fun span ->
-    let rec sweep iter =
-      let delta = Sparse.steady_sweep rt ~exit ~x:pi in
-      Vec.normalize_l1 pi;
-      let scale = if rel_tol = None then 0. else max_abs pi in
-      match fired ~tol ~rel_tol ~scale delta with
-      | Some crit ->
-          { iterations = iter; residual = delta; converged = true;
-            criterion = Some crit }
-      | None ->
-          if iter >= max_iter then
-            { iterations = iter; residual = delta; converged = false;
-              criterion = None }
-          else sweep (iter + 1)
-    in
-    let c = sweep 1 in
-    finish ?obs ~solver:"steady_gauss_seidel" ~size:n ~max_iter span c;
-    (pi, c)
+    drive_vec ~solver:"steady_gauss_seidel" ~tol ~rel_tol ~max_iter ?obs
+      ~size:n pi (fun () ->
+        let delta = Sparse.steady_sweep rt ~exit ~x:pi in
+        Vec.normalize_l1 pi;
+        delta)
   end
 
 let power_iteration ?(tol = 1e-12) ?rel_tol ?(max_iter = 1_000_000) ?obs p pi0 =
@@ -320,22 +242,9 @@ let power_iteration ?(tol = 1e-12) ?rel_tol ?(max_iter = 1_000_000) ?obs p pi0 =
     invalid_arg "Solver.power_iteration: dimension mismatch";
   let pi = Vec.copy pi0 in
   let pi' = Vec.zeros n in
-  span_states "power_iteration" n @@ fun span ->
-  let rec step iter =
-    Sparse.vec_mul_into pi p pi';
-    let delta = Vec.linf_distance pi pi' in
-    Vec.blit ~src:pi' ~dst:pi;
-    let scale = if rel_tol = None then 0. else max_abs pi in
-    match fired ~tol ~rel_tol ~scale delta with
-    | Some crit ->
-        { iterations = iter; residual = delta; converged = true;
-          criterion = Some crit }
-    | None ->
-        if iter >= max_iter then
-          { iterations = iter; residual = delta; converged = false;
-            criterion = None }
-        else step (iter + 1)
-  in
-  let c = step 1 in
-  finish ?obs ~solver:"power_iteration" ~size:n ~max_iter span c;
-  (pi, c)
+  drive_vec ~solver:"power_iteration" ~tol ~rel_tol ~max_iter ?obs ~size:n pi
+    (fun () ->
+      Sparse.vec_mul_into pi p pi';
+      let delta = Vec.linf_distance pi pi' in
+      Vec.blit ~src:pi' ~dst:pi;
+      delta)

@@ -11,20 +11,23 @@
     the guard against false verdicts on ill-conditioned large-N chains).
     The {!convergence} record says which criterion fired.
 
-    {b Multi-RHS.} {!solve_gauss_seidel_multi} and {!solve_jacobi_multi}
-    iterate a {!Multivec.t} block of K right-hand sides together — one
-    blocked matrix sweep per iteration regardless of K — and return one
-    {!convergence} record per column. The Gauss–Seidel solvers accept an
-    update [?order] (e.g. an SCC topological order from {!Digraph.sccs}),
+    {b One loop.} Every solver is a sweep kernel over one convergence
+    loop, which iterates a block of columns together — one matrix pass
+    per sweep regardless of the width — and keeps one {!convergence}
+    record per column. {!solve_gauss_seidel_multi} iterates a
+    {!Multivec.t} block of K right-hand sides; the other solvers run the
+    loop at width 1 over their {!Vec.t} kernels. The Gauss–Seidel
+    solvers accept an update [?order] (e.g. an SCC topological order),
     which on DAG-like chains propagates dependencies in a single sweep.
 
     {b Telemetry.} Every solver returns its {!convergence} record(s),
     passes them to the caller's [?obs] hook (also on non-convergence,
     before raising), reports them to the {!Obs} layer ([solver.<name>.*]
-    counters, gauge, residual histogram, the recent-solve ring and — for
-    the multi-RHS solvers — the [solver.column_iterations] histogram) and,
-    when tracing is on, runs under a [solver.<name>] span carrying
-    [states]/[iterations]/[residual] (plus [batch_width] for multi-RHS)
+    counters, gauge, residual histogram, the recent-solve ring and the
+    [solver.column_iterations] histogram, one observation per column of
+    every iterating solve) and, when tracing is on, runs under a
+    [solver.<name>] span carrying
+    [states]/[batch_width]/[iterations]/[residual]/[converged]
     attributes. *)
 
 type criterion =
@@ -62,22 +65,11 @@ val solve_gauss_seidel :
     Requires non-zero diagonal entries. [tol] (default [1e-12]) bounds the
     max-norm change between sweeps; [max_iter] defaults to [100_000].
     [order], when given, must be a permutation of the row indices and
-    fixes the within-sweep update sequence. Returns the solution and
-    convergence information; raises [Did_not_converge] when the iteration
-    limit is hit. [obs] receives the final convergence record exactly once
-    per call, converged or not. *)
-
-val solve_jacobi :
-  ?tol:float ->
-  ?rel_tol:float ->
-  ?max_iter:int ->
-  ?obs:(convergence -> unit) ->
-  ?x0:Vec.t ->
-  Sparse.t ->
-  Vec.t ->
-  Vec.t * convergence
-(** Jacobi variant of {!solve_gauss_seidel}; slower but order-independent
-    (used in tests as a cross-check). *)
+    fixes the within-sweep update sequence; [x0] (default zero) is the
+    starting iterate and must have the system's dimension. Returns the
+    solution and convergence information; raises [Did_not_converge] when
+    the iteration limit is hit. [obs] receives the final convergence
+    record exactly once per call, converged or not. *)
 
 val solve_gauss_seidel_multi :
   ?tol:float ->
@@ -96,17 +88,6 @@ val solve_gauss_seidel_multi :
     residual, and [obs] is invoked once per column. Raises
     [Did_not_converge] for the first unconverged column — after every
     column has been reported. *)
-
-val solve_jacobi_multi :
-  ?tol:float ->
-  ?rel_tol:float ->
-  ?max_iter:int ->
-  ?obs:(convergence -> unit) ->
-  ?x0:Multivec.t ->
-  Sparse.t ->
-  Multivec.t ->
-  Multivec.t * convergence array
-(** Jacobi variant of {!solve_gauss_seidel_multi}. *)
 
 val steady_state_gauss_seidel :
   ?tol:float ->

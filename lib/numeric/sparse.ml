@@ -396,18 +396,6 @@ let steady_sweep rt ~exit ~x =
   done;
   !delta
 
-let jacobi_sweep m ~diag ~b ~x ~x' =
-  let n = m.rows in
-  for i = 0 to n - 1 do
-    let acc = ref (Array.unsafe_get b i) in
-    for p = idx m.row_ptr i to idx m.row_ptr (i + 1) - 1 do
-      let j = idx m.col_idx p in
-      if j <> i then
-        acc := !acc -. (A1.unsafe_get m.values p *. Array.unsafe_get x j)
-    done;
-    Array.unsafe_set x' i (!acc /. Array.unsafe_get diag i)
-  done
-
 let gauss_seidel_sweep_multi ?order m ~diag ~b ~x ~deltas =
   let n = m.rows in
   let k = Multivec.width x in
@@ -438,35 +426,6 @@ let gauss_seidel_sweep_multi ?order m ~diag ~b ~x ~deltas =
       if change > Array.unsafe_get deltas c then
         Array.unsafe_set deltas c change;
       A1.unsafe_set xd (ib + c) xi
-    done
-  done
-
-let jacobi_sweep_multi m ~diag ~b ~x ~x' =
-  let n = m.rows in
-  let k = Multivec.width x in
-  let bd = Multivec.data b
-  and xd = Multivec.data x
-  and xd' = Multivec.data x' in
-  let acc = Array.make k 0. in
-  for i = 0 to n - 1 do
-    let ib = i * k in
-    for c = 0 to k - 1 do
-      Array.unsafe_set acc c (A1.unsafe_get bd (ib + c))
-    done;
-    for p = idx m.row_ptr i to idx m.row_ptr (i + 1) - 1 do
-      let j = idx m.col_idx p in
-      if j <> i then begin
-        let v = A1.unsafe_get m.values p in
-        let jb = j * k in
-        for c = 0 to k - 1 do
-          Array.unsafe_set acc c
-            (Array.unsafe_get acc c -. (v *. A1.unsafe_get xd (jb + c)))
-        done
-      end
-    done;
-    let di = Array.unsafe_get diag i in
-    for c = 0 to k - 1 do
-      A1.unsafe_set xd' (ib + c) (Array.unsafe_get acc c /. di)
     done
   done
 

@@ -126,9 +126,6 @@ val steady_sweep : t -> exit:Vec.t -> x:Vec.t -> float
     [x(j) <- sum_{i <> j} rt(j,i) x(i) / exit(j)], row [j] summed in
     increasing [i]. Returns the max-norm change; does not normalize. *)
 
-val jacobi_sweep : t -> diag:Vec.t -> b:Vec.t -> x:Vec.t -> x':Vec.t -> unit
-(** Writes the next Jacobi iterate of [x] into [x']. *)
-
 val gauss_seidel_sweep_multi :
   ?order:int array ->
   t ->
@@ -139,9 +136,6 @@ val gauss_seidel_sweep_multi :
   unit
 (** Blocked {!gauss_seidel_sweep} over every column of [x]; writes each
     column's max-norm change into [deltas] (length = width). *)
-
-val jacobi_sweep_multi :
-  t -> diag:Vec.t -> b:Multivec.t -> x:Multivec.t -> x':Multivec.t -> unit
 
 val transpose : t -> t
 (** Row [j] of [transpose m] lists the rows [i] of [m] with a stored

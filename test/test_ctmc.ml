@@ -1841,6 +1841,138 @@ let prop_reducible_matches_generator =
       Array.length bsccs >= 2
       && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-12) expected pi)
 
+(* Dense Gaussian elimination with partial pivoting: the independent
+   oracle for the (I - A) systems the engine solves iteratively. *)
+let dense_solve a b =
+  let n = Array.length b in
+  let a = Array.map Array.copy a and b = Array.copy b in
+  for k = 0 to n - 1 do
+    let p = ref k in
+    for i = k + 1 to n - 1 do
+      if Float.abs a.(i).(k) > Float.abs a.(!p).(k) then p := i
+    done;
+    let row = a.(k) and bk = b.(k) in
+    a.(k) <- a.(!p);
+    a.(!p) <- row;
+    b.(k) <- b.(!p);
+    b.(!p) <- bk;
+    for i = k + 1 to n - 1 do
+      let f = a.(i).(k) /. a.(k).(k) in
+      for j = k to n - 1 do
+        a.(i).(j) <- a.(i).(j) -. (f *. a.(k).(j))
+      done;
+      b.(i) <- b.(i) -. (f *. b.(k))
+    done
+  done;
+  let x = Array.make n 0. in
+  for i = n - 1 downto 0 do
+    let acc = ref b.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (a.(i).(j) *. x.(j))
+    done;
+    x.(i) <- !acc /. a.(i).(i)
+  done;
+  x
+
+(* x = P x + rhs on the states of [inside] (P the embedded jump matrix,
+   read off the dense rates), x = 0 elsewhere, over the full state space *)
+let dense_restricted m inside rhs =
+  let n = Chain.states m in
+  let exits = Chain.exit_rates m in
+  let a =
+    Array.init n (fun s ->
+        Array.init n (fun j ->
+            let id = if j = s then 1. else 0. in
+            if inside s && inside j then id -. (Chain.rate m s j /. exits.(s))
+            else id))
+  in
+  dense_solve a (Array.init n (fun s -> if inside s then rhs s else 0.))
+
+(* P(phi U psi): a graph fixpoint for the states that can reach psi
+   through phi, then one dense solve over the undecided ones *)
+let dense_until m ~phi ~psi =
+  let n = Chain.states m in
+  let exits = Chain.exit_rates m in
+  let reach = Array.init n psi in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for s = 0 to n - 1 do
+      if (not reach.(s)) && phi s
+         && List.exists (fun j -> reach.(j) && Chain.rate m s j > 0.) (List.init n Fun.id)
+      then begin
+        reach.(s) <- true;
+        changed := true
+      end
+    done
+  done;
+  let x =
+    dense_restricted m
+      (fun s -> reach.(s) && not (psi s))
+      (fun s ->
+        let acc = ref 0. in
+        for j = 0 to n - 1 do
+          if psi j then acc := !acc +. (Chain.rate m s j /. exits.(s))
+        done;
+        !acc)
+  in
+  Array.init n (fun s -> if psi s then 1. else x.(s))
+
+(* The restricted (I - A) systems behind unbounded until (both sweep
+   orders), mean time to absorption and the BSCC class weights of a
+   reducible steady state, each against dense elimination. *)
+let prop_restricted_systems_match_dense =
+  QCheck.Test.make ~count:200 ~name:"(I - A) systems = dense elimination"
+    (QCheck.make reducible_gen)
+    (fun (n, entries) ->
+      let m =
+        Chain.of_transitions ~init:(Vec.create n (1. /. float_of_int n)) ~states:n
+          entries
+      in
+      let close x y = Float.abs (x -. y) <= 1e-9 in
+      let phi s = s mod 5 <> 4 and psi s = s mod 3 = 2 in
+      let until = dense_until m ~phi ~psi in
+      let until_ok scc_order =
+        Array.for_all2 close until
+          (Reachability.unbounded_until ~scc_order m ~phi ~psi)
+      in
+      let certain =
+        Array.map (fun p -> p >= 1. -. 1e-9) (dense_until m ~phi:(fun _ -> true) ~psi)
+      in
+      let exits = Chain.exit_rates m in
+      let time =
+        dense_restricted m
+          (fun s -> certain.(s) && not (psi s))
+          (fun s -> 1. /. exits.(s))
+      in
+      let time_ok =
+        Array.for_all2
+          (fun t s ->
+            let expected =
+              if psi s then 0. else if certain.(s) then time.(s) else infinity
+            in
+            if expected = infinity then t = infinity
+            else Float.abs (t -. expected) <= 1e-9 *. Float.max 1. expected)
+          (Ctmc.Absorption.expected_time_to m ~psi)
+          (Array.init n Fun.id)
+      in
+      let a = Analysis.create m in
+      let pi = Steady_state.solve ~analysis:a m in
+      let init = Chain.initial m in
+      let weights_ok =
+        Array.for_all
+          (fun members ->
+            let inside = Array.make n false in
+            Array.iter (fun s -> inside.(s) <- true) members;
+            let hit = dense_until m ~phi:(fun _ -> true) ~psi:(fun s -> inside.(s)) in
+            let expected = ref 0. in
+            Array.iteri (fun s p -> expected := !expected +. (p *. hit.(s))) init;
+            close !expected
+              (Array.fold_left (fun acc s -> acc +. pi.(s)) 0. members))
+          (Analysis.bottom_sccs a)
+      in
+      until_ok true && until_ok false && time_ok && weights_ok)
+
 let prop_power_iteration_matches_gs =
   QCheck.Test.make ~count:100
     ~name:"power iteration = Gauss-Seidel"
@@ -1950,7 +2082,8 @@ let () =
         @ qsuite
             [
               prop_steady_state_is_distribution; prop_steady_rates_match_generator;
-              prop_reducible_matches_generator; prop_power_iteration_matches_gs;
+              prop_reducible_matches_generator;
+              prop_restricted_systems_match_dense; prop_power_iteration_matches_gs;
             ] );
       ( "rewards",
         [

@@ -433,20 +433,28 @@ let test_gauss_seidel_diag_dominant () =
   check_close ~eps:1e-9 "x0" (29. /. 19.) x.(0);
   check_close ~eps:1e-9 "x1" (55. /. 19.) x.(1)
 
-let test_jacobi_agrees_with_gs () =
-  let a =
-    Sparse.of_dense [| [| 10.; 2.; 1. |]; [| 1.; 8.; -2. |]; [| 0.; 1.; 5. |] |]
-  in
-  let b = [| 7.; -3.; 2. |] in
-  let x_gs, _ = Solver.solve_gauss_seidel a b in
-  let x_j, _ = Solver.solve_jacobi a b in
-  Array.iteri (fun i v -> check_close ~eps:1e-8 (Printf.sprintf "x%d" i) v x_j.(i)) x_gs
-
 let test_gs_zero_diagonal () =
   let a = Sparse.of_dense [| [| 0.; 1. |]; [| 1.; 1. |] |] in
   Alcotest.check_raises "zero diagonal"
     (Invalid_argument "Solver.solve_gauss_seidel: zero diagonal at row 0") (fun () ->
       ignore (Solver.solve_gauss_seidel a [| 1.; 1. |]))
+
+(* a starting iterate of the wrong length is rejected before any sweep,
+   never copied and swept out of bounds *)
+let test_gs_x0_mismatch () =
+  let a =
+    Sparse.of_dense [| [| 4.; 1.; 0. |]; [| 1.; 4.; 1. |]; [| 0.; 1.; 4. |] |]
+  in
+  let b = [| 1.; 2.; 3. |] in
+  List.iter
+    (fun x0 ->
+      Alcotest.check_raises
+        (Printf.sprintf "x0 of length %d" (Array.length x0))
+        (Invalid_argument "Solver.solve_gauss_seidel: x0 dimension mismatch")
+        (fun () -> ignore (Solver.solve_gauss_seidel ~x0 a b)))
+    [ [| 0. |]; [| 0.; 0.; 0.; 0. |] ];
+  let x, _ = Solver.solve_gauss_seidel ~x0:[| 1.; 1.; 1. |] a b in
+  Alcotest.(check int) "a matching x0 is accepted" 3 (Array.length x)
 
 (* [pi Q = 0] for a dense generator: the solver takes the transposed
    off-diagonal rates and the exit rates. *)
@@ -552,19 +560,6 @@ let test_gs_multi_matches_single () =
       Alcotest.(check bool)
         (Printf.sprintf "col %d converged" c)
         true convs.(c).Solver.converged)
-    cols
-
-let test_jacobi_multi_matches_single () =
-  let a, cols = multi_example () in
-  let xm, _ = Solver.solve_jacobi_multi a (Multivec.of_cols cols) in
-  Array.iteri
-    (fun c bc ->
-      let x, _ = Solver.solve_jacobi a bc in
-      let xc = Multivec.col xm c in
-      Array.iteri
-        (fun i v ->
-          check_close ~eps:1e-12 (Printf.sprintf "col %d row %d" c i) v xc.(i))
-        x)
     cols
 
 let test_solver_criterion () =
@@ -1200,15 +1195,13 @@ let () =
       ( "solver",
         [
           Alcotest.test_case "gauss-seidel 2x2" `Quick test_gauss_seidel_diag_dominant;
-          Alcotest.test_case "jacobi agrees" `Quick test_jacobi_agrees_with_gs;
           Alcotest.test_case "zero diagonal rejected" `Quick test_gs_zero_diagonal;
+          Alcotest.test_case "x0 dimension rejected" `Quick test_gs_x0_mismatch;
           Alcotest.test_case "steady state 2-state" `Quick test_steady_state_two_state;
           Alcotest.test_case "steady state birth-death" `Quick test_steady_state_birth_death;
           Alcotest.test_case "power iteration" `Quick test_power_iteration;
           Alcotest.test_case "multi-RHS gauss-seidel" `Quick
             test_gs_multi_matches_single;
-          Alcotest.test_case "multi-RHS jacobi" `Quick
-            test_jacobi_multi_matches_single;
           Alcotest.test_case "convergence criterion" `Quick test_solver_criterion;
           Alcotest.test_case "SCC-style update order" `Quick test_gs_order;
           Alcotest.test_case "invalid order rejected" `Quick

@@ -631,32 +631,71 @@ let test_solver_obs_hook () =
   Alcotest.(check (float 1e-9)) "x.(0)" (1. /. 11.) x.(0);
   Alcotest.(check (float 1e-9)) "x.(1)" (7. /. 11.) x.(1)
 
+(* Every solver reports through the one sweep loop: at [~max_iter:1] on
+   a system that needs more sweeps, each calls its hook once, leaves a
+   ring entry under its own name and raises naming itself; the column
+   histogram counts one observation per iterating solve column. *)
 let test_solver_nonconvergence () =
   let a, rhs = small_system () in
-  let calls = ref 0 in
-  (try
-     ignore
-       (Solver.solve_gauss_seidel ~max_iter:1
-          ~obs:(fun c ->
-            incr calls;
-            Alcotest.(check bool) "hook sees failure" false c.Solver.converged)
-          a rhs);
-     Alcotest.fail "expected Did_not_converge"
-   with
-   | Solver.Did_not_converge { solver; max_iter; info } as exn ->
-     Alcotest.(check string) "solver named" "gauss_seidel" solver;
-     Alcotest.(check int) "iteration limit recorded" 1 max_iter;
-     Alcotest.(check bool) "not converged" false info.Solver.converged;
-     let msg = Printexc.to_string exn in
-     Alcotest.(check bool)
-       ("message names the solver: " ^ msg)
-       true
-       (contains "gauss_seidel" msg);
-     Alcotest.(check bool)
-       ("message names the limit: " ^ msg)
-       true
-       (contains "within 1 iteration" msg));
-  Alcotest.(check int) "hook called exactly once" 1 !calls
+  let m = Chain.of_transitions ~states:3 [ (0, 1, 1.); (1, 2, 2.); (2, 0, 3.) ] in
+  let rt = Sparse.transpose (Chain.rates m) and exit = Chain.exit_rates m in
+  let _, p = Chain.uniformized m in
+  let uniform = Array.make 3 (1. /. 3.) in
+  let solvers =
+    [
+      ("gauss_seidel", fun obs -> Solver.solve_gauss_seidel ~max_iter:1 ~obs a rhs);
+      ( "steady_gauss_seidel",
+        fun obs -> Solver.steady_state_gauss_seidel ~max_iter:1 ~obs ~exit rt );
+      ("power_iteration", fun obs -> Solver.power_iteration ~max_iter:1 ~obs p uniform);
+    ]
+  in
+  Obs.Metrics.set_enabled true;
+  Obs.Metrics.reset ();
+  List.iter
+    (fun (name, solve) ->
+      let calls = ref 0 in
+      (try
+         ignore
+           (solve (fun c ->
+                incr calls;
+                Alcotest.(check bool) (name ^ ": hook sees failure") false
+                  c.Solver.converged));
+         Alcotest.fail (name ^ ": expected Did_not_converge")
+       with
+      | Solver.Did_not_converge { solver; max_iter; info } as exn ->
+          Alcotest.(check string) "solver named" name solver;
+          Alcotest.(check int) (name ^ ": iteration limit recorded") 1 max_iter;
+          Alcotest.(check bool) (name ^ ": not converged") false
+            info.Solver.converged;
+          let msg = Printexc.to_string exn in
+          Alcotest.(check bool)
+            ("message names the solver: " ^ msg)
+            true (contains name msg);
+          Alcotest.(check bool)
+            ("message names the limit: " ^ msg)
+            true
+            (contains "within 1 iteration" msg));
+      Alcotest.(check int) (name ^ ": hook called exactly once") 1 !calls)
+    solvers;
+  (* the one-state steady shortcut reports a solve but never iterates *)
+  ignore (Solver.steady_state_gauss_seidel ~exit:[| 0. |] (Sparse.of_dense [| [| 0. |] |]));
+  Obs.Metrics.set_enabled false;
+  let snap = Obs.Metrics.snapshot () in
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool)
+        (name ^ ": unconverged entry in the solve ring")
+        true
+        (List.exists
+           (fun s -> s.Obs.Metrics.solver = name && not s.Obs.Metrics.converged)
+           snap.Obs.Metrics.solves))
+    solvers;
+  Alcotest.(check int) "every solve in the ring" 4 (List.length snap.Obs.Metrics.solves);
+  match List.assoc_opt "solver.column_iterations" snap.Obs.Metrics.histograms with
+  | Some h ->
+      Alcotest.(check int) "one column observation per iterating solve"
+        (List.length solvers) h.Obs.Metrics.total
+  | None -> Alcotest.fail "solver.column_iterations missing from snapshot"
 
 let test_solver_ring () =
   Obs.Metrics.set_enabled true;
