@@ -65,9 +65,19 @@ let ids_arg =
   in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 
+(* a curve samples both ends of its time axis, so it needs two points *)
+let points_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 2 -> Ok n
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "expected an integer of at least 2, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let points_arg =
-  let doc = "Number of time samples per curve." in
-  Arg.(value & opt int 25 & info [ "points"; "n" ] ~docv:"N" ~doc)
+  let doc = "Number of time samples per curve (at least 2)." in
+  Arg.(value & opt points_conv 25 & info [ "points"; "n" ] ~docv:"N" ~doc)
 
 let csv_arg =
   let doc = "Emit figures as CSV instead of gnuplot-style blocks." in

@@ -42,22 +42,26 @@ let () =
   let strategies =
     [ Facility.ded; Facility.fff 1; Facility.fff 2; Facility.frf 1; Facility.frf 2 ]
   in
+  let after_disaster =
+    List.map
+      (fun cfg ->
+        (cfg, Facility.analyze_after_disaster Facility.Line2 cfg ~failed:Facility.disaster2))
+      strategies
+  in
   List.iter
-    (fun cfg ->
-      let m = Facility.analyze_after_disaster Facility.Line2 cfg ~failed:Facility.disaster2 in
+    (fun (cfg, m) ->
       let p t = Core.Measures.survivability m ~service_level:(1. /. 3.) ~time:t in
       Format.printf "  %-8s %.7f    %.7f    %.7f@." (Facility.config_name cfg)
         (p 10.) (p 50.) (p 100.))
-    strategies;
+    after_disaster;
 
   (* ... and what does the recovery cost? *)
   Format.printf "@.Accumulated repair cost 50 h after Disaster 2 (Line 2):@.";
   List.iter
-    (fun cfg ->
-      let m = Facility.analyze_after_disaster Facility.Line2 cfg ~failed:Facility.disaster2 in
+    (fun (cfg, m) ->
       Format.printf "  %-8s %8.2f@." (Facility.config_name cfg)
         (Core.Measures.accumulated_cost m ~time:50.))
-    strategies;
+    after_disaster;
 
   Format.printf
     "@.Conclusion (matching the paper): FRF with 2 crews recovers almost as@.\

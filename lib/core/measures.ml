@@ -88,30 +88,49 @@ let analyze ?max_states ?initial ?lump model =
 let analyze_all ?max_states ?lump models =
   Numeric.Parallel.map (fun model -> analyze ?max_states ?lump model) models
 
-let analyze_mixed_disasters ?max_states ?lump model disasters =
-  if disasters = [] then invalid_arg "Measures.analyze_mixed_disasters: empty mixture";
-  let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. disasters in
-  if total <= 0. then
-    invalid_arg "Measures.analyze_mixed_disasters: non-positive total weight";
-  (* build from the heaviest disaster so the exploration definitely contains
-     it; the other disaster states are reachable (components repair), and we
-     assert as much when indexing them *)
-  let sorted = List.sort (fun (a, _) (b, _) -> compare b a) disasters in
-  let states = List.map (fun (w, failed) -> (w, Semantics.disaster_state model ~failed)) sorted in
-  let _, first = List.hd states in
-  let built = Semantics.build ?max_states ~initial:first model in
-  let chain = built.Semantics.chain in
-  let init = Numeric.Vec.zeros (Ctmc.Chain.states chain) in
+(* Mixture weights: finite, non-negative, with a finite positive total. *)
+let check_weights who weights =
+  if weights = [] then invalid_arg (who ^ ": empty mixture");
+  List.iter
+    (fun w ->
+      if not (Float.is_finite w && w >= 0.) then
+        invalid_arg
+          (Printf.sprintf "%s: weights must be finite and non-negative (got %g)"
+             who w))
+    weights;
+  let total = List.fold_left ( +. ) 0. weights in
+  if not (Float.is_finite total && total > 0.) then
+    invalid_arg
+      (Printf.sprintf "%s: total weight must be finite and positive (got %g)"
+         who total);
+  total
+
+let rooted t weighted =
+  let who = "Measures.rooted" in
+  let total = check_weights who (List.map fst weighted) in
+  let built = t.built in
+  let init = Numeric.Vec.zeros (Chain.states built.Semantics.chain) in
   List.iter
     (fun (w, state) ->
       match built.Semantics.state_index state with
       | Some s -> init.(s) <- init.(s) +. (w /. total)
-      | None ->
-          invalid_arg
-            "Measures.analyze_mixed_disasters: disaster state unreachable \
-             from the heaviest disaster")
-    states;
-  wrap ?lump { built with Semantics.chain = Ctmc.Chain.with_init chain init }
+      | None -> invalid_arg (who ^ ": state not in the chain"))
+    weighted;
+  let analysis = Ctmc.Analysis.with_init t.analysis init in
+  let chain = Ctmc.Analysis.chain analysis in
+  {
+    t with
+    built = { built with Semantics.chain };
+    analysis;
+    csl = { t.csl with Csl.Checker.chain; analysis };
+  }
+
+let analyze_mixed_disasters ?max_states ?lump model disasters =
+  ignore (check_weights "Measures.analyze_mixed_disasters" (List.map fst disasters));
+  let states =
+    List.map (fun (w, failed) -> (w, Semantics.disaster_state model ~failed)) disasters
+  in
+  rooted (analyze ?max_states ?lump model) states
 
 let built t = t.built
 

@@ -38,14 +38,33 @@ val analyze_all :
     weights, batched cost curves), so the per-strategy suites are
     individually cheaper as well as concurrent. *)
 
+val rooted : t -> (float * Semantics.state) list -> t
+(** [rooted t weighted] is [t] started from another initial distribution:
+    each [(weight, state)] pair puts mass [weight] on [state] (weights are
+    normalized; a state listed twice sums its weights). Nothing is
+    rebuilt: the view keeps [t]'s state set, packed keys, cost vectors,
+    labels and [lump] flag, and its analysis session is
+    {!Ctmc.Analysis.with_init} of [t]'s, sharing the rate operator and
+    every cache that does not depend on the initial distribution. For a
+    GOOD model whose disaster state is reachable from [t]'s initial state
+    this is the disaster analysis without a second build. Raises
+    [Invalid_argument "Measures.rooted: ..."] on an empty list, a weight
+    that is negative or not finite, a total that is not finite and
+    positive, or a state that is not in [t]'s chain. *)
+
 val analyze_mixed_disasters :
   ?max_states:int -> ?lump:bool -> Model.t -> (float * string list) list -> t
 (** GOOD analysis under an uncertain disaster: each [(weight, failed)] pair
     contributes a disaster state with the given probability (weights are
     normalized). Survivability and cost measures then average over the
     disaster distribution — e.g. "two pumps fail with probability 0.9, all
-    four with probability 0.1". Raises [Invalid_argument] on an empty list
-    or non-positive total weight. *)
+    four with probability 0.1". The state space is built once, from the
+    all-up state, and {!rooted} at the mixture. The weights are checked
+    before the build: an empty list, a weight that is negative or not
+    finite, or a total that is not finite and positive raises
+    [Invalid_argument "Measures.analyze_mixed_disasters: ..."]. A disaster
+    state not reachable from the all-up state raises {!rooted}'s
+    [Invalid_argument]. *)
 
 val built : t -> Semantics.built
 

@@ -62,6 +62,15 @@ let compare_bound cmp threshold x =
   | Ast.Gt -> x > threshold
   | Ast.Ge -> x >= threshold
 
+(* [model] started in state [s]: a view of its session
+   ({!Ctmc.Analysis.with_init}) that shares the rate operator's caches,
+   with its own steady-state vectors and quotients *)
+let rerooted model s =
+  let analysis =
+    Ctmc.Analysis.with_init model.analysis (Vec.unit (Chain.states model.chain) s)
+  in
+  { model with chain = Ctmc.Analysis.chain analysis; analysis }
+
 (* Per-state probability of a path formula. *)
 let rec path_probabilities model path =
   let n = Chain.states model.chain in
@@ -172,18 +181,16 @@ and satisfaction model formula =
       end
       else
         Array.init n (fun s ->
-            let rooted = Chain.with_point_init model.chain s in
-            let v = Ctmc.Steady_state.long_run_probability rooted ~pred:(fun i -> sat.(i)) in
+            let rooted = rerooted model s in
+            let v =
+              Ctmc.Steady_state.long_run_probability ~analysis:rooted.analysis
+                rooted.chain ~pred:(fun i -> sat.(i))
+            in
             compare_bound cmp p v)
   | Ast.R (name, Ast.Bounded (cmp, threshold), query) ->
-      (* reward bounds are evaluated from each state as initial state;
-         re-rooting changes the chain, so each state gets its own session *)
+      (* reward bounds are evaluated from each state as initial state *)
       Array.init n (fun s ->
-          let rooted = Chain.with_point_init model.chain s in
-          let rerooted =
-            { model with chain = rooted; analysis = Ctmc.Analysis.create rooted }
-          in
-          let v = reward_value rerooted name query in
+          let v = reward_value (rerooted model s) name query in
           compare_bound cmp threshold v)
 
 let initial_states model =

@@ -67,8 +67,10 @@ let m_lumped_states = Obs.Metrics.gauge "analysis.lumped_states"
 
 let m_sweep_len = Obs.Metrics.histogram "analysis.sweep_length"
 
-type t = {
-  chain : Chain.t;
+(* The artifacts of the rate operator alone: a session and every view of
+   it ({!with_init}) hold this record by reference, so whichever derives
+   an artifact first, all of them see it. *)
+type operator = {
   mutable rate : float option;
   mutable emb : Sparse.t option;
   (* R^T: forward sweeps, the steady-state sweep and coreachability read
@@ -77,6 +79,14 @@ type t = {
   mutable scc : (int array * int array array) option;
   mutable bscc : int array array option;
   weight_tbl : (float * float, Fox_glynn.t) Hashtbl.t;
+}
+
+(* The steady-state vectors (BSCC weights) and the quotients (lumped
+   initial distribution) depend on the chain's initial distribution, so
+   they stay per session, like the counters. *)
+type t = {
+  chain : Chain.t;
+  op : operator;
   steady_tbl : (float, Vec.t) Hashtbl.t;
   (* lumping quotients, keyed by an FNV-1a hash of the dense initial
      partition; each bucket entry keeps the full partition to verify the
@@ -87,15 +97,10 @@ type t = {
 
 and quotient = { lumping : Lumping.result; q : t }
 
-let create chain =
+let session chain op =
   {
     chain;
-    rate = None;
-    emb = None;
-    rates_t = None;
-    scc = None;
-    bscc = None;
-    weight_tbl = Hashtbl.create 16;
+    op;
     steady_tbl = Hashtbl.create 4;
     quot_tbl = Hashtbl.create 4;
     counters =
@@ -115,6 +120,19 @@ let create chain =
       };
   }
 
+let create chain =
+  session chain
+    {
+      rate = None;
+      emb = None;
+      rates_t = None;
+      scc = None;
+      bscc = None;
+      weight_tbl = Hashtbl.create 16;
+    }
+
+let with_init t init = session (Chain.with_init t.chain init) t.op
+
 let chain t = t.chain
 
 let wraps t m = t.chain == m
@@ -123,51 +141,51 @@ let for_chain analysis m =
   match analysis with Some a when wraps a m -> a | Some _ | None -> create m
 
 let uniformization_rate t =
-  match t.rate with
+  match t.op.rate with
   | Some l -> l
   | None ->
       let l = Chain.uniformization_rate t.chain in
-      t.rate <- Some l;
+      t.op.rate <- Some l;
       l
 
 let embedded t =
-  match t.emb with
+  match t.op.emb with
   | Some e -> e
   | None ->
       let e = Chain.embedded t.chain in
       t.counters.embedded_builds <- t.counters.embedded_builds + 1;
       Obs.Metrics.incr m_embedded_builds;
-      t.emb <- Some e;
+      t.op.emb <- Some e;
       e
 
 let rates_transposed t =
-  match t.rates_t with
+  match t.op.rates_t with
   | Some r -> r
   | None ->
       let r =
         Obs.Trace.with_span "analysis.transpose_rates" @@ fun _ ->
         Sparse.transpose (Chain.rates t.chain)
       in
-      t.rates_t <- Some r;
+      t.op.rates_t <- Some r;
       r
 
 let sccs t =
-  match t.scc with
+  match t.op.scc with
   | Some s -> s
   | None ->
       let s =
         Obs.Trace.with_span "analysis.sccs" @@ fun _ ->
         Digraph.sccs (Chain.rates t.chain)
       in
-      t.scc <- Some s;
+      t.op.scc <- Some s;
       s
 
 let bottom_sccs t =
-  match t.bscc with
+  match t.op.bscc with
   | Some b -> b
   | None ->
       let b = Digraph.bottom_sccs (Chain.rates t.chain) (sccs t) in
-      t.bscc <- Some b;
+      t.op.bscc <- Some b;
       b
 
 let is_irreducible t =
@@ -254,7 +272,7 @@ let weights_at ?(epsilon = default_epsilon) t ~lambda time =
   validate_finite ~what:"Analysis.weights: uniformization rate * time"
     (lambda *. time);
   let key = (lambda *. time, epsilon) in
-  match Hashtbl.find_opt t.weight_tbl key with
+  match Hashtbl.find_opt t.op.weight_tbl key with
   | Some w ->
       t.counters.weight_hits <- t.counters.weight_hits + 1;
       Obs.Metrics.incr m_weight_hits;
@@ -263,7 +281,7 @@ let weights_at ?(epsilon = default_epsilon) t ~lambda time =
       let w = Fox_glynn.compute ~epsilon (lambda *. time) in
       t.counters.weight_computes <- t.counters.weight_computes + 1;
       Obs.Metrics.incr m_weight_computes;
-      Hashtbl.replace t.weight_tbl key w;
+      Hashtbl.replace t.op.weight_tbl key w;
       w
 
 let weights ?epsilon t time =

@@ -12,13 +12,26 @@
     the fly, and time-bounded until masks its rows instead of building an
     absorbed copy of the chain.
 
-    Sessions are not thread-safe; use one per chain per thread. *)
+    Sessions are not thread-safe; use one per chain per thread (a
+    session and its {!with_init} views count as one). *)
 
 type t
 
 val create : Chain.t -> t
 (** A fresh session wrapping [chain]. Nothing is computed up front; every
     derived artifact is built lazily on first demand. *)
+
+val with_init : t -> Numeric.Vec.t -> t
+(** [with_init t init] is a session over [Chain.with_init (chain t) init]:
+    the same states and rate operator, another initial distribution. It
+    shares by reference every cache of [t] that depends on the rates alone
+    — the uniformization rate, {!embedded}, {!rates_transposed}, {!sccs},
+    {!bottom_sccs} and the {!weights} table — so whichever of the two
+    sessions derives one of them first, both see it. The steady-state
+    vectors (BSCC weights), the {!quotient}s (lumped initial distribution)
+    and the {!stats} counters depend on the initial distribution and stay
+    per session. Both sessions must stay in one domain. Raises
+    [Invalid_argument] as {!Chain.with_init} does. *)
 
 val chain : t -> Chain.t
 (** The wrapped chain. *)

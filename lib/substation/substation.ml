@@ -91,7 +91,9 @@ let summary ppf () =
       Format.fprintf ppf "likeliest blackout (p = %.4f): %s@." p
         (String.concat "; " events)
   | None -> ());
-  let good = Measures.analyze ~initial:(Semantics.disaster_state model ~failed:storm) model in
+  (* the storm state is reachable from all-up: root the GOOD model in [m]
+     instead of building its state space a second time *)
+  let good = Measures.rooted m [ (1., Semantics.disaster_state model ~failed:storm) ] in
   Format.fprintf ppf "@.storm recovery (2 feeders + active transformer + spurious trip):@.";
   List.iter
     (fun t ->

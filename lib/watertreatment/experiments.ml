@@ -67,7 +67,11 @@ let cache_key ~lump line config disaster =
     (match disaster with None -> "-" | Some failed -> String.concat "," failed)
     (if lump then "/lump" else "")
 
-let measures ?disaster line config =
+(* One state space per (line, config): a disaster entry is a view of the
+   all-up entry (Facility.after_disaster), sharing its chain, rate
+   operator and derived caches, so the figures rebuild nothing Table 1
+   has built. *)
+let rec measures ?disaster line config =
   let lump = lump_enabled () in
   let cache = Domain.DLS.get cache_key_dls in
   let key = cache_key ~lump line config disaster in
@@ -77,8 +81,7 @@ let measures ?disaster line config =
       let m =
         match disaster with
         | None -> Facility.analyze ~lump line config
-        | Some failed ->
-            Facility.analyze_after_disaster ~lump line config ~failed
+        | Some failed -> Facility.after_disaster (measures line config) ~failed
       in
       Hashtbl.replace cache key m;
       m
@@ -113,9 +116,13 @@ let reliability_measures line =
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
 
-let grid ?(from = 0.) upto points =
-  List.init points (fun i ->
-      from +. ((upto -. from) *. float_of_int i /. float_of_int (points - 1)))
+(* [points] samples from 0 to [upto], both ends included *)
+let grid fig_id upto points =
+  if points < 2 then
+    invalid_arg
+      (Printf.sprintf "Experiments.%s: points must be at least 2 (got %d)"
+         fig_id points);
+  List.init points (fun i -> upto *. float_of_int i /. float_of_int (points - 1))
 
 let lines = [ Facility.Line1; Facility.Line2 ]
 
@@ -197,7 +204,7 @@ let default_points = 25
 
 let fig3 ?(points = default_points) () =
   artifact_span "fig3" @@ fun () ->
-  let times = grid 1000. points in
+  let times = grid "fig3" 1000. points in
   let series =
     parallel_map
       (fun line ->
@@ -220,7 +227,7 @@ let fig3 ?(points = default_points) () =
 (* Line 1, Disaster 1 (all pumps failed), survivability to a service level *)
 let survivability_fig ~fig_id ~title ~line ~disaster ~configs ~level ~horizon ~points =
   artifact_span fig_id @@ fun () ->
-  let times = grid horizon points in
+  let times = grid fig_id horizon points in
   let series =
     parallel_map
       (fun config ->
@@ -236,7 +243,7 @@ let survivability_fig ~fig_id ~title ~line ~disaster ~configs ~level ~horizon ~p
 
 let cost_fig ~fig_id ~title ~kind ~line ~disaster ~configs ~horizon ~points =
   artifact_span fig_id @@ fun () ->
-  let times = grid horizon points in
+  let times = grid fig_id horizon points in
   let series =
     parallel_map
       (fun config ->

@@ -14,9 +14,11 @@
     - {!fig10} / {!fig11}: instantaneous / accumulated cost, Line 2,
       Disaster 2.
 
-    Chains are built once per (line, strategy, disaster) and shared across
-    figures through an internal cache, so generating the full set costs a
-    handful of state-space constructions.
+    Chains are built once per (line, strategy) and shared across figures
+    through an internal cache; a disaster analysis is a view of that chain
+    rooted at the disaster state ({!Facility.after_disaster}), so
+    generating the full set costs one state-space construction per
+    (line, strategy) plus one per reliability model.
 
     Figure series (one per repair configuration) and table rows are
     computed through {!Numeric.Parallel.map}: independent chains fan out
@@ -79,7 +81,9 @@ val fig11 : ?points:int -> unit -> figure
 
 val all : ?points:int -> unit -> artifact list
 (** Every artifact in paper order. [points] is the number of curve samples
-    per figure (default 25). *)
+    per figure (default 25), both ends of the time axis included: every
+    figure generator raises [Invalid_argument "Experiments.<id>: ..."] when
+    it is below 2. *)
 
 val by_id : string -> (?points:int -> unit -> artifact) option
 (** Look up an artifact generator by id ("table1", "fig7", ...). *)

@@ -136,6 +136,9 @@ let service_intervals line =
 let analyze ?initial ?lump line config =
   Measures.analyze ?initial ?lump (line_model line config)
 
+let after_disaster m ~failed =
+  let model = (Measures.built m).Semantics.model in
+  Measures.rooted m [ (1., Semantics.disaster_state model ~failed) ]
+
 let analyze_after_disaster ?lump line config ~failed =
-  let model = line_model line config in
-  Measures.analyze ~initial:(Semantics.disaster_state model ~failed) ?lump model
+  after_disaster (analyze ?lump line config) ~failed

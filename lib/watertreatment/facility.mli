@@ -72,6 +72,16 @@ val analyze :
   ?initial:Core.Semantics.state -> ?lump:bool -> line -> config -> Core.Measures.t
 (** Build and wrap a line's chain for measure evaluation. *)
 
+val after_disaster : Core.Measures.t -> failed:string list -> Core.Measures.t
+(** [after_disaster m ~failed] is the GOOD model over [m]'s chain: the
+    same state space and analysis caches ({!Core.Measures.rooted}), started
+    in the disaster state ({!Core.Semantics.disaster_state}) of [m]'s
+    model. For the facility lines every disaster state is reachable from
+    all-up, so the view has the state count a build from the disaster
+    would have. Raises [Invalid_argument] when the disaster state is not
+    in [m]'s chain. *)
+
 val analyze_after_disaster :
   ?lump:bool -> line -> config -> failed:string list -> Core.Measures.t
-(** GOOD model: same chain rooted at the disaster state. *)
+(** GOOD model: same chain rooted at the disaster state —
+    [after_disaster (analyze ?lump line config) ~failed]. *)

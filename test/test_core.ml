@@ -775,6 +775,63 @@ let test_mixed_disasters () =
     (Invalid_argument "Measures.analyze_mixed_disasters: empty mixture") (fun () ->
       ignore (Measures.analyze_mixed_disasters model []))
 
+let test_mixed_disaster_weights () =
+  let model = abc_model ~repair_units:[ fcfs_unit () ] () in
+  let who = "Measures.analyze_mixed_disasters" in
+  (* max_states:1 makes any build fail: the weights are checked first *)
+  let rejects msg disasters =
+    Alcotest.check_raises msg (Invalid_argument (who ^ ": " ^ msg)) (fun () ->
+        ignore (Measures.analyze_mixed_disasters ~max_states:1 model disasters))
+  in
+  rejects "weights must be finite and non-negative (got nan)"
+    [ (Float.nan, [ "a" ]); (1., [ "b" ]) ];
+  rejects "weights must be finite and non-negative (got -0.5)"
+    [ (1., [ "a" ]); (-0.5, [ "b" ]) ];
+  rejects "weights must be finite and non-negative (got inf)"
+    [ (Float.infinity, [ "a" ]) ];
+  rejects "total weight must be finite and positive (got 0)" [ (0., [ "a" ]) ];
+  rejects "total weight must be finite and positive (got inf)"
+    [ (Float.max_float, [ "a" ]); (Float.max_float, [ "b" ]) ]
+
+(* [rooted] is a view: it shares the parent's rate operator and the
+   caches derived from it, whichever session derives them first *)
+let test_rooted_shares_operator () =
+  let model = abc_model ~repair_units:[ fcfs_unit () ] () in
+  let disaster = Semantics.disaster_state model ~failed:[ "a"; "b" ] in
+  List.iter
+    (fun parent_first ->
+      let base = Measures.analyze model in
+      let view = Measures.rooted base [ (1., disaster) ] in
+      let first, second = if parent_first then (base, view) else (view, base) in
+      let rt m = Ctmc.Analysis.rates_transposed (Measures.analysis m) in
+      let r1 = rt first in
+      Alcotest.(check bool) "one R^T" true (r1 == rt second);
+      let chain m = (Measures.built m).Semantics.chain in
+      Alcotest.(check bool) "one R" true
+        (Chain.rates (chain base) == Chain.rates (chain view));
+      let d = Option.get ((Measures.built base).Semantics.state_index disaster) in
+      check_close "view starts in the disaster" 1. (Chain.initial (chain view)).(d);
+      check_close "parent still starts all-up" 1. (Chain.initial (chain base)).(0))
+    [ true; false ]
+
+let test_rooted_rejects () =
+  (* without repairs nothing leads back to all-up *)
+  let model = Model.without_repairs (abc_model ()) in
+  let m =
+    Measures.analyze ~initial:(Semantics.disaster_state model ~failed:[ "a" ]) model
+  in
+  Alcotest.check_raises "unreachable state"
+    (Invalid_argument "Measures.rooted: state not in the chain") (fun () ->
+      ignore (Measures.rooted m [ (1., Semantics.all_up_state model) ]));
+  Alcotest.check_raises "bad weight"
+    (Invalid_argument
+       "Measures.rooted: weights must be finite and non-negative (got nan)")
+    (fun () ->
+      ignore
+        (Measures.rooted m [ (Float.nan, Semantics.disaster_state model ~failed:[ "a" ]) ]));
+  Alcotest.check_raises "empty" (Invalid_argument "Measures.rooted: empty mixture")
+    (fun () -> ignore (Measures.rooted m []))
+
 let test_two_repair_units_product () =
   (* two independent subsystems with their own repair units in one model:
      availability must factorize *)
@@ -1176,6 +1233,38 @@ let prop_survivability_matches_absorbed =
             (Measures.survivability_curve m ~service_level:level ~times))
         (Model.service_levels model))
 
+(* A view rooted at a random state against a build from that state. The
+   two agree whenever the state reaches back to the root's whole state
+   space (equal state counts); only the state numbering differs. *)
+let prop_rooted_matches_rebuild =
+  QCheck.Test.make ~count:25 ~name:"random models: rooted view = rebuild from the state"
+    (QCheck.make QCheck.Gen.(pair random_model_gen nat))
+    (fun (model, k) ->
+      let base = Measures.analyze model in
+      let n = Chain.states (Measures.built base).Semantics.chain in
+      let state = Semantics.state (Measures.built base) (k mod n) in
+      let view = Measures.rooted base [ (1., state) ] in
+      let rebuilt = Measures.analyze ~initial:state model in
+      Chain.states (Measures.built rebuilt).Semantics.chain <> n
+      ||
+      let times = [ 0.5; 4.; 30. ] in
+      let same a b =
+        List.for_all2
+          (fun (_, x) (_, y) ->
+            Float.abs (x -. y)
+            <= 1e-12 *. Float.max 1. (Float.max (Float.abs x) (Float.abs y)))
+          a b
+      in
+      let vi, va = Measures.cost_curves view ~times in
+      let ri, ra = Measures.cost_curves rebuilt ~times in
+      same vi ri && same va ra
+      && List.for_all
+           (fun level ->
+             same
+               (Measures.survivability_curve view ~service_level:level ~times)
+               (Measures.survivability_curve rebuilt ~service_level:level ~times))
+           (Model.service_levels model))
+
 (* ------------------------------------------------------------------ *)
 (* Golden chains: the state numbering and every CSR entry, bit for bit *)
 
@@ -1408,6 +1497,11 @@ let () =
           Alcotest.test_case "CSL agreement" `Quick test_measures_csl_agreement;
           Alcotest.test_case "combined availability" `Quick test_combined_availability;
           Alcotest.test_case "mixed disasters" `Quick test_mixed_disasters;
+          Alcotest.test_case "mixed disaster weights" `Quick
+            test_mixed_disaster_weights;
+          Alcotest.test_case "rooted shares the operator" `Quick
+            test_rooted_shares_operator;
+          Alcotest.test_case "rooted rejects" `Quick test_rooted_rejects;
           Alcotest.test_case "two repair units" `Quick test_two_repair_units_product;
         ] );
       ( "erlang-stages",
@@ -1474,7 +1568,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_two_paths_agree; prop_measures_sane; prop_survivability_monotone;
-            prop_survivability_matches_absorbed;
+            prop_survivability_matches_absorbed; prop_rooted_matches_rebuild;
           ] );
       ( "to-prism",
         [

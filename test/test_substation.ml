@@ -79,6 +79,37 @@ let test_storm_recovery_monotone () =
   Alcotest.(check bool) "transformer gates recovery" true (p 24. < 0.05);
   Alcotest.(check bool) "eventually likely" true (p 1000. > 0.9)
 
+(* the storm view of the all-up chain (what {!Substation.summary} reports)
+   against a build from the storm state: equal state counts, and
+   survivability at every positive service level and both cost curves
+   within 1e-12 relative *)
+let test_storm_rooted_matches_rebuild () =
+  let storm = Semantics.disaster_state Substation.model ~failed:Substation.storm in
+  let view = Measures.rooted (Lazy.force analyzed) [ (1., storm) ] in
+  let rebuilt = Measures.analyze ~initial:storm Substation.model in
+  let states m = Chain.states (Measures.built m).Semantics.chain in
+  Alcotest.(check int) "states" (states rebuilt) (states view);
+  let times = [ 0.; 4.; 24.; 72.; 240. ] in
+  let agree what a b =
+    List.iter2
+      (fun (t, x) (_, y) ->
+        if Float.abs (x -. y) > 1e-12 *. Float.max (Float.abs x) (Float.abs y) then
+          Alcotest.failf "%s t=%g: rooted %.17g, rebuilt %.17g" what t x y)
+      a b
+  in
+  List.iter
+    (fun level ->
+      if level > 0. then
+        agree
+          (Printf.sprintf "survivability %.2f" level)
+          (Measures.survivability_curve view ~service_level:level ~times)
+          (Measures.survivability_curve rebuilt ~service_level:level ~times))
+    (Core.Model.service_levels Substation.model);
+  let vi, va = Measures.cost_curves view ~times in
+  let ri, ra = Measures.cost_curves rebuilt ~times in
+  agree "instantaneous cost" vi ri;
+  agree "accumulated cost" va ra
+
 let test_strategy_ordering () =
   let avail strategy crews =
     Measures.availability (Measures.analyze (Substation.model_with ~strategy ~crews ()))
@@ -139,6 +170,8 @@ let () =
       ( "analysis",
         [
           Alcotest.test_case "storm recovery" `Quick test_storm_recovery_monotone;
+          Alcotest.test_case "storm view = rebuild" `Quick
+            test_storm_rooted_matches_rebuild;
           Alcotest.test_case "strategy ordering" `Slow test_strategy_ordering;
           Alcotest.test_case "blackout witness" `Quick test_blackout_witness;
           Alcotest.test_case "importance ranking" `Quick test_importance_ranking;

@@ -14,10 +14,12 @@ let check_close ?(eps = 1e-9) msg expected actual =
 
 let cached : (string, Measures.t) Hashtbl.t = Hashtbl.create 16
 
-let analyze ?disaster line config =
+(* one build per (line, config); a disaster analysis roots the cached
+   all-up one at the disaster state *)
+let rec analyze ?disaster line config =
   let key =
-    Printf.sprintf "%s/%s/%b" (Facility.line_name line) (Facility.config_name config)
-      (disaster <> None)
+    Printf.sprintf "%s/%s/%s" (Facility.line_name line) (Facility.config_name config)
+      (match disaster with None -> "-" | Some failed -> String.concat "," failed)
   in
   match Hashtbl.find_opt cached key with
   | Some m -> m
@@ -25,7 +27,7 @@ let analyze ?disaster line config =
       let m =
         match disaster with
         | None -> Facility.analyze line config
-        | Some failed -> Facility.analyze_after_disaster line config ~failed
+        | Some failed -> Facility.after_disaster (analyze line config) ~failed
       in
       Hashtbl.replace cached key m;
       m
@@ -265,7 +267,7 @@ let test_fig8_fff1_slowest () =
      reservoir is repaired last *)
   let surv config t =
     Measures.survivability
-      (Facility.analyze_after_disaster Facility.Line2 config ~failed:d2)
+      (analyze ~disaster:d2 Facility.Line2 config)
       ~service_level:(1. /. 3.) ~time:t
   in
   List.iter
@@ -293,7 +295,7 @@ let test_fig9_x3_llevels () =
      recovery to X3 is much slower than to X1 for every strategy *)
   List.iter
     (fun config ->
-      let m = Facility.analyze_after_disaster Facility.Line2 config ~failed:d2 in
+      let m = analyze ~disaster:d2 Facility.Line2 config in
       Alcotest.(check bool)
         (Facility.config_name config)
         true
@@ -312,7 +314,7 @@ let test_fig10_initial_cost () =
         (Facility.config_name config)
         15.
         (Measures.instantaneous_cost
-           (Facility.analyze_after_disaster Facility.Line2 config ~failed:d2)
+           (analyze ~disaster:d2 Facility.Line2 config)
            ~time:0.))
     [ Facility.fff 1; Facility.fff 2; Facility.frf 1; Facility.frf 2 ]
 
@@ -321,7 +323,7 @@ let test_fig11_fff1_most_expensive () =
      accumulated cost the highest *)
   let acc config =
     Measures.accumulated_cost
-      (Facility.analyze_after_disaster Facility.Line2 config ~failed:d2)
+      (analyze ~disaster:d2 Facility.Line2 config)
       ~time:50.
   in
   let fff1 = acc (Facility.fff 1) in
@@ -830,6 +832,68 @@ let test_projected_faces_agree config () =
         [ expect Analysis.Pmf; expect Analysis.Tail_over_lambda ])
     [ false; true ]
 
+(* ------------------------------------------------------------------ *)
+(* Rooted views: one state space per (line, config) *)
+
+(* The disaster view of the cached all-up chain against a build from the
+   disaster state: equal state counts, and survivability at both figure
+   service levels and both cost curves within 1e-12 relative *)
+let check_rooted_matches_rebuild line config ~failed ~horizon =
+  let name = Facility.line_name line ^ "/" ^ Facility.config_name config in
+  let view = analyze ~disaster:failed line config in
+  let rebuilt =
+    Facility.analyze
+      ~initial:(Semantics.disaster_state (Facility.line_model line config) ~failed)
+      line config
+  in
+  Alcotest.(check int) (name ^ " states")
+    (Chain.states (chain_of rebuilt))
+    (Chain.states (chain_of view));
+  let times = List.init 5 (fun i -> horizon *. float_of_int i /. 4.) in
+  let agree what a b =
+    List.iter2
+      (fun (t, x) (_, y) -> check_rel (Printf.sprintf "%s %s t=%g" name what t) y x)
+      a b
+  in
+  List.iter
+    (fun level ->
+      agree
+        (Printf.sprintf "survivability %.2f" level)
+        (Measures.survivability_curve view ~service_level:level ~times)
+        (Measures.survivability_curve rebuilt ~service_level:level ~times))
+    [ 1. /. 3.; 2. /. 3. ];
+  let vi, va = Measures.cost_curves view ~times in
+  let ri, ra = Measures.cost_curves rebuilt ~times in
+  agree "instantaneous cost" vi ri;
+  agree "accumulated cost" va ra
+
+let test_rooted_line2_disaster2 () =
+  List.iter
+    (fun config ->
+      check_rooted_matches_rebuild Facility.Line2 config ~failed:d2 ~horizon:100.)
+    [ Facility.ded; Facility.fff 1; Facility.fff 2; Facility.frf 1; Facility.frf 2 ]
+
+let test_rooted_line1_disaster1 () =
+  check_rooted_matches_rebuild Facility.Line1 Facility.ded ~failed:d1 ~horizon:4.5
+
+let test_points_below_two () =
+  List.iter
+    (fun (id, gen) ->
+      List.iter
+        (fun points ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s points=%d" id points)
+            (Invalid_argument
+               (Printf.sprintf "Experiments.%s: points must be at least 2 (got %d)"
+                  id points))
+            (fun () -> ignore (gen ~points ())))
+        [ 1; 0 ])
+    [
+      ("fig3", fun ~points () -> ignore (Experiments.fig3 ~points ()));
+      ("fig4", fun ~points () -> ignore (Experiments.fig4 ~points ()));
+      ("fig11", fun ~points () -> ignore (Experiments.fig11 ~points ()));
+    ]
+
 let () =
   Alcotest.run "watertreatment"
     [
@@ -921,6 +985,14 @@ let () =
           Alcotest.test_case "experiment ids" `Quick test_experiment_ids_complete;
           Alcotest.test_case "figure rendering" `Quick test_figure_rendering;
           Alcotest.test_case "table rendering" `Quick test_table_rendering;
+          Alcotest.test_case "points below two" `Quick test_points_below_two;
+        ] );
+      ( "rooted",
+        [
+          Alcotest.test_case "= rebuild (line 2, disaster 2)" `Quick
+            test_rooted_line2_disaster2;
+          Alcotest.test_case "= rebuild (line 1 DED, disaster 1)" `Quick
+            test_rooted_line1_disaster1;
         ] );
       ( "ablations",
         [
