@@ -22,16 +22,23 @@ let level_label_name levels x =
 let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
   let levels = Model.service_levels built.Semantics.model in
   let model = built.Semantics.model in
+  (* a literal of a grouped component has no value on a reduced build:
+     its label raises the same error when a query reads it *)
+  let literal_label literal =
+    match Semantics.literal_pred built literal with
+    | pred -> pred
+    | exception (Invalid_argument _ as e) -> fun _ -> raise e
+  in
   let component_labels =
     List.concat_map
       (fun name ->
-        (name ^ "_failed", Semantics.literal_pred built name)
+        (name ^ "_failed", literal_label name)
         :: List.filter_map
              (fun m ->
                if m.Component.fm_name = "failed" then None
                else
                  let literal = name ^ ":" ^ m.Component.fm_name in
-                 Some (literal, Semantics.literal_pred built literal))
+                 Some (literal, literal_label literal))
              (Component.modes (Model.component model name)))
       (Model.component_names model)
   in
@@ -57,6 +64,7 @@ let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
   Csl.Checker.of_chain ~analysis ~lump ~labels ~rewards built.Semantics.chain
 
 let wrap ?(lump = false) built =
+  span "wrap" @@ fun () ->
   (* one session per state space: every measure below, and every CSL query
      through {!to_csl_model}, shares its cached transposed rates,
      Fox-Glynn weights, quotients and steady-state vector *)
@@ -68,13 +76,15 @@ let wrap ?(lump = false) built =
   in
   { built; analysis; csl; cost; lump }
 
-let analyze ?max_states ?initial ?lump model =
+let analyze ?max_states ?initial ?lump ?(symmetric = false) model =
   let built =
     Obs.Trace.with_span "measures.build" @@ fun sp ->
-    let built = Semantics.build ?max_states ?initial model in
-    if Obs.Trace.recording sp then
+    let built = Semantics.build ?max_states ~symmetric ?initial model in
+    if Obs.Trace.recording sp then begin
       Obs.Trace.add_attr sp "states"
         (Obs.Int (Ctmc.Chain.states built.Semantics.chain));
+      Obs.Trace.add_attr sp "symmetric" (Obs.Bool symmetric)
+    end;
     built
   in
   wrap ?lump built

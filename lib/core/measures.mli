@@ -24,10 +24,22 @@ type t = {
 }
 
 val analyze :
-  ?max_states:int -> ?initial:Semantics.state -> ?lump:bool -> Model.t -> t
+  ?max_states:int ->
+  ?initial:Semantics.state ->
+  ?lump:bool ->
+  ?symmetric:bool ->
+  Model.t ->
+  t
 (** Build the state space — and one cached {!Ctmc.Analysis} session over
     it — once; all measures below reuse both. [lump] (default [false])
-    turns on quotient-based evaluation for every measure. *)
+    turns on quotient-based evaluation for every measure. [symmetric]
+    (default [false]) builds the quotient under interchangeable components
+    ({!Semantics.build}): the group-invariant measures (availability,
+    service levels, costs, the fault tree) are exact on it, while the
+    scenario measures and the labels of grouped components raise
+    [Invalid_argument]. The build runs under a [measures.build] span with
+    [states] and [symmetric] attributes, the wrapping (cost vectors, CSL
+    model) under [measures.wrap]. *)
 
 val analyze_all :
   ?max_states:int -> ?lump:bool -> Model.t list -> t list

@@ -63,6 +63,10 @@ type ctx = {
   stage_f : field array;
   rep_f : field array array; (* per unit, in-repair slots *)
   queue_f : field array array; (* per unit, queue slots *)
+  groups : int array array;
+      (* interchangeable components, ascending, by which a symmetric build
+         reduces ([||] on a full build) *)
+  group_of : int array; (* per component, its group or -1 *)
 }
 
 let is_dedicated ru = ru.Repair.strategy = Repair.Dedicated
@@ -203,6 +207,8 @@ let make_ctx model =
     stage_f;
     rep_f;
     queue_f;
+    groups = [||];
+    group_of = Array.make n (-1);
   }
 
 let component_count ctx = Array.length ctx.comps
@@ -295,6 +301,138 @@ let repairing ctx key off u =
       (fun k _ -> k < ru.Repair.crews)
       (read_list ctx key off u ctx.queue_f.(u))
   else read_list ctx key off u ctx.rep_f.(u)
+
+(* --- Symmetry ----------------------------------------------------------- *)
+
+(* Permuting the members of a group maps states to states with the same
+   rates (the members share every parameter, and the trees are invariant),
+   so a symmetric build keeps one canonical key per orbit. A member's
+   sort key packs, in this order of significance: up bit, failure mode,
+   completed stages, in-repair flag and queue position plus one (0 when not
+   queued). Members with equal sort keys are interchangeable within the
+   state, so the canonical key does not depend on how ties are broken. *)
+type sym = {
+  sort_key : int array; (* per component *)
+  perm : int array; (* per component, its image under the canonical map *)
+  order : int array; (* per group member, scratch *)
+  saved : int array; (* three saved fields per group member, scratch *)
+}
+
+let make_sym ctx =
+  let n = component_count ctx in
+  let k = Array.fold_left (fun acc g -> max acc (Array.length g)) 0 ctx.groups in
+  {
+    sort_key = Array.make n 0;
+    perm = Array.init n Fun.id;
+    order = Array.make k 0;
+    saved = Array.make (3 * k) 0;
+  }
+
+(* Fill [sym.sort_key] for every grouped component of the key at [off]:
+   mixed-radix digits up, mode, stage, then in-repair (radix 2) and queue
+   position plus one (radix [q], more than any unit's member count). *)
+let sort_keys ctx sym key off =
+  let q = component_count ctx + 1 in
+  let digit acc f = (acc * (f.mask + 1)) + get key off f in
+  Array.iter
+    (Array.iter (fun i ->
+         sym.sort_key.(i) <-
+           digit (digit (get key off ctx.up_f.(i)) ctx.mode_f.(i)) ctx.stage_f.(i)
+           * 2 * q))
+    ctx.groups;
+  let add_listed u slots f =
+    let p = ref 0 in
+    while !p < Array.length slots && get key off slots.(!p) <> 0 do
+      let x = ctx.members.(u).(get key off slots.(!p) - 1) in
+      if ctx.group_of.(x) >= 0 then sym.sort_key.(x) <- sym.sort_key.(x) + f !p;
+      incr p
+    done
+  in
+  Array.iteri
+    (fun u _ ->
+      add_listed u ctx.rep_f.(u) (fun _ -> q);
+      add_listed u ctx.queue_f.(u) (fun p -> p + 1))
+    ctx.rus
+
+(* [sym.order.(0 .. k-1)]: the member positions of group [g] stably sorted
+   by sort key *)
+let sort_group sym g =
+  let k = Array.length g in
+  for j = 0 to k - 1 do
+    let v = sym.sort_key.(g.(j)) in
+    let q = ref (j - 1) in
+    while !q >= 0 && sym.sort_key.(g.(sym.order.(!q))) > v do
+      sym.order.(!q + 1) <- sym.order.(!q);
+      decr q
+    done;
+    sym.order.(!q + 1) <- j
+  done
+
+(* Rewrite the key at [off] to its orbit's canonical key: each group's
+   members sorted by sort key, the in-repair and queue slots remapped by
+   the same permutation (in-repair lists re-sorted by component index,
+   queues keep their order). *)
+let canonicalize ctx sym key off =
+  sort_keys ctx sym key off;
+  Array.iter
+    (fun g ->
+      let k = Array.length g in
+      sort_group sym g;
+      for j = 0 to k - 1 do
+        let src = g.(sym.order.(j)) in
+        sym.perm.(src) <- g.(j);
+        sym.saved.(3 * j) <- get key off ctx.up_f.(src);
+        sym.saved.((3 * j) + 1) <- get key off ctx.mode_f.(src);
+        sym.saved.((3 * j) + 2) <- get key off ctx.stage_f.(src)
+      done;
+      for j = 0 to k - 1 do
+        set key off ctx.up_f.(g.(j)) sym.saved.(3 * j);
+        set key off ctx.mode_f.(g.(j)) sym.saved.((3 * j) + 1);
+        set key off ctx.stage_f.(g.(j)) sym.saved.((3 * j) + 2)
+      done)
+    ctx.groups;
+  let remap u slots =
+    let p = ref 0 in
+    while !p < Array.length slots && get key off slots.(!p) <> 0 do
+      let x = ctx.members.(u).(get key off slots.(!p) - 1) in
+      set key off slots.(!p) (ctx.member_pos.(sym.perm.(x)) + 1);
+      incr p
+    done;
+    !p
+  in
+  Array.iteri
+    (fun u rslots ->
+      let len = remap u rslots in
+      let comp p = ctx.members.(u).(get key off rslots.(p) - 1) in
+      for p = 1 to len - 1 do
+        let v = get key off rslots.(p) in
+        let q = ref (p - 1) in
+        while !q >= 0 && comp !q > ctx.members.(u).(v - 1) do
+          set key off rslots.(!q + 1) (get key off rslots.(!q));
+          decr q
+        done;
+        set key off rslots.(!q + 1) v
+      done;
+      ignore (remap u ctx.queue_f.(u)))
+    ctx.rep_f
+
+(* The number of full states in the orbit of the key at [off]: per group,
+   the multinomial of its members' equal sort keys. *)
+let orbit_size ctx sym key off =
+  sort_keys ctx sym key off;
+  Array.fold_left
+    (fun acc g ->
+      sort_group sym g;
+      (* the multinomial k! / prod (run length)!, one exact factor
+         (j + 1) / (position in its run) per sorted member *)
+      let sorted j = sym.sort_key.(g.(sym.order.(j))) in
+      let acc = ref acc and run = ref 0 in
+      for j = 0 to Array.length g - 1 do
+        if j > 0 && sorted j = sorted (j - 1) then incr run else run := 1;
+        acc := !acc * (j + 1) / !run
+      done;
+      !acc)
+    1 ctx.groups
 
 (* --- Successor generation --------------------------------------------- *)
 
@@ -545,6 +683,7 @@ type built = {
   packed : packed;
   component_index : string -> int;
   state_index : state -> int option;
+  full_size : int * int;
 }
 
 let resolve_component ctx name =
@@ -574,6 +713,65 @@ let rec compile ctx = function
   | Fault_tree.And inputs -> All (List.map (compile ctx) inputs)
   | Fault_tree.Or inputs -> Any (List.map (compile ctx) inputs)
   | Fault_tree.Kofn (k, inputs) -> Atleast (k, List.map (compile ctx) inputs)
+
+(* --- Group detection ---------------------------------------------------- *)
+
+(* [t] with components [a] and [b] exchanged, gate children in a fixed
+   order: two trees are equal up to the order of gate children when their
+   normal forms are. *)
+let rec swapped a b = function
+  | Leaf (i, m) -> Leaf ((if i = a then b else if i = b then a else i), m)
+  | All gs -> All (List.sort compare (List.map (swapped a b) gs))
+  | Any gs -> Any (List.sort compare (List.map (swapped a b) gs))
+  | Atleast (k, gs) -> Atleast (k, List.sort compare (List.map (swapped a b) gs))
+
+(* [ctx] with its groups of interchangeable components, detected
+   conservatively. Two components are interchangeable when they share the
+   repair unit and the rank of every mode, have equal failure modes
+   (rates, stages, costs) and operational cost, share their spare unit
+   only if it is hot (dormancy 1: warm and cold members fail at rates that
+   depend on their position in the unit), and exchanging them leaves the
+   fault and the service tree equal up to the order of gate children. A
+   component joins the first group whose first member it is
+   interchangeable with; the transpositions with one member generate every
+   permutation of the group. *)
+let with_groups ctx model =
+  let n = component_count ctx in
+  let fault = compile ctx model.Model.fault_tree
+  and service = compile ctx (Model.service_tree model) in
+  (* no component is numbered -1: this only sorts the gate children *)
+  let normal t = swapped (-1) (-1) t in
+  let fault_n = normal fault and service_n = normal service in
+  let alike i j =
+    ctx.ru_of.(i) = ctx.ru_of.(j)
+    && ctx.rank.(i) = ctx.rank.(j)
+    && ctx.modes.(i) = ctx.modes.(j)
+    && ctx.comps.(i).Component.operational_cost = ctx.comps.(j).Component.operational_cost
+    && (if Array.length ctx.spare_group.(i) = 0 then
+          Array.length ctx.spare_group.(j) = 0
+        else ctx.spare_group.(i) = ctx.spare_group.(j) && ctx.dormancy.(i) = 1.)
+    && swapped i j fault = fault_n
+    && swapped i j service = service_n
+  in
+  (* [head.(i)]: the first member of [i]'s group *)
+  let head = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let rec first h =
+      if h = i then i else if head.(h) = h && alike h i then h else first (h + 1)
+    in
+    head.(i) <- first 0
+  done;
+  let groups =
+    Array.of_list
+      (List.filter_map
+         (fun h ->
+           let g = List.filter (fun i -> head.(i) = h) (List.init n Fun.id) in
+           if List.length g > 1 then Some (Array.of_list g) else None)
+         (List.init n Fun.id))
+  in
+  let group_of = Array.make n (-1) in
+  Array.iteri (fun k g -> Array.iter (fun i -> group_of.(i) <- k) g) groups;
+  { ctx with groups; group_of }
 
 let field_at p s f = (Intern.get p.table s f.word lsr f.shift) land f.mask
 
@@ -680,14 +878,45 @@ let disaster_state model ~failed =
     ctx.rus;
   state
 
+(* The distinct successors of [cur] in [w] other than [cur] itself, with
+   a non-zero total rate: the full chain's out-degree of [cur]. *)
+let out_degree ctx w cur =
+  let width = ctx.width in
+  let equal a aoff b boff =
+    let rec eq f = f = width || (a.(aoff + f) = b.(boff + f) && eq (f + 1)) in
+    eq 0
+  in
+  let same k k' = equal w.keys (k * width) w.keys (k' * width) in
+  let is_cur k = equal w.keys (k * width) cur 0 in
+  let degree = ref 0 in
+  for k = 0 to w.count - 1 do
+    let rec seen k' = k' < k && (same k' k || seen (k' + 1)) in
+    if not (is_cur k || seen 0) then begin
+      (* rates are non-negative: the sum is zero only if every one is *)
+      let rec nonzero k' =
+        k' < w.count && ((same k' k && w.rates.(k') <> 0.) || nonzero (k' + 1))
+      in
+      if nonzero k then incr degree
+    end
+  done;
+  !degree
+
 (* Breadth-first exploration over packed keys. States are numbered in
    discovery order, so the BFS queue is simply the id range: state [i] is
    expanded from its interned key, and its successors are interned in
-   reverse generation order. Transitions are appended to flat arrays row
-   by row and handed to the sparse builder once the state count is
-   known. *)
-let build ?(max_states = 5_000_000) ?initial model =
+   reverse generation order. Rows come out in state order, so each goes
+   straight into the CSR buffers ({!Sparse.Rows}, the sparse builder's
+   rules per row).
+
+   A symmetric build canonicalizes every successor key before interning
+   it, so each id stands for one orbit; the expansion of a representative
+   adds its orbit size to the full state count and orbit size times its
+   (pre-canonical) out-degree to the full transition count. *)
+let build ?(max_states = 5_000_000) ?(symmetric = false) ?initial model =
   let ctx = make_ctx model in
+  let ctx = if symmetric then with_groups ctx model else ctx in
+  let reduced = Array.length ctx.groups > 0 in
+  let sym = make_sym ctx in
   let initial = match initial with Some s -> s | None -> all_up_state model in
   if Array.length initial.up <> component_count ctx then
     error "build: initial state has wrong component count";
@@ -695,6 +924,7 @@ let build ?(max_states = 5_000_000) ?initial model =
   let cur = Array.make width 0 in
   if not (encode ctx initial cur) then
     error "build: initial state does not fit the model";
+  if reduced then canonicalize ctx sym cur 0;
   let table = Intern.create ~width () in
   let intern key off =
     let j = Intern.intern table key off in
@@ -704,42 +934,30 @@ let build ?(max_states = 5_000_000) ?initial model =
   in
   ignore (intern cur 0);
   let w = make_work ctx in
-  let src = ref (Array.make 4096 0)
-  and dst = ref (Array.make 4096 0)
-  and rate = ref (Array.make 4096 0.)
-  and m = ref 0 in
+  let rows = Sparse.Rows.create () in
+  let full_states = ref 0 and full_transitions = ref 0 in
   let i = ref 0 in
   while !i < Intern.count table do
     Intern.blit table !i cur 0;
     unpack ctx w cur;
     successors ctx w cur;
-    if !m + w.count > Array.length !src then begin
-      let grow a fill =
-        let a' = Array.make (2 * (!m + w.count)) fill in
-        Array.blit a 0 a' 0 !m;
-        a'
-      in
-      src := grow !src 0;
-      dst := grow !dst 0;
-      rate := grow !rate 0.
+    if reduced then begin
+      let orbit = orbit_size ctx sym cur 0 in
+      full_states := !full_states + orbit;
+      full_transitions := !full_transitions + (orbit * out_degree ctx w cur);
+      for k = 0 to w.count - 1 do
+        canonicalize ctx sym w.keys (k * width)
+      done
     end;
     for k = w.count - 1 downto 0 do
       let j = intern w.keys (k * width) in
-      if j <> !i then begin
-        !src.(!m) <- !i;
-        !dst.(!m) <- j;
-        !rate.(!m) <- w.rates.(k);
-        incr m
-      end
+      if j <> !i then Sparse.Rows.add rows j w.rates.(k)
     done;
+    Sparse.Rows.end_row rows;
     incr i
   done;
   let n = Intern.count table in
-  let b = Sparse.Builder.create ~rows:n ~cols:n in
-  for p = 0 to !m - 1 do
-    Sparse.Builder.add b !src.(p) !dst.(p) !rate.(p)
-  done;
-  let chain = Chain.make ~init:(Vec.unit n 0) (Sparse.Builder.to_csr b) in
+  let chain = Chain.make ~init:(Vec.unit n 0) (Sparse.Rows.to_csr rows ~cols:n) in
   let packed =
     {
       ctx;
@@ -758,22 +976,52 @@ let build ?(max_states = 5_000_000) ?initial model =
       (fun s ->
         let key = Array.make width 0 in
         if not (encode ctx s key) then None
-        else
+        else begin
+          if reduced then canonicalize ctx (make_sym ctx) key 0;
           let id = Intern.find table key 0 in
-          if id < 0 then None else Some id);
+          if id < 0 then None else Some id
+        end);
+    full_size =
+      (if reduced then (!full_states, !full_transitions)
+       else (n, Chain.transition_count chain));
   }
 
+let reduced built = Array.length built.packed.ctx.groups > 0
+
+let symmetry_groups built =
+  let ctx = built.packed.ctx in
+  Array.to_list
+    (Array.map
+       (fun g -> Array.to_list (Array.map (fun i -> ctx.comps.(i).Component.name) g))
+       ctx.groups)
+
+(* Observations that tell the members of a group apart have no value on a
+   symmetry-reduced build. *)
+let refuse who what =
+  invalid_arg
+    (Printf.sprintf "Semantics.%s: %s on a symmetry-reduced build" who what)
+
+let check_ungrouped who built i =
+  if built.packed.ctx.group_of.(i) >= 0 then
+    refuse who
+      (Printf.sprintf "component %s is interchangeable with others"
+         built.packed.ctx.comps.(i).Component.name)
+
 let state built s =
+  if reduced built then refuse "state" "states are orbits";
   let p = built.packed in
   decode p.ctx (Intern.key p.table s) 0
 
 let component_up built s name =
   let p = built.packed in
-  field_at p s p.ctx.up_f.(built.component_index name) = 1
+  let i = built.component_index name in
+  check_ungrouped "component_up" built i;
+  field_at p s p.ctx.up_f.(i) = 1
 
 let literal_pred built literal =
   let p = built.packed in
   let i, m = resolve_literal p.ctx literal in
+  check_ungrouped "literal_pred" built i;
   fun s -> failed p s i m
 
 let down_pred built s = holds built.packed s built.packed.fault
@@ -788,7 +1036,10 @@ let levels p =
   match Atomic.get p.levels with
   | Some l -> l
   | None ->
-      let l = Array.init (Intern.count p.table) (fun s -> level p s p.service) in
+      let l =
+        Obs.Trace.with_span "semantics.levels" @@ fun _ ->
+        Array.init (Intern.count p.table) (fun s -> level p s p.service)
+      in
       Atomic.set p.levels (Some l);
       l
 
@@ -797,6 +1048,7 @@ let service_at_least built x =
   fun s -> (levels p).(s) >= x -. 1e-9
 
 let under_repair built s =
+  if reduced built then refuse "under_repair" "states are orbits";
   let p = built.packed in
   let key = Intern.key p.table s in
   List.concat (List.init (Array.length p.ctx.rus) (fun u -> repairing p.ctx key 0 u))

@@ -49,7 +49,12 @@ type built = {
       (** raises {!Build_error} for an unknown name *)
   state_index : state -> int option;
       (** the index of a state record; [None] when the state was not
-          reached or does not fit the model *)
+          reached or does not fit the model. On a symmetry-reduced build,
+          the index of the state's orbit. *)
+  full_size : int * int;
+      (** (states, transitions) of the full chain. On a full build those of
+          [chain]; on a symmetry-reduced build they are counted by orbits
+          (see {!build}). *)
 }
 
 exception Build_error of string
@@ -65,26 +70,55 @@ val disaster_state : Model.t -> failed:string list -> state
     be component names (["pump1"], primary mode) or mode references
     (["valve:leak"]). *)
 
-val build : ?max_states:int -> ?initial:state -> Model.t -> built
+val build :
+  ?max_states:int -> ?symmetric:bool -> ?initial:state -> Model.t -> built
 (** Explore the reachable state space from [initial] (default
     {!all_up_state}) and build the CTMC (initial distribution: point mass
     on [initial]). State [i] of the chain is the [i]-th state discovered
     breadth-first. Raises {!Build_error} when more than [max_states]
     (default [5_000_000]) states are reachable, or when [initial] does not
     match the model (dimensions, failure modes, list entries that are not
-    members of their repair unit). *)
+    members of their repair unit).
+
+    [~symmetric:true] builds the quotient under interchangeable
+    components instead. Components form a group when they share the repair
+    unit, the scheduling rank of every mode, their failure modes and
+    costs, and a spare unit only if it is hot, and when exchanging any two
+    of them leaves the fault and service trees equal up to the order of
+    gate children. Every key is canonicalized before it is interned (each
+    group's members sorted by up bit, mode, stage, in-repair flag and queue
+    position; the repair-unit lists remapped by the same permutation), so a
+    state of the chain is one orbit of full states. The quotient is exact
+    (ordinary lumpability): group-invariant measures (availability,
+    service levels, costs, the fault tree) agree with the full chain's.
+    [full_size] counts the orbits' members and, per orbit, its size times
+    the out-degree of its representative; this is the full build's size
+    when [initial] is fixed by every group permutation (as the all-up state
+    is). Without groups the build is the full one, bit for bit. On a
+    reduced build the observations that tell group members apart raise
+    [Invalid_argument]: {!state}, {!under_repair}, and {!component_up} and
+    {!literal_pred} of a grouped component. *)
+
+val symmetry_groups : built -> string list list
+(** The groups of interchangeable components a symmetric build lumped, by
+    name; [[]] on a full build and on a symmetric build that found none
+    (then [chain] is the full chain). *)
 
 (** {2 Per-state observations} *)
 
 val state : built -> int -> state
-(** [state b s] decodes state [s] (a fresh record). *)
+(** [state b s] decodes state [s] (a fresh record). Raises
+    [Invalid_argument] on a reduced build. *)
 
 val component_up : built -> int -> string -> bool
-(** [component_up b s name]: is the component operational in state [s]? *)
+(** [component_up b s name]: is the component operational in state [s]?
+    Raises [Invalid_argument] for a grouped component of a reduced
+    build. *)
 
 val literal_pred : built -> string -> int -> bool
 (** Evaluate a fault-tree basic event (["c"] — failed in any mode — or
-    ["c:mode"]) in a state. *)
+    ["c:mode"]) in a state. Raises [Invalid_argument] (when applied to the
+    literal) for a grouped component of a reduced build. *)
 
 val down_pred : built -> int -> bool
 (** Fault-tree evaluation: true when the system is down in the state. *)
@@ -104,7 +138,7 @@ val service_at_least : built -> float -> int -> bool
 
 val under_repair : built -> int -> int list
 (** Component indices under repair in a state (across all units, including
-    dedicated ones). *)
+    dedicated ones). Raises [Invalid_argument] on a reduced build. *)
 
 val cost_structure : built -> Ctmc.Rewards.structure
 (** The paper's cost model per state: component costs (failed / operational

@@ -16,6 +16,68 @@ type t = {
 
 let idx (a : index_array) p = Int32.to_int (A1.unsafe_get a p)
 
+(* Rows up to this length are column-sorted by insertion sort; longer
+   ones by a stable merge sort over a permutation. *)
+let insertion_limit = 64
+
+(* Stable sort of entries [lo, hi) of (cols, vals) by column. *)
+let sort_row (cols : index_array) (vals : value_array) lo hi =
+  if hi - lo <= insertion_limit then
+    for p = lo + 1 to hi - 1 do
+      let c = A1.unsafe_get cols p and v = A1.unsafe_get vals p in
+      let q = ref (p - 1) in
+      while !q >= lo && idx cols !q > Int32.to_int c do
+        A1.unsafe_set cols (!q + 1) (A1.unsafe_get cols !q);
+        A1.unsafe_set vals (!q + 1) (A1.unsafe_get vals !q);
+        decr q
+      done;
+      A1.unsafe_set cols (!q + 1) c;
+      A1.unsafe_set vals (!q + 1) v
+    done
+  else begin
+    let perm = Array.init (hi - lo) (fun q -> lo + q) in
+    Array.stable_sort
+      (fun a b -> Int.compare (idx cols a) (idx cols b))
+      perm;
+    let c = Array.map (fun p -> A1.unsafe_get cols p) perm in
+    let v = Array.map (fun p -> A1.unsafe_get vals p) perm in
+    for q = 0 to hi - lo - 1 do
+      A1.unsafe_set cols (lo + q) c.(q);
+      A1.unsafe_set vals (lo + q) v.(q)
+    done
+  end
+
+(* The one row rule of both builders: sort entries [lo, hi) stably by
+   column, then compact them to [w, ...) (w <= lo) summing duplicates in
+   insertion order and dropping exact-zero sums. Returns the new end. *)
+let finish_row (cols : index_array) (vals : value_array) ~w lo hi =
+  sort_row cols vals lo hi;
+  let w = ref w and p = ref lo in
+  while !p < hi do
+    let c = A1.unsafe_get cols !p in
+    let acc = ref 0. in
+    while !p < hi && idx cols !p = Int32.to_int c do
+      acc := !acc +. A1.unsafe_get vals !p;
+      incr p
+    done;
+    if !acc <> 0. then begin
+      A1.unsafe_set cols !w c;
+      A1.unsafe_set vals !w !acc;
+      incr w
+    end
+  done;
+  !w
+
+(* [a] itself when it holds exactly [n] entries, else a copy of its
+   prefix *)
+let exact kind (a : ('a, 'b, Bigarray.c_layout) A1.t) n =
+  if A1.dim a = n then a
+  else begin
+    let a' = A1.create kind Bigarray.c_layout n in
+    A1.blit (A1.sub a 0 n) a';
+    a'
+  end
+
 module Builder = struct
   type matrix = t
 
@@ -56,41 +118,9 @@ module Builder = struct
     Array.unsafe_set b.vs k x;
     b.count <- k + 1
 
-  (* Rows up to this length are column-sorted by insertion sort; longer
-     ones by a stable merge sort over a permutation. *)
-  let insertion_limit = 64
-
-  (* Stable sort of entries [lo, hi) of (cols, vals) by column. *)
-  let sort_row (cols : index_array) (vals : value_array) lo hi =
-    if hi - lo <= insertion_limit then
-      for p = lo + 1 to hi - 1 do
-        let c = A1.unsafe_get cols p and v = A1.unsafe_get vals p in
-        let q = ref (p - 1) in
-        while !q >= lo && idx cols !q > Int32.to_int c do
-          A1.unsafe_set cols (!q + 1) (A1.unsafe_get cols !q);
-          A1.unsafe_set vals (!q + 1) (A1.unsafe_get vals !q);
-          decr q
-        done;
-        A1.unsafe_set cols (!q + 1) c;
-        A1.unsafe_set vals (!q + 1) v
-      done
-    else begin
-      let perm = Array.init (hi - lo) (fun q -> lo + q) in
-      Array.stable_sort
-        (fun a b -> Int.compare (idx cols a) (idx cols b))
-        perm;
-      let c = Array.map (fun p -> A1.unsafe_get cols p) perm in
-      let v = Array.map (fun p -> A1.unsafe_get vals p) perm in
-      for q = 0 to hi - lo - 1 do
-        A1.unsafe_set cols (lo + q) c.(q);
-        A1.unsafe_set vals (lo + q) v.(q)
-      done
-    end
-
   (* Finalization: a stable counting sort by row scatters the triplets
-     into the column/value Bigarrays, each row is stably sorted by column,
-     and one compaction pass sums duplicates in insertion order and drops
-     exact-zero sums. *)
+     into the column/value Bigarrays, then each row goes through
+     [finish_row]. *)
   let to_csr b : matrix =
     let rows = b.b_rows and cols = b.b_cols in
     let n = b.count in
@@ -118,39 +148,84 @@ module Builder = struct
     let w = ref 0 and lo = ref 0 in
     for r = 0 to rows - 1 do
       let hi = next.(r) in
-      sort_row col_idx values !lo hi;
-      let p = ref !lo in
-      while !p < hi do
-        let c = A1.unsafe_get col_idx !p in
-        let acc = ref 0. in
-        while !p < hi && idx col_idx !p = Int32.to_int c do
-          acc := !acc +. A1.unsafe_get values !p;
-          incr p
-        done;
-        if !acc <> 0. then begin
-          A1.unsafe_set col_idx !w c;
-          A1.unsafe_set values !w !acc;
-          incr w
-        end
-      done;
+      w := finish_row col_idx values ~w:!w !lo hi;
       A1.unsafe_set row_ptr (r + 1) (Int32.of_int !w);
       lo := hi
     done;
     let nnz = !w in
-    let exact a kind =
-      if nnz = n then a
-      else begin
-        let a' = A1.create kind Bigarray.c_layout nnz in
-        A1.blit (A1.sub a 0 nnz) a';
-        a'
-      end
-    in
     {
       rows;
       cols;
       row_ptr;
-      col_idx = exact col_idx Bigarray.int32;
-      values = exact values Bigarray.float64;
+      col_idx = exact Bigarray.int32 col_idx nnz;
+      values = exact Bigarray.float64 values nnz;
+    }
+end
+
+module Rows = struct
+  type matrix = t
+
+  (* The closed rows' entries in [0, row_ptr.(rows)), the open row's
+     from there to [count]; all three buffers grow by doubling. *)
+  type t = {
+    mutable r_cols : index_array;
+    mutable r_vals : value_array;
+    mutable r_ptr : index_array;
+    mutable rows : int;
+    mutable count : int;
+    mutable max_col : int;
+  }
+
+  let create () =
+    let ptr = A1.create Bigarray.int32 Bigarray.c_layout 64 in
+    A1.unsafe_set ptr 0 0l;
+    {
+      r_cols = A1.create Bigarray.int32 Bigarray.c_layout 64;
+      r_vals = A1.create Bigarray.float64 Bigarray.c_layout 64;
+      r_ptr = ptr;
+      rows = 0;
+      count = 0;
+      max_col = -1;
+    }
+
+  let grown kind a used =
+    let a' = A1.create kind Bigarray.c_layout (2 * A1.dim a) in
+    A1.blit (A1.sub a 0 used) (A1.sub a' 0 used);
+    a'
+
+  let add b j x =
+    if j < 0 then invalid_arg (Printf.sprintf "Sparse.Rows.add: column %d" j);
+    let k = b.count in
+    if k = A1.dim b.r_cols then begin
+      b.r_cols <- grown Bigarray.int32 b.r_cols k;
+      b.r_vals <- grown Bigarray.float64 b.r_vals k
+    end;
+    A1.unsafe_set b.r_cols k (Int32.of_int j);
+    A1.unsafe_set b.r_vals k x;
+    if j > b.max_col then b.max_col <- j;
+    b.count <- k + 1
+
+  let end_row b =
+    let lo = idx b.r_ptr b.rows in
+    b.count <- finish_row b.r_cols b.r_vals ~w:lo lo b.count;
+    if b.rows + 2 > A1.dim b.r_ptr then
+      b.r_ptr <- grown Bigarray.int32 b.r_ptr (b.rows + 1);
+    b.rows <- b.rows + 1;
+    A1.unsafe_set b.r_ptr b.rows (Int32.of_int b.count)
+
+  let to_csr b ~cols : matrix =
+    if b.count > idx b.r_ptr b.rows then
+      invalid_arg "Sparse.Rows.to_csr: the last row is not closed";
+    if b.max_col >= cols then
+      invalid_arg
+        (Printf.sprintf "Sparse.Rows.to_csr: column %d out of %d" b.max_col cols);
+    let nnz = b.count in
+    {
+      rows = b.rows;
+      cols;
+      row_ptr = exact Bigarray.int32 b.r_ptr (b.rows + 1);
+      col_idx = exact Bigarray.int32 b.r_cols nnz;
+      values = exact Bigarray.float64 b.r_vals nnz;
     }
 end
 

@@ -2,7 +2,8 @@
 
     The CTMC engine stores generator and probability matrices in this format.
     Matrices are immutable once built; construction goes through {!Builder}
-    (coordinate/triplet accumulation) or {!of_triplets}.
+    (coordinate/triplet accumulation), {!Rows} (rows streamed in order) or
+    {!of_triplets}.
 
     Storage is unboxed: row pointers and column indices live in int32
     {!Bigarray}s and values in a float64 {!Bigarray}, so one matrix pass
@@ -29,6 +30,32 @@ module Builder : sig
       Raises [Invalid_argument] when [(i, j)] is out of range. *)
 
   val to_csr : t -> matrix
+end
+
+(** Row-streaming accumulator for rows that arrive in order (a state-space
+    exploration emits each state's row once): entries go straight into
+    growable unboxed CSR buffers, with no triplet staging. Each row obeys
+    {!Builder}'s rules, so the same entries give the same matrix bit for
+    bit. *)
+module Rows : sig
+  type matrix := t
+  type t
+
+  val create : unit -> t
+
+  val add : t -> int -> float -> unit
+  (** [add b j x] appends [x] at column [j] of the open row. Raises
+      [Invalid_argument] on a negative column. *)
+
+  val end_row : t -> unit
+  (** Closes the open row (possibly empty): its entries are stably sorted
+      by column, duplicates summed in insertion order and exact-zero sums
+      dropped. *)
+
+  val to_csr : t -> cols:int -> matrix
+  (** The closed rows, in order, as a matrix with [cols] columns; [b] must
+      not be used afterwards. Raises [Invalid_argument] when the open row has entries
+      or a column is [>= cols]. *)
 end
 
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t

@@ -207,21 +207,25 @@ let build ?(max_states = 2_000_000) model =
     i
   in
   ignore (intern (Array.map (fun v -> v.init) vars));
-  let transitions = ref [] in
+  (* rows come out in state order and go straight into CSR; successors
+     are interned in emission order and each row summed in reverse *)
+  let rows = Sparse.Rows.create () in
   let i = ref 0 in
   while !i < Numeric.Intern.count table do
-    List.iter
-      (fun (rate, state') -> transitions := (!i, intern state', rate) :: !transitions)
-      (try successors (Numeric.Intern.key table !i)
-       with Eval.Eval_error msg -> error "evaluating transitions: %s" msg);
+    let row =
+      List.map
+        (fun (rate, state') -> (intern state', rate))
+        (try successors (Numeric.Intern.key table !i)
+         with Eval.Eval_error msg -> error "evaluating transitions: %s" msg)
+    in
+    List.iter (fun (j, rate) -> Sparse.Rows.add rows j rate) (List.rev row);
+    Sparse.Rows.end_row rows;
     incr i
   done;
   let n = Numeric.Intern.count table in
   let state_vectors = Array.init n (Numeric.Intern.key table) in
-  let b = Sparse.Builder.create ~rows:n ~cols:n in
-  List.iter (fun (i, j, r) -> Sparse.Builder.add b i j r) !transitions;
   let init = Vec.unit n 0 in
-  let chain = Ctmc.Chain.make ~init (Sparse.Builder.to_csr b) in
+  let chain = Ctmc.Chain.make ~init (Sparse.Rows.to_csr rows ~cols:n) in
   (* labels and rewards per state *)
   let eval_label body =
     Array.map

@@ -86,6 +86,23 @@ let rec measures ?disaster line config =
       Hashtbl.replace cache key m;
       m
 
+(* Tables 1 and 2 read only group-invariant quantities (the full chain's
+   size, counted by orbits, and the full-service availability), so they
+   run on symmetry-reduced chains ({!Measures.analyze} [~symmetric]),
+   cached apart from the figures' full chains. *)
+let table_measures line config =
+  let lump = lump_enabled () in
+  let cache = Domain.DLS.get cache_key_dls in
+  let key = cache_key ~lump line config None ^ "/symmetric" in
+  match Hashtbl.find_opt cache key with
+  | Some m -> m
+  | None ->
+      let m =
+        Measures.analyze ~lump ~symmetric:true (Facility.line_model line config)
+      in
+      Hashtbl.replace cache key m;
+      m
+
 let cost_curve_pair ~disaster line config ~times =
   let lump = lump_enabled () in
   let cache = Domain.DLS.get cost_pair_cache_dls in
@@ -158,12 +175,10 @@ let table1 () =
         Facility.config_name config
         :: List.concat_map
              (fun line ->
-               let m = measures line config in
-               let chain = (Measures.built m).Semantics.chain in
-               [
-                 string_of_int (Ctmc.Chain.states chain);
-                 string_of_int (Ctmc.Chain.transition_count chain);
-               ])
+               let states, transitions =
+                 (Measures.built (table_measures line config)).Semantics.full_size
+               in
+               [ string_of_int states; string_of_int transitions ])
              lines)
       Facility.paper_configs
   in
@@ -180,7 +195,7 @@ let table2 () =
     parallel_map
       (fun config ->
         series_span "table2" (Facility.config_name config) @@ fun () ->
-        let avail line = Measures.availability (measures line config) in
+        let avail line = Measures.availability (table_measures line config) in
         let a1 = avail Facility.Line1 and a2 = avail Facility.Line2 in
         [
           Facility.config_name config;
@@ -357,18 +372,21 @@ let artifact_points = function
 
 let state_spaces id =
   let states m = Ctmc.Chain.states (Measures.built m).Semantics.chain in
+  let label line config =
+    Printf.sprintf "%s/%s" (Facility.line_name line) (Facility.config_name config)
+  in
   let repairable ~disaster line configs =
     List.map
-      (fun config ->
-        ( Printf.sprintf "%s/%s" (Facility.line_name line)
-            (Facility.config_name config),
-          states (measures ?disaster line config) ))
+      (fun config -> (label line config, states (measures ?disaster line config)))
       configs
   in
   match id with
   | "table1" | "table2" ->
       List.concat_map
-        (fun line -> repairable ~disaster:None line Facility.paper_configs)
+        (fun line ->
+          List.map
+            (fun config -> (label line config, states (table_measures line config)))
+            Facility.paper_configs)
         lines
   | "fig3" ->
       List.map

@@ -14,11 +14,16 @@
     - {!fig10} / {!fig11}: instantaneous / accumulated cost, Line 2,
       Disaster 2.
 
-    Chains are built once per (line, strategy) and shared across figures
-    through an internal cache; a disaster analysis is a view of that chain
-    rooted at the disaster state ({!Facility.after_disaster}), so
-    generating the full set costs one state-space construction per
-    (line, strategy) plus one per reliability model.
+    Tables 1 and 2 read only group-invariant quantities, so they run on
+    the quotient under interchangeable components ({!Core.Semantics.build}
+    [~symmetric:true], 96–727 states per chain): Table 1 prints the full
+    chain's size counted by orbits. The figures run on full chains, built
+    once per (line, strategy) and shared across figures through an
+    internal cache; a disaster analysis is a view of that chain rooted at
+    the disaster state ({!Facility.after_disaster}). Generating the full
+    set costs one reduced construction per table chain, one full
+    construction per (line, strategy) a figure uses, and one per
+    reliability model.
 
     Figure series (one per repair configuration) and table rows are
     computed through {!Numeric.Parallel.map}: independent chains fan out
@@ -109,7 +114,8 @@ val artifact_points : artifact -> int
 val state_spaces : string -> (string * int) list
 (** [state_spaces id] is the state-space size of every chain behind the
     artifact [id] (one [("line/config", states)] pair per chain), [[]] for
-    unknown ids. Chains are taken from — or built into — the calling
+    unknown ids. Tables 1 and 2 run on symmetry-reduced chains, so theirs
+    are the reduced sizes. Chains are taken from — or built into — the calling
     domain's cache, so calling this right after generating [id] in the
     same domain is free. *)
 

@@ -1379,6 +1379,74 @@ let test_golden_table1 () =
         (Semantics.build (Facility.line_model line config)))
     golden_table1
 
+(* The symmetric builds of Table 1: the full (states, transitions) counted
+   by orbits, and the block counts of the exact quotient under
+   interchangeable tanks, filters and pumps. *)
+let golden_table1_blocks =
+  [
+    ("line1", [ 160; 449; 727; 449; 727 ]);
+    ("line2", [ 96; 257; 387; 257; 387 ]);
+  ]
+
+let test_golden_table1_symmetric () =
+  let open Watertreatment in
+  List.iter
+    (fun (line, config, states, transitions, _, _) ->
+      let line_t = if line = "line1" then Facility.Line1 else Facility.Line2 in
+      let k, config =
+        let rec find k = function
+          | c :: rest ->
+              if Facility.config_name c = config then (k, c) else find (k + 1) rest
+          | [] -> Alcotest.fail config
+        in
+        find 0 Facility.paper_configs
+      in
+      let label = line ^ " " ^ Facility.config_name config ^ " symmetric" in
+      let built =
+        Semantics.build ~symmetric:true (Facility.line_model line_t config)
+      in
+      Alcotest.(check (pair int int)) (label ^ " full size") (states, transitions)
+        built.Semantics.full_size;
+      Alcotest.(check int) (label ^ " blocks")
+        (List.nth (List.assoc line golden_table1_blocks) k)
+        (Chain.states built.Semantics.chain))
+    golden_table1
+
+(* A reduced build refuses every observation that tells the members of a
+   group apart, and answers the invariant ones. *)
+let test_reduced_observations () =
+  let open Watertreatment in
+  let model = Facility.line_model Facility.Line2 Facility.ded in
+  let m = Measures.analyze ~symmetric:true model in
+  let built = Measures.built m in
+  Alcotest.(check (list (list string))) "groups"
+    [ [ "st1"; "st2"; "st3" ]; [ "sf1"; "sf2" ]; [ "pump1"; "pump2"; "pump3" ] ]
+    (Semantics.symmetry_groups built);
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.fail (what ^ ": expected Invalid_argument")
+    | exception Invalid_argument _ -> ()
+  in
+  refused "state" (fun () -> ignore (Semantics.state built 0));
+  refused "component_up" (fun () -> ignore (Semantics.component_up built 0 "pump1"));
+  refused "under_repair" (fun () -> ignore (Semantics.under_repair built 0));
+  refused "literal_pred" (fun () ->
+      let (_ : int -> bool) = Semantics.literal_pred built "pump1" in
+      ());
+  refused "pump1_failed query" (fun () ->
+      ignore
+        (Csl.Checker.check_string (Measures.to_csl_model m)
+           {|P=? [ true U<=10 "pump1_failed" ]|}));
+  (* the reservoir has no twin: its observations stay *)
+  Alcotest.(check bool) "res up" true (Semantics.component_up built 0 "res");
+  Alcotest.(check bool) "res literal" false (Semantics.literal_pred built "res" 0);
+  check_close ~eps:1e-12 "availability" 0.8186317
+    (Float.round (Measures.availability m *. 1e7) /. 1e7);
+  (* a full build keeps every observation *)
+  let full = Semantics.build model in
+  Alcotest.(check (list (list string))) "full build" [] (Semantics.symmetry_groups full);
+  Alcotest.(check bool) "pump1 up" true (Semantics.component_up full 0 "pump1")
+
 (* Disaster starts: pre-filled queues and in-repair lists, spares, failure
    modes and Erlang stages in the initial state. *)
 let golden_disasters =
@@ -1448,6 +1516,158 @@ let test_observations_match_fault_tree () =
             (Int64.bits_of_float reference) (Int64.bits_of_float (level s)))
         (decoded_states built))
     [ "pipeline_modes.xml"; "substation.xml"; "line2_frf-2.xml" ]
+
+(* ------------------------------------------------------------------ *)
+(* Symmetric builds against full builds on generated models *)
+
+(* Deliberately symmetric models: 1-3 groups of 2-4 replicas (at most five
+   in all, to keep the full chain small) plus 0-1 singletons under one
+   repair unit; each group with its own rates, Erlang stages, spare unit
+   (none, hot or warm) and gate (AND, OR or K-of-N over its replicas), one
+   group or singleton with an extra failure mode. [spoil] gives every
+   group a warm or cold spare unit, or switches the unit to Priority
+   (distinct ranks), so that no group may form. *)
+let symmetric_model_gen ~spoil =
+  QCheck.Gen.(
+    let* sizes = list_size (int_range 1 3) (int_range 2 4) in
+    let sizes =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (left, acc) k ->
+                if left < 2 then (left, acc) else (left - min k left, min k left :: acc))
+              (5, []) sizes))
+    in
+    let* singles = int_range 0 1 in
+    let* strategy =
+      oneofl [ `Dedicated; `Fcfs; `Frf; `Fff; `Priority ]
+    in
+    let* preemptive = bool and* crews = int_range 1 2 in
+    let* kinds =
+      flatten_l
+        (List.map
+           (fun k ->
+             let* mttf = float_range 50. 2000. and* mttr = float_range 0.5 50. in
+             let* stages = int_range 1 2 in
+             let* spare =
+               if spoil then oneofl [ Spare.Warm 0.5; Spare.Cold ] >|= Option.some
+               else oneofl [ None; Some Spare.Hot; Some (Spare.Warm 0.5) ]
+             in
+             let* gate = int_range 0 (k + 1) in
+             return (k, mttf, mttr, stages, spare, gate))
+           (sizes @ List.init singles (fun _ -> 1)))
+    in
+    let* extra = int_range 0 (List.length kinds) in
+    let* spoil_by_priority = bool in
+    let strategy = if spoil && spoil_by_priority then `Priority else strategy in
+    let groups =
+      List.mapi
+        (fun g (k, mttf, mttr, stages, spare, gate) ->
+          let names = List.init k (fun r -> Printf.sprintf "g%d_%d" g r) in
+          let extra_modes =
+            if g = extra then
+              [ Component.failure_mode ~name:"leak" ~mttf:(2. *. mttf) ~mttr:(mttr /. 2.) () ]
+            else []
+          in
+          let comps =
+            List.map
+              (fun name ->
+                Component.make ~name ~mttf ~mttr ~repair_stages:stages ~extra_modes ())
+              names
+          in
+          let basics = List.map Fault_tree.basic names in
+          let tree =
+            match (k, gate) with
+            | 1, _ -> List.hd basics
+            | _, 0 -> Fault_tree.and_ basics
+            | _, 1 -> Fault_tree.or_ basics
+            | _, k' -> Fault_tree.kofn (min k (k' - 1)) basics
+          in
+          let spare_unit =
+            match spare with
+            | Some mode when k > 1 ->
+                let rec split = function
+                  | [ last ] -> ([], [ last ])
+                  | x :: rest ->
+                      let p, s = split rest in
+                      (x :: p, s)
+                  | [] -> ([], [])
+                in
+                let primaries, spares = split names in
+                Some (Spare.make ~name:(Printf.sprintf "smu%d" g) ~mode ~primaries ~spares ())
+            | _ -> None
+          in
+          (comps, tree, spare_unit))
+        kinds
+    in
+    let components = List.concat_map (fun (c, _, _) -> c) groups in
+    let names = List.map (fun c -> c.Component.name) components in
+    let strategy =
+      match strategy with
+      | `Dedicated -> Repair.Dedicated
+      | `Fcfs -> Repair.Fcfs
+      | `Frf -> Repair.Frf
+      | `Fff -> Repair.Fff
+      | `Priority -> Repair.Priority names
+    in
+    let preemptive = preemptive && strategy <> Repair.Dedicated in
+    let ru = Repair.make ~name:"ru" ~strategy ~crews ~preemptive ~components:names () in
+    return
+      (Model.make ~name:"symmetric" ~components ~repair_units:[ ru ]
+         ~spare_units:(List.filter_map (fun (_, _, s) -> s) groups)
+         ~fault_tree:(Fault_tree.or_ (List.map (fun (_, t, _) -> t) groups))
+         ()))
+
+let print_model m = Format.asprintf "%a" Model.pp m
+
+let close_rel a b =
+  Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b) +. 1e-15
+
+let prop_symmetric_counts =
+  QCheck.Test.make ~count:60 ~name:"symmetric models: orbit counts = full build"
+    (QCheck.make ~print:print_model (symmetric_model_gen ~spoil:false))
+    (fun model ->
+      let full = Semantics.build model in
+      let sym = Semantics.build ~symmetric:true model in
+      sym.Semantics.full_size
+      = (Chain.states full.Semantics.chain, Chain.transition_count full.Semantics.chain)
+      && Chain.states sym.Semantics.chain <= Chain.states full.Semantics.chain)
+
+let prop_symmetric_measures =
+  QCheck.Test.make ~count:40 ~name:"symmetric models: reduced measures = full"
+    (QCheck.make ~print:print_model (symmetric_model_gen ~spoil:false))
+    (fun model ->
+      let full = Measures.analyze model in
+      let sym = Measures.analyze ~symmetric:true model in
+      (* the whole first group fails *)
+      let failed =
+        List.filter
+          (fun n -> String.length n > 3 && String.sub n 0 3 = "g0_")
+          (Model.component_names model)
+      in
+      let disaster = Semantics.disaster_state model ~failed in
+      let surv m =
+        let view = Measures.rooted m [ (1., disaster) ] in
+        List.map
+          (fun level -> Measures.survivability view ~service_level:level ~time:5.)
+          (Model.service_levels model)
+      in
+      close_rel (Measures.availability full) (Measures.availability sym)
+      && close_rel
+           (Measures.any_service_availability full)
+           (Measures.any_service_availability sym)
+      && List.for_all2 close_rel (surv full) (surv sym))
+
+let prop_spoiled_no_group =
+  QCheck.Test.make ~count:30
+    ~name:"symmetric models: warm/cold spares and priority ranks form no group"
+    (QCheck.make ~print:print_model (symmetric_model_gen ~spoil:true))
+    (fun model ->
+      let full = Semantics.build model in
+      let sym = Semantics.build ~symmetric:true model in
+      Semantics.symmetry_groups sym = []
+      && chain_digest sym.Semantics.chain = chain_digest full.Semantics.chain
+      && states_digest sym = states_digest full)
 
 let () =
   Alcotest.run "core"
@@ -1560,6 +1780,8 @@ let () =
         [
           Alcotest.test_case "shipped models" `Quick test_golden_models;
           Alcotest.test_case "table 1" `Quick test_golden_table1;
+          Alcotest.test_case "table 1, symmetric" `Quick test_golden_table1_symmetric;
+          Alcotest.test_case "reduced observations" `Quick test_reduced_observations;
           Alcotest.test_case "disaster starts" `Quick test_golden_disasters;
           Alcotest.test_case "observations vs fault tree" `Quick
             test_observations_match_fault_tree;
@@ -1570,6 +1792,9 @@ let () =
             prop_two_paths_agree; prop_measures_sane; prop_survivability_monotone;
             prop_survivability_matches_absorbed; prop_rooted_matches_rebuild;
           ] );
+      ( "symmetric-builds",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_symmetric_counts; prop_symmetric_measures; prop_spoiled_no_group ] );
       ( "to-prism",
         [
           Alcotest.test_case "fcfs agrees" `Quick test_to_prism_fcfs;

@@ -307,6 +307,38 @@ let prop_transpose_matches_builder =
       && Sparse.cols t = Sparse.cols r
       && entries_bits t = entries_bits r)
 
+(* Rows streamed in row order give the Builder's matrix, bit for bit:
+   same sort, duplicate sums, dropped zeros and empty rows. *)
+let prop_rows_match_builder =
+  QCheck.Test.make ~count:300 ~name:"Rows stream = Builder"
+    (QCheck.make builder_triplets_gen)
+    (fun (rows, cols, entries) ->
+      let b = Sparse.Rows.create () in
+      for r = 0 to rows - 1 do
+        List.iter (fun (i, j, x) -> if i = r then Sparse.Rows.add b j x) entries;
+        Sparse.Rows.end_row b
+      done;
+      let m = Sparse.Rows.to_csr b ~cols in
+      let r = Sparse.of_triplets ~rows ~cols entries in
+      Sparse.rows m = rows
+      && Sparse.cols m = cols
+      && entries_bits m = entries_bits r)
+
+let test_rows_errors () =
+  let b = Sparse.Rows.create () in
+  Alcotest.check_raises "negative column"
+    (Invalid_argument "Sparse.Rows.add: column -1") (fun () -> Sparse.Rows.add b (-1) 1.);
+  Sparse.Rows.add b 3 1.;
+  Alcotest.check_raises "open row"
+    (Invalid_argument "Sparse.Rows.to_csr: the last row is not closed") (fun () ->
+      ignore (Sparse.Rows.to_csr b ~cols:4));
+  Sparse.Rows.end_row b;
+  Alcotest.check_raises "column out of range"
+    (Invalid_argument "Sparse.Rows.to_csr: column 3 out of 3") (fun () ->
+      ignore (Sparse.Rows.to_csr b ~cols:3));
+  let m = Sparse.Rows.to_csr b ~cols:4 in
+  Alcotest.(check (float 0.)) "entry" 1. (Sparse.get m 0 3)
+
 (* Every width 1..9, so the kernel's register groups of 4, 2 and 1
    columns all run with every remainder; results must be bit-identical to
    the single-vector products, the forward case ([x^T m]) through the
@@ -1168,12 +1200,13 @@ let () =
           Alcotest.test_case "blocked products" `Quick test_sparse_mul_multi;
           Alcotest.test_case "blocked shape mismatch" `Quick
             test_sparse_multi_shape_mismatch;
+          Alcotest.test_case "row stream errors" `Quick test_rows_errors;
         ]
         @ qsuite
             [
               prop_builder_matches_dense; prop_spmv_matches_dense;
               prop_transpose_involution; prop_transpose_matches_builder;
-              prop_blocked_matches_columns;
+              prop_rows_match_builder; prop_blocked_matches_columns;
             ] );
       ( "intern",
         [

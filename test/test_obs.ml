@@ -864,6 +864,52 @@ let test_obs_invariance () =
        (List.assoc_opt "analysis.mixture_passes" metrics.Obs.Metrics.counters)
     > 0)
 
+(* Tables 1 and 2 build only symmetry-reduced chains, and their
+   measure-level spans have children: [measures.wrap] inside the
+   [table1/<config>] (or, on another domain, [table2/<config>]) span that
+   built the chain, [semantics.levels] inside
+   the [measures.availability] that first asked for a service level. *)
+let test_table_spans () =
+  Experiments.clear_cache ();
+  let events =
+    traced_events (fun () ->
+        ignore (Experiments.table1 ());
+        ignore (Experiments.table2 ()))
+  in
+  Experiments.clear_cache ();
+  let builds = List.filter (named "measures.build") events in
+  Alcotest.(check bool) "builds" true (builds <> []);
+  List.iter
+    (fun ev ->
+      Alcotest.(check bool) "symmetric" true (arg "symmetric" ev = Some (Json.Bool true));
+      Alcotest.(check bool) "at most 727 states" true (get_num "states" (Option.get (Json.member "args" ev)) <= 727.))
+    builds;
+  let within parent child =
+    get_num "tid" parent = get_num "tid" child
+    && get_num "ts" parent <= get_num "ts" child
+    && get_num "ts" child +. get_num "dur" child
+       <= get_num "ts" parent +. get_num "dur" parent
+  in
+  let nested ~parent child =
+    let parents = List.filter parent events in
+    let children = List.filter (named child) events in
+    Alcotest.(check bool) (child ^ " spans") true (children <> []);
+    List.iter
+      (fun c ->
+        Alcotest.(check bool) (child ^ " has its parent") true
+          (List.exists (fun p -> within p c) parents))
+      children
+  in
+  let prefixed prefix ev =
+    match Json.member "name" ev with
+    | Some (Json.Str n) -> String.starts_with ~prefix n
+    | _ -> false
+  in
+  nested
+    ~parent:(fun ev -> prefixed "table1/" ev || prefixed "table2/" ev)
+    "measures.wrap";
+  nested ~parent:(named "measures.availability") "semantics.levels"
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -936,5 +982,6 @@ let () =
             test_stats_registry_compat;
           Alcotest.test_case "observability does not change results" `Slow
             test_obs_invariance;
+          Alcotest.test_case "table spans" `Quick test_table_spans;
         ] );
     ]
