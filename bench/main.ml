@@ -11,8 +11,8 @@
    - BENCH_POINTS: curve samples per artifact series (default 15).
    - BATCH: stream count of the blocked-sweep contrast (default 5).
    - BENCH_SKIP_ARTIFACTS=1, BENCH_SKIP_ABLATIONS=1: skip that part.
-   - PAR_DOMAINS: domains the artifacts and their per-config series fan
-     out over (default Domain.recommended_domain_count; 1 = sequential).
+   - PAR_DOMAINS: domains each artifact's per-config series fan out over
+     (default Domain.recommended_domain_count; 1 = sequential).
    - BENCH_JSON=<path>: write the per-artifact timings (with curve point
      counts and state-space sizes), the kernel counters, the ablation
      timings and the Obs metrics snapshot as one JSON object, atomically
@@ -44,38 +44,31 @@ let print_artifacts () =
   Format.printf " Reproduction of the paper's tables and figures@.";
   Format.printf " (curves sampled at %d points; BENCH_POINTS overrides;@."
     bench_points;
-  Format.printf "  artifacts fan out over %d domains, PAR_DOMAINS overrides)@."
+  Format.printf "  series fan out over %d domains, PAR_DOMAINS overrides)@."
     (Numeric.Parallel.default_domains ());
   Format.printf "==========================================================@.@.";
-  (* generate in parallel (one artifact per worker; each worker owns its
-     chain cache and analysis sessions), render sequentially in order *)
-  let results =
-    Numeric.Parallel.map
-      (fun id ->
-        let gen =
-          match Watertreatment.Experiments.by_id id with
-          | Some gen -> gen
-          | None -> assert false
-        in
-        let t0 = Unix.gettimeofday () in
-        let artifact = gen ~points:bench_points () in
-        let dt = Unix.gettimeofday () -. t0 in
-        ( {
-            art_id = id;
-            art_seconds = dt;
-            art_points = Watertreatment.Experiments.artifact_points artifact;
-            art_states = Watertreatment.Experiments.state_spaces id;
-          },
-          artifact ))
-      Watertreatment.Experiments.ids
-  in
+  (* artifacts in paper order, each fanning out its own configs: two
+     artifacts run side by side would share chains (fig4 and fig5 both
+     sweep Line 1 DED) *)
   List.map
-    (fun (timing, artifact) ->
+    (fun id ->
+      let gen =
+        match Watertreatment.Experiments.by_id id with
+        | Some gen -> gen
+        | None -> assert false
+      in
+      let t0 = Unix.gettimeofday () in
+      let artifact = gen ~points:bench_points () in
+      let dt = Unix.gettimeofday () -. t0 in
       Watertreatment.Experiments.render_artifact Format.std_formatter artifact;
-      Format.printf "  [%s generated in %.2f s]@.@." timing.art_id
-        timing.art_seconds;
-      timing)
-    results
+      Format.printf "  [%s generated in %.2f s]@.@." id dt;
+      {
+        art_id = id;
+        art_seconds = dt;
+        art_points = Watertreatment.Experiments.artifact_points artifact;
+        art_states = Watertreatment.Experiments.state_spaces id;
+      })
+    Watertreatment.Experiments.ids
 
 let print_ablations () =
   Format.printf "==========================================================@.";
@@ -144,10 +137,9 @@ let kernel_counters () =
     List.iter
       (fun b ->
         ignore
-          (Ctmc.Analysis.poisson_mixture_multi a ~dir:Ctmc.Analysis.Forward
-             ~coeff:b.Ctmc.Analysis.coeff b.Ctmc.Analysis.start
-             ~times:b.Ctmc.Analysis.times
-            : Numeric.Vec.t list))
+          (Ctmc.Analysis.poisson_mixture_batch a ~dir:Ctmc.Analysis.Forward
+             [ b ]
+            : Numeric.Vec.t list list))
       streams
   in
   let batched () =
@@ -224,7 +216,6 @@ let kernel_counters () =
     ("projected_seconds", projected_seconds);
     ("sweeps_per_solve", float_of_int sweeps_per_solve);
     ("spmv_gb_per_s", spmv_gbps);
-    ("batch_passes", float_of_int after.Ctmc.Analysis.batch_passes);
     ("batch_columns", float_of_int after.Ctmc.Analysis.batch_columns);
     ("lump_builds", float_of_int sl.Ctmc.Analysis.lump_builds);
     ("lump_hits", float_of_int sl.Ctmc.Analysis.lump_hits);

@@ -12,7 +12,6 @@ type counters = {
   mutable steady_hits : int;
   mutable mixture_passes : int;
   mutable mixture_steps : int;
-  mutable batch_passes : int;
   mutable batch_columns : int;
   mutable lump_builds : int;
   mutable lump_hits : int;
@@ -27,7 +26,6 @@ type stats = {
   steady_hits : int;
   mixture_passes : int;
   mixture_steps : int;
-  batch_passes : int;
   batch_columns : int;
   lump_builds : int;
   lump_hits : int;
@@ -54,8 +52,6 @@ let m_fg_mass_deficit = Obs.Metrics.gauge "analysis.fg_mass_deficit"
 let m_mixture_passes = Obs.Metrics.counter "analysis.mixture_passes"
 
 let m_mixture_steps = Obs.Metrics.counter "analysis.mixture_steps"
-
-let m_batch_passes = Obs.Metrics.counter "analysis.batch_passes"
 
 let m_batch_columns = Obs.Metrics.counter "analysis.batch_columns"
 
@@ -112,7 +108,6 @@ let session chain op =
         steady_hits = 0;
         mixture_passes = 0;
         mixture_steps = 0;
-        batch_passes = 0;
         batch_columns = 0;
         lump_builds = 0;
         lump_hits = 0;
@@ -627,8 +622,6 @@ let sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare =
     in
     t.counters.mixture_passes <- t.counters.mixture_passes + 1;
     Obs.Metrics.incr m_mixture_passes;
-    t.counters.batch_passes <- t.counters.batch_passes + 1;
-    Obs.Metrics.incr m_batch_passes;
     t.counters.batch_columns <- t.counters.batch_columns + streams;
     Obs.Metrics.add m_batch_columns streams;
     Obs.Metrics.observe m_sweep_len (float_of_int (right_max + 1));
@@ -846,22 +839,6 @@ let poisson_mixture_values ?epsilon ?absorbing t ~dir pairs =
         b.times)
     pairs
 
-let poisson_mixture_multi ?epsilon t ~dir ~coeff start ~times =
-  check_times "Analysis.poisson_mixture_multi" times;
-  if Vec.dim start <> Chain.states t.chain then
-    invalid_arg "Analysis.poisson_mixture_multi: dimension mismatch";
-  match poisson_mixture_batch ?epsilon t ~dir [ { start; coeff; times } ] with
-  | [ rs ] -> rs
-  | _ -> assert false
-
-let poisson_mixture ?epsilon t ~dir ~coeff start ~time =
-  check_times "Analysis.poisson_mixture" [ time ];
-  if Vec.dim start <> Chain.states t.chain then
-    invalid_arg "Analysis.poisson_mixture: dimension mismatch";
-  match poisson_mixture_multi ?epsilon t ~dir ~coeff start ~times:[ time ] with
-  | [ r ] -> r
-  | _ -> assert false
-
 let stats t =
   let c = t.counters in
   {
@@ -872,7 +849,6 @@ let stats t =
     steady_hits = c.steady_hits;
     mixture_passes = c.mixture_passes;
     mixture_steps = c.mixture_steps;
-    batch_passes = c.batch_passes;
     batch_columns = c.batch_columns;
     lump_builds = c.lump_builds;
     lump_hits = c.lump_hits;
@@ -883,8 +859,7 @@ let pp_stats ppf t =
   let s = stats t in
   Format.fprintf ppf
     "analysis: fg %d computed/%d hits, steady %d solved/%d hits, mixture %d \
-     passes/%d steps, batch %d passes/%d columns, lump %d built/%d hits \
-     (%d states)"
+     passes/%d steps, %d columns, lump %d built/%d hits (%d states)"
     s.weight_computes s.weight_hits s.steady_solves s.steady_hits
-    s.mixture_passes s.mixture_steps s.batch_passes s.batch_columns
+    s.mixture_passes s.mixture_steps s.batch_columns
     s.lump_builds s.lump_hits s.lumped_states

@@ -174,9 +174,10 @@ type absorbing
 
 val absorbing : t -> (int -> bool) -> absorbing
 (** [absorbing t pred] masks the states satisfying [pred] ([pred] is
-    called once per state). A mixture pass given the mask sweeps
-    [Chain.absorbing (chain t) ~pred] — exactly, in exact arithmetic —
-    without building it: its rate is
+    called once per state). A mixture pass given the mask sweeps the
+    chain in which those states are absorbing (their transitions
+    removed) — exactly, in exact arithmetic — without building it: its
+    rate is
     [Chain.uniformization_rate ~absorbing:pred (chain t)], so Fox–Glynn
     windows and step counts are those of the absorbed chain, and its
     gathers skip the masked rows of the session's own rate operator. *)
@@ -190,45 +191,12 @@ type coeff =
   | Tail_over_lambda
       (** [P(N >= k+1) / lambda]: the accumulated-reward integral. *)
 
-val poisson_mixture :
-  ?epsilon:float -> t -> dir:dir -> coeff:coeff -> Numeric.Vec.t -> time:float -> Numeric.Vec.t
-(** [poisson_mixture t ~dir ~coeff start ~time] is
-    [sum_k c_k v_k] with [v_0 = start] and [v_{k+1} = v_k P] ([Forward])
-    or [P v_k] ([Backward]) over the uniformized matrix
-    [P = I + Q/lambda] (applied on the fly from the rates, never built),
-    [c_k] given by
-    [coeff], and [k] ranging over the Fox–Glynn window for
-    [lambda * time]. This one kernel implements forward transient
-    distributions, backward value vectors (bounded until) and accumulated
-    rewards. [time = 0] yields a copy of [start] ([Pmf]) or zeros
-    ([Tail_over_lambda]). Raises [Invalid_argument] on a negative, NaN or
-    infinite time (named [Analysis.poisson_mixture], see {!check_times})
-    or a dimension mismatch. *)
-
-val poisson_mixture_multi :
-  ?epsilon:float ->
-  t ->
-  dir:dir ->
-  coeff:coeff ->
-  Numeric.Vec.t ->
-  times:float list ->
-  Numeric.Vec.t list
-(** Multi-time-point variant of {!poisson_mixture}: evaluates the mixture
-    at every time in [times] with {e one} shared vector-iteration sweep.
-    The sweep runs to the Fox–Glynn right edge of the latest time and
-    maintains one accumulator per distinct time, so a K-point curve costs
-    roughly the SpMVs of its last point instead of K windowed segments.
-
-    The result list is aligned 1:1 with [times]: the caller's order is
-    preserved, [times] need not be sorted, and duplicates each get their
-    own (independently mutable) vector. An empty [times] yields [[]].
-    Raises [Invalid_argument] on any negative, NaN or infinite time (named
-    [Analysis.poisson_mixture_multi]) or on a dimension mismatch. *)
-
 type batch = {
   start : Numeric.Vec.t;  (** this stream's [v_0] *)
   coeff : coeff;
-  times : float list;  (** evaluation grid, as in {!poisson_mixture_multi} *)
+  times : float list;
+      (** evaluation grid: any order, duplicates allowed, each time
+          finite and non-negative *)
 }
 (** One coefficient stream of a batched sweep. *)
 
@@ -242,7 +210,16 @@ val poisson_mixture_batch :
 (** [poisson_mixture_batch t ~dir batches] evaluates K independent
     mixture streams — each with its own start vector, coefficient kind
     and time grid, but sharing the chain and direction — with {e one}
-    blocked sweep: the iterates form a {!Numeric.Multivec.t} and every
+    blocked sweep. A stream's value at [time] is [sum_k c_k v_k] with
+    [v_0 = start] and [v_{k+1} = v_k P] ([Forward]) or [P v_k]
+    ([Backward]) over the uniformized matrix [P = I + Q/lambda] (applied
+    on the fly from the rates, never built), [c_k] given by [coeff], and
+    [k] ranging over the Fox–Glynn window for [lambda * time]. This one
+    kernel implements forward transient distributions, backward value
+    vectors (bounded until) and accumulated rewards; a single vector is a
+    one-stream batch.
+
+    The iterates form a {!Numeric.Multivec.t} and every
     step is a single blocked gather ({!Numeric.Sparse.mul_multi_into} with
     [~uniformize], over [R] backward and over {!rates_transposed}
     forward), so the operator is decoded once per
@@ -251,12 +228,19 @@ val poisson_mixture_batch :
     uniformization). Streams whose start vectors are physically equal or
     equal bit for bit share one iterate column (so [-0.] and [+0.], or two
     NaNs, never merge); the block is as wide as the number of distinct
-    starts. Every result is bit-identical to the stream's solo sweep. The sweep runs to the largest Fox–Glynn right edge
-    across all streams; streams with shorter windows simply stop
-    accumulating early. Results align 1:1 with [batches] and with each
-    stream's [times] (same duplicate/zero-time semantics as
-    {!poisson_mixture_multi}). [poisson_mixture_multi] is the
-    single-stream special case and delegates here.
+    starts. Every result is bit-identical to the stream's solo sweep. The
+    sweep runs to the largest Fox–Glynn right edge across all streams,
+    with one accumulator per (stream, distinct time), so a K-point curve
+    costs roughly the SpMVs of its last point instead of K windowed
+    segments; streams with shorter windows simply stop accumulating early.
+
+    Results align 1:1 with [batches] and with each stream's [times]: the
+    caller's order is preserved, duplicates each get their own
+    (independently mutable) vector, an empty [times] yields [[]], and a
+    zero time yields a copy of [start] ([Pmf]) or zeros
+    ([Tail_over_lambda]). Raises [Invalid_argument] on a negative, NaN or
+    infinite time (named [Analysis.poisson_mixture_batch], see
+    {!check_times}) or a dimension mismatch.
 
     With [~absorbing] (backward only) the pass sweeps the chain in which
     the masked states are absorbing: their rows are not gathered and keep
@@ -317,13 +301,9 @@ type stats = {
       (** matrix passes performed across all kernel sweeps (a blocked step
           counts once however many streams ride it) — the observable a
           multi-point curve saves on versus per-point segments *)
-  batch_passes : int;
-      (** blocked sweeps that did numerical work ({!poisson_mixture_batch}
-          and {!poisson_mixture_values}, including the single-stream ones
-          delegated from {!poisson_mixture_multi}) *)
   batch_columns : int;
       (** total stream count across those sweeps; [batch_columns /
-          batch_passes] is the mean number of streams per sweep (streams
+          mixture_passes] is the mean number of streams per sweep (streams
           that share an iterate column each count) *)
   lump_builds : int;  (** lumpings computed by {!quotient} *)
   lump_hits : int;  (** {!quotient} calls served from the memo table *)

@@ -69,8 +69,9 @@ let generator m =
 
 let transition_count m = Sparse.nnz m.rates
 
-(* Absorbing rows count with exit rate 0, as in [absorbing m ~pred]: the
-   fold is the one [Vec.max_entry] makes over that chain's exit rates. *)
+(* Absorbing rows count with exit rate 0, as in the chain with their
+   transitions removed: the fold is the one [Vec.max_entry] makes over
+   that chain's exit rates. *)
 let uniformization_rate ?(absorbing = fun _ -> false) m =
   let max_exit = ref neg_infinity in
   Array.iteri
@@ -97,14 +98,6 @@ let embedded m =
   done;
   Sparse.Builder.to_csr b
 
-let absorbing m ~pred =
-  let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in
-  for i = 0 to m.n - 1 do
-    if not (pred i) then Sparse.iter_row m.rates i (Sparse.Builder.add b i)
-  done;
-  let rates = Sparse.Builder.to_csr b in
-  { m with rates; exit = Sparse.row_sums rates }
-
 (* Exit rates are carried over, not re-summed in the new column order:
    a closed set keeps all of a state's transitions. The index is a
    Hashtbl, not an n-array, so that restricting to each of many small
@@ -128,14 +121,6 @@ let restrict m states =
     states;
   let exit = Array.map (Array.get m.exit) states in
   { n = k; rates = Sparse.Builder.to_csr b; exit; init = Vec.unit k 0 }
-
-let restrict_reachable m =
-  let states = List.init m.n Fun.id in
-  let seeds = List.filter (fun s -> m.init.(s) > 0.) states in
-  let keep = Numeric.Digraph.reachable m.rates seeds in
-  let old_of_new = Array.of_list (List.filter (Array.get keep) states) in
-  let init = Array.map (Array.get m.init) old_of_new in
-  (with_init (restrict m old_of_new) init, old_of_new)
 
 let pp_stats ppf m =
   Format.fprintf ppf "ctmc: %d states, %d transitions, max exit rate %g" m.n

@@ -48,8 +48,9 @@ val uniformization_rate : ?absorbing:(int -> bool) -> t -> float
     inflated to keep the self-loop probability of the fastest state positive,
     which guarantees aperiodicity of the uniformized DTMC). At least 1e-10,
     so absorbing-only chains still uniformize. With [~absorbing], the rate
-    of [absorbing m ~pred:absorbing], bit for bit, without building that
-    chain: the rows it makes absorbing count with exit rate 0. *)
+    of the chain in which those states are absorbing (their transitions
+    removed), bit for bit, without building that chain: their rows count
+    with exit rate 0. *)
 
 val uniformized : t -> float * Numeric.Sparse.t
 (** [uniformized m] is [(lambda, P)] with [P = I + Q/lambda] the uniformized
@@ -62,21 +63,12 @@ val embedded : t -> Numeric.Sparse.t
 (** The embedded jump matrix: [P(i, j) = R(i, j) / exit(i)] for non-absorbing
     [i]; absorbing states get a self-loop with probability 1. *)
 
-val absorbing : t -> pred:(int -> bool) -> t
-(** [absorbing m ~pred] removes all outgoing transitions of states satisfying
-    [pred] (they become absorbing). [pred] is called once per state. The
-    initial distribution is kept. *)
-
 val restrict : t -> int array -> t
 (** [restrict m states] is the sub-chain on the {e closed} state set
     [states] (e.g. a recurrent class): state [k] is [m]'s [states.(k)]
     and keeps its exit rate bit for bit. Starts in state 0. Raises
     [Invalid_argument] on an empty or repeating set or a transition
     leaving it. *)
-
-val restrict_reachable : t -> t * int array
-(** Drop states unreachable from the support of the initial distribution.
-    Returns the restricted chain and the map from new indices to old. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: states, transitions, max exit rate. *)

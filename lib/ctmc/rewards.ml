@@ -53,15 +53,16 @@ let instantaneous_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
 (* E[int_0^t rho(X_u) du] from start distribution [start]:
      sum_{k>=0} (1/lambda) * P(N_{lambda t} >= k+1) * (v_k . rho)
    which is the Tail_over_lambda mixture dotted with rho; the loop is the
-   shared Analysis.poisson_mixture kernel. *)
+   shared kernel's vector face, one stream wide. *)
 let accumulated_from ?epsilon a start ~reward t =
   if t = 0. then 0.
   else
-    let weighted =
-      Analysis.poisson_mixture ?epsilon a ~dir:Analysis.Forward
-        ~coeff:Analysis.Tail_over_lambda start ~time:t
-    in
-    Vec.dot weighted reward
+    match
+      Analysis.poisson_mixture_batch ?epsilon a ~dir:Analysis.Forward
+        [ { Analysis.start; coeff = Analysis.Tail_over_lambda; times = [ t ] } ]
+    with
+    | [ [ weighted ] ] -> Vec.dot weighted reward
+    | _ -> assert false
 
 let accumulated ?epsilon ?(lump = false) ?analysis m ~reward ~upto =
   check_reward m reward;

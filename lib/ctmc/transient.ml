@@ -1,16 +1,21 @@
 module Vec = Numeric.Vec
 
-(* The Poisson-mixture loops live in Analysis.poisson_mixture, the one
-   kernel shared with Reachability (via backward) and Rewards; this module
-   keeps the time bookkeeping and the forward/backward entry points. *)
+(* The Poisson-mixture loops live in Analysis.poisson_mixture_batch, the
+   one kernel shared with Reachability (via backward) and Rewards; this
+   module keeps the time bookkeeping and the forward/backward entry
+   points. A single distribution is a one-stream batch. *)
 
 let distribution_from ?epsilon ?analysis m start t =
   Analysis.check_times "Transient.distribution_from" [ t ];
   if t = 0. then Vec.copy start
   else
     let a = Analysis.for_chain analysis m in
-    Analysis.poisson_mixture ?epsilon a ~dir:Analysis.Forward ~coeff:Analysis.Pmf
-      start ~time:t
+    match
+      Analysis.poisson_mixture_batch ?epsilon a ~dir:Analysis.Forward
+        [ { Analysis.start; coeff = Analysis.Pmf; times = [ t ] } ]
+    with
+    | [ [ pi ] ] -> pi
+    | _ -> assert false
 
 let distribution ?epsilon ?analysis m t =
   distribution_from ?epsilon ?analysis m (Chain.initial m) t
@@ -18,11 +23,12 @@ let distribution ?epsilon ?analysis m t =
 let curve ?epsilon ?analysis m ~times =
   Analysis.check_times "Transient.curve" times;
   let a = Analysis.for_chain analysis m in
-  let pis =
-    Analysis.poisson_mixture_multi ?epsilon a ~dir:Analysis.Forward
-      ~coeff:Analysis.Pmf (Chain.initial m) ~times
-  in
-  List.map2 (fun t pi -> (t, pi)) times pis
+  match
+    Analysis.poisson_mixture_batch ?epsilon a ~dir:Analysis.Forward
+      [ { Analysis.start = Chain.initial m; coeff = Analysis.Pmf; times } ]
+  with
+  | [ pis ] -> List.map2 (fun t pi -> (t, pi)) times pis
+  | _ -> assert false
 
 (* K start distributions through one blocked sweep: the batched kernel
    decodes the transposed rates once per step for all of them. *)
@@ -79,5 +85,9 @@ let backward ?epsilon ?analysis m v t =
   if t = 0. then Vec.copy v
   else
     let a = Analysis.for_chain analysis m in
-    Analysis.poisson_mixture ?epsilon a ~dir:Analysis.Backward ~coeff:Analysis.Pmf
-      v ~time:t
+    match
+      Analysis.poisson_mixture_batch ?epsilon a ~dir:Analysis.Backward
+        [ { Analysis.start = v; coeff = Analysis.Pmf; times = [ t ] } ]
+    with
+    | [ [ r ] ] -> r
+    | _ -> assert false

@@ -34,7 +34,7 @@ val curve :
   times:float list ->
   (float * Numeric.Vec.t) list
 (** [curve m ~times] evaluates the distribution at each time point through
-    one shared uniformization sweep ({!Analysis.poisson_mixture_multi}):
+    one shared uniformization sweep ({!Analysis.poisson_mixture_batch}):
     the vector iteration runs once to the Fox–Glynn right edge of the
     latest time with one Poisson-weight accumulator per distinct time, so
     a K-point curve costs roughly the SpMVs of its last point instead of K

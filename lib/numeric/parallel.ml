@@ -1,15 +1,11 @@
-(* Hand-rolled chunked parallel map over OCaml 5 domains.
+(* One fan-out mechanism over OCaml 5 domains: a persistent pool of
+   worker domains behind a task queue ([Pool]), and [map], which hands
+   its items to one process-wide pool created on first use.
 
-   The experiment drivers fan independent per-configuration curve
-   computations out over domains. Work is split into [domains] contiguous
-   chunks, each processed by one spawned domain writing into disjoint
-   slots of a shared result array — data-race-free because no index is
-   written by two domains and the main domain only reads after joining.
-
-   Nested [map] calls run sequentially (a domain-local flag marks worker
-   context): when an already-parallel artifact generator calls a
-   parallel curve driver, the inner level must not multiply the domain
-   count. *)
+   Nested calls run sequentially (a domain-local flag marks worker
+   context): when an already-parallel caller reaches a parallel driver,
+   the inner level must not multiply the domain count or wait on its own
+   pool's queue. *)
 
 (* Malformed env knobs fail loudly: a typo like PAR_DOMAINS=O2 used to
    silently fall back to the recommended domain count, changing a
@@ -48,63 +44,15 @@ let default_domains () =
 
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
-let map ?domains f xs =
-  let d = match domains with Some d -> max 1 d | None -> default_domains () in
-  let n = List.length xs in
-  if d = 1 || n <= 1 || Domain.DLS.get in_worker then List.map f xs
-  else begin
-    let input = Array.of_list xs in
-    let output = Array.make n None in
-    let workers = min d n in
-    (* the submitter's trace context crosses the domain boundary with the
-       chunk, so worker-side spans still join the submitting request's
-       trace (domain-local context does not survive Domain.spawn) *)
-    let ctx = Obs.Trace.current_context () in
-    let spawn w =
-      (* chunk w covers [w*n/workers, (w+1)*n/workers) *)
-      let lo = w * n / workers and hi = (w + 1) * n / workers in
-      Domain.spawn (fun () ->
-          Domain.DLS.set in_worker true;
-          Obs.Trace.with_context ctx @@ fun () ->
-          (* the span lands in this worker domain's own Obs buffer, so
-             Chrome traces show one track per domain with its chunk *)
-          Obs.Trace.with_span "parallel.chunk" @@ fun span ->
-          if Obs.Trace.recording span then begin
-            Obs.Trace.add_attr span "worker" (Obs.Int w);
-            Obs.Trace.add_attr span "items" (Obs.Int (hi - lo))
-          end;
-          for i = lo to hi - 1 do
-            output.(i) <- Some (f input.(i))
-          done)
-    in
-    let spawned = List.init workers spawn in
-    (* join every domain before re-raising, so no worker outlives the call *)
-    let failure =
-      List.fold_left
-        (fun failure dom ->
-          match Domain.join dom with
-          | () -> failure
-          | exception e -> ( match failure with None -> Some e | some -> some))
-        None spawned
-    in
-    (match failure with Some e -> raise e | None -> ());
-    Array.to_list
-      (Array.map (function Some y -> y | None -> assert false) output)
-  end
-
-let iter ?domains f xs = ignore (map ?domains (fun x -> f x) xs : unit list)
-
 (* ------------------------------------------------------------------ *)
 (* Persistent domain pool                                             *)
 
-(* [map] spawns (and joins) fresh domains per call — fine for the
-   experiment drivers, wasteful for a server dispatching work every few
-   milliseconds. [Pool] keeps a fixed set of domains alive behind a
-   mutex/condition task queue; completion is signalled per [run] call, and
-   the mutex hand-offs establish the happens-before edges that make the
-   result array reads safe. Workers mark themselves with [in_worker], so
-   nested [map] (and nested [Pool.run]) degrade to sequential execution
-   instead of deadlocking on the pool's own queue. *)
+(* [Pool] keeps a fixed set of domains alive behind a mutex/condition
+   task queue; completion is signalled per [map] call, and the mutex
+   hand-offs establish the happens-before edges that make the result
+   array reads safe. Workers mark themselves with [in_worker], so nested
+   maps degrade to sequential execution instead of deadlocking on the
+   pool's own queue. *)
 module Pool = struct
   type t = {
     size : int;
@@ -215,3 +163,25 @@ module Pool = struct
     in
     Array.iter Domain.join workers
 end
+
+(* The pool behind [map], spawned by the first call that fans out and
+   never shut down: its idle workers wait on a condition and do not hold
+   up process exit. *)
+let shared = ref None
+
+let shared_mutex = Mutex.create ()
+
+let shared_pool () =
+  Mutex.protect shared_mutex (fun () ->
+      match !shared with
+      | Some pool -> pool
+      | None ->
+          let pool = Pool.create () in
+          shared := Some pool;
+          pool)
+
+let map f xs =
+  match xs with
+  | [] | [ _ ] -> List.map f xs
+  | _ when Domain.DLS.get in_worker || default_domains () = 1 -> List.map f xs
+  | _ -> Pool.map (shared_pool ()) f xs

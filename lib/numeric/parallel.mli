@@ -1,20 +1,24 @@
-(** Chunked parallel map over OCaml 5 domains.
+(** Parallel map over OCaml 5 domains, on one mechanism: a persistent
+    {!Pool} of worker domains.
 
-    Built for the experiment drivers' fan-out: each element of the input
-    is an independent piece of work (one repair-configuration curve, one
-    artifact), and results come back in input order. The work is split
-    into at most [domains] contiguous chunks, one spawned domain each.
+    Built for fan-outs whose items are independent pieces of work (one
+    repair-configuration curve, one table row, one model), with results
+    in input order. [map] hands its items to one process-wide pool;
+    the daemon runs its own sized pool.
 
     Results are deterministic: [map f xs] computes exactly [List.map f xs]
     regardless of the domain count — only wall-clock time changes.
 
-    {b One session per domain:} {!Ctmc.Analysis} sessions (and anything
-    else mutably cached) must not be shared across concurrently running
-    domains. Workers must create their own sessions; see
-    [Watertreatment.Experiments] for the pattern (domain-local caches).
+    {b The items of one map touch disjoint chains:} {!Ctmc.Analysis}
+    sessions (and anything else mutably cached) must not be used by two
+    items that run concurrently. A session may move between domains from
+    one map to the next (each map completes before the next starts), so
+    caches shared across maps are fine behind a lock; see
+    [Watertreatment.Experiments] for the pattern.
 
-    Nested [map] calls from inside a worker run sequentially, so
-    composing parallel drivers cannot multiply the domain count. *)
+    Nested maps from inside a worker run sequentially, so composing
+    parallel drivers cannot multiply the domain count or deadlock on a
+    pool's own queue. *)
 
 val getenv_positive_int : string -> int option
 (** [getenv_positive_int name] parses the environment variable [name] as a
@@ -26,35 +30,30 @@ val getenv_positive_int : string -> int option
     share this discipline. *)
 
 val default_domains : unit -> int
-(** The domain count used when [?domains] is not given: the [PAR_DOMAINS]
-    environment variable when set to a positive integer
+(** The width of [map]'s pool and the default size of {!Pool.create}: the
+    [PAR_DOMAINS] environment variable when set to a positive integer
     ({!getenv_positive_int}), otherwise
     [Domain.recommended_domain_count ()]. [PAR_DOMAINS=1] forces fully
     sequential evaluation. *)
 
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map f xs] applies [f] to every element, fanning the list out over at
-    most [domains] domains (default {!default_domains}; values [< 1] are
-    clamped to [1]). Falls back to plain [List.map] for a single domain,
-    lists of length [<= 1], and calls nested inside a worker. If any
-    application raises, all domains are joined and one of the raised
+val map : ('a -> 'b) -> 'a list -> 'b list
+(** [map f xs] is [List.map f xs] with the applications distributed over
+    the domains of one process-wide {!Pool}, spawned by the first call
+    that fans out with {!default_domains} members and kept for the life
+    of the process. It runs as plain [List.map] on the calling domain,
+    spawning nothing, when {!default_domains} is [1], when [xs] has at
+    most one element, and when called from inside a worker. If any
+    application raises, every item still runs and one of the raised
     exceptions is re-raised. *)
-
-val iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
-(** [iter f xs] is [map] for side effects only. *)
 
 (** A persistent fixed-size domain pool.
 
-    {!map} spawns and joins fresh domains per call — fine for batch
-    drivers, wasteful for a long-lived server dispatching small groups of
-    work every few milliseconds. A [Pool.t] keeps its domains alive
-    behind a task queue; every {!Pool.map} hands its items to the pool
-    and blocks until all complete.
-
-    The same session-ownership rule as {!map} applies: work items must
-    not share mutable caches with concurrently running items. Calls from
-    inside any worker (pool or {!map}) run sequentially, so nesting never
-    deadlocks on the pool's own queue. *)
+    A [Pool.t] keeps its domains alive behind a task queue; every
+    {!Pool.map} hands its items to the pool and blocks until all
+    complete. The same rule as {!map} applies: the items of one call
+    must not share mutable caches. Calls from inside any pool's worker
+    run sequentially, so nesting never deadlocks on the pool's own
+    queue. *)
 module Pool : sig
   type t
 

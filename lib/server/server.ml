@@ -717,7 +717,6 @@ let stats_json srv =
           [
             a "mixture_passes";
             a "mixture_steps";
-            a "batch_passes";
             a "batch_columns";
             a "weight_computes";
             a "weight_hits";

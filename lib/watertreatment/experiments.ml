@@ -20,37 +20,45 @@ type table = {
 type artifact = Table of table | Figure of figure
 
 (* ------------------------------------------------------------------ *)
-(* Chain cache: (line, config, disaster) -> Measures.t.
+(* Chain cache: (line, config, disaster) -> Measures.t, shared by every
+   domain, plus the reliability models' chains under their own keys.
 
-   The cache is domain-local (Domain.DLS): a Measures.t carries a mutable
-   Ctmc.Analysis session, which must never be shared across concurrently
-   running domains. Keeping one cache per domain means every
-   Numeric.Parallel worker builds (and then reuses, across the configs of
-   its chunk) its own sessions, while purely sequential use keeps the old
-   behaviour of one shared cache in the main domain. *)
+   One mutex guards both tables. Lookups and inserts run under it, builds
+   outside it, so a Line 1 FRF build never blocks a worker that only
+   reads a cached chain. No two workers build one key at once: the items
+   of one [parallel_map] touch disjoint chains (configs or lines), and
+   the maps themselves run one after another. Should a key still be
+   built twice, the first insert wins and both callers get it. *)
 
-let cache_key_dls : (string, Measures.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let reliability_cache_dls : (string, Measures.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+let chains : (string, Measures.t) Hashtbl.t = Hashtbl.create 32
 
 (* Cost-figure pair cache: both cost curves of a strategy come out of one
    sweep ({!Measures.cost_curves}: two coefficient streams from the same
    initial distribution on one shared iterate column, dotted once per step
    with the cost vector), so whichever cost figure runs first pays the
    sweep and the sibling figure over the same time grid reads its half
-   from the cache. Domain-local for the same
-   reason as the chain caches above. *)
-let cost_pair_cache_dls :
-    (string, (float * float) list * (float * float) list) Hashtbl.t
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+   from the cache. *)
+let cost_pairs : (string, (float * float) list * (float * float) list) Hashtbl.t =
+  Hashtbl.create 8
+
+let cache_mutex = Mutex.create ()
+
+let memo tbl key build =
+  match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt tbl key) with
+  | Some v -> v
+  | None ->
+      let v = build () in
+      Mutex.protect cache_mutex (fun () ->
+          match Hashtbl.find_opt tbl key with
+          | Some first -> first
+          | None ->
+              Hashtbl.add tbl key v;
+              v)
 
 let clear_cache () =
-  Hashtbl.reset (Domain.DLS.get cache_key_dls);
-  Hashtbl.reset (Domain.DLS.get reliability_cache_dls);
-  Hashtbl.reset (Domain.DLS.get cost_pair_cache_dls)
+  Mutex.protect cache_mutex (fun () ->
+      Hashtbl.reset chains;
+      Hashtbl.reset cost_pairs)
 
 (* LUMP=1 routes every measure below through the quotient-based engine
    (Analysis.quotient); any other value keeps the full-chain engine. Read
@@ -73,18 +81,10 @@ let cache_key ~lump line config disaster =
    has built. *)
 let rec measures ?disaster line config =
   let lump = lump_enabled () in
-  let cache = Domain.DLS.get cache_key_dls in
-  let key = cache_key ~lump line config disaster in
-  match Hashtbl.find_opt cache key with
-  | Some m -> m
-  | None ->
-      let m =
-        match disaster with
-        | None -> Facility.analyze ~lump line config
-        | Some failed -> Facility.after_disaster (measures line config) ~failed
-      in
-      Hashtbl.replace cache key m;
-      m
+  memo chains (cache_key ~lump line config disaster) @@ fun () ->
+  match disaster with
+  | None -> Facility.analyze ~lump line config
+  | Some failed -> Facility.after_disaster (measures line config) ~failed
 
 (* Tables 1 and 2 read only group-invariant quantities (the full chain's
    size, counted by orbits, and the full-service availability), so they
@@ -92,43 +92,24 @@ let rec measures ?disaster line config =
    cached apart from the figures' full chains. *)
 let table_measures line config =
   let lump = lump_enabled () in
-  let cache = Domain.DLS.get cache_key_dls in
-  let key = cache_key ~lump line config None ^ "/symmetric" in
-  match Hashtbl.find_opt cache key with
-  | Some m -> m
-  | None ->
-      let m =
-        Measures.analyze ~lump ~symmetric:true (Facility.line_model line config)
-      in
-      Hashtbl.replace cache key m;
-      m
+  memo chains (cache_key ~lump line config None ^ "/symmetric") @@ fun () ->
+  Measures.analyze ~lump ~symmetric:true (Facility.line_model line config)
 
 let cost_curve_pair ~disaster line config ~times =
   let lump = lump_enabled () in
-  let cache = Domain.DLS.get cost_pair_cache_dls in
   let key =
     cache_key ~lump line config disaster
     ^ "/"
     ^ String.concat "," (List.map (Printf.sprintf "%h") times)
   in
-  match Hashtbl.find_opt cache key with
-  | Some pair -> pair
-  | None ->
-      let m = measures ?disaster line config in
-      let pair = Measures.cost_curves m ~times in
-      Hashtbl.replace cache key pair;
-      pair
+  memo cost_pairs key @@ fun () ->
+  Measures.cost_curves (measures ?disaster line config) ~times
 
+(* a reliability key has one '/' at most, a chain key at least two *)
 let reliability_measures line =
   let lump = lump_enabled () in
-  let reliability_cache = Domain.DLS.get reliability_cache_dls in
-  let key = Facility.line_name line ^ if lump then "/lump" else "" in
-  match Hashtbl.find_opt reliability_cache key with
-  | Some m -> m
-  | None ->
-      let m = Measures.analyze ~lump (Facility.reliability_model line) in
-      Hashtbl.replace reliability_cache key m;
-      m
+  memo chains (Facility.line_name line ^ if lump then "/lump" else "") @@ fun () ->
+  Measures.analyze ~lump (Facility.reliability_model line)
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
@@ -144,13 +125,13 @@ let grid fig_id upto points =
 let lines = [ Facility.Line1; Facility.Line2 ]
 
 (* Per-config (and per-line) fan-out: each element is an independent
-   chain, so workers never touch the same analysis session (the caches
-   above are domain-local). PAR_DOMAINS governs the width. *)
+   chain, so the items of one map touch disjoint chains. PAR_DOMAINS
+   governs the width. *)
 let parallel_map f xs = Numeric.Parallel.map f xs
 
 (* Span helpers: one span per artifact and one nested span per strategy/
-   series. Series spans run inside Parallel workers, so each lands on its
-   own domain's trace track; the artifact span sits on the spawning
+   series. Series spans run inside pool workers, so each lands on its
+   own domain's trace track; the artifact span sits on the calling
    domain's track and brackets the whole fan-out. *)
 let artifact_span id f =
   Obs.Trace.with_span ("experiment." ^ id) (fun _ -> f ())

@@ -30,11 +30,13 @@
     over domains, with the width controlled by the [PAR_DOMAINS]
     environment variable (default
     [Domain.recommended_domain_count ()]; [PAR_DOMAINS=1] is fully
-    sequential). The chain cache is {e domain-local}, because a
-    {!Core.Measures.t} carries a mutable {!Ctmc.Analysis} session that
-    must never be shared across concurrently running domains — every
-    worker builds and reuses its own sessions. Results are deterministic
-    and identical for any domain count. *)
+    sequential). The chain cache is one process-wide table behind a
+    mutex, shared by every domain, so each chain is built once whichever
+    domain first asks for it and whatever the domain count. The items of
+    one map touch disjoint chains, so no {!Core.Measures.t} (which
+    carries a mutable {!Ctmc.Analysis} session) is used by two domains at
+    once. Results are deterministic and identical for any domain
+    count. *)
 
 val lump_enabled : unit -> bool
 (** True when the [LUMP] environment variable is ["1"], ["true"] or
@@ -115,10 +117,9 @@ val state_spaces : string -> (string * int) list
 (** [state_spaces id] is the state-space size of every chain behind the
     artifact [id] (one [("line/config", states)] pair per chain), [[]] for
     unknown ids. Tables 1 and 2 run on symmetry-reduced chains, so theirs
-    are the reduced sizes. Chains are taken from — or built into — the calling
-    domain's cache, so calling this right after generating [id] in the
-    same domain is free. *)
+    are the reduced sizes. Chains are taken from — or built into — the
+    shared cache, so calling this right after generating [id] is free. *)
 
 val clear_cache : unit -> unit
-(** Drop memoized chains (used by benchmarks to measure cold times).
-    Clears the {e calling domain's} cache only. *)
+(** Drop every memoized chain and cost-curve pair (used by benchmarks to
+    measure cold times). Call it between maps, not from inside one. *)

@@ -1190,10 +1190,10 @@ let prop_survivability_monotone =
         levels)
 
 (* Survivability curves over an absorbing-row mask against the absorbed
-   chain: [Chain.absorbing], its [Chain.uniformized] P, and a plain
+   chain: [Chain_oracle.absorbing], its [Chain.uniformized] P, and a plain
    forward loop with the Fox-Glynn weights of its own rate *)
 let absorbed_psi_mass chain ~psi t =
-  let absorbed = Chain.absorbing chain ~pred:psi in
+  let absorbed = Chain_oracle.absorbing chain ~pred:psi in
   let lambda, p = Chain.uniformized absorbed in
   let { Numeric.Fox_glynn.left; right; weights; _ } =
     Numeric.Fox_glynn.compute ~epsilon:1e-12 (lambda *. t)

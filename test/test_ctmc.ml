@@ -72,13 +72,13 @@ let test_chain_embedded () =
 
 let test_chain_absorbing () =
   let m = two_state 2. 3. in
-  let m' = Chain.absorbing m ~pred:(fun s -> s = 1) in
+  let m' = Chain_oracle.absorbing m ~pred:(fun s -> s = 1) in
   check_close "no exit from 1" 0. (Chain.exit_rates m').(1);
   check_close "0 unchanged" 2. (Chain.exit_rates m').(0);
   (* the predicate is asked once per state, not once per stored entry *)
   let m = Chain.of_transitions ~states:3 [ (0, 1, 1.); (0, 2, 2.); (1, 0, 1.); (1, 2, 4.) ] in
   let calls = ref 0 in
-  let m' = Chain.absorbing m ~pred:(fun s -> incr calls; s = 0) in
+  let m' = Chain_oracle.absorbing m ~pred:(fun s -> incr calls; s = 0) in
   Alcotest.(check int) "one call per state" 3 !calls;
   check_close "1 unchanged" 5. (Chain.exit_rates m').(1)
 
@@ -86,7 +86,7 @@ let test_restrict_reachable () =
   let m =
     Chain.of_transitions ~states:4 ~init:(Vec.unit 4 0) [ (0, 1, 1.); (2, 3, 1.) ]
   in
-  let m', old_of_new = Chain.restrict_reachable m in
+  let m', old_of_new = Chain_oracle.restrict_reachable m in
   Alcotest.(check int) "two reachable" 2 (Chain.states m');
   Alcotest.(check (array int)) "mapping" [| 0; 1 |] old_of_new
 
@@ -966,20 +966,24 @@ let test_analysis_wrong_chain_ignored () =
 
 let multi_times = [ 0.4; 1.1; 2.6; 5.; 9.3 ]
 
+(* one stream through the kernel's vector face *)
+let mixture a ~dir ~coeff start ~times =
+  match Analysis.poisson_mixture_batch a ~dir [ { Analysis.start; coeff; times } ] with
+  | [ vs ] -> vs
+  | _ -> Alcotest.fail "expected one stream"
+
 let test_multi_kernel_matches_single () =
   let m = analysis_chain () in
   let a = Analysis.create m in
   let start = Chain.initial m in
   List.iter
     (fun (dir, coeff, label) ->
-      let multi =
-        Analysis.poisson_mixture_multi a ~dir ~coeff start ~times:multi_times
-      in
+      let multi = mixture a ~dir ~coeff start ~times:multi_times in
       List.iter2
         (fun t v ->
           check_vec
             (Printf.sprintf "%s t=%g" label t)
-            (Analysis.poisson_mixture a ~dir ~coeff start ~time:t)
+            (List.hd (mixture a ~dir ~coeff start ~times:[ t ]))
             v)
         multi_times multi)
     [
@@ -992,10 +996,7 @@ let test_multi_kernel_times_contract () =
   let m = analysis_chain () in
   let a = Analysis.create m in
   let start = Chain.initial m in
-  let run times =
-    Analysis.poisson_mixture_multi a ~dir:Analysis.Forward ~coeff:Analysis.Pmf
-      start ~times
-  in
+  let run times = mixture a ~dir:Analysis.Forward ~coeff:Analysis.Pmf start ~times in
   Alcotest.(check int) "empty times" 0 (List.length (run []));
   (* unsorted input: results aligned with the caller's order *)
   let unsorted = [ 2.6; 0.4; 9.3 ] in
@@ -1020,7 +1021,7 @@ let test_multi_kernel_times_contract () =
   | _ -> Alcotest.fail "expected two points");
   Alcotest.check_raises "negative time"
     (Invalid_argument
-       "Analysis.poisson_mixture_multi: times must be finite and non-negative \
+       "Analysis.poisson_mixture_batch: times must be finite and non-negative \
         (got -2)") (fun () ->
       ignore (run [ 1.; -2. ]))
 
@@ -1028,18 +1029,14 @@ let test_multi_kernel_counters () =
   let m = analysis_chain () in
   let a = Analysis.create m in
   let start = Chain.initial m in
-  ignore
-    (Analysis.poisson_mixture_multi a ~dir:Analysis.Forward ~coeff:Analysis.Pmf
-       start ~times:multi_times);
+  ignore (mixture a ~dir:Analysis.Forward ~coeff:Analysis.Pmf start ~times:multi_times);
   let s_multi = Analysis.stats a in
   Alcotest.(check int) "one pass for the whole curve" 1
     s_multi.Analysis.mixture_passes;
   let b = Analysis.create m in
   List.iter
     (fun t ->
-      ignore
-        (Analysis.poisson_mixture b ~dir:Analysis.Forward ~coeff:Analysis.Pmf
-           start ~time:t))
+      ignore (mixture b ~dir:Analysis.Forward ~coeff:Analysis.Pmf start ~times:[ t ]))
     multi_times;
   let s_seq = Analysis.stats b in
   Alcotest.(check int) "one pass per point" (List.length multi_times)
@@ -1087,13 +1084,13 @@ let test_batch_kernel_matches_multi () =
   in
   let results = Analysis.poisson_mixture_batch a ~dir:Analysis.Forward batches in
   let s = Analysis.stats a in
-  Alcotest.(check int) "one blocked pass" 1 s.Analysis.batch_passes;
+  Alcotest.(check int) "one blocked pass" 1 s.Analysis.mixture_passes;
   Alcotest.(check int) "three columns" 3 s.Analysis.batch_columns;
   List.iter2
     (fun b vs ->
       let singles =
-        Analysis.poisson_mixture_multi a ~dir:Analysis.Forward ~coeff:b.Analysis.coeff
-          b.Analysis.start ~times:b.Analysis.times
+        mixture a ~dir:Analysis.Forward ~coeff:b.Analysis.coeff b.Analysis.start
+          ~times:b.Analysis.times
       in
       List.iteri
         (fun i (single, batched) ->
@@ -1430,14 +1427,14 @@ let mixture_spans f =
 (* ------------------------------------------------------------------ *)
 (* Absorbing-row masks against the absorbed chain: a masked pass over the
    session's own rates must match the plain P loop over
-   [Chain.absorbing] (its own lambda, its own P) within 1e-12 *)
+   [Chain_oracle.absorbing] (its own lambda, its own P) within 1e-12 *)
 
 let absorbed_reference m ~absorbing ~dir ~coeff start t =
   if t = 0. then
     match coeff with
     | Analysis.Pmf -> Vec.copy start
     | Analysis.Tail_over_lambda -> Vec.zeros (Chain.states m)
-  else reference_mixture (Chain.absorbing m ~pred:absorbing) ~dir ~coeff start t
+  else reference_mixture (Chain_oracle.absorbing m ~pred:absorbing) ~dir ~coeff start t
 
 let masked_gen =
   QCheck.Gen.(
@@ -1564,7 +1561,7 @@ let test_mask_edge_cases () =
      pass runs the absorbed chain's step count *)
   let phi s = s <> 2 and psi s = s = 4 in
   let absorbing s = psi s || not (phi s) in
-  let absorbed = Chain.absorbing m ~pred:absorbing in
+  let absorbed = Chain_oracle.absorbing m ~pred:absorbing in
   let reference = Analysis.create absorbed in
   let goal = Array.init n (fun s -> if psi s then 1. else 0.) in
   let expected =
@@ -1682,14 +1679,10 @@ let time_entry_points =
   let reward = Array.init n float_of_int in
   let drop f t = ignore (f t) in
   [
-    ( "Analysis.poisson_mixture",
-      drop (fun time ->
-          Analysis.poisson_mixture a ~dir:Analysis.Forward ~coeff:Analysis.Pmf
-            start ~time) );
-    ( "Analysis.poisson_mixture_multi",
+    ( "Analysis.poisson_mixture_batch",
       drop (fun t ->
-          Analysis.poisson_mixture_multi a ~dir:Analysis.Forward
-            ~coeff:Analysis.Pmf start ~times:[ 1.; t ]) );
+          Analysis.poisson_mixture_batch a ~dir:Analysis.Forward
+            [ { Analysis.start; coeff = Analysis.Pmf; times = [ 1.; t ] } ]) );
     ("Transient.distribution_from", drop (Transient.distribution_from m start));
     ( "Transient.distribution_batch",
       drop (fun t -> Transient.distribution_batch m ~starts:[ start ] ~times:[ 1.; t ])

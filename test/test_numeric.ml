@@ -963,6 +963,16 @@ let test_rng_int_uniform () =
 (* ------------------------------------------------------------------ *)
 (* Parallel *)
 
+(* [Parallel.map] takes its pool path only when more than one domain is
+   allowed; pin PAR_DOMAINS so these tests exercise the shared pool on
+   any runner (the pool keeps the size it was created with) *)
+let with_par_domains v f =
+  let prev = Option.value (Sys.getenv_opt "PAR_DOMAINS") ~default:"" in
+  Unix.putenv "PAR_DOMAINS" v;
+  Fun.protect ~finally:(fun () -> Unix.putenv "PAR_DOMAINS" prev) f
+
+let self () = (Domain.self () :> int)
+
 let test_parallel_deterministic () =
   (* identical results for 1 vs. N domains, on work big enough that
      domains genuinely interleave *)
@@ -974,48 +984,75 @@ let test_parallel_deterministic () =
     done;
     !acc
   in
-  let seq = Parallel.map ~domains:1 f xs in
+  let seq = List.map f xs in
+  Alcotest.(check (list (float 0.)))
+    "shared pool = sequential" seq
+    (with_par_domains "2" (fun () -> Parallel.map f xs));
   List.iter
     (fun d ->
-      Alcotest.(check (list (float 0.)))
-        (Printf.sprintf "%d domains = sequential" d)
-        seq
-        (Parallel.map ~domains:d f xs))
-    [ 2; 3; 8; 64 ]
+      let pool = Parallel.Pool.create ~domains:d () in
+      Fun.protect
+        ~finally:(fun () -> Parallel.Pool.shutdown pool)
+        (fun () ->
+          Alcotest.(check (list (float 0.)))
+            (Printf.sprintf "%d domains = sequential" d)
+            seq (Parallel.Pool.map pool f xs)))
+    [ 1; 2; 3 ]
 
 let test_parallel_order () =
   let xs = [ "c"; "a"; "d"; "b" ] in
   Alcotest.(check (list string))
     "input order preserved" [ "c!"; "a!"; "d!"; "b!" ]
-    (Parallel.map ~domains:3 (fun s -> s ^ "!") xs)
+    (with_par_domains "2" (fun () -> Parallel.map (fun s -> s ^ "!") xs))
 
 let test_parallel_edges () =
-  Alcotest.(check (list int)) "empty list" [] (Parallel.map ~domains:4 succ []);
-  Alcotest.(check (list int)) "singleton" [ 8 ] (Parallel.map ~domains:4 succ [ 7 ]);
-  Alcotest.(check (list int))
-    "more domains than elements" [ 1; 2 ]
-    (Parallel.map ~domains:16 succ [ 0; 1 ]);
-  Alcotest.(check (list int))
-    "domains < 1 clamped" [ 1; 2; 3 ]
-    (Parallel.map ~domains:0 succ [ 0; 1; 2 ])
+  with_par_domains "2" (fun () ->
+      Alcotest.(check (list int)) "empty list" [] (Parallel.map succ []);
+      Alcotest.(check (list int)) "singleton" [ 8 ] (Parallel.map succ [ 7 ]);
+      (* the applications run on pool workers, not the caller *)
+      Alcotest.(check bool)
+        "fans out" false
+        (List.mem (self ()) (Parallel.map (fun _ -> self ()) [ 0; 1; 2; 3 ])));
+  (* one domain: plain List.map on the calling domain *)
+  with_par_domains "1" (fun () ->
+      Alcotest.(check (list int))
+        "PAR_DOMAINS=1 stays on the caller" [ self (); self (); self () ]
+        (Parallel.map (fun _ -> self ()) [ 0; 1; 2 ]));
+  let pool = Parallel.Pool.create ~domains:0 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check int) "domains < 1 clamped" 1 (Parallel.Pool.size pool);
+      Alcotest.(check (list int))
+        "clamped pool maps" [ 1; 2; 3 ]
+        (Parallel.Pool.map pool succ [ 0; 1; 2 ]))
 
 let test_parallel_exception () =
   Alcotest.check_raises "worker exception re-raised" (Failure "boom") (fun () ->
-      ignore
-        (Parallel.map ~domains:3
-           (fun i -> if i = 4 then failwith "boom" else i)
-           (List.init 8 (fun i -> i))))
+      with_par_domains "2" (fun () ->
+          ignore
+            (Parallel.map
+               (fun i -> if i = 4 then failwith "boom" else i)
+               (List.init 8 (fun i -> i)))))
 
 let test_parallel_nested () =
-  (* inner maps inside a worker must not spawn more domains, and the
-     composed result must still be correct *)
+  (* inner maps inside a worker must not fan out again: each runs on the
+     domain of the item that called it, and the composed result must
+     still be correct *)
   let result =
-    Parallel.map ~domains:2
-      (fun i -> Parallel.map ~domains:4 (fun j -> (10 * i) + j) [ 1; 2 ])
-      [ 1; 2; 3 ]
+    with_par_domains "2" (fun () ->
+        Parallel.map
+          (fun i ->
+            let d = self () in
+            ( Parallel.map (fun j -> (10 * i) + j) [ 1; 2 ],
+              Parallel.map (fun _ -> self () = d) [ 1; 2 ] ))
+          [ 1; 2; 3 ])
   in
   Alcotest.(check (list (list int)))
-    "nested results" [ [ 11; 12 ]; [ 21; 22 ]; [ 31; 32 ] ] result
+    "nested results" [ [ 11; 12 ]; [ 21; 22 ]; [ 31; 32 ] ] (List.map fst result);
+  Alcotest.(check bool)
+    "inner maps stay on the worker" true
+    (List.for_all (List.for_all Fun.id) (List.map snd result))
 
 let test_pool_map () =
   let pool = Parallel.Pool.create ~domains:3 () in

@@ -54,6 +54,11 @@ let traced_events f =
 
 let named name ev = Json.member "name" ev = Some (Json.Str name)
 
+(* a two-domain pool, whatever PAR_DOMAINS says *)
+let with_pool f =
+  let pool = Numeric.Parallel.Pool.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Numeric.Parallel.Pool.shutdown pool) (fun () -> f pool)
+
 let count_named name events = List.length (List.filter (named name) events)
 
 let arg key ev = Option.bind (Json.member "args" ev) (Json.member key)
@@ -238,12 +243,13 @@ let test_trace_context_propagation () =
               (Obs.Trace.current_context () = Some ctx);
             Obs.Trace.with_span "ctx_root" ~ctx (fun _ ->
                 (* pool workers must re-install the submitter's context *)
-                ignore
-                  (Numeric.Parallel.map ~domains:2
-                     (fun i ->
-                       Obs.Trace.with_span "ctx_worker" (fun _ -> spin ());
-                       i)
-                     [ 1; 2; 3; 4 ]))))
+                with_pool (fun pool ->
+                    ignore
+                      (Numeric.Parallel.Pool.map pool
+                         (fun i ->
+                           Obs.Trace.with_span "ctx_worker" (fun _ -> spin ());
+                           i)
+                         [ 1; 2; 3; 4 ])))))
   in
   (match List.find_opt (named "ctx_root") events with
   | Some ev ->
@@ -496,11 +502,12 @@ let test_metrics_counters_domains () =
   let c = Obs.Metrics.counter "test.parallel_total" in
   let xs = List.init 100 (fun i -> i + 1) in
   let ys =
-    Numeric.Parallel.map ~domains:2
-      (fun i ->
-        Obs.Metrics.add c i;
-        i * 2)
-      xs
+    with_pool (fun pool ->
+        Numeric.Parallel.Pool.map pool
+          (fun i ->
+            Obs.Metrics.add c i;
+            i * 2)
+          xs)
   in
   Alcotest.(check (list int))
     "map result deterministic"
@@ -752,7 +759,6 @@ let test_stats_registry_compat () =
       ("analysis.weight_hits", s.Analysis.weight_hits);
       ("analysis.mixture_passes", s.Analysis.mixture_passes);
       ("analysis.mixture_steps", s.Analysis.mixture_steps);
-      ("analysis.batch_passes", s.Analysis.batch_passes);
       ("analysis.batch_columns", s.Analysis.batch_columns);
     ]
 
@@ -864,11 +870,12 @@ let test_obs_invariance () =
        (List.assoc_opt "analysis.mixture_passes" metrics.Obs.Metrics.counters)
     > 0)
 
-(* Tables 1 and 2 build only symmetry-reduced chains, and their
-   measure-level spans have children: [measures.wrap] inside the
-   [table1/<config>] (or, on another domain, [table2/<config>]) span that
-   built the chain, [semantics.levels] inside
-   the [measures.availability] that first asked for a service level. *)
+(* Tables 1 and 2 build only symmetry-reduced chains, each once (five
+   strategies, two lines) however many domains the rows fan out over,
+   and their measure-level spans have children: [measures.wrap] inside
+   the [table1/<config>] span that built the chain, [semantics.levels]
+   inside the [measures.availability] that first asked for a service
+   level. *)
 let test_table_spans () =
   Experiments.clear_cache ();
   let events =
@@ -878,7 +885,7 @@ let test_table_spans () =
   in
   Experiments.clear_cache ();
   let builds = List.filter (named "measures.build") events in
-  Alcotest.(check bool) "builds" true (builds <> []);
+  Alcotest.(check int) "builds" 10 (List.length builds);
   List.iter
     (fun ev ->
       Alcotest.(check bool) "symmetric" true (arg "symmetric" ev = Some (Json.Bool true));
@@ -909,6 +916,23 @@ let test_table_spans () =
     ~parent:(fun ev -> prefixed "table1/" ev || prefixed "table2/" ev)
     "measures.wrap";
   nested ~parent:(named "measures.availability") "semantics.levels"
+
+(* Figures 4 and 5 sweep the same three Line 1 chains: whichever domain
+   built one for fig4, fig5 reads it from the shared cache *)
+let test_figure_builds_shared () =
+  Experiments.clear_cache ();
+  let events =
+    traced_events (fun () ->
+        ignore (Experiments.fig4 ~points:3 ());
+        ignore (Experiments.fig5 ~points:3 ()))
+  in
+  Experiments.clear_cache ();
+  let builds = List.filter (named "measures.build") events in
+  Alcotest.(check int) "one build per strategy" 3 (List.length builds);
+  List.iter
+    (fun ev ->
+      Alcotest.(check bool) "full chain" true (arg "symmetric" ev = Some (Json.Bool false)))
+    builds
 
 (* ------------------------------------------------------------------ *)
 
@@ -983,5 +1007,7 @@ let () =
           Alcotest.test_case "observability does not change results" `Slow
             test_obs_invariance;
           Alcotest.test_case "table spans" `Quick test_table_spans;
+          Alcotest.test_case "figures share builds" `Quick
+            test_figure_builds_shared;
         ] );
     ]
