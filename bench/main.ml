@@ -111,6 +111,8 @@ let kernel_counters () =
   ignore (Core.Measures.accumulated_cost_curve m ~times:(grid 10 50.));
   Format.printf "kernel: 10-pt accumulated curve -> %a@."
     Ctmc.Analysis.pp_stats a;
+  (* the curve's counters: the JSON kernel block reads mixture_passes,
+     mixture_steps and batch_columns all from this one snapshot *)
   let s = Ctmc.Analysis.stats a in
   (* Blocked-kernel contrast (the BATCH knob, default 5): K fig7-style
      Tail_over_lambda streams (accumulated cost over a 10-point grid to
@@ -216,7 +218,7 @@ let kernel_counters () =
     ("projected_seconds", projected_seconds);
     ("sweeps_per_solve", float_of_int sweeps_per_solve);
     ("spmv_gb_per_s", spmv_gbps);
-    ("batch_columns", float_of_int after.Ctmc.Analysis.batch_columns);
+    ("batch_columns", float_of_int s.Ctmc.Analysis.batch_columns);
     ("lump_builds", float_of_int sl.Ctmc.Analysis.lump_builds);
     ("lump_hits", float_of_int sl.Ctmc.Analysis.lump_hits);
     ("lumped_states", float_of_int sl.Ctmc.Analysis.lumped_states);

@@ -19,6 +19,18 @@ let level_label_name levels x =
   in
   Printf.sprintf "sl_ge_%d" (position 0 levels)
 
+(* [(label, literal)] for each fault-tree literal of component [name]:
+   ["<name>_failed"] (any mode) and ["<name>:<mode>"] per extra mode *)
+let literal_labels model name =
+  (name ^ "_failed", name)
+  :: List.filter_map
+       (fun m ->
+         if m.Component.fm_name = "failed" then None
+         else
+           let literal = name ^ ":" ^ m.Component.fm_name in
+           Some (literal, literal))
+       (Component.modes (Model.component model name))
+
 let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
   let levels = Model.service_levels built.Semantics.model in
   let model = built.Semantics.model in
@@ -32,14 +44,9 @@ let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
   let component_labels =
     List.concat_map
       (fun name ->
-        (name ^ "_failed", literal_label name)
-        :: List.filter_map
-             (fun m ->
-               if m.Component.fm_name = "failed" then None
-               else
-                 let literal = name ^ ":" ^ m.Component.fm_name in
-                 Some (literal, literal_label literal))
-             (Component.modes (Model.component model name)))
+        List.map
+          (fun (label, literal) -> (label, literal_label literal))
+          (literal_labels model name))
       (Model.component_names model)
   in
   let labels =
@@ -141,6 +148,30 @@ let analyze_mixed_disasters ?max_states ?lump model disasters =
     List.map (fun (w, failed) -> (w, Semantics.disaster_state model ~failed)) disasters
   in
   rooted (analyze ?max_states ?lump model) states
+
+(* A symmetric build answers exactly what every member of an orbit agrees
+   on. Of the labels only the literals of grouped components tell members
+   apart: the group permutations leave the tree and service-level labels
+   unchanged, and an unknown label fails alike on both builds. *)
+let exact_on_quotient model =
+  match List.concat (Semantics.interchangeable model) with
+  | [] -> fun _ -> true
+  | grouped ->
+      let variant =
+        List.concat_map (fun name -> List.map fst (literal_labels model name)) grouped
+      in
+      let rec pure = function
+        | Csl.Ast.True | Csl.Ast.False -> true
+        | Csl.Ast.Label label -> not (List.mem label variant)
+        | Csl.Ast.Not f -> pure f
+        | Csl.Ast.And (a, b) | Csl.Ast.Or (a, b) | Csl.Ast.Implies (a, b) ->
+            pure a && pure b
+        | Csl.Ast.Atomic _ | Csl.Ast.P _ | Csl.Ast.S _ | Csl.Ast.R _ -> false
+      in
+      (function
+      | Csl.Ast.S (_, f) -> pure f
+      | Csl.Ast.R (_, _, Csl.Ast.Steady) -> true
+      | _ -> false)
 
 let built t = t.built
 

@@ -78,6 +78,21 @@ val analyze_mixed_disasters :
     state not reachable from the all-up state raises {!rooted}'s
     [Invalid_argument]. *)
 
+val exact_on_quotient : Model.t -> Csl.Ast.state_formula -> bool
+(** [exact_on_quotient model q]: does [q], asked of {!to_csl_model} on
+    [analyze ~symmetric:true model], get the answer the full build gives?
+    Decided from the formula alone, nothing is built. Without symmetry
+    groups ({!Semantics.interchangeable}) every query does, since the
+    symmetric build is then the full one. Otherwise a query does when it
+    is a steady-state operator ([S=?], [S~p], [R{..}=? [ S ]], [R{..}~p
+    [ S ]]) whose operand is a boolean combination of labels other than
+    the ["<c>_failed"] and ["<c>:<mode>"] literals of grouped components:
+    the tree and service-level labels are group-invariant, reward
+    structures are invariant by construction, and an unknown label fails
+    alike on both builds. Transient operators, atomic expressions and
+    the literals of grouped components answer [false]. Partial
+    application finds the groups once. *)
+
 val built : t -> Semantics.built
 
 val analysis : t -> Ctmc.Analysis.t

@@ -988,12 +988,15 @@ let build ?(max_states = 5_000_000) ?(symmetric = false) ?initial model =
 
 let reduced built = Array.length built.packed.ctx.groups > 0
 
-let symmetry_groups built =
-  let ctx = built.packed.ctx in
+let group_names ctx =
   Array.to_list
     (Array.map
        (fun g -> Array.to_list (Array.map (fun i -> ctx.comps.(i).Component.name) g))
        ctx.groups)
+
+let symmetry_groups built = group_names built.packed.ctx
+
+let interchangeable model = group_names (with_groups (make_ctx model) model)
 
 (* Observations that tell the members of a group apart have no value on a
    symmetry-reduced build. *)

@@ -104,6 +104,10 @@ val symmetry_groups : built -> string list list
     name; [[]] on a full build and on a symmetric build that found none
     (then [chain] is the full chain). *)
 
+val interchangeable : Model.t -> string list list
+(** The groups [build ~symmetric:true] would lump, found without
+    exploring a state: [symmetry_groups (build ~symmetric:true model)]. *)
+
 (** {2 Per-state observations} *)
 
 val state : built -> int -> state

@@ -118,6 +118,7 @@ type req_meta = {
   mutable m_coalesced : int;
   mutable m_queries : int;
   mutable m_kinds : string list;
+  mutable m_chains : string option;
 }
 
 let fresh_meta () =
@@ -128,15 +129,30 @@ let fresh_meta () =
     m_coalesced = 0;
     m_queries = 0;
     m_kinds = [];
+    m_chains = None;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                           *)
 
+(* The two chains a session can answer from. The symmetric build is the
+   quotient under interchangeable components: smaller and cheaper, exact
+   for the queries {!Core.Measures.exact_on_quotient} accepts. *)
+type chain_kind = Symmetric | Full
+
+let chain_name = function Symmetric -> "symmetric" | Full -> "full"
+
+(* A session is the parsed model; each chain is built the first time a
+   query routed to it arrives. Only the scheduler touches a session's
+   chains, one group at a time (groups in a window hold distinct models,
+   windows run one after another), so the fields need no lock. *)
 type session = {
   s_src : string;
   s_lump : bool;
-  measures : Core.Measures.t;
+  s_model : Core.Model.t;
+  s_exact : Ast.state_formula -> bool;
+  mutable s_symmetric : Core.Measures.t option;
+  mutable s_full : Core.Measures.t option;
   mutable last_used : int;  (** logical clock for LRU eviction *)
 }
 
@@ -155,6 +171,7 @@ type job = {
   mutable j_session : string;  (** "hit" / "miss" / "coalesced"; set before
                                    [finish_job], read after [await_job] *)
   mutable j_coalesced : int;
+  mutable j_chains : string;  (** "symmetric" / "full" / "both", likewise *)
 }
 
 type t = {
@@ -187,8 +204,28 @@ let model_hash ~src ~lump =
 let build_session ~src ~lump =
   let xml, locator = Xml_kit.parse_string_located src in
   let model, _embedded_measures = Core.Xml_io.of_xml ~pos:locator xml in
-  let measures = Core.Measures.analyze ~lump model in
-  { s_src = src; s_lump = lump; measures; last_used = 0 }
+  {
+    s_src = src;
+    s_lump = lump;
+    s_model = model;
+    s_exact = Core.Measures.exact_on_quotient model;
+    s_symmetric = None;
+    s_full = None;
+    last_used = 0;
+  }
+
+(* The session's chain of [kind], built on first use. *)
+let chain s kind =
+  match (kind, s.s_symmetric, s.s_full) with
+  | Symmetric, Some m, _ | Full, _, Some m -> m
+  | Symmetric, None, _ ->
+      let m = Core.Measures.analyze ~lump:s.s_lump ~symmetric:true s.s_model in
+      s.s_symmetric <- Some m;
+      m
+  | Full, _, None ->
+      let m = Core.Measures.analyze ~lump:s.s_lump s.s_model in
+      s.s_full <- Some m;
+      m
 
 let touch srv s =
   srv.clock <- srv.clock + 1;
@@ -321,12 +358,11 @@ let pred_of csl f =
   fun s -> sat.(s)
 
 (* One group of batchable slots -> one uniformization sweep. *)
-let eval_group srv session key (slots : (slot * contribution) list) =
-  let m = session.measures in
+let eval_group srv (m : Core.Measures.t) key (slots : (slot * contribution) list) =
   let analysis = Core.Measures.analysis m in
   let csl = Core.Measures.to_csl_model m in
   let chain = (Core.Measures.built m).Core.Semantics.chain in
-  let lump = session.s_lump in
+  let lump = m.lump in
   let fill_errors msg =
     List.iter
       (fun (slot, _) -> slot.answers.(slot.idx) <- Some (err_result srv slot.text msg))
@@ -404,8 +440,8 @@ let eval_group srv session key (slots : (slot * contribution) list) =
                 cumul cumul_points
           | exception e -> fill_errors (error_message e)))
 
-let eval_single srv session slot =
-  let csl = Core.Measures.to_csl_model session.measures in
+let eval_single srv m slot =
+  let csl = Core.Measures.to_csl_model m in
   let answer =
     match Csl.Checker.check csl slot.ast with
     | Csl.Checker.Value v -> ok_value slot.text v
@@ -416,17 +452,9 @@ let eval_single srv session slot =
 
 let ns_to_ms ns = Int64.to_float ns /. 1e6
 
-(* Evaluate every query of every job in a same-model group: batchable
-   queries are grouped by plan key and each group costs one sweep. *)
-let eval_jobs srv session jobs_with_answers =
-  let slots =
-    List.concat_map
-      (fun (job, answers) ->
-        List.mapi
-          (fun idx (text, ast) -> { answers; idx; text; ast })
-          job.j_queries)
-      jobs_with_answers
-  in
+(* Evaluate the slots routed to one chain [m]: batchable queries are
+   grouped by plan key and each group costs one sweep. *)
+let eval_slots srv m slots =
   let groups : (plan_key, (slot * contribution) list) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -450,14 +478,14 @@ let eval_jobs srv session jobs_with_answers =
       bump ~n:(List.length group) srv.c.batched_queries;
       let kind = match key with K_until _ -> "until" | K_reward _ -> "reward" in
       let t0 = Obs.monotonic_ns () in
-      eval_group srv session key group;
+      eval_group srv m key group;
       Obs.Metrics.observe (h_query_latency kind)
         (ns_to_ms (Int64.sub (Obs.monotonic_ns ()) t0)))
     (List.rev !group_order);
   List.iter
     (fun slot ->
       let t0 = Obs.monotonic_ns () in
-      eval_single srv session slot;
+      eval_single srv m slot;
       Obs.Metrics.observe
         (h_query_latency (query_kind slot.ast))
         (ns_to_ms (Int64.sub (Obs.monotonic_ns ()) t0)))
@@ -483,7 +511,9 @@ let hash_hex h = Printf.sprintf "%016Lx" h
 (* The whole group evaluation runs under the lead job's trace context, so
    the shared sweep spans (which may execute on a pool domain) join the
    lead request's trace; the other coalesced requests are listed on the
-   group span. *)
+   group span. A query goes to the symmetric chain when [s_exact]
+   accepts it and to the full chain otherwise, each built on first
+   use. *)
 let process_group srv jobs =
   let j0 = List.hd jobs in
   let coalesced = List.length jobs in
@@ -496,12 +526,41 @@ let process_group srv jobs =
         ("coalesced", Obs.Int coalesced);
       ]
   @@ fun pg_span ->
+  let jobs_with_answers =
+    List.map (fun j -> (j, Array.make (List.length j.j_queries) None)) jobs
+  in
   match
-    Obs.Trace.with_span "server.session" @@ fun s_span ->
-    let (_, was_cached) as r = get_session srv ~src:j0.j_src ~lump:j0.j_lump in
-    if Obs.Trace.recording s_span then
-      Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
-    r
+    let session, was_cached =
+      Obs.Trace.with_span "server.session" @@ fun s_span ->
+      let (_, was_cached) as r = get_session srv ~src:j0.j_src ~lump:j0.j_lump in
+      if Obs.Trace.recording s_span then
+        Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
+      r
+    in
+    if was_cached then bump ~n:coalesced srv.c.session_hits
+    else begin
+      bump srv.c.session_misses;
+      if coalesced > 1 then bump ~n:(coalesced - 1) srv.c.session_hits
+    end;
+    let slots =
+      List.concat_map
+        (fun (job, answers) ->
+          List.mapi
+            (fun idx (text, ast) ->
+              ( (if session.s_exact ast then Symmetric else Full),
+                { answers; idx; text; ast } ))
+            job.j_queries)
+        jobs_with_answers
+    in
+    (* a request without queries warms the session's cheaper chain *)
+    let kinds =
+      if slots = [] then [ Symmetric ]
+      else
+        List.filter
+          (fun k -> List.exists (fun (k', _) -> k' = k) slots)
+          [ Symmetric; Full ]
+    in
+    (was_cached, slots, List.map (fun k -> (k, chain session k)) kinds)
   with
   | exception e ->
       let msg =
@@ -523,16 +582,15 @@ let process_group srv jobs =
                  ("model_hash", Str (hash_hex job.j_hash));
                ]))
         jobs
-  | session, was_cached ->
-      if was_cached then bump ~n:coalesced srv.c.session_hits
-      else begin
-        bump srv.c.session_misses;
-        if coalesced > 1 then bump ~n:(coalesced - 1) srv.c.session_hits
-      end;
-      let jobs_with_answers =
-        List.map (fun j -> (j, Array.make (List.length j.j_queries) None)) jobs
-      in
-      (try eval_jobs srv session jobs_with_answers
+  | was_cached, slots, chains ->
+      (try
+         List.iter
+           (fun (kind, m) ->
+             eval_slots srv m
+               (List.filter_map
+                  (fun (k, slot) -> if k = kind then Some slot else None)
+                  slots))
+           chains
        with e ->
          (* defensive: eval paths catch per-group, but never drop a job *)
          let msg = error_message e in
@@ -548,14 +606,28 @@ let process_group srv jobs =
                           msg))
                answers)
            jobs_with_answers);
+      (* the full chain's count from either chain: a symmetric build
+         counts its orbits' members *)
       let states =
-        Ctmc.Chain.states
-          (Core.Measures.built session.measures).Core.Semantics.chain
+        fst (Core.Measures.built (snd (List.hd chains))).Core.Semantics.full_size
+      in
+      let chains_tag =
+        match chains with [ (kind, _) ] -> chain_name kind | _ -> "both"
       in
       if Obs.Trace.recording pg_span then begin
         Obs.Trace.add_attr pg_span "session"
           (Obs.Str (if was_cached then "hit" else "miss"));
         Obs.Trace.add_attr pg_span "states" (Obs.Int states);
+        (* which chain answered, and its size: "chain" is "symmetric",
+           "full" or "both", with "<kind>_states" per chain used *)
+        Obs.Trace.add_attr pg_span "chain" (Obs.Str chains_tag);
+        List.iter
+          (fun (kind, m) ->
+            Obs.Trace.add_attr pg_span
+              (chain_name kind ^ "_states")
+              (Obs.Int
+                 (Ctmc.Chain.states (Core.Measures.built m).Core.Semantics.chain)))
+          chains;
         (* accuracy attrs: worst Fox–Glynn truncation error and last
            solver residual observed by the work this group just ran *)
         Obs.Trace.add_attr pg_span "fg_mass_deficit"
@@ -572,6 +644,7 @@ let process_group srv jobs =
             if was_cached then "hit" else if i = 0 then "miss" else "coalesced"
           in
           job.j_session <- session_tag;
+          job.j_chains <- chains_tag;
           let results =
             Array.to_list
               (Array.map
@@ -832,6 +905,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                     j_result = None;
                     j_session = "";
                     j_coalesced = 0;
+                    j_chains = "";
                   }
                 in
                 let admitted =
@@ -851,6 +925,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                   bump ~n:(List.length j_queries) srv.c.queries;
                   let status, body = await_job job in
                   if job.j_session <> "" then meta.m_session <- Some job.j_session;
+                  if job.j_chains <> "" then meta.m_chains <- Some job.j_chains;
                   meta.m_coalesced <- job.j_coalesced;
                   respond_json ~status body
                 end)))
@@ -906,6 +981,9 @@ and write_access_log srv ~(req : Http.request) ~(meta : req_meta) ~trace_id
                   | None -> []);
                   (match meta.m_session with
                   | Some s -> [ ("session", Json.Str s) ]
+                  | None -> []);
+                  (match meta.m_chains with
+                  | Some c -> [ ("chain", Json.Str c) ]
                   | None -> []);
                   (if meta.m_coalesced > 0 then
                      [ ("coalesced", Json.num (float_of_int meta.m_coalesced)) ]

@@ -1442,6 +1442,23 @@ let test_reduced_observations () =
   Alcotest.(check bool) "res literal" false (Semantics.literal_pred built "res" 0);
   check_close ~eps:1e-12 "availability" 0.8186317
     (Float.round (Measures.availability m *. 1e7) /. 1e7);
+  (* the routing predicate sends to the quotient exactly the steady
+     queries whose labels every orbit member agrees on *)
+  Alcotest.(check (list (list string))) "groups without a build"
+    (Semantics.symmetry_groups built) (Semantics.interchangeable model);
+  let exact q = Measures.exact_on_quotient model (Csl.Parser.parse q) in
+  Alcotest.(check (list bool)) "exact on the quotient"
+    [ true; true; true; true; false; false; false ]
+    (List.map exact
+       [
+         {|S=? [ "full_service" ]|};
+         {|S>0.5 [ !"down" & "res_failed" ]|};
+         {|R{"cost"}=? [ S ]|};
+         {|S=? [ "no_such_label" ]|};
+         {|S=? [ "sl_ge_0" | "pump1_failed" ]|};
+         {|P=? [ true U<=10 "down" ]|};
+         {|R{"cost"}=? [ C<=10 ]|};
+       ]);
   (* a full build keeps every observation *)
   let full = Semantics.build model in
   Alcotest.(check (list (list string))) "full build" [] (Semantics.symmetry_groups full);

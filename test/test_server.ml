@@ -629,6 +629,154 @@ let test_flight_dump_on_reject () =
     (contains dump "flight.dump" && contains dump "http_422")
 
 (* ------------------------------------------------------------------ *)
+(* Routing: steady-state queries on group-invariant labels answer from
+   the symmetric build, everything else from the full one *)
+
+let models_dir = "../models"
+
+let load_model file =
+  let src = In_channel.with_open_bin (Filename.concat models_dir file) In_channel.input_all in
+  let xml, pos = Xml_kit.parse_string_located src in
+  (src, fst (Core.Xml_io.of_xml ~pos xml))
+
+(* every shipped model, four steady queries in one request, against
+   Csl.Checker on an in-process full build *)
+let test_routing_oracle () =
+  let files =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".xml")
+         (Array.to_list (Sys.readdir models_dir)))
+  in
+  Alcotest.(check int) "twelve shipped models" 12 (List.length files);
+  with_server (fun port ->
+      List.iter
+        (fun file ->
+          let src, model = load_model file in
+          (* a grouped component's literal when the model has groups *)
+          let literal =
+            match Core.Semantics.interchangeable model with
+            | (c :: _) :: _ -> c
+            | _ -> List.hd (Core.Model.component_names model)
+          in
+          let queries =
+            [
+              "S=? [ \"full_service\" ]";
+              "S=? [ \"operational\" ]";
+              "R{\"cost\"}=? [ S ]";
+              Printf.sprintf "S=? [ \"%s_failed\" ]" literal;
+            ]
+          in
+          let full = Core.Measures.analyze model in
+          let csl = Core.Measures.to_csl_model full in
+          let status, body = post_analyze ~model:src ~queries port in
+          Alcotest.(check int) (file ^ " status") 200 status;
+          Alcotest.(check (float 0.))
+            (file ^ " states = full chain")
+            (float_of_int
+               (Ctmc.Chain.states (Core.Measures.built full).Core.Semantics.chain))
+            (num_field "states" (Json.parse body));
+          List.iter2
+            (fun query result ->
+              let expected =
+                match Csl.Checker.check_string csl query with
+                | Csl.Checker.Value v -> v
+                | Csl.Checker.Satisfied _ -> Alcotest.fail "expected a value"
+              in
+              match Json.member "value" result with
+              | Some (Json.Num got) ->
+                  let tol = 1e-10 *. Float.max 1. (Float.abs expected) in
+                  Alcotest.(check (float tol)) (file ^ ": " ^ query) expected got
+              | _ ->
+                  Alcotest.fail
+                    (Printf.sprintf "%s: %s answered %s" file query
+                       (Json.to_string result)))
+            queries
+            (Option.value ~default:[] (Json.list_field "results" (Json.parse body))))
+        files)
+
+(* [(name, args)] of the spans buffered since the last {!Obs.Trace.clear} *)
+let buffered_spans path =
+  Obs.Trace.flush ();
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Json.List events ->
+      List.filter_map
+        (fun ev ->
+          match (Json.string_field "name" ev, Json.member "args" ev) with
+          | Some name, Some args -> Some (name, args)
+          | _ -> None)
+        events
+  | _ -> Alcotest.fail "trace is not an array"
+
+let builds path =
+  List.filter_map
+    (fun (name, args) ->
+      if name <> "measures.build" then None
+      else
+        Some
+          ( (match Json.member "symmetric" args with
+            | Some (Json.Bool b) -> b
+            | _ -> Alcotest.fail "build without a symmetric attribute"),
+            int_of_float (num_field "states" args) ))
+    (buffered_spans path)
+
+let test_routing_builds () =
+  let path = Filename.temp_file "arcade_routing" ".json" in
+  Obs.Trace.set_output (Some path);
+  Obs.Trace.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.set_output None;
+      Obs.Trace.clear ();
+      Sys.remove path)
+    (fun () ->
+      let build_list = Alcotest.(list (pair bool int)) in
+      let src, _ = load_model "line2_frf-1.xml" in
+      with_server (fun port ->
+          let status, body =
+            post_analyze ~model:src
+              ~queries:[ "S=? [ \"full_service\" ]"; "R{\"cost\"}=? [ S ]" ]
+              port
+          in
+          Alcotest.(check int) "steady status" 200 status;
+          Alcotest.(check (float 0.))
+            "states is the full count" 8129.
+            (num_field "states" (Json.parse body));
+          Alcotest.check build_list "steady-only: one symmetric build"
+            [ (true, 257) ] (builds path);
+          let status, body =
+            post_analyze ~model:src
+              ~queries:[ "P=? [ true U<=10 !\"full_service\" ]" ]
+              port
+          in
+          Alcotest.(check int) "transient status" 200 status;
+          Alcotest.(check (option string))
+            "same session" (Some "hit")
+            (Json.string_field "session" (Json.parse body));
+          Alcotest.check build_list "transient: one full build"
+            [ (true, 257); (false, 8129) ] (builds path);
+          let status, _ = post_analyze port in
+          Alcotest.(check int) "tiny status" 200 status;
+          Alcotest.check build_list "no groups: one build for the mixed suite"
+            [ (true, 257); (false, 8129); (true, 4) ] (builds path));
+      (* the server has stopped, so every group span is closed *)
+      let groups =
+        List.filter_map
+          (fun (name, args) ->
+            if name = "server.process_group" then
+              Some (Json.string_field "chain" args, Json.to_string args)
+            else None)
+          (buffered_spans path)
+      in
+      Alcotest.(check (list (option string))) "the chain each group used"
+        [ Some "symmetric"; Some "full"; Some "symmetric" ] (List.map fst groups);
+      List.iter2
+        (fun key (_, args) ->
+          Alcotest.(check bool) (key ^ " in " ^ args) true (contains args key))
+        [ {|"symmetric_states":257|}; {|"full_states":8129|}; {|"symmetric_states":4|} ]
+        groups)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "server"
@@ -673,5 +821,12 @@ let () =
             test_access_log_latency_bounded;
           Alcotest.test_case "flight dump on rejection" `Quick
             test_flight_dump_on_reject;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "twelve models agree with the checker" `Quick
+            test_routing_oracle;
+          Alcotest.test_case "chains built on demand" `Quick
+            test_routing_builds;
         ] );
     ]
