@@ -67,6 +67,8 @@ type ctx = {
       (* interchangeable components, ascending, by which a symmetric build
          reduces ([||] on a full build) *)
   group_of : int array; (* per component, its group or -1 *)
+  unit_groups : int array array; (* per unit, the groups of its members *)
+  loose_groups : int array; (* the groups of components in no unit *)
 }
 
 let is_dedicated ru = ru.Repair.strategy = Repair.Dedicated
@@ -209,27 +211,36 @@ let make_ctx model =
     queue_f;
     groups = [||];
     group_of = Array.make n (-1);
+    unit_groups = Array.make (Array.length rus) [||];
+    loose_groups = [||];
   }
 
 let component_count ctx = Array.length ctx.comps
 
 (* --- Packed keys ------------------------------------------------------ *)
 
-let get key off f = (key.(off + f.word) lsr f.shift) land f.mask
+let[@inline] get key off f = (key.(off + f.word) lsr f.shift) land f.mask
 
-let set key off f v =
+let[@inline] set key off f v =
   let p = off + f.word in
   key.(p) <- key.(p) land lnot (f.mask lsl f.shift) lor (v lsl f.shift)
 
 (* Write a record state into [key]; false when it does not fit the layout
    (wrong dimensions, an unknown mode, a list entry that is not a member
-   of its unit, or a list longer than its slots). *)
+   of its unit, a component listed twice, or a list longer than its
+   slots). *)
 let encode ctx st key =
   let n = component_count ctx and nu = Array.length ctx.rus in
   Array.fill key 0 ctx.width 0;
+  let listed = Array.make n false in
   let write_list u slots l =
     List.length l <= Array.length slots
-    && List.for_all (fun x -> x >= 0 && x < n && ctx.ru_of.(x) = u) l
+    && List.for_all
+         (fun x ->
+           let fresh = x >= 0 && x < n && ctx.ru_of.(x) = u && not listed.(x) in
+           if fresh then listed.(x) <- true;
+           fresh)
+         l
     && begin
          List.iteri (fun k x -> set key 0 slots.(k) (ctx.member_pos.(x) + 1)) l;
          true
@@ -310,49 +321,86 @@ let repairing ctx key off u =
    sort key packs, in this order of significance: up bit, failure mode,
    completed stages, in-repair flag and queue position plus one (0 when not
    queued). Members with equal sort keys are interchangeable within the
-   state, so the canonical key does not depend on how ties are broken. *)
+   state, so the canonical key does not depend on how ties are broken.
+
+   In a canonical key each group lists its members' states in ascending
+   sort key and every in-repair list is sorted by component index. The
+   members of a group share their repair unit, so a group's sort keys
+   depend only on its members' fields and its unit's lists, and
+   canonicalizing works on one unit's groups at a time. *)
 type sym = {
   sort_key : int array; (* per component *)
-  perm : int array; (* per component, its image under the canonical map *)
+  perm : int array;
+      (* per component, its image under the canonical map; the identity
+         outside [canonicalize_groups] *)
   order : int array; (* per group member, scratch *)
   saved : int array; (* three saved fields per group member, scratch *)
+  live : bool array; (* per group, its sort keys are being filled *)
+  touched : int array; (* the groups an event touched, scratch *)
+  expanded : int array;
+      (* per grouped component, its sort key in the key last passed to
+         [orbit_size] *)
 }
 
 let make_sym ctx =
-  let n = component_count ctx in
+  let n = component_count ctx and ng = Array.length ctx.groups in
   let k = Array.fold_left (fun acc g -> max acc (Array.length g)) 0 ctx.groups in
   {
     sort_key = Array.make n 0;
     perm = Array.init n Fun.id;
     order = Array.make k 0;
     saved = Array.make (3 * k) 0;
+    live = Array.make ng false;
+    touched = Array.make ng 0;
+    expanded = Array.make n 0;
   }
 
-(* Fill [sym.sort_key] for every grouped component of the key at [off]:
-   mixed-radix digits up, mode, stage, then in-repair (radix 2) and queue
-   position plus one (radix [q], more than any unit's member count). *)
-let sort_keys ctx sym key off =
+let[@inline] add_sort_key ctx sym x d =
+  let g = ctx.group_of.(x) in
+  if g >= 0 && sym.live.(g) then sym.sort_key.(x) <- sym.sort_key.(x) + d
+
+(* Fill [sym.sort_key] for the members of the groups [gs.(0 .. ng-1)], all
+   of unit [u] (of no unit when [u < 0]): mixed-radix digits up, mode,
+   stage, then in-repair (radix 2) and queue position plus one (radix [q],
+   more than any unit's member count). *)
+let sort_keys ctx sym key off u gs ng =
   let q = component_count ctx + 1 in
-  let digit acc f = (acc * (f.mask + 1)) + get key off f in
-  Array.iter
-    (Array.iter (fun i ->
-         sym.sort_key.(i) <-
-           digit (digit (get key off ctx.up_f.(i)) ctx.mode_f.(i)) ctx.stage_f.(i)
-           * 2 * q))
-    ctx.groups;
-  let add_listed u slots f =
+  for t = 0 to ng - 1 do
+    let g = ctx.groups.(gs.(t)) in
+    sym.live.(gs.(t)) <- true;
+    for j = 0 to Array.length g - 1 do
+      let i = g.(j) in
+      let mode = ctx.mode_f.(i) and stage = ctx.stage_f.(i) in
+      sym.sort_key.(i) <-
+        ((((get key off ctx.up_f.(i) * (mode.mask + 1)) + get key off mode)
+          * (stage.mask + 1))
+        + get key off stage)
+        * 2 * q
+    done
+  done;
+  if u >= 0 then begin
+    let rep = ctx.rep_f.(u) and queue = ctx.queue_f.(u) in
     let p = ref 0 in
-    while !p < Array.length slots && get key off slots.(!p) <> 0 do
-      let x = ctx.members.(u).(get key off slots.(!p) - 1) in
-      if ctx.group_of.(x) >= 0 then sym.sort_key.(x) <- sym.sort_key.(x) + f !p;
+    while !p < Array.length rep && get key off rep.(!p) <> 0 do
+      add_sort_key ctx sym ctx.members.(u).(get key off rep.(!p) - 1) q;
+      incr p
+    done;
+    p := 0;
+    while !p < Array.length queue && get key off queue.(!p) <> 0 do
+      add_sort_key ctx sym ctx.members.(u).(get key off queue.(!p) - 1) (!p + 1);
       incr p
     done
-  in
-  Array.iteri
-    (fun u _ ->
-      add_listed u ctx.rep_f.(u) (fun _ -> q);
-      add_listed u ctx.queue_f.(u) (fun p -> p + 1))
-    ctx.rus
+  end;
+  for t = 0 to ng - 1 do
+    sym.live.(gs.(t)) <- false
+  done
+
+let is_sorted sym g =
+  let j = ref 1 in
+  while !j < Array.length g && sym.sort_key.(g.(!j - 1)) <= sym.sort_key.(g.(!j)) do
+    incr j
+  done;
+  !j >= Array.length g
 
 (* [sym.order.(0 .. k-1)]: the member positions of group [g] stably sorted
    by sort key *)
@@ -368,67 +416,100 @@ let sort_group sym g =
     sym.order.(!q + 1) <- j
   done
 
-(* Rewrite the key at [off] to its orbit's canonical key: each group's
-   members sorted by sort key, the in-repair and queue slots remapped by
-   the same permutation (in-repair lists re-sorted by component index,
-   queues keep their order). *)
-let canonicalize ctx sym key off =
-  sort_keys ctx sym key off;
-  Array.iter
-    (fun g ->
-      let k = Array.length g in
-      sort_group sym g;
-      for j = 0 to k - 1 do
-        let src = g.(sym.order.(j)) in
-        sym.perm.(src) <- g.(j);
-        sym.saved.(3 * j) <- get key off ctx.up_f.(src);
-        sym.saved.((3 * j) + 1) <- get key off ctx.mode_f.(src);
-        sym.saved.((3 * j) + 2) <- get key off ctx.stage_f.(src)
-      done;
-      for j = 0 to k - 1 do
-        set key off ctx.up_f.(g.(j)) sym.saved.(3 * j);
-        set key off ctx.mode_f.(g.(j)) sym.saved.((3 * j) + 1);
-        set key off ctx.stage_f.(g.(j)) sym.saved.((3 * j) + 2)
-      done)
-    ctx.groups;
-  let remap u slots =
-    let p = ref 0 in
-    while !p < Array.length slots && get key off slots.(!p) <> 0 do
-      let x = ctx.members.(u).(get key off slots.(!p) - 1) in
-      set key off slots.(!p) (ctx.member_pos.(sym.perm.(x)) + 1);
-      incr p
-    done;
-    !p
-  in
-  Array.iteri
-    (fun u rslots ->
-      let len = remap u rslots in
-      let comp p = ctx.members.(u).(get key off rslots.(p) - 1) in
-      for p = 1 to len - 1 do
-        let v = get key off rslots.(p) in
-        let q = ref (p - 1) in
-        while !q >= 0 && comp !q > ctx.members.(u).(v - 1) do
-          set key off rslots.(!q + 1) (get key off rslots.(!q));
-          decr q
-        done;
-        set key off rslots.(!q + 1) v
-      done;
-      ignore (remap u ctx.queue_f.(u)))
-    ctx.rep_f
+(* Move the up, mode and stage fields of group [g]'s members into sort-key
+   order, recording each member's image in [sym.perm]. *)
+let permute_group ctx sym key off g =
+  let k = Array.length g in
+  sort_group sym g;
+  for j = 0 to k - 1 do
+    let src = g.(sym.order.(j)) in
+    sym.perm.(src) <- g.(j);
+    sym.saved.(3 * j) <- get key off ctx.up_f.(src);
+    sym.saved.((3 * j) + 1) <- get key off ctx.mode_f.(src);
+    sym.saved.((3 * j) + 2) <- get key off ctx.stage_f.(src)
+  done;
+  for j = 0 to k - 1 do
+    set key off ctx.up_f.(g.(j)) sym.saved.(3 * j);
+    set key off ctx.mode_f.(g.(j)) sym.saved.((3 * j) + 1);
+    set key off ctx.stage_f.(g.(j)) sym.saved.((3 * j) + 2)
+  done
 
-(* The number of full states in the orbit of the key at [off]: per group,
-   the multinomial of its members' equal sort keys. *)
+(* Remap unit [u]'s in-repair and queue slots through [sym.perm]: the
+   in-repair list re-sorted by component index, the queue in its order. *)
+let remap_slots ctx sym key off u slots =
+  let p = ref 0 in
+  while !p < Array.length slots && get key off slots.(!p) <> 0 do
+    let x = ctx.members.(u).(get key off slots.(!p) - 1) in
+    set key off slots.(!p) (ctx.member_pos.(sym.perm.(x)) + 1);
+    incr p
+  done;
+  !p
+
+let remap_unit ctx sym key off u =
+  let members = ctx.members.(u) and rslots = ctx.rep_f.(u) in
+  let len = remap_slots ctx sym key off u rslots in
+  for p = 1 to len - 1 do
+    let v = get key off rslots.(p) in
+    let q = ref (p - 1) in
+    while !q >= 0 && members.(get key off rslots.(!q) - 1) > members.(v - 1) do
+      set key off rslots.(!q + 1) (get key off rslots.(!q));
+      decr q
+    done;
+    set key off rslots.(!q + 1) v
+  done;
+  ignore (remap_slots ctx sym key off u ctx.queue_f.(u))
+
+(* Canonicalize the groups [gs.(0 .. ng-1)] of unit [u] in the key at
+   [off]: a group whose sort keys are out of order is stably sorted (a
+   sorted one would not move) and the unit's lists follow its members.
+   [force] remaps and re-sorts the lists even when no group moved, for
+   keys whose in-repair lists may be unsorted. *)
+let canonicalize_groups ctx sym key off u gs ng ~force =
+  sort_keys ctx sym key off u gs ng;
+  let moved = ref false in
+  for t = 0 to ng - 1 do
+    let g = ctx.groups.(gs.(t)) in
+    if not (is_sorted sym g) then begin
+      permute_group ctx sym key off g;
+      moved := true
+    end
+  done;
+  if u >= 0 && (!moved || force) then remap_unit ctx sym key off u;
+  if !moved then
+    for t = 0 to ng - 1 do
+      let g = ctx.groups.(gs.(t)) in
+      for j = 0 to Array.length g - 1 do
+        sym.perm.(g.(j)) <- g.(j)
+      done
+    done
+
+(* Rewrite the key at [off], whatever its form, to its orbit's canonical
+   key. *)
+let canonicalize ctx sym key off =
+  Array.iteri
+    (fun u gs -> canonicalize_groups ctx sym key off u gs (Array.length gs) ~force:true)
+    ctx.unit_groups;
+  canonicalize_groups ctx sym key off (-1) ctx.loose_groups
+    (Array.length ctx.loose_groups) ~force:true
+
+(* The number of full states in the orbit of the canonical key at [off]:
+   per group, the multinomial of its members' equal sort keys, which a
+   canonical key lists in ascending order. Keeps the sort keys in
+   [sym.expanded]. *)
 let orbit_size ctx sym key off =
-  sort_keys ctx sym key off;
+  Array.iteri
+    (fun u gs -> sort_keys ctx sym key off u gs (Array.length gs))
+    ctx.unit_groups;
+  sort_keys ctx sym key off (-1) ctx.loose_groups (Array.length ctx.loose_groups);
+  Array.blit sym.sort_key 0 sym.expanded 0 (Array.length sym.sort_key);
   Array.fold_left
     (fun acc g ->
-      sort_group sym g;
       (* the multinomial k! / prod (run length)!, one exact factor
-         (j + 1) / (position in its run) per sorted member *)
-      let sorted j = sym.sort_key.(g.(sym.order.(j))) in
+         (j + 1) / (position in its run) per member *)
       let acc = ref acc and run = ref 0 in
       for j = 0 to Array.length g - 1 do
-        if j > 0 && sorted j = sorted (j - 1) then incr run else run := 1;
+        if j > 0 && sym.sort_key.(g.(j)) = sym.sort_key.(g.(j - 1)) then incr run
+        else run := 1;
         acc := !acc * (j + 1) / !run
       done;
       !acc)
@@ -450,7 +531,13 @@ type work = {
   (* successors of the expanded state, [width] words each *)
   keys : int array;
   rates : float array;
+  event : int array; (* per successor, the component that failed or progressed *)
+  mode : int array; (* per successor, the failure mode, or -1 for a repair *)
+  dispatched : int array;
+      (* per successor, how many queue heads its repair dispatched *)
   mutable count : int;
+  seen : int array; (* [out_degree]'s hash table, -1 = free *)
+  nonzero : bool array; (* per successor, [out_degree] scratch *)
 }
 
 let make_work ctx =
@@ -472,7 +559,12 @@ let make_work ctx =
     w_tmp = Array.make (Array.fold_left max 0 sizes) 0;
     keys = Array.make (max_succ * ctx.width) 0;
     rates = Array.make max_succ 0.;
+    event = Array.make max_succ 0;
+    mode = Array.make max_succ 0;
+    dispatched = Array.make max_succ 0;
     count = 0;
+    seen = Array.make (1 lsl bits_for (2 * max_succ)) (-1);
+    nonzero = Array.make max_succ false;
   }
 
 let unpack ctx w key =
@@ -486,14 +578,19 @@ let unpack ctx w key =
     w.w_queue_len.(u) <- unpack_list ctx key 0 u ctx.queue_f.(u) w.w_queue.(u)
   done
 
-(* Start a successor as a copy of [cur]; returns its offset in [w.keys]. *)
-let push ctx w cur rate =
+(* Start a successor as a copy of [cur], by the failure of component [i]
+   in mode [m] or by its repair progressing ([m = -1]); returns its offset
+   in [w.keys]. *)
+let push ctx w cur i m rate =
   let k = w.count in
   let off = k * ctx.width in
   for f = 0 to ctx.width - 1 do
     w.keys.(off + f) <- cur.(f)
   done;
   w.rates.(k) <- rate;
+  w.event.(k) <- i;
+  w.mode.(k) <- m;
+  w.dispatched.(k) <- 0;
   w.count <- k + 1;
   off
 
@@ -547,7 +644,7 @@ let failure_factor ctx w i =
   end
 
 let fail ctx w cur i m factor =
-  let off = push ctx w cur (ctx.fail_rate.(i).(m) *. factor) in
+  let off = push ctx w cur i m (ctx.fail_rate.(i).(m) *. factor) in
   let key = w.keys in
   set key off ctx.up_f.(i) 0;
   set key off ctx.mode_f.(i) m;
@@ -567,7 +664,7 @@ let fail ctx w cur i m factor =
 let repair ctx w cur u i =
   let ru = ctx.rus.(u) in
   let m = w.w_mode.(i) in
-  let off = push ctx w cur ctx.stage_rate.(i).(m) in
+  let off = push ctx w cur i (-1) ctx.stage_rate.(i).(m) in
   let key = w.keys in
   if w.w_stage.(i) < ctx.modes.(i).(m).Component.fm_repair_stages - 1 then
     (* an intermediate stage completes *)
@@ -614,9 +711,10 @@ let repair ctx w cur u i =
         incr len;
         incr head
       done;
+      w.dispatched.(w.count - 1) <- !head;
       (* only the slots of the old lists can change *)
       let rslots = ctx.rep_f.(u) in
-      for k = 0 to max !len w.w_rep_len.(u) - 1 do
+      for k = 0 to Int.max !len w.w_rep_len.(u) - 1 do
         set key off rslots.(k)
           (if k < !len then ctx.member_pos.(busy.(k)) + 1 else 0)
       done;
@@ -650,7 +748,7 @@ let successors ctx w cur =
         if not w.w_up.(i) then repair ctx w cur u i
       done
     else if ru.Repair.preemptive then
-      for p = 0 to min ru.Repair.crews w.w_queue_len.(u) - 1 do
+      for p = 0 to Int.min ru.Repair.crews w.w_queue_len.(u) - 1 do
         repair ctx w cur u w.w_queue.(u).(p)
       done
     else
@@ -771,7 +869,19 @@ let with_groups ctx model =
   in
   let group_of = Array.make n (-1) in
   Array.iteri (fun k g -> Array.iter (fun i -> group_of.(i) <- k) g) groups;
-  { ctx with groups; group_of }
+  (* a group's members share their unit *)
+  let of_unit u =
+    Array.of_list
+      (List.filter (fun k -> ctx.ru_of.(groups.(k).(0)) = u)
+         (List.init (Array.length groups) Fun.id))
+  in
+  {
+    ctx with
+    groups;
+    group_of;
+    unit_groups = Array.mapi (fun u _ -> of_unit u) ctx.rus;
+    loose_groups = of_unit (-1);
+  }
 
 let field_at p s f = (Intern.get p.table s f.word lsr f.shift) land f.mask
 
@@ -879,27 +989,102 @@ let disaster_state model ~failed =
   state
 
 (* The distinct successors of [cur] in [w] other than [cur] itself, with
-   a non-zero total rate: the full chain's out-degree of [cur]. *)
+   a non-zero total rate: the full chain's out-degree of [cur]. Equal
+   successor keys meet in the open-addressing table [w.seen], which holds
+   the first successor of each distinct key. *)
+let same_key width a aoff b boff =
+  let f = ref 0 in
+  while !f < width && a.(aoff + !f) = b.(boff + !f) do
+    incr f
+  done;
+  !f = width
+
 let out_degree ctx w cur =
-  let width = ctx.width in
-  let equal a aoff b boff =
-    let rec eq f = f = width || (a.(aoff + f) = b.(boff + f) && eq (f + 1)) in
-    eq 0
-  in
-  let same k k' = equal w.keys (k * width) w.keys (k' * width) in
-  let is_cur k = equal w.keys (k * width) cur 0 in
+  let width = ctx.width and mask = Array.length w.seen - 1 in
+  Array.fill w.seen 0 (mask + 1) (-1);
   let degree = ref 0 in
   for k = 0 to w.count - 1 do
-    let rec seen k' = k' < k && (same k' k || seen (k' + 1)) in
-    if not (is_cur k || seen 0) then begin
-      (* rates are non-negative: the sum is zero only if every one is *)
-      let rec nonzero k' =
-        k' < w.count && ((same k' k && w.rates.(k') <> 0.) || nonzero (k' + 1))
-      in
-      if nonzero k then incr degree
+    let off = k * width in
+    if not (same_key width w.keys off cur 0) then begin
+      let h = ref 0 in
+      for f = 0 to width - 1 do
+        h := (!h * 0x2545F491) lxor w.keys.(off + f)
+      done;
+      let slot = ref ((!h lxor (!h lsr 17)) land mask) in
+      while
+        w.seen.(!slot) >= 0 && not (same_key width w.keys (w.seen.(!slot) * width) w.keys off)
+      do
+        slot := (!slot + 1) land mask
+      done;
+      let first = w.seen.(!slot) in
+      (* rates are non-negative: a key's total is zero only if every one is *)
+      if first < 0 then begin
+        w.seen.(!slot) <- k;
+        w.nonzero.(k) <- w.rates.(k) <> 0.;
+        if w.nonzero.(k) then incr degree
+      end
+      else if w.rates.(k) <> 0. && not w.nonzero.(first) then begin
+        w.nonzero.(first) <- true;
+        incr degree
+      end
     end
   done;
   !degree
+
+(* [x]'s group added to the [ng] groups in [sym.touched] (unless it is
+   there or [x] has none); returns the new count. *)
+let touch_group ctx sym ng x =
+  let g = ctx.group_of.(x) in
+  if g < 0 then ng
+  else begin
+    let t = ref 0 in
+    while !t < ng && sym.touched.(!t) <> g do
+      incr t
+    done;
+    if !t < ng then ng
+    else begin
+      sym.touched.(ng) <- g;
+      ng + 1
+    end
+  end
+
+(* The latest successor at or before [t] whose event is of successor [k]'s
+   kind and on a member of the same group with the same sort key; -1 if
+   none is. *)
+let rec twin ctx sym w k t =
+  if t < 0 then -1
+  else
+    let i = w.event.(k) and i' = w.event.(t) in
+    if ctx.group_of.(i') = ctx.group_of.(i) && w.mode.(t) = w.mode.(k)
+       && sym.expanded.(i') = sym.expanded.(i)
+    then t
+    else twin ctx sym w k (t - 1)
+
+(* Canonicalize successor [k] of the canonical key being expanded, whose
+   sort keys [orbit_size] left in [sym.expanded].
+
+   Events of one kind on two members of a group with equal sort keys lead
+   to one orbit (exchanging the members fixes the expanded key and maps
+   one successor to the other), so when an earlier successor is such a
+   twin its canonical key is copied. Otherwise only the groups of the
+   components the event changed can be out of order: the event's own
+   component and the queue heads a repair dispatched. The other members
+   of the unit keep their fields and in-repair flags, and a queue
+   insertion or removal shifts their positions without reordering them,
+   so their groups stay sorted. *)
+let canonicalize_successor ctx sym w k =
+  let width = ctx.width and i = w.event.(k) in
+  let t = if ctx.group_of.(i) < 0 then -1 else twin ctx sym w k (k - 1) in
+  if t >= 0 then Array.blit w.keys (t * width) w.keys (k * width) width
+  else begin
+    let u = ctx.ru_of.(i) in
+    let ng = ref (touch_group ctx sym 0 i) in
+    for p = 0 to w.dispatched.(k) - 1 do
+      ng := touch_group ctx sym !ng w.w_queue.(u).(p)
+    done;
+    if !ng > 0 then
+      canonicalize_groups ctx sym w.keys (k * width) u sym.touched !ng ~force:false
+  end
 
 (* Breadth-first exploration over packed keys. States are numbered in
    discovery order, so the BFS queue is simply the id range: state [i] is
@@ -946,7 +1131,7 @@ let build ?(max_states = 5_000_000) ?(symmetric = false) ?initial model =
       full_states := !full_states + orbit;
       full_transitions := !full_transitions + (orbit * out_degree ctx w cur);
       for k = 0 to w.count - 1 do
-        canonicalize ctx sym w.keys (k * width)
+        canonicalize_successor ctx sym w k
       done
     end;
     for k = w.count - 1 downto 0 do

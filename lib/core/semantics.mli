@@ -78,7 +78,7 @@ val build :
     breadth-first. Raises {!Build_error} when more than [max_states]
     (default [5_000_000]) states are reachable, or when [initial] does not
     match the model (dimensions, failure modes, list entries that are not
-    members of their repair unit).
+    members of their repair unit, a component listed twice).
 
     [~symmetric:true] builds the quotient under interchangeable
     components instead. Components form a group when they share the repair

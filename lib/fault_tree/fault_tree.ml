@@ -82,21 +82,110 @@ let rec eval_quantitative tree value =
       let sum = List.fold_left (fun acc g -> acc +. eval_quantitative g value) 0. inputs in
       Float.min 1. (sum /. float_of_int k)
 
+(* A tree compiled for evaluation over 0/1 assignments: the nodes in
+   post-order (children before their gate), each leaf reading one bit of
+   the assignment mask (bit i = the i-th basic event in first-occurrence
+   order). *)
+type node =
+  | Bit of int
+  | Min of int array
+  | Mean of int array * float (* divided by the input count *)
+  | Capped of int array * float (* min 1 (sum / k) *)
+
+(* trailing zero bits of a positive int *)
+let ctz x =
+  let rec go x t = if x land 1 = 1 then t else go (x lsr 1) (t + 1) in
+  go x 0
+
 let service_levels tree =
   let names = Array.of_list (basics tree) in
   let n = Array.length names in
   if n > 24 then invalid_arg "Fault_tree.service_levels: too many basic events";
   let index = Hashtbl.create n in
   Array.iteri (fun i name -> Hashtbl.replace index name i) names;
-  let levels = Hashtbl.create 16 in
+  let nodes = ref [] and count = ref 0 in
+  let emit node =
+    nodes := node :: !nodes;
+    incr count;
+    !count - 1
+  in
+  let rec compile = function
+    | Basic name -> emit (Bit (Hashtbl.find index name))
+    | And inputs -> emit (Min (kids inputs))
+    | Or inputs ->
+        let kids = kids inputs in
+        emit (Mean (kids, float_of_int (Array.length kids)))
+    | Kofn (k, inputs) -> emit (Capped (kids inputs, float_of_int k))
+  and kids inputs = Array.of_list (List.map compile inputs) in
+  let root = compile tree in
+  let nodes = Array.of_list (List.rev !nodes) in
+  (* per node, the lowest bit its value depends on *)
+  let low = Array.make (Array.length nodes) 0 in
+  Array.iteri
+    (fun j node ->
+      low.(j) <-
+        (match node with
+        | Bit i -> i
+        | Min kids | Mean (kids, _) | Capped (kids, _) ->
+            Array.fold_left (fun acc c -> Int.min acc low.(c)) max_int kids))
+    nodes;
+  (* Masks are enumerated in increasing order: going from [mask - 1] to
+     [mask] flips exactly the bits 0 .. ctz mask, so only the nodes that
+     depend on one of them are re-evaluated, by [stale.(ctz mask)], in
+     post-order. Each node repeats the float operations of
+     [eval_quantitative] in the same order, so every value is bit for bit
+     the one it computes. *)
+  let stale =
+    Array.init n (fun t ->
+        Array.of_list
+          (List.filter (fun j -> low.(j) <= t) (List.init (Array.length nodes) Fun.id)))
+  in
+  let value = Array.make (Array.length nodes) 0. in
+  let sum kids =
+    let s = ref 0. in
+    for c = 0 to Array.length kids - 1 do
+      s := !s +. value.(kids.(c))
+    done;
+    !s
+  in
+  let eval mask j =
+    value.(j) <-
+      (match nodes.(j) with
+      | Bit i -> if mask land (1 lsl i) <> 0 then 1. else 0.
+      | Min kids ->
+          let m = ref infinity in
+          for c = 0 to Array.length kids - 1 do
+            m := Float.min !m value.(kids.(c))
+          done;
+          !m
+      | Mean (kids, d) -> sum kids /. d
+      | Capped (kids, k) -> Float.min 1. (sum kids /. k))
+  in
+  (* the last mask giving each distinct level, by the level's bits: the
+     table is written when the level changes from one mask to the next *)
+  let last = Hashtbl.create 16 and current = ref 0L in
   for mask = 0 to (1 lsl n) - 1 do
-    let value name = if mask land (1 lsl Hashtbl.find index name) <> 0 then 1. else 0. in
-    let level = eval_quantitative tree value in
-    (* canonicalize floats that should be equal across assignments *)
-    let key = Printf.sprintf "%.12g" level in
-    Hashtbl.replace levels key level
+    Array.iter (eval mask) stale.(if mask = 0 then n - 1 else ctz mask);
+    let bits = Int64.bits_of_float value.(root) in
+    if mask = 0 || not (Int64.equal bits !current) then begin
+      if mask > 0 then Hashtbl.replace last !current (mask - 1);
+      current := bits
+    end
   done;
-  List.sort compare (Hashtbl.fold (fun _ v acc -> v :: acc) levels [])
+  Hashtbl.replace last !current ((1 lsl n) - 1);
+  (* Canonicalize levels that should be equal across assignments on their
+     "%.12g" rendering; of several alike levels the one the latest mask
+     gave stands, as in a plain enumeration that overwrites by key. *)
+  let by_key = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun bits m ->
+      let level = Int64.float_of_bits bits in
+      let key = Printf.sprintf "%.12g" level in
+      match Hashtbl.find_opt by_key key with
+      | Some (m', _) when m' > m -> ()
+      | _ -> Hashtbl.replace by_key key (m, level))
+    last;
+  List.sort compare (Hashtbl.fold (fun _ (_, v) acc -> v :: acc) by_key [])
 
 (* Minimal cut sets: expand to a DNF where each disjunct is a sorted list of
    basic events, applying absorption (drop supersets) as we go. A K-of-N gate

@@ -48,14 +48,18 @@ let query_pass raw model =
 
 let lint_doc ?file ?pos doc =
   Obs.Trace.with_span "lint.doc" @@ fun _ ->
-  let raw, schema_diags = Model_rules.of_doc ?pos doc in
-  let static = schema_diags @ Model_rules.check raw @ Chain_rules.check raw in
+  let raw, static =
+    Obs.Trace.with_span "lint.rules" @@ fun _ ->
+    let raw, schema_diags = Model_rules.of_doc ?pos doc in
+    (raw, schema_diags @ Model_rules.check raw @ Chain_rules.check raw)
+  in
   let query_diags =
     (* Only chase measures once the model itself is clean: a broken model
        makes label sets meaningless. Model construction can still find
        mistakes no raw rule covers — keep them as ARC-X001. *)
     if has_errors static then []
     else
+      Obs.Trace.with_span "lint.queries" @@ fun _ ->
       match Core.Xml_io.of_xml ?file ?pos doc with
       | model, _ -> query_pass raw model
       | exception Core.Xml_io.Schema_error msg -> [ schema_failure msg ]
@@ -69,9 +73,9 @@ let lint_doc ?file ?pos doc =
   record all;
   all
 
-let lint_string ?file input =
+let lint_source ?file input =
   match Xml_kit.parse_string_located input with
-  | doc, pos -> lint_doc ?file ~pos doc
+  | (doc, pos) as parsed -> (lint_doc ?file ~pos doc, Some parsed)
   | exception Xml_kit.Parse_error { line; column; message } ->
       let d =
         schema_failure ~position:(line, column)
@@ -79,7 +83,9 @@ let lint_string ?file input =
       in
       let d = match file with Some f -> D.with_file f d | None -> d in
       record [ d ];
-      [ d ]
+      ([ d ], None)
+
+let lint_string ?file input = fst (lint_source ?file input)
 
 let lint_file path =
   match

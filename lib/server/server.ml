@@ -158,6 +158,8 @@ type session = {
 
 type job = {
   j_src : string;
+  j_doc : Xml_kit.t * Xml_kit.locator;
+      (** the source as admission parsed it; a session miss builds from it *)
   j_lump : bool;
   j_hash : int64;
   j_queries : (string * Ast.state_formula) list;
@@ -201,8 +203,7 @@ let port t = t.bound_port
 let model_hash ~src ~lump =
   Ctmc.Analysis.fnv1a64 (if lump then src ^ "\x00lump" else src)
 
-let build_session ~src ~lump =
-  let xml, locator = Xml_kit.parse_string_located src in
+let build_session ~src ~doc:(xml, locator) ~lump =
   let model, _embedded_measures = Core.Xml_io.of_xml ~pos:locator xml in
   {
     s_src = src;
@@ -261,7 +262,7 @@ let evict_over_capacity srv =
 (* Returns [(session, was_cached)]. Building happens outside the cache
    lock: the scheduler processes windows sequentially and groups within
    a window have distinct hashes, so no two builders race on one key. *)
-let get_session srv ~src ~lump =
+let get_session srv ~src ~doc ~lump =
   let h = model_hash ~src ~lump in
   let lookup () =
     Mutex.protect srv.cm (fun () ->
@@ -281,7 +282,7 @@ let get_session srv ~src ~lump =
   match lookup () with
   | Some s -> (s, true)
   | None ->
-      let s = build_session ~src ~lump in
+      let s = build_session ~src ~doc ~lump in
       Mutex.protect srv.cm (fun () ->
           let bucket =
             match Hashtbl.find_opt srv.cache h with Some l -> l | None -> []
@@ -532,7 +533,9 @@ let process_group srv jobs =
   match
     let session, was_cached =
       Obs.Trace.with_span "server.session" @@ fun s_span ->
-      let (_, was_cached) as r = get_session srv ~src:j0.j_src ~lump:j0.j_lump in
+      let (_, was_cached) as r =
+        get_session srv ~src:j0.j_src ~doc:j0.j_doc ~lump:j0.j_lump
+      in
       if Obs.Trace.recording s_span then
         Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
       r
@@ -566,8 +569,6 @@ let process_group srv jobs =
       let msg =
         match e with
         | Core.Xml_io.Schema_error m -> m
-        | Xml_kit.Parse_error { line; column; message } ->
-            Printf.sprintf "%d:%d: %s" line column message
         | Invalid_argument m | Failure m -> m
         | e -> Printexc.to_string e
       in
@@ -844,91 +845,93 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
           reject 400 (Json.Obj [ ("error", Str "\"lump\" must be a boolean") ])
       | Some src, Some queries, Some lump -> (
           meta.m_hash <- Some (hash_hex (model_hash ~src ~lump));
-          let diags =
+          let diags, doc =
             Obs.Trace.with_span "server.lint" @@ fun l_span ->
-            let diags = Lint.lint_string src in
+            let (diags, _) as linted = Lint.lint_source src in
             if Obs.Trace.recording l_span then
               Obs.Trace.add_attr l_span "diagnostics"
                 (Obs.Int (List.length diags));
-            diags
+            linted
           in
-          if Lint.has_errors diags then
-            reject 422
-              (Json.Obj
-                 [
-                   ("error", Str "lint rejected the model");
-                   ("diagnostics", diagnostics_json diags);
-                 ])
-          else
-            let parsed =
-              Obs.Trace.with_span "server.parse_queries" @@ fun _ ->
-              List.mapi
-                (fun i q ->
-                  match Csl.Parser.parse q with
-                  | ast -> Ok (q, ast)
-                  | exception Csl.Parser.Syntax_error
-                      { line; column; message; _ } ->
-                      Error (i, q, line, column, message))
-                queries
-            in
-            match
-              List.find_opt (function Error _ -> true | Ok _ -> false) parsed
-            with
-            | Some (Error (i, q, line, column, message)) ->
-                reject 400
-                  (Json.Obj
-                     [
-                       ("error", Str "query syntax error");
-                       ("query_index", Json.num (float_of_int i));
-                       ("query", Str q);
-                       ("line", Json.num (float_of_int line));
-                       ("column", Json.num (float_of_int column));
-                       ("message", Str message);
-                     ])
-            | _ -> (
-                let j_queries =
-                  List.map (function Ok qa -> qa | Error _ -> assert false) parsed
-                in
-                let kinds = List.map (fun (_, ast) -> query_kind ast) j_queries in
-                List.iter (fun k -> Obs.Metrics.incr (c_query_kind k)) kinds;
-                meta.m_queries <- List.length j_queries;
-                meta.m_kinds <- List.sort_uniq compare kinds;
-                let job =
-                  {
-                    j_src = src;
-                    j_lump = lump;
-                    j_hash = model_hash ~src ~lump;
-                    j_queries;
-                    j_ctx = Obs.Trace.current_context ();
-                    jm = Mutex.create ();
-                    jc = Condition.create ();
-                    j_result = None;
-                    j_session = "";
-                    j_coalesced = 0;
-                    j_chains = "";
-                  }
-                in
-                let admitted =
-                  Mutex.protect srv.qm (fun () ->
-                      if srv.running then begin
-                        Queue.add job srv.queue;
-                        Condition.signal srv.qc;
-                        true
-                      end
-                      else false)
-                in
-                if not admitted then
-                  respond_json ~status:503
-                    (Json.Obj [ ("error", Str "server is shutting down") ])
-                else begin
-                  bump srv.c.requests;
-                  bump ~n:(List.length j_queries) srv.c.queries;
-                  let status, body = await_job job in
-                  if job.j_session <> "" then meta.m_session <- Some job.j_session;
-                  if job.j_chains <> "" then meta.m_chains <- Some job.j_chains;
-                  meta.m_coalesced <- job.j_coalesced;
-                  respond_json ~status body
-                end)))
+          match doc with
+          | Some doc when not (Lint.has_errors diags) -> (
+              let parsed =
+                Obs.Trace.with_span "server.parse_queries" @@ fun _ ->
+                List.mapi
+                  (fun i q ->
+                    match Csl.Parser.parse q with
+                    | ast -> Ok (q, ast)
+                    | exception Csl.Parser.Syntax_error
+                        { line; column; message; _ } ->
+                        Error (i, q, line, column, message))
+                  queries
+              in
+              match
+                List.find_opt (function Error _ -> true | Ok _ -> false) parsed
+              with
+              | Some (Error (i, q, line, column, message)) ->
+                  reject 400
+                    (Json.Obj
+                       [
+                         ("error", Str "query syntax error");
+                         ("query_index", Json.num (float_of_int i));
+                         ("query", Str q);
+                         ("line", Json.num (float_of_int line));
+                         ("column", Json.num (float_of_int column));
+                         ("message", Str message);
+                       ])
+              | _ -> (
+                  let j_queries =
+                    List.map (function Ok qa -> qa | Error _ -> assert false) parsed
+                  in
+                  let kinds = List.map (fun (_, ast) -> query_kind ast) j_queries in
+                  List.iter (fun k -> Obs.Metrics.incr (c_query_kind k)) kinds;
+                  meta.m_queries <- List.length j_queries;
+                  meta.m_kinds <- List.sort_uniq compare kinds;
+                  let job =
+                    {
+                      j_src = src;
+                      j_doc = doc;
+                      j_lump = lump;
+                      j_hash = model_hash ~src ~lump;
+                      j_queries;
+                      j_ctx = Obs.Trace.current_context ();
+                      jm = Mutex.create ();
+                      jc = Condition.create ();
+                      j_result = None;
+                      j_session = "";
+                      j_coalesced = 0;
+                      j_chains = "";
+                    }
+                  in
+                  let admitted =
+                    Mutex.protect srv.qm (fun () ->
+                        if srv.running then begin
+                          Queue.add job srv.queue;
+                          Condition.signal srv.qc;
+                          true
+                        end
+                        else false)
+                  in
+                  if not admitted then
+                    respond_json ~status:503
+                      (Json.Obj [ ("error", Str "server is shutting down") ])
+                  else begin
+                    bump srv.c.requests;
+                    bump ~n:(List.length j_queries) srv.c.queries;
+                    let status, body = await_job job in
+                    if job.j_session <> "" then meta.m_session <- Some job.j_session;
+                    if job.j_chains <> "" then meta.m_chains <- Some job.j_chains;
+                    meta.m_coalesced <- job.j_coalesced;
+                    respond_json ~status body
+                  end))
+          | _ ->
+              reject 422
+                (Json.Obj
+                   [
+                     ("error", Str "lint rejected the model");
+                     ("diagnostics", diagnostics_json diags);
+                   ])))
 
 let rec initiate_stop srv =
   let was_running =

@@ -348,9 +348,16 @@ let test_semantics_state_index_roundtrip () =
     (from_up.Semantics.state_index bad);
   Alcotest.(check (option int)) "wrong dimensions" None
     (from_up.Semantics.state_index (Semantics.all_up_state (abc_model ())));
-  match Semantics.build ~initial:bad model with
-  | exception Semantics.Build_error _ -> ()
-  | _ -> Alcotest.fail "expected Build_error for an unrepresentable initial state"
+  (* a is in repair and queued at once *)
+  let twice = { disaster with Semantics.queue = [| [ 0 ] |] } in
+  Alcotest.(check (option int)) "component listed twice" None
+    (from_up.Semantics.state_index twice);
+  List.iter
+    (fun initial ->
+      match Semantics.build ~initial model with
+      | exception Semantics.Build_error _ -> ()
+      | _ -> Alcotest.fail "expected Build_error for an unrepresentable initial state")
+    [ bad; twice ]
 
 (* ------------------------------------------------------------------ *)
 (* Measures *)
@@ -1324,30 +1331,56 @@ let check_golden label (states, transitions, chain_hash, states_hash) built =
   Alcotest.(check int64) (label ^ " chain digest") chain_hash (chain_digest chain);
   Alcotest.(check int64) (label ^ " state digest") states_hash (states_digest built)
 
-(* Every shipped model, explored from the all-up state. *)
+(* The reduced chains themselves, pinned: per symmetric build its state
+   count, the CSR digest (state numbering, row_ptr, col_idx, value bits)
+   and the full (states, transitions) counted by orbits. *)
+let check_symmetric label (blocks, chain_hash, full_size) built =
+  let chain = built.Semantics.chain in
+  Alcotest.(check int) (label ^ " blocks") blocks (Chain.states chain);
+  Alcotest.(check int64) (label ^ " chain digest") chain_hash (chain_digest chain);
+  Alcotest.(check (pair int int)) (label ^ " full size") full_size
+    built.Semantics.full_size
+
+(* Every shipped model, explored from the all-up state; last, the block
+   count and CSR digest of its symmetric build. *)
 let golden_models =
   [
-    ("line1_ded.xml", 2048, 22528, -3504436808075133679L, 4434662310564172501L);
-    ("line1_fff-1.xml", 111809, 469007, -3231262100839475136L, 7758544712459425206L);
-    ("line1_fff-2.xml", 178606, 895331, 2029478207367730564L, 305686819690012978L);
-    ("line1_frf-1.xml", 111809, 469007, -6344368156931673848L, 1574032655637831646L);
-    ("line1_frf-2.xml", 178606, 895331, -1536654179314587818L, 1150005812857804834L);
-    ("line2_ded.xml", 512, 4608, 5915470442944404219L, -5577991532869338383L);
-    ("line2_fff-1.xml", 8129, 32029, -496850197430132548L, 8750228025740787460L);
-    ("line2_fff-2.xml", 11956, 56013, -4415164702190698263L, 2611190669274177322L);
-    ("line2_frf-1.xml", 8129, 32029, -7558827746619601156L, -736954301202559172L);
-    ("line2_frf-2.xml", 11956, 56013, -1860065632700741737L, 260273729665080122L);
-    ("pipeline_modes.xml", 169, 451, -7526181682802337721L, 8786470014261349387L);
-    ("substation.xml", 3969, 19529, -3958245545381277830L, 2836014195695590384L);
+    ( "line1_ded.xml", 2048, 22528, -3504436808075133679L, 4434662310564172501L,
+      (160, -6661729589061863627L) );
+    ( "line1_fff-1.xml", 111809, 469007, -3231262100839475136L, 7758544712459425206L,
+      (449, -8741782825656586697L) );
+    ( "line1_fff-2.xml", 178606, 895331, 2029478207367730564L, 305686819690012978L,
+      (727, -4702453214210663221L) );
+    ( "line1_frf-1.xml", 111809, 469007, -6344368156931673848L, 1574032655637831646L,
+      (449, 7109800774823818879L) );
+    ( "line1_frf-2.xml", 178606, 895331, -1536654179314587818L, 1150005812857804834L,
+      (727, -3396372942887622463L) );
+    ( "line2_ded.xml", 512, 4608, 5915470442944404219L, -5577991532869338383L,
+      (96, 6747123209826479447L) );
+    ( "line2_fff-1.xml", 8129, 32029, -496850197430132548L, 8750228025740787460L,
+      (257, -3740383604437060729L) );
+    ( "line2_fff-2.xml", 11956, 56013, -4415164702190698263L, 2611190669274177322L,
+      (387, -53631508781882556L) );
+    ( "line2_frf-1.xml", 8129, 32029, -7558827746619601156L, -736954301202559172L,
+      (257, -5564845808382384716L) );
+    ( "line2_frf-2.xml", 11956, 56013, -1860065632700741737L, 260273729665080122L,
+      (387, -2035490925269274665L) );
+    ( "pipeline_modes.xml", 169, 451, -7526181682802337721L, 8786470014261349387L,
+      (169, -7526181682802337721L) );
+    ( "substation.xml", 3969, 19529, -3958245545381277830L, 2836014195695590384L,
+      (3969, -3958245545381277830L) );
   ]
 
 let test_golden_models () =
   List.iter
-    (fun (file, states, transitions, chain_hash, states_hash) ->
+    (fun (file, states, transitions, chain_hash, states_hash, (blocks, sym_hash)) ->
       let model, _ = Xml_io.load ("../models/" ^ file) in
       check_golden file
         (states, transitions, chain_hash, states_hash)
-        (Semantics.build model))
+        (Semantics.build model);
+      check_symmetric (file ^ " symmetric")
+        (blocks, sym_hash, (states, transitions))
+        (Semantics.build ~symmetric:true model))
     golden_models
 
 (* The paper's Table 1: states and transitions per line and strategy. *)
@@ -1380,12 +1413,27 @@ let test_golden_table1 () =
     golden_table1
 
 (* The symmetric builds of Table 1: the full (states, transitions) counted
-   by orbits, and the block counts of the exact quotient under
-   interchangeable tanks, filters and pumps. *)
+   by orbits, the block counts of the exact quotient under
+   interchangeable tanks, filters and pumps, and the reduced chains' CSR
+   digests, in [Facility.paper_configs] order. *)
 let golden_table1_blocks =
   [
-    ("line1", [ 160; 449; 727; 449; 727 ]);
-    ("line2", [ 96; 257; 387; 257; 387 ]);
+    ( "line1",
+      [
+        (160, -6661729589061863627L);
+        (449, 7109800774823818879L);
+        (727, -3396372942887622463L);
+        (449, -8741782825656586697L);
+        (727, -4702453214210663221L);
+      ] );
+    ( "line2",
+      [
+        (96, 6747123209826479447L);
+        (257, -5564845808382384716L);
+        (387, -2035490925269274665L);
+        (257, -3740383604437060729L);
+        (387, -53631508781882556L);
+      ] );
   ]
 
 let test_golden_table1_symmetric () =
@@ -1405,11 +1453,8 @@ let test_golden_table1_symmetric () =
       let built =
         Semantics.build ~symmetric:true (Facility.line_model line_t config)
       in
-      Alcotest.(check (pair int int)) (label ^ " full size") (states, transitions)
-        built.Semantics.full_size;
-      Alcotest.(check int) (label ^ " blocks")
-        (List.nth (List.assoc line golden_table1_blocks) k)
-        (Chain.states built.Semantics.chain))
+      let blocks, chain_hash = List.nth (List.assoc line golden_table1_blocks) k in
+      check_symmetric label (blocks, chain_hash, (states, transitions)) built)
     golden_table1
 
 (* A reduced build refuses every observation that tells the members of a
@@ -1465,21 +1510,28 @@ let test_reduced_observations () =
   Alcotest.(check bool) "pump1 up" true (Semantics.component_up full 0 "pump1")
 
 (* Disaster starts: pre-filled queues and in-repair lists, spares, failure
-   modes and Erlang stages in the initial state. *)
+   modes and Erlang stages in the initial state; last, the symmetric
+   build from the same start, whose initial state is canonicalized whole. *)
 let golden_disasters =
   [
-    ("line2/DED", 512, 4608, -8261682764022375373L, -3631221149959028203L);
-    ("line2/FRF-1", 8129, 32029, -3396668626836126662L, -8352572404757432988L);
-    ("line2/FRF-2", 11956, 56013, 5071531781461327558L, 6565840544379870082L);
-    ("line2/FFF-1", 8129, 32029, -4436330140577640325L, 8750119238793964540L);
-    ("line2/FFF-2", 11956, 56013, 5280865307625737208L, -314980081578164382L);
-    ("substation/storm", 3969, 19529, 1376133206687322898L, -1620213431620399384L);
+    ( "line2/DED", 512, 4608, -8261682764022375373L, -3631221149959028203L,
+      (96, -4326997601908116917L) );
+    ( "line2/FRF-1", 8129, 32029, -3396668626836126662L, -8352572404757432988L,
+      (257, -1153454682968179532L) );
+    ( "line2/FRF-2", 11956, 56013, 5071531781461327558L, 6565840544379870082L,
+      (387, 8268689693168417385L) );
+    ( "line2/FFF-1", 8129, 32029, -4436330140577640325L, 8750119238793964540L,
+      (257, -4174450343393578381L) );
+    ( "line2/FFF-2", 11956, 56013, 5280865307625737208L, -314980081578164382L,
+      (387, 2932853581911392796L) );
+    ( "substation/storm", 3969, 19529, 1376133206687322898L, -1620213431620399384L,
+      (3969, 1376133206687322898L) );
   ]
 
 let test_golden_disasters () =
   let open Watertreatment in
   List.iter
-    (fun (label, states, transitions, chain_hash, states_hash) ->
+    (fun (label, states, transitions, chain_hash, states_hash, (blocks, sym_hash)) ->
       let model, failed =
         match String.split_on_char '/' label with
         | [ "substation"; _ ] -> (Substation.model, Substation.storm)
@@ -1494,7 +1546,13 @@ let test_golden_disasters () =
       let built = Semantics.build ~initial model in
       check_golden label (states, transitions, chain_hash, states_hash) built;
       Alcotest.(check (option int)) (label ^ " initial index") (Some 0)
-        (built.Semantics.state_index initial))
+        (built.Semantics.state_index initial);
+      let sym = Semantics.build ~symmetric:true ~initial model in
+      check_symmetric (label ^ " symmetric")
+        (blocks, sym_hash, (states, transitions))
+        sym;
+      Alcotest.(check (option int)) (label ^ " symmetric initial index") (Some 0)
+        (sym.Semantics.state_index initial))
     golden_disasters
 
 (* The compiled trees against Fault_tree's own evaluators on the decoded
@@ -1538,12 +1596,15 @@ let test_observations_match_fault_tree () =
 (* Symmetric builds against full builds on generated models *)
 
 (* Deliberately symmetric models: 1-3 groups of 2-4 replicas (at most five
-   in all, to keep the full chain small) plus 0-1 singletons under one
-   repair unit; each group with its own rates, Erlang stages, spare unit
-   (none, hot or warm) and gate (AND, OR or K-of-N over its replicas), one
-   group or singleton with an extra failure mode. [spoil] gives every
-   group a warm or cold spare unit, or switches the unit to Priority
-   (distinct ranks), so that no group may form. *)
+   in all, to keep the full chain small) plus 0-1 singletons; each group
+   with its own rates, Erlang stages, spare unit (none, hot or warm) and
+   gate (AND, OR or K-of-N over its replicas), one group or singleton with
+   an extra failure mode. One repair unit holds everything, or a second
+   unit takes the last group or the singleton; the second unit is
+   dedicated or FCFS/FRF with one crew, often preemptive, so that a group
+   queues behind a busy crew there. [spoil] gives every group a warm or
+   cold spare unit, or switches the units to Priority (distinct ranks), so
+   that no group may form. *)
 let symmetric_model_gen ~spoil =
   QCheck.Gen.(
     let* sizes = list_size (int_range 1 3) (int_range 2 4) in
@@ -1576,7 +1637,11 @@ let symmetric_model_gen ~spoil =
     in
     let* extra = int_range 0 (List.length kinds) in
     let* spoil_by_priority = bool in
+    let* second = bool
+    and* strategy2 = oneofl [ `Dedicated; `Fcfs; `Frf ]
+    and* preemptive2 = frequency [ (2, return true); (1, return false) ] in
     let strategy = if spoil && spoil_by_priority then `Priority else strategy in
+    let strategy2 = if spoil && spoil_by_priority then `Priority else strategy2 in
     let groups =
       List.mapi
         (fun g (k, mttf, mttr, stages, spare, gate) ->
@@ -1618,19 +1683,33 @@ let symmetric_model_gen ~spoil =
         kinds
     in
     let components = List.concat_map (fun (c, _, _) -> c) groups in
-    let names = List.map (fun c -> c.Component.name) components in
-    let strategy =
-      match strategy with
-      | `Dedicated -> Repair.Dedicated
-      | `Fcfs -> Repair.Fcfs
-      | `Frf -> Repair.Frf
-      | `Fff -> Repair.Fff
-      | `Priority -> Repair.Priority names
+    let names_of groups =
+      List.concat_map (fun (c, _, _) -> List.map (fun c -> c.Component.name) c) groups
     in
-    let preemptive = preemptive && strategy <> Repair.Dedicated in
-    let ru = Repair.make ~name:"ru" ~strategy ~crews ~preemptive ~components:names () in
+    let unit name strategy ~crews ~preemptive groups =
+      let names = names_of groups in
+      let strategy =
+        match strategy with
+        | `Dedicated -> Repair.Dedicated
+        | `Fcfs -> Repair.Fcfs
+        | `Frf -> Repair.Frf
+        | `Fff -> Repair.Fff
+        | `Priority -> Repair.Priority names
+      in
+      let preemptive = preemptive && strategy <> Repair.Dedicated in
+      Repair.make ~name ~strategy ~crews ~preemptive ~components:names ()
+    in
+    let repair_units =
+      match List.rev groups with
+      | last :: (_ :: _ as rest) when second ->
+          [
+            unit "ru" strategy ~crews ~preemptive (List.rev rest);
+            unit "ru2" strategy2 ~crews:1 ~preemptive:preemptive2 [ last ];
+          ]
+      | _ -> [ unit "ru" strategy ~crews ~preemptive groups ]
+    in
     return
-      (Model.make ~name:"symmetric" ~components ~repair_units:[ ru ]
+      (Model.make ~name:"symmetric" ~components ~repair_units
          ~spare_units:(List.filter_map (fun (_, _, s) -> s) groups)
          ~fault_tree:(Fault_tree.or_ (List.map (fun (_, t, _) -> t) groups))
          ()))

@@ -209,6 +209,95 @@ let test_monotonicity () =
       Alcotest.(check bool) "monotone" true (s2 <= s1 +. 1e-12))
     all_subsets_of_two
 
+(* The original 2^n enumeration, kept as the oracle for
+   [Fault_tree.service_levels]: every assignment evaluated through
+   [eval_quantitative], each level keyed by its "%.12g" rendering, the
+   last assignment of a key winning. *)
+let reference_service_levels tree =
+  let names = Array.of_list (Fault_tree.basics tree) in
+  let n = Array.length names in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let levels = Hashtbl.create 16 in
+  for mask = 0 to (1 lsl n) - 1 do
+    let value name = if mask land (1 lsl Hashtbl.find index name) <> 0 then 1. else 0. in
+    let level = Fault_tree.eval_quantitative tree value in
+    Hashtbl.replace levels (Printf.sprintf "%.12g" level) level
+  done;
+  List.sort compare (Hashtbl.fold (fun _ v acc -> v :: acc) levels [])
+
+let bits = List.map Int64.bits_of_float
+
+(* Nested AND/OR/K-of-N trees over at most 14 basic events, drawn with
+   repetition so that one event can feed several gates. *)
+let service_tree_gen =
+  QCheck.Gen.(
+    let* names = int_range 1 14 in
+    let leaf = map (fun i -> b (Printf.sprintf "e%d" i)) (int_range 0 (names - 1)) in
+    sized_size (int_range 1 4)
+      (fix (fun self n ->
+           if n = 0 then leaf
+           else
+             let sub = self (n - 1) in
+             frequency
+               [
+                 (1, leaf);
+                 (2, map Fault_tree.and_ (list_size (int_range 1 4) sub));
+                 (3, map Fault_tree.or_ (list_size (int_range 1 5) sub));
+                 ( 3,
+                   let* l = list_size (int_range 1 5) sub in
+                   let* k = int_range 1 (List.length l) in
+                   return (Fault_tree.kofn k l) );
+               ])))
+
+let prop_service_levels_oracle =
+  QCheck.Test.make ~count:300 ~name:"service levels = 2^n enumeration, bit for bit"
+    (QCheck.make ~print:Fault_tree.to_string service_tree_gen)
+    (fun tree ->
+      bits (Fault_tree.service_levels tree) = bits (reference_service_levels tree))
+
+(* A tree with two levels that print alike under "%.12g" but differ in
+   their last bits; the enumeration keeps the one its last assignment
+   gave, and keeping the first would change the list. *)
+let test_service_levels_last_wins () =
+  let tree =
+    Fault_tree.of_string
+      "or(e3, e1, kofn(3, and(e3, e2, e3), and(e2, e0, e3, e2), or(e1)), e0)"
+  in
+  Alcotest.(check (list int64)) "same list as the enumeration"
+    (bits (reference_service_levels tree))
+    (bits (Fault_tree.service_levels tree))
+
+(* The levels of every shipped model, bit for bit. *)
+let golden_levels =
+  let lines1 = [ 0x0p+0; 0x1.5555555555555p-2; 0x1.5555555555555p-1; 0x1p+0 ] in
+  let lines2 = [ 0x0p+0; 0x1.5555555555555p-2; 0x1p-1; 0x1.5555555555555p-1; 0x1p+0 ] in
+  [
+    ("line1_ded.xml", lines1);
+    ("line1_fff-1.xml", lines1);
+    ("line1_fff-2.xml", lines1);
+    ("line1_frf-1.xml", lines1);
+    ("line1_frf-2.xml", lines1);
+    ("line2_ded.xml", lines2);
+    ("line2_fff-1.xml", lines2);
+    ("line2_fff-2.xml", lines2);
+    ("line2_frf-1.xml", lines2);
+    ("line2_frf-2.xml", lines2);
+    ("pipeline_modes.xml", [ 0x0p+0; 0x1p-1; 0x1p+0 ]);
+    ("substation.xml", lines2);
+  ]
+
+let test_golden_levels () =
+  List.iter
+    (fun (file, levels) ->
+      let model, _ = Core.Xml_io.load ("../models/" ^ file) in
+      let tree = Core.Model.service_tree model in
+      Alcotest.(check (list int64)) file (bits levels)
+        (bits (Core.Model.service_levels model));
+      Alcotest.(check (list int64)) (file ^ " oracle") (bits levels)
+        (bits (reference_service_levels tree)))
+    golden_levels
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -233,7 +322,10 @@ let () =
           Alcotest.test_case "line 1 service levels (spares)" `Quick
             test_service_levels_line1;
           Alcotest.test_case "monotone in failures" `Quick test_monotonicity;
-        ] );
+          Alcotest.test_case "last assignment wins" `Quick test_service_levels_last_wins;
+          Alcotest.test_case "shipped models' levels" `Quick test_golden_levels;
+        ]
+        @ qsuite [ prop_service_levels_oracle ] );
       ( "cut-sets",
         [
           Alcotest.test_case "absorption" `Quick test_minimal_cut_sets;
