@@ -6,6 +6,12 @@
    counters (one Line-2 session's mixture and lumping telemetry and the
    blocked-sweep contrast CI gates on), and the ablation studies.
 
+   The times printed here are one sample each and gate nothing. The work
+   behind each artifact (builds, states, sweeps, solver iterations) is
+   pinned exactly by test/work_counts.expected, which `dune runtest`
+   checks and `dune promote` updates; wall time is compared in
+   alternating parent/change pairs by perfbench/run.py.
+
    Environment knobs (numeric ones must be positive integers; anything
    else warns once on stderr and falls back to the default):
    - BENCH_POINTS: curve samples per artifact series (default 15).
@@ -17,9 +23,6 @@
      counts and state-space sizes), the kernel counters, the ablation
      timings and the Obs metrics snapshot as one JSON object, atomically
      (temp file + rename).
-   - BENCH_HISTORY=<path>: append one JSONL entry (git rev, wall times,
-     kernel counters, solver iterations) for arcade_bench_diff's
-     regression gate; BENCH_REV overrides the recorded revision.
    - OBS_TRACE=<path>: Chrome trace-event JSON of the whole run.
    - OBS_METRICS=1|<path>: enable the metrics registry; print the
      snapshot to stderr at exit, or write it to <path> as JSON. *)
@@ -225,15 +228,9 @@ let kernel_counters () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_JSON: the full timings object; BENCH_HISTORY: append-only JSONL
-   perf trajectory, one entry per run. arcade_bench_diff compares two
-   history entries (or the last two of one file) and fails CI past a
-   wall-time regression threshold. *)
+(* BENCH_JSON: the full timings object *)
 
 let num_i i = Json.num (float_of_int i)
-
-let kernel_json kernel =
-  Json.Obj (List.map (fun (name, v) -> (name, Json.num v)) kernel)
 
 let write_json path ~artifacts ~kernel ~ablations =
   let artifact a =
@@ -256,7 +253,7 @@ let write_json path ~artifacts ~kernel ~ablations =
         ("bench_points", num_i bench_points);
         ("par_domains", num_i (Numeric.Parallel.default_domains ()));
         ("artifacts", List (List.map artifact artifacts));
-        ("kernel", kernel_json kernel);
+        ("kernel", Obj (List.map (fun (name, v) -> (name, Json.num v)) kernel));
         ( "ablations",
           List
             (List.map
@@ -272,61 +269,6 @@ let write_json path ~artifacts ~kernel ~ablations =
   Obs.write_file_atomic path (Json.to_string json ^ "\n");
   Format.printf "wrote timings to %s@." path
 
-let git_rev () =
-  match Sys.getenv_opt "BENCH_REV" with
-  | Some rev when rev <> "" -> rev
-  | _ -> (
-      match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
-      | ic -> (
-          let line = try input_line ic with End_of_file -> "" in
-          match Unix.close_process_in ic with
-          | Unix.WEXITED 0 when line <> "" -> line
-          | _ -> "unknown")
-      | exception Unix.Unix_error _ -> "unknown")
-
-let append_history path ~artifacts ~kernel =
-  (* total solver iterations across all iterative solvers, from the
-     metrics registry (0 when OBS_METRICS is off) *)
-  let solver_iterations =
-    List.fold_left
-      (fun acc (name, v) ->
-        let suffix = ".iterations" in
-        let n = String.length name and ns = String.length suffix in
-        if
-          n > ns + 7
-          && String.sub name 0 7 = "solver."
-          && String.sub name (n - ns) ns = suffix
-        then acc + v
-        else acc)
-      0
-      (Obs.Metrics.snapshot ()).Obs.Metrics.counters
-  in
-  let entry =
-    Json.Obj
-      [
-        ("rev", Str (git_rev ()));
-        ("unix_time", Json.num (Float.round (Unix.gettimeofday ())));
-        ("bench_points", num_i bench_points);
-        ("par_domains", num_i (Numeric.Parallel.default_domains ()));
-        ( "artifacts",
-          List
-            (List.map
-               (fun a ->
-                 Json.Obj
-                   [
-                     ("id", Str a.art_id); ("seconds", Json.num a.art_seconds);
-                   ])
-               artifacts) );
-        ("kernel", kernel_json kernel);
-        ("solver_iterations", num_i solver_iterations);
-      ]
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string entry ^ "\n"));
-  Format.printf "appended history entry to %s@." path
-
 let () =
   Obs.init ();
   let artifacts =
@@ -336,9 +278,6 @@ let () =
   let ablations =
     if skip "BENCH_SKIP_ABLATIONS" then [] else print_ablations ()
   in
-  (match Sys.getenv_opt "BENCH_HISTORY" with
-  | Some path when path <> "" -> append_history path ~artifacts ~kernel
-  | Some _ | None -> ());
   match Sys.getenv_opt "BENCH_JSON" with
   | Some path -> write_json path ~artifacts ~kernel ~ablations
   | None -> ()

@@ -83,10 +83,21 @@ let wrap ?(lump = false) built =
   in
   { built; analysis; csl; cost; lump }
 
+(* Every state-space build is counted, so a rebuilt chain shows in the
+   registry even with tracing off (test/work_counts pins these per
+   paper artifact). *)
+let m_builds_symmetric = Obs.Metrics.counter "measures.builds.symmetric"
+
+let m_builds_full = Obs.Metrics.counter "measures.builds.full"
+
+let m_states = Obs.Metrics.counter "measures.states"
+
 let analyze ?max_states ?initial ?lump ?(symmetric = false) model =
   let built =
     Obs.Trace.with_span "measures.build" @@ fun sp ->
     let built = Semantics.build ?max_states ~symmetric ?initial model in
+    Obs.Metrics.incr (if symmetric then m_builds_symmetric else m_builds_full);
+    Obs.Metrics.add m_states (Ctmc.Chain.states built.Semantics.chain);
     if Obs.Trace.recording sp then begin
       Obs.Trace.add_attr sp "states"
         (Obs.Int (Ctmc.Chain.states built.Semantics.chain));

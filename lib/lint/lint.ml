@@ -10,8 +10,6 @@ module D = Diagnostic
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
 
-let files_counter = lazy (Obs.Metrics.counter "lint.files")
-
 let severity_counter = function
   | D.Error -> Obs.Metrics.counter "lint.diagnostics.error"
   | D.Warning -> Obs.Metrics.counter "lint.diagnostics.warning"
@@ -19,7 +17,7 @@ let severity_counter = function
 
 let record diags =
   if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr (Lazy.force files_counter);
+    Obs.Metrics.incr (Obs.Metrics.counter "lint.files");
     List.iter (fun d -> Obs.Metrics.incr (severity_counter d.D.severity)) diags
   end
 
@@ -46,6 +44,8 @@ let query_pass raw model =
         ms.Model_rules.ms_query)
     raw.Model_rules.raw_measures
 
+(* The diagnostics, and the model the query pass built from the document
+   ([None] when the static rules or the model construction failed). *)
 let lint_doc ?file ?pos doc =
   Obs.Trace.with_span "lint.doc" @@ fun _ ->
   let raw, static =
@@ -53,17 +53,17 @@ let lint_doc ?file ?pos doc =
     let raw, schema_diags = Model_rules.of_doc ?pos doc in
     (raw, schema_diags @ Model_rules.check raw @ Chain_rules.check raw)
   in
-  let query_diags =
+  let query_diags, model =
     (* Only chase measures once the model itself is clean: a broken model
        makes label sets meaningless. Model construction can still find
        mistakes no raw rule covers — keep them as ARC-X001. *)
-    if has_errors static then []
+    if has_errors static then ([], None)
     else
       Obs.Trace.with_span "lint.queries" @@ fun _ ->
       match Core.Xml_io.of_xml ?file ?pos doc with
-      | model, _ -> query_pass raw model
-      | exception Core.Xml_io.Schema_error msg -> [ schema_failure msg ]
-      | exception Invalid_argument msg -> [ schema_failure msg ]
+      | model, _ -> (query_pass raw model, Some model)
+      | exception Core.Xml_io.Schema_error msg -> ([ schema_failure msg ], None)
+      | exception Invalid_argument msg -> ([ schema_failure msg ], None)
   in
   let all = static @ query_diags in
   let all =
@@ -71,11 +71,11 @@ let lint_doc ?file ?pos doc =
   in
   let all = D.sort all in
   record all;
-  all
+  (all, model)
 
 let lint_source ?file input =
   match Xml_kit.parse_string_located input with
-  | (doc, pos) as parsed -> (lint_doc ?file ~pos doc, Some parsed)
+  | doc, pos -> lint_doc ?file ~pos doc
   | exception Xml_kit.Parse_error { line; column; message } ->
       let d =
         schema_failure ~position:(line, column)
@@ -124,14 +124,16 @@ let lint_model ?(queries = []) model =
    experiment drivers) self-lint when ARCADE_DEBUG_LINT is set, so a
    refactoring that produces a silently-broken model fails fast. *)
 
+(* Read once, when the module is initialized: not a [lazy], because the
+   experiment drivers build models on several domains at once, and a
+   lazy forced by two domains together raises [Lazy.Undefined]. *)
 let debug_enabled =
-  lazy
-    (match Sys.getenv_opt "ARCADE_DEBUG_LINT" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
+  match Sys.getenv_opt "ARCADE_DEBUG_LINT" with
+  | Some ("1" | "true" | "yes") -> true
+  | _ -> false
 
 let debug_check ~what ?queries model =
-  if Lazy.force debug_enabled then begin
+  if debug_enabled then begin
     let diags =
       List.filter
         (fun d -> d.D.severity <> D.Info)

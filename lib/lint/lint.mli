@@ -18,25 +18,20 @@ module Chain_rules = Chain_rules
 module Query_rules = Query_rules
 module Prism_rules = Prism_rules
 
-val lint_doc :
-  ?file:string -> ?pos:Xml_kit.locator -> Xml_kit.t -> Diagnostic.t list
-(** Lint a parsed Arcade document: schema extraction, model-layer and
-    chain-layer rules always (span [lint.rules]); query-layer rules over
-    the embedded measures once the model is error-free (span
-    [lint.queries]), both under one [lint.doc] span. Results are sorted
-    and deduplicated. *)
+val lint_source :
+  ?file:string -> string -> Diagnostic.t list * Core.Model.t option
+(** Parse (with positions) and lint an Arcade document: schema
+    extraction, model-layer and chain-layer rules always (span
+    [lint.rules]); query-layer rules over the embedded measures once the
+    model is error-free (span [lint.queries]), both under one [lint.doc]
+    span. Results are sorted and deduplicated; an XML parse error yields
+    a single [ARC-X001]. Also returns the model the query pass built
+    ([None] on a parse error, static errors or a failed model
+    construction), so that a caller can analyze it without converting
+    the source again. *)
 
 val lint_string : ?file:string -> string -> Diagnostic.t list
-(** Parse (with positions) and lint; an XML parse error yields a single
-    [ARC-X001]. *)
-
-val lint_source :
-  ?file:string ->
-  string ->
-  Diagnostic.t list * (Xml_kit.t * Xml_kit.locator) option
-(** {!lint_string}, also returning the parsed document and its locator
-    ([None] on an XML parse error), so that a caller can build the model
-    without parsing the source again. *)
+(** {!lint_source}'s diagnostics. *)
 
 val lint_file : string -> Diagnostic.t list
 

@@ -39,6 +39,40 @@ let write_file_atomic path contents =
       raise e
 
 (* ------------------------------------------------------------------ *)
+(* Bounded ring                                                       *)
+
+(* The newest [capacity] pushes, oldest overwritten first, behind one
+   lock: the metrics solve ring and each domain's flight-recorder ring. *)
+module Ring = struct
+  type 'a t = {
+    slots : 'a option array;
+    mutable pushed : int;  (* total pushes; slot = pushed mod capacity *)
+    lock : Mutex.t;
+  }
+
+  let create capacity =
+    { slots = Array.make capacity None; pushed = 0; lock = Mutex.create () }
+
+  let push r x =
+    Mutex.protect r.lock (fun () ->
+        r.slots.(r.pushed mod Array.length r.slots) <- Some x;
+        r.pushed <- r.pushed + 1)
+
+  (* oldest first *)
+  let to_list r =
+    Mutex.protect r.lock (fun () ->
+        let capacity = Array.length r.slots in
+        let n = min r.pushed capacity in
+        let first = r.pushed - n in
+        List.init n (fun i -> Option.get r.slots.((first + i) mod capacity)))
+
+  let clear r =
+    Mutex.protect r.lock (fun () ->
+        Array.fill r.slots 0 (Array.length r.slots) None;
+        r.pushed <- 0)
+end
+
+(* ------------------------------------------------------------------ *)
 (* Metrics registry                                                   *)
 
 module Metrics = struct
@@ -154,13 +188,7 @@ module Metrics = struct
     converged : bool;
   }
 
-  let ring_capacity = 256
-
-  let ring : solve option array = Array.make ring_capacity None
-
-  let ring_next = ref 0 (* total records so far; slot = next mod capacity *)
-
-  let ring_mutex = Mutex.create ()
+  let solves : solve Ring.t = Ring.create 256
 
   (* The flight recorder (defined below; [Flight] cannot be referenced
      from here) hooks non-convergence so a long-running daemon keeps a
@@ -178,10 +206,7 @@ module Metrics = struct
       observe
         (histogram (Printf.sprintf "solver.%s.residual" solver))
         residual;
-      let s = { solver; size; iterations; residual; converged } in
-      Mutex.protect ring_mutex (fun () ->
-          ring.(!ring_next mod ring_capacity) <- Some s;
-          ring_next := !ring_next + 1)
+      Ring.push solves { solver; size; iterations; residual; converged }
     end;
     if not converged then !nonconverged_hook ()
 
@@ -222,21 +247,12 @@ module Metrics = struct
                     } )
                   :: !hs)
           registry);
-    let solves =
-      Mutex.protect ring_mutex (fun () ->
-          let n = min !ring_next ring_capacity in
-          let first = !ring_next - n in
-          List.init n (fun i ->
-              match ring.((first + i) mod ring_capacity) with
-              | Some s -> s
-              | None -> assert false))
-    in
     let by_name (a, _) (b, _) = compare (a : string) b in
     {
       counters = List.sort by_name !cs;
       gauges = List.sort by_name !gs;
       histograms = List.sort by_name !hs;
-      solves;
+      solves = Ring.to_list solves;
     }
 
   let reset () =
@@ -250,9 +266,7 @@ module Metrics = struct
                 Array.iter (fun b -> Atomic.set b 0) h.buckets;
                 Atomic.set h.h_sum 0.)
           registry);
-    Mutex.protect ring_mutex (fun () ->
-        Array.fill ring 0 ring_capacity None;
-        ring_next := 0)
+    Ring.clear solves
 
   let pp ppf s =
     Format.fprintf ppf "@[<v>metrics:";
@@ -866,23 +880,13 @@ module Flight = struct
      as a Chrome trace, so the first failure of a long-running process
      is diagnosable after the fact. *)
 
-  let ring_capacity = 512
-
-  type ring = {
-    slots : Trace.event option array;
-    mutable next : int;  (* total pushes; slot = next mod capacity *)
-    rm : Mutex.t;
-  }
-
-  let all_rings : ring list ref = ref []
+  let all_rings : Trace.event Ring.t list ref = ref []
 
   let rings_mutex = Mutex.create ()
 
   let ring_key =
     Domain.DLS.new_key (fun () ->
-        let r =
-          { slots = Array.make ring_capacity None; next = 0; rm = Mutex.create () }
-        in
+        let r = Ring.create 512 in
         Mutex.protect rings_mutex (fun () -> all_rings := r :: !all_rings);
         r)
 
@@ -896,22 +900,11 @@ module Flight = struct
 
   let path () = !out_path
 
-  let push ev =
-    let r = Domain.DLS.get ring_key in
-    Mutex.protect r.rm (fun () ->
-        r.slots.(r.next mod ring_capacity) <- Some ev;
-        r.next <- r.next + 1)
-
-  let () = Trace.flight_push_ev := push
+  let () =
+    Trace.flight_push_ev := fun ev -> Ring.push (Domain.DLS.get ring_key) ev
 
   let clear () =
-    Mutex.protect rings_mutex (fun () ->
-        List.iter
-          (fun r ->
-            Mutex.protect r.rm (fun () ->
-                Array.fill r.slots 0 ring_capacity None;
-                r.next <- 0))
-          !all_rings)
+    Mutex.protect rings_mutex (fun () -> List.iter Ring.clear !all_rings)
 
   let dump_total = Atomic.make 0
 
@@ -922,16 +915,7 @@ module Flight = struct
   let dump ?(reason = "manual") () =
     let events =
       Mutex.protect rings_mutex (fun () ->
-          List.concat_map
-            (fun r ->
-              Mutex.protect r.rm (fun () ->
-                  let n = min r.next ring_capacity in
-                  let first = r.next - n in
-                  List.init n (fun i ->
-                      match r.slots.((first + i) mod ring_capacity) with
-                      | Some ev -> ev
-                      | None -> assert false)))
-            !all_rings)
+          List.concat_map Ring.to_list !all_rings)
     in
     let marker =
       {

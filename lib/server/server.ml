@@ -158,8 +158,8 @@ type session = {
 
 type job = {
   j_src : string;
-  j_doc : Xml_kit.t * Xml_kit.locator;
-      (** the source as admission parsed it; a session miss builds from it *)
+  j_model : Core.Model.t;
+      (** the model as admission's lint built it; a session miss keeps it *)
   j_lump : bool;
   j_hash : int64;
   j_queries : (string * Ast.state_formula) list;
@@ -203,8 +203,7 @@ let port t = t.bound_port
 let model_hash ~src ~lump =
   Ctmc.Analysis.fnv1a64 (if lump then src ^ "\x00lump" else src)
 
-let build_session ~src ~doc:(xml, locator) ~lump =
-  let model, _embedded_measures = Core.Xml_io.of_xml ~pos:locator xml in
+let build_session ~src ~model ~lump =
   {
     s_src = src;
     s_lump = lump;
@@ -262,7 +261,7 @@ let evict_over_capacity srv =
 (* Returns [(session, was_cached)]. Building happens outside the cache
    lock: the scheduler processes windows sequentially and groups within
    a window have distinct hashes, so no two builders race on one key. *)
-let get_session srv ~src ~doc ~lump =
+let get_session srv ~src ~model ~lump =
   let h = model_hash ~src ~lump in
   let lookup () =
     Mutex.protect srv.cm (fun () ->
@@ -282,7 +281,7 @@ let get_session srv ~src ~doc ~lump =
   match lookup () with
   | Some s -> (s, true)
   | None ->
-      let s = build_session ~src ~doc ~lump in
+      let s = build_session ~src ~model ~lump in
       Mutex.protect srv.cm (fun () ->
           let bucket =
             match Hashtbl.find_opt srv.cache h with Some l -> l | None -> []
@@ -534,7 +533,7 @@ let process_group srv jobs =
     let session, was_cached =
       Obs.Trace.with_span "server.session" @@ fun s_span ->
       let (_, was_cached) as r =
-        get_session srv ~src:j0.j_src ~doc:j0.j_doc ~lump:j0.j_lump
+        get_session srv ~src:j0.j_src ~model:j0.j_model ~lump:j0.j_lump
       in
       if Obs.Trace.recording s_span then
         Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
@@ -568,7 +567,6 @@ let process_group srv jobs =
   | exception e ->
       let msg =
         match e with
-        | Core.Xml_io.Schema_error m -> m
         | Invalid_argument m | Failure m -> m
         | e -> Printexc.to_string e
       in
@@ -845,7 +843,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
           reject 400 (Json.Obj [ ("error", Str "\"lump\" must be a boolean") ])
       | Some src, Some queries, Some lump -> (
           meta.m_hash <- Some (hash_hex (model_hash ~src ~lump));
-          let diags, doc =
+          let diags, model =
             Obs.Trace.with_span "server.lint" @@ fun l_span ->
             let (diags, _) as linted = Lint.lint_source src in
             if Obs.Trace.recording l_span then
@@ -853,8 +851,8 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                 (Obs.Int (List.length diags));
             linted
           in
-          match doc with
-          | Some doc when not (Lint.has_errors diags) -> (
+          match model with
+          | Some model when not (Lint.has_errors diags) -> (
               let parsed =
                 Obs.Trace.with_span "server.parse_queries" @@ fun _ ->
                 List.mapi
@@ -891,7 +889,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                   let job =
                     {
                       j_src = src;
-                      j_doc = doc;
+                      j_model = model;
                       j_lump = lump;
                       j_hash = model_hash ~src ~lump;
                       j_queries;

@@ -604,6 +604,26 @@ let test_schema_error_position () =
         true
         (String.length msg >= 9 && String.sub msg 0 9 = "t.xml:3:1")
 
+(* lint_source hands back the model its query pass built, so a caller
+   converts the source once; nothing on any failure *)
+let test_lint_source_model () =
+  let line2 = "../models/line2_ded.xml" in
+  let src = In_channel.with_open_bin line2 In_channel.input_all in
+  (match Lint.lint_source src with
+  | [], Some m ->
+      Alcotest.(check bool)
+        "the model Xml_io builds" true
+        (m = fst (Core.Xml_io.load line2))
+  | _ -> Alcotest.fail "clean model: expected no diagnostics and a model");
+  List.iter
+    (fun (what, src) ->
+      Alcotest.(check bool) what true (snd (Lint.lint_source src) = None))
+    [
+      ("parse error", "<arcade name=\"m\"><unclosed>");
+      ( "static error",
+        model_xml ~tree:{|<or><basic ref="zz"/><basic ref="b"/></or>|} () );
+    ]
+
 let test_csl_parser_position () =
   match Csl.Parser.parse "S=?\nX [ \"down\" ]" with
   | _ -> Alcotest.fail "expected syntax error"
@@ -803,6 +823,7 @@ let () =
             test_schema_error_position;
           Alcotest.test_case "csl parser position" `Quick
             test_csl_parser_position;
+          Alcotest.test_case "lint_source model" `Quick test_lint_source_model;
         ] );
       ( "sweeps",
         [
