@@ -92,10 +92,10 @@ let m_builds_full = Obs.Metrics.counter "measures.builds.full"
 
 let m_states = Obs.Metrics.counter "measures.states"
 
-let analyze ?max_states ?initial ?lump ?(symmetric = false) model =
+let analyze ?max_states ?initial ?lump ?(symmetric = false) ?transitions model =
   let built =
     Obs.Trace.with_span "measures.build" @@ fun sp ->
-    let built = Semantics.build ?max_states ~symmetric ?initial model in
+    let built = Semantics.build ?max_states ~symmetric ?initial ?transitions model in
     Obs.Metrics.incr (if symmetric then m_builds_symmetric else m_builds_full);
     Obs.Metrics.add m_states (Ctmc.Chain.states built.Semantics.chain);
     if Obs.Trace.recording sp then begin

@@ -28,6 +28,7 @@ val analyze :
   ?initial:Semantics.state ->
   ?lump:bool ->
   ?symmetric:bool ->
+  ?transitions:int ->
   Model.t ->
   t
 (** Build the state space — and one cached {!Ctmc.Analysis} session over
@@ -37,7 +38,8 @@ val analyze :
     ({!Semantics.build}): the group-invariant measures (availability,
     service levels, costs, the fault tree) are exact on it, while the
     scenario measures and the labels of grouped components raise
-    [Invalid_argument]. The build runs under a [measures.build] span with
+    [Invalid_argument]. [transitions] is {!Semantics.build}'s size hint.
+    The build runs under a [measures.build] span with
     [states] and [symmetric] attributes, the wrapping (cost vectors, CSL
     model) under [measures.wrap]. *)
 

@@ -1097,7 +1097,7 @@ let canonicalize_successor ctx sym w k =
    it, so each id stands for one orbit; the expansion of a representative
    adds its orbit size to the full state count and orbit size times its
    (pre-canonical) out-degree to the full transition count. *)
-let build ?(max_states = 5_000_000) ?(symmetric = false) ?initial model =
+let build ?(max_states = 5_000_000) ?(symmetric = false) ?initial ?transitions model =
   let ctx = make_ctx model in
   let ctx = if symmetric then with_groups ctx model else ctx in
   let reduced = Array.length ctx.groups > 0 in
@@ -1119,7 +1119,7 @@ let build ?(max_states = 5_000_000) ?(symmetric = false) ?initial model =
   in
   ignore (intern cur 0);
   let w = make_work ctx in
-  let rows = Sparse.Rows.create () in
+  let rows = Sparse.Rows.create ?capacity:transitions () in
   let full_states = ref 0 and full_transitions = ref 0 in
   let i = ref 0 in
   while !i < Intern.count table do

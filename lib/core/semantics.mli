@@ -71,7 +71,12 @@ val disaster_state : Model.t -> failed:string list -> state
     (["valve:leak"]). *)
 
 val build :
-  ?max_states:int -> ?symmetric:bool -> ?initial:state -> Model.t -> built
+  ?max_states:int ->
+  ?symmetric:bool ->
+  ?initial:state ->
+  ?transitions:int ->
+  Model.t ->
+  built
 (** Explore the reachable state space from [initial] (default
     {!all_up_state}) and build the CTMC (initial distribution: point mass
     on [initial]). State [i] of the chain is the [i]-th state discovered
@@ -79,6 +84,11 @@ val build :
     (default [5_000_000]) states are reachable, or when [initial] does not
     match the model (dimensions, failure modes, list entries that are not
     members of their repair unit, a component listed twice).
+
+    [transitions] is the expected number of transitions, such as the
+    second half of the {!full_size} of the symmetric build of the same
+    model: when it is exact, the rate matrix is written once, with no
+    final copy. It changes nothing else.
 
     [~symmetric:true] builds the quotient under interchangeable
     components instead. Components form a group when they share the repair

@@ -75,6 +75,9 @@ type operator = {
   mutable scc : (int array * int array array) option;
   mutable bscc : int array array option;
   weight_tbl : (float * float, Fox_glynn.t) Hashtbl.t;
+  (* the iterate pair of the last finished sweep, taken by the next one
+     (atomically: views on other domains share this record) *)
+  iterates : (Multivec.t * Multivec.t) option Atomic.t;
 }
 
 (* The steady-state vectors (BSCC weights) and the quotients (lumped
@@ -124,6 +127,7 @@ let create chain =
       scc = None;
       bscc = None;
       weight_tbl = Hashtbl.create 16;
+      iterates = Atomic.make None;
     }
 
 let with_init t init = session (Chain.with_init t.chain init) t.op
@@ -645,23 +649,31 @@ let sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare =
         Obs.Trace.add_attr sweep_span "batch_width" (Obs.Int width);
         Obs.Trace.add_attr sweep_span "streams" (Obs.Int streams)
       end;
-      let v = ref (Multivec.of_cols (Array.map (fun s -> barr.(s).start) firsts)) in
-      let next =
-        match (absorbing, dir) with
-        | None, _ -> ref (Multivec.create ~dim:n ~width)
-        | Some _, Backward ->
-            (* skipped rows keep their start values in both buffers *)
-            ref (Multivec.copy !v)
-        | Some a, Forward ->
-            (* skipped rows hold no mass in either buffer *)
-            for i = 0 to n - 1 do
-              if absorbs a i then
-                for c = 0 to width - 1 do
-                  Multivec.set !v i c 0.
-                done
-            done;
-            ref (Multivec.create ~dim:n ~width)
+      (* The two n x width iterate blocks are the pass's only large
+         allocation; they are reused from the operator's last pass of the
+         same width, so repeated curves on a large chain leave no
+         garbage. *)
+      let v, next =
+        match Atomic.exchange t.op.iterates None with
+        | Some (v, next) when Multivec.width v = width -> (ref v, ref next)
+        | Some _ | None ->
+            (ref (Multivec.create ~dim:n ~width), ref (Multivec.create ~dim:n ~width))
       in
+      Array.iteri (fun c s -> Multivec.set_col !v c barr.(s).start) firsts;
+      (match (absorbing, dir) with
+      | None, _ -> (* the gather writes every entry of [next] *) ()
+      | Some _, Backward ->
+          (* skipped rows keep their start values in both buffers *)
+          Multivec.blit !v !next
+      | Some a, Forward ->
+          (* skipped rows hold no mass in either buffer *)
+          for i = 0 to n - 1 do
+            if absorbs a i then
+              for c = 0 to width - 1 do
+                Multivec.set !v i c 0.
+              done
+          done;
+          Multivec.fill !next 0.);
       for k = 0 to right_max do
         consume k !v;
         if k < right_max then begin
@@ -671,7 +683,8 @@ let sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare =
           v := !next;
           next := tmp
         end
-      done );
+      done;
+      Atomic.set t.op.iterates (Some (!v, !next)) );
     Obs.Metrics.add m_mixture_steps right_max
   end
 

@@ -1,5 +1,3 @@
-module A1 = Bigarray.Array1
-
 let dims a =
   let n = Array.length a in
   Array.iter
@@ -9,7 +7,7 @@ let dims a =
 
 (* Dense n×n matrices live in a {!Multivec} row-major (row [i] is the
    width-n block of index [i]), so the scaling-and-squaring loop runs on
-   flat float64 buffers and shares the axpy/scale/norm helpers with the
+   flat float arrays and shares the axpy/scale/norm helpers with the
    rest of the kernel layer instead of nested [float array array] loops. *)
 
 let of_rows n a =
@@ -19,7 +17,7 @@ let of_rows n a =
     let base = i * n in
     let row = a.(i) in
     for j = 0 to n - 1 do
-      A1.unsafe_set d (base + j) (Array.unsafe_get row j)
+      Array.unsafe_set d (base + j) (Array.unsafe_get row j)
     done
   done;
   m
@@ -43,12 +41,12 @@ let mat_mul_into n a b c =
   for i = 0 to n - 1 do
     let ib = i * n in
     for k = 0 to n - 1 do
-      let aik = A1.unsafe_get ad (ib + k) in
+      let aik = Array.unsafe_get ad (ib + k) in
       if aik <> 0. then begin
         let kb = k * n in
         for j = 0 to n - 1 do
-          A1.unsafe_set cd (ib + j)
-            (A1.unsafe_get cd (ib + j) +. (aik *. A1.unsafe_get bd (kb + j)))
+          Array.unsafe_set cd (ib + j)
+            (Array.unsafe_get cd (ib + j) +. (aik *. Array.unsafe_get bd (kb + j)))
         done
       end
     done

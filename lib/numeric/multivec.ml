@@ -1,6 +1,4 @@
-module A1 = Bigarray.Array1
-
-type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
+type buffer = float array
 
 (* Interleaved storage: entry i of column c sits at [i * width + c], so
    the K column values of one index share a cache line — the layout the
@@ -10,9 +8,7 @@ type t = { mv_dim : int; mv_width : int; buf : buffer }
 let create ~dim ~width =
   if dim < 0 || width < 0 || (width = 0 && dim > 0) then
     invalid_arg "Multivec.create: bad shape";
-  let buf = A1.create Bigarray.float64 Bigarray.c_layout (dim * width) in
-  A1.fill buf 0.;
-  { mv_dim = dim; mv_width = width; buf }
+  { mv_dim = dim; mv_width = width; buf = Array.make (dim * width) 0. }
 
 let dim v = v.mv_dim
 
@@ -28,24 +24,25 @@ let check_index v i c =
 
 let get v i c =
   check_index v i c;
-  A1.unsafe_get v.buf ((i * v.mv_width) + c)
+  Array.unsafe_get v.buf ((i * v.mv_width) + c)
 
 let set v i c x =
   check_index v i c;
-  A1.unsafe_set v.buf ((i * v.mv_width) + c) x
+  Array.unsafe_set v.buf ((i * v.mv_width) + c) x
 
-let fill v x = A1.fill v.buf x
+let fill v x = Array.fill v.buf 0 (Array.length v.buf) x
 
-let copy v =
-  let c = create ~dim:v.mv_dim ~width:v.mv_width in
-  A1.blit v.buf c.buf;
-  c
+let copy v = { v with buf = Array.copy v.buf }
 
 let check_same_shape name a b =
   if a.mv_dim <> b.mv_dim || a.mv_width <> b.mv_width then
     invalid_arg
       (Printf.sprintf "Multivec.%s: shape mismatch (%dx%d vs %dx%d)" name
          a.mv_dim a.mv_width b.mv_dim b.mv_width)
+
+let blit src dst =
+  check_same_shape "blit" src dst;
+  Array.blit src.buf 0 dst.buf 0 (Array.length src.buf)
 
 let of_cols cols =
   let k = Array.length cols in
@@ -59,7 +56,7 @@ let of_cols cols =
   for i = 0 to n - 1 do
     let base = i * k in
     for c = 0 to k - 1 do
-      A1.unsafe_set v.buf (base + c) (Array.unsafe_get cols.(c) i)
+      Array.unsafe_set v.buf (base + c) (Array.unsafe_get cols.(c) i)
     done
   done;
   v
@@ -71,13 +68,13 @@ let col_into v c y =
     invalid_arg "Multivec.col_into: dimension mismatch";
   let k = v.mv_width in
   for i = 0 to v.mv_dim - 1 do
-    Array.unsafe_set y i (A1.unsafe_get v.buf ((i * k) + c))
+    Array.unsafe_set y i (Array.unsafe_get v.buf ((i * k) + c))
   done
 
 let col v c =
   if c < 0 || c >= v.mv_width then invalid_arg "Multivec.col: column out of range";
   let k = v.mv_width in
-  Array.init v.mv_dim (fun i -> A1.unsafe_get v.buf ((i * k) + c))
+  Array.init v.mv_dim (fun i -> Array.unsafe_get v.buf ((i * k) + c))
 
 let to_cols v = Array.init v.mv_width (col v)
 
@@ -88,7 +85,7 @@ let set_col v c x =
     invalid_arg "Multivec.set_col: dimension mismatch";
   let k = v.mv_width in
   for i = 0 to v.mv_dim - 1 do
-    A1.unsafe_set v.buf ((i * k) + c) (Array.unsafe_get x i)
+    Array.unsafe_set v.buf ((i * k) + c) (Array.unsafe_get x i)
   done
 
 let axpy_from_col a v c y =
@@ -99,7 +96,7 @@ let axpy_from_col a v c y =
   let k = v.mv_width in
   for i = 0 to v.mv_dim - 1 do
     Array.unsafe_set y i
-      (Array.unsafe_get y i +. (a *. A1.unsafe_get v.buf ((i * k) + c)))
+      (Array.unsafe_get y i +. (a *. Array.unsafe_get v.buf ((i * k) + c)))
   done
 
 let dot_col v c r =
@@ -110,7 +107,7 @@ let dot_col v c r =
   let k = v.mv_width in
   let acc = ref 0. in
   for i = 0 to v.mv_dim - 1 do
-    acc := !acc +. (A1.unsafe_get v.buf ((i * k) + c) *. Array.unsafe_get r i)
+    acc := !acc +. (Array.unsafe_get v.buf ((i * k) + c) *. Array.unsafe_get r i)
   done;
   !acc
 
@@ -126,17 +123,17 @@ let axpy alphas x y =
   for i = 0 to x.mv_dim - 1 do
     let base = i * k in
     for c = 0 to k - 1 do
-      A1.unsafe_set y.buf (base + c)
-        (A1.unsafe_get y.buf (base + c)
-        +. (Array.unsafe_get alphas c *. A1.unsafe_get x.buf (base + c)))
+      Array.unsafe_set y.buf (base + c)
+        (Array.unsafe_get y.buf (base + c)
+        +. (Array.unsafe_get alphas c *. Array.unsafe_get x.buf (base + c)))
     done
   done
 
 let axpy_uniform a x y =
   check_same_shape "axpy_uniform" x y;
-  let m = A1.dim x.buf in
+  let m = Array.length x.buf in
   for p = 0 to m - 1 do
-    A1.unsafe_set y.buf p (A1.unsafe_get y.buf p +. (a *. A1.unsafe_get x.buf p))
+    Array.unsafe_set y.buf p (Array.unsafe_get y.buf p +. (a *. Array.unsafe_get x.buf p))
   done
 
 let scale alphas v =
@@ -145,15 +142,15 @@ let scale alphas v =
   for i = 0 to v.mv_dim - 1 do
     let base = i * k in
     for c = 0 to k - 1 do
-      A1.unsafe_set v.buf (base + c)
-        (Array.unsafe_get alphas c *. A1.unsafe_get v.buf (base + c))
+      Array.unsafe_set v.buf (base + c)
+        (Array.unsafe_get alphas c *. Array.unsafe_get v.buf (base + c))
     done
   done
 
 let scale_uniform a v =
-  let m = A1.dim v.buf in
+  let m = Array.length v.buf in
   for p = 0 to m - 1 do
-    A1.unsafe_set v.buf p (a *. A1.unsafe_get v.buf p)
+    Array.unsafe_set v.buf p (a *. Array.unsafe_get v.buf p)
   done
 
 let max_norms v =
@@ -162,7 +159,7 @@ let max_norms v =
   for i = 0 to v.mv_dim - 1 do
     let base = i * k in
     for c = 0 to k - 1 do
-      let x = Float.abs (A1.unsafe_get v.buf (base + c)) in
+      let x = Float.abs (Array.unsafe_get v.buf (base + c)) in
       if x > Array.unsafe_get out c then Array.unsafe_set out c x
     done
   done;
@@ -175,7 +172,7 @@ let abs_row_sum_max v =
     let base = i * k in
     let acc = ref 0. in
     for c = 0 to k - 1 do
-      acc := !acc +. Float.abs (A1.unsafe_get v.buf (base + c))
+      acc := !acc +. Float.abs (Array.unsafe_get v.buf (base + c))
     done;
     if !acc > !best then best := !acc
   done;

@@ -1,7 +1,7 @@
 (** Blocks of K dense vectors in one unboxed buffer.
 
     A multivector holds [width] vectors of dimension [dim] in a single
-    float64 {!Bigarray} with {e interleaved} layout: element [(i, c)] —
+    unboxed [float array] with {e interleaved} layout: element [(i, c)] —
     entry [i] of column [c] — lives at offset [i * width + c]. The K
     entries of one index are therefore contiguous, which is exactly what
     the multi-RHS sparse kernels ({!Sparse.mul_multi_into} and the
@@ -15,7 +15,9 @@
 
 type t
 
-type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type buffer = float array
+(** A flat, unboxed float array on the OCaml heap, of length
+    [dim * width]. *)
 
 val create : dim:int -> width:int -> t
 (** A zero-filled multivector of [width] columns of dimension [dim].
@@ -39,6 +41,10 @@ val set : t -> int -> int -> float -> unit
 val fill : t -> float -> unit
 
 val copy : t -> t
+
+val blit : t -> t -> unit
+(** [blit src dst] copies every entry of [src] into [dst], of the same
+    shape. *)
 
 val of_cols : Vec.t array -> t
 (** Pack an array of equal-length vectors as the columns of a fresh

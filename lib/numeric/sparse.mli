@@ -5,9 +5,12 @@
     (coordinate/triplet accumulation), {!Rows} (rows streamed in order) or
     {!of_triplets}.
 
-    Storage is unboxed: row pointers and column indices live in int32
-    {!Bigarray}s and values in a float64 {!Bigarray}, so one matrix pass
-    streams three flat buffers. On top of the single-vector products the
+    Storage is unboxed and lives on the OCaml heap: values in a
+    [float array], row pointers in an [int array] and column indices
+    packed two to an [int] (31 bits each, so an index takes 4 bytes and
+    every row count, column count and entry count is at most [2^31 - 1];
+    the builders raise [Invalid_argument] beyond). One matrix pass streams
+    three flat arrays and decodes a column with a shift and a mask. On top of the single-vector products the
     module exposes {e blocked} kernels ({!mul_multi_into} and the
     relaxation sweeps) that push a {!Multivec.t} of K vectors through the
     matrix in a single pass — every decoded entry serves all K columns. *)
@@ -41,7 +44,11 @@ module Rows : sig
   type matrix := t
   type t
 
-  val create : unit -> t
+  val create : ?capacity:int -> unit -> t
+  (** [capacity] is the expected number of entries. When the rows hold
+      exactly that many, {!to_csr} returns the buffers they were written
+      to, with no copy; any other count costs one copy of the entries.
+      Default [0]. *)
 
   val add : t -> int -> float -> unit
   (** [add b j x] appends [x] at column [j] of the open row. Raises

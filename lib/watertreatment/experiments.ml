@@ -75,15 +75,26 @@ let cache_key ~lump line config disaster =
     (match disaster with None -> "-" | Some failed -> String.concat "," failed)
     (if lump then "/lump" else "")
 
+let symmetric_key ~lump line config = cache_key ~lump line config None ^ "/symmetric"
+
 (* One state space per (line, config): a disaster entry is a view of the
    all-up entry (Facility.after_disaster), sharing its chain, rate
    operator and derived caches, so the figures rebuild nothing Table 1
-   has built. *)
+   has built. A full build whose symmetric build Table 1 has cached takes
+   its transition count from it, so its rate matrix is written once. *)
 let rec measures ?disaster line config =
   let lump = lump_enabled () in
   memo chains (cache_key ~lump line config disaster) @@ fun () ->
   match disaster with
-  | None -> Facility.analyze ~lump line config
+  | None ->
+      let reduced =
+        Mutex.protect cache_mutex (fun () ->
+            Hashtbl.find_opt chains (symmetric_key ~lump line config))
+      in
+      let transitions =
+        Option.map (fun m -> snd (Measures.built m).Semantics.full_size) reduced
+      in
+      Measures.analyze ~lump ?transitions (Facility.line_model line config)
   | Some failed -> Facility.after_disaster (measures line config) ~failed
 
 (* Tables 1 and 2 read only group-invariant quantities (the full chain's
@@ -92,7 +103,7 @@ let rec measures ?disaster line config =
    cached apart from the figures' full chains. *)
 let table_measures line config =
   let lump = lump_enabled () in
-  memo chains (cache_key ~lump line config None ^ "/symmetric") @@ fun () ->
+  memo chains (symmetric_key ~lump line config) @@ fun () ->
   Measures.analyze ~lump ~symmetric:true (Facility.line_model line config)
 
 let cost_curve_pair ~disaster line config ~times =
