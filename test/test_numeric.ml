@@ -342,9 +342,13 @@ let test_rows_errors () =
 (* Every width 1..9, so the kernel's register groups of 4, 2 and 1
    columns all run with every remainder; results must be bit-identical to
    the single-vector products, the forward case ([x^T m]) through the
-   gather over [transpose m]. *)
+   gather over [transpose m]. The uniformized and masked gathers run on
+   the square matrix of the same entries (its extra rows are empty, and
+   its rows start at even and odd entry offsets, both halves of a packed
+   index word) and on its transpose, against a per-row reference summed
+   in column order. *)
 let prop_blocked_matches_columns =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:300
     ~name:"blocked multi kernels match per-column products"
     (QCheck.make
        QCheck.Gen.(pair sparse_triplets_gen (int_range 1 9)))
@@ -378,7 +382,54 @@ let prop_blocked_matches_columns =
       let w = Multivec.create ~dim:cols ~width in
       Sparse.mul_multi_into (Sparse.transpose m) (Multivec.of_cols zs) w;
       let forward_ok = columns_match zs (fun z -> Sparse.vec_mul z m) w in
-      backward_ok && forward_ok)
+      let n = max rows cols in
+      let uniformized_ok op =
+        let exit = Array.init n (fun i -> float_of_int ((i * 5 mod 7) + 1) /. 3.) in
+        let lambda = 7.25 in
+        let skip = Bytes.init n (fun i -> if i mod 3 = 1 then '\001' else '\000') in
+        let us =
+          Array.init width (fun c ->
+              Array.init n (fun i ->
+                  if (i + c) mod 4 = 0 then 0. else float_of_int (i - (2 * c)) /. 7.))
+        in
+        (* what a row computes: its entries' products summed in column
+           order, then one reciprocal of lambda serving both scalings *)
+        let reference i u =
+          let acc = ref 0. in
+          Sparse.iter_row op i (fun j v -> acc := !acc +. (v *. u.(j)));
+          let s = 1. /. lambda in
+          ((1. -. (exit.(i) *. s)) *. u.(i)) +. (s *. !acc)
+        in
+        let x = Multivec.of_cols us in
+        let y = Multivec.create ~dim:n ~width in
+        Sparse.mul_multi_into ~uniformize:(exit, lambda) op x y;
+        let plain_ok =
+          Array.for_all
+            (fun c -> same (Array.init n (fun i -> reference i us.(c))) (Multivec.col y c))
+            (Array.init width Fun.id)
+        in
+        let kept i c = float_of_int (1000 + (10 * i) + c) in
+        let y = Multivec.create ~dim:n ~width in
+        for i = 0 to n - 1 do
+          for c = 0 to width - 1 do
+            Multivec.set y i c (kept i c)
+          done
+        done;
+        Sparse.mul_multi_into ~uniformize:(exit, lambda) ~skip op x y;
+        let skip_ok =
+          Array.for_all
+            (fun c ->
+              same
+                (Array.init n (fun i ->
+                     if Bytes.get skip i <> '\000' then kept i c else reference i us.(c)))
+                (Multivec.col y c))
+            (Array.init width Fun.id)
+        in
+        plain_ok && skip_ok
+      in
+      let sq = Sparse.of_triplets ~rows:n ~cols:n entries in
+      backward_ok && forward_ok && uniformized_ok sq
+      && uniformized_ok (Sparse.transpose sq))
 
 (* ------------------------------------------------------------------ *)
 (* Fox-Glynn *)
