@@ -31,8 +31,7 @@ let literal_labels model name =
            Some (literal, literal))
        (Component.modes (Model.component model name))
 
-let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
-  let levels = Model.service_levels built.Semantics.model in
+let make_csl_model ~analysis ~lump ~levels ~component_cost ~repair_cost ~cost built =
   let model = built.Semantics.model in
   (* a literal of a grouped component has no value on a reduced build:
      its label raises the same error when a query reads it *)
@@ -70,8 +69,13 @@ let make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built =
   in
   Csl.Checker.of_chain ~analysis ~lump ~labels ~rewards built.Semantics.chain
 
-let wrap ?(lump = false) built =
+let wrap ?(lump = false) ?levels built =
   span "wrap" @@ fun () ->
+  let levels =
+    match levels with
+    | Some l -> l
+    | None -> Model.service_levels built.Semantics.model
+  in
   (* one session per state space: every measure below, and every CSL query
      through {!to_csl_model}, shares its cached transposed rates,
      Fox-Glynn weights, quotients and steady-state vector *)
@@ -79,7 +83,7 @@ let wrap ?(lump = false) built =
   let component_cost, repair_cost = Semantics.cost_structures built in
   let cost = Numeric.Vec.add component_cost repair_cost in
   let csl =
-    make_csl_model ~analysis ~lump ~component_cost ~repair_cost ~cost built
+    make_csl_model ~analysis ~lump ~levels ~component_cost ~repair_cost ~cost built
   in
   { built; analysis; csl; cost; lump }
 
@@ -92,7 +96,8 @@ let m_builds_full = Obs.Metrics.counter "measures.builds.full"
 
 let m_states = Obs.Metrics.counter "measures.states"
 
-let analyze ?max_states ?initial ?lump ?(symmetric = false) ?transitions model =
+let analyze ?max_states ?initial ?lump ?(symmetric = false) ?transitions ?levels
+    model =
   let built =
     Obs.Trace.with_span "measures.build" @@ fun sp ->
     let built = Semantics.build ?max_states ~symmetric ?initial ?transitions model in
@@ -105,7 +110,7 @@ let analyze ?max_states ?initial ?lump ?(symmetric = false) ?transitions model =
     end;
     built
   in
-  wrap ?lump built
+  wrap ?lump ?levels built
 
 (* The 5-strategy comparison as one call: each model builds and wraps
    independently (they have distinct state spaces, so their sweeps cannot

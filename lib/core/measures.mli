@@ -29,6 +29,7 @@ val analyze :
   ?lump:bool ->
   ?symmetric:bool ->
   ?transitions:int ->
+  ?levels:float list ->
   Model.t ->
   t
 (** Build the state space — and one cached {!Ctmc.Analysis} session over
@@ -38,7 +39,9 @@ val analyze :
     ({!Semantics.build}): the group-invariant measures (availability,
     service levels, costs, the fault tree) are exact on it, while the
     scenario measures and the labels of grouped components raise
-    [Invalid_argument]. [transitions] is {!Semantics.build}'s size hint.
+    [Invalid_argument]. [transitions] is {!Semantics.build}'s size hint;
+    [levels], when given, must be {!Model.service_levels} of the model,
+    which is then not enumerated again.
     The build runs under a [measures.build] span with
     [states] and [symmetric] attributes, the wrapping (cost vectors, CSL
     model) under [measures.wrap]. *)

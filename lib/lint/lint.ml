@@ -30,11 +30,11 @@ let schema_failure ?position message =
   D.make ?position ~code:"ARC-X001" ~severity:D.Error ~subject:"model" "%s"
     message
 
-let query_pass raw model =
+let query_pass raw ~levels model =
   let ctx =
     Query_rules.context_of_model
       ~multiple_bsccs:(Chain_rules.multiple_bsccs raw)
-      model
+      ~levels model
   in
   List.concat_map
     (fun (ms : Model_rules.raw_measure) ->
@@ -45,7 +45,8 @@ let query_pass raw model =
     raw.Model_rules.raw_measures
 
 (* The diagnostics, and the model the query pass built from the document
-   ([None] when the static rules or the model construction failed). *)
+   with the service levels it enumerated ([None] when the static rules or
+   the model construction failed). *)
 let lint_doc ?file ?pos doc =
   Obs.Trace.with_span "lint.doc" @@ fun _ ->
   let raw, static =
@@ -61,7 +62,9 @@ let lint_doc ?file ?pos doc =
     else
       Obs.Trace.with_span "lint.queries" @@ fun _ ->
       match Core.Xml_io.of_xml ?file ?pos doc with
-      | model, _ -> (query_pass raw model, Some model)
+      | model, _ ->
+          let levels = Query_rules.levels_of_model model in
+          (query_pass raw ~levels model, Some (model, levels))
       | exception Core.Xml_io.Schema_error msg -> ([ schema_failure msg ], None)
       | exception Invalid_argument msg -> ([ schema_failure msg ], None)
   in

@@ -19,16 +19,20 @@ module Query_rules = Query_rules
 module Prism_rules = Prism_rules
 
 val lint_source :
-  ?file:string -> string -> Diagnostic.t list * Core.Model.t option
+  ?file:string ->
+  string ->
+  Diagnostic.t list * (Core.Model.t * float list option) option
 (** Parse (with positions) and lint an Arcade document: schema
     extraction, model-layer and chain-layer rules always (span
     [lint.rules]); query-layer rules over the embedded measures once the
     model is error-free (span [lint.queries]), both under one [lint.doc]
     span. Results are sorted and deduplicated; an XML parse error yields
     a single [ARC-X001]. Also returns the model the query pass built
-    ([None] on a parse error, static errors or a failed model
-    construction), so that a caller can analyze it without converting
-    the source again. *)
+    with the service levels it enumerated
+    ({!Query_rules.levels_of_model}), or [None] on a parse error, static
+    errors or a failed model construction, so that a caller can analyze
+    the model without converting the source or enumerating the levels
+    again. *)
 
 val lint_string : ?file:string -> string -> Diagnostic.t list
 (** {!lint_source}'s diagnostics. *)

@@ -21,13 +21,20 @@ type context = {
   multiple_bsccs : bool;
 }
 
+(* service-level enumeration walks the tree's satisfying assignments;
+   skip it for big trees *)
+let levels_of_model (model : Core.Model.t) =
+  if List.length (Fault_tree.basics model.Core.Model.fault_tree) > 20 then None
+  else Some (Core.Model.service_levels model)
+
 (* Mirrors Core.Measures.make_csl_model exactly: the labels are "down",
    "operational", "full_service", "sl_ge_<i>" per service level, and
    "<c>_failed" / "<c>:<mode>" per component; the rewards are "cost",
    "component_cost" and "repair_cost". make_csl_model goes through
    Csl.Checker.of_chain, whose atomic resolver is the constant None — so
    every Atomic expression is statically an error (ARC-Q006). *)
-let context_of_model ?(multiple_bsccs = false) (model : Core.Model.t) =
+let context_of_model ?(multiple_bsccs = false) ?levels (model : Core.Model.t) =
+  let levels = match levels with Some l -> l | None -> levels_of_model model in
   let component_labels =
     List.concat_map
       (fun (c : Core.Component.t) ->
@@ -39,21 +46,17 @@ let context_of_model ?(multiple_bsccs = false) (model : Core.Model.t) =
              (Core.Component.modes c))
       model.Core.Model.components
   in
-  (* service-level enumeration walks the tree's satisfying assignments;
-     skip it for big trees and accept any sl_ge_<digits> instead *)
-  let big = List.length (Fault_tree.basics model.Core.Model.fault_tree) > 20 in
+  (* without the levels, any sl_ge_<digits> is accepted *)
   let level_labels =
-    if big then []
-    else
-      List.mapi
-        (fun i _ -> Printf.sprintf "sl_ge_%d" i)
-        (Core.Model.service_levels model)
+    match levels with
+    | None -> []
+    | Some l -> List.mapi (fun i _ -> Printf.sprintf "sl_ge_%d" i) l
   in
   {
     model_name = model.Core.Model.name;
     labels =
       [ "down"; "operational"; "full_service" ] @ level_labels @ component_labels;
-    any_sl = big;
+    any_sl = levels = None;
     rewards = [ Some "cost"; Some "component_cost"; Some "repair_cost" ];
     atomics = ANone;
     multiple_bsccs;

@@ -33,13 +33,18 @@ type context = {
   multiple_bsccs : bool;
 }
 
-val context_of_model : ?multiple_bsccs:bool -> Core.Model.t -> context
+val levels_of_model : Core.Model.t -> float list option
+(** {!Core.Model.service_levels}, or [None] for fault trees with more than
+    20 basic events, whose levels are not enumerated. *)
+
+val context_of_model :
+  ?multiple_bsccs:bool -> ?levels:float list option -> Core.Model.t -> context
 (** The context matching [Core.Measures.make_csl_model] exactly: labels
     [down], [operational], [full_service], [sl_ge_<i>], [<c>_failed],
     [<c>:<mode>]; rewards [cost], [component_cost], [repair_cost]; no
-    resolvable atomics. For fault trees with more than 20 basic events the
-    service levels are not enumerated and any [sl_ge_<digits>] label is
-    accepted ([any_sl]). *)
+    resolvable atomics. [levels] (default {!levels_of_model}) gives the
+    service levels; without them any [sl_ge_<digits>] label is accepted
+    ([any_sl]). *)
 
 val check_ast :
   ?position:int * int ->

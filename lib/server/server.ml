@@ -150,6 +150,7 @@ type session = {
   s_src : string;
   s_lump : bool;
   s_model : Core.Model.t;
+  s_levels : float list;  (** enumerated once, shared by both chains *)
   s_exact : Ast.state_formula -> bool;
   mutable s_symmetric : Core.Measures.t option;
   mutable s_full : Core.Measures.t option;
@@ -160,6 +161,7 @@ type job = {
   j_src : string;
   j_model : Core.Model.t;
       (** the model as admission's lint built it; a session miss keeps it *)
+  j_levels : float list option;  (** the service levels lint enumerated *)
   j_lump : bool;
   j_hash : int64;
   j_queries : (string * Ast.state_formula) list;
@@ -203,11 +205,13 @@ let port t = t.bound_port
 let model_hash ~src ~lump =
   Ctmc.Analysis.fnv1a64 (if lump then src ^ "\x00lump" else src)
 
-let build_session ~src ~model ~lump =
+let build_session ~src ~model ~levels ~lump =
   {
     s_src = src;
     s_lump = lump;
     s_model = model;
+    s_levels =
+      (match levels with Some l -> l | None -> Core.Model.service_levels model);
     s_exact = Core.Measures.exact_on_quotient model;
     s_symmetric = None;
     s_full = None;
@@ -219,11 +223,14 @@ let chain s kind =
   match (kind, s.s_symmetric, s.s_full) with
   | Symmetric, Some m, _ | Full, _, Some m -> m
   | Symmetric, None, _ ->
-      let m = Core.Measures.analyze ~lump:s.s_lump ~symmetric:true s.s_model in
+      let m =
+        Core.Measures.analyze ~lump:s.s_lump ~symmetric:true ~levels:s.s_levels
+          s.s_model
+      in
       s.s_symmetric <- Some m;
       m
   | Full, _, None ->
-      let m = Core.Measures.analyze ~lump:s.s_lump s.s_model in
+      let m = Core.Measures.analyze ~lump:s.s_lump ~levels:s.s_levels s.s_model in
       s.s_full <- Some m;
       m
 
@@ -261,7 +268,7 @@ let evict_over_capacity srv =
 (* Returns [(session, was_cached)]. Building happens outside the cache
    lock: the scheduler processes windows sequentially and groups within
    a window have distinct hashes, so no two builders race on one key. *)
-let get_session srv ~src ~model ~lump =
+let get_session srv ~src ~model ~levels ~lump =
   let h = model_hash ~src ~lump in
   let lookup () =
     Mutex.protect srv.cm (fun () ->
@@ -281,7 +288,7 @@ let get_session srv ~src ~model ~lump =
   match lookup () with
   | Some s -> (s, true)
   | None ->
-      let s = build_session ~src ~model ~lump in
+      let s = build_session ~src ~model ~levels ~lump in
       Mutex.protect srv.cm (fun () ->
           let bucket =
             match Hashtbl.find_opt srv.cache h with Some l -> l | None -> []
@@ -533,7 +540,8 @@ let process_group srv jobs =
     let session, was_cached =
       Obs.Trace.with_span "server.session" @@ fun s_span ->
       let (_, was_cached) as r =
-        get_session srv ~src:j0.j_src ~model:j0.j_model ~lump:j0.j_lump
+        get_session srv ~src:j0.j_src ~model:j0.j_model ~levels:j0.j_levels
+          ~lump:j0.j_lump
       in
       if Obs.Trace.recording s_span then
         Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
@@ -852,7 +860,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
             linted
           in
           match model with
-          | Some model when not (Lint.has_errors diags) -> (
+          | Some (model, levels) when not (Lint.has_errors diags) -> (
               let parsed =
                 Obs.Trace.with_span "server.parse_queries" @@ fun _ ->
                 List.mapi
@@ -890,6 +898,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                     {
                       j_src = src;
                       j_model = model;
+                      j_levels = levels;
                       j_lump = lump;
                       j_hash = model_hash ~src ~lump;
                       j_queries;

@@ -604,16 +604,57 @@ let test_schema_error_position () =
         true
         (String.length msg >= 9 && String.sub msg 0 9 = "t.xml:3:1")
 
-(* lint_source hands back the model its query pass built, so a caller
-   converts the source once; nothing on any failure *)
+(* The service-level labels lint accepts are exactly those the CSL model
+   resolves, on every shipped model, whether the model is wrapped with
+   lint's levels (as a daemon session does) or enumerates its own. *)
+let test_levels_agree () =
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".xml" then begin
+        let path = Filename.concat "../models" file in
+        let src = In_channel.with_open_bin path In_channel.input_all in
+        match Lint.lint_source src with
+        | _, Some (model, Some levels) ->
+            let n = List.length levels in
+            let ctx = Lint.Query_rules.context_of_model ~levels:(Some levels) model in
+            let sl =
+              List.filter
+                (fun l -> String.length l > 6 && String.sub l 0 6 = "sl_ge_")
+                ctx.Lint.Query_rules.labels
+            in
+            Alcotest.(check (list string))
+              (file ^ ": lint's level labels")
+              (List.init n (Printf.sprintf "sl_ge_%d"))
+              sl;
+            List.iter
+              (fun (how, levels) ->
+                let m = Core.Measures.analyze ~symmetric:true ?levels model in
+                let csl = Core.Measures.to_csl_model m in
+                for i = 0 to n do
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s (%s): sl_ge_%d resolves" file how i)
+                    (i < n)
+                    (csl.Csl.Checker.label (Printf.sprintf "sl_ge_%d" i) <> None)
+                done)
+              [ ("lint's levels", Some levels); ("own levels", None) ]
+        | _ -> Alcotest.failf "%s: expected a model with enumerated levels" file
+      end)
+    (Sys.readdir "../models")
+
+(* lint_source hands back the model its query pass built and the service
+   levels it enumerated, so a caller converts the source and enumerates
+   the levels once; nothing on any failure *)
 let test_lint_source_model () =
   let line2 = "../models/line2_ded.xml" in
   let src = In_channel.with_open_bin line2 In_channel.input_all in
   (match Lint.lint_source src with
-  | [], Some m ->
+  | [], Some (m, levels) ->
       Alcotest.(check bool)
         "the model Xml_io builds" true
-        (m = fst (Core.Xml_io.load line2))
+        (m = fst (Core.Xml_io.load line2));
+      Alcotest.(check bool)
+        "its service levels" true
+        (levels = Some (Core.Model.service_levels m))
   | _ -> Alcotest.fail "clean model: expected no diagnostics and a model");
   List.iter
     (fun (what, src) ->
@@ -824,6 +865,7 @@ let () =
           Alcotest.test_case "csl parser position" `Quick
             test_csl_parser_position;
           Alcotest.test_case "lint_source model" `Quick test_lint_source_model;
+          Alcotest.test_case "level labels agree" `Quick test_levels_agree;
         ] );
       ( "sweeps",
         [
