@@ -54,6 +54,10 @@ let run_experiments ids points csv output trace metrics =
     selected;
   Format.pp_print_flush out ();
   close ();
+  (* the run's self-time ledger, on stderr so the output stays the
+     artifacts alone *)
+  if trace <> None then
+    Format.eprintf "%a" Obs.Trace.pp_self_times (Obs.Trace.self_times ());
   if metrics then
     Format.printf "%a@." Obs.Metrics.pp (Obs.Metrics.snapshot ())
 
@@ -91,7 +95,9 @@ let trace_arg =
   let doc =
     "Write a Chrome trace-event JSON of the run to $(docv): one span per \
      artifact, nested spans per strategy/series and solver phase (open in \
-     Perfetto or chrome://tracing). Equivalent to OBS_TRACE=$(docv)."
+     Perfetto or chrome://tracing). Also print the spans' self-time ledger \
+     (self and total seconds and count per span name) to standard error. \
+     OBS_TRACE=$(docv) writes the same file without the ledger."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 

@@ -771,6 +771,88 @@ module Trace = struct
           (fun b -> Mutex.protect b.bm (fun () -> List.of_seq (Queue.to_seq b.q)))
           !all_buffers)
 
+  type self_time = { name : string; self_ns : int64; total_ns : int64; count : int }
+
+  (* Per track, complete events sorted by start (the longer first on a
+     tie) nest as a stack: the parent of a span is the innermost open span
+     that has not ended when it starts, and a span's self time is its
+     duration minus its children's. Spans on another track (a pool
+     worker's domain, another systhread) never subtract from a span, as
+     in the Chrome trace view. *)
+  let self_times () =
+    let tracks = Hashtbl.create 8 in
+    List.iter
+      (fun ev ->
+        if ev.ph = "X" then
+          Hashtbl.replace tracks ev.tid
+            (ev :: Option.value (Hashtbl.find_opt tracks ev.tid) ~default:[]))
+      (gather_events ());
+    let table = Hashtbl.create 32 in
+    let entry name =
+      match Hashtbl.find_opt table name with
+      | Some e -> e
+      | None ->
+          let e = (ref 0L, ref 0L, ref 0) in
+          Hashtbl.add table name e;
+          e
+    in
+    let close (_, name, dur, children) =
+      let self, _, _ = entry name in
+      self := Int64.add !self (Int64.sub dur !children)
+    in
+    Hashtbl.iter
+      (fun _ evs ->
+        let evs =
+          List.sort
+            (fun a b ->
+              match Int64.compare a.ts b.ts with 0 -> Int64.compare b.dur a.dur | c -> c)
+            evs
+        in
+        (* open spans, innermost first: (end, name, duration, children) *)
+        let stack = ref [] in
+        List.iter
+          (fun ev ->
+            let rec pop () =
+              match !stack with
+              | ((stop, _, _, _) as top) :: rest when Int64.compare stop ev.ts <= 0 ->
+                  close top;
+                  stack := rest;
+                  pop ()
+              | _ -> ()
+            in
+            pop ();
+            (match !stack with
+            | (_, _, _, children) :: _ -> children := Int64.add !children ev.dur
+            | [] -> ());
+            let _, total, count = entry ev.ev_name in
+            total := Int64.add !total ev.dur;
+            incr count;
+            stack := (Int64.add ev.ts ev.dur, ev.ev_name, ev.dur, ref 0L) :: !stack)
+          evs;
+        List.iter close !stack)
+      tracks;
+    Hashtbl.fold
+      (fun name (self, total, count) acc ->
+        { name; self_ns = !self; total_ns = !total; count = !count } :: acc)
+      table []
+    |> List.sort (fun a b ->
+           match Int64.compare b.self_ns a.self_ns with
+           | 0 -> String.compare a.name b.name
+           | c -> c)
+
+  let pp_self_times ppf rows =
+    let seconds ns = Int64.to_float ns /. 1e9 in
+    let all = List.fold_left (fun acc r -> Int64.add acc r.self_ns) 0L rows in
+    Format.fprintf ppf "@[<v>%-32s %10s %7s %10s %8s" "span" "self_s" "share" "total_s"
+      "count";
+    List.iter
+      (fun r ->
+        Format.fprintf ppf "@,%-32s %10.4f %6.1f%% %10.4f %8d" r.name (seconds r.self_ns)
+          (if all = 0L then 0. else 100. *. seconds r.self_ns /. seconds all)
+          (seconds r.total_ns) r.count)
+      rows;
+    Format.fprintf ppf "@]@."
+
   let drain_events () =
     Mutex.protect buffers_mutex (fun () ->
         List.concat_map

@@ -264,6 +264,27 @@ module Trace : sig
   (** A zero-duration instant event (Chrome phase ["i"]), tagged with the
       ambient context when one is installed. *)
 
+  (** {2 Self-time ledger} *)
+
+  type self_time = {
+    name : string;
+    self_ns : int64;  (** summed durations minus those of direct children *)
+    total_ns : int64;  (** summed durations *)
+    count : int;  (** spans of this name *)
+  }
+
+  val self_times : unit -> self_time list
+  (** The buffered complete spans folded per name, largest self time
+      first (ties by name). Spans nest per track (one per domain and
+      systhread): a span's children are the spans of its track that run
+      inside it, so work a pool worker does for a span counts as the
+      worker's span's self time, not the submitter's. A name nested in
+      itself counts both durations in its total. *)
+
+  val pp_self_times : Format.formatter -> self_time list -> unit
+  (** One line per name: self seconds, share of all self time, total
+      seconds and count. *)
+
   (** {2 Buffers and flushing} *)
 
   val set_buffer_capacity : int option -> unit

@@ -268,6 +268,60 @@ let test_trace_context_propagation () =
     workers
 
 (* ------------------------------------------------------------------ *)
+(* Self-time ledger *)
+
+(* Self time is a span's duration minus its direct children's on its own
+   track: the parent's self and the children's totals add up to the
+   parent's total exactly, a grandchild counts only against its parent,
+   and a span a pool worker runs for the parent subtracts nothing. *)
+let test_trace_self_times () =
+  let rows = ref [] and events = ref [] in
+  events :=
+    traced_events (fun () ->
+        Obs.Trace.clear ();
+        with_pool (fun pool ->
+            Obs.Trace.with_span "ledger_outer" (fun _ ->
+                spin ();
+                Obs.Trace.with_span "ledger_inner" (fun _ ->
+                    spin ();
+                    Obs.Trace.with_span "ledger_leaf" (fun _ -> spin ()));
+                Obs.Trace.with_span "ledger_inner" (fun _ -> spin ());
+                ignore
+                  (Numeric.Parallel.Pool.map pool
+                     (fun () -> Obs.Trace.with_span "ledger_worker" (fun _ -> spin ()))
+                     [ (); () ]
+                    : unit list)));
+        rows := Obs.Trace.self_times ());
+  let row name =
+    match List.find_opt (fun r -> r.Obs.Trace.name = name) !rows with
+    | Some r -> r
+    | None -> Alcotest.failf "no ledger row for %s" name
+  in
+  let outer = row "ledger_outer" and inner = row "ledger_inner" in
+  let leaf = row "ledger_leaf" and worker = row "ledger_worker" in
+  Alcotest.(check int) "inner count" 2 inner.Obs.Trace.count;
+  Alcotest.(check int) "worker count" 2 worker.Obs.Trace.count;
+  Alcotest.(check int64) "a leaf's self is its total" leaf.Obs.Trace.total_ns
+    leaf.Obs.Trace.self_ns;
+  Alcotest.(check int64)
+    "inner self = inner total - leaf total"
+    (Int64.sub inner.Obs.Trace.total_ns leaf.Obs.Trace.total_ns)
+    inner.Obs.Trace.self_ns;
+  let same_track =
+    Int64.sub outer.Obs.Trace.total_ns inner.Obs.Trace.total_ns
+  in
+  Alcotest.(check int64)
+    "outer self = outer total - inner totals (workers run elsewhere)"
+    same_track outer.Obs.Trace.self_ns;
+  Alcotest.(check int)
+    "ledger counts agree with the trace" (count_named "ledger_inner" !events)
+    inner.Obs.Trace.count;
+  let sorted = List.map (fun r -> r.Obs.Trace.self_ns) !rows in
+  Alcotest.(check bool)
+    "largest self time first" true
+    (sorted = List.sort (fun a b -> Int64.compare b a) sorted)
+
+(* ------------------------------------------------------------------ *)
 (* Bounded buffers, output cycling, incremental flush *)
 
 let test_trace_bounded_buffers () =
@@ -964,6 +1018,7 @@ let () =
             test_trace_output_cycling;
           Alcotest.test_case "incremental flush appends" `Quick
             test_trace_incremental_flush;
+          Alcotest.test_case "self-time ledger" `Quick test_trace_self_times;
         ] );
       ( "prometheus",
         [
