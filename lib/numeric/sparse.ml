@@ -378,12 +378,12 @@ let vec_mul x m =
    word costs two constant shifts per two entries; decoding entry by
    entry needs a variable shift and ran ~1.7x slower. Entries are still
    visited in increasing position, so every sum is taken in the same
-   order as over an unpacked array. The width-1 gather peels the row's
-   odd first entry and odd last entry off its whole words; the other
-   loops visit the words [lo / 2 .. (hi - 1) / 2] (none when the row is
-   empty: [asr] keeps [(0 - 1) / 2] negative) and guard each half with a
-   test that fails at most once per row, since only the first and the
-   last word can hold an entry of a neighbouring row. *)
+   order as over an unpacked array. The gathers peel a row's odd first
+   entry and odd last entry off its whole words; the relaxation sweeps
+   visit the words [lo / 2 .. (hi - 1) / 2] (none when the row is empty:
+   [asr] keeps [(0 - 1) / 2] negative) and guard each half with a test
+   that fails at most once per row, since only the first and the last
+   word can hold an entry of a neighbouring row. *)
 
 (* y <- m * x for a width-1 block, the uniformization sweeps' common
    case: a direct loop per row, in its own function so that the
@@ -429,25 +429,33 @@ let gather_k ~unif ~s ~exit ~skipping ~skip m k (xd : float array) (yd : float a
       while !c + 4 <= k do
         let c0 = !c in
         let a0 = ref 0. and a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
-        for w = lo lsr 1 to (hi - 1) asr 1 do
+        if lo land 1 = 1 && lo < hi then begin
+          let v = Array.unsafe_get vs lo and b = (idx ci lo * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1));
+          a2 := !a2 +. (v *. Array.unsafe_get xd (b + 2));
+          a3 := !a3 +. (v *. Array.unsafe_get xd (b + 3))
+        end;
+        for w = (lo + 1) lsr 1 to (hi lsr 1) - 1 do
           let cw = Array.unsafe_get ci w and p = 2 * w in
-          if p >= lo then begin
-            let v = Array.unsafe_get vs p in
-            let b = ((cw land max_index) * k) + c0 in
-            a0 := !a0 +. (v *. Array.unsafe_get xd b);
-            a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1));
-            a2 := !a2 +. (v *. Array.unsafe_get xd (b + 2));
-            a3 := !a3 +. (v *. Array.unsafe_get xd (b + 3))
-          end;
-          if p + 1 < hi then begin
-            let v = Array.unsafe_get vs (p + 1) in
-            let b = ((cw lsr half) * k) + c0 in
-            a0 := !a0 +. (v *. Array.unsafe_get xd b);
-            a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1));
-            a2 := !a2 +. (v *. Array.unsafe_get xd (b + 2));
-            a3 := !a3 +. (v *. Array.unsafe_get xd (b + 3))
-          end
+          let v = Array.unsafe_get vs p and b = ((cw land max_index) * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1));
+          a2 := !a2 +. (v *. Array.unsafe_get xd (b + 2));
+          a3 := !a3 +. (v *. Array.unsafe_get xd (b + 3));
+          let v = Array.unsafe_get vs (p + 1) and b = ((cw lsr half) * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1));
+          a2 := !a2 +. (v *. Array.unsafe_get xd (b + 2));
+          a3 := !a3 +. (v *. Array.unsafe_get xd (b + 3))
         done;
+        if hi land 1 = 1 && lo < hi then begin
+          let v = Array.unsafe_get vs (hi - 1) and b = (idx ci (hi - 1) * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1));
+          a2 := !a2 +. (v *. Array.unsafe_get xd (b + 2));
+          a3 := !a3 +. (v *. Array.unsafe_get xd (b + 3))
+        end;
         store ~unif ~s yd xd d (yb + c0) !a0;
         store ~unif ~s yd xd d (yb + c0 + 1) !a1;
         store ~unif ~s yd xd d (yb + c0 + 2) !a2;
@@ -457,21 +465,25 @@ let gather_k ~unif ~s ~exit ~skipping ~skip m k (xd : float array) (yd : float a
       if !c + 2 <= k then begin
         let c0 = !c in
         let a0 = ref 0. and a1 = ref 0. in
-        for w = lo lsr 1 to (hi - 1) asr 1 do
+        if lo land 1 = 1 && lo < hi then begin
+          let v = Array.unsafe_get vs lo and b = (idx ci lo * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1))
+        end;
+        for w = (lo + 1) lsr 1 to (hi lsr 1) - 1 do
           let cw = Array.unsafe_get ci w and p = 2 * w in
-          if p >= lo then begin
-            let v = Array.unsafe_get vs p in
-            let b = ((cw land max_index) * k) + c0 in
-            a0 := !a0 +. (v *. Array.unsafe_get xd b);
-            a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1))
-          end;
-          if p + 1 < hi then begin
-            let v = Array.unsafe_get vs (p + 1) in
-            let b = ((cw lsr half) * k) + c0 in
-            a0 := !a0 +. (v *. Array.unsafe_get xd b);
-            a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1))
-          end
+          let v = Array.unsafe_get vs p and b = ((cw land max_index) * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1));
+          let v = Array.unsafe_get vs (p + 1) and b = ((cw lsr half) * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1))
         done;
+        if hi land 1 = 1 && lo < hi then begin
+          let v = Array.unsafe_get vs (hi - 1) and b = (idx ci (hi - 1) * k) + c0 in
+          a0 := !a0 +. (v *. Array.unsafe_get xd b);
+          a1 := !a1 +. (v *. Array.unsafe_get xd (b + 1))
+        end;
         store ~unif ~s yd xd d (yb + c0) !a0;
         store ~unif ~s yd xd d (yb + c0 + 1) !a1;
         c := c0 + 2
@@ -479,19 +491,18 @@ let gather_k ~unif ~s ~exit ~skipping ~skip m k (xd : float array) (yd : float a
       if !c < k then begin
         let c0 = !c in
         let a0 = ref 0. in
-        for w = lo lsr 1 to (hi - 1) asr 1 do
+        if lo land 1 = 1 && lo < hi then
+          a0 := !a0 +. (Array.unsafe_get vs lo *. Array.unsafe_get xd ((idx ci lo * k) + c0));
+        for w = (lo + 1) lsr 1 to (hi lsr 1) - 1 do
           let cw = Array.unsafe_get ci w and p = 2 * w in
-          if p >= lo then
-            a0 :=
-              !a0
-              +. Array.unsafe_get vs p
-                 *. Array.unsafe_get xd (((cw land max_index) * k) + c0);
-          if p + 1 < hi then
-            a0 :=
-              !a0
-              +. Array.unsafe_get vs (p + 1)
-                 *. Array.unsafe_get xd (((cw lsr half) * k) + c0)
+          a0 :=
+            !a0 +. (Array.unsafe_get vs p *. Array.unsafe_get xd (((cw land max_index) * k) + c0));
+          a0 :=
+            !a0 +. (Array.unsafe_get vs (p + 1) *. Array.unsafe_get xd (((cw lsr half) * k) + c0))
         done;
+        if hi land 1 = 1 && lo < hi then
+          a0 :=
+            !a0 +. (Array.unsafe_get vs (hi - 1) *. Array.unsafe_get xd ((idx ci (hi - 1) * k) + c0));
         store ~unif ~s yd xd d (yb + c0) !a0
       end
     end
