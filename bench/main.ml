@@ -183,13 +183,14 @@ let kernel_counters () =
     after.Ctmc.Analysis.mixture_steps - before.Ctmc.Analysis.mixture_steps
   in
   (* streamed-bytes estimate of one blocked sweep: CSR values (8 B) and
-     column indices (4 B) per stored entry (transitions + uniformization
-     diagonal), row pointers (4 B), and the K-wide interleaved vectors
-     read and written once per state per step *)
+     packed column indices (4 B, two to an OCaml int) per stored entry
+     (transitions + uniformization diagonal), row pointers (8 B, one int
+     each), and the K-wide interleaved vectors read and written once per
+     state per step *)
   let full_states = float_of_int full_n in
   let nnz = float_of_int (Ctmc.Chain.transition_count chain) +. full_states in
   let step_bytes =
-    (nnz *. 12.) +. ((full_states +. 1.) *. 4.)
+    (nnz *. 12.) +. ((full_states +. 1.) *. 8.)
     +. (float_of_int batch_width *. 16. *. full_states)
   in
   let spmv_gbps =
