@@ -3,8 +3,9 @@
 
    Three parts, in order: the artifacts (the data of Tables 1-2 and
    Figures 3-11, printed with wall-clock generation times), the kernel
-   counters (one Line-2 session's mixture and lumping telemetry and the
-   blocked-sweep contrast CI gates on), and the ablation studies.
+   counters (the mixture and lumping work of one Line-2 session's calls,
+   read as deltas of the Obs.Metrics registry's analysis.* counters, and
+   the blocked-sweep contrast CI gates on), and the ablation studies.
 
    The times printed here are one sample each and gate nothing. The work
    behind each artifact (builds, states, sweeps, solver iterations) is
@@ -23,7 +24,9 @@
      counts and state-space sizes), the kernel counters, the ablation
      timings and the Obs metrics snapshot as one JSON object, atomically
      (temp file + rename).
-   - OBS_TRACE=<path>: Chrome trace-event JSON of the whole run.
+   - OBS_TRACE=<path>: Chrome trace-event JSON of the whole run; the
+     self-time ledger (self s, share, total s, count per span name) is
+     printed to stderr after the run, stdout is unchanged.
    - OBS_METRICS=1|<path>: enable the metrics registry; print the
      snapshot to stderr at exit, or write it to <path> as JSON. *)
 
@@ -103,20 +106,46 @@ let model_line2_frf1 = Watertreatment.Facility.line_model line2 frf1
 
 let grid n upto = List.init n (fun i -> upto *. float_of_int i /. float_of_int (n - 1))
 
+(* [f ()] and a reader of how far each [analysis.<name>] counter of the
+   Obs registry grew during the call, with metrics on for the call. When
+   they were off, the registry is zeroed again afterwards, so the JSON
+   [metrics] block stays empty without OBS_METRICS. *)
+let counting f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let counters () = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
+  let before = counters () in
+  let x = f () in
+  let after = counters () in
+  if not was then begin
+    Obs.Metrics.set_enabled false;
+    Obs.Metrics.reset ()
+  end;
+  let get l name =
+    Option.value ~default:0 (List.assoc_opt ("analysis." ^ name) l)
+  in
+  (x, fun name -> get after name - get before name)
+
 (* Kernel observability: run one 10-point accumulated-cost curve on a
    fresh Line-2 session and report the mixture counters (one pass, the
    sweep's SpMV count), then one quotient-backed availability on the same
    FRF-1 model and report the lumping counters — dumped into the JSON and
-   printed via pp_stats. *)
+   printed. *)
 let kernel_counters () =
-  let m = Core.Measures.analyze model_line2_frf1 in
+  (* the JSON kernel block reads mixture_passes, mixture_steps and
+     batch_columns all from this one call *)
+  let m, s =
+    counting (fun () ->
+        let m = Core.Measures.analyze model_line2_frf1 in
+        ignore (Core.Measures.accumulated_cost_curve m ~times:(grid 10 50.));
+        m)
+  in
   let a = Core.Measures.analysis m in
-  ignore (Core.Measures.accumulated_cost_curve m ~times:(grid 10 50.));
-  Format.printf "kernel: 10-pt accumulated curve -> %a@."
-    Ctmc.Analysis.pp_stats a;
-  (* the curve's counters: the JSON kernel block reads mixture_passes,
-     mixture_steps and batch_columns all from this one snapshot *)
-  let s = Ctmc.Analysis.stats a in
+  Format.printf
+    "kernel: 10-pt accumulated curve -> fg %d computed/%d hits, mixture %d \
+     passes/%d steps, %d columns@."
+    (s "weight_computes") (s "weight_hits") (s "mixture_passes")
+    (s "mixture_steps") (s "batch_columns");
   (* Blocked-kernel contrast (the BATCH knob, default 5): K fig7-style
      Tail_over_lambda streams (accumulated cost over a 10-point grid to
      t=50), each from its own point-mass start so that no two share an
@@ -162,9 +191,7 @@ let kernel_counters () =
         : float list list)
   in
   (* one untimed batched sweep warms the session and counts its steps *)
-  let before = Ctmc.Analysis.stats a in
-  batched ();
-  let after = Ctmc.Analysis.stats a in
+  let (), warm = counting batched in
   (* best of five per side, the three sides timed in alternating rounds
      so that a slow spell of the machine hits all of them alike *)
   let best = [| infinity; infinity; infinity |] in
@@ -179,9 +206,7 @@ let kernel_counters () =
   let unbatched_seconds = best.(0)
   and batched_seconds = best.(1)
   and projected_seconds = best.(2) in
-  let sweeps_per_solve =
-    after.Ctmc.Analysis.mixture_steps - before.Ctmc.Analysis.mixture_steps
-  in
+  let sweeps_per_solve = warm "mixture_steps" in
   (* streamed-bytes estimate of one blocked sweep: CSR values (8 B) and
      packed column indices (4 B, two to an OCaml int) per stored entry
      (transitions + uniformization diagonal), row pointers (8 B, one int
@@ -202,19 +227,24 @@ let kernel_counters () =
     batch_width batched_seconds unbatched_seconds
     (unbatched_seconds /. batched_seconds)
     spmv_gbps projected_seconds;
-  let ml = Core.Measures.analyze ~lump:true model_line2_frf1 in
-  let al = Core.Measures.analysis ml in
-  ignore (Core.Measures.availability ml);
-  ignore (Core.Measures.availability ml);
-  Format.printf "kernel: quotient availability x2 -> %a@."
-    Ctmc.Analysis.pp_stats al;
-  let sl = Ctmc.Analysis.stats al in
+  let (ml, lumped_states), sl =
+    counting (fun () ->
+        let ml = Core.Measures.analyze ~lump:true model_line2_frf1 in
+        ignore (Core.Measures.availability ml);
+        ignore (Core.Measures.availability ml);
+        (ml, Obs.Metrics.gauge_value (Obs.Metrics.gauge "analysis.lumped_states")))
+  in
+  Format.printf
+    "kernel: quotient availability x2 -> steady %d solved/%d hits, lump %d \
+     built/%d hits (%.0f states)@."
+    (sl "steady_solves") (sl "steady_hits") (sl "lump_builds") (sl "lump_hits")
+    lumped_states;
   let states =
     Ctmc.Chain.states (Core.Measures.built ml).Core.Semantics.chain
   in
   [
-    ("mixture_passes", float_of_int s.Ctmc.Analysis.mixture_passes);
-    ("mixture_steps", float_of_int s.Ctmc.Analysis.mixture_steps);
+    ("mixture_passes", float_of_int (s "mixture_passes"));
+    ("mixture_steps", float_of_int (s "mixture_steps"));
     ("states", float_of_int states);
     ("batch_width", float_of_int batch_width);
     ("batched_seconds", batched_seconds);
@@ -222,10 +252,10 @@ let kernel_counters () =
     ("projected_seconds", projected_seconds);
     ("sweeps_per_solve", float_of_int sweeps_per_solve);
     ("spmv_gb_per_s", spmv_gbps);
-    ("batch_columns", float_of_int s.Ctmc.Analysis.batch_columns);
-    ("lump_builds", float_of_int sl.Ctmc.Analysis.lump_builds);
-    ("lump_hits", float_of_int sl.Ctmc.Analysis.lump_hits);
-    ("lumped_states", float_of_int sl.Ctmc.Analysis.lumped_states);
+    ("batch_columns", float_of_int (s "batch_columns"));
+    ("lump_builds", float_of_int (sl "lump_builds"));
+    ("lump_hits", float_of_int (sl "lump_hits"));
+    ("lumped_states", lumped_states);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -279,6 +309,8 @@ let () =
   let ablations =
     if skip "BENCH_SKIP_ABLATIONS" then [] else print_ablations ()
   in
-  match Sys.getenv_opt "BENCH_JSON" with
+  (match Sys.getenv_opt "BENCH_JSON" with
   | Some path -> write_json path ~artifacts ~kernel ~ablations
-  | None -> ()
+  | None -> ());
+  if Obs.Trace.enabled () then
+    Format.eprintf "%a" Obs.Trace.pp_self_times (Obs.Trace.self_times ())

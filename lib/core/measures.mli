@@ -101,9 +101,8 @@ val exact_on_quotient : Model.t -> Csl.Ast.state_formula -> bool
 val built : t -> Semantics.built
 
 val analysis : t -> Ctmc.Analysis.t
-(** The underlying analysis session — e.g. to inspect cache-hit statistics
-    ({!Ctmc.Analysis.stats}) or to run raw [Ctmc] queries that share this
-    model's caches. *)
+(** The underlying analysis session — e.g. to run raw [Ctmc] queries that
+    share this model's caches. *)
 
 val to_csl_model : t -> Csl.Checker.model
 (** A CSL model with labels ["down"], ["operational"], ["full_service"],

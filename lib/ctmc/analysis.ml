@@ -4,39 +4,9 @@ module Multivec = Numeric.Multivec
 module Fox_glynn = Numeric.Fox_glynn
 module Digraph = Numeric.Digraph
 
-type counters = {
-  mutable embedded_builds : int;
-  mutable weight_computes : int;
-  mutable weight_hits : int;
-  mutable steady_solves : int;
-  mutable steady_hits : int;
-  mutable mixture_passes : int;
-  mutable mixture_steps : int;
-  mutable batch_columns : int;
-  mutable lump_builds : int;
-  mutable lump_hits : int;
-  mutable lumped_states : int;
-}
-
-type stats = {
-  embedded_builds : int;
-  weight_computes : int;
-  weight_hits : int;
-  steady_solves : int;
-  steady_hits : int;
-  mixture_passes : int;
-  mixture_steps : int;
-  batch_columns : int;
-  lump_builds : int;
-  lump_hits : int;
-  lumped_states : int;
-}
-
-(* Obs registry mirrors of the per-session counters. Sessions keep their
-   private always-on ints — the {!stats} compatibility view — and every
-   bump also feeds the process-wide registry (a single flag check, one
-   atomic increment when metrics are on), aggregating the same events
-   across all sessions and domains. *)
+(* Every event is counted once, in the process-wide Obs registry (a
+   single flag check, one atomic increment when metrics are on), which
+   aggregates all sessions, views and quotient sessions on every domain. *)
 let m_embedded_builds = Obs.Metrics.counter "analysis.embedded_builds"
 
 let m_weight_computes = Obs.Metrics.counter "analysis.weight_computes"
@@ -82,7 +52,7 @@ type operator = {
 
 (* The steady-state vectors (BSCC weights) and the quotients (lumped
    initial distribution) depend on the chain's initial distribution, so
-   they stay per session, like the counters. *)
+   they stay per session. *)
 type t = {
   chain : Chain.t;
   op : operator;
@@ -91,7 +61,6 @@ type t = {
      partition; each bucket entry keeps the full partition to verify the
      hit *)
   quot_tbl : (int64, (int array * quotient) list) Hashtbl.t;
-  counters : counters;
 }
 
 and quotient = { lumping : Lumping.result; q : t }
@@ -102,20 +71,6 @@ let session chain op =
     op;
     steady_tbl = Hashtbl.create 4;
     quot_tbl = Hashtbl.create 4;
-    counters =
-      {
-        embedded_builds = 0;
-        weight_computes = 0;
-        weight_hits = 0;
-        steady_solves = 0;
-        steady_hits = 0;
-        mixture_passes = 0;
-        mixture_steps = 0;
-        batch_columns = 0;
-        lump_builds = 0;
-        lump_hits = 0;
-        lumped_states = 0;
-      };
   }
 
 let create chain =
@@ -152,7 +107,6 @@ let embedded t =
   | Some e -> e
   | None ->
       let e = Chain.embedded t.chain in
-      t.counters.embedded_builds <- t.counters.embedded_builds + 1;
       Obs.Metrics.incr m_embedded_builds;
       t.op.emb <- Some e;
       e
@@ -273,12 +227,10 @@ let weights_at ?(epsilon = default_epsilon) t ~lambda time =
   let key = (lambda *. time, epsilon) in
   match Hashtbl.find_opt t.op.weight_tbl key with
   | Some w ->
-      t.counters.weight_hits <- t.counters.weight_hits + 1;
       Obs.Metrics.incr m_weight_hits;
       w
   | None ->
       let w = Fox_glynn.compute ~epsilon (lambda *. time) in
-      t.counters.weight_computes <- t.counters.weight_computes + 1;
       Obs.Metrics.incr m_weight_computes;
       Hashtbl.replace t.op.weight_tbl key w;
       w
@@ -290,12 +242,10 @@ let cached_steady t ~tol compute =
   validate_positive ~what:"Analysis.cached_steady: tol" tol;
   match Hashtbl.find_opt t.steady_tbl tol with
   | Some pi ->
-      t.counters.steady_hits <- t.counters.steady_hits + 1;
       Obs.Metrics.incr m_steady_hits;
       Vec.copy pi
   | None ->
       let pi = compute () in
-      t.counters.steady_solves <- t.counters.steady_solves + 1;
       Obs.Metrics.incr m_steady_solves;
       Hashtbl.replace t.steady_tbl tol (Vec.copy pi);
       pi
@@ -366,11 +316,9 @@ let quotient ?rate_tolerance t ~respect =
   in
   match List.find_opt (fun (p, _) -> p = part) bucket with
   | Some (_, quot) ->
-      t.counters.lump_hits <- t.counters.lump_hits + 1;
       Obs.Metrics.incr m_lump_hits;
-      t.counters.lumped_states <- Chain.states quot.q.chain;
       Obs.Metrics.set_gauge m_lumped_states
-        (float_of_int t.counters.lumped_states);
+        (float_of_int (Chain.states quot.q.chain));
       quot
   | None ->
       let lumping =
@@ -383,11 +331,9 @@ let quotient ?rate_tolerance t ~respect =
         end;
         l
       in
-      t.counters.lump_builds <- t.counters.lump_builds + 1;
       Obs.Metrics.incr m_lump_builds;
-      t.counters.lumped_states <- Chain.states lumping.Lumping.quotient;
       Obs.Metrics.set_gauge m_lumped_states
-        (float_of_int t.counters.lumped_states);
+        (float_of_int (Chain.states lumping.Lumping.quotient));
       let quot = { lumping; q = create lumping.Lumping.quotient } in
       Hashtbl.replace t.quot_tbl h ((part, quot) :: bucket);
       quot
@@ -624,9 +570,7 @@ let sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare =
     let total_times =
       Array.fold_left (fun s b -> s + List.length b.times) 0 barr
     in
-    t.counters.mixture_passes <- t.counters.mixture_passes + 1;
     Obs.Metrics.incr m_mixture_passes;
-    t.counters.batch_columns <- t.counters.batch_columns + streams;
     Obs.Metrics.add m_batch_columns streams;
     Obs.Metrics.observe m_sweep_len (float_of_int (right_max + 1));
     Obs.Metrics.set_gauge m_fg_mass_deficit !fg_deficit;
@@ -678,7 +622,6 @@ let sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare =
         consume k !v;
         if k < right_max then begin
           Sparse.mul_multi_into ?uniformize ?skip op !v !next;
-          t.counters.mixture_steps <- t.counters.mixture_steps + 1;
           let tmp = !v in
           v := !next;
           next := tmp
@@ -851,28 +794,3 @@ let poisson_mixture_values ?epsilon ?absorbing t ~dir pairs =
             | Tail_over_lambda -> 0.)
         b.times)
     pairs
-
-let stats t =
-  let c = t.counters in
-  {
-    embedded_builds = c.embedded_builds;
-    weight_computes = c.weight_computes;
-    weight_hits = c.weight_hits;
-    steady_solves = c.steady_solves;
-    steady_hits = c.steady_hits;
-    mixture_passes = c.mixture_passes;
-    mixture_steps = c.mixture_steps;
-    batch_columns = c.batch_columns;
-    lump_builds = c.lump_builds;
-    lump_hits = c.lump_hits;
-    lumped_states = c.lumped_states;
-  }
-
-let pp_stats ppf t =
-  let s = stats t in
-  Format.fprintf ppf
-    "analysis: fg %d computed/%d hits, steady %d solved/%d hits, mixture %d \
-     passes/%d steps, %d columns, lump %d built/%d hits (%d states)"
-    s.weight_computes s.weight_hits s.steady_solves s.steady_hits
-    s.mixture_passes s.mixture_steps s.batch_columns
-    s.lump_builds s.lump_hits s.lumped_states

@@ -28,9 +28,9 @@ val with_init : t -> Numeric.Vec.t -> t
     — the uniformization rate, {!embedded}, {!rates_transposed}, {!sccs},
     {!bottom_sccs} and the {!weights} table — so whichever of the two
     sessions derives one of them first, both see it. The steady-state
-    vectors (BSCC weights), the {!quotient}s (lumped initial distribution)
-    and the {!stats} counters depend on the initial distribution and stay
-    per session. Both sessions must stay in one domain. Raises
+    vectors (BSCC weights) and the {!quotient}s (lumped initial
+    distribution) depend on the initial distribution and stay per
+    session. Both sessions must stay in one domain. Raises
     [Invalid_argument] as {!Chain.with_init} does. *)
 
 val chain : t -> Chain.t
@@ -288,41 +288,31 @@ val check_times : string -> float list -> unit
 
 (** {2 Instrumentation} *)
 
-type stats = {
-  embedded_builds : int;
-  weight_computes : int;
-  weight_hits : int;
-  steady_solves : int;
-  steady_hits : int;
-  mixture_passes : int;
-      (** sweeps of the shared uniformization kernel (calls of any of its
-          entry points, vector or values face, that did numerical work) *)
-  mixture_steps : int;
-      (** matrix passes performed across all kernel sweeps (a blocked step
-          counts once however many streams ride it) — the observable a
-          multi-point curve saves on versus per-point segments *)
-  batch_columns : int;
-      (** total stream count across those sweeps; [batch_columns /
-          mixture_passes] is the mean number of streams per sweep (streams
-          that share an iterate column each count) *)
-  lump_builds : int;  (** lumpings computed by {!quotient} *)
-  lump_hits : int;  (** {!quotient} calls served from the memo table *)
-  lumped_states : int;
-      (** state count of the most recent quotient chain (0 when {!quotient}
-          was never called) *)
-}
-(** Cache-effectiveness counters for this session alone (quotient
-    sessions keep their own). Exposed so tests can assert that repeated
-    queries do not rebuild artifacts, and so the bench can report hit
-    rates and kernel work.
+(** Sessions keep no counters of their own: every cache event is counted
+    once, in the process-wide {!Obs.Metrics} registry, which aggregates
+    all sessions (views and quotient sessions included) on every domain,
+    and records only while metrics are enabled. Read a session's work as
+    the growth of these instruments across its calls:
+    - [analysis.embedded_builds], [analysis.weight_computes],
+      [analysis.weight_hits], [analysis.steady_solves] and
+      [analysis.steady_hits]: cache builds and hits;
+    - [analysis.mixture_passes]: sweeps of the shared uniformization
+      kernel (calls of any of its entry points, vector or values face,
+      that did numerical work);
+    - [analysis.mixture_steps]: matrix passes across those sweeps (a
+      blocked step counts once however many streams ride it), the
+      observable a multi-point curve saves on versus per-point segments;
+    - [analysis.batch_columns]: total stream count across those sweeps,
+      so [batch_columns / mixture_passes] is the mean number of streams
+      per sweep (streams that share an iterate column each count);
+    - [analysis.lump_builds] and [analysis.lump_hits]: lumpings computed
+      by {!quotient} and {!quotient} calls served from the memo table;
+    - gauges [analysis.lumped_states] (state count of the most recent
+      quotient chain) and [analysis.fg_mass_deficit] (worst Fox–Glynn
+      truncation of the last sweep), and the [analysis.sweep_length]
+      histogram.
 
-    {b Observability.} These counters are the compatibility view of the
-    {!Obs.Metrics} registry: every bump also feeds the process-wide
-    [analysis.*] instruments (counters of the same names,
-    [analysis.lumped_states] as a gauge, plus an [analysis.sweep_length]
-    histogram), which aggregate across {e all} sessions and domains. With
-    metrics enabled, a fresh registry and a single fresh session therefore
-    agree field by field. When tracing is on, every kernel sweep (either
+    When tracing is on, every kernel sweep (either
     face) runs under an [analysis.mixture] span (with
     [states]/[batch_width]/[streams]/[times]/[sweep_length]/[spmvs]
     attributes; [batch_width] is the iterate block width, i.e. the number
@@ -333,8 +323,3 @@ type stats = {
     {!rates_transposed} and {!sccs} build under [analysis.transpose_rates]
     and [analysis.sccs] spans, and {!quotient} builds under an
     [analysis.lump] span. *)
-
-val stats : t -> stats
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line build/hit summary. *)

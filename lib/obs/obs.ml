@@ -565,7 +565,6 @@ module Trace = struct
     tid : int;
     q : event Queue.t;
     bm : Mutex.t;
-    mutable b_dropped : int;
   }
 
   let all_buffers : buffer list ref = ref []
@@ -587,15 +586,10 @@ module Trace = struct
             tid = (Domain.self () :> int);
             q = Queue.create ();
             bm = Mutex.create ();
-            b_dropped = 0;
           }
         in
         Mutex.protect buffers_mutex (fun () -> all_buffers := b :: !all_buffers);
         b)
-
-  let dropped_events () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.fold_left (fun acc b -> acc + b.b_dropped) 0 !all_buffers)
 
   let t0 = monotonic_ns ()
 
@@ -622,17 +616,13 @@ module Trace = struct
   let record ev =
     if !on then begin
       let b = Domain.DLS.get buffer_key in
-      let dropped =
-        Mutex.protect b.bm (fun () ->
-            Queue.add ev b.q;
-            match !capacity with
-            | Some cap when Queue.length b.q > cap ->
-                ignore (Queue.pop b.q);
-                b.b_dropped <- b.b_dropped + 1;
-                true
-            | _ -> false)
-      in
-      if dropped then Metrics.incr m_dropped
+      Mutex.protect b.bm (fun () ->
+          Queue.add ev b.q;
+          match !capacity with
+          | Some cap when Queue.length b.q > cap ->
+              ignore (Queue.pop b.q);
+              Metrics.incr m_dropped
+          | _ -> ())
     end;
     if !flight_on then !flight_push_ev ev
 
@@ -867,9 +857,7 @@ module Trace = struct
     Mutex.protect buffers_mutex (fun () ->
         List.iter
           (fun b ->
-            Mutex.protect b.bm (fun () ->
-                Queue.clear b.q;
-                b.b_dropped <- 0))
+            Mutex.protect b.bm (fun () -> Queue.clear b.q))
           !all_buffers)
 
   let by_ts a b = Int64.compare a.ts b.ts
@@ -988,10 +976,6 @@ module Flight = struct
   let clear () =
     Mutex.protect rings_mutex (fun () -> List.iter Ring.clear !all_rings)
 
-  let dump_total = Atomic.make 0
-
-  let dump_count () = Atomic.get dump_total
-
   let m_dumps = Metrics.counter "flight.dumps"
 
   let dump ?(reason = "manual") () =
@@ -1012,7 +996,6 @@ module Flight = struct
     in
     write_file_atomic !out_path
       (Trace.array_text (List.sort Trace.by_ts events @ [ marker ]));
-    ignore (Atomic.fetch_and_add dump_total 1 : int);
     Metrics.incr m_dumps
 
   let () =

@@ -290,18 +290,15 @@ module Trace : sig
   val set_buffer_capacity : int option -> unit
   (** Bound every per-domain buffer to the given number of events; on
       overflow the oldest event is dropped and the
-      [trace.dropped_events] counter bumped. [None] (the default)
+      [trace.dropped_events] counter bumped (the one count of dropped
+      events, recorded while metrics are enabled). [None] (the default)
       retains everything — right for short-lived binaries, wrong for
       daemons. *)
 
   val buffer_capacity : unit -> int option
 
-  val dropped_events : unit -> int
-  (** Total events dropped to capacity bounds since the last {!clear}. *)
-
   val clear : unit -> unit
-  (** Discard all buffered events and reset the dropped count. Meant for
-      tests. *)
+  (** Discard all buffered events. Meant for tests. *)
 
   val set_incremental : bool -> unit
   (** In incremental mode each {!flush} {e drains} the buffers and
@@ -338,10 +335,8 @@ module Flight : sig
   val dump : ?reason:string -> unit -> unit
   (** Atomically write the ring contents (all domains, sorted, plus a
       [flight.dump] marker carrying [reason]) as a Chrome trace to
-      {!path}. Bumps the [flight.dumps] counter. *)
-
-  val dump_count : unit -> int
-  (** Number of dumps performed by this process. *)
+      {!path}. Bumps the [flight.dumps] counter, the one count of dumps
+      (recorded while metrics are enabled, as in the daemon). *)
 
   val request_dump : unit -> unit
   (** Ask for a dump from an async-signal context: only sets a flag. *)

@@ -138,8 +138,17 @@ let lex input =
           done
         end;
         let text = String.sub input start (!pos - start) in
-        if !is_real then emit (REAL (float_of_string text)) l c0
-        else emit (INT (int_of_string text)) l c0
+        let tok =
+          if !is_real then Option.map (fun r -> REAL r) (float_of_string_opt text)
+          else Option.map (fun i -> INT i) (int_of_string_opt text)
+        in
+        (* "2e" (no exponent digits) or an int past max_int *)
+        (match tok with
+        | Some tok -> emit tok l c0
+        | None ->
+            raise
+              (Syntax_error
+                 { line = l; column = c0; message = Printf.sprintf "bad number %S" text }))
     | ch when is_ident_start ch ->
         let start = !pos in
         while !pos < n && is_ident input.[!pos] do

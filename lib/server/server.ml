@@ -30,18 +30,10 @@ let default_config () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Counters: always-on atomics for /stats, mirrored into the Obs
-   registry (the mirror is flag-gated inside Obs)                     *)
+(* Counters: handles into the process-wide Obs registry, which /stats
+   and /metrics read ({!start} switches it on)                        *)
 
-type counter = { v : int Atomic.t; m : Obs.Metrics.counter }
-
-let make_counter name = { v = Atomic.make 0; m = Obs.Metrics.counter name }
-
-let bump ?(n = 1) c =
-  ignore (Atomic.fetch_and_add c.v n : int);
-  Obs.Metrics.add c.m n
-
-let cval c = Atomic.get c.v
+type counter = Obs.Metrics.counter
 
 type counters = {
   requests : counter;  (** POST /analyze admitted past validation *)
@@ -57,19 +49,20 @@ type counters = {
   batched_queries : counter;  (** queries answered by a shared sweep *)
 }
 
-let make_counters () =
+let counters =
+  let m name = Obs.Metrics.counter ("server." ^ name) in
   {
-    requests = make_counter "server.requests";
-    queries = make_counter "server.queries";
-    rejected = make_counter "server.rejected";
-    query_errors = make_counter "server.query_errors";
-    session_hits = make_counter "server.session_hits";
-    session_misses = make_counter "server.session_misses";
-    session_evictions = make_counter "server.session_evictions";
-    batch_windows = make_counter "server.batch_windows";
-    coalesced = make_counter "server.coalesced";
-    batch_groups = make_counter "server.batch_groups";
-    batched_queries = make_counter "server.batched_queries";
+    requests = m "requests";
+    queries = m "queries";
+    rejected = m "rejected";
+    query_errors = m "query_errors";
+    session_hits = m "session_hits";
+    session_misses = m "session_misses";
+    session_evictions = m "session_evictions";
+    batch_windows = m "batch_windows";
+    coalesced = m "coalesced";
+    batch_groups = m "batch_groups";
+    batched_queries = m "batched_queries";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -191,7 +184,6 @@ type t = {
   mutable cache_count : int;
   mutable clock : int;
   cm : Mutex.t;
-  c : counters;
   access_log : (out_channel * bool) option;
       (** [(channel, close_at_stop)], from [OBS_ACCESS_LOG] *)
   al_mutex : Mutex.t;
@@ -262,7 +254,7 @@ let evict_over_capacity srv =
         if rest = [] then Hashtbl.remove srv.cache key
         else Hashtbl.replace srv.cache key rest;
         srv.cache_count <- srv.cache_count - 1;
-        bump srv.c.session_evictions
+        Obs.Metrics.incr counters.session_evictions
   done
 
 (* Returns [(session, was_cached)]. Building happens outside the cache
@@ -314,8 +306,8 @@ let ok_value text v = Json.Obj [ ("query", Str text); ("value", Json.num v) ]
 
 let ok_bool text b = Json.Obj [ ("query", Str text); ("satisfied", Bool b) ]
 
-let err_result srv text msg =
-  bump srv.c.query_errors;
+let err_result text msg =
+  Obs.Metrics.incr counters.query_errors;
   Json.Obj [ ("query", Str text); ("error", Str msg) ]
 
 let error_message = function
@@ -365,14 +357,14 @@ let pred_of csl f =
   fun s -> sat.(s)
 
 (* One group of batchable slots -> one uniformization sweep. *)
-let eval_group srv (m : Core.Measures.t) key (slots : (slot * contribution) list) =
+let eval_group (m : Core.Measures.t) key (slots : (slot * contribution) list) =
   let analysis = Core.Measures.analysis m in
   let csl = Core.Measures.to_csl_model m in
   let chain = (Core.Measures.built m).Core.Semantics.chain in
   let lump = m.lump in
   let fill_errors msg =
     List.iter
-      (fun (slot, _) -> slot.answers.(slot.idx) <- Some (err_result srv slot.text msg))
+      (fun (slot, _) -> slot.answers.(slot.idx) <- Some (err_result slot.text msg))
       slots
   in
   match key with
@@ -447,13 +439,13 @@ let eval_group srv (m : Core.Measures.t) key (slots : (slot * contribution) list
                 cumul cumul_points
           | exception e -> fill_errors (error_message e)))
 
-let eval_single srv m slot =
+let eval_single m slot =
   let csl = Core.Measures.to_csl_model m in
   let answer =
     match Csl.Checker.check csl slot.ast with
     | Csl.Checker.Value v -> ok_value slot.text v
     | Csl.Checker.Satisfied b -> ok_bool slot.text b
-    | exception e -> err_result srv slot.text (error_message e)
+    | exception e -> err_result slot.text (error_message e)
   in
   slot.answers.(slot.idx) <- Some answer
 
@@ -461,7 +453,7 @@ let ns_to_ms ns = Int64.to_float ns /. 1e6
 
 (* Evaluate the slots routed to one chain [m]: batchable queries are
    grouped by plan key and each group costs one sweep. *)
-let eval_slots srv m slots =
+let eval_slots m slots =
   let groups : (plan_key, (slot * contribution) list) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -481,18 +473,18 @@ let eval_slots srv m slots =
   List.iter
     (fun key ->
       let group = List.rev (Hashtbl.find groups key) in
-      bump srv.c.batch_groups;
-      bump ~n:(List.length group) srv.c.batched_queries;
+      Obs.Metrics.incr counters.batch_groups;
+      Obs.Metrics.add counters.batched_queries (List.length group);
       let kind = match key with K_until _ -> "until" | K_reward _ -> "reward" in
       let t0 = Obs.monotonic_ns () in
-      eval_group srv m key group;
+      eval_group m key group;
       Obs.Metrics.observe (h_query_latency kind)
         (ns_to_ms (Int64.sub (Obs.monotonic_ns ()) t0)))
     (List.rev !group_order);
   List.iter
     (fun slot ->
       let t0 = Obs.monotonic_ns () in
-      eval_single srv m slot;
+      eval_single m slot;
       Obs.Metrics.observe
         (h_query_latency (query_kind slot.ast))
         (ns_to_ms (Int64.sub (Obs.monotonic_ns ()) t0)))
@@ -547,10 +539,10 @@ let process_group srv jobs =
         Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
       r
     in
-    if was_cached then bump ~n:coalesced srv.c.session_hits
+    if was_cached then Obs.Metrics.add counters.session_hits coalesced
     else begin
-      bump srv.c.session_misses;
-      if coalesced > 1 then bump ~n:(coalesced - 1) srv.c.session_hits
+      Obs.Metrics.incr counters.session_misses;
+      if coalesced > 1 then Obs.Metrics.add counters.session_hits (coalesced - 1)
     end;
     let slots =
       List.concat_map
@@ -578,7 +570,7 @@ let process_group srv jobs =
         | Invalid_argument m | Failure m -> m
         | e -> Printexc.to_string e
       in
-      bump ~n:coalesced srv.c.rejected;
+      Obs.Metrics.add counters.rejected coalesced;
       List.iter
         (fun job ->
           job.j_session <- "rejected";
@@ -593,7 +585,7 @@ let process_group srv jobs =
       (try
          List.iter
            (fun (kind, m) ->
-             eval_slots srv m
+             eval_slots m
                (List.filter_map
                   (fun (k, slot) -> if k = kind then Some slot else None)
                   slots))
@@ -608,7 +600,7 @@ let process_group srv jobs =
                  if Option.is_none a then
                    answers.(i) <-
                      Some
-                       (err_result srv
+                       (err_result
                           (fst (List.nth job.j_queries i))
                           msg))
                answers)
@@ -709,9 +701,9 @@ let scheduler srv =
             l)
       in
       if batch <> [] then begin
-        bump srv.c.batch_windows;
+        Obs.Metrics.incr counters.batch_windows;
         let groups = group_jobs batch in
-        bump ~n:(List.length batch - List.length groups) srv.c.coalesced;
+        Obs.Metrics.add counters.coalesced (List.length batch - List.length groups);
         match groups with
         | [ g ] -> process_group srv g
         | gs ->
@@ -755,38 +747,33 @@ let diagnostics_json diags =
        diags)
 
 let stats_json srv =
-  let a name =
-    ( name,
-      Json.num
-        (float_of_int
-           (Obs.Metrics.counter_value (Obs.Metrics.counter ("analysis." ^ name))))
-    )
-  in
-  let sc name c = (name, Json.num (float_of_int (cval c))) in
-  let hits = cval srv.c.session_hits and misses = cval srv.c.session_misses in
+  let sc name k = (name, Json.num (float_of_int (Obs.Metrics.counter_value k))) in
+  let a name = sc name (Obs.Metrics.counter ("analysis." ^ name)) in
+  let hits = Obs.Metrics.counter_value counters.session_hits
+  and misses = Obs.Metrics.counter_value counters.session_misses in
   let live = Mutex.protect srv.cm (fun () -> srv.cache_count) in
   Json.Obj
     [
       ( "server",
         Json.Obj
           [
-            sc "requests" srv.c.requests;
-            sc "queries" srv.c.queries;
-            sc "rejected" srv.c.rejected;
-            sc "query_errors" srv.c.query_errors;
-            sc "batch_windows" srv.c.batch_windows;
-            sc "coalesced" srv.c.coalesced;
-            sc "batch_groups" srv.c.batch_groups;
-            sc "batched_queries" srv.c.batched_queries;
+            sc "requests" counters.requests;
+            sc "queries" counters.queries;
+            sc "rejected" counters.rejected;
+            sc "query_errors" counters.query_errors;
+            sc "batch_windows" counters.batch_windows;
+            sc "coalesced" counters.coalesced;
+            sc "batch_groups" counters.batch_groups;
+            sc "batched_queries" counters.batched_queries;
           ] );
       ( "sessions",
         Json.Obj
           [
             ("live", Json.num (float_of_int live));
             ("capacity", Json.num (float_of_int srv.cfg.max_sessions));
-            sc "hits" srv.c.session_hits;
-            sc "misses" srv.c.session_misses;
-            sc "evictions" srv.c.session_evictions;
+            sc "hits" counters.session_hits;
+            sc "misses" counters.session_misses;
+            sc "evictions" counters.session_evictions;
             ( "hit_rate",
               Json.num
                 (if hits + misses = 0 then 0.
@@ -814,7 +801,7 @@ let stats_json srv =
 let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
     ~(meta : req_meta) =
   let reject status json =
-    bump srv.c.rejected;
+    Obs.Metrics.incr counters.rejected;
     respond_json ~status json
   in
   match
@@ -924,8 +911,8 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                     respond_json ~status:503
                       (Json.Obj [ ("error", Str "server is shutting down") ])
                   else begin
-                    bump srv.c.requests;
-                    bump ~n:(List.length j_queries) srv.c.queries;
+                    Obs.Metrics.incr counters.requests;
+                    Obs.Metrics.add counters.queries (List.length j_queries);
                     let status, body = await_job job in
                     if job.j_session <> "" then meta.m_session <- Some job.j_session;
                     if job.j_chains <> "" then meta.m_chains <- Some job.j_chains;
@@ -1094,7 +1081,7 @@ and handle_request srv fd req =
               ~meta;
             keep_alive
         | _, path ->
-            bump srv.c.rejected;
+            Obs.Metrics.incr counters.rejected;
             respond_json ~status:404
               (Json.Obj [ ("error", Str ("no such endpoint: " ^ path)) ]);
             keep_alive
@@ -1151,7 +1138,7 @@ let handle_conn srv fd =
      serve ()
    with
   | Http.Bad_request msg -> (
-      bump srv.c.rejected;
+      Obs.Metrics.incr counters.rejected;
       try
         json_response ~keep_alive:false fd ~status:400
           (Json.Obj [ ("error", Str msg) ])
@@ -1247,7 +1234,6 @@ let start ?(config = default_config ()) () =
       cache_count = 0;
       clock = 0;
       cm = Mutex.create ();
-      c = make_counters ();
       access_log;
       al_mutex = Mutex.create ();
       accept_thread = None;

@@ -75,8 +75,10 @@ type t
 val start : ?config:config -> unit -> t
 (** Bind, spawn the accept and scheduler threads and return. Enables
     {!Obs.Metrics} recording (a server's stats endpoint is part of its
-    contract). Raises [Unix.Unix_error] if the address cannot be
-    bound. *)
+    contract). [/stats] reads the process-wide registry, so its counts
+    run from process start: one daemon per process, or
+    {!Obs.Metrics.reset} before {!start}, gives one daemon's counts.
+    Raises [Unix.Unix_error] if the address cannot be bound. *)
 
 val port : t -> int
 (** The actually bound port — useful with [config.port = 0]. *)

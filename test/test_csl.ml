@@ -78,7 +78,42 @@ let test_parse_errors () =
       match Parser.parse input with
       | exception Parser.Syntax_error _ -> ()
       | f -> Alcotest.failf "expected error on %S, got %s" input (Ast.to_string f))
-    [ ""; "P=?"; "P=? [ ]"; {|P=? [ "a" ] extra|}; "S=? [ X \"a\" ]"; "R=? [ Q ]" ]
+    [
+      "";
+      "P=?";
+      "P=? [ ]";
+      {|P=? [ "a" ] extra|};
+      "S=? [ X \"a\" ]";
+      "R=? [ Q ]";
+      (* numbers the PRISM lexer cannot convert *)
+      "P=? [ F<=100 (x > 2e) ]";
+      "S=? [ (x > 99999999999999999999) ]";
+    ]
+
+(* Never raise: any token string parses to a formula or raises
+   [Syntax_error], nothing else. The vocabulary mixes CSL and PRISM
+   tokens with malformed numbers, so most strings are near misses. *)
+let csl_tokens =
+  [| "P"; "S"; "R"; "=?"; ">="; "<"; "<="; ">"; "="; "["; "]"; "("; ")";
+     "{"; "}"; "F"; "G"; "X"; "U"; "C"; "I"; "!"; "&"; "|"; "=>"; ",";
+     "true"; "false"; "x"; "\"a\""; "\"cost\""; "\""; "0"; "0.5"; "1e";
+     "2e"; "1e3"; "1e400"; "99999999999999999999"; "-1"; "."; ".."; "+";
+     "*"; "min"; "?" |]
+
+let prop_csl_parse_never_raises =
+  QCheck.Test.make ~count:2000
+    ~name:"Csl.Parser.parse: a formula or Syntax_error"
+    QCheck.(
+      make ~print:Fun.id
+        Gen.(
+          map2 (String.concat)
+            (oneofl [ " "; "" ])
+            (list_size (int_range 0 14)
+               (map (Array.get csl_tokens) (int_bound (Array.length csl_tokens - 1))))))
+    (fun input ->
+      match Parser.parse input with
+      | _ -> true
+      | exception Parser.Syntax_error _ -> true)
 
 let test_to_string_roundtrip () =
   List.iter
@@ -239,6 +274,9 @@ let () =
           Alcotest.test_case "globally / until" `Quick test_parse_globally_until;
           Alcotest.test_case "time intervals" `Quick test_parse_interval;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 27 |])
+            prop_csl_parse_never_raises;
           Alcotest.test_case "to_string roundtrip" `Quick test_to_string_roundtrip;
         ] );
       ( "checker",

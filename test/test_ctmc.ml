@@ -762,29 +762,30 @@ let test_analysis_rewards_equiv () =
 
 let test_analysis_steady_equiv () =
   let m = analysis_chain () in
+  let expected = Steady_state.solve m in
+  let count = Counts.start () in
   let a = Analysis.create m in
-  check_vec "steady" (Steady_state.solve m) (Steady_state.solve ~analysis:a m);
+  check_vec "steady" expected (Steady_state.solve ~analysis:a m);
   ignore (Steady_state.solve ~analysis:a m);
-  let s = Analysis.stats a in
-  Alcotest.(check int) "one steady solve" 1 s.Analysis.steady_solves;
-  Alcotest.(check bool) "second solve is a hit" true (s.Analysis.steady_hits >= 1)
+  Alcotest.(check int) "one steady solve" 1 (count "steady_solves");
+  Alcotest.(check bool) "second solve is a hit" true (count "steady_hits" >= 1)
 
 let test_analysis_hit_counters () =
   let m = analysis_chain () in
   let a = Analysis.create m in
   let query () = Transient.probability_at ~analysis:a m ~pred:(fun s -> s = 0) 2. in
-  let (v1, s1, v2), spans =
+  let registry = Counts.start () in
+  let (v1, (computes1, hits1), v2), spans =
     traced (fun () ->
         let v1 = query () in
-        let s1 = Analysis.stats a in
-        (v1, s1, query ()))
+        let c1 = (registry "weight_computes", registry "weight_hits") in
+        (v1, c1, query ()))
   in
   check_close "identical queries agree" v1 v2;
-  Alcotest.(check int) "one weight compute" 1 s1.Analysis.weight_computes;
-  let s2 = Analysis.stats a in
-  Alcotest.(check int) "still one weight compute" 1 s2.Analysis.weight_computes;
+  Alcotest.(check int) "one weight compute" 1 computes1;
+  Alcotest.(check int) "still one weight compute" 1 (registry "weight_computes");
   Alcotest.(check bool) "weight fetch was a hit" true
-    (s2.Analysis.weight_hits > s1.Analysis.weight_hits);
+    (registry "weight_hits" > hits1);
   (* both forward sweeps gather over the one cached R^T *)
   let count name = List.length (List.filter (fun (nm, _) -> nm = name) spans) in
   Alcotest.(check int) "two sweeps" 2 (count "analysis.mixture");
@@ -833,12 +834,12 @@ let test_analysis_weights_cache_hit () =
   (* the float-keyed weight cache must actually hit on repeat lookups *)
   let m = analysis_chain () in
   let a = Analysis.create m in
+  let count = Counts.start () in
   ignore (Analysis.weights a 1.5);
   ignore (Analysis.weights a 1.5);
   ignore (Analysis.weights a 1.5);
-  let s = Analysis.stats a in
-  Alcotest.(check int) "one compute" 1 s.Analysis.weight_computes;
-  Alcotest.(check int) "two hits" 2 s.Analysis.weight_hits
+  Alcotest.(check int) "one compute" 1 (count "weight_computes");
+  Alcotest.(check int) "two hits" 2 (count "weight_hits")
 
 let test_analysis_rejects_nan_keys () =
   (* NaN can never hit a float-keyed cache (nan <> nan), so it must be
@@ -846,6 +847,7 @@ let test_analysis_rejects_nan_keys () =
      (or failing later as a bare Not_found) *)
   let m = analysis_chain () in
   let a = Analysis.create m in
+  let count = Counts.start () in
   expect_invalid_arg "nan time" (fun () -> Analysis.weights a Float.nan);
   expect_invalid_arg "infinite time" (fun () ->
       Analysis.weights a Float.infinity);
@@ -863,8 +865,7 @@ let test_analysis_rejects_nan_keys () =
       let start = Array.make (Chain.states m) 0. in
       Analysis.poisson_mixture_batch a ~dir:Analysis.Forward
         [ { Analysis.start; coeff = Analysis.Pmf; times = [ 1.; Float.nan ] } ]);
-  let s = Analysis.stats a in
-  Alcotest.(check int) "nothing was computed" 0 s.Analysis.weight_computes
+  Alcotest.(check int) "nothing was computed" 0 (count "weight_computes")
 
 let test_analysis_fnv1a64 () =
   (* reference vectors for the exported content hash *)
@@ -890,20 +891,19 @@ let test_analysis_quotient_cache () =
   let m = analysis_symmetric_chain () in
   let a = Analysis.create m in
   let pred s = s = 3 in
+  let count = Counts.start () in
   let quot = Analysis.quotient a ~respect:[ Analysis.Pred pred ] in
   Alcotest.(check int) "3 blocks"
     3
     (Chain.states (Analysis.chain quot.Analysis.q));
-  let s1 = Analysis.stats a in
-  Alcotest.(check int) "one lump build" 1 s1.Analysis.lump_builds;
-  Alcotest.(check int) "lumped_states recorded" 3 s1.Analysis.lumped_states;
+  Alcotest.(check int) "one lump build" 1 (count "lump_builds");
+  Alcotest.(check int) "lumped_states recorded" 3 (Counts.lumped_states ());
   (* same respected predicate -> same initial partition -> cache hit *)
   let quot2 = Analysis.quotient a ~respect:[ Analysis.Pred (fun s -> s >= 3) ] in
   Alcotest.(check bool) "memoized session reused" true
     (quot.Analysis.q == quot2.Analysis.q);
-  let s2 = Analysis.stats a in
-  Alcotest.(check int) "still one lump build" 1 s2.Analysis.lump_builds;
-  Alcotest.(check int) "second call is a hit" 1 s2.Analysis.lump_hits;
+  Alcotest.(check int) "still one lump build" 1 (count "lump_builds");
+  Alcotest.(check int) "second call is a hit" 1 (count "lump_hits");
   (* a finer respect list really is a different quotient *)
   let quot3 =
     Analysis.quotient a ~respect:[ Analysis.Blocks [| 0; 1; 2; 3 |] ]
@@ -911,9 +911,7 @@ let test_analysis_quotient_cache () =
   Alcotest.(check int) "identity respect keeps all states"
     4
     (Chain.states (Analysis.chain quot3.Analysis.q));
-  Alcotest.(check int) "second lump build"
-    2
-    (Analysis.stats a).Analysis.lump_builds
+  Alcotest.(check int) "second lump build" 2 (count "lump_builds")
 
 let test_analysis_quotient_measures_agree () =
   let m = analysis_symmetric_chain () in
@@ -954,11 +952,12 @@ let test_analysis_quotient_measures_agree () =
 let test_analysis_wrong_chain_ignored () =
   let m = analysis_chain () in
   let a = Analysis.create (two_state 1. 2.) in
-  check_vec "foreign session falls back to fresh"
-    (Transient.distribution m 1.)
+  let expected = Transient.distribution m 1. in
+  let count = Counts.start () in
+  check_vec "foreign session falls back to fresh" expected
     (Transient.distribution ~analysis:a m 1.);
-  let s = Analysis.stats a in
-  Alcotest.(check int) "foreign session untouched" 0 s.Analysis.mixture_passes
+  (* the one pass is the fresh session's: the foreign one swept nothing *)
+  Alcotest.(check int) "foreign session untouched" 1 (count "mixture_passes")
 
 (* ------------------------------------------------------------------ *)
 (* The multi-time-point kernel: one shared sweep must match per-point
@@ -1029,20 +1028,20 @@ let test_multi_kernel_counters () =
   let m = analysis_chain () in
   let a = Analysis.create m in
   let start = Chain.initial m in
+  let multi = Counts.start () in
   ignore (mixture a ~dir:Analysis.Forward ~coeff:Analysis.Pmf start ~times:multi_times);
-  let s_multi = Analysis.stats a in
-  Alcotest.(check int) "one pass for the whole curve" 1
-    s_multi.Analysis.mixture_passes;
+  let multi_passes = multi "mixture_passes" and multi_steps = multi "mixture_steps" in
+  Alcotest.(check int) "one pass for the whole curve" 1 multi_passes;
   let b = Analysis.create m in
+  let seq = Counts.start () in
   List.iter
     (fun t ->
       ignore (mixture b ~dir:Analysis.Forward ~coeff:Analysis.Pmf start ~times:[ t ]))
     multi_times;
-  let s_seq = Analysis.stats b in
   Alcotest.(check int) "one pass per point" (List.length multi_times)
-    s_seq.Analysis.mixture_passes;
+    (seq "mixture_passes");
   Alcotest.(check bool) "multi does fewer SpMVs" true
-    (s_multi.Analysis.mixture_steps < s_seq.Analysis.mixture_steps)
+    (multi_steps < seq "mixture_steps")
 
 let test_curve_preserves_times () =
   let m = two_state 1.5 0.5 in
@@ -1082,10 +1081,10 @@ let test_batch_kernel_matches_multi () =
       { Analysis.start = other; coeff = Analysis.Pmf; times = [ 0.; 2.6 ] };
     ]
   in
+  let count = Counts.start () in
   let results = Analysis.poisson_mixture_batch a ~dir:Analysis.Forward batches in
-  let s = Analysis.stats a in
-  Alcotest.(check int) "one blocked pass" 1 s.Analysis.mixture_passes;
-  Alcotest.(check int) "three columns" 3 s.Analysis.batch_columns;
+  Alcotest.(check int) "one blocked pass" 1 (count "mixture_passes");
+  Alcotest.(check int) "three columns" 3 (count "batch_columns");
   List.iter2
     (fun b vs ->
       let singles =
@@ -1216,16 +1215,20 @@ let faces_agree m ~reward ~times =
           (fun coeff -> { Analysis.start; coeff; times })
           [ Analysis.Pmf; Analysis.Tail_over_lambda ]
       in
-      let av = Analysis.create m and ap = Analysis.create m in
-      let vectors = Analysis.poisson_mixture_batch av ~dir batches in
-      let values =
-        Analysis.poisson_mixture_values ap ~dir
-          (List.map (fun b -> (b, r)) batches)
+      let work f =
+        let count = Counts.start () in
+        let x = f (Analysis.create m) in
+        (x, List.map count [ "mixture_passes"; "mixture_steps"; "batch_columns" ])
       in
-      let sv = Analysis.stats av and sp = Analysis.stats ap in
-      sv.Analysis.mixture_passes = sp.Analysis.mixture_passes
-      && sv.Analysis.mixture_steps = sp.Analysis.mixture_steps
-      && sv.Analysis.batch_columns = sp.Analysis.batch_columns
+      let vectors, wv =
+        work (fun av -> Analysis.poisson_mixture_batch av ~dir batches)
+      in
+      let values, wp =
+        work (fun ap ->
+            Analysis.poisson_mixture_values ap ~dir
+              (List.map (fun b -> (b, r)) batches))
+      in
+      wv = wp
       && List.for_all2
            (fun vs xs ->
              List.length xs = List.length times
@@ -1279,9 +1282,9 @@ let test_projected_contract () =
         x1
   | _ -> Alcotest.fail "expected two points");
   Alcotest.(check bool) "zero-only times do no sweep" true
-    (let before = (Analysis.stats a).Analysis.mixture_passes in
+    (let count = Counts.start () in
      ignore (run Analysis.Pmf [ 0.; 0. ]);
-     (Analysis.stats a).Analysis.mixture_passes = before);
+     count "mixture_passes" = 0);
   expect_invalid_arg "reward dimension" (fun () ->
       Analysis.poisson_mixture_values a ~dir:Analysis.Forward
         [ ({ Analysis.start; coeff = Analysis.Pmf; times = [ 1. ] }, [| 1. |]) ])
@@ -1564,22 +1567,21 @@ let test_mask_edge_cases () =
   let absorbed = Chain_oracle.absorbing m ~pred:absorbing in
   let reference = Analysis.create absorbed in
   let goal = Array.init n (fun s -> if psi s then 1. else 0.) in
+  let reference_count = Counts.start () in
   let expected =
     List.hd
       (Analysis.poisson_mixture_values reference ~dir:Analysis.Forward
          [ ({ Analysis.start = Chain.initial m; coeff = Analysis.Pmf; times }, goal) ])
   in
-  let before = Analysis.stats a in
+  let reference_steps = reference_count "mixture_steps" in
+  let count = Counts.start () in
   List.iter2
     (fun e (_, p) -> check_close ~eps:1e-12 "phi constraint" e p)
     expected
     (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi ~bounds:times);
-  let after = Analysis.stats a in
-  Alcotest.(check int) "absorbed chain's step count"
-    (Analysis.stats reference).Analysis.mixture_steps
-    (after.Analysis.mixture_steps - before.Analysis.mixture_steps);
-  Alcotest.(check int) "one pass, one column" 1
-    (after.Analysis.batch_columns - before.Analysis.batch_columns);
+  Alcotest.(check int) "absorbed chain's step count" reference_steps
+    (count "mixture_steps");
+  Alcotest.(check int) "one pass, one column" 1 (count "batch_columns");
   (* the quotient respects phi and psi; the mask applies on it *)
   let m = analysis_symmetric_chain () in
   let phi s = s <> 3 and psi s = s = 1 || s = 2 in
@@ -1595,7 +1597,7 @@ let test_mask_edge_cases () =
        (Reachability.bounded_until ~lump:true ~analysis:lumped m ~phi ~psi
           ~bound:1.7));
   Alcotest.(check bool) "the quotient is smaller" true
-    ((Analysis.stats lumped).Analysis.lumped_states < Chain.states m);
+    (Counts.lumped_states () < Chain.states m);
   (* a mask belongs to its session's chain, and a forward vector pass
      takes none *)
   expect_invalid_arg "mask of another chain" (fun () ->

@@ -396,6 +396,10 @@ let lint_q query = lint (model_xml ~measures:(measure "q" query) ())
 
 let test_q001 () =
   check_fires "syntax" "ARC-Q001" (lint_q "P=? [ true U&lt;=100 &quot;down&quot;");
+  (* numbers the PRISM lexer cannot convert *)
+  check_fires "bad real" "ARC-Q001" (lint_q "P=? [ F&lt;=100 (x &gt; 2e) ]");
+  check_fires "int overflow" "ARC-Q001"
+    (lint_q "S=? [ (x &gt; 99999999999999999999) ]");
   check_silent "well-formed" "ARC-Q001"
     (lint_q "P=? [ true U&lt;=100 &quot;down&quot; ]")
 

@@ -324,7 +324,11 @@ let test_trace_self_times () =
 (* ------------------------------------------------------------------ *)
 (* Bounded buffers, output cycling, incremental flush *)
 
+let registry_count name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
 let test_trace_bounded_buffers () =
+  Obs.Metrics.set_enabled true;
+  let dropped0 = registry_count "trace.dropped_events" in
   let events =
     traced_events (fun () ->
         Obs.Trace.clear ();
@@ -332,13 +336,14 @@ let test_trace_bounded_buffers () =
         Alcotest.(check bool)
           "capacity readable" true
           (Obs.Trace.buffer_capacity () = Some 4);
-        Alcotest.(check int) "clean slate" 0 (Obs.Trace.dropped_events ());
         for i = 1 to 10 do
           Obs.Trace.instant (Printf.sprintf "bounded_ev%d" i)
         done;
         Alcotest.(check int)
-          "oldest six dropped" 6 (Obs.Trace.dropped_events ()))
+          "oldest six dropped" 6
+          (registry_count "trace.dropped_events" - dropped0))
   in
+  Obs.Metrics.set_enabled false;
   Obs.Trace.set_buffer_capacity None;
   Alcotest.(check int) "only the capacity survives" 4 (List.length events);
   List.iter
@@ -350,9 +355,7 @@ let test_trace_bounded_buffers () =
     [ 7; 8; 9; 10 ];
   Alcotest.(check int) "oldest dropped (ev1)" 0
     (count_named "bounded_ev1" events);
-  Obs.Trace.clear ();
-  Alcotest.(check int) "clear resets the dropped count" 0
-    (Obs.Trace.dropped_events ())
+  Obs.Trace.clear ()
 
 let test_trace_output_cycling () =
   (* cycling None -> Some must start a fresh recording: the second file
@@ -491,11 +494,13 @@ let test_flight_ring_dump () =
   let path = Filename.temp_file "arcade_obs_flight" ".json" in
   Obs.Flight.set_path path;
   Alcotest.(check string) "path readable" path (Obs.Flight.path ());
-  let n0 = Obs.Flight.dump_count () in
+  Obs.Metrics.set_enabled true;
+  let dumps () = registry_count "flight.dumps" in
+  let n0 = dumps () in
   ignore (Obs.Trace.with_span "flight_span" (fun _ -> spin (); 9));
   Obs.Trace.instant "flight_tick";
   Obs.Flight.dump ~reason:"unit_test" ();
-  Alcotest.(check int) "dump counted" (n0 + 1) (Obs.Flight.dump_count ());
+  Alcotest.(check int) "dump counted" (n0 + 1) (dumps ());
   let events =
     match Json.parse (read_file path) with
     | Json.List evs -> evs
@@ -520,10 +525,10 @@ let test_flight_ring_dump () =
   (* async-signal path: request only sets a flag, poll performs the dump *)
   Obs.Flight.request_dump ();
   Obs.Flight.poll ();
-  Alcotest.(check int) "polled dump" (n0 + 2) (Obs.Flight.dump_count ());
+  Alcotest.(check int) "polled dump" (n0 + 2) (dumps ());
   Obs.Flight.poll ();
-  Alcotest.(check int) "poll without a request is a no-op" (n0 + 2)
-    (Obs.Flight.dump_count ());
+  Alcotest.(check int) "poll without a request is a no-op" (n0 + 2) (dumps ());
+  Obs.Metrics.set_enabled false;
   Sys.remove path;
   Obs.Flight.clear ();
   Obs.Flight.set_enabled false
@@ -533,13 +538,13 @@ let test_flight_nonconvergence_dump () =
   Obs.Flight.set_enabled true;
   let path = Filename.temp_file "arcade_obs_flightnc" ".json" in
   Obs.Flight.set_path path;
-  let n0 = Obs.Flight.dump_count () in
+  let n0 = registry_count "flight.dumps" in
   Obs.Metrics.set_enabled true;
   Obs.Metrics.record_solve ~solver:"unit_fail" ~size:2 ~iterations:1
     ~residual:1.0 ~converged:false;
   Obs.Metrics.set_enabled false;
   Alcotest.(check int) "non-convergence dumped" (n0 + 1)
-    (Obs.Flight.dump_count ());
+    (registry_count "flight.dumps");
   Alcotest.(check bool)
     "dump names the trigger" true
     (contains "solver_nonconvergence" (read_file path));
@@ -780,13 +785,13 @@ let test_solver_ring () =
   | None -> Alcotest.fail "steady-state solve missing from ring"
 
 (* ------------------------------------------------------------------ *)
-(* Analysis: stats compatibility view vs the registry *)
+(* Analysis: the registry counts a session's work, one event once *)
 
 let analysis_chain () =
   Chain.of_transitions ~states:4
     [ (0, 1, 1.); (1, 2, 2.); (2, 3, 3.); (3, 0, 4.) ]
 
-let test_stats_registry_compat () =
+let test_registry_counts_session_work () =
   Obs.Metrics.set_enabled true;
   Obs.Metrics.reset ();
   let m = analysis_chain () in
@@ -797,24 +802,22 @@ let test_stats_registry_compat () =
   ignore (Ctmc.Transient.probability_at ~analysis:a m ~pred 2.);
   ignore (Ctmc.Transient.probability_at ~analysis:a m ~pred 2.);
   Obs.Metrics.set_enabled false;
-  let s = Analysis.stats a in
   let snap = Obs.Metrics.snapshot () in
   let registry name =
     Option.value ~default:0 (List.assoc_opt name snap.Obs.Metrics.counters)
   in
-  Alcotest.(check bool) "session did steady work" true (s.Analysis.steady_solves > 0);
-  Alcotest.(check bool) "session did mixture work" true (s.Analysis.mixture_passes > 0);
   List.iter
-    (fun (name, field) -> Alcotest.(check int) name field (registry name))
+    (fun (name, expected) -> Alcotest.(check int) name expected (registry name))
     [
-      ("analysis.steady_solves", s.Analysis.steady_solves);
-      ("analysis.steady_hits", s.Analysis.steady_hits);
-      ("analysis.weight_computes", s.Analysis.weight_computes);
-      ("analysis.weight_hits", s.Analysis.weight_hits);
-      ("analysis.mixture_passes", s.Analysis.mixture_passes);
-      ("analysis.mixture_steps", s.Analysis.mixture_steps);
-      ("analysis.batch_columns", s.Analysis.batch_columns);
-    ]
+      ("analysis.steady_solves", 1);
+      ("analysis.steady_hits", 1);
+      ("analysis.weight_computes", 1);
+      ("analysis.weight_hits", 1);
+      ("analysis.mixture_passes", 2);
+      ("analysis.batch_columns", 2);
+    ];
+  Alcotest.(check bool) "the two sweeps stepped" true
+    (registry "analysis.mixture_steps" > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Observability must not change analysis results *)
@@ -1057,8 +1060,8 @@ let () =
         ] );
       ( "analysis",
         [
-          Alcotest.test_case "stats matches registry" `Quick
-            test_stats_registry_compat;
+          Alcotest.test_case "registry counts session work" `Quick
+            test_registry_counts_session_work;
           Alcotest.test_case "observability does not change results" `Slow
             test_obs_invariance;
           Alcotest.test_case "table spans" `Quick test_table_spans;

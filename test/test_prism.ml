@@ -65,7 +65,17 @@ let test_parse_errors () =
       match Parser.parse_expr input with
       | exception Parser.Syntax_error _ -> ()
       | _ -> Alcotest.fail (Printf.sprintf "expected syntax error on %S" input))
-    [ ""; "1 +"; "(1"; "min("; "?" ]
+    [ ""; "1 +"; "(1"; "min("; "?" ];
+  (* numbers the lexer cannot convert are positioned syntax errors *)
+  List.iter
+    (fun (input, column) ->
+      match Parser.parse_expr input with
+      | exception Parser.Syntax_error { line; column = c; message } ->
+          Alcotest.(check (pair int int)) ("position of " ^ input) (1, column) (line, c);
+          Alcotest.(check bool) ("message of " ^ input) true
+            (String.starts_with ~prefix:"bad number" message)
+      | _ -> Alcotest.fail (Printf.sprintf "expected syntax error on %S" input))
+    [ ("x > 2e", 5); ("x > 99999999999999999999", 5) ]
 
 let test_expr_associativity () =
   (* => and <=> are right-associative; relational operators do not chain *)

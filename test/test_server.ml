@@ -56,6 +56,9 @@ let with_server ?(batch_window_ms = 2) f =
       lump = false;
     }
   in
+  (* /stats reads the process-wide registry: start each daemon from a
+     fresh one, as in a process that runs one daemon *)
+  Obs.Metrics.reset ();
   let srv = Server.start ~config () in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
@@ -123,6 +126,32 @@ let test_json_errors () =
       | _ -> Alcotest.fail (Printf.sprintf "%S should not parse" src)
       | exception Json.Parse_error _ -> ())
     [ ""; "{"; "[1,]"; "tru"; {|"unterminated|}; "1 2"; "{\"a\" 1}"; "nan" ]
+
+(* Never raise: any byte string parses to a value or raises
+   [Parse_error], nothing else. Strings are built from JSON fragments,
+   near misses and raw bytes, so most are almost-JSON. *)
+let json_fragments =
+  [| "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "\\u"; "\\u12"; "\\ud800";
+     "true"; "fals"; "null"; "nan"; "0"; "-"; "1.5"; "1e"; "1e400"; "-0.e";
+     "01"; "\"a\""; " "; "\n"; "\x00"; "\xff"; "\xc3"; "é" |]
+
+let prop_json_parse_never_raises =
+  QCheck.Test.make ~count:2000 ~name:"Json.parse: a value or Parse_error"
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(
+          map (String.concat "")
+            (list_size (int_range 0 24)
+               (oneof
+                  [
+                    map (Array.get json_fragments)
+                      (int_bound (Array.length json_fragments - 1));
+                    map (String.make 1) char;
+                  ]))))
+    (fun input ->
+      match Json.parse input with
+      | _ -> true
+      | exception Json.Parse_error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol *)
@@ -250,19 +279,25 @@ let test_malformed_model () =
 
 let test_malformed_query () =
   with_server (fun port ->
-      let status, body =
-        post_analyze ~queries:[ "S=? [ \"full_service\"" ] port
-      in
-      Alcotest.(check int) "query syntax error" 400 status;
-      let resp = Json.parse body in
-      Alcotest.(check bool)
-        "positioned" true
-        (Json.member "line" resp <> None && Json.member "column" resp <> None);
-      Alcotest.(check (option (float 0.)))
-        "index" (Some 0.)
-        (match Json.member "query_index" resp with
-        | Some (Json.Num x) -> Some x
-        | _ -> None))
+      List.iter
+        (fun query ->
+          let status, body = post_analyze ~queries:[ query ] port in
+          Alcotest.(check int) (query ^ ": query syntax error") 400 status;
+          let resp = Json.parse body in
+          Alcotest.(check bool)
+            (query ^ ": positioned") true
+            (Json.member "line" resp <> None && Json.member "column" resp <> None);
+          Alcotest.(check (option (float 0.)))
+            (query ^ ": index") (Some 0.)
+            (match Json.member "query_index" resp with
+            | Some (Json.Num x) -> Some x
+            | _ -> None))
+        [
+          "S=? [ \"full_service\"";
+          (* numbers the PRISM lexer cannot convert *)
+          "P=? [ F<=100 (x > 2e) ]";
+          "S=? [ (x > 99999999999999999999) ]";
+        ])
 
 let test_missing_fields () =
   with_server (fun port ->
@@ -289,8 +324,7 @@ let test_missing_fields () =
 let test_concurrent_amortization () =
   with_server ~batch_window_ms:10 (fun port ->
       let clients = 4 and per_client = 5 in
-      (* analysis.* counters are process-global (other tests in this
-         binary bump them too), so sweeps are measured as a delta *)
+      (* sweeps are measured as a delta over the requests below *)
       let sweeps_before =
         stat [ "analysis"; "mixture_passes" ] (fetch_stats port)
       in
@@ -605,8 +639,9 @@ let test_flight_dump_on_reject () =
   let path = Filename.temp_file "arcade_flightdump" ".json" in
   Sys.remove path;
   Obs.Flight.set_path path;
-  let n0 = Obs.Flight.dump_count () in
+  let dumps () = Obs.Metrics.counter_value (Obs.Metrics.counter "flight.dumps") in
   with_server (fun port ->
+      let n0 = dumps () in
       let status, _ =
         post_analyze ~model:"<arcade name=\"broken\"><components>" port
       in
@@ -614,13 +649,13 @@ let test_flight_dump_on_reject () =
       (* the dump happens after the response is written: wait for it *)
       let deadline = Unix.gettimeofday () +. 5. in
       while
-        Obs.Flight.dump_count () = n0 && Unix.gettimeofday () < deadline
+        dumps () = n0 && Unix.gettimeofday () < deadline
       do
         Thread.delay 0.02
       done;
       Alcotest.(check bool)
         "rejection dumped the flight ring" true
-        (Obs.Flight.dump_count () > n0));
+        (dumps () > n0));
   let dump = read_file path in
   Sys.remove path;
   Alcotest.(check bool) "dump is an array" true (dump.[0] = '[');
@@ -785,6 +820,9 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_json_errors;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 27 |])
+            prop_json_parse_never_raises;
         ] );
       ( "protocol",
         [

@@ -434,6 +434,7 @@ let test_quotient_engine_agrees config =
   List.iter
     (fun line ->
       let full = Measures.analyze (model line) in
+      let count = Counts.start () in
       let lumped = Measures.analyze ~lump:true (model line) in
       check_close ~eps:1e-9
         (Printf.sprintf "availability (%s)" (Facility.config_name config))
@@ -443,11 +444,10 @@ let test_quotient_engine_agrees config =
         (Printf.sprintf "unreliability (%s)" (Facility.config_name config))
         (Measures.unreliability full ~time:1000.)
         (Measures.unreliability lumped ~time:1000.);
-      let fq = Ctmc.Analysis.stats (Measures.analysis lumped) in
       Alcotest.(check bool) "quotient really used" true
-        (fq.Ctmc.Analysis.lump_builds >= 1);
+        (count "lump_builds" >= 1);
       Alcotest.(check bool) "quotient is smaller" true
-        (fq.Ctmc.Analysis.lumped_states < Chain.states (chain_of lumped)))
+        (Counts.lumped_states () < Chain.states (chain_of lumped)))
     [ Facility.Line1; Facility.Line2 ];
   (* survivability from the disaster state (Fig. 4 setting, Line 2 for
      speed) *)
@@ -740,9 +740,11 @@ let check_rel msg expected actual =
   if Float.abs (expected -. actual) > 1e-12 *. scale then
     Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
 
-let work a =
-  let s = Analysis.stats a in
-  (s.Analysis.mixture_passes, s.Analysis.mixture_steps, s.Analysis.batch_columns)
+(* [f]'s result and the passes, steps and columns its sweeps ran *)
+let work f =
+  let count = Counts.start () in
+  let x = f () in
+  (x, (count "mixture_passes", count "mixture_steps", count "batch_columns"))
 
 let check_projected_faces label chain reward =
   let n = Chain.states chain in
@@ -762,15 +764,18 @@ let check_projected_faces label chain reward =
           (fun coeff -> { Analysis.start; coeff; times = projected_times })
           [ Analysis.Pmf; Analysis.Tail_over_lambda ]
       in
-      let av = Analysis.create chain and ap = Analysis.create chain in
-      let vectors = Analysis.poisson_mixture_batch av ~dir batches in
-      let values =
-        Analysis.poisson_mixture_values ap ~dir
-          (List.map (fun b -> (b, r)) batches)
+      let vectors, work_v =
+        work (fun () ->
+            Analysis.poisson_mixture_batch (Analysis.create chain) ~dir batches)
+      in
+      let values, work_p =
+        work (fun () ->
+            Analysis.poisson_mixture_values (Analysis.create chain) ~dir
+              (List.map (fun b -> (b, r)) batches))
       in
       Alcotest.(check (triple int int int))
         (Printf.sprintf "%s %s: same passes/steps/columns" label dir_name)
-        (work av) (work ap);
+        work_v work_p;
       List.iteri
         (fun stream (vs, xs) ->
           Alcotest.(check int) "aligned with times" 25 (List.length xs);
