@@ -381,11 +381,11 @@ let load host port model variants requests clients lump out shutdown =
 
 let host =
   Arg.(value & opt (some string) None & info [ "host" ] ~docv:"ADDR"
-         ~doc:"Server address (default \\$(b,SERVER_HOST) or 127.0.0.1).")
+         ~doc:"Server address (default $(b,SERVER_HOST) or 127.0.0.1).")
 
 let port =
   Arg.(value & opt (some int) None & info [ "p"; "port" ] ~docv:"PORT"
-         ~doc:"Server port (default \\$(b,SERVER_PORT) or 8641).")
+         ~doc:"Server port (default $(b,SERVER_PORT) or 8641).")
 
 let model =
   Arg.(value & opt file "models/line1_ded.xml" & info [ "model" ] ~docv:"FILE"

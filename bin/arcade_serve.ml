@@ -34,11 +34,11 @@ let serve host port domains window_ms max_sessions lump =
 
 let host =
   Arg.(value & opt (some string) None & info [ "host" ] ~docv:"ADDR"
-         ~doc:"Bind address (default \\$(b,SERVER_HOST) or 127.0.0.1).")
+         ~doc:"Bind address (default $(b,SERVER_HOST) or 127.0.0.1).")
 
 let port =
   Arg.(value & opt (some int) None & info [ "p"; "port" ] ~docv:"PORT"
-         ~doc:"Listen port; 0 picks an ephemeral one (default \\$(b,SERVER_PORT) or 8641).")
+         ~doc:"Listen port; 0 picks an ephemeral one (default $(b,SERVER_PORT) or 8641).")
 
 let domains =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
@@ -46,7 +46,9 @@ let domains =
 
 let window_ms =
   Arg.(value & opt (some int) None & info [ "batch-window-ms" ] ~docv:"MS"
-         ~doc:"Batching window: how long same-model requests may pile up.")
+         ~doc:"Batching window: the longest same-model requests may pile up; \
+               it closes early once no partner can share a sweep, and 0 \
+               turns it off (default $(b,SERVER_BATCH_WINDOW_MS) or 5).")
 
 let max_sessions =
   Arg.(value & opt (some int) None & info [ "max-sessions" ] ~docv:"N"

@@ -26,6 +26,19 @@ let line_column input pos =
   done;
   (!line, !col)
 
+(* The inverse of [line_column]: the byte offset of a 1-based
+   [line]:[column] in [input], clamped to its length. *)
+let offset_of input ~line ~column =
+  let n = String.length input in
+  let rec line_start i l =
+    if l >= line || i >= n then i
+    else
+      match String.index_from_opt input i '\n' with
+      | Some j -> line_start (j + 1) (l + 1)
+      | None -> n
+  in
+  min n (line_start 0 1 + column - 1)
+
 let error st message =
   let line, column = line_column st.input st.pos in
   raise (Syntax_error { position = st.pos; line; column; message })
@@ -171,6 +184,7 @@ and atom st =
   | Some '"' -> Ast.Label (quoted st)
   | Some '(' ->
       expect st "(";
+      let chunk_start = st.pos in
       let inside = balanced st in
       (* a parenthesized chunk is either a nested state formula or a PRISM
          expression; try the formula grammar first *)
@@ -181,7 +195,10 @@ and atom st =
          if at_end sub then f else raise Exit
        with Syntax_error _ | Exit -> (
          try Ast.Atomic (Prism.Parser.parse_expr inside)
-         with Prism.Parser.Syntax_error { message; _ } ->
+         with Prism.Parser.Syntax_error { line; column; message } ->
+           (* report the PRISM error where it is in the query, not after
+              the closing parenthesis *)
+           st.pos <- chunk_start + offset_of inside ~line ~column;
            error st (Printf.sprintf "bad expression %S: %s" inside message)))
   | Some 'P' when not (is_longer_ident st) ->
       st.pos <- st.pos + 1;

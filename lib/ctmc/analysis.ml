@@ -576,6 +576,8 @@ let sweep ?epsilon ?absorbing t ~dir ~who barr ~prepare =
     Obs.Metrics.set_gauge m_fg_mass_deficit !fg_deficit;
     if Obs.Trace.recording mix_span then begin
       Obs.Trace.add_attr mix_span "states" (Obs.Int n);
+      (* stored entries of the operator every step gathers over *)
+      Obs.Trace.add_attr mix_span "nnz" (Obs.Int (Sparse.nnz op));
       Obs.Trace.add_attr mix_span "batch_width" (Obs.Int width);
       Obs.Trace.add_attr mix_span "streams" (Obs.Int streams);
       Obs.Trace.add_attr mix_span "times" (Obs.Int total_times);

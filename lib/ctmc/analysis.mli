@@ -314,8 +314,9 @@ val check_times : string -> float list -> unit
 
     When tracing is on, every kernel sweep (either
     face) runs under an [analysis.mixture] span (with
-    [states]/[batch_width]/[streams]/[times]/[sweep_length]/[spmvs]
-    attributes; [batch_width] is the iterate block width, i.e. the number
+    [states]/[nnz]/[batch_width]/[streams]/[times]/[sweep_length]/[spmvs]
+    attributes; [nnz] is the stored entries of the operator each step
+    gathers over, [batch_width] the iterate block width, i.e. the number
     of distinct start vectors, and [streams] the stream count) with
     [mixture.weights] (Fox–Glynn) and [mixture.sweep] (blocked gathers
     plus the per-step accumulation) child phases ([mixture.sweep] carries

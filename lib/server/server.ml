@@ -21,7 +21,10 @@ let default_config () =
     host = Option.value (Sys.getenv_opt "SERVER_HOST") ~default:"127.0.0.1";
     port = geti "SERVER_PORT" 8641;
     domains = geti "SERVER_DOMAINS" (min 4 (Parallel.default_domains ()));
-    batch_window_ms = geti "SERVER_BATCH_WINDOW_MS" 5;
+    batch_window_ms =
+      Option.value
+        (Parallel.getenv_nonnegative_int "SERVER_BATCH_WINDOW_MS")
+        ~default:5;
     max_sessions = geti "SERVER_MAX_SESSIONS" 256;
     lump =
       (match Sys.getenv_opt "LUMP" with
@@ -43,7 +46,11 @@ type counters = {
   session_hits : counter;
   session_misses : counter;  (** session builds *)
   session_evictions : counter;
-  batch_windows : counter;  (** scheduler ticks that dispatched work *)
+  window_no_shared_work : counter;
+      (** windows closed at once: no queued query shares a sweep *)
+  window_all_queued : counter;
+      (** windows closed once every open connection had a job queued *)
+  window_deadline : counter;  (** windows held for all of [batch_window_ms] *)
   coalesced : counter;  (** same-model jobs beyond the first per window *)
   batch_groups : counter;  (** shared curve/batch sweeps executed *)
   batched_queries : counter;  (** queries answered by a shared sweep *)
@@ -59,7 +66,9 @@ let counters =
     session_hits = m "session_hits";
     session_misses = m "session_misses";
     session_evictions = m "session_evictions";
-    batch_windows = m "batch_windows";
+    window_no_shared_work = m "window_no_shared_work";
+    window_all_queued = m "window_all_queued";
+    window_deadline = m "window_deadline";
     coalesced = m "coalesced";
     batch_groups = m "batch_groups";
     batched_queries = m "batched_queries";
@@ -158,6 +167,9 @@ type job = {
   j_lump : bool;
   j_hash : int64;
   j_queries : (string * Ast.state_formula) list;
+  j_shared : bool;
+      (** some query is one [classify] batches, so a partner arriving in
+          the admission window could share its sweep *)
   j_ctx : Obs.Trace.context option;
       (** the submitting request's trace context; the scheduler re-installs
           it around the group evaluation so coalesced sweeps join the lead
@@ -180,6 +192,7 @@ type t = {
   qm : Mutex.t;
   qc : Condition.t;
   mutable running : bool;  (** guarded by [qm] *)
+  mutable conns : int;  (** open client connections, guarded by [qm] *)
   cache : (int64, session list) Hashtbl.t;
   mutable cache_count : int;
   mutable clock : int;
@@ -680,38 +693,109 @@ let group_jobs jobs =
     jobs;
   List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order
 
+(* Why an admission window closed. *)
+type closed_by = No_shared_work | All_queued | Deadline
+
+let closed_by_name = function
+  | No_shared_work -> "no_shared_work"
+  | All_queued -> "all_queued"
+  | Deadline -> "deadline"
+
+(* Under [qm]: the window closes early once waiting cannot pay. With no
+   queued query that [classify] batches there is no sweep to share (a
+   later partner finds the session and its cached vectors anyway). With
+   a job queued from every open connection, and at least two queued, no
+   partner can arrive: a keep-alive client sends again only after its
+   reply. Requiring two keeps a partner whose connection is still being
+   accepted from being cut off. *)
+let early_close srv =
+  let queued = Queue.length srv.queue in
+  if not (Queue.fold (fun shared j -> shared || j.j_shared) false srv.queue)
+  then Some No_shared_work
+  else if queued >= 2 && queued >= srv.conns then Some All_queued
+  else None
+
+(* The stdlib has no timed [Condition.wait]: a one-shot thread wakes the
+   scheduler once [deadline] has passed. A wake-up that finds the window
+   already closed is harmless, as every wait re-checks its condition. *)
+let wake_at srv deadline =
+  let rec sleep () =
+    let left = Int64.sub deadline (Obs.monotonic_ns ()) in
+    if left > 0L then begin
+      Thread.delay (Int64.to_float left /. 1e9);
+      sleep ()
+    end
+  in
+  ignore
+    (Thread.create
+       (fun () ->
+         sleep ();
+         Mutex.protect srv.qm (fun () -> Condition.broadcast srv.qc))
+       ()
+      : Thread.t)
+
+(* The admission window: let same-model requests pile up so they
+   coalesce into one sweep, for at most [batch_window_ms], re-checking
+   [early_close] on every arrival and every closed connection. Returns
+   the queued jobs. The hold is a [server.window] span in the lead job's
+   trace context. *)
+let hold_window srv lead =
+  Obs.Trace.with_context lead.j_ctx @@ fun () ->
+  Obs.Trace.with_span "server.window" @@ fun span ->
+  let t0 = Obs.monotonic_ns () in
+  let deadline =
+    Int64.add t0 (Int64.mul (Int64.of_int srv.cfg.batch_window_ms) 1_000_000L)
+  in
+  let closed_by, batch =
+    Mutex.protect srv.qm (fun () ->
+        let rec hold armed =
+          match early_close srv with
+          | Some reason -> reason
+          | None when Obs.monotonic_ns () >= deadline -> Deadline
+          | None ->
+              if not armed then wake_at srv deadline;
+              Condition.wait srv.qc srv.qm;
+              hold true
+        in
+        let closed_by = hold false in
+        let batch = List.of_seq (Queue.to_seq srv.queue) in
+        Queue.clear srv.queue;
+        (closed_by, batch))
+  in
+  Obs.Metrics.incr
+    (match closed_by with
+    | No_shared_work -> counters.window_no_shared_work
+    | All_queued -> counters.window_all_queued
+    | Deadline -> counters.window_deadline);
+  if Obs.Trace.recording span then begin
+    Obs.Trace.add_attr span "held_ms"
+      (Obs.Float (ns_to_ms (Int64.sub (Obs.monotonic_ns ()) t0)));
+    Obs.Trace.add_attr span "closed_by" (Obs.Str (closed_by_name closed_by))
+  end;
+  batch
+
 let scheduler srv =
   let rec loop () =
-    let more =
+    let lead =
       Mutex.protect srv.qm (fun () ->
           while Queue.is_empty srv.queue && srv.running do
             Condition.wait srv.qc srv.qm
           done;
-          not (Queue.is_empty srv.queue) || srv.running)
+          Queue.peek_opt srv.queue)
     in
-    if more then begin
-      (* the admission window: let same-model requests pile up so they
-         coalesce into one sweep *)
-      if srv.cfg.batch_window_ms > 0 then
-        Thread.delay (float_of_int srv.cfg.batch_window_ms /. 1000.);
-      let batch =
-        Mutex.protect srv.qm (fun () ->
-            let l = List.of_seq (Queue.to_seq srv.queue) in
-            Queue.clear srv.queue;
-            l)
-      in
-      if batch <> [] then begin
-        Obs.Metrics.incr counters.batch_windows;
+    (* only the scheduler dequeues, so a lead means a non-empty batch *)
+    match lead with
+    | None -> (* stopped and drained *) ()
+    | Some lead ->
+        let batch = hold_window srv lead in
         let groups = group_jobs batch in
         Obs.Metrics.add counters.coalesced (List.length batch - List.length groups);
-        match groups with
+        (match groups with
         | [ g ] -> process_group srv g
         | gs ->
             (* distinct models fan out across the fixed domain pool *)
-            ignore (Parallel.Pool.map srv.pool (process_group srv) gs : unit list)
-      end;
-      loop ()
-    end
+            ignore (Parallel.Pool.map srv.pool (process_group srv) gs : unit list));
+        loop ()
   in
   loop ()
 
@@ -752,6 +836,17 @@ let stats_json srv =
   let hits = Obs.Metrics.counter_value counters.session_hits
   and misses = Obs.Metrics.counter_value counters.session_misses in
   let live = Mutex.protect srv.cm (fun () -> srv.cache_count) in
+  (* every dispatched window closed for one of three reasons *)
+  let windows =
+    List.fold_left
+      (fun n k -> n + Obs.Metrics.counter_value k)
+      0
+      [
+        counters.window_no_shared_work;
+        counters.window_all_queued;
+        counters.window_deadline;
+      ]
+  in
   Json.Obj
     [
       ( "server",
@@ -761,7 +856,10 @@ let stats_json srv =
             sc "queries" counters.queries;
             sc "rejected" counters.rejected;
             sc "query_errors" counters.query_errors;
-            sc "batch_windows" counters.batch_windows;
+            ("batch_windows", Json.num (float_of_int windows));
+            sc "window_no_shared_work" counters.window_no_shared_work;
+            sc "window_all_queued" counters.window_all_queued;
+            sc "window_deadline" counters.window_deadline;
             sc "coalesced" counters.coalesced;
             sc "batch_groups" counters.batch_groups;
             sc "batched_queries" counters.batched_queries;
@@ -889,6 +987,10 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                       j_lump = lump;
                       j_hash = model_hash ~src ~lump;
                       j_queries;
+                      j_shared =
+                        List.exists
+                          (fun (_, ast) -> Option.is_some (classify ast))
+                          j_queries;
                       j_ctx = Obs.Trace.current_context ();
                       jm = Mutex.create ();
                       jc = Condition.create ();
@@ -1144,13 +1246,23 @@ let handle_conn srv fd =
           (Json.Obj [ ("error", Str msg) ])
       with Unix.Unix_error _ | Sys_error _ -> ())
   | Unix.Unix_error _ | End_of_file | Sys_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  (* one fewer connection may be all an admission window waits for *)
+  Mutex.protect srv.qm (fun () ->
+      srv.conns <- srv.conns - 1;
+      Condition.signal srv.qc)
 
 let accept_loop srv =
   let rec loop () =
     match Unix.accept srv.listen_fd with
     | fd, _ ->
-        let keep_going = Mutex.protect srv.qm (fun () -> srv.running) in
+        (* counted at accept, before the handler thread exists, so an
+           admission window never mistakes it for absent *)
+        let keep_going =
+          Mutex.protect srv.qm (fun () ->
+              if srv.running then srv.conns <- srv.conns + 1;
+              srv.running)
+        in
         if keep_going then begin
           ignore (Thread.create (handle_conn srv) fd : Thread.t);
           loop ()
@@ -1230,6 +1342,7 @@ let start ?(config = default_config ()) () =
       qm = Mutex.create ();
       qc = Condition.create ();
       running = true;
+      conns = 0;
       cache = Hashtbl.create 64;
       cache_count = 0;
       clock = 0;

@@ -21,7 +21,8 @@
       malformed requests get 4xx answers with positioned diagnostics
       instead of mid-solve exceptions or dropped connections.
     - {b Same-model query batching}: requests arriving within the batch
-      window are grouped by model hash; within a group, time-bounded
+      window are grouped by model hash (the window closes as soon as no
+      partner can share a sweep: see {!config}); within a group, time-bounded
       until queries with identical operands ride one
       {!Ctmc.Reachability.bounded_until_curve} sweep, and
       instantaneous + cumulative reward queries on one reward structure
@@ -56,8 +57,11 @@ type config = {
   port : int;  (** [0] picks an ephemeral port (see {!port}) *)
   domains : int;  (** worker-pool size for distinct-model fan-out *)
   batch_window_ms : int;
-      (** how long the scheduler lets same-model requests pile up before
-          dispatching a batch; [0] dispatches immediately *)
+      (** the longest the scheduler lets same-model requests pile up
+          before dispatching a batch; [0] dispatches immediately. The
+          window closes early when no queued query is one a shared sweep
+          batches, or when every open connection has a request queued
+          (and at least two are) *)
   max_sessions : int;  (** LRU capacity of the session cache *)
   lump : bool;  (** default for requests that do not set ["lump"] *)
 }
@@ -66,8 +70,10 @@ val default_config : unit -> config
 (** Defaults, overridable through the environment ([SERVER_HOST],
     [SERVER_PORT], [SERVER_DOMAINS], [SERVER_BATCH_WINDOW_MS],
     [SERVER_MAX_SESSIONS], [LUMP=1]). Numeric knobs go through
-    {!Numeric.Parallel.getenv_positive_int}: malformed values warn on
-    stderr and fall back, they never silently change behavior. *)
+    {!Numeric.Parallel.getenv_positive_int} ([SERVER_BATCH_WINDOW_MS]
+    through {!Numeric.Parallel.getenv_nonnegative_int}, so [0] turns the
+    window off): malformed values warn on stderr and fall back, they
+    never silently change behavior. *)
 
 type t
 (** A running server (accept loop, scheduler and worker pool). *)

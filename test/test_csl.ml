@@ -90,6 +90,22 @@ let test_parse_errors () =
       "S=? [ (x > 99999999999999999999) ]";
     ]
 
+(* A malformed PRISM expression inside parentheses is reported at the
+   offending token, not after the closing parenthesis. *)
+let test_parse_error_positions () =
+  List.iter
+    (fun (input, want) ->
+      match Parser.parse input with
+      | exception Parser.Syntax_error { line; column; _ } ->
+          Alcotest.(check (pair int int)) (String.escaped input) want (line, column)
+      | f -> Alcotest.failf "expected error on %S, got %s" input (Ast.to_string f))
+    [
+      ("P=? [ F<=100 (x > 2e) ]", (1, 19));
+      (* multi-line queries, as in an XML <measures> element *)
+      ("S=? [ (x > 1 &\n   y > 2e) ]", (2, 8));
+      ("S=? [\n  (x > 2e) ]", (2, 8));
+    ]
+
 (* Never raise: any token string parses to a formula or raises
    [Syntax_error], nothing else. The vocabulary mixes CSL and PRISM
    tokens with malformed numbers, so most strings are near misses. *)
@@ -274,6 +290,7 @@ let () =
           Alcotest.test_case "globally / until" `Quick test_parse_globally_until;
           Alcotest.test_case "time intervals" `Quick test_parse_interval;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "error positions" `Quick test_parse_error_positions;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 27 |])
             prop_csl_parse_never_raises;

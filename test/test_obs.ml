@@ -920,6 +920,16 @@ let test_obs_invariance () =
   Alcotest.(check bool) "fig3 artifact span" true (has "experiment.fig3");
   Alcotest.(check bool) "fig4 artifact span" true (has "experiment.fig4");
   Alcotest.(check bool) "mixture span" true (has "analysis.mixture");
+  (* every sweep reports its chain and the operator it gathers over *)
+  List.iter
+    (fun ev ->
+      let args = Option.get (Json.member "args" ev) in
+      let states = get_num "states" args and nnz = get_num "nnz" args in
+      Alcotest.(check bool)
+        (Printf.sprintf "mixture states %g, nnz %g" states nnz)
+        true
+        (states > 0. && nnz > 0. && get_num "batch_width" args >= 1.))
+    (List.filter (named "analysis.mixture") events);
   Alcotest.(check bool) "fox-glynn span" true (has "fox_glynn.compute");
   let metrics = Obs.Metrics.snapshot () in
   Alcotest.(check bool) "mixture passes counted" true

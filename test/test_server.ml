@@ -64,16 +64,18 @@ let with_server ?(batch_window_ms = 2) f =
     ~finally:(fun () -> Server.stop srv)
     (fun () -> f (Server.port srv))
 
-let post_analyze ?(model = tiny_model) ?(queries = measure_queries) port =
-  let body =
-    Json.to_string
-      (Json.Obj
-         [
-           ("model", Json.Str model);
-           ("queries", Json.List (List.map (fun q -> Json.Str q) queries));
-         ])
-  in
-  Http.request ~host:"127.0.0.1" ~port ~meth:"POST" ~path:"/analyze" ~body ()
+let analyze_body ?(model = tiny_model) ?(queries = measure_queries) () =
+  Json.to_string
+    (Json.Obj
+       [
+         ("model", Json.Str model);
+         ("queries", Json.List (List.map (fun q -> Json.Str q) queries));
+       ])
+
+let post_analyze ?model ?queries port =
+  Http.request ~host:"127.0.0.1" ~port ~meth:"POST" ~path:"/analyze"
+    ~body:(analyze_body ?model ?queries ())
+    ()
 
 let num_field key json =
   match Json.member key json with
@@ -388,6 +390,90 @@ let test_distinct_models_fan_out () =
       Alcotest.(check (float 0.))
         "all live" 3.
         (stat [ "sessions"; "live" ] stats))
+
+(* The admission window closes as soon as waiting cannot pay. A 2 s
+   window makes the wall-clock margins wide: a request that closes early
+   answers well within 1 s. *)
+let windows_closed port =
+  let stats = fetch_stats port in
+  List.map
+    (fun reason -> (reason, stat [ "server"; "window_" ^ reason ] stats))
+    [ "no_shared_work"; "all_queued"; "deadline" ]
+
+let elapsed_s f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let test_window_no_shared_work () =
+  with_server ~batch_window_ms:2000 (fun port ->
+      let steady = [ "S=? [ \"full_service\" ]"; "S=? [ \"operational\" ]" ] in
+      for i = 1 to 2 do
+        let (status, _), s = elapsed_s (fun () -> post_analyze ~queries:steady port) in
+        Alcotest.(check int) "answered" 200 status;
+        Alcotest.(check bool)
+          (Printf.sprintf "request %d in %.3f s < 1 s" i s) true (s < 1.)
+      done;
+      Alcotest.(check (list (pair string (float 0.))))
+        "closed by" [ ("no_shared_work", 2.); ("all_queued", 0.); ("deadline", 0.) ]
+        (windows_closed port))
+
+let test_window_all_queued () =
+  with_server ~batch_window_ms:2000 (fun port ->
+      let clients = Array.init 2 (fun _ -> Http.connect ~host:"127.0.0.1" ~port) in
+      let replies = Array.make 2 (0, "") in
+      let (), s =
+        elapsed_s (fun () ->
+            Array.mapi
+              (fun i cl ->
+                Thread.create
+                  (fun () ->
+                    replies.(i) <-
+                      Http.call cl ~meth:"POST" ~path:"/analyze"
+                        ~body:(analyze_body ()) ())
+                  ())
+              clients
+            |> Array.iter Thread.join)
+      in
+      Array.iter Http.close clients;
+      Array.iter
+        (fun (status, body) ->
+          Alcotest.(check int) "answered" 200 status;
+          Alcotest.(check (float 0.))
+            "coalesced" 2.
+            (num_field "coalesced" (Json.parse body)))
+        replies;
+      Alcotest.(check bool) (Printf.sprintf "both in %.3f s < 1 s" s) true (s < 1.);
+      Alcotest.(check (list (pair string (float 0.))))
+        "closed by" [ ("no_shared_work", 0.); ("all_queued", 1.); ("deadline", 0.) ]
+        (windows_closed port))
+
+(* an idle open connection could still send a partner: the window runs
+   to its deadline *)
+let test_window_deadline () =
+  with_server ~batch_window_ms:2000 (fun port ->
+      let idle = Http.connect ~host:"127.0.0.1" ~port in
+      let (status, _), s = elapsed_s (fun () -> post_analyze port) in
+      Http.close idle;
+      Alcotest.(check int) "answered" 200 status;
+      Alcotest.(check bool) (Printf.sprintf "held %.3f s >= 2 s" s) true (s >= 2.);
+      Alcotest.(check (list (pair string (float 0.))))
+        "closed by" [ ("no_shared_work", 0.); ("all_queued", 0.); ("deadline", 1.) ]
+        (windows_closed port))
+
+(* [0] turns the window off, as [--batch-window-ms 0] does *)
+let test_window_env_zero () =
+  let window v =
+    Unix.putenv "SERVER_BATCH_WINDOW_MS" v;
+    (Server.default_config ()).Server.batch_window_ms
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SERVER_BATCH_WINDOW_MS" "")
+    (fun () ->
+      Alcotest.(check int) "zero" 0 (window "0");
+      Alcotest.(check int) "positive" 7 (window "7");
+      Alcotest.(check int) "negative falls back" 5 (window "-3");
+      Alcotest.(check int) "unset" 5 (window ""))
 
 let test_metrics_endpoint () =
   with_server (fun port ->
@@ -848,6 +934,14 @@ let () =
             test_concurrent_amortization;
           Alcotest.test_case "distinct models fan out" `Quick
             test_distinct_models_fan_out;
+          Alcotest.test_case "window closes without shared work" `Quick
+            test_window_no_shared_work;
+          Alcotest.test_case "window closes once all connections queued"
+            `Quick test_window_all_queued;
+          Alcotest.test_case "idle connection holds the window" `Quick
+            test_window_deadline;
+          Alcotest.test_case "SERVER_BATCH_WINDOW_MS=0 accepted" `Quick
+            test_window_env_zero;
         ] );
       ( "observability",
         [
