@@ -5,7 +5,6 @@ type t = {
   analysis : Ctmc.Analysis.t;
   csl : Csl.Checker.model;
   cost : Ctmc.Rewards.structure;
-  lump : bool;
 }
 
 (* Every measure entry point runs under a measures.<name> span; when
@@ -31,7 +30,7 @@ let literal_labels model name =
            Some (literal, literal))
        (Component.modes (Model.component model name))
 
-let make_csl_model ~analysis ~lump ~levels ~component_cost ~repair_cost ~cost built =
+let make_csl_model ~analysis ~levels ~component_cost ~repair_cost ~cost built =
   let model = built.Semantics.model in
   (* a literal of a grouped component has no value on a reduced build:
      its label raises the same error when a query reads it *)
@@ -67,9 +66,9 @@ let make_csl_model ~analysis ~lump ~levels ~component_cost ~repair_cost ~cost bu
       (Some "repair_cost", repair_cost);
     ]
   in
-  Csl.Checker.of_chain ~analysis ~lump ~labels ~rewards built.Semantics.chain
+  Csl.Checker.of_chain ~analysis ~labels ~rewards built.Semantics.chain
 
-let wrap ?(lump = false) ?levels built =
+let wrap ?lump ?levels built =
   span "wrap" @@ fun () ->
   let levels =
     match levels with
@@ -78,14 +77,15 @@ let wrap ?(lump = false) ?levels built =
   in
   (* one session per state space: every measure below, and every CSL query
      through {!to_csl_model}, shares its cached transposed rates,
-     Fox-Glynn weights, quotients and steady-state vector *)
-  let analysis = Ctmc.Analysis.create built.Semantics.chain in
+     Fox-Glynn weights, quotients and steady-state vector, and runs on
+     quotients exactly when [lump] is set *)
+  let analysis = Ctmc.Analysis.create ?lump built.Semantics.chain in
   let component_cost, repair_cost = Semantics.cost_structures built in
   let cost = Numeric.Vec.add component_cost repair_cost in
   let csl =
-    make_csl_model ~analysis ~lump ~levels ~component_cost ~repair_cost ~cost built
+    make_csl_model ~analysis ~levels ~component_cost ~repair_cost ~cost built
   in
-  { built; analysis; csl; cost; lump }
+  { built; analysis; csl; cost }
 
 (* Every state-space build is counted, so a rebuilt chain shows in the
    registry even with tracing off (test/work_counts pins these per
@@ -217,7 +217,7 @@ let not_fully_operational t =
 
 let unreliability t ~time =
   span "unreliability" @@ fun () ->
-  Ctmc.Reachability.bounded_until_from_init ~lump:t.lump ~analysis:t.analysis
+  Ctmc.Reachability.bounded_until_from_init ~analysis:t.analysis
     (chain t)
     ~phi:(fun _ -> true)
     ~psi:(not_fully_operational t) ~bound:time
@@ -227,7 +227,7 @@ let reliability t ~time = 1. -. unreliability t ~time
 let reliability_curve t ~times =
   span "reliability_curve" @@ fun () ->
   let points =
-    Ctmc.Reachability.bounded_until_curve ~lump:t.lump ~analysis:t.analysis
+    Ctmc.Reachability.bounded_until_curve ~analysis:t.analysis
       (chain t)
       ~phi:(fun _ -> true)
       ~psi:(not_fully_operational t) ~bounds:times
@@ -236,19 +236,19 @@ let reliability_curve t ~times =
 
 let availability t =
   span "availability" @@ fun () ->
-  Ctmc.Steady_state.long_run_probability ~lump:t.lump ~analysis:t.analysis
+  Ctmc.Steady_state.long_run_probability ~analysis:t.analysis
     (chain t)
     ~pred:(Semantics.service_at_least t.built 1.)
 
 let any_service_availability t =
   span "any_service_availability" @@ fun () ->
-  Ctmc.Steady_state.long_run_probability ~lump:t.lump ~analysis:t.analysis
+  Ctmc.Steady_state.long_run_probability ~analysis:t.analysis
     (chain t)
     ~pred:(Semantics.operational_pred t.built)
 
 let instantaneous_availability t ~time =
   span "instantaneous_availability" @@ fun () ->
-  Ctmc.Transient.probability_at ~lump:t.lump ~analysis:t.analysis (chain t)
+  Ctmc.Transient.probability_at ~analysis:t.analysis (chain t)
     ~pred:(Semantics.service_at_least t.built 1.)
     time
 
@@ -264,7 +264,7 @@ let mean_time_to_service_loss t =
 
 let survivability t ~service_level ~time =
   span "survivability" @@ fun () ->
-  Ctmc.Reachability.bounded_until_from_init ~lump:t.lump ~analysis:t.analysis
+  Ctmc.Reachability.bounded_until_from_init ~analysis:t.analysis
     (chain t)
     ~phi:(fun _ -> true)
     ~psi:(Semantics.service_at_least t.built service_level)
@@ -272,7 +272,7 @@ let survivability t ~service_level ~time =
 
 let survivability_curve t ~service_level ~times =
   span "survivability_curve" @@ fun () ->
-  Ctmc.Reachability.bounded_until_curve ~lump:t.lump ~analysis:t.analysis
+  Ctmc.Reachability.bounded_until_curve ~analysis:t.analysis
     (chain t)
     ~phi:(fun _ -> true)
     ~psi:(Semantics.service_at_least t.built service_level)
@@ -314,37 +314,37 @@ let most_likely_loss_scenario t = describe_scenario t (Semantics.down_pred t.bui
 
 let instantaneous_cost t ~time =
   span "instantaneous_cost" @@ fun () ->
-  Ctmc.Rewards.instantaneous ~lump:t.lump ~analysis:t.analysis (chain t)
+  Ctmc.Rewards.instantaneous ~analysis:t.analysis (chain t)
     ~reward:t.cost
     ~at:time
 
 let accumulated_cost t ~time =
   span "accumulated_cost" @@ fun () ->
-  Ctmc.Rewards.accumulated ~lump:t.lump ~analysis:t.analysis (chain t)
+  Ctmc.Rewards.accumulated ~analysis:t.analysis (chain t)
     ~reward:t.cost
     ~upto:time
 
 let instantaneous_cost_curve t ~times =
   span "instantaneous_cost_curve" @@ fun () ->
-  Ctmc.Rewards.instantaneous_curve ~lump:t.lump ~analysis:t.analysis (chain t)
+  Ctmc.Rewards.instantaneous_curve ~analysis:t.analysis (chain t)
     ~reward:t.cost
     ~times
 
 let accumulated_cost_curve t ~times =
   span "accumulated_cost_curve" @@ fun () ->
-  Ctmc.Rewards.accumulated_curve ~lump:t.lump ~analysis:t.analysis (chain t)
+  Ctmc.Rewards.accumulated_curve ~analysis:t.analysis (chain t)
     ~reward:t.cost
     ~times
 
 let cost_curves t ~times =
   span "cost_curves" @@ fun () ->
-  Ctmc.Rewards.both_curves ~lump:t.lump ~analysis:t.analysis (chain t)
+  Ctmc.Rewards.both_curves ~analysis:t.analysis (chain t)
     ~reward:t.cost
     ~times
 
 let steady_state_cost t =
   span "steady_state_cost" @@ fun () ->
-  Ctmc.Rewards.steady_state ~lump:t.lump ~analysis:t.analysis (chain t)
+  Ctmc.Rewards.steady_state ~analysis:t.analysis (chain t)
     ~reward:t.cost
 
 let combined_availability avails =

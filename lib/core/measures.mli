@@ -11,16 +11,13 @@ type t = {
   analysis : Ctmc.Analysis.t;
       (** the analysis session shared by every measure (and by the CSL
           model): transposed rates, Fox–Glynn weights, quotients and the
-          steady-state vector are each computed at most once *)
+          steady-state vector are each computed at most once. Whether the
+          measures run on lumping quotients is the session's choice
+          ({!Ctmc.Analysis.create}), made by {!analyze}'s [lump]. *)
   csl : Csl.Checker.model;
   cost : Ctmc.Rewards.structure;
       (** {!Semantics.cost_structure}, computed once; the cost measures
           and the CSL model's ["cost"] reward share it *)
-  lump : bool;
-      (** when true, every measure runs its vector iterations on cached
-          lumping quotients ({!Ctmc.Analysis.quotient}) that respect the
-          measure's predicate/reward — exact, and faster on lumpable
-          models *)
 }
 
 val analyze :
@@ -34,7 +31,10 @@ val analyze :
   t
 (** Build the state space — and one cached {!Ctmc.Analysis} session over
     it — once; all measures below reuse both. [lump] (default [false])
-    turns on quotient-based evaluation for every measure. [symmetric]
+    makes it a lumping session ({!Ctmc.Analysis.create}): every measure
+    that sweeps or solves (all but the scenario and mean-time measures)
+    runs on the cached exact quotient that respects its labels and
+    rewards ({!Ctmc.Analysis.reduce}). [symmetric]
     (default [false]) builds the quotient under interchangeable components
     ({!Semantics.build}): the group-invariant measures (availability,
     service levels, costs, the fault tree) are exact on it, while the
@@ -59,10 +59,11 @@ val rooted : t -> (float * Semantics.state) list -> t
 (** [rooted t weighted] is [t] started from another initial distribution:
     each [(weight, state)] pair puts mass [weight] on [state] (weights are
     normalized; a state listed twice sums its weights). Nothing is
-    rebuilt: the view keeps [t]'s state set, packed keys, cost vectors,
-    labels and [lump] flag, and its analysis session is
-    {!Ctmc.Analysis.with_init} of [t]'s, sharing the rate operator and
-    every cache that does not depend on the initial distribution. For a
+    rebuilt: the view keeps [t]'s state set, packed keys, cost vectors
+    and labels, and its analysis session is {!Ctmc.Analysis.with_init} of
+    [t]'s, with [t]'s choice of lumping, sharing the rate operator, the
+    lumping partitions and every cache that does not depend on the
+    initial distribution. For a
     GOOD model whose disaster state is reachable from [t]'s initial state
     this is the disaster analysis without a second build. Raises
     [Invalid_argument "Measures.rooted: ..."] on an empty list, a weight

@@ -8,7 +8,6 @@ type model = {
   label : string -> (int -> bool) option;
   atomic : Prism.Ast.expr -> (int -> bool) option;
   reward : string option -> Numeric.Vec.t option;
-  lump : bool;
 }
 
 exception Unsupported of string
@@ -20,16 +19,10 @@ let () =
 
 let unsupported fmt = Printf.ksprintf (fun msg -> raise (Unsupported msg)) fmt
 
-let session analysis chain =
-  match analysis with
-  | Some a when Ctmc.Analysis.wraps a chain -> a
-  | Some _ | None -> Ctmc.Analysis.create chain
-
-let of_built ?analysis ?(lump = false) built =
+let of_built ?analysis built =
   {
     chain = built.Prism.Builder.chain;
-    analysis = session analysis built.Prism.Builder.chain;
-    lump;
+    analysis = Ctmc.Analysis.for_chain analysis built.Prism.Builder.chain;
     label =
       (fun name ->
         if List.mem_assoc name built.Prism.Builder.labels then
@@ -41,11 +34,10 @@ let of_built ?analysis ?(lump = false) built =
         List.assoc_opt name built.Prism.Builder.reward_structures);
   }
 
-let of_chain ?analysis ?(lump = false) ?(labels = []) ?(rewards = []) chain =
+let of_chain ?analysis ?(labels = []) ?(rewards = []) chain =
   {
     chain;
-    analysis = session analysis chain;
-    lump;
+    analysis = Ctmc.Analysis.for_chain analysis chain;
     label = (fun name -> List.assoc_opt name labels);
     atomic = (fun _ -> None);
     reward = (fun name -> List.assoc_opt name rewards);
@@ -110,8 +102,8 @@ let rec path_probabilities model path =
           Ctmc.Reachability.unbounded_until ~analysis:model.analysis model.chain
             ~phi ~psi
       | Ast.Upto t ->
-          Ctmc.Reachability.bounded_until ~lump:model.lump
-            ~analysis:model.analysis model.chain ~phi ~psi ~bound:t
+          Ctmc.Reachability.bounded_until ~analysis:model.analysis model.chain
+            ~phi ~psi ~bound:t
       | Ast.Within (a, b) ->
           Ctmc.Reachability.interval_until ~analysis:model.analysis model.chain
             ~phi ~psi ~lower:a ~upper:b)
@@ -126,14 +118,13 @@ and reward_value model name query =
   in
   match query with
   | Ast.Instantaneous t ->
-      Ctmc.Rewards.instantaneous ~lump:model.lump ~analysis:model.analysis
-        model.chain ~reward ~at:t
+      Ctmc.Rewards.instantaneous ~analysis:model.analysis model.chain ~reward
+        ~at:t
   | Ast.Cumulative t ->
-      Ctmc.Rewards.accumulated ~lump:model.lump ~analysis:model.analysis
-        model.chain ~reward ~upto:t
+      Ctmc.Rewards.accumulated ~analysis:model.analysis model.chain ~reward
+        ~upto:t
   | Ast.Steady ->
-      Ctmc.Rewards.steady_state ~lump:model.lump ~analysis:model.analysis
-        model.chain ~reward
+      Ctmc.Rewards.steady_state ~analysis:model.analysis model.chain ~reward
 
 and satisfaction model formula =
   let n = Chain.states model.chain in
@@ -207,8 +198,8 @@ let check model formula =
   | Ast.S (Ast.Query, f) ->
       let sat = satisfaction model f in
       Value
-        (Ctmc.Steady_state.long_run_probability ~lump:model.lump
-           ~analysis:model.analysis model.chain
+        (Ctmc.Steady_state.long_run_probability ~analysis:model.analysis
+           model.chain
            ~pred:(fun s -> sat.(s)))
   | Ast.R (name, Ast.Query, query) -> Value (reward_value model name query)
   | _ ->

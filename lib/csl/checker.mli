@@ -10,28 +10,24 @@ type model = {
   analysis : Ctmc.Analysis.t;
       (** the cached analysis session every query runs through: checking
           several formulas against one model shares the transposed rates,
-          Fox–Glynn weights, quotients and steady-state vector *)
+          Fox–Glynn weights, quotients and steady-state vector. On a
+          lumping session ({!Ctmc.Analysis.create}) the bounded-until,
+          steady-state and reward queries sweep its quotients. *)
   label : string -> (int -> bool) option;  (** resolve a quoted label *)
   atomic : Prism.Ast.expr -> (int -> bool) option;
       (** resolve an atomic expression over state variables *)
   reward : string option -> Numeric.Vec.t option;  (** resolve a reward structure *)
-  lump : bool;
-      (** when true, bounded-until, steady-state and reward queries run
-          their vector iterations on cached lumping quotients
-          ({!Ctmc.Analysis.quotient}) that respect the query's
-          predicates/rewards — exact, and faster on lumpable models *)
 }
 
-val of_built :
-  ?analysis:Ctmc.Analysis.t -> ?lump:bool -> Prism.Builder.built -> model
+val of_built : ?analysis:Ctmc.Analysis.t -> Prism.Builder.built -> model
 (** Wrap a built PRISM model: labels, variables and reward structures
     resolve to what the model defines. [analysis] injects an existing
     session for the model's chain (it is used only if it wraps exactly that
-    chain); by default a fresh one is created. *)
+    chain), and with it the session's choice of lumping
+    ({!Ctmc.Analysis.create}); by default a fresh plain one is created. *)
 
 val of_chain :
   ?analysis:Ctmc.Analysis.t ->
-  ?lump:bool ->
   ?labels:(string * (int -> bool)) list ->
   ?rewards:(string option * Numeric.Vec.t) list ->
   Ctmc.Chain.t ->

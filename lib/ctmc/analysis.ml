@@ -39,8 +39,8 @@ let m_sweep_len = Obs.Metrics.histogram "analysis.sweep_length"
 type operator = {
   mutable rate : float option;
   mutable emb : Sparse.t option;
-  (* R^T: forward sweeps, the steady-state sweep and coreachability read
-     its rows *)
+  (* R^T: forward sweeps, the steady-state sweep, coreachability and the
+     lumping refinement read its rows *)
   mutable rates_t : Sparse.t option;
   mutable scc : (int array * int array array) option;
   mutable bscc : int array array option;
@@ -48,33 +48,41 @@ type operator = {
   (* the iterate pair of the last finished sweep, taken by the next one
      (atomically: views on other domains share this record) *)
   iterates : (Multivec.t * Multivec.t) option Atomic.t;
+  (* the lumpings of the rates, keyed by initial partition ({!memo}),
+     each with a session over its quotient whose operator every view's
+     quotient session shares *)
+  lumpings : (int64, (int array * (Lumping.result * t)) list) Hashtbl.t;
 }
 
-(* The steady-state vectors (BSCC weights) and the quotients (lumped
-   initial distribution) depend on the chain's initial distribution, so
-   they stay per session. *)
-type t = {
+(* The steady-state vectors (BSCC weights) and the reductions (their
+   quotient sessions carry the projected initial distribution) depend on
+   the chain's initial distribution, so they stay per session. *)
+and t = {
   chain : Chain.t;
   op : operator;
+  lump : bool;
   steady_tbl : (float, Vec.t) Hashtbl.t;
-  (* lumping quotients, keyed by an FNV-1a hash of the dense initial
-     partition; each bucket entry keeps the full partition to verify the
-     hit *)
-  quot_tbl : (int64, (int array * quotient) list) Hashtbl.t;
+  reductions : (int64, (int array * reduced) list) Hashtbl.t;
 }
 
-and quotient = { lumping : Lumping.result; q : t }
+and reduced = {
+  session : t;
+  pred : (int -> bool) -> int -> bool;
+  reward : Vec.t -> Vec.t;
+  lift : Vec.t -> Vec.t;
+}
 
-let session chain op =
+let session ~lump chain op =
   {
     chain;
     op;
+    lump;
     steady_tbl = Hashtbl.create 4;
-    quot_tbl = Hashtbl.create 4;
+    reductions = Hashtbl.create 4;
   }
 
-let create chain =
-  session chain
+let create ?(lump = false) chain =
+  session ~lump chain
     {
       rate = None;
       emb = None;
@@ -83,9 +91,10 @@ let create chain =
       bscc = None;
       weight_tbl = Hashtbl.create 16;
       iterates = Atomic.make None;
+      lumpings = Hashtbl.create 4;
     }
 
-let with_init t init = session (Chain.with_init t.chain init) t.op
+let with_init t init = session ~lump:t.lump (Chain.with_init t.chain init) t.op
 
 let chain t = t.chain
 
@@ -272,12 +281,9 @@ let fnv1a64 s =
   !h
 
 (* ------------------------------------------------------------------ *)
-(* Lumping quotient sessions                                          *)
+(* Session reductions                                                 *)
 
-type respect =
-  | Pred of (int -> bool)
-  | Reward of Vec.t
-  | Blocks of int array
+type respect = Pred of (int -> bool) | Reward of Vec.t
 
 let initial_partition n respect =
   (* one composite key per state; densified to block ids *)
@@ -291,13 +297,8 @@ let initial_partition n respect =
             | Pred p -> Buffer.add_char buf (if p s then '1' else '0')
             | Reward v ->
                 if Vec.dim v <> n then
-                  invalid_arg "Analysis.quotient: reward dimension mismatch";
-                Buffer.add_int64_le buf (Int64.bits_of_float v.(s))
-            | Blocks b ->
-                if Array.length b <> n then
-                  invalid_arg "Analysis.quotient: blocks dimension mismatch";
-                Buffer.add_string buf (string_of_int b.(s));
-                Buffer.add_char buf ';');
+                  invalid_arg "Analysis.reduce: reward dimension mismatch";
+                Buffer.add_int64_le buf (Int64.bits_of_float v.(s)));
             Buffer.add_char buf '|')
           respect;
         Buffer.contents buf)
@@ -307,50 +308,61 @@ let initial_partition n respect =
 let partition_hash part =
   Array.fold_left fnv_int fnv_offset part
 
-let quotient ?rate_tolerance t ~respect =
-  let n = Chain.states t.chain in
-  let part = initial_partition n respect in
+(* A lumping table keyed by an FNV-1a hash of a dense partition, each
+   bucket entry keeping the full partition to verify a hit (counted as a
+   lump hit). *)
+let memo tbl part build =
   let h = partition_hash part in
-  let bucket =
-    match Hashtbl.find_opt t.quot_tbl h with Some l -> l | None -> []
-  in
-  match List.find_opt (fun (p, _) -> p = part) bucket with
-  | Some (_, quot) ->
+  let bucket = Option.value (Hashtbl.find_opt tbl h) ~default:[] in
+  match List.assoc_opt part bucket with
+  | Some v ->
       Obs.Metrics.incr m_lump_hits;
-      Obs.Metrics.set_gauge m_lumped_states
-        (float_of_int (Chain.states quot.q.chain));
-      quot
+      v
   | None ->
-      let lumping =
-        Obs.Trace.with_span "analysis.lump" @@ fun span ->
-        let l = Lumping.lump ?rate_tolerance t.chain ~initial:part in
-        if Obs.Trace.recording span then begin
-          Obs.Trace.add_attr span "states" (Obs.Int n);
-          Obs.Trace.add_attr span "blocks"
-            (Obs.Int (Chain.states l.Lumping.quotient))
-        end;
-        l
-      in
-      Obs.Metrics.incr m_lump_builds;
-      Obs.Metrics.set_gauge m_lumped_states
-        (float_of_int (Chain.states lumping.Lumping.quotient));
-      let quot = { lumping; q = create lumping.Lumping.quotient } in
-      Hashtbl.replace t.quot_tbl h ((part, quot) :: bucket);
-      quot
+      let v = build () in
+      Hashtbl.replace tbl h ((part, v) :: bucket);
+      v
 
-let lift quot v = Lumping.lift quot.lumping v
+(* The lumping of the rates under [part], refined over the session's
+   cached R^T, and a session over its quotient. *)
+let lump t part =
+  let result =
+    Obs.Trace.with_span "analysis.lump" @@ fun span ->
+    let l =
+      Lumping.lump ~rates_transposed:(rates_transposed t) t.chain ~initial:part
+    in
+    if Obs.Trace.recording span then begin
+      Obs.Trace.add_attr span "states" (Obs.Int (Chain.states t.chain));
+      Obs.Trace.add_attr span "blocks" (Obs.Int (Chain.states l.Lumping.quotient))
+    end;
+    l
+  in
+  Obs.Metrics.incr m_lump_builds;
+  (result, create result.Lumping.quotient)
 
-let project quot v = Lumping.project quot.lumping v
-
-(* Predicates/rewards respected by the quotient are block-constant, so any
-   member represents its block. *)
-let block_pred quot pred =
-  let blocks = quot.lumping.Lumping.blocks in
-  fun b -> pred (List.hd blocks.(b))
-
-let block_reward quot reward =
-  let blocks = quot.lumping.Lumping.blocks in
-  Array.map (fun members -> reward.(List.hd members)) blocks
+(* A view lumps nothing another view has lumped: its quotient session is
+   a view of the shared one, started from its own projected initial
+   distribution. Respected predicates and rewards are block-constant, so
+   any member represents its block. *)
+let reduce t ~respect =
+  if not t.lump then { session = t; pred = Fun.id; reward = Fun.id; lift = Fun.id }
+  else begin
+    let part = initial_partition (Chain.states t.chain) respect in
+    let r =
+      memo t.reductions part @@ fun () ->
+      let result, quotient = memo t.op.lumpings part (fun () -> lump t part) in
+      let blocks = result.Lumping.blocks in
+      {
+        session = with_init quotient (Lumping.project result (Chain.initial t.chain));
+        pred = (fun p b -> p (List.hd blocks.(b)));
+        reward = (fun v -> Array.map (fun members -> v.(List.hd members)) blocks);
+        lift = Lumping.lift result;
+      }
+    in
+    Obs.Metrics.set_gauge m_lumped_states
+      (float_of_int (Chain.states r.session.chain));
+    r
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Absorbing-row masks                                                *)

@@ -12,26 +12,37 @@
     the fly, and time-bounded until masks its rows instead of building an
     absorbed copy of the chain.
 
+    Whether queries run on exact lumping quotients is a property of the
+    session, chosen once by {!create}. Each query module makes one
+    {!reduce} call for the labels and rewards it evaluates and sweeps the
+    session it gets back: on a plain session that is the session itself,
+    on a lumping session the cached quotient that respects them.
+
     Sessions are not thread-safe; use one per chain per thread (a
     session and its {!with_init} views count as one). *)
 
 type t
 
-val create : Chain.t -> t
+val create : ?lump:bool -> Chain.t -> t
 (** A fresh session wrapping [chain]. Nothing is computed up front; every
-    derived artifact is built lazily on first demand. *)
+    derived artifact is built lazily on first demand. With [~lump:true]
+    (default [false]) every query run through the session sweeps the
+    exact lumping quotient that respects the query's labels and rewards
+    ({!reduce}). *)
 
 val with_init : t -> Numeric.Vec.t -> t
 (** [with_init t init] is a session over [Chain.with_init (chain t) init]:
-    the same states and rate operator, another initial distribution. It
-    shares by reference every cache of [t] that depends on the rates alone
-    — the uniformization rate, {!embedded}, {!rates_transposed}, {!sccs},
-    {!bottom_sccs} and the {!weights} table — so whichever of the two
-    sessions derives one of them first, both see it. The steady-state
-    vectors (BSCC weights) and the {!quotient}s (lumped initial
-    distribution) depend on the initial distribution and stay per
-    session. Both sessions must stay in one domain. Raises
-    [Invalid_argument] as {!Chain.with_init} does. *)
+    the same states and rate operator, another initial distribution, and
+    [t]'s choice of lumping. It shares by reference every cache of [t]
+    that depends on the rates alone — the uniformization rate,
+    {!embedded}, {!rates_transposed}, {!sccs}, {!bottom_sccs}, the
+    {!weights} table and the lumping partitions behind {!reduce} — so
+    whichever of the two sessions derives one of them first, both see it.
+    The steady-state vectors (BSCC weights) and the quotient sessions
+    (their initial distribution is projected from the view's) depend on
+    the initial distribution and stay per session. Both sessions must
+    stay in one domain. Raises [Invalid_argument] as {!Chain.with_init}
+    does. *)
 
 val chain : t -> Chain.t
 (** The wrapped chain. *)
@@ -116,55 +127,49 @@ val cached_steady : t -> tol:float -> (unit -> Numeric.Vec.t) -> Numeric.Vec.t
     every call). *)
 
 val fnv1a64 : string -> int64
-(** 64-bit FNV-1a hash of a string — the same streaming hash the quotient
+(** 64-bit FNV-1a hash of a string — the same streaming hash the reduction
     cache uses for partitions, exposed for content-addressing whole
     inputs (e.g. the analysis daemon keys its model-session cache on the
     hash of the XML source). *)
 
-(** {2 Lumping quotient sessions} *)
+(** {2 Session reductions} *)
 
 type respect =
   | Pred of (int -> bool)
       (** states differing under the predicate stay separate — required for
-          any label/target set the caller will evaluate on the quotient *)
+          any label/target set the caller will evaluate on the reduced
+          session *)
   | Reward of Numeric.Vec.t
       (** states with different reward stay separate, so block-constant
           reward structures project exactly *)
-  | Blocks of int array
-      (** an explicit pre-partition (e.g. from {!Lumping.partition_by_key}) *)
 
-type quotient = {
-  lumping : Lumping.result;
-  q : t;  (** analysis session over the quotient chain, with its own caches *)
+type reduced = {
+  session : t;  (** the session to sweep *)
+  pred : (int -> bool) -> int -> bool;
+      (** a respected predicate over [session]'s states *)
+  reward : Numeric.Vec.t -> Numeric.Vec.t;
+      (** a respected vector over [session]'s states *)
+  lift : Numeric.Vec.t -> Numeric.Vec.t;
+      (** a per-state vector of [session] (e.g. a backward value vector)
+          expanded to the states of the reduced session's chain *)
 }
 
-val quotient : ?rate_tolerance:float -> t -> respect:respect list -> quotient
-(** [quotient t ~respect] lumps the session's chain with {!Lumping.lump},
-    starting from the coarsest partition that separates states
-    distinguished by any [respect] entry, and wraps the quotient chain in
-    its own cached analysis session. Memoized by the initial partition
-    (FNV-hashed, verified on hit), so every measure that respects the same
-    labels shares one lumping and one set of quotient caches.
-    [rate_tolerance] is passed through to {!Lumping.lump}. *)
+val reduce : t -> respect:respect list -> reduced
+(** [reduce t ~respect] is the session a query evaluating the [respect]ed
+    predicates and vectors sweeps, with those mapped onto it and the lift
+    of its values back to [t]'s states. On a plain session it is [t]
+    itself with identity maps, and computes nothing.
 
-val lift : quotient -> Numeric.Vec.t -> Numeric.Vec.t
-(** Expand a per-block vector (e.g. a backward value vector computed on the
-    quotient) to a per-original-state vector. Exact for ordinary
-    lumpability. *)
-
-val project : quotient -> Numeric.Vec.t -> Numeric.Vec.t
-(** Sum a per-original-state vector (e.g. an initial distribution) down to
-    blocks. *)
-
-val block_pred : quotient -> (int -> bool) -> int -> bool
-(** [block_pred quot pred] is [pred] over quotient states. Only meaningful
-    when [pred] was respected when building [quot] (it is then
-    block-constant); evaluated on one representative per block. *)
-
-val block_reward : quotient -> Numeric.Vec.t -> Numeric.Vec.t
-(** [block_reward quot reward] is the reward structure over quotient
-    states; requires [Reward reward] (or a refinement of it) among the
-    respected structures. *)
+    On a lumping session it is the session over the coarsest exactly
+    lumpable quotient ({!Lumping.lump}) of the partition that separates
+    the states any [respect] entry distinguishes. The lumping runs once
+    per initial partition (FNV-hashed, verified on a hit) and state space:
+    [t] and all its {!with_init} views share it, and a view's quotient
+    session starts from the projection of the view's initial
+    distribution. The refinement reads {!rates_transposed}. Mapped
+    predicates and vectors are read off one member per block, which is
+    exact only for respected ones. Raises [Invalid_argument] when a
+    [Reward] vector's dimension is not the chain's. *)
 
 (** {2 Absorbing-row masks} *)
 
@@ -306,11 +311,12 @@ val check_times : string -> float list -> unit
       so [batch_columns / mixture_passes] is the mean number of streams
       per sweep (streams that share an iterate column each count);
     - [analysis.lump_builds] and [analysis.lump_hits]: lumpings computed
-      by {!quotient} and {!quotient} calls served from the memo table;
+      by {!reduce}, and {!reduce} calls on a lumping session served by a
+      lumping already computed for the session or one of its views;
     - gauges [analysis.lumped_states] (state count of the most recent
-      quotient chain) and [analysis.fg_mass_deficit] (worst Fox–Glynn
-      truncation of the last sweep), and the [analysis.sweep_length]
-      histogram.
+      quotient chain {!reduce} returned) and [analysis.fg_mass_deficit]
+      (worst Fox–Glynn truncation of the last sweep), and the
+      [analysis.sweep_length] histogram.
 
     When tracing is on, every kernel sweep (either
     face) runs under an [analysis.mixture] span (with
@@ -322,5 +328,5 @@ val check_times : string -> float list -> unit
     plus the per-step accumulation) child phases ([mixture.sweep] carries
     [batch_width] and [streams] too); masked passes are no different.
     {!rates_transposed} and {!sccs} build under [analysis.transpose_rates]
-    and [analysis.sccs] spans, and {!quotient} builds under an
+    and [analysis.sccs] spans, and {!reduce} lumps under an
     [analysis.lump] span. *)

@@ -59,14 +59,6 @@ let with_point_init m s =
   if s < 0 || s >= m.n then invalid_arg "Chain.with_point_init: bad state";
   { m with init = Vec.unit m.n s }
 
-let generator m =
-  let b = Sparse.Builder.create ~rows:m.n ~cols:m.n in
-  Sparse.iteri m.rates (fun i j x -> Sparse.Builder.add b i j x);
-  for i = 0 to m.n - 1 do
-    if m.exit.(i) <> 0. then Sparse.Builder.add b i i (-.m.exit.(i))
-  done;
-  Sparse.Builder.to_csr b
-
 let transition_count m = Sparse.nnz m.rates
 
 (* Absorbing rows count with exit rate 0, as in the chain with their

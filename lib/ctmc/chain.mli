@@ -2,8 +2,8 @@
 
     A CTMC is stored as its off-diagonal rate matrix [R] (entry [(i, j)] is
     the transition rate from state [i] to state [j], [i <> j]) together with
-    an initial distribution. Exit rates and the generator diagonal are
-    derived. All analysis modules ({!Transient}, {!Reachability},
+    an initial distribution. Exit rates are derived; no analysis forms
+    the generator [Q = R - diag(exit)]. All analysis modules ({!Transient}, {!Reachability},
     {!Steady_state}, {!Rewards}, {!Lumping}, {!Simulate}) operate on this
     representation. *)
 
@@ -36,9 +36,6 @@ val initial : t -> Numeric.Vec.t
 val with_init : t -> Numeric.Vec.t -> t
 
 val with_point_init : t -> int -> t
-
-val generator : t -> Numeric.Sparse.t
-(** The infinitesimal generator [Q = R - diag(exit)]. *)
 
 val transition_count : t -> int
 (** Number of (off-diagonal) transitions. *)

@@ -96,7 +96,8 @@ let swap_to p s pos =
     p.loc.(other) <- cur
   end
 
-let lump ?(rate_tolerance = 1e-9) ?(abs_tolerance = 1e-12) m ~initial =
+let lump ?(rate_tolerance = 1e-9) ?(abs_tolerance = 1e-12) ?rates_transposed m
+    ~initial =
   let n = Chain.states m in
   if Array.length initial <> n then invalid_arg "Lumping.lump: partition size";
   let n_blocks0 = Array.fold_left max (-1) initial + 1 in
@@ -114,8 +115,23 @@ let lump ?(rate_tolerance = 1e-9) ?(abs_tolerance = 1e-12) m ~initial =
   if rate_tolerance < 0. || abs_tolerance < 0. then
     invalid_arg "Lumping.lump: negative tolerance";
   let close = rates_close ~abs_tol:abs_tolerance ~rel_tol:rate_tolerance in
-  (* incoming generator edges: qt.(row j) holds (i, Q(i,j)) *)
-  let qt = Sparse.transpose (Chain.generator m) in
+  (* incoming generator edges: row j of Q^T lists (i, Q(i,j)) in
+     increasing i. It is row j of R^T with -exit(j) merged in at i = j (R
+     stores no diagonal, and Q none for a zero exit rate), so no generator
+     is built. *)
+  let rt =
+    match rates_transposed with
+    | Some rt -> rt
+    | None -> Sparse.transpose (Chain.rates m)
+  in
+  let exit = Chain.exit_rates m in
+  let iter_q_col j f =
+    let pending = ref (exit.(j) <> 0.) in
+    Sparse.iter_row rt j (fun i q ->
+        if !pending && i > j then (pending := false; f j (-.exit.(j)));
+        f i q);
+    if !pending then f j (-.exit.(j))
+  in
   let p = partition_of_initial initial n_blocks0 in
   (* worklist of splitter blocks; on_worklist avoids duplicates *)
   let worklist = Queue.create () in
@@ -142,7 +158,7 @@ let lump ?(rate_tolerance = 1e-9) ?(abs_tolerance = 1e-12) m ~initial =
     (* 1. accumulate Q-weights into the splitter *)
     for pos = p.first.(sp) to p.past.(sp) - 1 do
       let j = p.elems.(pos) in
-      Sparse.iter_row qt j (fun i q ->
+      iter_q_col j (fun i q ->
           if not is_touched.(i) then begin
             is_touched.(i) <- true;
             w.(i) <- 0.;

@@ -25,13 +25,22 @@ val partition_by_key : int -> (int -> string) -> int array
 val lump :
   ?rate_tolerance:float ->
   ?abs_tolerance:float ->
+  ?rates_transposed:Numeric.Sparse.t ->
   Chain.t ->
   initial:int array ->
   result
 (** [lump m ~initial] refines [initial] to the coarsest strongly lumpable
     partition and builds the quotient. [initial.(s)] is the block of state
-    [s]; blocks must be numbered densely from 0. The quotient's initial
-    distribution aggregates the original one. Two block-rate sums are
+    [s]; blocks must be numbered densely from 0. The refinement reads the
+    generator's columns off [R^T] with each [-exit] diagonal merged in
+    place; [rates_transposed], when given, must be
+    [Numeric.Sparse.transpose (Chain.rates m)] (an analysis session passes
+    its cached one), and is built otherwise. The partition and its block
+    numbering depend on the rates alone. The quotient's initial
+    distribution aggregates [m]'s; a chain with the same rates and another
+    initial distribution (a session view, {!Analysis.with_init}) gets its
+    quotient from the same partition, with the initial distribution
+    {!project}ed from its own. Two block-rate sums are
     considered equal when they differ by at most
     [abs_tolerance + rate_tolerance * max |a| |b|] (defaults [1e-12] and
     [1e-9]): the tolerances absorb float summation noise only — there is no

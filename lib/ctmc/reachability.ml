@@ -5,25 +5,23 @@ module Vec = Numeric.Vec
    at most, into one class per state (1: psi, 2: absorbing without psi,
    0: neither) and returns the session to sweep, its absorbing-row mask,
    the psi indicator and the lift of per-state values back to [m]: no
-   absorbed chain is built. Under [~lump] the quotient respects the
-   classes (so the mask and the psi indicator are block-constant) and
-   the mask applies on the quotient's operator. *)
-let masked ~lump ?analysis m ~phi ~psi =
+   absorbed chain is built. The session's reduction respects the classes,
+   so on a lumping session the mask and the psi indicator are
+   block-constant and the mask applies on the quotient's operator. *)
+let masked ?analysis m ~phi ~psi =
   Obs.Trace.with_span "reachability.mask" @@ fun _ ->
-  let a = Analysis.for_chain analysis m in
   let cls =
     Array.init (Chain.states m) (fun s -> if psi s then 1. else if phi s then 0. else 2.)
   in
-  let session, cls, lift =
-    if lump then
-      let quot = Analysis.quotient a ~respect:[ Analysis.Reward cls ] in
-      (quot.Analysis.q, Analysis.block_reward quot cls, Analysis.lift quot)
-    else (a, cls, Fun.id)
+  let r =
+    Analysis.reduce (Analysis.for_chain analysis m)
+      ~respect:[ Analysis.Reward cls ]
   in
+  let session = r.Analysis.session and cls = r.Analysis.reward cls in
   ( session,
     Analysis.absorbing session (fun s -> cls.(s) <> 0.),
     Array.map (fun c -> if c = 1. then 1. else 0.) cls,
-    lift )
+    r.Analysis.lift )
 
 (* the value vector of [start] backward over [time], [absorbing] masked *)
 let backward ?epsilon session absorbing start time =
@@ -35,16 +33,16 @@ let backward ?epsilon session absorbing start time =
   | [ [ v ] ] -> v
   | _ -> assert false
 
-let bounded_until ?epsilon ?(lump = false) ?analysis m ~phi ~psi ~bound =
+let bounded_until ?epsilon ?analysis m ~phi ~psi ~bound =
   if bound < 0. then invalid_arg "Reachability.bounded_until: negative bound";
-  let session, absorbing, goal, lift = masked ~lump ?analysis m ~phi ~psi in
+  let session, absorbing, goal, lift = masked ?analysis m ~phi ~psi in
   lift (backward ?epsilon session absorbing goal bound)
 
 (* the psi mass of each transient distribution, through the values face of
    the kernel with the psi indicator as reward *)
-let bounded_until_curve ?epsilon ?(lump = false) ?analysis m ~phi ~psi ~bounds =
+let bounded_until_curve ?epsilon ?analysis m ~phi ~psi ~bounds =
   Analysis.check_times "Reachability.bounded_until_curve" bounds;
-  let session, absorbing, goal, _ = masked ~lump ?analysis m ~phi ~psi in
+  let session, absorbing, goal, _ = masked ?analysis m ~phi ~psi in
   let start = Chain.initial (Analysis.chain session) in
   match
     Analysis.poisson_mixture_values ?epsilon ~absorbing session
@@ -54,10 +52,10 @@ let bounded_until_curve ?epsilon ?(lump = false) ?analysis m ~phi ~psi ~bounds =
   | [ mass ] -> List.combine bounds mass
   | _ -> assert false
 
-let bounded_until_from_init ?epsilon ?lump ?analysis m ~phi ~psi ~bound =
+let bounded_until_from_init ?epsilon ?analysis m ~phi ~psi ~bound =
   if bound < 0. then invalid_arg "Reachability.bounded_until: negative bound";
   match
-    bounded_until_curve ?epsilon ?lump ?analysis m ~phi ~psi ~bounds:[ bound ]
+    bounded_until_curve ?epsilon ?analysis m ~phi ~psi ~bounds:[ bound ]
   with
   | [ (_, p) ] -> p
   | _ -> assert false

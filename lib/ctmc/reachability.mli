@@ -16,22 +16,20 @@
 
 val bounded_until :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   phi:(int -> bool) ->
   psi:(int -> bool) ->
   bound:float ->
   Numeric.Vec.t
-(** Per-state probability of [phi U<=bound psi]. With [~lump:true] the
-    vector iteration runs on the lumping quotient of the chain that
-    respects [psi] and [phi] ({!Analysis.quotient}), masked, and the
-    per-block values are lifted back — exact, and faster whenever the
+(** Per-state probability of [phi U<=bound psi]. The vector iteration
+    runs on the session's reduction that respects [psi] and [phi]
+    ({!Analysis.reduce}), masked, and its values are lifted back: on a
+    lumping session the quotient — exact, and faster whenever the
     quotient is smaller. *)
 
 val bounded_until_from_init :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   phi:(int -> bool) ->
@@ -42,7 +40,6 @@ val bounded_until_from_init :
 
 val bounded_until_curve :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   phi:(int -> bool) ->

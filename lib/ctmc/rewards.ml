@@ -6,45 +6,40 @@ let check_reward m reward =
   if Vec.dim reward <> Chain.states m then
     invalid_arg "Rewards: reward structure dimension mismatch"
 
-(* With [~lump:true] every operator runs its vector iteration on the
-   quotient that respects the reward structure, so the structure is
-   block-constant and expectations against the aggregated distribution are
-   exact. Returns the quotient session, chain and per-block reward. *)
-let lumped analysis m ~reward =
-  let a = Analysis.for_chain analysis m in
-  let quot = Analysis.quotient a ~respect:[ Analysis.Reward reward ] in
-  let qa = quot.Analysis.q in
-  (qa, Analysis.chain qa, Analysis.block_reward quot reward)
-
-let instantaneous ?epsilon ?(lump = false) ?analysis m ~reward ~at =
-  check_reward m reward;
-  let analysis, m, reward =
-    if lump then
-      let qa, qm, qr = lumped analysis m ~reward in
-      (Some qa, qm, qr)
-    else (analysis, m, reward)
+(* Every operator runs its vector iteration on the session's reduction
+   that respects the reward structure: on a lumping session that is the
+   quotient, where the structure is block-constant and expectations
+   against the aggregated distribution are exact. Returns the session to
+   sweep, its chain and the reward over its states. *)
+let reduced analysis m ~reward =
+  let r =
+    Analysis.reduce (Analysis.for_chain analysis m)
+      ~respect:[ Analysis.Reward reward ]
   in
-  let pi = Transient.distribution ?epsilon ?analysis m at in
+  let a = r.Analysis.session in
+  (a, Analysis.chain a, r.Analysis.reward reward)
+
+let instantaneous ?epsilon ?analysis m ~reward ~at =
+  check_reward m reward;
+  let a, m, reward = reduced analysis m ~reward in
+  let pi = Transient.distribution ?epsilon ~analysis:a m at in
   Vec.dot pi reward
 
 (* The scalar curves take the values face of the kernel: each step dots
    the iterate with the reward once, instead of keeping one full-length
    accumulator per time point. *)
-let curves ?epsilon ~lump ?analysis m ~reward ~times ~who coeffs =
+let curves ?epsilon ?analysis m ~reward ~times ~who coeffs =
   check_reward m reward;
   Analysis.check_times who times;
-  let a, m, reward =
-    if lump then lumped analysis m ~reward
-    else (Analysis.for_chain analysis m, m, reward)
-  in
+  let a, m, reward = reduced analysis m ~reward in
   let start = Chain.initial m in
   Analysis.poisson_mixture_values ?epsilon a ~dir:Analysis.Forward
     (List.map (fun coeff -> ({ Analysis.start; coeff; times }, reward)) coeffs)
   |> List.map (List.combine times)
 
-let instantaneous_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
+let instantaneous_curve ?epsilon ?analysis m ~reward ~times =
   match
-    curves ?epsilon ~lump ?analysis m ~reward ~times
+    curves ?epsilon ?analysis m ~reward ~times
       ~who:"Rewards.instantaneous_curve" [ Analysis.Pmf ]
   with
   | [ inst ] -> inst
@@ -54,32 +49,31 @@ let instantaneous_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
      sum_{k>=0} (1/lambda) * P(N_{lambda t} >= k+1) * (v_k . rho)
    which is the Tail_over_lambda mixture dotted with rho; the loop is the
    shared kernel's vector face, one stream wide. *)
-let accumulated_from ?epsilon a start ~reward t =
-  if t = 0. then 0.
+let accumulated ?epsilon ?analysis m ~reward ~upto =
+  check_reward m reward;
+  Analysis.check_times "Rewards.accumulated" [ upto ];
+  let a, m, reward = reduced analysis m ~reward in
+  if upto = 0. then 0.
   else
     match
       Analysis.poisson_mixture_batch ?epsilon a ~dir:Analysis.Forward
-        [ { Analysis.start; coeff = Analysis.Tail_over_lambda; times = [ t ] } ]
+        [
+          {
+            Analysis.start = Chain.initial m;
+            coeff = Analysis.Tail_over_lambda;
+            times = [ upto ];
+          };
+        ]
     with
     | [ [ weighted ] ] -> Vec.dot weighted reward
     | _ -> assert false
 
-let accumulated ?epsilon ?(lump = false) ?analysis m ~reward ~upto =
-  check_reward m reward;
-  Analysis.check_times "Rewards.accumulated" [ upto ];
-  if lump then
-    let qa, qm, qr = lumped analysis m ~reward in
-    accumulated_from ?epsilon qa (Chain.initial qm) ~reward:qr upto
-  else
-    let a = Analysis.for_chain analysis m in
-    accumulated_from ?epsilon a (Chain.initial m) ~reward upto
-
 (* one Tail_over_lambda sweep with an accumulator per time point, instead
    of the former two passes (reward integral + transient restart) per
    segment *)
-let accumulated_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
+let accumulated_curve ?epsilon ?analysis m ~reward ~times =
   match
-    curves ?epsilon ~lump ?analysis m ~reward ~times
+    curves ?epsilon ?analysis m ~reward ~times
       ~who:"Rewards.accumulated_curve" [ Analysis.Tail_over_lambda ]
   with
   | [ acc ] -> acc
@@ -89,21 +83,16 @@ let accumulated_curve ?epsilon ?(lump = false) ?analysis m ~reward ~times =
    and a Tail_over_lambda stream from the same start (the same vector, so
    one iterate column) with the same reward (so one dot per step) ride
    one width-1 uniformization; only the per-point coefficients differ. *)
-let both_curves ?epsilon ?(lump = false) ?analysis m ~reward ~times =
+let both_curves ?epsilon ?analysis m ~reward ~times =
   match
-    curves ?epsilon ~lump ?analysis m ~reward ~times ~who:"Rewards.both_curves"
+    curves ?epsilon ?analysis m ~reward ~times ~who:"Rewards.both_curves"
       [ Analysis.Pmf; Analysis.Tail_over_lambda ]
   with
   | [ inst; acc ] -> (inst, acc)
   | _ -> assert false
 
-let steady_state ?tol ?(lump = false) ?analysis m ~reward =
+let steady_state ?tol ?analysis m ~reward =
   check_reward m reward;
-  let analysis, m, reward =
-    if lump then
-      let qa, qm, qr = lumped analysis m ~reward in
-      (Some qa, qm, qr)
-    else (analysis, m, reward)
-  in
-  let pi = Steady_state.solve ?tol ?analysis m in
+  let a, m, reward = reduced analysis m ~reward in
+  let pi = Steady_state.solve ?tol ~analysis:a m in
   Vec.dot pi reward

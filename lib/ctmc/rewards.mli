@@ -16,20 +16,18 @@ type structure = Numeric.Vec.t
 
 val instantaneous :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   reward:structure ->
   at:float ->
   float
-(** [instantaneous m ~reward ~at] is [sum_s pi(at)(s) * reward(s)]. All
-    operators below accept [~lump:true]: the vector iteration then runs on
-    the lumping quotient that respects [reward] ({!Analysis.quotient}), so
-    the structure is block-constant and the expectation is exact. *)
+(** [instantaneous m ~reward ~at] is [sum_s pi(at)(s) * reward(s)]. Every
+    operator runs on the session's reduction that respects [reward]
+    ({!Analysis.reduce}): on a lumping session the quotient, where the
+    structure is block-constant and the expectation is exact. *)
 
 val instantaneous_curve :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   reward:structure ->
@@ -45,7 +43,6 @@ val instantaneous_curve :
 
 val accumulated :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   reward:structure ->
@@ -59,7 +56,6 @@ val accumulated :
 
 val accumulated_curve :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   reward:structure ->
@@ -75,7 +71,6 @@ val accumulated_curve :
 
 val both_curves :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   reward:structure ->
@@ -90,5 +85,5 @@ val both_curves :
     respectively. *)
 
 val steady_state :
-  ?tol:float -> ?lump:bool -> ?analysis:Analysis.t -> Chain.t -> reward:structure -> float
+  ?tol:float -> ?analysis:Analysis.t -> Chain.t -> reward:structure -> float
 (** Long-run average reward rate. *)

@@ -117,31 +117,25 @@ let solve ?tol ?analysis m =
         (fun () -> solve_fresh ?tol a m)
   | Some _ | None -> solve_fresh ?tol (Analysis.create m) m
 
-let long_run_probabilities ?tol ?(lump = false) ?analysis m ~preds =
-  let pi, preds =
-    if lump then begin
-      (* stationary block masses of the quotient equal the summed original
-         masses (ordinary lumpability), so every pred-mass is preserved;
-         one quotient respects all the predicates at once *)
-      let a = Analysis.for_chain analysis m in
-      let quot =
-        Analysis.quotient a
-          ~respect:(List.map (fun p -> Analysis.Pred p) preds)
-      in
-      let qa = quot.Analysis.q in
-      ( solve ?tol ~analysis:qa (Analysis.chain qa),
-        List.map (Analysis.block_pred quot) preds )
-    end
-    else (solve ?tol ?analysis m, preds)
+(* On a lumping session the solve runs on one quotient that respects all
+   the predicates: stationary block masses equal the summed state masses
+   (ordinary lumpability), so every pred-mass is preserved. *)
+let long_run_probabilities ?tol ?analysis m ~preds =
+  let r =
+    Analysis.reduce (Analysis.for_chain analysis m)
+      ~respect:(List.map (fun p -> Analysis.Pred p) preds)
   in
+  let a = r.Analysis.session in
+  let pi = solve ?tol ~analysis:a (Analysis.chain a) in
   List.map
     (fun pred ->
+      let pred = r.Analysis.pred pred in
       let acc = ref 0. in
       Array.iteri (fun s p -> if pred s then acc := !acc +. p) pi;
       !acc)
     preds
 
-let long_run_probability ?tol ?lump ?analysis m ~pred =
-  match long_run_probabilities ?tol ?lump ?analysis m ~preds:[ pred ] with
+let long_run_probability ?tol ?analysis m ~pred =
+  match long_run_probabilities ?tol ?analysis m ~preds:[ pred ] with
   | [ x ] -> x
   | _ -> assert false

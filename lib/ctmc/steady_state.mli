@@ -25,26 +25,24 @@ val solve : ?tol:float -> ?analysis:Analysis.t -> Chain.t -> Numeric.Vec.t
 
 val long_run_probability :
   ?tol:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   pred:(int -> bool) ->
   float
 (** [long_run_probability m ~pred] is the long-run fraction of time spent in
-    states satisfying [pred] — CSL's [S=? [pred]]. With [~lump:true] the
-    solve runs on the pred-respecting lumping quotient
-    ({!Analysis.quotient}); stationary block masses equal summed state
-    masses, so the result is exact. *)
+    states satisfying [pred] — CSL's [S=? [pred]]. The solve runs on the
+    session's reduction that respects [pred] ({!Analysis.reduce}); on a
+    lumping session stationary block masses equal summed state masses, so
+    the result is exact. *)
 
 val long_run_probabilities :
   ?tol:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   preds:(int -> bool) list ->
   float list
 (** Batch form of {!long_run_probability}: one stationary solve serves
-    every predicate, and with [~lump:true] a single quotient respecting
+    every predicate, and on a lumping session a single quotient respecting
     {e all} the predicates is built (instead of one per predicate).
     Results align 1:1 with [preds]. *)
 

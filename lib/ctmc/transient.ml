@@ -66,17 +66,14 @@ let mass pred pi =
   Array.iteri (fun s p -> if pred s then acc := !acc +. p) pi;
   !acc
 
-let probability_at ?epsilon ?(lump = false) ?analysis m ~pred t =
-  if lump then begin
-    (* run the forward sweep on the quotient that respects [pred]: the
-       quotient's aggregated distribution carries exactly the pred-mass *)
-    let a = Analysis.for_chain analysis m in
-    let quot = Analysis.quotient a ~respect:[ Analysis.Pred pred ] in
-    let qa = quot.Analysis.q in
-    let pi = distribution ?epsilon ~analysis:qa (Analysis.chain qa) t in
-    mass (Analysis.block_pred quot pred) pi
-  end
-  else mass pred (distribution ?epsilon ?analysis m t)
+(* on a lumping session the sweep runs on the quotient that respects
+   [pred]: its aggregated distribution carries exactly the pred-mass *)
+let probability_at ?epsilon ?analysis m ~pred t =
+  let r =
+    Analysis.reduce (Analysis.for_chain analysis m) ~respect:[ Analysis.Pred pred ]
+  in
+  let a = r.Analysis.session in
+  mass (r.Analysis.pred pred) (distribution ?epsilon ~analysis:a (Analysis.chain a) t)
 
 let backward ?epsilon ?analysis m v t =
   Analysis.check_times "Transient.backward" [ t ];

@@ -59,16 +59,15 @@ val distribution_batch :
 
 val probability_at :
   ?epsilon:float ->
-  ?lump:bool ->
   ?analysis:Analysis.t ->
   Chain.t ->
   pred:(int -> bool) ->
   float ->
   float
 (** [probability_at m ~pred t] is the probability mass on states satisfying
-    [pred] at time [t]. With [~lump:true] the sweep runs on the cached
-    lumping quotient that respects [pred] ({!Analysis.quotient}) — exact,
-    and faster whenever the quotient is smaller. *)
+    [pred] at time [t]. The sweep runs on the session's reduction that
+    respects [pred] ({!Analysis.reduce}): on a lumping session the cached
+    quotient — exact, and faster whenever the quotient is smaller. *)
 
 val backward :
   ?epsilon:float ->

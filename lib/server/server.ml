@@ -374,7 +374,6 @@ let eval_group (m : Core.Measures.t) key (slots : (slot * contribution) list) =
   let analysis = Core.Measures.analysis m in
   let csl = Core.Measures.to_csl_model m in
   let chain = (Core.Measures.built m).Core.Semantics.chain in
-  let lump = m.lump in
   let fill_errors msg =
     List.iter
       (fun (slot, _) -> slot.answers.(slot.idx) <- Some (err_result slot.text msg))
@@ -394,7 +393,7 @@ let eval_group (m : Core.Measures.t) key (slots : (slot * contribution) list) =
             slots
         in
         let phi_p = pred_of csl phi and psi_p = pred_of csl psi in
-        Ctmc.Reachability.bounded_until_curve ~lump ~analysis chain ~phi:phi_p
+        Ctmc.Reachability.bounded_until_curve ~analysis chain ~phi:phi_p
           ~psi:psi_p ~bounds
       with
       | points ->
@@ -426,19 +425,19 @@ let eval_group (m : Core.Measures.t) key (slots : (slot * contribution) list) =
                a single-kind group still shares one pass over its times *)
             if inst <> [] && cumul <> [] then
               let ic, cc =
-                Ctmc.Rewards.both_curves ~lump ~analysis chain ~reward
+                Ctmc.Rewards.both_curves ~analysis chain ~reward
                   ~times:(inst_ts @ cumul_ts)
               in
               let take n l = List.filteri (fun i _ -> i < n) l in
               let drop n l = List.filteri (fun i _ -> i >= n) l in
               (take (List.length inst) ic, drop (List.length inst) cc)
             else if inst <> [] then
-              ( Ctmc.Rewards.instantaneous_curve ~lump ~analysis chain ~reward
+              ( Ctmc.Rewards.instantaneous_curve ~analysis chain ~reward
                   ~times:inst_ts,
                 [] )
             else
               ( [],
-                Ctmc.Rewards.accumulated_curve ~lump ~analysis chain ~reward
+                Ctmc.Rewards.accumulated_curve ~analysis chain ~reward
                   ~times:cumul_ts )
           with
           | inst_points, cumul_points ->

@@ -60,22 +60,24 @@ let clear_cache () =
       Hashtbl.reset chains;
       Hashtbl.reset cost_pairs)
 
-(* LUMP=1 routes every measure below through the quotient-based engine
-   (Analysis.quotient); any other value keeps the full-chain engine. Read
-   per call so tests can toggle it, and folded into the cache key so the
-   two engines never share a Measures.t. *)
+(* LUMP=1 makes every session below a lumping one (Analysis.create), so
+   every measure runs on exact quotients; any other value keeps the
+   full-chain engine. Read per call so tests can toggle it, and folded
+   into the cache key so the two engines never share a Measures.t. *)
 let lump_enabled () =
   match Sys.getenv_opt "LUMP" with
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-let cache_key ~lump line config disaster =
+let engine_suffix () = if lump_enabled () then "/lump" else ""
+
+let cache_key line config disaster =
   Printf.sprintf "%s/%s/%s%s" (Facility.line_name line)
     (Facility.config_name config)
     (match disaster with None -> "-" | Some failed -> String.concat "," failed)
-    (if lump then "/lump" else "")
+    (engine_suffix ())
 
-let symmetric_key ~lump line config = cache_key ~lump line config None ^ "/symmetric"
+let symmetric_key line config = cache_key line config None ^ "/symmetric"
 
 (* One state space per (line, config): a disaster entry is a view of the
    all-up entry (Facility.after_disaster), sharing its chain, rate
@@ -83,18 +85,18 @@ let symmetric_key ~lump line config = cache_key ~lump line config None ^ "/symme
    has built. A full build whose symmetric build Table 1 has cached takes
    its transition count from it, so its rate matrix is written once. *)
 let rec measures ?disaster line config =
-  let lump = lump_enabled () in
-  memo chains (cache_key ~lump line config disaster) @@ fun () ->
+  memo chains (cache_key line config disaster) @@ fun () ->
   match disaster with
   | None ->
       let reduced =
         Mutex.protect cache_mutex (fun () ->
-            Hashtbl.find_opt chains (symmetric_key ~lump line config))
+            Hashtbl.find_opt chains (symmetric_key line config))
       in
       let transitions =
         Option.map (fun m -> snd (Measures.built m).Semantics.full_size) reduced
       in
-      Measures.analyze ~lump ?transitions (Facility.line_model line config)
+      Measures.analyze ~lump:(lump_enabled ()) ?transitions
+        (Facility.line_model line config)
   | Some failed -> Facility.after_disaster (measures line config) ~failed
 
 (* Tables 1 and 2 read only group-invariant quantities (the full chain's
@@ -102,14 +104,13 @@ let rec measures ?disaster line config =
    run on symmetry-reduced chains ({!Measures.analyze} [~symmetric]),
    cached apart from the figures' full chains. *)
 let table_measures line config =
-  let lump = lump_enabled () in
-  memo chains (symmetric_key ~lump line config) @@ fun () ->
-  Measures.analyze ~lump ~symmetric:true (Facility.line_model line config)
+  memo chains (symmetric_key line config) @@ fun () ->
+  Measures.analyze ~lump:(lump_enabled ()) ~symmetric:true
+    (Facility.line_model line config)
 
 let cost_curve_pair ~disaster line config ~times =
-  let lump = lump_enabled () in
   let key =
-    cache_key ~lump line config disaster
+    cache_key line config disaster
     ^ "/"
     ^ String.concat "," (List.map (Printf.sprintf "%h") times)
   in
@@ -118,9 +119,8 @@ let cost_curve_pair ~disaster line config ~times =
 
 (* a reliability key has one '/' at most, a chain key at least two *)
 let reliability_measures line =
-  let lump = lump_enabled () in
-  memo chains (Facility.line_name line ^ if lump then "/lump" else "") @@ fun () ->
-  Measures.analyze ~lump (Facility.reliability_model line)
+  memo chains (Facility.line_name line ^ engine_suffix ()) @@ fun () ->
+  Measures.analyze ~lump:(lump_enabled ()) (Facility.reliability_model line)
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)

@@ -40,10 +40,10 @@
 
 val lump_enabled : unit -> bool
 (** True when the [LUMP] environment variable is ["1"], ["true"] or
-    ["yes"]: every artifact is then computed through the quotient-based
-    engine ({!Core.Measures.analyze} with [~lump:true], backed by
-    {!Ctmc.Analysis.quotient}). Results are identical either way; the
-    quotient engine is faster on the larger FRF/FFF chains. *)
+    ["yes"]: every chain is then analysed in a lumping session
+    ({!Core.Measures.analyze} with [~lump:true]), so every measure runs on
+    the exact quotient that respects it ({!Ctmc.Analysis.reduce}). The
+    printed values are identical either way. *)
 
 type series = { label : string; points : (float * float) list }
 

@@ -70,7 +70,8 @@ val service_intervals : line -> (float * float) list
 
 val analyze :
   ?initial:Core.Semantics.state -> ?lump:bool -> line -> config -> Core.Measures.t
-(** Build and wrap a line's chain for measure evaluation. *)
+(** Build and wrap a line's chain for measure evaluation; [lump] chooses
+    a lumping session, as in {!Core.Measures.analyze}. *)
 
 val after_disaster : Core.Measures.t -> failed:string list -> Core.Measures.t
 (** [after_disaster m ~failed] is the GOOD model over [m]'s chain: the

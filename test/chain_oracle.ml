@@ -1,10 +1,24 @@
 (* Chain transformations the library no longer needs, kept as test
    oracles: a time-bounded until sweeps a row mask instead of building
-   the absorbed chain ({!Ctmc.Analysis.absorbing}), and the state-space
-   builder explores only reachable states. *)
+   the absorbed chain ({!Ctmc.Analysis.absorbing}), the state-space
+   builder explores only reachable states, and no analysis forms the
+   generator (the steady-state solve and lumping read R^T and the exit
+   rates). *)
 
 module Chain = Ctmc.Chain
 module Sparse = Numeric.Sparse
+
+(* [generator m] is the infinitesimal generator [Q = R - diag(exit)]; a
+   zero exit rate stores no diagonal entry. *)
+let generator m =
+  let n = Chain.states m in
+  let exit = Chain.exit_rates m in
+  let b = Sparse.Builder.create ~rows:n ~cols:n in
+  Sparse.iteri (Chain.rates m) (fun i j x -> Sparse.Builder.add b i j x);
+  for i = 0 to n - 1 do
+    if exit.(i) <> 0. then Sparse.Builder.add b i i (-.exit.(i))
+  done;
+  Sparse.Builder.to_csr b
 
 (* [absorbing m ~pred] removes all outgoing transitions of the states
    satisfying [pred] (they become absorbing), asking [pred] once per

@@ -1765,6 +1765,98 @@ let prop_spoiled_no_group =
       && chain_digest sym.Semantics.chain = chain_digest full.Semantics.chain
       && states_digest sym = states_digest full)
 
+(* ------------------------------------------------------------------ *)
+(* Lumping sessions: answers equal the plain engine's on generated models *)
+
+let lump_times = [ 0.5; 4.; 30. ]
+
+(* every measure that sweeps or solves through a session reduction *)
+let reduced_measures model m =
+  let values curve = List.map snd curve in
+  let inst, acc = Measures.cost_curves m ~times:lump_times in
+  [
+    Measures.availability m;
+    Measures.any_service_availability m;
+    Measures.instantaneous_availability m ~time:4.;
+    Measures.instantaneous_cost m ~time:4.;
+    Measures.accumulated_cost m ~time:30.;
+    Measures.steady_state_cost m;
+  ]
+  @ values (Measures.reliability_curve m ~times:lump_times)
+  @ List.concat_map
+      (fun level ->
+        values (Measures.survivability_curve m ~service_level:level ~times:lump_times))
+      (Model.service_levels model)
+  @ values inst @ values acc
+
+(* the distinct initial partitions those measures respect: one lumping
+   each per state space *)
+let respected_partitions model m =
+  let built = Measures.built m in
+  let n = Chain.states built.Semantics.chain in
+  let of_pred p = Ctmc.Lumping.partition_by_key n (fun s -> if p s then "1" else "0") in
+  let full = Semantics.service_at_least built 1. in
+  List.length
+    (List.sort_uniq compare
+       ([
+          of_pred full;
+          of_pred (fun s -> not (full s));
+          of_pred (Semantics.operational_pred built);
+          Ctmc.Lumping.partition_by_key n (fun s ->
+              Int64.to_string (Int64.bits_of_float m.Measures.cost.(s)));
+        ]
+       @ List.map
+           (fun level -> of_pred (Semantics.service_at_least built level))
+           (Model.service_levels model)))
+
+(* the disaster of the first two components, or the last state when the
+   all-up build does not reach it *)
+let view_start model m =
+  let built = Measures.built m in
+  let failed =
+    match Model.component_names model with a :: b :: _ -> [ a; b ] | other -> other
+  in
+  let disaster = Semantics.disaster_state model ~failed in
+  match built.Semantics.state_index disaster with
+  | Some _ -> disaster
+  | None -> Semantics.state built (Chain.states built.Semantics.chain - 1)
+
+(* 1e-9 relative, above an absolute floor of two Fox-Glynn truncation
+   budgets (1e-12 each): the quotient uniformizes at its own rate, so a
+   transient value near zero differs by truncation noise alone *)
+let lump_close a b =
+  Float.abs (a -. b) <= (1e-9 *. Float.max (Float.abs a) (Float.abs b)) +. 2e-12
+
+let prop_lumped_equals_plain ~name gen =
+  QCheck.Test.make ~count:25 ~name (QCheck.make ~print:print_model gen)
+    (fun model ->
+      let plain = Measures.analyze model in
+      let count = Counts.start () in
+      let lumped = Measures.analyze ~lump:true model in
+      let agree a b = List.for_all2 lump_close a b in
+      let start = view_start model plain in
+      let rooted m = Measures.rooted m [ (1., start) ] in
+      (* two views of a fresh lumping session: the first lumps once per
+         respected partition, the second only hits *)
+      let views = Measures.analyze ~lump:true model in
+      let first = Measures.rooted views [ (1., start) ] in
+      let second =
+        Measures.rooted views [ (1., Semantics.state (Measures.built views) 0) ]
+      in
+      agree (reduced_measures model plain) (reduced_measures model lumped)
+      && agree
+           (reduced_measures model (rooted plain))
+           (reduced_measures model (rooted lumped))
+      &&
+      let builds = count "lump_builds" and hits = count "lump_hits" in
+      ignore (reduced_measures model first);
+      let first_builds = count "lump_builds" - builds in
+      let calls = first_builds + count "lump_hits" - hits in
+      ignore (reduced_measures model second);
+      first_builds = respected_partitions model views
+      && count "lump_builds" - builds = first_builds
+      && count "lump_hits" - hits = calls - first_builds + calls)
+
 let () =
   Alcotest.run "core"
     [
@@ -1891,6 +1983,15 @@ let () =
       ( "symmetric-builds",
         List.map QCheck_alcotest.to_alcotest
           [ prop_symmetric_counts; prop_symmetric_measures; prop_spoiled_no_group ] );
+      ( "lumping-sessions",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |]))
+          [
+            prop_lumped_equals_plain ~name:"random models: lumped = plain"
+              random_model_gen;
+            prop_lumped_equals_plain ~name:"symmetric models: lumped = plain"
+              (symmetric_model_gen ~spoil:false);
+          ] );
       ( "to-prism",
         [
           Alcotest.test_case "fcfs agrees" `Quick test_to_prism_fcfs;

@@ -37,7 +37,7 @@ let test_chain_accessors () =
   Alcotest.(check int) "transitions" 2 (Chain.transition_count m);
   check_close "rate" 2. (Chain.rate m 0 1);
   check_close "exit" 3. (Chain.exit_rates m).(1);
-  let q = Chain.generator m in
+  let q = Chain_oracle.generator m in
   check_close "generator diagonal" (-2.) (Numeric.Sparse.get q 0 0)
 
 let test_chain_uniformized () =
@@ -646,7 +646,7 @@ let prop_uniformization_matches_expm =
       let m = Chain.of_transitions ~states:n entries in
       let t = 1.3 in
       let pi = Transient.distribution m t in
-      let e = Numeric.Expm.expm_generator (Chain.generator m) t in
+      let e = Numeric.Expm.expm_generator (Chain_oracle.generator m) t in
       (* the initial distribution is the point mass on state 0 *)
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-8) pi e.(0))
 
@@ -793,11 +793,10 @@ let test_analysis_hit_counters () =
 
 (* time-bounded until asks [psi] once per state, and [phi] at most once
    per state, per query: one class scan feeds the mask and the target
-   indicator, also under [~lump] *)
+   indicator, also on a lumping session *)
 let test_until_predicates_once () =
   let m = analysis_chain () in
   let n = Chain.states m in
-  let a = Analysis.create m in
   let phi_calls = ref 0 and psi_calls = ref 0 in
   let phi s = incr phi_calls; s <> 1 and psi s = incr psi_calls; s = 4 in
   let check name query =
@@ -810,20 +809,22 @@ let test_until_predicates_once () =
   in
   List.iter
     (fun lump ->
+      let a = Analysis.create ~lump m in
       let name what = Printf.sprintf "%s (lump %b)" what lump in
       check (name "bounded until") (fun () ->
-          Reachability.bounded_until ~lump ~analysis:a m ~phi ~psi ~bound:1.);
+          Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:1.);
       check (name "from init") (fun () ->
-          [| Reachability.bounded_until_from_init ~lump ~analysis:a m ~phi ~psi
+          [| Reachability.bounded_until_from_init ~analysis:a m ~phi ~psi
                ~bound:1. |]);
       check (name "curve") (fun () ->
           Array.of_list
             (List.map snd
-               (Reachability.bounded_until_curve ~lump ~analysis:a m ~phi ~psi
+               (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi
                   ~bounds:[ 0.5; 1. ]))))
     [ false; true ];
   check "interval until" (fun () ->
-      Reachability.interval_until ~analysis:a m ~phi ~psi ~lower:0.5 ~upper:1.)
+      Reachability.interval_until ~analysis:(Analysis.create m) m ~phi ~psi
+        ~lower:0.5 ~upper:1.)
 
 let expect_invalid_arg msg f =
   match f () with
@@ -889,65 +890,81 @@ let analysis_symmetric_chain () =
 
 let test_analysis_quotient_cache () =
   let m = analysis_symmetric_chain () in
-  let a = Analysis.create m in
   let pred s = s = 3 in
   let count = Counts.start () in
-  let quot = Analysis.quotient a ~respect:[ Analysis.Pred pred ] in
+  (* a plain session reduces to itself and lumps nothing *)
+  let plain = Analysis.create m in
+  Alcotest.(check bool) "plain session is its own reduction" true
+    ((Analysis.reduce plain ~respect:[ Analysis.Pred pred ]).Analysis.session
+    == plain);
+  Alcotest.(check int) "no lump build" 0 (count "lump_builds");
+  let a = Analysis.create ~lump:true m in
+  let quot = Analysis.reduce a ~respect:[ Analysis.Pred pred ] in
   Alcotest.(check int) "3 blocks"
     3
-    (Chain.states (Analysis.chain quot.Analysis.q));
+    (Chain.states (Analysis.chain quot.Analysis.session));
   Alcotest.(check int) "one lump build" 1 (count "lump_builds");
   Alcotest.(check int) "lumped_states recorded" 3 (Counts.lumped_states ());
   (* same respected predicate -> same initial partition -> cache hit *)
-  let quot2 = Analysis.quotient a ~respect:[ Analysis.Pred (fun s -> s >= 3) ] in
+  let quot2 = Analysis.reduce a ~respect:[ Analysis.Pred (fun s -> s >= 3) ] in
   Alcotest.(check bool) "memoized session reused" true
-    (quot.Analysis.q == quot2.Analysis.q);
+    (quot.Analysis.session == quot2.Analysis.session);
   Alcotest.(check int) "still one lump build" 1 (count "lump_builds");
   Alcotest.(check int) "second call is a hit" 1 (count "lump_hits");
   (* a finer respect list really is a different quotient *)
   let quot3 =
-    Analysis.quotient a ~respect:[ Analysis.Blocks [| 0; 1; 2; 3 |] ]
+    Analysis.reduce a ~respect:[ Analysis.Reward [| 0.; 1.; 2.; 3. |] ]
   in
   Alcotest.(check int) "identity respect keeps all states"
     4
-    (Chain.states (Analysis.chain quot3.Analysis.q));
-  Alcotest.(check int) "second lump build" 2 (count "lump_builds")
+    (Chain.states (Analysis.chain quot3.Analysis.session));
+  Alcotest.(check int) "second lump build" 2 (count "lump_builds");
+  (* a view shares the partition and projects its own start onto it *)
+  let view = Analysis.with_init a [| 0.; 0.5; 0.5; 0. |] in
+  let vquot = Analysis.reduce view ~respect:[ Analysis.Pred pred ] in
+  Alcotest.(check int) "the view lumps nothing" 2 (count "lump_builds");
+  Alcotest.(check int) "the view's call is a hit" 2 (count "lump_hits");
+  Alcotest.(check bool) "with its own quotient session" true
+    (vquot.Analysis.session != quot.Analysis.session);
+  check_vec "projected initial distribution"
+    [| 0.; 1.; 0. |]
+    (Chain.initial (Analysis.chain vquot.Analysis.session))
 
 let test_analysis_quotient_measures_agree () =
   let m = analysis_symmetric_chain () in
-  let a = Analysis.create m in
+  let a = Analysis.create ~lump:true m in
   let pred s = s = 1 || s = 2 in
   check_close "transient mass via quotient"
     (Transient.probability_at m ~pred 2.3)
-    (Transient.probability_at ~lump:true ~analysis:a m ~pred 2.3);
+    (Transient.probability_at ~analysis:a m ~pred 2.3);
   check_close "long-run mass via quotient"
     (Steady_state.long_run_probability m ~pred)
-    (Steady_state.long_run_probability ~lump:true ~analysis:a m ~pred);
+    (Steady_state.long_run_probability ~analysis:a m ~pred);
   let phi _ = true and psi s = s = 3 in
   check_vec "bounded until via quotient"
     (Reachability.bounded_until m ~phi ~psi ~bound:1.7)
-    (Reachability.bounded_until ~lump:true ~analysis:a m ~phi ~psi ~bound:1.7);
+    (Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:1.7);
   check_close "bounded until from init via quotient"
     (Reachability.bounded_until_from_init m ~phi ~psi ~bound:1.7)
-    (Reachability.bounded_until_from_init ~lump:true ~analysis:a m ~phi ~psi
+    (Reachability.bounded_until_from_init ~analysis:a m ~phi ~psi
        ~bound:1.7);
   List.iter2
     (fun (t1, p1) (t2, p2) ->
       check_close "curve times match" t1 t2;
       check_close "bounded until curve via quotient" p1 p2)
     (Reachability.bounded_until_curve m ~phi ~psi ~bounds:[ 0.5; 1.; 2. ])
-    (Reachability.bounded_until_curve ~lump:true ~analysis:a m ~phi ~psi
+    (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi
        ~bounds:[ 0.5; 1.; 2. ]);
   let reward = [| 2.; 5.; 5.; 11. |] in
   check_close "instantaneous reward via quotient"
     (Rewards.instantaneous m ~reward ~at:1.2)
-    (Rewards.instantaneous ~lump:true ~analysis:a m ~reward ~at:1.2);
+    (Rewards.instantaneous ~analysis:a m ~reward ~at:1.2);
   check_close "accumulated reward via quotient"
     (Rewards.accumulated m ~reward ~upto:3.)
-    (Rewards.accumulated ~lump:true ~analysis:a m ~reward ~upto:3.);
+    (Rewards.accumulated ~analysis:a m ~reward ~upto:3.);
   check_close "steady reward via quotient"
     (Rewards.steady_state m ~reward)
-    (Rewards.steady_state ~lump:true ~analysis:a m ~reward)
+    (Rewards.steady_state ~analysis:a m ~reward)
 
 let test_analysis_wrong_chain_ignored () =
   let m = analysis_chain () in
@@ -1585,16 +1602,16 @@ let test_mask_edge_cases () =
   (* the quotient respects phi and psi; the mask applies on it *)
   let m = analysis_symmetric_chain () in
   let phi s = s <> 3 and psi s = s = 1 || s = 2 in
-  let full = Analysis.create m and lumped = Analysis.create m in
+  let full = Analysis.create m and lumped = Analysis.create ~lump:true m in
   List.iter2
     (fun (_, p) (_, q) -> check_close ~eps:1e-12 "lumped curve" p q)
     (Reachability.bounded_until_curve ~analysis:full m ~phi ~psi ~bounds:times)
-    (Reachability.bounded_until_curve ~lump:true ~analysis:lumped m ~phi ~psi
+    (Reachability.bounded_until_curve ~analysis:lumped m ~phi ~psi
        ~bounds:times);
   Alcotest.(check bool) "lumped backward" true
     (close_within 1e-12
        (Reachability.bounded_until ~analysis:full m ~phi ~psi ~bound:1.7)
-       (Reachability.bounded_until ~lump:true ~analysis:lumped m ~phi ~psi
+       (Reachability.bounded_until ~analysis:lumped m ~phi ~psi
           ~bound:1.7));
   Alcotest.(check bool) "the quotient is smaller" true
     (Counts.lumped_states () < Chain.states m);
@@ -1769,7 +1786,7 @@ let prop_steady_rates_match_generator =
           ~rate:QCheck.Gen.(oneof [ float_range 0.01 5.; float_range 5. 80. ])))
     (fun (n, entries) ->
       let m = Chain.of_transitions ~states:n entries in
-      let expected, sweeps = generator_steady (Chain.generator m) in
+      let expected, sweeps = generator_steady (Chain_oracle.generator m) in
       let pi, c =
         Numeric.Solver.steady_state_gauss_seidel ~exit:(Chain.exit_rates m)
           (Numeric.Sparse.transpose (Chain.rates m))

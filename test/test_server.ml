@@ -898,6 +898,98 @@ let test_routing_builds () =
         groups)
 
 (* ------------------------------------------------------------------ *)
+(* Hostile requests: read_request yields a request, None or Bad_request,
+   never another exception, and never waits on a peer that has finished *)
+
+let post_head ~content_length =
+  Printf.sprintf "POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n"
+    content_length
+
+let request_body = {|{"model": "<arcade/>", "queries": ["S=? [ \"down\" ]"]}|}
+
+let valid_request =
+  post_head ~content_length:(string_of_int (String.length request_body)) ^ request_body
+
+let chunked_request =
+  "POST /analyze HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+   5\r\nhello\r\n0\r\n\r\n"
+
+(* [edits] as (position, operation, byte): 0 replaces, 1 inserts and 2
+   deletes the byte at the position (taken modulo the current length) *)
+let mutate text edits =
+  List.fold_left
+    (fun s (pos, op, c) ->
+      let n = String.length s in
+      let i = pos mod (n + 1) in
+      match op with
+      | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+      | 2 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i))
+    text edits
+
+let hostile_request_gen =
+  QCheck.Gen.(
+    let byte =
+      frequency
+        [ (3, map (String.get ":\r\n 0123456789-xX") (int_bound 16)); (1, char) ]
+    in
+    let content_length =
+      oneof
+        [
+          oneofl
+            [ ""; "abc"; " 12 "; "+3"; "0x1f"; "1_0"; "12abc"; "67108865";
+              "99999999999999999999"; "4611686018427387903"; "-0" ];
+          map string_of_int (int_range (-5) 100);
+        ]
+    in
+    let truncated text =
+      let* k = int_bound (String.length text) in
+      return (String.sub text 0 k)
+    in
+    let mutated text =
+      let* edits = list_size (int_range 1 6) (triple nat (int_bound 2) byte) in
+      return (mutate text edits)
+    in
+    frequency
+      [
+        (1, string_size ~gen:char (int_range 0 300));
+        (1, truncated valid_request);
+        ( 2,
+          let* content_length = content_length in
+          let* tail = string_size ~gen:byte (int_range 0 80) in
+          return (post_head ~content_length ^ tail) );
+        (1, oneof [ truncated chunked_request; mutated chunked_request ]);
+        (1, mutated valid_request);
+      ])
+
+(* [input] arrives on a socket whose writing side is then shut down; a
+   read that would block raises (receive timeout) instead of hanging *)
+let read_request_of input =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close w;
+      Unix.close r)
+    (fun () ->
+      Unix.setsockopt_float r Unix.SO_RCVTIMEO 5.;
+      let n = String.length input in
+      let rec send off =
+        if off < n then send (off + Unix.write_substring w input off (n - off))
+      in
+      send 0;
+      Unix.shutdown w Unix.SHUTDOWN_SEND;
+      Http.read_request (Http.conn r))
+
+let prop_read_request_never_raises =
+  QCheck.Test.make ~count:2000
+    ~name:"Http.read_request: a request, None or Bad_request"
+    (QCheck.make ~print:String.escaped hostile_request_gen)
+    (fun input ->
+      match read_request_of input with
+      | Some _ | None -> true
+      | exception Http.Bad_request _ -> true)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "server"
@@ -909,6 +1001,15 @@ let () =
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 27 |])
             prop_json_parse_never_raises;
+        ] );
+      ( "hostile-requests",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+            prop_read_request_never_raises;
+          Alcotest.test_case "valid request reads back" `Quick (fun () ->
+              match read_request_of valid_request with
+              | Some r -> Alcotest.(check string) "body" request_body r.Http.body
+              | None -> Alcotest.fail "expected a request");
         ] );
       ( "protocol",
         [

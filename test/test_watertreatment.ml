@@ -796,26 +796,27 @@ let test_projected_faces_agree config () =
   let reward = m.Measures.cost in
   let name = Facility.config_name config in
   check_projected_faces name chain reward;
-  (* ~lump:true runs the same kernel on the quotient that respects the
-     reward, against the block reward *)
+  (* a lumping session runs the same kernel on the quotient that respects
+     the reward, against the block reward *)
   let quot =
-    Analysis.quotient (Analysis.create chain)
+    Analysis.reduce (Analysis.create ~lump:true chain)
       ~respect:[ Analysis.Reward reward ]
   in
-  let qchain = Analysis.chain quot.Analysis.q in
+  let qchain = Analysis.chain quot.Analysis.session in
   Alcotest.(check bool) "quotient is smaller" true
     (Chain.states qchain < Chain.states chain);
-  check_projected_faces (name ^ " lumped") qchain
-    (Analysis.block_reward quot reward);
+  check_projected_faces (name ^ " lumped") qchain (quot.Analysis.reward reward);
   (* and the cost-curve entry point agrees with the vector face, with and
      without lumping *)
   List.iter
     (fun lump ->
       let inst, acc =
-        Ctmc.Rewards.both_curves ~lump chain ~reward ~times:projected_times
+        Ctmc.Rewards.both_curves
+          ~analysis:(Analysis.create ~lump chain)
+          chain ~reward ~times:projected_times
       in
       let a, ch, r =
-        if lump then (quot.Analysis.q, qchain, Analysis.block_reward quot reward)
+        if lump then (quot.Analysis.session, qchain, quot.Analysis.reward reward)
         else (Analysis.create chain, chain, reward)
       in
       let start = Chain.initial ch in

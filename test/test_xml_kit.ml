@@ -132,6 +132,68 @@ let prop_roundtrip_compact =
     (QCheck.make tree_gen)
     (fun doc -> parse (X.to_string ~indent:0 doc) = doc)
 
+(* ------------------------------------------------------------------ *)
+(* Hostile input: every byte string either parses or raises Parse_error
+   with a position, never another exception *)
+
+let shipped_models =
+  lazy
+    (let dir = "../models" in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".xml")
+     |> List.sort compare
+     |> List.map (fun f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+     |> Array.of_list)
+
+(* [edits] as (position, operation, byte): 0 replaces, 1 inserts and 2
+   deletes the byte at the position (taken modulo the current length) *)
+let mutate text edits =
+  List.fold_left
+    (fun s (pos, op, c) ->
+      let n = String.length s in
+      let i = pos mod (n + 1) in
+      match op with
+      | 0 when i < n -> String.mapi (fun j x -> if j = i then c else x) s
+      | 2 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i))
+    text edits
+
+let hostile_xml_gen =
+  QCheck.Gen.(
+    let markup = "<>/=\"'&;#x!?-[]CDATA ab\n\t\r\000\255" in
+    let byte =
+      frequency
+        [ (3, map (String.get markup) (int_bound (String.length markup - 1))); (1, char) ]
+    in
+    let model =
+      map
+        (fun k ->
+          let models = Lazy.force shipped_models in
+          models.(k mod Array.length models))
+        nat
+    in
+    frequency
+      [
+        (1, string_size ~gen:byte (int_range 0 200));
+        ( 1,
+          let* m = model in
+          let* k = int_bound (String.length m) in
+          return (String.sub m 0 k) );
+        ( 2,
+          let* m = model in
+          let* edits = list_size (int_range 1 8) (triple nat (int_bound 2) byte) in
+          return (mutate m edits) );
+      ])
+
+let prop_parse_never_raises =
+  QCheck.Test.make ~count:3000
+    ~name:"parse_string: a document or a positioned Parse_error"
+    (QCheck.make ~print:String.escaped hostile_xml_gen)
+    (fun input ->
+      match X.parse_string input with
+      | _ -> true
+      | exception X.Parse_error { line; column; _ } -> line >= 1 && column >= 1)
+
 let () =
   Alcotest.run "xml_kit"
     [
@@ -156,6 +218,11 @@ let () =
       ( "roundtrip",
         List.map QCheck_alcotest.to_alcotest [ prop_roundtrip; prop_roundtrip_compact ]
       );
+      ( "hostile-input",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+            prop_parse_never_raises;
+        ] );
       ( "arcade-doc",
         [
           Alcotest.test_case "realistic document" `Quick (fun () ->
