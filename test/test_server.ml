@@ -1002,7 +1002,7 @@ let () =
             ~rand:(Random.State.make [| 27 |])
             prop_json_parse_never_raises;
         ] );
-      ( "hostile-requests",
+      ( "hostile-http",
         [
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
             prop_read_request_never_raises;
