@@ -27,10 +27,10 @@ let write_file_atomic path contents =
       (Atomic.fetch_and_add tmp_counter 1)
   in
   match
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc contents);
+    (* closed in the body, so a failed write raises Sys_error *)
+    Out_channel.with_open_text tmp (fun oc ->
+        output_string oc contents;
+        close_out oc);
     Sys.rename tmp path
   with
   | () -> ()
@@ -41,35 +41,67 @@ let write_file_atomic path contents =
 (* ------------------------------------------------------------------ *)
 (* Bounded ring                                                       *)
 
-(* The newest [capacity] pushes, oldest overwritten first, behind one
-   lock: the metrics solve ring and each domain's flight-recorder ring. *)
+(* The newest pushes, oldest overwritten first, behind one lock: the
+   metrics solve ring and each domain's span store. A reader follows a
+   ring through its cursor; the pushes after the cursor are unread, and
+   [push] bounds how many of them the ring keeps, growing rather than
+   overwriting one it keeps. *)
 module Ring = struct
   type 'a t = {
-    slots : 'a option array;
+    mutable slots : 'a option array;
     mutable pushed : int;  (* total pushes; slot = pushed mod capacity *)
+    mutable cursor : int;  (* pushes before this one have been read *)
     lock : Mutex.t;
   }
 
   let create capacity =
-    { slots = Array.make capacity None; pushed = 0; lock = Mutex.create () }
+    { slots = Array.make capacity None; pushed = 0; cursor = 0; lock = Mutex.create () }
 
-  let push r x =
-    Mutex.protect r.lock (fun () ->
-        r.slots.(r.pushed mod Array.length r.slots) <- Some x;
-        r.pushed <- r.pushed + 1)
+  (* double the slots, each stored element staying at its push index *)
+  let grow r =
+    let n = Array.length r.slots in
+    let slots = Array.make (2 * n) None in
+    for k = max 0 (r.pushed - n) to r.pushed - 1 do
+      slots.(k mod (2 * n)) <- r.slots.(k mod n)
+    done;
+    r.slots <- slots
 
-  (* oldest first *)
-  let to_list r =
+  (* Store [x] as the newest element, keeping at most [unread] unread
+     ones (0 when nobody reads, [max_int] to keep them all); returns how
+     many unread elements the cursor skipped. Lock and unlock by hand:
+     the recording path allocates no closure. *)
+  let push r ~unread x =
+    Mutex.lock r.lock;
+    let skipped = max 0 (r.pushed - r.cursor + 1 - unread) in
+    r.cursor <- r.cursor + skipped;
+    if r.pushed - r.cursor >= Array.length r.slots then grow r;
+    r.slots.(r.pushed mod Array.length r.slots) <- Some x;
+    r.pushed <- r.pushed + 1;
+    Mutex.unlock r.lock;
+    skipped
+
+  (* the stored elements from push index [first] on, oldest first *)
+  let since r first =
+    let capacity = Array.length r.slots in
+    let first = max first (max 0 (r.pushed - capacity)) in
+    List.init (r.pushed - first) (fun i -> Option.get r.slots.((first + i) mod capacity))
+
+  let newest r n = Mutex.protect r.lock (fun () -> since r (r.pushed - n))
+
+  let unread r = Mutex.protect r.lock (fun () -> since r r.cursor)
+
+  (* the unread elements, marked read *)
+  let take r =
     Mutex.protect r.lock (fun () ->
-        let capacity = Array.length r.slots in
-        let n = min r.pushed capacity in
-        let first = r.pushed - n in
-        List.init n (fun i -> Option.get r.slots.((first + i) mod capacity)))
+        let l = since r r.cursor in
+        r.cursor <- r.pushed;
+        l)
 
   let clear r =
     Mutex.protect r.lock (fun () ->
         Array.fill r.slots 0 (Array.length r.slots) None;
-        r.pushed <- 0)
+        r.pushed <- 0;
+        r.cursor <- 0)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -206,7 +238,9 @@ module Metrics = struct
       observe
         (histogram (Printf.sprintf "solver.%s.residual" solver))
         residual;
-      Ring.push solves { solver; size; iterations; residual; converged }
+      ignore
+        (Ring.push solves ~unread:0 { solver; size; iterations; residual; converged }
+          : int)
     end;
     if not converged then !nonconverged_hook ()
 
@@ -252,7 +286,7 @@ module Metrics = struct
       counters = List.sort by_name !cs;
       gauges = List.sort by_name !gs;
       histograms = List.sort by_name !hs;
-      solves = Ring.to_list solves;
+      solves = Ring.newest solves max_int;
     }
 
   let reset () =
@@ -410,8 +444,8 @@ module Trace = struct
   let on = ref false
 
   (* Shared with [Flight] (defined after this module): when the flight
-     recorder is enabled, spans are captured into its rings even while
-     file tracing is off. *)
+     recorder is enabled, spans are recorded even while file tracing is
+     off. *)
   let flight_on = ref false
 
   let enabled () = !on
@@ -506,11 +540,10 @@ module Trace = struct
 
   let ctx_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
-  let current_context () =
-    if not (active ()) then None
-    else
-      Mutex.protect ctx_mutex (fun () ->
-          Hashtbl.find_opt ctx_table (ctx_key ()))
+  let ambient () =
+    Mutex.protect ctx_mutex (fun () -> Hashtbl.find_opt ctx_table (ctx_key ()))
+
+  let current_context () = if active () then ambient () else None
 
   let set_current ctx =
     let k = ctx_key () in
@@ -522,10 +555,7 @@ module Trace = struct
   let with_context ctx f =
     if not (active ()) then f ()
     else begin
-      let prev =
-        Mutex.protect ctx_mutex (fun () ->
-            Hashtbl.find_opt ctx_table (ctx_key ()))
-      in
+      let prev = ambient () in
       set_current ctx;
       Fun.protect ~finally:(fun () -> set_current prev) f
     end
@@ -555,21 +585,22 @@ module Trace = struct
   let current_tid () =
     ((Domain.self () :> int) * 1000) + Thread.id (Thread.self ())
 
-  (* Per-domain event buffers, each with its own lock: recording is
+  (* One span ring per domain, each with its own lock: recording is
      contention-free under Numeric.Parallel fan-out (one domain, one
-     buffer), and safe when several server systhreads share domain 0's
-     buffer. The registry keeps buffers of joined domains alive. When
-     [capacity] is set the buffer drops its oldest event on overflow —
-     a long-lived daemon must not grow without bound. *)
-  type buffer = {
-    tid : int;
-    q : event Queue.t;
-    bm : Mutex.t;
-  }
+     ring), and safe when several server systhreads share domain 0's
+     ring. The registry keeps rings of joined domains alive. The trace
+     reads a ring from its cursor, the flight recorder its newest
+     [flight_tail] events. A ring always keeps the flight tail; while
+     tracing it also keeps up to [capacity] unread events, skipping the
+     oldest unread one on overflow (a long-lived daemon must not grow
+     without bound), and every unread event when uncapped. *)
+  let flight_tail = 512
 
-  let all_buffers : buffer list ref = ref []
+  let all_buffers : event Ring.t list ref = ref []
 
   let buffers_mutex = Mutex.create ()
+
+  let buffers () = Mutex.protect buffers_mutex (fun () -> !all_buffers)
 
   let capacity : int option ref = ref None
 
@@ -581,15 +612,9 @@ module Trace = struct
 
   let buffer_key =
     Domain.DLS.new_key (fun () ->
-        let b =
-          {
-            tid = (Domain.self () :> int);
-            q = Queue.create ();
-            bm = Mutex.create ();
-          }
-        in
-        Mutex.protect buffers_mutex (fun () -> all_buffers := b :: !all_buffers);
-        b)
+        let r = Ring.create flight_tail in
+        Mutex.protect buffers_mutex (fun () -> all_buffers := r :: !all_buffers);
+        r)
 
   let t0 = monotonic_ns ()
 
@@ -610,21 +635,11 @@ module Trace = struct
     | No_span -> ()
     | Span sp -> sp.sp_attrs <- (key, v) :: List.remove_assoc key sp.sp_attrs
 
-  (* wired up by [Flight] below, once its rings exist *)
-  let flight_push_ev : (event -> unit) ref = ref (fun _ -> ())
-
+  (* with tracing off nothing is unread: the ring keeps the flight tail *)
   let record ev =
-    if !on then begin
-      let b = Domain.DLS.get buffer_key in
-      Mutex.protect b.bm (fun () ->
-          Queue.add ev b.q;
-          match !capacity with
-          | Some cap when Queue.length b.q > cap ->
-              ignore (Queue.pop b.q);
-              Metrics.incr m_dropped
-          | _ -> ())
-    end;
-    if !flight_on then !flight_push_ev ev
+    let unread = if !on then Option.value !capacity ~default:max_int else 0 in
+    let dropped = Ring.push (Domain.DLS.get buffer_key) ~unread ev in
+    if !on && dropped > 0 then Metrics.add m_dropped dropped
 
   let close sp =
     let now = monotonic_ns () in
@@ -651,10 +666,7 @@ module Trace = struct
   let with_span ?ctx ?attrs name f =
     if not (active ()) then f No_span
     else begin
-      let ambient =
-        Mutex.protect ctx_mutex (fun () ->
-            Hashtbl.find_opt ctx_table (ctx_key ()))
-      in
+      let ambient = ambient () in
       (* The span's identity: an explicit [?ctx] (the caller minted the
          ids, e.g. to echo them in a response header), else a child of
          the ambient context, else no trace linkage (process-global
@@ -755,11 +767,7 @@ module Trace = struct
     Buffer.add_string buf "\n]\n";
     Buffer.contents buf
 
-  let gather_events () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.concat_map
-          (fun b -> Mutex.protect b.bm (fun () -> List.of_seq (Queue.to_seq b.q)))
-          !all_buffers)
+  let gather_events () = List.concat_map Ring.unread (buffers ())
 
   type self_time = { name : string; self_ns : int64; total_ns : int64; count : int }
 
@@ -843,22 +851,9 @@ module Trace = struct
       rows;
     Format.fprintf ppf "@]@."
 
-  let drain_events () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.concat_map
-          (fun b ->
-            Mutex.protect b.bm (fun () ->
-                let evs = List.of_seq (Queue.to_seq b.q) in
-                Queue.clear b.q;
-                evs))
-          !all_buffers)
+  let drain_events () = List.concat_map Ring.take (buffers ())
 
-  let clear () =
-    Mutex.protect buffers_mutex (fun () ->
-        List.iter
-          (fun b ->
-            Mutex.protect b.bm (fun () -> Queue.clear b.q))
-          !all_buffers)
+  let clear () = ignore (drain_events () : event list)
 
   let by_ts a b = Int64.compare a.ts b.ts
 
@@ -869,12 +864,13 @@ module Trace = struct
         write_file_atomic path
           (array_text (List.sort by_ts (gather_events ())))
 
-  (* Incremental mode, for long-lived daemons: each flush drains the
-     buffers and appends their events to the output file, which starts
-     with "[" and never receives the closing "]" — the Chrome trace
-     array format is explicitly forgiving of a missing terminator, and
-     Perfetto loads such files. This keeps periodic flushing O(new
-     events) instead of O(history). *)
+  (* Incremental mode, for long-lived daemons: each flush appends the
+     unread events to the output file and moves the rings' cursors past
+     them (a flight dump still shows them). The file starts with "[" and
+     never receives the closing "]" — the Chrome trace array format is
+     explicitly forgiving of a missing terminator, and Perfetto loads
+     such files. This keeps periodic flushing O(new events) instead of
+     O(history). *)
   let incremental = ref false
 
   let set_incremental b = incremental := b
@@ -888,21 +884,14 @@ module Trace = struct
     | None -> ()
     | Some path ->
         let fresh = !inc_path <> Some path in
-        if fresh then begin
-          inc_path := Some path;
-          inc_written := 0
-        end;
+        if fresh then inc_written := 0;
         let events = List.sort by_ts (drain_events ()) in
         if fresh || events <> [] then begin
-          let oc =
-            open_out_gen
-              (if fresh then [ Open_wronly; Open_creat; Open_trunc ]
-               else [ Open_wronly; Open_creat; Open_append ])
-              0o644 path
-          in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
+          Out_channel.with_open_gen
+            (if fresh then [ Open_wronly; Open_creat; Open_trunc ]
+             else [ Open_wronly; Open_creat; Open_append ])
+            0o644 path
+            (fun oc ->
               let buf = Buffer.create 65536 in
               if fresh then Buffer.add_string buf "[";
               List.iter
@@ -913,10 +902,17 @@ module Trace = struct
                   incr inc_written)
                 events;
               Buffer.add_string buf "\n";
-              output_string oc (Buffer.contents buf))
+              output_string oc (Buffer.contents buf);
+              close_out oc);
+          (* only a file that got its "[" is appended to *)
+          inc_path := Some path
         end
 
-  let flush () = if !incremental then flush_incremental () else flush_rewrite ()
+  (* A trace that cannot be written never fails the caller: a daemon's
+     housekeeping loop flushes, and must live on to flush again. *)
+  let flush () =
+    try if !incremental then flush_incremental () else flush_rewrite ()
+    with Sys_error msg -> Printf.eprintf "warning: trace not flushed: %s\n%!" msg
 
   let flush_at_exit_armed = ref false
 
@@ -943,22 +939,12 @@ end
 (* Flight recorder                                                    *)
 
 module Flight = struct
-  (* A bounded per-domain ring of the most recent spans, always cheap
-     enough to leave on in a serving daemon: recording a span is one
-     mutex-protected slot store, no growth, no I/O. On a 5xx, a solver
-     that failed to converge, or SIGUSR1 the rings are dumped atomically
-     as a Chrome trace, so the first failure of a long-running process
-     is diagnosable after the fact. *)
-
-  let all_rings : Trace.event Ring.t list ref = ref []
-
-  let rings_mutex = Mutex.create ()
-
-  let ring_key =
-    Domain.DLS.new_key (fun () ->
-        let r = Ring.create 512 in
-        Mutex.protect rings_mutex (fun () -> all_rings := r :: !all_rings);
-        r)
+  (* The newest [Trace.flight_tail] events of every domain's span ring,
+     always cheap enough to keep in a serving daemon: recording a span is
+     one mutex-protected slot store, no I/O. On a 5xx, a solver that
+     failed to converge, or SIGUSR1 they are dumped atomically as a
+     Chrome trace, so the first failure of a long-running process is
+     diagnosable after the fact. *)
 
   let enabled () = !Trace.flight_on
 
@@ -970,18 +956,13 @@ module Flight = struct
 
   let path () = !out_path
 
-  let () =
-    Trace.flight_push_ev := fun ev -> Ring.push (Domain.DLS.get ring_key) ev
-
-  let clear () =
-    Mutex.protect rings_mutex (fun () -> List.iter Ring.clear !all_rings)
+  let clear () = List.iter Ring.clear (Trace.buffers ())
 
   let m_dumps = Metrics.counter "flight.dumps"
 
   let dump ?(reason = "manual") () =
     let events =
-      Mutex.protect rings_mutex (fun () ->
-          List.concat_map Ring.to_list !all_rings)
+      List.concat_map (fun r -> Ring.newest r Trace.flight_tail) (Trace.buffers ())
     in
     let marker =
       {
@@ -994,9 +975,15 @@ module Flight = struct
         ev_trace = None;
       }
     in
-    write_file_atomic !out_path
-      (Trace.array_text (List.sort Trace.by_ts events @ [ marker ]));
-    Metrics.incr m_dumps
+    (* a dump that cannot be written never fails the request or the
+       solve that asked for it *)
+    match
+      write_file_atomic !out_path
+        (Trace.array_text (List.sort Trace.by_ts events @ [ marker ]))
+    with
+    | () -> Metrics.incr m_dumps
+    | exception Sys_error msg ->
+        Printf.eprintf "warning: flight dump not written: %s\n%!" msg
 
   let () =
     Metrics.nonconverged_hook :=

@@ -6,17 +6,17 @@
     lumping — are instrumented through this layer. It has three sinks:
 
     - {!Trace}: nestable, monotonic-clock timed spans with key/value
-      attributes and optional W3C trace-context linkage, buffered
-      per-domain (safe under {!Numeric.Parallel} fan-out and under the
-      server's systhreads) and flushed as Chrome trace-event JSON,
+      attributes and optional W3C trace-context linkage, stored in one
+      ring per domain (safe under {!Numeric.Parallel} fan-out and under
+      the server's systhreads) and flushed as Chrome trace-event JSON,
       loadable in Perfetto / [chrome://tracing].
     - {!Metrics}: named counters, gauges and fixed-bucket histograms with
       O(1) lock-free updates, plus a bounded ring of recent solver-
       convergence events; dumped with {!Metrics.snapshot} / {!Metrics.pp}
       / {!Metrics.to_json} / {!Metrics.to_prometheus}.
-    - {!Flight}: an always-cheap bounded ring of recent spans, dumped as
-      a Chrome trace on failure (5xx, solver non-convergence, SIGUSR1)
-      for after-the-fact diagnosis in long-running daemons.
+    - {!Flight}: the newest 512 events of those rings, always kept,
+      dumped as a Chrome trace on failure (5xx, solver non-convergence,
+      SIGUSR1) for after-the-fact diagnosis in long-running daemons.
 
     {!Trace} and {!Metrics} are {e disabled by default} and effectively
     free when off: every record site reduces to a single flag check and
@@ -51,8 +51,8 @@ val init : unit -> unit
 
     - [OBS_TRACE=<file>]: enable tracing; the trace is flushed to [<file>]
       at process exit (and on every explicit {!Trace.flush}).
-    - [OBS_TRACE_BUFFER=<n>]: bound each domain's trace buffer to [n]
-      events (drop-oldest); ["unbounded"] or ["0"] keeps full retention.
+    - [OBS_TRACE_BUFFER=<n>]: keep at most [n] unflushed trace events
+      per domain (drop-oldest); ["unbounded"] or ["0"] keeps them all.
     - [OBS_METRICS=1] (or [true]/[yes]): enable metrics; the snapshot is
       pretty-printed to stderr at exit.
     - [OBS_METRICS=<file>]: enable metrics; the snapshot is written to
@@ -274,7 +274,7 @@ module Trace : sig
   }
 
   val self_times : unit -> self_time list
-  (** The buffered complete spans folded per name, largest self time
+  (** The unflushed complete spans folded per name, largest self time
       first (ties by name). Spans nest per track (one per domain and
       systhread): a span's children are the spans of its track that run
       inside it, so work a pool worker does for a span counts as the
@@ -288,32 +288,34 @@ module Trace : sig
   (** {2 Buffers and flushing} *)
 
   val set_buffer_capacity : int option -> unit
-  (** Bound every per-domain buffer to the given number of events; on
-      overflow the oldest event is dropped and the
-      [trace.dropped_events] counter bumped (the one count of dropped
-      events, recorded while metrics are enabled). [None] (the default)
-      retains everything — right for short-lived binaries, wrong for
-      daemons. *)
+  (** Bound the unflushed events each domain's ring keeps to the given
+      number; on overflow the oldest unflushed event is dropped from the
+      trace and the [trace.dropped_events] counter bumped (the one count
+      of dropped events, recorded while metrics are enabled). [None] (the
+      default) keeps every unflushed event — right for short-lived
+      binaries, wrong for daemons. *)
 
   val buffer_capacity : unit -> int option
 
   val clear : unit -> unit
-  (** Discard all buffered events. Meant for tests. *)
+  (** Discard all unflushed events from the trace; the flight recorder
+      still shows them. Meant for tests. *)
 
   val set_incremental : bool -> unit
-  (** In incremental mode each {!flush} {e drains} the buffers and
-      appends the drained events to the output file (which is left
+  (** In incremental mode each {!flush} appends the unflushed events to
+      the output file and marks them flushed (the file is left
       without its closing bracket — the Chrome trace array format
       tolerates this and Perfetto loads it). Flushing stays O(new
       events), which is what a daemon's periodic flush needs. The
       default mode rewrites the full buffered history each time. *)
 
   val flush : unit -> unit
-  (** Write buffered events to the {!set_output} path as Chrome
+  (** Write unflushed events to the {!set_output} path as Chrome
       trace-event JSON. In the default mode the file is rewritten
-      atomically (temp file + rename) with everything currently
-      buffered; in incremental mode drained events are appended. No-op
-      when no output path is set. *)
+      atomically (temp file + rename) with every event since
+      {!set_output}; in incremental mode the unflushed events are
+      appended. No-op when no output path is set. A write that fails is
+      reported on stderr, never raised. *)
 end
 
 (** {1 Flight recorder} *)
@@ -322,9 +324,9 @@ module Flight : sig
   val enabled : unit -> bool
 
   val set_enabled : bool -> unit
-  (** When enabled, every closed span and instant is also stored in a
-      bounded per-domain ring (newest overwrite oldest), independent of
-      whether file tracing is on. Recording is one lock-protected array
+  (** When enabled, every closed span and instant is stored in its
+      domain's ring even while file tracing is off; the ring keeps at
+      least the newest 512 events. Recording is one lock-protected array
       store — cheap enough to leave on in a serving daemon. *)
 
   val set_path : string -> unit
@@ -333,10 +335,13 @@ module Flight : sig
   val path : unit -> string
 
   val dump : ?reason:string -> unit -> unit
-  (** Atomically write the ring contents (all domains, sorted, plus a
+  (** Atomically write the newest 512 events of each domain's ring,
+      flushed or not (all domains, sorted, plus a
       [flight.dump] marker carrying [reason]) as a Chrome trace to
       {!path}. Bumps the [flight.dumps] counter, the one count of dumps
-      (recorded while metrics are enabled, as in the daemon). *)
+      (recorded while metrics are enabled, as in the daemon). A dump that
+      cannot be written is reported on stderr, never raised, and not
+      counted. *)
 
   val request_dump : unit -> unit
   (** Ask for a dump from an async-signal context: only sets a flag. *)
@@ -349,5 +354,6 @@ module Flight : sig
   (** Install a SIGUSR1 handler that calls {!request_dump}. *)
 
   val clear : unit -> unit
-  (** Empty the rings. Meant for tests. *)
+  (** Empty the rings, unflushed trace events included. Meant for
+      tests. *)
 end

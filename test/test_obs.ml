@@ -552,6 +552,107 @@ let test_flight_nonconvergence_dump () =
   Obs.Flight.clear ();
   Obs.Flight.set_enabled false
 
+(* The trace and the flight recorder read one ring per domain: an
+   incremental flush moves the trace's cursor past its spans, and a dump
+   still shows them *)
+let test_flight_shows_flushed_spans () =
+  let trace = Filename.temp_file "arcade_obs_shared" ".json" in
+  let path = Filename.temp_file "arcade_obs_shared_dump" ".json" in
+  Obs.Flight.clear ();
+  Obs.Flight.set_enabled true;
+  Obs.Flight.set_path path;
+  Obs.Trace.set_output (Some trace);
+  Obs.Trace.set_incremental true;
+  Obs.Trace.with_span "shared_span" (fun _ -> spin ());
+  Obs.Trace.flush ();
+  Obs.Flight.dump ~reason:"after_flush" ();
+  Obs.Trace.set_incremental false;
+  Obs.Trace.set_output None;
+  let flushed = read_file trace and dumped = read_file path in
+  Sys.remove trace;
+  Sys.remove path;
+  Alcotest.(check bool) "the trace got the span" true (contains "shared_span" flushed);
+  (match Json.parse dumped with
+  | Json.List evs ->
+      Alcotest.(check int) "the dump still shows it" 1 (count_named "shared_span" evs)
+  | _ -> Alcotest.fail "flight dump is not a JSON array");
+  Obs.Flight.clear ();
+  Obs.Flight.set_enabled false
+
+(* a capped trace drops its oldest unflushed events; the flight tail
+   keeps them *)
+let test_capped_trace_full_flight_tail () =
+  let path = Filename.temp_file "arcade_obs_tail" ".json" in
+  Obs.Flight.clear ();
+  Obs.Flight.set_enabled true;
+  Obs.Flight.set_path path;
+  Obs.Metrics.set_enabled true;
+  let dropped0 = registry_count "trace.dropped_events" in
+  let events =
+    traced_events (fun () ->
+        Obs.Trace.clear ();
+        Obs.Trace.set_buffer_capacity (Some 4);
+        for i = 1 to 10 do
+          Obs.Trace.instant (Printf.sprintf "tail_ev%d" i)
+        done;
+        Obs.Flight.dump ~reason:"capped" ())
+  in
+  Obs.Trace.set_buffer_capacity None;
+  Alcotest.(check int) "the trace keeps the capacity" 4 (List.length events);
+  Alcotest.(check int) "six dropped" 6
+    (registry_count "trace.dropped_events" - dropped0);
+  Obs.Metrics.set_enabled false;
+  let dumped =
+    match Json.parse (read_file path) with
+    | Json.List evs -> evs
+    | _ -> Alcotest.fail "flight dump is not a JSON array"
+  in
+  Sys.remove path;
+  for i = 1 to 10 do
+    Alcotest.(check int)
+      (Printf.sprintf "the dump holds tail_ev%d" i)
+      1
+      (count_named (Printf.sprintf "tail_ev%d" i) dumped)
+  done;
+  Obs.Flight.clear ();
+  Obs.Flight.set_enabled false
+
+(* a dump or a flush into a missing directory is reported, never raised:
+   neither a non-converged solve nor the caller of [flush] fails, and an
+   incremental trace whose first write failed still opens its array *)
+let test_unwritable_outputs () =
+  let dir = Filename.temp_file "arcade_obs_missing" "" in
+  Sys.remove dir;
+  Obs.Flight.clear ();
+  Obs.Flight.set_enabled true;
+  Obs.Flight.set_path (Filename.concat dir "dump.json");
+  Obs.Metrics.set_enabled true;
+  let n0 = registry_count "flight.dumps" in
+  Obs.Trace.instant "unwritten";
+  Obs.Flight.dump ~reason:"unwritable" ();
+  Obs.Metrics.record_solve ~solver:"unit_unwritable" ~size:2 ~iterations:1
+    ~residual:1.0 ~converged:false;
+  Obs.Trace.set_output (Some (Filename.concat dir "trace.json"));
+  Obs.Trace.instant "unflushed";
+  Obs.Trace.flush ();
+  Obs.Trace.set_incremental true;
+  Obs.Trace.flush ();
+  Alcotest.(check bool) "nothing was written" false (Sys.file_exists dir);
+  Unix.mkdir dir 0o755;
+  Obs.Trace.instant "after_mkdir";
+  Obs.Trace.flush ();
+  Obs.Trace.set_incremental false;
+  Obs.Trace.set_output None;
+  Obs.Metrics.set_enabled false;
+  Alcotest.(check int) "a failed dump is not counted" n0 (registry_count "flight.dumps");
+  let trace = read_file (Filename.concat dir "trace.json") in
+  Sys.remove (Filename.concat dir "trace.json");
+  Unix.rmdir dir;
+  Alcotest.(check bool) "the trace opens its array" true (trace.[0] = '[');
+  Alcotest.(check bool) "and holds the later event" true (contains "after_mkdir" trace);
+  Obs.Flight.clear ();
+  Obs.Flight.set_enabled false
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -1043,6 +1144,12 @@ let () =
           Alcotest.test_case "ring dump and poll" `Quick test_flight_ring_dump;
           Alcotest.test_case "non-convergence triggers a dump" `Quick
             test_flight_nonconvergence_dump;
+          Alcotest.test_case "dump shows flushed spans" `Quick
+            test_flight_shows_flushed_spans;
+          Alcotest.test_case "capped trace, full flight tail" `Quick
+            test_capped_trace_full_flight_tail;
+          Alcotest.test_case "unwritable outputs never raise" `Quick
+            test_unwritable_outputs;
         ] );
       ( "metrics",
         [
