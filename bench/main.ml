@@ -3,7 +3,7 @@
 
    Three parts, in order: the artifacts (the data of Tables 1-2 and
    Figures 3-11, printed with wall-clock generation times), the kernel
-   counters (the mixture and lumping work of one Line-2 session's calls,
+   counters (the mixture and steady-state work of one Line-2 session's calls,
    read as deltas of the Obs.Metrics registry's analysis.* counters, and
    the blocked-sweep contrast CI gates on), and the ablation studies.
 
@@ -128,9 +128,9 @@ let counting f =
 
 (* Kernel observability: run one 10-point accumulated-cost curve on a
    fresh Line-2 session and report the mixture counters (one pass, the
-   sweep's SpMV count), then one quotient-backed availability on the same
-   FRF-1 model and report the lumping counters — dumped into the JSON and
-   printed. *)
+   sweep's SpMV count), then two availabilities on the symmetric build of
+   the same FRF-1 model and report the steady-state cache counters — dumped
+   into the JSON and printed. *)
 let kernel_counters () =
   (* the JSON kernel block reads mixture_passes, mixture_steps and
      batch_columns all from this one call *)
@@ -227,25 +227,21 @@ let kernel_counters () =
     batch_width batched_seconds unbatched_seconds
     (unbatched_seconds /. batched_seconds)
     spmv_gbps projected_seconds;
-  let (ml, lumped_states), sl =
+  let ms, sl =
     counting (fun () ->
-        let ml = Core.Measures.analyze ~lump:true model_line2_frf1 in
-        ignore (Core.Measures.availability ml);
-        ignore (Core.Measures.availability ml);
-        (ml, Obs.Metrics.gauge_value (Obs.Metrics.gauge "analysis.lumped_states")))
+        let ms = Core.Measures.analyze ~symmetric:true model_line2_frf1 in
+        ignore (Core.Measures.availability ms);
+        ignore (Core.Measures.availability ms);
+        ms)
   in
   Format.printf
-    "kernel: quotient availability x2 -> steady %d solved/%d hits, lump %d \
-     built/%d hits (%.0f states)@."
-    (sl "steady_solves") (sl "steady_hits") (sl "lump_builds") (sl "lump_hits")
-    lumped_states;
-  let states =
-    Ctmc.Chain.states (Core.Measures.built ml).Core.Semantics.chain
-  in
+    "kernel: quotient availability x2 -> steady %d solved/%d hits (%d states)@."
+    (sl "steady_solves") (sl "steady_hits")
+    (Ctmc.Chain.states (Core.Measures.built ms).Core.Semantics.chain);
   [
     ("mixture_passes", float_of_int (s "mixture_passes"));
     ("mixture_steps", float_of_int (s "mixture_steps"));
-    ("states", float_of_int states);
+    ("states", float_of_int full_n);
     ("batch_width", float_of_int batch_width);
     ("batched_seconds", batched_seconds);
     ("unbatched_seconds", unbatched_seconds);
@@ -253,9 +249,6 @@ let kernel_counters () =
     ("sweeps_per_solve", float_of_int sweeps_per_solve);
     ("spmv_gb_per_s", spmv_gbps);
     ("batch_columns", float_of_int (s "batch_columns"));
-    ("lump_builds", float_of_int (sl "lump_builds"));
-    ("lump_hits", float_of_int (sl "lump_hits"));
-    ("lumped_states", lumped_states);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -55,13 +55,12 @@ let portfolio_of_file file ~variants =
 let num_field key json =
   match Json.member key json with Some (Json.Num x) -> Some x | _ -> None
 
-let analyze_body ~model ~lump =
+let analyze_body model =
   Json.to_string
     (Json.Obj
        [
          ("model", Json.Str model);
          ("queries", Json.List (List.map (fun q -> Json.Str q) queries));
-         ("lump", Json.Bool lump);
        ])
 
 let wait_ready ~host ~port =
@@ -226,16 +225,12 @@ let percentile sorted p =
 
 (* ------------------------------------------------------------------ *)
 
-let load host port model variants requests clients lump out shutdown =
+let load host port model variants requests clients out shutdown =
   Obs.init ();
   let dft = Server.default_config () in
   let host = Option.value host ~default:dft.Server.host in
   let port = Option.value port ~default:dft.Server.port in
-  let bodies =
-    Array.map
-      (fun src -> analyze_body ~model:src ~lump)
-      (portfolio_of_file model ~variants)
-  in
+  let bodies = Array.map analyze_body (portfolio_of_file model ~variants) in
   wait_ready ~host ~port;
   let before = fetch_stats ~host ~port in
   let next = Atomic.make 0 in
@@ -403,10 +398,6 @@ let clients =
   Arg.(value & opt int 4 & info [ "c"; "clients" ] ~docv:"N"
          ~doc:"Concurrent client connections.")
 
-let lump =
-  Arg.(value & flag & info [ "lump" ]
-         ~doc:"Request lumping-quotient evaluation.")
-
 let out =
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE"
          ~doc:"Write the JSON report here (atomically).")
@@ -420,7 +411,7 @@ let cmd =
   Cmd.v
     (Cmd.info "arcade_load" ~doc)
     Term.(
-      const load $ host $ port $ model $ variants $ requests $ clients $ lump
-      $ out $ shutdown)
+      const load $ host $ port $ model $ variants $ requests $ clients $ out
+      $ shutdown)
 
 let () = exit (Cmd.eval cmd)

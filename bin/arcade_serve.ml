@@ -3,7 +3,7 @@
 
 open Cmdliner
 
-let serve host port domains window_ms max_sessions lump =
+let serve host port domains window_ms max_sessions =
   Obs.init ();
   (* daemon-appropriate tracing defaults: bounded buffers (unless the
      operator chose a bound — or unbounded retention — explicitly) and
@@ -22,7 +22,6 @@ let serve host port domains window_ms max_sessions lump =
       domains = Option.value domains ~default:dft.Server.domains;
       batch_window_ms = Option.value window_ms ~default:dft.Server.batch_window_ms;
       max_sessions = Option.value max_sessions ~default:dft.Server.max_sessions;
-      lump = lump || dft.Server.lump;
     }
   in
   let srv = Server.start ~config () in
@@ -54,10 +53,6 @@ let max_sessions =
   Arg.(value & opt (some int) None & info [ "max-sessions" ] ~docv:"N"
          ~doc:"LRU capacity of the model-hash session cache.")
 
-let lump =
-  Arg.(value & flag & info [ "lump" ]
-         ~doc:"Default requests to lumping-quotient evaluation.")
-
 let cmd =
   let doc = "persistent Arcade analysis daemon (HTTP + JSON)" in
   let man =
@@ -65,8 +60,8 @@ let cmd =
       `S Manpage.s_description;
       `P "Serve Arcade XML models and CSL/CSRL queries from long-lived \
           analysis sessions: models are keyed by content hash, so repeated \
-          requests share transposed rate matrices, Fox-Glynn weights, \
-          quotients and steady-state vectors; same-model queries arriving \
+          requests share transposed rate matrices, Fox-Glynn weights \
+          and steady-state vectors; same-model queries arriving \
           within the batch window coalesce into single blocked sweeps.";
       `P "Endpoints: POST /analyze, GET /health, GET /stats, GET /metrics, \
           POST /shutdown.";
@@ -74,6 +69,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "arcade_serve" ~doc ~man)
-    Term.(const serve $ host $ port $ domains $ window_ms $ max_sessions $ lump)
+    Term.(const serve $ host $ port $ domains $ window_ms $ max_sessions)
 
 let () = exit (Cmd.eval cmd)

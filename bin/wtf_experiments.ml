@@ -103,8 +103,8 @@ let trace_arg =
 
 let metrics_arg =
   let doc =
-    "Print the observability metrics snapshot (analysis cache, mixture, \
-     lump and solver counters, recent solver convergences) after the \
+    "Print the observability metrics snapshot (analysis cache, mixture \
+     and solver counters, recent solver convergences) after the \
      artifacts. OBS_METRICS=1 prints it to stderr at exit instead; \
      OBS_METRICS=$(i,FILE) writes it as JSON."
   in

@@ -68,7 +68,7 @@ let make_csl_model ~analysis ~levels ~component_cost ~repair_cost ~cost built =
   in
   Csl.Checker.of_chain ~analysis ~labels ~rewards built.Semantics.chain
 
-let wrap ?lump ?levels built =
+let wrap ?levels built =
   span "wrap" @@ fun () ->
   let levels =
     match levels with
@@ -77,9 +77,8 @@ let wrap ?lump ?levels built =
   in
   (* one session per state space: every measure below, and every CSL query
      through {!to_csl_model}, shares its cached transposed rates,
-     Fox-Glynn weights, quotients and steady-state vector, and runs on
-     quotients exactly when [lump] is set *)
-  let analysis = Ctmc.Analysis.create ?lump built.Semantics.chain in
+     Fox-Glynn weights and steady-state vector *)
+  let analysis = Ctmc.Analysis.create built.Semantics.chain in
   let component_cost, repair_cost = Semantics.cost_structures built in
   let cost = Numeric.Vec.add component_cost repair_cost in
   let csl =
@@ -96,8 +95,7 @@ let m_builds_full = Obs.Metrics.counter "measures.builds.full"
 
 let m_states = Obs.Metrics.counter "measures.states"
 
-let analyze ?max_states ?initial ?lump ?(symmetric = false) ?transitions ?levels
-    model =
+let analyze ?max_states ?initial ?(symmetric = false) ?transitions ?levels model =
   let built =
     Obs.Trace.with_span "measures.build" @@ fun sp ->
     let built = Semantics.build ?max_states ~symmetric ?initial ?transitions model in
@@ -110,7 +108,7 @@ let analyze ?max_states ?initial ?lump ?(symmetric = false) ?transitions ?levels
     end;
     built
   in
-  wrap ?lump ?levels built
+  wrap ?levels built
 
 (* The 5-strategy comparison as one call: each model builds and wraps
    independently (they have distinct state spaces, so their sweeps cannot
@@ -118,8 +116,8 @@ let analyze ?max_states ?initial ?lump ?(symmetric = false) ?transitions ?levels
    happens inside each model: every measure suite rides the blocked
    kernels ({!cost_curves}, the multi-RHS steady-state weights, the
    multi-time sweeps). *)
-let analyze_all ?max_states ?lump models =
-  Numeric.Parallel.map (fun model -> analyze ?max_states ?lump model) models
+let analyze_all ?max_states models =
+  Numeric.Parallel.map (fun model -> analyze ?max_states model) models
 
 (* Mixture weights: finite, non-negative, with a finite positive total. *)
 let check_weights who weights =
@@ -158,12 +156,12 @@ let rooted t weighted =
     csl = { t.csl with Csl.Checker.chain; analysis };
   }
 
-let analyze_mixed_disasters ?max_states ?lump model disasters =
+let analyze_mixed_disasters ?max_states model disasters =
   ignore (check_weights "Measures.analyze_mixed_disasters" (List.map fst disasters));
   let states =
     List.map (fun (w, failed) -> (w, Semantics.disaster_state model ~failed)) disasters
   in
-  rooted (analyze ?max_states ?lump model) states
+  rooted (analyze ?max_states model) states
 
 (* A symmetric build answers exactly what every member of an orbit agrees
    on. Of the labels only the literals of grouped components tell members

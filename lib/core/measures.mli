@@ -10,10 +10,8 @@ type t = {
   built : Semantics.built;
   analysis : Ctmc.Analysis.t;
       (** the analysis session shared by every measure (and by the CSL
-          model): transposed rates, Fox–Glynn weights, quotients and the
-          steady-state vector are each computed at most once. Whether the
-          measures run on lumping quotients is the session's choice
-          ({!Ctmc.Analysis.create}), made by {!analyze}'s [lump]. *)
+          model): transposed rates, Fox–Glynn weights and the
+          steady-state vector are each computed at most once. *)
   csl : Csl.Checker.model;
   cost : Ctmc.Rewards.structure;
       (** {!Semantics.cost_structure}, computed once; the cost measures
@@ -23,19 +21,14 @@ type t = {
 val analyze :
   ?max_states:int ->
   ?initial:Semantics.state ->
-  ?lump:bool ->
   ?symmetric:bool ->
   ?transitions:int ->
   ?levels:float list ->
   Model.t ->
   t
 (** Build the state space — and one cached {!Ctmc.Analysis} session over
-    it — once; all measures below reuse both. [lump] (default [false])
-    makes it a lumping session ({!Ctmc.Analysis.create}): every measure
-    that sweeps or solves (all but the scenario and mean-time measures)
-    runs on the cached exact quotient that respects its labels and
-    rewards ({!Ctmc.Analysis.reduce}). [symmetric]
-    (default [false]) builds the quotient under interchangeable components
+    it — once; all measures below reuse both. [symmetric] (default
+    [false]) builds the quotient under interchangeable components
     ({!Semantics.build}): the group-invariant measures (availability,
     service levels, costs, the fault tree) are exact on it, while the
     scenario measures and the labels of grouped components raise
@@ -47,7 +40,7 @@ val analyze :
     model) under [measures.wrap]. *)
 
 val analyze_all :
-  ?max_states:int -> ?lump:bool -> Model.t list -> t list
+  ?max_states:int -> Model.t list -> t list
 (** [analyze_all models] is [List.map analyze models] fanned out over
     domains ({!Numeric.Parallel.map}) — the paper's 5-strategy comparison
     as one batch. Results align 1:1 with [models]. Within each model the
@@ -61,9 +54,8 @@ val rooted : t -> (float * Semantics.state) list -> t
     normalized; a state listed twice sums its weights). Nothing is
     rebuilt: the view keeps [t]'s state set, packed keys, cost vectors
     and labels, and its analysis session is {!Ctmc.Analysis.with_init} of
-    [t]'s, with [t]'s choice of lumping, sharing the rate operator, the
-    lumping partitions and every cache that does not depend on the
-    initial distribution. For a
+    [t]'s, sharing the rate operator and every cache that does not depend
+    on the initial distribution. For a
     GOOD model whose disaster state is reachable from [t]'s initial state
     this is the disaster analysis without a second build. Raises
     [Invalid_argument "Measures.rooted: ..."] on an empty list, a weight
@@ -71,7 +63,7 @@ val rooted : t -> (float * Semantics.state) list -> t
     positive, or a state that is not in [t]'s chain. *)
 
 val analyze_mixed_disasters :
-  ?max_states:int -> ?lump:bool -> Model.t -> (float * string list) list -> t
+  ?max_states:int -> Model.t -> (float * string list) list -> t
 (** GOOD analysis under an uncertain disaster: each [(weight, failed)] pair
     contributes a disaster state with the given probability (weights are
     normalized). Survivability and cost measures then average over the
@@ -89,7 +81,9 @@ val exact_on_quotient : Model.t -> Csl.Ast.state_formula -> bool
     [analyze ~symmetric:true model], get the answer the full build gives?
     Decided from the formula alone, nothing is built. Without symmetry
     groups ({!Semantics.interchangeable}) every query does, since the
-    symmetric build is then the full one. Otherwise a query does when it
+    symmetric build is then the full one; every shipped model has groups
+    (the lines' tanks, filters and pumps, substation's transformers and
+    feeders, pipeline_modes' pumps). Otherwise a query does when it
     is a steady-state operator ([S=?], [S~p], [R{..}=? [ S ]], [R{..}~p
     [ S ]]) whose operand is a boolean combination of labels other than
     the ["<c>_failed"] and ["<c>:<mode>"] literals of grouped components:

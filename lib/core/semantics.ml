@@ -66,6 +66,9 @@ type ctx = {
   groups : int array array;
       (* interchangeable components, ascending, by which a symmetric build
          reduces ([||] on a full build) *)
+  merged : bool array;
+      (* per group, whether its members' distinct Priority ranks were
+         merged into one, so that the full chain queues them in rank order *)
   group_of : int array; (* per component, its group or -1 *)
   unit_groups : int array array; (* per unit, the groups of its members *)
   loose_groups : int array; (* the groups of components in no unit *)
@@ -210,6 +213,7 @@ let make_ctx model =
     rep_f;
     queue_f;
     groups = [||];
+    merged = [||];
     group_of = Array.make n (-1);
     unit_groups = Array.make (Array.length rus) [||];
     loose_groups = [||];
@@ -316,8 +320,10 @@ let repairing ctx key off u =
 (* --- Symmetry ----------------------------------------------------------- *)
 
 (* Permuting the members of a group maps states to states with the same
-   rates (the members share every parameter, and the trees are invariant),
-   so a symmetric build keeps one canonical key per orbit. A member's
+   total rates into every orbit (the members share every parameter, the
+   trees are invariant, and {!with_groups} admits spare and Priority units
+   only where their order among the members does not matter), so a
+   symmetric build keeps one canonical key per orbit. A member's
    sort key packs, in this order of significance: up bit, failure mode,
    completed stages, in-repair flag and queue position plus one (0 when not
    queued). Members with equal sort keys are interchangeable within the
@@ -494,26 +500,37 @@ let canonicalize ctx sym key off =
 
 (* The number of full states in the orbit of the canonical key at [off]:
    per group, the multinomial of its members' equal sort keys, which a
-   canonical key lists in ascending order. Keeps the sort keys in
-   [sym.expanded]. *)
+   canonical key lists in ascending order. The full chain queues the
+   members of a merged group in rank order, so of the [q]! ways to give
+   its [q] queued members their (distinct) positions, one is reachable.
+   Keeps the sort keys in [sym.expanded]. *)
 let orbit_size ctx sym key off =
   Array.iteri
     (fun u gs -> sort_keys ctx sym key off u gs (Array.length gs))
     ctx.unit_groups;
   sort_keys ctx sym key off (-1) ctx.loose_groups (Array.length ctx.loose_groups);
   Array.blit sym.sort_key 0 sym.expanded 0 (Array.length sym.sort_key);
-  Array.fold_left
-    (fun acc g ->
-      (* the multinomial k! / prod (run length)!, one exact factor
-         (j + 1) / (position in its run) per member *)
-      let acc = ref acc and run = ref 0 in
-      for j = 0 to Array.length g - 1 do
-        if j > 0 && sym.sort_key.(g.(j)) = sym.sort_key.(g.(j - 1)) then incr run
-        else run := 1;
-        acc := !acc * (j + 1) / !run
-      done;
-      !acc)
-    1 ctx.groups
+  (* the radix of the queue digit: a queued member's sort key is not a
+     multiple of it *)
+  let radix = component_count ctx + 1 in
+  let size = ref 1 in
+  for t = 0 to Array.length ctx.groups - 1 do
+    let g = ctx.groups.(t) in
+    (* the multinomial k! / prod (run length)!, one exact factor
+       (j + 1) / (position in its run) per member, over q! *)
+    let m = ref 1 and run = ref 0 and queued = ref 0 in
+    for j = 0 to Array.length g - 1 do
+      if j > 0 && sym.sort_key.(g.(j)) = sym.sort_key.(g.(j - 1)) then incr run
+      else run := 1;
+      m := !m * (j + 1) / !run;
+      if ctx.merged.(t) && sym.sort_key.(g.(j)) mod radix <> 0 then begin
+        incr queued;
+        m := !m / !queued
+      end
+    done;
+    size := !size * !m
+  done;
+  !size
 
 (* --- Successor generation --------------------------------------------- *)
 
@@ -823,16 +840,33 @@ let rec swapped a b = function
   | Any gs -> Any (List.sort compare (List.map (swapped a b) gs))
   | Atleast (k, gs) -> Atleast (k, List.sort compare (List.map (swapped a b) gs))
 
+(* the position of [x] in [a] *)
+let position a x =
+  let rec go p = if a.(p) = x then p else go (p + 1) in
+  go 0
+
+(* [spans xs]: the distinct integers [xs] fill an interval *)
+let spans xs =
+  let lo = List.fold_left min max_int xs and hi = List.fold_left max min_int xs in
+  hi - lo + 1 = List.length (List.sort_uniq compare xs)
+
 (* [ctx] with its groups of interchangeable components, detected
-   conservatively. Two components are interchangeable when they share the
-   repair unit and the rank of every mode, have equal failure modes
-   (rates, stages, costs) and operational cost, share their spare unit
-   only if it is hot (dormancy 1: warm and cold members fail at rates that
-   depend on their position in the unit), and exchanging them leaves the
-   fault and the service tree equal up to the order of gate children. A
-   component joins the first group whose first member it is
-   interchangeable with; the transpositions with one member generate every
-   permutation of the group. *)
+   conservatively. Two components are alike when they share the repair
+   unit and the spare unit, have equal failure modes (rates, stages,
+   costs) and operational cost, and exchanging them leaves the fault and
+   the service tree equal up to the order of gate children. A component
+   joins the first group whose first member it is alike with, if the
+   group stays exact with it:
+   - in a warm or cold spare unit, the group's members are contiguous in
+     the unit's member order (a member's dormancy depends on how many
+     members before it are up);
+   - the members share the rank of every mode, or they are single-mode
+     members of a Priority unit whose ranks fill an interval (no other
+     member of the unit ranked between them) and the unit does not
+     preempt Erlang repairs. Their ranks are then merged into the lowest:
+     FCFS order among them stands for the full chain's rank order.
+   The transpositions with one member generate every permutation of the
+   group. *)
 let with_groups ctx model =
   let n = component_count ctx in
   let fault = compile ctx model.Model.fault_tree
@@ -842,20 +876,38 @@ let with_groups ctx model =
   let fault_n = normal fault and service_n = normal service in
   let alike i j =
     ctx.ru_of.(i) = ctx.ru_of.(j)
-    && ctx.rank.(i) = ctx.rank.(j)
     && ctx.modes.(i) = ctx.modes.(j)
     && ctx.comps.(i).Component.operational_cost = ctx.comps.(j).Component.operational_cost
-    && (if Array.length ctx.spare_group.(i) = 0 then
-          Array.length ctx.spare_group.(j) = 0
-        else ctx.spare_group.(i) = ctx.spare_group.(j) && ctx.dormancy.(i) = 1.)
+    && ctx.spare_group.(i) = ctx.spare_group.(j)
     && swapped i j fault = fault_n
     && swapped i j service = service_n
   in
+  let same_rank g = List.for_all (fun i -> ctx.rank.(i) = ctx.rank.(List.hd g)) g in
+  (* may ranks of the alike members [g] be merged *)
+  let mergeable g =
+    let i = List.hd g in
+    let u = ctx.ru_of.(i) in
+    u >= 0
+    && (match ctx.rus.(u).Repair.strategy with Repair.Priority _ -> true | _ -> false)
+    && Array.length ctx.modes.(i) = 1
+    && not
+         (ctx.rus.(u).Repair.preemptive
+         && ctx.modes.(i).(0).Component.fm_repair_stages > 1)
+    && spans (List.map (fun i -> ctx.rank.(i).(0)) g)
+  in
+  let exact g =
+    let i = List.hd g in
+    (ctx.dormancy.(i) = 1. || spans (List.map (position ctx.spare_group.(i)) g))
+    && (same_rank g || mergeable g)
+  in
   (* [head.(i)]: the first member of [i]'s group *)
   let head = Array.make n (-1) in
+  let members h = List.filter (fun j -> head.(j) = h) (List.init n Fun.id) in
   for i = 0 to n - 1 do
     let rec first h =
-      if h = i then i else if head.(h) = h && alike h i then h else first (h + 1)
+      if h = i then i
+      else if head.(h) = h && alike h i && exact (members h @ [ i ]) then h
+      else first (h + 1)
     in
     head.(i) <- first 0
   done;
@@ -863,10 +915,19 @@ let with_groups ctx model =
     Array.of_list
       (List.filter_map
          (fun h ->
-           let g = List.filter (fun i -> head.(i) = h) (List.init n Fun.id) in
+           let g = members h in
            if List.length g > 1 then Some (Array.of_list g) else None)
          (List.init n Fun.id))
   in
+  let merged = Array.map (fun g -> not (same_rank (Array.to_list g))) groups in
+  let rank = Array.copy ctx.rank in
+  Array.iteri
+    (fun k g ->
+      if merged.(k) then begin
+        let lo = Array.fold_left (fun r i -> min r ctx.rank.(i).(0)) max_int g in
+        Array.iter (fun i -> rank.(i) <- [| lo |]) g
+      end)
+    groups;
   let group_of = Array.make n (-1) in
   Array.iteri (fun k g -> Array.iter (fun i -> group_of.(i) <- k) g) groups;
   (* a group's members share their unit *)
@@ -877,7 +938,9 @@ let with_groups ctx model =
   in
   {
     ctx with
+    rank;
     groups;
+    merged;
     group_of;
     unit_groups = Array.mapi (fun u _ -> of_unit u) ctx.rus;
     loose_groups = of_unit (-1);

@@ -92,30 +92,35 @@ val build :
 
     [~symmetric:true] builds the quotient under interchangeable
     components instead. Components form a group when they share the repair
-    unit, the scheduling rank of every mode, their failure modes and
-    costs, and a spare unit only if it is hot, and when exchanging any two
-    of them leaves the fault and service trees equal up to the order of
-    gate children. Every key is canonicalized before it is interned (each
-    group's members sorted by up bit, mode, stage, in-repair flag and queue
-    position; the repair-unit lists remapped by the same permutation), so a
-    state of the chain is one orbit of full states. The quotient is exact
-    (ordinary lumpability): group-invariant measures (availability,
-    service levels, costs, the fault tree) agree with the full chain's.
-    [full_size] counts the orbits' members and, per orbit, its size times
-    the out-degree of its representative; this is the full build's size
-    when [initial] is fixed by every group permutation (as the all-up state
-    is). Without groups the build is the full one, bit for bit. On a
+    unit, the spare unit, their failure modes and costs, and when
+    exchanging any two of them leaves the fault and service trees equal up
+    to the order of gate children; besides, the members of a warm or cold
+    spare unit must be contiguous in its member order, and the members
+    must share the scheduling rank of every mode, or be single-mode
+    members of a Priority unit whose ranks no other member's falls between
+    (not in a preemptive unit with Erlang repairs), whose ranks the build
+    then merges into the lowest. Every key is canonicalized before it is
+    interned (each group's members sorted by up bit, mode, stage,
+    in-repair flag and queue position; the repair-unit lists remapped by
+    the same permutation), so a state of the chain is one orbit of full
+    states. The quotient is exact (ordinary lumpability): group-invariant
+    measures (availability, service levels, costs, the fault tree) agree
+    with the full chain's. [full_size] counts the orbits' members (of a
+    merged group, only those that queue its members in rank order) and,
+    per orbit, its size times the out-degree of its representative; this
+    is the full build's size when [initial] is fixed by every group
+    permutation (as the all-up state is). Without groups the build is the full one, bit for bit. On a
     reduced build the observations that tell group members apart raise
     [Invalid_argument]: {!state}, {!under_repair}, and {!component_up} and
     {!literal_pred} of a grouped component. *)
 
 val symmetry_groups : built -> string list list
-(** The groups of interchangeable components a symmetric build lumped, by
+(** The groups of interchangeable components a symmetric build reduced by, by
     name; [[]] on a full build and on a symmetric build that found none
     (then [chain] is the full chain). *)
 
 val interchangeable : Model.t -> string list list
-(** The groups [build ~symmetric:true] would lump, found without
+(** The groups [build ~symmetric:true] would reduce by, found without
     exploring a state: [symmetry_groups (build ~symmetric:true model)]. *)
 
 (** {2 Per-state observations} *)

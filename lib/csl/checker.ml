@@ -56,7 +56,7 @@ let compare_bound cmp threshold x =
 
 (* [model] started in state [s]: a view of its session
    ({!Ctmc.Analysis.with_init}) that shares the rate operator's caches,
-   with its own steady-state vectors and quotients *)
+   with its own steady-state vectors *)
 let rerooted model s =
   let analysis =
     Ctmc.Analysis.with_init model.analysis (Vec.unit (Chain.states model.chain) s)

@@ -10,9 +10,7 @@ type model = {
   analysis : Ctmc.Analysis.t;
       (** the cached analysis session every query runs through: checking
           several formulas against one model shares the transposed rates,
-          Fox–Glynn weights, quotients and steady-state vector. On a
-          lumping session ({!Ctmc.Analysis.create}) the bounded-until,
-          steady-state and reward queries sweep its quotients. *)
+          Fox–Glynn weights and steady-state vector. *)
   label : string -> (int -> bool) option;  (** resolve a quoted label *)
   atomic : Prism.Ast.expr -> (int -> bool) option;
       (** resolve an atomic expression over state variables *)
@@ -23,8 +21,7 @@ val of_built : ?analysis:Ctmc.Analysis.t -> Prism.Builder.built -> model
 (** Wrap a built PRISM model: labels, variables and reward structures
     resolve to what the model defines. [analysis] injects an existing
     session for the model's chain (it is used only if it wraps exactly that
-    chain), and with it the session's choice of lumping
-    ({!Ctmc.Analysis.create}); by default a fresh plain one is created. *)
+    chain); by default a fresh one is created. *)
 
 val of_chain :
   ?analysis:Ctmc.Analysis.t ->

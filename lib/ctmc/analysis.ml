@@ -25,12 +25,6 @@ let m_mixture_steps = Obs.Metrics.counter "analysis.mixture_steps"
 
 let m_batch_columns = Obs.Metrics.counter "analysis.batch_columns"
 
-let m_lump_builds = Obs.Metrics.counter "analysis.lump_builds"
-
-let m_lump_hits = Obs.Metrics.counter "analysis.lump_hits"
-
-let m_lumped_states = Obs.Metrics.gauge "analysis.lumped_states"
-
 let m_sweep_len = Obs.Metrics.histogram "analysis.sweep_length"
 
 (* The artifacts of the rate operator alone: a session and every view of
@@ -39,8 +33,8 @@ let m_sweep_len = Obs.Metrics.histogram "analysis.sweep_length"
 type operator = {
   mutable rate : float option;
   mutable emb : Sparse.t option;
-  (* R^T: forward sweeps, the steady-state sweep, coreachability and the
-     lumping refinement read its rows *)
+  (* R^T: forward sweeps, the steady-state sweep and coreachability read
+     its rows *)
   mutable rates_t : Sparse.t option;
   mutable scc : (int array * int array array) option;
   mutable bscc : int array array option;
@@ -48,41 +42,16 @@ type operator = {
   (* the iterate pair of the last finished sweep, taken by the next one
      (atomically: views on other domains share this record) *)
   iterates : (Multivec.t * Multivec.t) option Atomic.t;
-  (* the lumpings of the rates, keyed by initial partition ({!memo}),
-     each with a session over its quotient whose operator every view's
-     quotient session shares *)
-  lumpings : (int64, (int array * (Lumping.result * t)) list) Hashtbl.t;
 }
 
-(* The steady-state vectors (BSCC weights) and the reductions (their
-   quotient sessions carry the projected initial distribution) depend on
-   the chain's initial distribution, so they stay per session. *)
-and t = {
-  chain : Chain.t;
-  op : operator;
-  lump : bool;
-  steady_tbl : (float, Vec.t) Hashtbl.t;
-  reductions : (int64, (int array * reduced) list) Hashtbl.t;
-}
+(* The steady-state vectors (BSCC weights) depend on the chain's initial
+   distribution, so they stay per session. *)
+type t = { chain : Chain.t; op : operator; steady_tbl : (float, Vec.t) Hashtbl.t }
 
-and reduced = {
-  session : t;
-  pred : (int -> bool) -> int -> bool;
-  reward : Vec.t -> Vec.t;
-  lift : Vec.t -> Vec.t;
-}
+let session chain op = { chain; op; steady_tbl = Hashtbl.create 4 }
 
-let session ~lump chain op =
-  {
-    chain;
-    op;
-    lump;
-    steady_tbl = Hashtbl.create 4;
-    reductions = Hashtbl.create 4;
-  }
-
-let create ?(lump = false) chain =
-  session ~lump chain
+let create chain =
+  session chain
     {
       rate = None;
       emb = None;
@@ -91,10 +60,9 @@ let create ?(lump = false) chain =
       bscc = None;
       weight_tbl = Hashtbl.create 16;
       iterates = Atomic.make None;
-      lumpings = Hashtbl.create 4;
     }
 
-let with_init t init = session ~lump:t.lump (Chain.with_init t.chain init) t.op
+let with_init t init = session (Chain.with_init t.chain init) t.op
 
 let chain t = t.chain
 
@@ -259,110 +227,16 @@ let cached_steady t ~tol compute =
       Hashtbl.replace t.steady_tbl tol (Vec.copy pi);
       pi
 
-(* FNV-1a, 64 bit: cheap streaming hash for partition arrays, used as
-   the quotient-table keys. *)
-let fnv_offset = 0xcbf29ce484222325L
-
-let fnv_prime = 0x100000001b3L
-
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let fnv_int h i =
-  let h = fnv_byte h i in
-  let h = fnv_byte h (i lsr 8) in
-  let h = fnv_byte h (i lsr 16) in
-  fnv_byte h (i lsr 24)
-
+(* FNV-1a, 64 bit: cheap streaming hash *)
 let fnv1a64 s =
-  let h = ref fnv_offset in
+  let h = ref 0xcbf29ce484222325L in
   for k = 0 to String.length s - 1 do
-    h := fnv_byte !h (Char.code (String.unsafe_get s k))
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s k))))
+        0x100000001b3L
   done;
   !h
-
-(* ------------------------------------------------------------------ *)
-(* Session reductions                                                 *)
-
-type respect = Pred of (int -> bool) | Reward of Vec.t
-
-let initial_partition n respect =
-  (* one composite key per state; densified to block ids *)
-  let buf = Buffer.create 32 in
-  let keys =
-    Array.init n (fun s ->
-        Buffer.clear buf;
-        List.iter
-          (fun r ->
-            (match r with
-            | Pred p -> Buffer.add_char buf (if p s then '1' else '0')
-            | Reward v ->
-                if Vec.dim v <> n then
-                  invalid_arg "Analysis.reduce: reward dimension mismatch";
-                Buffer.add_int64_le buf (Int64.bits_of_float v.(s)));
-            Buffer.add_char buf '|')
-          respect;
-        Buffer.contents buf)
-  in
-  Lumping.partition_by_key n (fun s -> keys.(s))
-
-let partition_hash part =
-  Array.fold_left fnv_int fnv_offset part
-
-(* A lumping table keyed by an FNV-1a hash of a dense partition, each
-   bucket entry keeping the full partition to verify a hit (counted as a
-   lump hit). *)
-let memo tbl part build =
-  let h = partition_hash part in
-  let bucket = Option.value (Hashtbl.find_opt tbl h) ~default:[] in
-  match List.assoc_opt part bucket with
-  | Some v ->
-      Obs.Metrics.incr m_lump_hits;
-      v
-  | None ->
-      let v = build () in
-      Hashtbl.replace tbl h ((part, v) :: bucket);
-      v
-
-(* The lumping of the rates under [part], refined over the session's
-   cached R^T, and a session over its quotient. *)
-let lump t part =
-  let result =
-    Obs.Trace.with_span "analysis.lump" @@ fun span ->
-    let l =
-      Lumping.lump ~rates_transposed:(rates_transposed t) t.chain ~initial:part
-    in
-    if Obs.Trace.recording span then begin
-      Obs.Trace.add_attr span "states" (Obs.Int (Chain.states t.chain));
-      Obs.Trace.add_attr span "blocks" (Obs.Int (Chain.states l.Lumping.quotient))
-    end;
-    l
-  in
-  Obs.Metrics.incr m_lump_builds;
-  (result, create result.Lumping.quotient)
-
-(* A view lumps nothing another view has lumped: its quotient session is
-   a view of the shared one, started from its own projected initial
-   distribution. Respected predicates and rewards are block-constant, so
-   any member represents its block. *)
-let reduce t ~respect =
-  if not t.lump then { session = t; pred = Fun.id; reward = Fun.id; lift = Fun.id }
-  else begin
-    let part = initial_partition (Chain.states t.chain) respect in
-    let r =
-      memo t.reductions part @@ fun () ->
-      let result, quotient = memo t.op.lumpings part (fun () -> lump t part) in
-      let blocks = result.Lumping.blocks in
-      {
-        session = with_init quotient (Lumping.project result (Chain.initial t.chain));
-        pred = (fun p b -> p (List.hd blocks.(b)));
-        reward = (fun v -> Array.map (fun members -> v.(List.hd members)) blocks);
-        lift = Lumping.lift result;
-      }
-    in
-    Obs.Metrics.set_gauge m_lumped_states
-      (float_of_int (Chain.states r.session.chain));
-    r
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Absorbing-row masks                                                *)

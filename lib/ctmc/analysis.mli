@@ -4,7 +4,7 @@
     CSL/CSRL properties against it. The expensive derived artifacts —
     the transposed rate matrix forward sweeps gather over, Fox–Glynn
     weight vectors, embedded jump matrix, (B)SCC decomposition,
-    steady-state vector, lumping quotients — are shared across queries
+    steady-state vector — are shared across queries
     through an analysis session: every query module ({!Transient},
     {!Reachability}, {!Rewards}, {!Steady_state}, {!Absorption}) accepts
     an optional [?analysis] session and memoizes what it derives into it.
@@ -12,35 +12,24 @@
     the fly, and time-bounded until masks its rows instead of building an
     absorbed copy of the chain.
 
-    Whether queries run on exact lumping quotients is a property of the
-    session, chosen once by {!create}. Each query module makes one
-    {!reduce} call for the labels and rewards it evaluates and sweeps the
-    session it gets back: on a plain session that is the session itself,
-    on a lumping session the cached quotient that respects them.
-
     Sessions are not thread-safe; use one per chain per thread (a
     session and its {!with_init} views count as one). *)
 
 type t
 
-val create : ?lump:bool -> Chain.t -> t
+val create : Chain.t -> t
 (** A fresh session wrapping [chain]. Nothing is computed up front; every
-    derived artifact is built lazily on first demand. With [~lump:true]
-    (default [false]) every query run through the session sweeps the
-    exact lumping quotient that respects the query's labels and rewards
-    ({!reduce}). *)
+    derived artifact is built lazily on first demand. *)
 
 val with_init : t -> Numeric.Vec.t -> t
 (** [with_init t init] is a session over [Chain.with_init (chain t) init]:
-    the same states and rate operator, another initial distribution, and
-    [t]'s choice of lumping. It shares by reference every cache of [t]
-    that depends on the rates alone — the uniformization rate,
-    {!embedded}, {!rates_transposed}, {!sccs}, {!bottom_sccs}, the
-    {!weights} table and the lumping partitions behind {!reduce} — so
-    whichever of the two sessions derives one of them first, both see it.
-    The steady-state vectors (BSCC weights) and the quotient sessions
-    (their initial distribution is projected from the view's) depend on
-    the initial distribution and stay per session. Both sessions must
+    the same states and rate operator, another initial distribution. It
+    shares by reference every cache of [t] that depends on the rates
+    alone — the uniformization rate, {!embedded}, {!rates_transposed},
+    {!sccs}, {!bottom_sccs} and the {!weights} table — so whichever of
+    the two sessions derives one of them first, both see it. The
+    steady-state vectors (BSCC weights) depend on the initial
+    distribution and stay per session. Both sessions must
     stay in one domain. Raises [Invalid_argument] as {!Chain.with_init}
     does. *)
 
@@ -127,49 +116,9 @@ val cached_steady : t -> tol:float -> (unit -> Numeric.Vec.t) -> Numeric.Vec.t
     every call). *)
 
 val fnv1a64 : string -> int64
-(** 64-bit FNV-1a hash of a string — the same streaming hash the reduction
-    cache uses for partitions, exposed for content-addressing whole
-    inputs (e.g. the analysis daemon keys its model-session cache on the
-    hash of the XML source). *)
-
-(** {2 Session reductions} *)
-
-type respect =
-  | Pred of (int -> bool)
-      (** states differing under the predicate stay separate — required for
-          any label/target set the caller will evaluate on the reduced
-          session *)
-  | Reward of Numeric.Vec.t
-      (** states with different reward stay separate, so block-constant
-          reward structures project exactly *)
-
-type reduced = {
-  session : t;  (** the session to sweep *)
-  pred : (int -> bool) -> int -> bool;
-      (** a respected predicate over [session]'s states *)
-  reward : Numeric.Vec.t -> Numeric.Vec.t;
-      (** a respected vector over [session]'s states *)
-  lift : Numeric.Vec.t -> Numeric.Vec.t;
-      (** a per-state vector of [session] (e.g. a backward value vector)
-          expanded to the states of the reduced session's chain *)
-}
-
-val reduce : t -> respect:respect list -> reduced
-(** [reduce t ~respect] is the session a query evaluating the [respect]ed
-    predicates and vectors sweeps, with those mapped onto it and the lift
-    of its values back to [t]'s states. On a plain session it is [t]
-    itself with identity maps, and computes nothing.
-
-    On a lumping session it is the session over the coarsest exactly
-    lumpable quotient ({!Lumping.lump}) of the partition that separates
-    the states any [respect] entry distinguishes. The lumping runs once
-    per initial partition (FNV-hashed, verified on a hit) and state space:
-    [t] and all its {!with_init} views share it, and a view's quotient
-    session starts from the projection of the view's initial
-    distribution. The refinement reads {!rates_transposed}. Mapped
-    predicates and vectors are read off one member per block, which is
-    exact only for respected ones. Raises [Invalid_argument] when a
-    [Reward] vector's dimension is not the chain's. *)
+(** 64-bit FNV-1a hash of a string, for content-addressing whole inputs
+    (the analysis daemon keys its model-session cache on the hash of the
+    XML source). *)
 
 (** {2 Absorbing-row masks} *)
 
@@ -295,7 +244,7 @@ val check_times : string -> float list -> unit
 
 (** Sessions keep no counters of their own: every cache event is counted
     once, in the process-wide {!Obs.Metrics} registry, which aggregates
-    all sessions (views and quotient sessions included) on every domain,
+    all sessions (views included) on every domain,
     and records only while metrics are enabled. Read a session's work as
     the growth of these instruments across its calls:
     - [analysis.embedded_builds], [analysis.weight_computes],
@@ -310,13 +259,8 @@ val check_times : string -> float list -> unit
     - [analysis.batch_columns]: total stream count across those sweeps,
       so [batch_columns / mixture_passes] is the mean number of streams
       per sweep (streams that share an iterate column each count);
-    - [analysis.lump_builds] and [analysis.lump_hits]: lumpings computed
-      by {!reduce}, and {!reduce} calls on a lumping session served by a
-      lumping already computed for the session or one of its views;
-    - gauges [analysis.lumped_states] (state count of the most recent
-      quotient chain {!reduce} returned) and [analysis.fg_mass_deficit]
-      (worst Fox–Glynn truncation of the last sweep), and the
-      [analysis.sweep_length] histogram.
+    - the gauge [analysis.fg_mass_deficit] (worst Fox–Glynn truncation of
+      the last sweep) and the [analysis.sweep_length] histogram.
 
     When tracing is on, every kernel sweep (either
     face) runs under an [analysis.mixture] span (with
@@ -328,5 +272,4 @@ val check_times : string -> float list -> unit
     plus the per-step accumulation) child phases ([mixture.sweep] carries
     [batch_width] and [streams] too); masked passes are no different.
     {!rates_transposed} and {!sccs} build under [analysis.transpose_rates]
-    and [analysis.sccs] spans, and {!reduce} lumps under an
-    [analysis.lump] span. *)
+    and [analysis.sccs] spans. *)

@@ -96,8 +96,7 @@ let swap_to p s pos =
     p.loc.(other) <- cur
   end
 
-let lump ?(rate_tolerance = 1e-9) ?(abs_tolerance = 1e-12) ?rates_transposed m
-    ~initial =
+let lump ?(rate_tolerance = 1e-9) ?(abs_tolerance = 1e-12) m ~initial =
   let n = Chain.states m in
   if Array.length initial <> n then invalid_arg "Lumping.lump: partition size";
   let n_blocks0 = Array.fold_left max (-1) initial + 1 in
@@ -119,11 +118,7 @@ let lump ?(rate_tolerance = 1e-9) ?(abs_tolerance = 1e-12) ?rates_transposed m
      increasing i. It is row j of R^T with -exit(j) merged in at i = j (R
      stores no diagonal, and Q none for a zero exit rate), so no generator
      is built. *)
-  let rt =
-    match rates_transposed with
-    | Some rt -> rt
-    | None -> Sparse.transpose (Chain.rates m)
-  in
+  let rt = Sparse.transpose (Chain.rates m) in
   let exit = Chain.exit_rates m in
   let iter_q_col j f =
     let pending = ref (exit.(j) <> 0.) in

@@ -25,7 +25,6 @@ val partition_by_key : int -> (int -> string) -> int array
 val lump :
   ?rate_tolerance:float ->
   ?abs_tolerance:float ->
-  ?rates_transposed:Numeric.Sparse.t ->
   Chain.t ->
   initial:int array ->
   result
@@ -33,12 +32,9 @@ val lump :
     partition and builds the quotient. [initial.(s)] is the block of state
     [s]; blocks must be numbered densely from 0. The refinement reads the
     generator's columns off [R^T] with each [-exit] diagonal merged in
-    place; [rates_transposed], when given, must be
-    [Numeric.Sparse.transpose (Chain.rates m)] (an analysis session passes
-    its cached one), and is built otherwise. The partition and its block
-    numbering depend on the rates alone. The quotient's initial
-    distribution aggregates [m]'s; a chain with the same rates and another
-    initial distribution (a session view, {!Analysis.with_init}) gets its
+    place. The partition and its block numbering depend on the rates
+    alone. The quotient's initial distribution aggregates [m]'s; a chain
+    with the same rates and another initial distribution gets its
     quotient from the same partition, with the initial distribution
     {!project}ed from its own. Two block-rate sums are
     considered equal when they differ by at most

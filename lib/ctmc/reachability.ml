@@ -3,25 +3,17 @@ module Vec = Numeric.Vec
 (* The CSL reduction of [phi U<=t psi] makes the psi and the not-phi
    states absorbing. [masked] evaluates [psi] and [phi] once per state,
    at most, into one class per state (1: psi, 2: absorbing without psi,
-   0: neither) and returns the session to sweep, its absorbing-row mask,
-   the psi indicator and the lift of per-state values back to [m]: no
-   absorbed chain is built. The session's reduction respects the classes,
-   so on a lumping session the mask and the psi indicator are
-   block-constant and the mask applies on the quotient's operator. *)
+   0: neither) and returns the session to sweep, its absorbing-row mask
+   and the psi indicator: no absorbed chain is built. *)
 let masked ?analysis m ~phi ~psi =
   Obs.Trace.with_span "reachability.mask" @@ fun _ ->
   let cls =
     Array.init (Chain.states m) (fun s -> if psi s then 1. else if phi s then 0. else 2.)
   in
-  let r =
-    Analysis.reduce (Analysis.for_chain analysis m)
-      ~respect:[ Analysis.Reward cls ]
-  in
-  let session = r.Analysis.session and cls = r.Analysis.reward cls in
+  let session = Analysis.for_chain analysis m in
   ( session,
     Analysis.absorbing session (fun s -> cls.(s) <> 0.),
-    Array.map (fun c -> if c = 1. then 1. else 0.) cls,
-    r.Analysis.lift )
+    Array.map (fun c -> if c = 1. then 1. else 0.) cls )
 
 (* the value vector of [start] backward over [time], [absorbing] masked *)
 let backward ?epsilon session absorbing start time =
@@ -35,15 +27,15 @@ let backward ?epsilon session absorbing start time =
 
 let bounded_until ?epsilon ?analysis m ~phi ~psi ~bound =
   if bound < 0. then invalid_arg "Reachability.bounded_until: negative bound";
-  let session, absorbing, goal, lift = masked ?analysis m ~phi ~psi in
-  lift (backward ?epsilon session absorbing goal bound)
+  let session, absorbing, goal = masked ?analysis m ~phi ~psi in
+  backward ?epsilon session absorbing goal bound
 
 (* the psi mass of each transient distribution, through the values face of
    the kernel with the psi indicator as reward *)
 let bounded_until_curve ?epsilon ?analysis m ~phi ~psi ~bounds =
   Analysis.check_times "Reachability.bounded_until_curve" bounds;
-  let session, absorbing, goal, _ = masked ?analysis m ~phi ~psi in
-  let start = Chain.initial (Analysis.chain session) in
+  let session, absorbing, goal = masked ?analysis m ~phi ~psi in
+  let start = Chain.initial m in
   match
     Analysis.poisson_mixture_values ?epsilon ~absorbing session
       ~dir:Analysis.Forward

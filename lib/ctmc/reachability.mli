@@ -23,10 +23,7 @@ val bounded_until :
   bound:float ->
   Numeric.Vec.t
 (** Per-state probability of [phi U<=bound psi]. The vector iteration
-    runs on the session's reduction that respects [psi] and [phi]
-    ({!Analysis.reduce}), masked, and its values are lifted back: on a
-    lumping session the quotient — exact, and faster whenever the
-    quotient is smaller. *)
+    runs on the session's operator with the psi and not-phi rows masked. *)
 
 val bounded_until_from_init :
   ?epsilon:float ->

@@ -6,24 +6,9 @@ let check_reward m reward =
   if Vec.dim reward <> Chain.states m then
     invalid_arg "Rewards: reward structure dimension mismatch"
 
-(* Every operator runs its vector iteration on the session's reduction
-   that respects the reward structure: on a lumping session that is the
-   quotient, where the structure is block-constant and expectations
-   against the aggregated distribution are exact. Returns the session to
-   sweep, its chain and the reward over its states. *)
-let reduced analysis m ~reward =
-  let r =
-    Analysis.reduce (Analysis.for_chain analysis m)
-      ~respect:[ Analysis.Reward reward ]
-  in
-  let a = r.Analysis.session in
-  (a, Analysis.chain a, r.Analysis.reward reward)
-
 let instantaneous ?epsilon ?analysis m ~reward ~at =
   check_reward m reward;
-  let a, m, reward = reduced analysis m ~reward in
-  let pi = Transient.distribution ?epsilon ~analysis:a m at in
-  Vec.dot pi reward
+  Vec.dot (Transient.distribution ?epsilon ?analysis m at) reward
 
 (* The scalar curves take the values face of the kernel: each step dots
    the iterate with the reward once, instead of keeping one full-length
@@ -31,7 +16,7 @@ let instantaneous ?epsilon ?analysis m ~reward ~at =
 let curves ?epsilon ?analysis m ~reward ~times ~who coeffs =
   check_reward m reward;
   Analysis.check_times who times;
-  let a, m, reward = reduced analysis m ~reward in
+  let a = Analysis.for_chain analysis m in
   let start = Chain.initial m in
   Analysis.poisson_mixture_values ?epsilon a ~dir:Analysis.Forward
     (List.map (fun coeff -> ({ Analysis.start; coeff; times }, reward)) coeffs)
@@ -52,7 +37,7 @@ let instantaneous_curve ?epsilon ?analysis m ~reward ~times =
 let accumulated ?epsilon ?analysis m ~reward ~upto =
   check_reward m reward;
   Analysis.check_times "Rewards.accumulated" [ upto ];
-  let a, m, reward = reduced analysis m ~reward in
+  let a = Analysis.for_chain analysis m in
   if upto = 0. then 0.
   else
     match
@@ -93,6 +78,6 @@ let both_curves ?epsilon ?analysis m ~reward ~times =
 
 let steady_state ?tol ?analysis m ~reward =
   check_reward m reward;
-  let a, m, reward = reduced analysis m ~reward in
+  let a = Analysis.for_chain analysis m in
   let pi = Steady_state.solve ?tol ~analysis:a m in
   Vec.dot pi reward

@@ -21,10 +21,7 @@ val instantaneous :
   reward:structure ->
   at:float ->
   float
-(** [instantaneous m ~reward ~at] is [sum_s pi(at)(s) * reward(s)]. Every
-    operator runs on the session's reduction that respects [reward]
-    ({!Analysis.reduce}): on a lumping session the quotient, where the
-    structure is block-constant and the expectation is exact. *)
+(** [instantaneous m ~reward ~at] is [sum_s pi(at)(s) * reward(s)]. *)
 
 val instantaneous_curve :
   ?epsilon:float ->

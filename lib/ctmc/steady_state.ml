@@ -117,19 +117,10 @@ let solve ?tol ?analysis m =
         (fun () -> solve_fresh ?tol a m)
   | Some _ | None -> solve_fresh ?tol (Analysis.create m) m
 
-(* On a lumping session the solve runs on one quotient that respects all
-   the predicates: stationary block masses equal the summed state masses
-   (ordinary lumpability), so every pred-mass is preserved. *)
 let long_run_probabilities ?tol ?analysis m ~preds =
-  let r =
-    Analysis.reduce (Analysis.for_chain analysis m)
-      ~respect:(List.map (fun p -> Analysis.Pred p) preds)
-  in
-  let a = r.Analysis.session in
-  let pi = solve ?tol ~analysis:a (Analysis.chain a) in
+  let pi = solve ?tol ~analysis:(Analysis.for_chain analysis m) m in
   List.map
     (fun pred ->
-      let pred = r.Analysis.pred pred in
       let acc = ref 0. in
       Array.iteri (fun s p -> if pred s then acc := !acc +. p) pi;
       !acc)

@@ -30,10 +30,7 @@ val long_run_probability :
   pred:(int -> bool) ->
   float
 (** [long_run_probability m ~pred] is the long-run fraction of time spent in
-    states satisfying [pred] — CSL's [S=? [pred]]. The solve runs on the
-    session's reduction that respects [pred] ({!Analysis.reduce}); on a
-    lumping session stationary block masses equal summed state masses, so
-    the result is exact. *)
+    states satisfying [pred] — CSL's [S=? [pred]]. *)
 
 val long_run_probabilities :
   ?tol:float ->
@@ -42,8 +39,6 @@ val long_run_probabilities :
   preds:(int -> bool) list ->
   float list
 (** Batch form of {!long_run_probability}: one stationary solve serves
-    every predicate, and on a lumping session a single quotient respecting
-    {e all} the predicates is built (instead of one per predicate).
-    Results align 1:1 with [preds]. *)
+    every predicate. Results align 1:1 with [preds]. *)
 
 val is_irreducible : ?analysis:Analysis.t -> Chain.t -> bool

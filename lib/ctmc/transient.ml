@@ -66,14 +66,8 @@ let mass pred pi =
   Array.iteri (fun s p -> if pred s then acc := !acc +. p) pi;
   !acc
 
-(* on a lumping session the sweep runs on the quotient that respects
-   [pred]: its aggregated distribution carries exactly the pred-mass *)
 let probability_at ?epsilon ?analysis m ~pred t =
-  let r =
-    Analysis.reduce (Analysis.for_chain analysis m) ~respect:[ Analysis.Pred pred ]
-  in
-  let a = r.Analysis.session in
-  mass (r.Analysis.pred pred) (distribution ?epsilon ~analysis:a (Analysis.chain a) t)
+  mass pred (distribution ?epsilon ?analysis m t)
 
 let backward ?epsilon ?analysis m v t =
   Analysis.check_times "Transient.backward" [ t ];

@@ -65,9 +65,7 @@ val probability_at :
   float ->
   float
 (** [probability_at m ~pred t] is the probability mass on states satisfying
-    [pred] at time [t]. The sweep runs on the session's reduction that
-    respects [pred] ({!Analysis.reduce}): on a lumping session the cached
-    quotient — exact, and faster whenever the quotient is smaller. *)
+    [pred] at time [t]. *)
 
 val backward :
   ?epsilon:float ->

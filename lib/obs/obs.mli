@@ -2,8 +2,8 @@
     a flight recorder.
 
     The numeric pipelines behind the paper's artifacts — uniformization
-    sweeps, Fox–Glynn windows, Gauss–Seidel and power-iteration solves,
-    lumping — are instrumented through this layer. It has three sinks:
+    sweeps, Fox–Glynn windows, Gauss–Seidel and power-iteration solves —
+    are instrumented through this layer. It has three sinks:
 
     - {!Trace}: nestable, monotonic-clock timed spans with key/value
       attributes and optional W3C trace-context linkage, stored in one

@@ -12,7 +12,6 @@ type config = {
   domains : int;
   batch_window_ms : int;
   max_sessions : int;
-  lump : bool;
 }
 
 let default_config () =
@@ -26,10 +25,6 @@ let default_config () =
         (Parallel.getenv_nonnegative_int "SERVER_BATCH_WINDOW_MS")
         ~default:5;
     max_sessions = geti "SERVER_MAX_SESSIONS" 256;
-    lump =
-      (match Sys.getenv_opt "LUMP" with
-      | Some ("1" | "true" | "yes") -> true
-      | Some _ | None -> false);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -150,7 +145,6 @@ let chain_name = function Symmetric -> "symmetric" | Full -> "full"
    windows run one after another), so the fields need no lock. *)
 type session = {
   s_src : string;
-  s_lump : bool;
   s_model : Core.Model.t;
   s_levels : float list;  (** enumerated once, shared by both chains *)
   s_exact : Ast.state_formula -> bool;
@@ -164,7 +158,6 @@ type job = {
   j_model : Core.Model.t;
       (** the model as admission's lint built it; a session miss keeps it *)
   j_levels : float list option;  (** the service levels lint enumerated *)
-  j_lump : bool;
   j_hash : int64;
   j_queries : (string * Ast.state_formula) list;
   j_shared : bool;
@@ -207,13 +200,11 @@ type t = {
 
 let port t = t.bound_port
 
-let model_hash ~src ~lump =
-  Ctmc.Analysis.fnv1a64 (if lump then src ^ "\x00lump" else src)
+let model_hash src = Ctmc.Analysis.fnv1a64 src
 
-let build_session ~src ~model ~levels ~lump =
+let build_session ~src ~model ~levels =
   {
     s_src = src;
-    s_lump = lump;
     s_model = model;
     s_levels =
       (match levels with Some l -> l | None -> Core.Model.service_levels model);
@@ -229,13 +220,12 @@ let chain s kind =
   | Symmetric, Some m, _ | Full, _, Some m -> m
   | Symmetric, None, _ ->
       let m =
-        Core.Measures.analyze ~lump:s.s_lump ~symmetric:true ~levels:s.s_levels
-          s.s_model
+        Core.Measures.analyze ~symmetric:true ~levels:s.s_levels s.s_model
       in
       s.s_symmetric <- Some m;
       m
   | Full, _, None ->
-      let m = Core.Measures.analyze ~lump:s.s_lump ~levels:s.s_levels s.s_model in
+      let m = Core.Measures.analyze ~levels:s.s_levels s.s_model in
       s.s_full <- Some m;
       m
 
@@ -273,18 +263,14 @@ let evict_over_capacity srv =
 (* Returns [(session, was_cached)]. Building happens outside the cache
    lock: the scheduler processes windows sequentially and groups within
    a window have distinct hashes, so no two builders race on one key. *)
-let get_session srv ~src ~model ~levels ~lump =
-  let h = model_hash ~src ~lump in
+let get_session srv ~src ~model ~levels =
+  let h = model_hash src in
   let lookup () =
     Mutex.protect srv.cm (fun () ->
         match Hashtbl.find_opt srv.cache h with
         | None -> None
         | Some sessions -> (
-            match
-              List.find_opt
-                (fun s -> s.s_lump = lump && String.equal s.s_src src)
-                sessions
-            with
+            match List.find_opt (fun s -> String.equal s.s_src src) sessions with
             | Some s ->
                 touch srv s;
                 Some s
@@ -293,7 +279,7 @@ let get_session srv ~src ~model ~levels ~lump =
   match lookup () with
   | Some s -> (s, true)
   | None ->
-      let s = build_session ~src ~model ~levels ~lump in
+      let s = build_session ~src ~model ~levels in
       Mutex.protect srv.cm (fun () ->
           let bucket =
             match Hashtbl.find_opt srv.cache h with Some l -> l | None -> []
@@ -545,7 +531,6 @@ let process_group srv jobs =
       Obs.Trace.with_span "server.session" @@ fun s_span ->
       let (_, was_cached) as r =
         get_session srv ~src:j0.j_src ~model:j0.j_model ~levels:j0.j_levels
-          ~lump:j0.j_lump
       in
       if Obs.Trace.recording s_span then
         Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
@@ -675,14 +660,14 @@ let process_group srv jobs =
                ]))
         jobs_with_answers
 
-(* group by model content (hash + source verify + lump), preserving
-   arrival order of groups and of jobs within a group *)
+(* group by model content, preserving arrival order of groups and of jobs
+   within a group *)
 let group_jobs jobs =
-  let tbl : (string * bool, job list ref) Hashtbl.t = Hashtbl.create 8 in
+  let tbl : (string, job list ref) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
     (fun j ->
-      let k = (j.j_src, j.j_lump) in
+      let k = j.j_src in
       match Hashtbl.find_opt tbl k with
       | Some l -> l := j :: !l
       | None ->
@@ -886,8 +871,6 @@ let stats_json srv =
             a "weight_hits";
             a "steady_solves";
             a "steady_hits";
-            a "lump_builds";
-            a "lump_hits";
           ] );
     ]
 
@@ -922,19 +905,16 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
             | None -> Some []  (* omitted: just warm the session *)
             | Some _ -> None)
       in
-      let lump = Json.bool_field ~default:srv.cfg.lump "lump" body in
-      match (model, queries, lump) with
-      | None, _, _ ->
+      match (model, queries) with
+      | None, _ ->
           reject 400
             (Json.Obj [ ("error", Str "missing string field \"model\"") ])
-      | _, None, _ ->
+      | _, None ->
           reject 400
             (Json.Obj
                [ ("error", Str "\"queries\" must be an array of strings") ])
-      | _, _, None ->
-          reject 400 (Json.Obj [ ("error", Str "\"lump\" must be a boolean") ])
-      | Some src, Some queries, Some lump -> (
-          meta.m_hash <- Some (hash_hex (model_hash ~src ~lump));
+      | Some src, Some queries -> (
+          meta.m_hash <- Some (hash_hex (model_hash src));
           let diags, model =
             Obs.Trace.with_span "server.lint" @@ fun l_span ->
             let (diags, _) as linted = Lint.lint_source src in
@@ -983,8 +963,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                       j_src = src;
                       j_model = model;
                       j_levels = levels;
-                      j_lump = lump;
-                      j_hash = model_hash ~src ~lump;
+                      j_hash = model_hash src;
                       j_queries;
                       j_shared =
                         List.exists

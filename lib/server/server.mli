@@ -34,9 +34,8 @@
     {2 Wire protocol}
 
     [POST /analyze] with body
-    [{"model": "<arcade xml>", "queries": ["S=? [...]", ...],
-      "lump": false}]
-    answers
+    [{"model": "<arcade xml>", "queries": ["S=? [...]", ...]}]
+    (other fields are ignored) answers
     [{"model_hash": "…", "session": "hit"|"miss"|"coalesced",
       "states": n, "coalesced": k, "results": [{"query": …, "value": v}
       | {"query": …, "satisfied": b} | {"query": …, "error": m}, …]}].
@@ -63,13 +62,12 @@ type config = {
           batches, or when every open connection has a request queued
           (and at least two are) *)
   max_sessions : int;  (** LRU capacity of the session cache *)
-  lump : bool;  (** default for requests that do not set ["lump"] *)
 }
 
 val default_config : unit -> config
 (** Defaults, overridable through the environment ([SERVER_HOST],
     [SERVER_PORT], [SERVER_DOMAINS], [SERVER_BATCH_WINDOW_MS],
-    [SERVER_MAX_SESSIONS], [LUMP=1]). Numeric knobs go through
+    [SERVER_MAX_SESSIONS]). Numeric knobs go through
     {!Numeric.Parallel.getenv_positive_int} ([SERVER_BATCH_WINDOW_MS]
     through {!Numeric.Parallel.getenv_nonnegative_int}, so [0] turns the
     window off): malformed values warn on stderr and fall back, they

@@ -60,22 +60,10 @@ let clear_cache () =
       Hashtbl.reset chains;
       Hashtbl.reset cost_pairs)
 
-(* LUMP=1 makes every session below a lumping one (Analysis.create), so
-   every measure runs on exact quotients; any other value keeps the
-   full-chain engine. Read per call so tests can toggle it, and folded
-   into the cache key so the two engines never share a Measures.t. *)
-let lump_enabled () =
-  match Sys.getenv_opt "LUMP" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let engine_suffix () = if lump_enabled () then "/lump" else ""
-
 let cache_key line config disaster =
-  Printf.sprintf "%s/%s/%s%s" (Facility.line_name line)
+  Printf.sprintf "%s/%s/%s" (Facility.line_name line)
     (Facility.config_name config)
     (match disaster with None -> "-" | Some failed -> String.concat "," failed)
-    (engine_suffix ())
 
 let symmetric_key line config = cache_key line config None ^ "/symmetric"
 
@@ -95,8 +83,7 @@ let rec measures ?disaster line config =
       let transitions =
         Option.map (fun m -> snd (Measures.built m).Semantics.full_size) reduced
       in
-      Measures.analyze ~lump:(lump_enabled ()) ?transitions
-        (Facility.line_model line config)
+      Measures.analyze ?transitions (Facility.line_model line config)
   | Some failed -> Facility.after_disaster (measures line config) ~failed
 
 (* Tables 1 and 2 read only group-invariant quantities (the full chain's
@@ -105,8 +92,7 @@ let rec measures ?disaster line config =
    cached apart from the figures' full chains. *)
 let table_measures line config =
   memo chains (symmetric_key line config) @@ fun () ->
-  Measures.analyze ~lump:(lump_enabled ()) ~symmetric:true
-    (Facility.line_model line config)
+  Measures.analyze ~symmetric:true (Facility.line_model line config)
 
 let cost_curve_pair ~disaster line config ~times =
   let key =
@@ -119,8 +105,8 @@ let cost_curve_pair ~disaster line config ~times =
 
 (* a reliability key has one '/' at most, a chain key at least two *)
 let reliability_measures line =
-  memo chains (Facility.line_name line ^ engine_suffix ()) @@ fun () ->
-  Measures.analyze ~lump:(lump_enabled ()) (Facility.reliability_model line)
+  memo chains (Facility.line_name line) @@ fun () ->
+  Measures.analyze (Facility.reliability_model line)
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)

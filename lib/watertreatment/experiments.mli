@@ -38,13 +38,6 @@
     once. Results are deterministic and identical for any domain
     count. *)
 
-val lump_enabled : unit -> bool
-(** True when the [LUMP] environment variable is ["1"], ["true"] or
-    ["yes"]: every chain is then analysed in a lumping session
-    ({!Core.Measures.analyze} with [~lump:true]), so every measure runs on
-    the exact quotient that respects it ({!Ctmc.Analysis.reduce}). The
-    printed values are identical either way. *)
-
 type series = { label : string; points : (float * float) list }
 
 type figure = {

@@ -133,12 +133,11 @@ let service_intervals line =
   in
   pairs levels
 
-let analyze ?initial ?lump line config =
-  Measures.analyze ?initial ?lump (line_model line config)
+let analyze ?initial line config = Measures.analyze ?initial (line_model line config)
 
 let after_disaster m ~failed =
   let model = (Measures.built m).Semantics.model in
   Measures.rooted m [ (1., Semantics.disaster_state model ~failed) ]
 
-let analyze_after_disaster ?lump line config ~failed =
-  after_disaster (analyze ?lump line config) ~failed
+let analyze_after_disaster line config ~failed =
+  after_disaster (analyze line config) ~failed

@@ -68,10 +68,8 @@ val service_intervals : line -> (float * float) list
     X3 = (1, 1); Line 2 adds the 1/2 level. The survivability of interval
     [Xi] is the probability of reaching service >= low. *)
 
-val analyze :
-  ?initial:Core.Semantics.state -> ?lump:bool -> line -> config -> Core.Measures.t
-(** Build and wrap a line's chain for measure evaluation; [lump] chooses
-    a lumping session, as in {!Core.Measures.analyze}. *)
+val analyze : ?initial:Core.Semantics.state -> line -> config -> Core.Measures.t
+(** Build and wrap a line's chain for measure evaluation. *)
 
 val after_disaster : Core.Measures.t -> failed:string list -> Core.Measures.t
 (** [after_disaster m ~failed] is the GOOD model over [m]'s chain: the
@@ -82,7 +80,6 @@ val after_disaster : Core.Measures.t -> failed:string list -> Core.Measures.t
     would have. Raises [Invalid_argument] when the disaster state is not
     in [m]'s chain. *)
 
-val analyze_after_disaster :
-  ?lump:bool -> line -> config -> failed:string list -> Core.Measures.t
+val analyze_after_disaster : line -> config -> failed:string list -> Core.Measures.t
 (** GOOD model: same chain rooted at the disaster state —
-    [after_disaster (analyze ?lump line config) ~failed]. *)
+    [after_disaster (analyze line config) ~failed]. *)

@@ -2,8 +2,7 @@
    metrics on and returns a reader of how far each [analysis.<name>]
    counter has grown since the call. The registry is process-wide, and
    each test binary runs its cases one at a time, so the growth is the
-   work of the calls made in between (quotient and view sessions
-   included). *)
+   work of the calls made in between (view sessions included). *)
 
 let counter name = Obs.Metrics.counter ("analysis." ^ name)
 
@@ -13,8 +12,3 @@ let start () =
   fun name ->
     Obs.Metrics.counter_value (counter name)
     - Option.value ~default:0 (List.assoc_opt ("analysis." ^ name) base)
-
-(* the state count of the most recent quotient chain *)
-let lumped_states () =
-  int_of_float
-    (Obs.Metrics.gauge_value (Obs.Metrics.gauge "analysis.lumped_states"))

@@ -793,7 +793,7 @@ let test_analysis_hit_counters () =
 
 (* time-bounded until asks [psi] once per state, and [phi] at most once
    per state, per query: one class scan feeds the mask and the target
-   indicator, also on a lumping session *)
+   indicator *)
 let test_until_predicates_once () =
   let m = analysis_chain () in
   let n = Chain.states m in
@@ -807,21 +807,16 @@ let test_until_predicates_once () =
     Alcotest.(check bool) (name ^ ": phi at most once per state") true
       (!phi_calls <= n)
   in
-  List.iter
-    (fun lump ->
-      let a = Analysis.create ~lump m in
-      let name what = Printf.sprintf "%s (lump %b)" what lump in
-      check (name "bounded until") (fun () ->
-          Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:1.);
-      check (name "from init") (fun () ->
-          [| Reachability.bounded_until_from_init ~analysis:a m ~phi ~psi
-               ~bound:1. |]);
-      check (name "curve") (fun () ->
-          Array.of_list
-            (List.map snd
-               (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi
-                  ~bounds:[ 0.5; 1. ]))))
-    [ false; true ];
+  let a = Analysis.create m in
+  check "bounded until" (fun () ->
+      Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:1.);
+  check "from init" (fun () ->
+      [| Reachability.bounded_until_from_init ~analysis:a m ~phi ~psi ~bound:1. |]);
+  check "curve" (fun () ->
+      Array.of_list
+        (List.map snd
+           (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi
+              ~bounds:[ 0.5; 1. ])));
   check "interval until" (fun () ->
       Reachability.interval_until ~analysis:(Analysis.create m) m ~phi ~psi
         ~lower:0.5 ~upper:1.)
@@ -888,83 +883,48 @@ let analysis_symmetric_chain () =
       (3, 1, 1.); (3, 2, 1.);
     ]
 
-let test_analysis_quotient_cache () =
-  let m = analysis_symmetric_chain () in
-  let pred s = s = 3 in
-  let count = Counts.start () in
-  (* a plain session reduces to itself and lumps nothing *)
-  let plain = Analysis.create m in
-  Alcotest.(check bool) "plain session is its own reduction" true
-    ((Analysis.reduce plain ~respect:[ Analysis.Pred pred ]).Analysis.session
-    == plain);
-  Alcotest.(check int) "no lump build" 0 (count "lump_builds");
-  let a = Analysis.create ~lump:true m in
-  let quot = Analysis.reduce a ~respect:[ Analysis.Pred pred ] in
-  Alcotest.(check int) "3 blocks"
-    3
-    (Chain.states (Analysis.chain quot.Analysis.session));
-  Alcotest.(check int) "one lump build" 1 (count "lump_builds");
-  Alcotest.(check int) "lumped_states recorded" 3 (Counts.lumped_states ());
-  (* same respected predicate -> same initial partition -> cache hit *)
-  let quot2 = Analysis.reduce a ~respect:[ Analysis.Pred (fun s -> s >= 3) ] in
-  Alcotest.(check bool) "memoized session reused" true
-    (quot.Analysis.session == quot2.Analysis.session);
-  Alcotest.(check int) "still one lump build" 1 (count "lump_builds");
-  Alcotest.(check int) "second call is a hit" 1 (count "lump_hits");
-  (* a finer respect list really is a different quotient *)
-  let quot3 =
-    Analysis.reduce a ~respect:[ Analysis.Reward [| 0.; 1.; 2.; 3. |] ]
-  in
-  Alcotest.(check int) "identity respect keeps all states"
-    4
-    (Chain.states (Analysis.chain quot3.Analysis.session));
-  Alcotest.(check int) "second lump build" 2 (count "lump_builds");
-  (* a view shares the partition and projects its own start onto it *)
-  let view = Analysis.with_init a [| 0.; 0.5; 0.5; 0. |] in
-  let vquot = Analysis.reduce view ~respect:[ Analysis.Pred pred ] in
-  Alcotest.(check int) "the view lumps nothing" 2 (count "lump_builds");
-  Alcotest.(check int) "the view's call is a hit" 2 (count "lump_hits");
-  Alcotest.(check bool) "with its own quotient session" true
-    (vquot.Analysis.session != quot.Analysis.session);
-  check_vec "projected initial distribution"
-    [| 0.; 1.; 0. |]
-    (Chain.initial (Analysis.chain vquot.Analysis.session))
-
+(* The quotient of an exactly lumpable partition answers every query on
+   block-constant labels and rewards as the full chain does: the oracle
+   behind symmetric builds. *)
 let test_analysis_quotient_measures_agree () =
   let m = analysis_symmetric_chain () in
-  let a = Analysis.create ~lump:true m in
+  let r = Lumping.lump m ~initial:[| 0; 1; 1; 2 |] in
+  let q = r.Lumping.quotient in
+  Alcotest.(check int) "3 blocks" 3 (Chain.states q);
+  (* a block-constant predicate or vector, read off one member per block *)
+  let on_blocks pred b = pred (List.hd r.Lumping.blocks.(b)) in
+  let vec_on_blocks v = Array.map (fun members -> v.(List.hd members)) r.Lumping.blocks in
   let pred s = s = 1 || s = 2 in
   check_close "transient mass via quotient"
     (Transient.probability_at m ~pred 2.3)
-    (Transient.probability_at ~analysis:a m ~pred 2.3);
+    (Transient.probability_at q ~pred:(on_blocks pred) 2.3);
   check_close "long-run mass via quotient"
     (Steady_state.long_run_probability m ~pred)
-    (Steady_state.long_run_probability ~analysis:a m ~pred);
+    (Steady_state.long_run_probability q ~pred:(on_blocks pred));
   let phi _ = true and psi s = s = 3 in
   check_vec "bounded until via quotient"
     (Reachability.bounded_until m ~phi ~psi ~bound:1.7)
-    (Reachability.bounded_until ~analysis:a m ~phi ~psi ~bound:1.7);
-  check_close "bounded until from init via quotient"
-    (Reachability.bounded_until_from_init m ~phi ~psi ~bound:1.7)
-    (Reachability.bounded_until_from_init ~analysis:a m ~phi ~psi
-       ~bound:1.7);
+    (Lumping.lift r
+       (Reachability.bounded_until q ~phi:(on_blocks phi) ~psi:(on_blocks psi)
+          ~bound:1.7));
   List.iter2
     (fun (t1, p1) (t2, p2) ->
       check_close "curve times match" t1 t2;
       check_close "bounded until curve via quotient" p1 p2)
     (Reachability.bounded_until_curve m ~phi ~psi ~bounds:[ 0.5; 1.; 2. ])
-    (Reachability.bounded_until_curve ~analysis:a m ~phi ~psi
+    (Reachability.bounded_until_curve q ~phi:(on_blocks phi) ~psi:(on_blocks psi)
        ~bounds:[ 0.5; 1.; 2. ]);
   let reward = [| 2.; 5.; 5.; 11. |] in
+  let qreward = vec_on_blocks reward in
   check_close "instantaneous reward via quotient"
     (Rewards.instantaneous m ~reward ~at:1.2)
-    (Rewards.instantaneous ~analysis:a m ~reward ~at:1.2);
+    (Rewards.instantaneous q ~reward:qreward ~at:1.2);
   check_close "accumulated reward via quotient"
     (Rewards.accumulated m ~reward ~upto:3.)
-    (Rewards.accumulated ~analysis:a m ~reward ~upto:3.);
+    (Rewards.accumulated q ~reward:qreward ~upto:3.);
   check_close "steady reward via quotient"
     (Rewards.steady_state m ~reward)
-    (Rewards.steady_state ~analysis:a m ~reward)
+    (Rewards.steady_state q ~reward:qreward)
 
 let test_analysis_wrong_chain_ignored () =
   let m = analysis_chain () in
@@ -1599,22 +1559,7 @@ let test_mask_edge_cases () =
   Alcotest.(check int) "absorbed chain's step count" reference_steps
     (count "mixture_steps");
   Alcotest.(check int) "one pass, one column" 1 (count "batch_columns");
-  (* the quotient respects phi and psi; the mask applies on it *)
   let m = analysis_symmetric_chain () in
-  let phi s = s <> 3 and psi s = s = 1 || s = 2 in
-  let full = Analysis.create m and lumped = Analysis.create ~lump:true m in
-  List.iter2
-    (fun (_, p) (_, q) -> check_close ~eps:1e-12 "lumped curve" p q)
-    (Reachability.bounded_until_curve ~analysis:full m ~phi ~psi ~bounds:times)
-    (Reachability.bounded_until_curve ~analysis:lumped m ~phi ~psi
-       ~bounds:times);
-  Alcotest.(check bool) "lumped backward" true
-    (close_within 1e-12
-       (Reachability.bounded_until ~analysis:full m ~phi ~psi ~bound:1.7)
-       (Reachability.bounded_until ~analysis:lumped m ~phi ~psi
-          ~bound:1.7));
-  Alcotest.(check bool) "the quotient is smaller" true
-    (Counts.lumped_states () < Chain.states m);
   (* a mask belongs to its session's chain, and a forward vector pass
      takes none *)
   expect_invalid_arg "mask of another chain" (fun () ->
@@ -2123,7 +2068,6 @@ let () =
             test_until_predicates_once;
           Alcotest.test_case "foreign session ignored" `Quick
             test_analysis_wrong_chain_ignored;
-          Alcotest.test_case "quotient cache" `Quick test_analysis_quotient_cache;
           Alcotest.test_case "quotient measures agree" `Quick
             test_analysis_quotient_measures_agree;
           Alcotest.test_case "weight cache hits on repeat" `Quick

@@ -53,7 +53,6 @@ let with_server ?(batch_window_ms = 2) f =
       domains = 2;
       batch_window_ms;
       max_sessions = 8;
-      lump = false;
     }
   in
   (* /stats reads the process-wide registry: start each daemon from a
@@ -313,12 +312,29 @@ let test_missing_fields () =
         "bad queries" 400
         (post (Json.to_string
                  (Json.Obj
-                    [ ("model", Json.Str tiny_model); ("queries", Json.Num 3.) ])));
-      Alcotest.(check int)
-        "bad lump" 400
-        (post (Json.to_string
-                 (Json.Obj
-                    [ ("model", Json.Str tiny_model); ("lump", Json.Str "x") ]))))
+                    [ ("model", Json.Str tiny_model); ("queries", Json.Num 3.) ]))))
+
+(* a "lump" field, which older clients (perfbench's among them) still
+   send, is ignored: the answer is byte for byte the one to the body
+   without it, each from a fresh daemon *)
+let test_lump_field_ignored () =
+  let answer fields =
+    let body =
+      Json.to_string
+        (Json.Obj
+           ([
+              ("model", Json.Str tiny_model);
+              ("queries", Json.List (List.map (fun q -> Json.Str q) measure_queries));
+            ]
+           @ fields))
+    in
+    with_server (fun port ->
+        Http.request ~host:"127.0.0.1" ~port ~meth:"POST" ~path:"/analyze" ~body ())
+  in
+  let plain = answer [] in
+  Alcotest.(check int) "status" 200 (fst plain);
+  Alcotest.(check (pair int string)) "same answer" plain
+    (answer [ ("lump", Json.Bool false) ])
 
 (* ------------------------------------------------------------------ *)
 (* Concurrency, caching and amortization *)
@@ -498,7 +514,6 @@ let test_shutdown_endpoint () =
       domains = 1;
       batch_window_ms = 0;
       max_sessions = 4;
-      lump = false;
     }
   in
   let srv = Server.start ~config () in
@@ -841,7 +856,8 @@ let builds path =
             int_of_float (num_field "states" args) ))
     (buffered_spans path)
 
-let test_routing_builds () =
+(* [f path] with the spans traced to [path] *)
+let with_trace f =
   let path = Filename.temp_file "arcade_routing" ".json" in
   Obs.Trace.set_output (Some path);
   Obs.Trace.clear ();
@@ -850,7 +866,10 @@ let test_routing_builds () =
       Obs.Trace.set_output None;
       Obs.Trace.clear ();
       Sys.remove path)
-    (fun () ->
+    (fun () -> f path)
+
+let test_routing_builds () =
+  with_trace (fun path ->
       let build_list = Alcotest.(list (pair bool int)) in
       let src, _ = load_model "line2_frf-1.xml" in
       with_server (fun port ->
@@ -896,6 +915,23 @@ let test_routing_builds () =
           Alcotest.(check bool) (key ^ " in " ^ args) true (contains args key))
         [ {|"symmetric_states":257|}; {|"full_states":8129|}; {|"symmetric_states":4|} ]
         groups)
+
+(* substation's feeders (adjacent Priority ranks) and transformers (a
+   warm spare unit as well) form groups: a steady query is answered from
+   the 649-state symmetric chain, with the full chain's size *)
+let test_routing_substation () =
+  with_trace (fun path ->
+      let src, _ = load_model "substation.xml" in
+      with_server (fun port ->
+          let status, body =
+            post_analyze ~model:src ~queries:[ "S=? [ \"full_service\" ]" ] port
+          in
+          Alcotest.(check int) "status" 200 status;
+          Alcotest.(check (float 0.))
+            "states is the full count" 3969.
+            (num_field "states" (Json.parse body));
+          Alcotest.(check (list (pair bool int)))
+            "one symmetric build" [ (true, 649) ] (builds path)))
 
 (* ------------------------------------------------------------------ *)
 (* Hostile requests: read_request yields a request, None or Bad_request,
@@ -1028,6 +1064,7 @@ let () =
           Alcotest.test_case "malformed model" `Quick test_malformed_model;
           Alcotest.test_case "malformed query" `Quick test_malformed_query;
           Alcotest.test_case "missing fields" `Quick test_missing_fields;
+          Alcotest.test_case "lump field ignored" `Quick test_lump_field_ignored;
         ] );
       ( "batching",
         [
@@ -1061,5 +1098,7 @@ let () =
             test_routing_oracle;
           Alcotest.test_case "chains built on demand" `Quick
             test_routing_builds;
+          Alcotest.test_case "substation on the symmetric chain" `Quick
+            test_routing_substation;
         ] );
     ]

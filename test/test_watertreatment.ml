@@ -428,14 +428,14 @@ let test_lumping_idempotent_ded () =
 
 (* Quotient-vs-full engine equivalence on the paper's measures: Table 2
    availability, Fig. 3 unreliability and Fig. 4 survivability must agree
-   to 1e-9 between the plain engine and Measures.analyze ~lump:true. *)
+   to 1e-9 between the full chain and the symmetric build, the quotient
+   under interchangeable tanks, filters and pumps. *)
 let test_quotient_engine_agrees config =
   let model line = Facility.line_model line config in
   List.iter
     (fun line ->
       let full = Measures.analyze (model line) in
-      let count = Counts.start () in
-      let lumped = Measures.analyze ~lump:true (model line) in
+      let lumped = Measures.analyze ~symmetric:true (model line) in
       check_close ~eps:1e-9
         (Printf.sprintf "availability (%s)" (Facility.config_name config))
         (Measures.availability full)
@@ -444,10 +444,8 @@ let test_quotient_engine_agrees config =
         (Printf.sprintf "unreliability (%s)" (Facility.config_name config))
         (Measures.unreliability full ~time:1000.)
         (Measures.unreliability lumped ~time:1000.);
-      Alcotest.(check bool) "quotient really used" true
-        (count "lump_builds" >= 1);
       Alcotest.(check bool) "quotient is smaller" true
-        (Counts.lumped_states () < Chain.states (chain_of lumped)))
+        (Chain.states (chain_of lumped) < Chain.states (chain_of full)))
     [ Facility.Line1; Facility.Line2 ];
   (* survivability from the disaster state (Fig. 4 setting, Line 2 for
      speed) *)
@@ -456,7 +454,9 @@ let test_quotient_engine_agrees config =
     Facility.analyze_after_disaster Facility.Line2 config ~failed
   in
   let lumped =
-    Facility.analyze_after_disaster ~lump:true Facility.Line2 config ~failed
+    Facility.after_disaster
+      (Measures.analyze ~symmetric:true (model Facility.Line2))
+      ~failed
   in
   List.iter
     (fun level ->
@@ -725,7 +725,7 @@ let test_ablation_importance () =
 (* ------------------------------------------------------------------ *)
 (* The reward-projected kernel face on the paper's chains: every point of
    [poisson_mixture_values] must equal the vector face dotted with the
-   same reward, on the full chain and on its lumping quotient, in both
+   same reward, on the full chain and on its symmetric build, in both
    directions, with identical work counters *)
 
 module Analysis = Ctmc.Analysis
@@ -796,29 +796,21 @@ let test_projected_faces_agree config () =
   let reward = m.Measures.cost in
   let name = Facility.config_name config in
   check_projected_faces name chain reward;
-  (* a lumping session runs the same kernel on the quotient that respects
-     the reward, against the block reward *)
-  let quot =
-    Analysis.reduce (Analysis.create ~lump:true chain)
-      ~respect:[ Analysis.Reward reward ]
-  in
-  let qchain = Analysis.chain quot.Analysis.session in
+  (* the same kernel on the symmetric build, against its cost vector *)
+  let sym = Measures.analyze ~symmetric:true (Facility.line_model Facility.Line2 config) in
+  let qchain = chain_of sym in
   Alcotest.(check bool) "quotient is smaller" true
     (Chain.states qchain < Chain.states chain);
-  check_projected_faces (name ^ " lumped") qchain (quot.Analysis.reward reward);
-  (* and the cost-curve entry point agrees with the vector face, with and
-     without lumping *)
+  check_projected_faces (name ^ " symmetric") qchain sym.Measures.cost;
+  (* and the cost-curve entry point agrees with the vector face, on both
+     chains *)
   List.iter
-    (fun lump ->
+    (fun (chain_label, ch, r) ->
       let inst, acc =
-        Ctmc.Rewards.both_curves
-          ~analysis:(Analysis.create ~lump chain)
-          chain ~reward ~times:projected_times
+        Ctmc.Rewards.both_curves ~analysis:(Analysis.create ch) ch ~reward:r
+          ~times:projected_times
       in
-      let a, ch, r =
-        if lump then (quot.Analysis.session, qchain, quot.Analysis.reward reward)
-        else (Analysis.create chain, chain, reward)
-      in
+      let a = Analysis.create ch in
       let start = Chain.initial ch in
       let expect coeff =
         match
@@ -832,11 +824,11 @@ let test_projected_faces_agree config () =
         (fun (label, curve) expected ->
           List.iter2
             (fun (_, x) e ->
-              check_rel (Printf.sprintf "%s lump=%b %s" name lump label) e x)
+              check_rel (Printf.sprintf "%s %s %s" name chain_label label) e x)
             curve expected)
         [ ("instantaneous", inst); ("accumulated", acc) ]
         [ expect Analysis.Pmf; expect Analysis.Tail_over_lambda ])
-    [ false; true ]
+    [ ("full", chain, reward); ("symmetric", qchain, sym.Measures.cost) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rooted views: one state space per (line, config) *)
