@@ -81,9 +81,10 @@ val exact_on_quotient : Model.t -> Csl.Ast.state_formula -> bool
     [analyze ~symmetric:true model], get the answer the full build gives?
     Decided from the formula alone, nothing is built. Without symmetry
     groups ({!Semantics.interchangeable}) every query does, since the
-    symmetric build is then the full one; every shipped model has groups
-    (the lines' tanks, filters and pumps, substation's transformers and
-    feeders, pipeline_modes' pumps). Otherwise a query does when it
+    symmetric build is then the full one; every shipped model but
+    pipeline_modes (its pumps sit in a cold spare unit) has groups (the
+    lines' tanks, filters and pumps, substation's transformers and
+    feeders). Otherwise a query does when it
     is a steady-state operator ([S=?], [S~p], [R{..}=? [ S ]], [R{..}~p
     [ S ]]) whose operand is a boolean combination of labels other than
     the ["<c>_failed"] and ["<c>:<mode>"] literals of grouped components:

@@ -845,28 +845,39 @@ let position a x =
   let rec go p = if a.(p) = x then p else go (p + 1) in
   go 0
 
-(* [spans xs]: the distinct integers [xs] fill an interval *)
-let spans xs =
-  let lo = List.fold_left min max_int xs and hi = List.fold_left max min_int xs in
-  hi - lo + 1 = List.length (List.sort_uniq compare xs)
+(* [runs key joins xs]: [xs] sorted by [key], then component index, and
+   cut before every member that does not [join] its predecessor's key *)
+let runs key joins xs =
+  let sorted = List.sort (fun i j -> compare (key i, i) (key j, j)) xs in
+  List.rev_map List.rev
+    (List.fold_left
+       (fun acc i ->
+         match acc with
+         | (p :: _ as run) :: rest when joins (key p) (key i) -> (i :: run) :: rest
+         | _ -> [ i ] :: acc)
+       [] sorted)
 
 (* [ctx] with its groups of interchangeable components, detected
    conservatively. Two components are alike when they share the repair
    unit and the spare unit, have equal failure modes (rates, stages,
    costs) and operational cost, and exchanging them leaves the fault and
-   the service tree equal up to the order of gate children. A component
-   joins the first group whose first member it is alike with, if the
-   group stays exact with it:
-   - in a warm or cold spare unit, the group's members are contiguous in
-     the unit's member order (a member's dormancy depends on how many
-     members before it are up);
+   the service tree equal up to the order of gate children; alike is an
+   equivalence. Each class of alike components is cut into pieces that
+   are exact, and every piece of two or more is a group:
+   - members of a cold spare unit form no group: a dormant member cannot
+     fail, so some permutations of a reachable state are unreachable and
+     the orbit count would exceed the full build's size;
+   - in a warm spare unit, a group's members are contiguous in the unit's
+     member order (a member's dormancy depends on how many members before
+     it are up);
    - the members share the rank of every mode, or they are single-mode
      members of a Priority unit whose ranks fill an interval (no other
      member of the unit ranked between them) and the unit does not
      preempt Erlang repairs. Their ranks are then merged into the lowest:
      FCFS order among them stands for the full chain's rank order.
-   The transpositions with one member generate every permutation of the
-   group. *)
+   The pieces depend on the class and the model only, not on the order in
+   which the components are declared. The transpositions with one member
+   generate every permutation of the group. *)
 let with_groups ctx model =
   let n = component_count ctx in
   let fault = compile ctx model.Model.fault_tree
@@ -882,10 +893,17 @@ let with_groups ctx model =
     && swapped i j fault = fault_n
     && swapped i j service = service_n
   in
+  (* [head.(i)]: the first member of [i]'s class *)
+  let head = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let rec first h =
+      if h = i then i else if head.(h) = h && alike h i then h else first (h + 1)
+    in
+    head.(i) <- first 0
+  done;
   let same_rank g = List.for_all (fun i -> ctx.rank.(i) = ctx.rank.(List.hd g)) g in
-  (* may ranks of the alike members [g] be merged *)
-  let mergeable g =
-    let i = List.hd g in
+  (* may distinct ranks of the alike members of [i]'s class be merged *)
+  let mergeable i =
     let u = ctx.ru_of.(i) in
     u >= 0
     && (match ctx.rus.(u).Repair.strategy with Repair.Priority _ -> true | _ -> false)
@@ -893,32 +911,39 @@ let with_groups ctx model =
     && not
          (ctx.rus.(u).Repair.preemptive
          && ctx.modes.(i).(0).Component.fm_repair_stages > 1)
-    && spans (List.map (fun i -> ctx.rank.(i).(0)) g)
   in
-  let exact g =
-    let i = List.hd g in
-    (ctx.dormancy.(i) = 1. || spans (List.map (position ctx.spare_group.(i)) g))
-    && (same_rank g || mergeable g)
-  in
-  (* [head.(i)]: the first member of [i]'s group *)
-  let head = Array.make n (-1) in
-  let members h = List.filter (fun j -> head.(j) = h) (List.init n Fun.id) in
-  for i = 0 to n - 1 do
-    let rec first h =
-      if h = i then i
-      else if head.(h) = h && alike h i && exact (members h @ [ i ]) then h
-      else first (h + 1)
+  let next a b = b <= a + 1 in
+  (* cut [cls] until every piece is contiguous in its spare unit and its
+     ranks are shared or fill an interval *)
+  let rec pieces cls =
+    let i = List.hd cls in
+    let by_place =
+      if ctx.dormancy.(i) = 1. then [ cls ]
+      else runs (position ctx.spare_group.(i)) next cls
     in
-    head.(i) <- first 0
-  done;
-  let groups =
-    Array.of_list
-      (List.filter_map
-         (fun h ->
-           let g = members h in
-           if List.length g > 1 then Some (Array.of_list g) else None)
-         (List.init n Fun.id))
+    let by_rank =
+      if same_rank cls then [ cls ]
+      else if mergeable i then runs (fun i -> ctx.rank.(i).(0)) next cls
+      else List.map (fun i -> [ i ]) cls
+    in
+    match (by_place, by_rank) with
+    | [ _ ], [ _ ] -> [ cls ]
+    | [ _ ], cut | cut, _ -> List.concat_map pieces cut
   in
+  let groups =
+    List.concat_map
+      (fun h ->
+        if head.(h) <> h || ctx.dormancy.(h) = 0. then []
+        else
+          List.filter_map
+            (fun g ->
+              if List.length g > 1 then Some (Array.of_list (List.sort compare g))
+              else None)
+            (pieces (List.filter (fun i -> head.(i) = h) (List.init n Fun.id))))
+      (List.init n Fun.id)
+  in
+  (* listed by first member *)
+  let groups = Array.of_list (List.sort (fun a b -> compare a.(0) b.(0)) groups) in
   let merged = Array.map (fun g -> not (same_rank (Array.to_list g))) groups in
   let rank = Array.copy ctx.rank in
   Array.iteri

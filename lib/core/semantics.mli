@@ -94,12 +94,14 @@ val build :
     components instead. Components form a group when they share the repair
     unit, the spare unit, their failure modes and costs, and when
     exchanging any two of them leaves the fault and service trees equal up
-    to the order of gate children; besides, the members of a warm or cold
-    spare unit must be contiguous in its member order, and the members
-    must share the scheduling rank of every mode, or be single-mode
-    members of a Priority unit whose ranks no other member's falls between
-    (not in a preemptive unit with Erlang repairs), whose ranks the build
-    then merges into the lowest. Every key is canonicalized before it is
+    to the order of gate children; besides, members of a cold spare unit
+    form no group, the members of a warm spare unit must be contiguous in
+    its member order, and the members must share the scheduling rank of
+    every mode, or be single-mode members of a Priority unit whose ranks
+    no other member's falls between (not in a preemptive unit with Erlang
+    repairs), whose ranks the build then merges into the lowest. The
+    groups do not depend on the order in which components are declared.
+    Every key is canonicalized before it is
     interned (each group's members sorted by up bit, mode, stage,
     in-repair flag and queue position; the repair-unit lists remapped by
     the same permutation), so a state of the chain is one orbit of full
@@ -109,8 +111,8 @@ val build :
     merged group, only those that queue its members in rank order) and,
     per orbit, its size times the out-degree of its representative; this
     is the full build's size when [initial] is fixed by every group
-    permutation (as the all-up state is). Without groups the build is the full one, bit for bit. On a
-    reduced build the observations that tell group members apart raise
+    permutation (as the all-up state is). Without groups the build is the
+    full one, bit for bit. On a reduced build the observations that tell group members apart raise
     [Invalid_argument]: {!state}, {!under_repair}, and {!component_up} and
     {!literal_pred} of a grouped component. *)
 
