@@ -7,15 +7,18 @@ open Cmdliner
 let translate input output disaster =
   let model, measures =
     try Core.Xml_io.load input
-    with
-    | Core.Xml_io.Schema_error msg | Failure msg ->
-        Printf.eprintf "%s: %s\n" input msg;
-        exit 1
+    with Core.Xml_io.Schema_error msg ->
+      prerr_endline msg;
+      exit 1
   in
   let initial =
     match disaster with
     | [] -> None
-    | failed -> Some (Core.Semantics.disaster_state model ~failed)
+    | failed -> (
+        try Some (Core.Semantics.disaster_state model ~failed)
+        with Core.Semantics.Build_error msg ->
+          Printf.eprintf "%s: %s\n" input msg;
+          exit 1)
   in
   let ast =
     try Core.To_prism.translate ?initial model

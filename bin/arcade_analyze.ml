@@ -9,7 +9,7 @@ let write_file path contents =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
 let run_lint input ~werror =
-  let diags = Lint.lint_file input in
+  let diags, _ = Lint.lint_file input in
   List.iter (fun d -> print_endline (Lint.Diagnostic.to_string d)) diags;
   let errors = Lint.Diagnostic.count Lint.Diagnostic.Error diags in
   let warnings = Lint.Diagnostic.count Lint.Diagnostic.Warning diags in
@@ -27,16 +27,22 @@ let analyze input queries disaster stats dot_prefix trace metrics lint werror =
   if lint || werror then run_lint input ~werror;
   let model, measures =
     try Core.Xml_io.load input
-    with Core.Xml_io.Schema_error msg | Failure msg ->
+    with Core.Xml_io.Schema_error msg ->
+      prerr_endline msg;
+      exit 1
+  in
+  let m =
+    try
+      let initial =
+        match disaster with
+        | [] -> None
+        | failed -> Some (Core.Semantics.disaster_state model ~failed)
+      in
+      Core.Measures.analyze ?initial model
+    with Core.Semantics.Build_error msg ->
       Printf.eprintf "%s: %s\n" input msg;
       exit 1
   in
-  let initial =
-    match disaster with
-    | [] -> None
-    | failed -> Some (Core.Semantics.disaster_state model ~failed)
-  in
-  let m = Core.Measures.analyze ?initial model in
   let built = Core.Measures.built m in
   (match dot_prefix with
   | None -> ()

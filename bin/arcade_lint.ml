@@ -15,36 +15,15 @@ let print_rules () =
         r.D.rule_layer r.D.rule_title r.D.rule_rationale)
     Lint.catalogue
 
-let extra_query_diags file queries =
-  if queries = [] then []
-  else
-    match Core.Xml_io.load file with
-    | model, _ ->
-        let ctx = Lint.Query_rules.context_of_model model in
-        List.concat
-          (List.mapi
-             (fun i q ->
-               Lint.Query_rules.check_string ctx
-                 ~subject:(Printf.sprintf "query[%d]" i)
-                 q
-               |> List.map (D.with_file file))
-             queries)
-    | exception _ ->
-        (* the model itself is broken; lint_file already reported it *)
-        []
-
-let prism_diags file =
-  match Core.Xml_io.load file with
-  | model, _ -> (
-      match Core.To_prism.translate model with
-      | prism -> List.map (D.with_file file) (Lint.Prism_rules.check prism)
-      | exception Core.To_prism.Untranslatable msg ->
-          [
-            D.with_file file
-              (D.make ~code:"ARC-P001" ~severity:D.Info ~subject:"model"
-                 "not translatable to PRISM: %s" msg);
-          ])
-  | exception _ -> []
+let prism_diags file model =
+  match Core.To_prism.translate model with
+  | prism -> List.map (D.with_file file) (Lint.Prism_rules.check prism)
+  | exception Core.To_prism.Untranslatable msg ->
+      [
+        D.with_file file
+          (D.make ~code:"ARC-P001" ~severity:D.Info ~subject:"model"
+             "not translatable to PRISM: %s" msg);
+      ]
 
 let run files werror prism queries rules quiet =
   Obs.init ();
@@ -59,12 +38,12 @@ let run files werror prism queries rules quiet =
   let total_errors = ref 0 and total_warnings = ref 0 in
   List.iter
     (fun file ->
+      let diags, model = Lint.lint_file ~queries file in
       let diags =
-        Lint.lint_file file
-        @ extra_query_diags file queries
-        @ (if prism then prism_diags file else [])
+        match model with
+        | Some (model, _) when prism -> D.sort (diags @ prism_diags file model)
+        | _ -> diags
       in
-      let diags = D.sort diags in
       List.iter (fun d -> print_endline (D.to_string d)) diags;
       total_errors := !total_errors + D.count D.Error diags;
       total_warnings := !total_warnings + D.count D.Warning diags)
@@ -91,7 +70,10 @@ let prism_arg =
   Arg.(value & flag & info [ "prism" ] ~doc)
 
 let query_arg =
-  let doc = "Extra CSL/CSRL query to lint against each model (repeatable)." in
+  let doc =
+    "Extra CSL/CSRL query to lint against each model (repeatable), with the \
+     same checks as the model's embedded measures."
+  in
   Arg.(value & opt_all string [] & info [ "q"; "query" ] ~docv:"QUERY" ~doc)
 
 let rules_arg =

@@ -7,9 +7,63 @@ let () =
     | Schema_error msg -> Some (Printf.sprintf "Core.Xml_io.Schema_error (%s)" msg)
     | _ -> None)
 
-let error fmt = Printf.ksprintf (fun msg -> raise (Schema_error msg)) fmt
-
 type measure_spec = { measure_name : string; query : string }
+
+type pos = (int * int) option
+
+type raw_mode = {
+  rm_name : string;
+  rm_mttf : float option;
+  rm_mttr : float option;
+  rm_stages : int option;
+  rm_failed_cost : float;
+  rm_pos : pos;
+}
+
+type raw_component = {
+  rc_name : string;
+  rc_modes : raw_mode list;
+  rc_operational_cost : float;
+  rc_pos : pos;
+}
+
+type raw_repair_unit = {
+  rr_name : string;
+  rr_strategy : Repair.strategy option;
+  rr_crews : int option;
+  rr_components : string list;
+  rr_idle_cost : float;
+  rr_busy_cost : float;
+  rr_preemptive : bool;
+  rr_pos : pos;
+}
+
+type raw_spare_unit = {
+  rs_name : string;
+  rs_mode : Spare.mode;
+  rs_primaries : string list;
+  rs_spares : string list;
+  rs_pos : pos;
+}
+
+type raw_gate =
+  | Gbasic of string * pos
+  | Gand of raw_gate list * pos
+  | Gor of raw_gate list * pos
+  | Gkofn of int option * raw_gate list * pos
+
+type raw_measure = { ms_name : string; ms_query : string; ms_pos : pos }
+
+type raw = {
+  raw_name : string;
+  raw_components : raw_component list;
+  raw_repair_units : raw_repair_unit list;
+  raw_spare_units : raw_spare_unit list;
+  raw_fault_tree : raw_gate option;
+  raw_measures : raw_measure list;
+}
+
+type error = { err_pos : pos; err_subject : string; err_message : string }
 
 (* ------------------------------------------------------------------ *)
 (* Writing *)
@@ -111,186 +165,246 @@ let to_xml ?(measures = []) model =
     else [ X.element "measures" [] (List.map measure_to_xml measures) ])
 
 (* ------------------------------------------------------------------ *)
-(* Reading *)
+(* Reading. [read] never raises: a malformed piece becomes a positioned
+   error, a default takes its place, and reading goes on, so that one pass
+   reports every schema error of a document. *)
 
-(* Every reading helper takes [locate], which renders an element's source
-   position ("file:line:col: ", parser-located elements) or "" (elements
-   built programmatically), so Schema_error messages point at the offending
-   XML line rather than just an element name. *)
-
-let error_at locate el fmt =
-  Printf.ksprintf (fun msg -> raise (Schema_error (locate el ^ msg))) fmt
-
-let required locate el key =
-  match X.attribute el key with
-  | Some v -> v
-  | None ->
-      let where = match el with X.Element (tag, _, _) -> tag | X.Text _ -> "#text" in
-      error_at locate el "missing attribute %S on <%s>" key where
-
-let float_of_attr locate el key =
-  let raw = required locate el key in
-  match float_of_string_opt raw with
-  | Some f -> f
-  | None -> error_at locate el "attribute %s=%S is not a number" key raw
-
-let int_of_attr locate el key =
-  let raw = required locate el key in
-  match int_of_string_opt raw with
-  | Some i -> i
-  | None -> error_at locate el "attribute %s=%S is not an integer" key raw
-
-let bool_of_attr ?default locate el key =
-  match (X.attribute el key, default) with
-  | Some "true", _ -> true
-  | Some "false", _ -> false
-  | Some other, _ -> error_at locate el "attribute %s=%S is not a boolean" key other
-  | None, Some d -> d
-  | None, None -> error_at locate el "missing boolean attribute %s" key
-
-let mode_of_xml locate el =
-  Component.failure_mode
-    ~name:(required locate el "name")
-    ~mttf:(float_of_attr locate el "mttf")
-    ~mttr:(float_of_attr locate el "mttr")
-    ~failed_cost:
-      (match X.attribute el "failed-cost" with
-      | Some _ -> float_of_attr locate el "failed-cost"
-      | None -> 3.)
-    ~repair_stages:
-      (match X.attribute el "repair-stages" with
-      | Some _ -> int_of_attr locate el "repair-stages"
-      | None -> 1)
-    ()
-
-let component_of_xml locate el =
-  Component.make
-    ~extra_modes:(List.map (mode_of_xml locate) (X.find_children el "mode"))
-    ~name:(required locate el "name")
-    ~mttf:(float_of_attr locate el "mttf")
-    ~mttr:(float_of_attr locate el "mttr")
-    ~repair_stages:
-      (match X.attribute el "repair-stages" with
-      | Some _ -> int_of_attr locate el "repair-stages"
-      | None -> 1)
-    ~failed_cost:
-      (match X.attribute el "failed-cost" with
-      | Some _ -> float_of_attr locate el "failed-cost"
-      | None -> 3.)
-    ~operational_cost:
-      (match X.attribute el "operational-cost" with
-      | Some _ -> float_of_attr locate el "operational-cost"
-      | None -> 0.)
-    ()
-
-let refs_of locate tag el =
-  List.map (fun child -> required locate child "ref") (X.find_children el tag)
-
-let repair_unit_of_xml locate el =
-  let members = refs_of locate "component" el in
-  let strategy =
-    match String.lowercase_ascii (required locate el "strategy") with
-    | "priority" -> Repair.Priority members
-    | other -> Repair.strategy_of_string other
+let read ?(pos = fun _ -> None) doc =
+  let errors = ref [] in
+  let error el fmt =
+    Printf.ksprintf
+      (fun err_message ->
+        let err_subject =
+          match el with X.Element (tag, _, _) -> "<" ^ tag ^ ">" | X.Text _ -> "#text"
+        in
+        errors := { err_pos = pos el; err_subject; err_message } :: !errors)
+      fmt
   in
-  Repair.make
-    ~name:(required locate el "name")
-    ~strategy ~components:members
-    ~crews:
-      (match X.attribute el "crews" with
-      | Some _ -> int_of_attr locate el "crews"
-      | None -> 1)
-    ~idle_cost:
-      (match X.attribute el "idle-cost" with
-      | Some _ -> float_of_attr locate el "idle-cost"
-      | None -> 1.)
-    ~busy_cost:
-      (match X.attribute el "busy-cost" with
-      | Some _ -> float_of_attr locate el "busy-cost"
-      | None -> 0.)
-    ~preemptive:(bool_of_attr ~default:false locate el "preemptive")
-    ()
-
-let spare_unit_of_xml locate el =
-  Spare.make
-    ~name:(required locate el "name")
-    ~mode:(Spare.mode_of_string (required locate el "mode"))
-    ~primaries:(refs_of locate "primary" el)
-    ~spares:(refs_of locate "spare" el) ()
-
-let rec fault_tree_of_xml_at locate el =
-  match X.name el with
-  | "basic" -> Fault_tree.basic (required locate el "ref")
-  | "and" ->
-      Fault_tree.and_ (List.map (fault_tree_of_xml_at locate) (X.child_elements el))
-  | "or" ->
-      Fault_tree.or_ (List.map (fault_tree_of_xml_at locate) (X.child_elements el))
-  | "kofn" ->
-      Fault_tree.kofn (int_of_attr locate el "k")
-        (List.map (fault_tree_of_xml_at locate) (X.child_elements el))
-  | other -> error_at locate el "unexpected fault-tree element <%s>" other
-
-let measure_of_xml locate el =
-  { measure_name = required locate el "name"; query = required locate el "query" }
-
-let no_location : X.t -> string = fun _ -> ""
-
-let locator_prefix ?file pos el =
-  match pos el with
-  | Some (line, column) -> (
-      match file with
-      | Some f -> Printf.sprintf "%s:%d:%d: " f line column
-      | None -> Printf.sprintf "%d:%d: " line column)
-  | None -> ( match file with Some f -> f ^ ": " | None -> "")
-
-let fault_tree_of_xml el = fault_tree_of_xml_at no_location el
-
-let of_xml ?file ?pos doc =
-  let locate =
-    match pos with None -> no_location | Some pos -> locator_prefix ?file pos
+  (* [None] when the attribute is absent (then [default]) or unparsable *)
+  let value ?default parse kind el key =
+    match X.attribute el key with
+    | None -> default
+    | Some raw -> (
+        match parse raw with
+        | Some v -> Some v
+        | None ->
+            error el "attribute %s=%S is not %s" key raw kind;
+            None)
   in
-  (match doc with
-  | X.Element ("arcade", _, _) -> ()
-  | X.Element (other, _, _) -> error_at locate doc "expected root <arcade>, got <%s>" other
-  | X.Text _ -> error "expected an element");
-  let name = required locate doc "name" in
-  let components =
-    match X.find_child doc "components" with
-    | Some el -> List.map (component_of_xml locate) (X.find_children el "component")
-    | None -> error_at locate doc "missing <components>"
+  let required parse kind el key =
+    match X.attribute el key with
+    | None ->
+        error el "missing attribute %S" key;
+        None
+    | Some _ -> value parse kind el key
   in
-  let repair_units =
-    match X.find_child doc "repair-units" with
-    | Some el -> List.map (repair_unit_of_xml locate) (X.find_children el "repair-unit")
+  let string = required Option.some "" in
+  let cost el key default =
+    Option.value (value float_of_string_opt "a number" el key) ~default
+  in
+  let name el = Option.value (string el "name") ~default:"?" in
+  let mode ~name el =
+    let rm_mttf = required float_of_string_opt "a number" el "mttf" in
+    let rm_mttr = required float_of_string_opt "a number" el "mttr" in
+    let rm_stages = value ~default:1 int_of_string_opt "an integer" el "repair-stages" in
+    let rm_failed_cost = cost el "failed-cost" 3. in
+    { rm_name = name; rm_mttf; rm_mttr; rm_stages; rm_failed_cost; rm_pos = pos el }
+  in
+  let component el =
+    let rc_name = name el in
+    let primary = mode ~name:"failed" el in
+    let modes = List.map (fun m -> mode ~name:(name m) m) (X.find_children el "mode") in
+    {
+      rc_name;
+      rc_modes = primary :: modes;
+      rc_operational_cost = cost el "operational-cost" 0.;
+      rc_pos = pos el;
+    }
+  in
+  let refs tag el =
+    List.filter_map (fun child -> string child "ref") (X.find_children el tag)
+  in
+  let repair_unit el =
+    let rr_name = name el in
+    let rr_components = refs "component" el in
+    let rr_strategy =
+      match string el "strategy" with
+      | None -> None
+      | Some raw -> (
+          match String.lowercase_ascii raw with
+          | "priority" -> Some (Repair.Priority rr_components)
+          | other -> (
+              try Some (Repair.strategy_of_string raw)
+              with Invalid_argument _ ->
+                error el "unknown repair strategy %S" other;
+                None))
+    in
+    let rr_crews = value int_of_string_opt "an integer" el "crews" in
+    let rr_idle_cost = cost el "idle-cost" 1. in
+    let rr_busy_cost = cost el "busy-cost" 0. in
+    let rr_preemptive =
+      Option.value ~default:false
+        (value bool_of_string_opt "a boolean" el "preemptive")
+    in
+    {
+      rr_name;
+      rr_strategy;
+      rr_crews;
+      rr_components;
+      rr_idle_cost;
+      rr_busy_cost;
+      rr_preemptive;
+      rr_pos = pos el;
+    }
+  in
+  let spare_unit el =
+    let rs_name = name el in
+    let rs_mode =
+      match string el "mode" with
+      | None -> Spare.Hot
+      | Some raw -> (
+          try Spare.mode_of_string raw
+          with Invalid_argument _ ->
+            error el "unknown spare mode %S" (String.lowercase_ascii raw);
+            Spare.Hot)
+    in
+    let rs_primaries = refs "primary" el in
+    let rs_spares = refs "spare" el in
+    { rs_name; rs_mode; rs_primaries; rs_spares; rs_pos = pos el }
+  in
+  let rec gate el =
+    let inputs () = List.filter_map gate (X.child_elements el) in
+    match X.name el with
+    | "basic" -> Option.map (fun r -> Gbasic (r, pos el)) (string el "ref")
+    | "and" -> Some (Gand (inputs (), pos el))
+    | "or" -> Some (Gor (inputs (), pos el))
+    | "kofn" ->
+        let k = required int_of_string_opt "an integer" el "k" in
+        Some (Gkofn (k, inputs (), pos el))
+    | other ->
+        error el "unexpected fault-tree element <%s>" other;
+        None
+  in
+  let measure el =
+    match (X.attribute el "name", X.attribute el "query") with
+    | Some ms_name, Some ms_query -> Some { ms_name; ms_query; ms_pos = pos el }
+    | _ ->
+        error el "a <measure> needs both name and query attributes";
+        None
+  in
+  let section tag item_tag item =
+    match X.find_child doc tag with
+    | Some el -> List.map item (X.find_children el item_tag)
     | None -> []
   in
-  let spare_units =
-    match X.find_child doc "spare-units" with
-    | Some el -> List.map (spare_unit_of_xml locate) (X.find_children el "spare-unit")
-    | None -> []
+  let is_arcade =
+    match doc with
+    | X.Element ("arcade", _, _) -> true
+    | X.Element (other, _, _) ->
+        error doc "expected root <arcade>, got <%s>" other;
+        false
+    | X.Text _ ->
+        error doc "expected a root element";
+        false
   in
-  let fault_tree =
+  let raw_name = if is_arcade then name doc else "?" in
+  if is_arcade && X.find_child doc "components" = None then
+    error doc "missing <components>";
+  let raw_components = section "components" "component" component in
+  let raw_repair_units = section "repair-units" "repair-unit" repair_unit in
+  let raw_spare_units = section "spare-units" "spare-unit" spare_unit in
+  let raw_fault_tree =
     match X.find_child doc "fault-tree" with
     | Some el -> (
         match X.child_elements el with
-        | [ root ] -> fault_tree_of_xml_at locate root
-        | _ -> error_at locate el "<fault-tree> must have exactly one root gate")
-    | None -> error_at locate doc "missing <fault-tree>"
+        | [ root ] -> gate root
+        | roots ->
+            error el "<fault-tree> must have exactly one root gate";
+            Option.bind (List.nth_opt roots 0) gate)
+    | None ->
+        error doc "missing <fault-tree>";
+        None
   in
-  let measures =
-    match X.find_child doc "measures" with
-    | Some el -> List.map (measure_of_xml locate) (X.find_children el "measure")
-    | None -> []
+  let raw_measures = List.filter_map Fun.id (section "measures" "measure" measure) in
+  ( {
+      raw_name;
+      raw_components;
+      raw_repair_units;
+      raw_spare_units;
+      raw_fault_tree;
+      raw_measures;
+    },
+    List.rev !errors )
+
+let to_model raw =
+  let required what = function
+    | Some v -> v
+    | None -> invalid_arg ("Xml_io.to_model: no valid " ^ what)
   in
-  ( Model.make ~name ~components ~repair_units ~spare_units ~fault_tree (),
-    measures )
+  let mode m =
+    Component.failure_mode ~name:m.rm_name ~mttf:(required "mttf" m.rm_mttf)
+      ~mttr:(required "mttr" m.rm_mttr) ~failed_cost:m.rm_failed_cost
+      ~repair_stages:(required "repair-stages" m.rm_stages) ()
+  in
+  let component rc =
+    match rc.rc_modes with
+    | [] -> invalid_arg "Xml_io.to_model: component without a mode"
+    | primary :: extra ->
+        Component.make ~extra_modes:(List.map mode extra) ~name:rc.rc_name
+          ~mttf:(required "mttf" primary.rm_mttf)
+          ~mttr:(required "mttr" primary.rm_mttr)
+          ~repair_stages:(required "repair-stages" primary.rm_stages)
+          ~failed_cost:primary.rm_failed_cost
+          ~operational_cost:rc.rc_operational_cost ()
+  in
+  let repair_unit rr =
+    Repair.make ~name:rr.rr_name
+      ~strategy:(required "strategy" rr.rr_strategy)
+      ~components:rr.rr_components
+      ~crews:(Option.value rr.rr_crews ~default:1)
+      ~idle_cost:rr.rr_idle_cost ~busy_cost:rr.rr_busy_cost
+      ~preemptive:rr.rr_preemptive ()
+  in
+  let spare_unit rs =
+    Spare.make ~name:rs.rs_name ~mode:rs.rs_mode ~primaries:rs.rs_primaries
+      ~spares:rs.rs_spares ()
+  in
+  let rec gate = function
+    | Gbasic (name, _) -> Fault_tree.basic name
+    | Gand (inputs, _) -> Fault_tree.and_ (List.map gate inputs)
+    | Gor (inputs, _) -> Fault_tree.or_ (List.map gate inputs)
+    | Gkofn (k, inputs, _) -> Fault_tree.kofn (required "k" k) (List.map gate inputs)
+  in
+  let components = List.map component raw.raw_components in
+  let repair_units = List.map repair_unit raw.raw_repair_units in
+  let spare_units = List.map spare_unit raw.raw_spare_units in
+  let fault_tree = gate (required "fault tree" raw.raw_fault_tree) in
+  ( Model.make ~name:raw.raw_name ~components ~repair_units ~spare_units ~fault_tree (),
+    List.map
+      (fun ms -> { measure_name = ms.ms_name; query = ms.ms_query })
+      raw.raw_measures )
+
+let locate ?file at =
+  match (at, file) with
+  | Some (line, column), Some f -> Printf.sprintf "%s:%d:%d: " f line column
+  | Some (line, column), None -> Printf.sprintf "%d:%d: " line column
+  | None, Some f -> f ^ ": "
+  | None, None -> ""
+
+let of_xml ?file ?pos doc =
+  let fail at message = raise (Schema_error (locate ?file at ^ message)) in
+  match read ?pos doc with
+  | _, first :: _ -> fail first.err_pos first.err_message
+  | raw, [] -> (
+      try to_model raw
+      with Invalid_argument message ->
+        fail (match pos with Some pos -> pos doc | None -> None) message)
 
 let save ?measures path model = X.write_file path (to_xml ?measures model)
 
 let load path =
-  let doc, pos =
-    try X.parse_file_located path
-    with X.Parse_error { line; column; message } ->
-      error "%s:%d:%d: parse error: %s" path line column message
-  in
-  of_xml ~file:path ~pos doc
+  match X.parse_file_located path with
+  | doc, pos -> of_xml ~file:path ~pos doc
+  | exception X.Parse_error { line; column; message } ->
+      raise
+        (Schema_error (Printf.sprintf "%s:%d:%d: parse error: %s" path line column message))

@@ -1,5 +1,5 @@
 module D = Diagnostic
-module M = Model_rules
+module M = Core.Xml_io
 
 (* ------------------------------------------------------------------ *)
 (* Chain-layer rules: structural facts about the CTMC the model would
@@ -82,7 +82,7 @@ let rates raw =
         List.filter_map
           (fun su ->
             match su.M.rs_mode with
-            | M.Mwarm f
+            | Core.Spare.Warm f
               when f > 0.
                    && List.mem rc.M.rc_name (su.M.rs_primaries @ su.M.rs_spares) ->
                 Some f

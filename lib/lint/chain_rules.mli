@@ -14,7 +14,7 @@
     - [ARC-C003] (warning): stiff chain — the positive-rate spread
       (fastest over slowest) reaches [1e6]. *)
 
-val multiple_bsccs : Model_rules.t -> bool
+val multiple_bsccs : Core.Xml_io.raw -> bool
 (** Whether the product chain has more than one recurrent class (upper
     bound via the per-component skeleton product). Shared with the query
     layer (ARC-Q007). *)
@@ -22,4 +22,4 @@ val multiple_bsccs : Model_rules.t -> bool
 val stiffness_threshold : float
 (** Rate ratio at which ARC-C003 fires ([1e6]). *)
 
-val check : Model_rules.t -> Diagnostic.t list
+val check : Core.Xml_io.raw -> Diagnostic.t list

@@ -30,42 +30,52 @@ let schema_failure ?position message =
   D.make ?position ~code:"ARC-X001" ~severity:D.Error ~subject:"model" "%s"
     message
 
-let query_pass raw ~levels model =
+let schema_diag (e : Core.Xml_io.error) =
+  D.make ?position:e.err_pos ~code:"ARC-X001" ~severity:D.Error
+    ~subject:e.err_subject "%s" e.err_message
+
+let query_pass (raw : Core.Xml_io.raw) ~queries ~levels model =
   let ctx =
     Query_rules.context_of_model
       ~multiple_bsccs:(Chain_rules.multiple_bsccs raw)
       ~levels model
   in
   List.concat_map
-    (fun (ms : Model_rules.raw_measure) ->
-      Query_rules.check_string
-        ?position:ms.Model_rules.ms_pos ctx
-        ~subject:(Printf.sprintf "measure %s" ms.Model_rules.ms_name)
-        ms.Model_rules.ms_query)
-    raw.Model_rules.raw_measures
+    (fun (ms : Core.Xml_io.raw_measure) ->
+      Query_rules.check_string ?position:ms.ms_pos ctx
+        ~subject:(Printf.sprintf "measure %s" ms.ms_name)
+        ms.ms_query)
+    raw.raw_measures
+  @ List.concat
+      (List.mapi
+         (fun i query ->
+           Query_rules.check_string ctx
+             ~subject:(Printf.sprintf "query[%d]" i)
+             query)
+         queries)
 
-(* The diagnostics, and the model the query pass built from the document
-   with the service levels it enumerated ([None] when the static rules or
-   the model construction failed). *)
-let lint_doc ?file ?pos doc =
+(* The diagnostics, and the model the query pass built from the raw
+   records with the service levels it enumerated ([None] when the static
+   rules or the model construction failed). *)
+let lint_doc ?file ?pos ?(queries = []) doc =
   Obs.Trace.with_span "lint.doc" @@ fun _ ->
   let raw, static =
     Obs.Trace.with_span "lint.rules" @@ fun _ ->
-    let raw, schema_diags = Model_rules.of_doc ?pos doc in
-    (raw, schema_diags @ Model_rules.check raw @ Chain_rules.check raw)
+    let raw, errors = Core.Xml_io.read ?pos doc in
+    ( raw,
+      List.map schema_diag errors @ Model_rules.check raw @ Chain_rules.check raw )
   in
   let query_diags, model =
-    (* Only chase measures once the model itself is clean: a broken model
-       makes label sets meaningless. Model construction can still find
-       mistakes no raw rule covers — keep them as ARC-X001. *)
+    (* Only chase queries once the model itself is clean: a broken model
+       makes label sets meaningless. The model constructors can still
+       reject what no raw rule covers: keep that as ARC-X001. *)
     if has_errors static then ([], None)
     else
       Obs.Trace.with_span "lint.queries" @@ fun _ ->
-      match Core.Xml_io.of_xml ?file ?pos doc with
+      match Core.Xml_io.to_model raw with
       | model, _ ->
           let levels = Query_rules.levels_of_model model in
-          (query_pass raw ~levels model, Some (model, levels))
-      | exception Core.Xml_io.Schema_error msg -> ([ schema_failure msg ], None)
+          (query_pass raw ~queries ~levels model, Some (model, levels))
       | exception Invalid_argument msg -> ([ schema_failure msg ], None)
   in
   let all = static @ query_diags in
@@ -76,9 +86,9 @@ let lint_doc ?file ?pos doc =
   record all;
   (all, model)
 
-let lint_source ?file input =
+let lint_source ?file ?queries input =
   match Xml_kit.parse_string_located input with
-  | doc, pos -> lint_doc ?file ~pos doc
+  | doc, pos -> lint_doc ?file ~pos ?queries doc
   | exception Xml_kit.Parse_error { line; column; message } ->
       let d =
         schema_failure ~position:(line, column)
@@ -90,37 +100,18 @@ let lint_source ?file input =
 
 let lint_string ?file input = fst (lint_source ?file input)
 
-let lint_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | contents -> lint_string ~file:path contents
+let lint_file ?queries path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> lint_source ~file:path ?queries contents
   | exception Sys_error msg ->
       let d = schema_failure (Printf.sprintf "cannot read file: %s" msg) in
-      [ D.with_file path d ]
+      ([ D.with_file path d ], None)
 
 let lint_model ?(queries = []) model =
-  let raw = Model_rules.of_model model in
-  let static = Model_rules.check raw @ Chain_rules.check raw in
-  let query_diags =
-    let ctx =
-      Query_rules.context_of_model
-        ~multiple_bsccs:(Chain_rules.multiple_bsccs raw)
-        model
-    in
-    List.concat_map
-      (fun (name, query) ->
-        Query_rules.check_string ctx
-          ~subject:(Printf.sprintf "measure %s" name)
-          query)
-      queries
+  let measures =
+    List.map (fun (measure_name, query) -> { Core.Xml_io.measure_name; query }) queries
   in
-  let all = D.sort (static @ query_diags) in
-  record all;
-  all
+  fst (lint_doc (Core.Xml_io.to_xml ~measures model))
 
 (* ------------------------------------------------------------------ *)
 (* Debug-build hook: generated models (Watertreatment.Facility, the

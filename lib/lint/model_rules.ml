@@ -1,375 +1,10 @@
-module X = Xml_kit
 module D = Diagnostic
+open Core.Xml_io
 
-(* ------------------------------------------------------------------ *)
-(* Raw models: the unvalidated mirror of Core.Model, extracted directly
-   from the XML tree. Lint rules run on this representation so that every
-   mistake Core.Model.make or Core.Xml_io would throw on at build time is
-   instead reported statically, with a source position, and so that several
-   independent mistakes surface in one pass instead of first-throw-wins. *)
-
-type pos = (int * int) option
-
-type raw_mode = {
-  rm_name : string;
-  rm_mttf : float option;  (** [None]: missing or unparsable (ARC-X001) *)
-  rm_mttr : float option;
-  rm_stages : int option;
-  rm_pos : pos;
-}
-
-type raw_component = {
-  rc_name : string;
-  rc_modes : raw_mode list;  (** primary mode (["failed"]) first *)
-  rc_pos : pos;
-}
-
-type raw_strategy =
-  | Sdedicated
-  | Sfcfs
-  | Sfrf
-  | Sfff
-  | Spriority of string list  (** the priority order, most urgent first *)
-  | Sunknown of string
-
-type raw_repair_unit = {
-  rr_name : string;
-  rr_strategy : raw_strategy;
-  rr_crews : int option;  (** [None]: attribute absent *)
-  rr_components : string list;
-  rr_pos : pos;
-}
-
-type raw_spare_mode = Mhot | Mwarm of float | Mcold
-
-type raw_spare_unit = {
-  rs_name : string;
-  rs_mode : raw_spare_mode;
-  rs_primaries : string list;
-  rs_spares : string list;
-  rs_pos : pos;
-}
-
-type raw_gate =
-  | Gbasic of string * pos
-  | Gand of raw_gate list * pos
-  | Gor of raw_gate list * pos
-  | Gkofn of int option * raw_gate list * pos
-
-type raw_measure = { ms_name : string; ms_query : string; ms_pos : pos }
-
-type t = {
-  raw_name : string;
-  raw_components : raw_component list;
-  raw_repair_units : raw_repair_unit list;
-  raw_spare_units : raw_spare_unit list;
-  raw_fault_tree : raw_gate option;
-  raw_measures : raw_measure list;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Extraction from XML. Never raises: malformed pieces become ARC-X001
-   diagnostics and the remaining structure is kept best-effort. *)
-
-let no_pos : X.locator = fun _ -> None
-
-let schema_code = "ARC-X001"
-
-type collector = { mutable diags : D.t list; locate : X.locator }
-
-let emit c d = c.diags <- d :: c.diags
-
-let schema_error c el fmt =
-  Printf.ksprintf
-    (fun message ->
-      let subject =
-        match el with X.Element (tag, _, _) -> "<" ^ tag ^ ">" | X.Text _ -> "#text"
-      in
-      emit c
-        (D.make ?position:(c.locate el) ~code:schema_code ~severity:D.Error
-           ~subject "%s" message))
-    fmt
-
-let attr_string c el key =
-  match X.attribute el key with
-  | Some v -> Some v
-  | None ->
-      schema_error c el "missing attribute %S" key;
-      None
-
-let attr_float_opt c el key ~default =
-  match X.attribute el key with
-  | None -> default
-  | Some raw -> (
-      match float_of_string_opt raw with
-      | Some f -> Some f
-      | None ->
-          schema_error c el "attribute %s=%S is not a number" key raw;
-          None)
-
-let attr_int_opt c el key ~default =
-  match X.attribute el key with
-  | None -> default
-  | Some raw -> (
-      match int_of_string_opt raw with
-      | Some i -> Some i
-      | None ->
-          schema_error c el "attribute %s=%S is not an integer" key raw;
-          None)
-
-let attr_required_float c el key =
-  match X.attribute el key with
-  | None ->
-      schema_error c el "missing attribute %S" key;
-      None
-  | Some _ -> attr_float_opt c el key ~default:None
-
-let mode_of_el c el =
-  {
-    rm_name = Option.value (attr_string c el "name") ~default:"?";
-    rm_mttf = attr_required_float c el "mttf";
-    rm_mttr = attr_required_float c el "mttr";
-    rm_stages = attr_int_opt c el "repair-stages" ~default:(Some 1);
-    rm_pos = c.locate el;
-  }
-
-let component_of_el c el =
-  let primary =
-    {
-      rm_name = "failed";
-      rm_mttf = attr_required_float c el "mttf";
-      rm_mttr = attr_required_float c el "mttr";
-      rm_stages = attr_int_opt c el "repair-stages" ~default:(Some 1);
-      rm_pos = c.locate el;
-    }
-  in
-  {
-    rc_name = Option.value (attr_string c el "name") ~default:"?";
-    rc_modes = primary :: List.map (mode_of_el c) (X.find_children el "mode");
-    rc_pos = c.locate el;
-  }
-
-let refs_of c tag el =
-  List.filter_map
-    (fun child ->
-      match X.attribute child "ref" with
-      | Some r -> Some r
-      | None ->
-          schema_error c child "missing attribute \"ref\"";
-          None)
-    (X.find_children el tag)
-
-let repair_unit_of_el c el =
-  let members = refs_of c "component" el in
-  let strategy =
-    match attr_string c el "strategy" with
-    | None -> Sunknown "?"
-    | Some raw -> (
-        match String.lowercase_ascii raw with
-        | "dedicated" -> Sdedicated
-        | "fcfs" -> Sfcfs
-        | "frf" -> Sfrf
-        | "fff" -> Sfff
-        | "priority" -> Spriority members
-        | other ->
-            schema_error c el "unknown repair strategy %S" other;
-            Sunknown other)
-  in
-  {
-    rr_name = Option.value (attr_string c el "name") ~default:"?";
-    rr_strategy = strategy;
-    rr_crews = attr_int_opt c el "crews" ~default:None;
-    rr_components = members;
-    rr_pos = c.locate el;
-  }
-
-let spare_unit_of_el c el =
-  let mode =
-    match attr_string c el "mode" with
-    | None -> Mhot
-    | Some raw -> (
-        match String.lowercase_ascii raw with
-        | "hot" -> Mhot
-        | "cold" -> Mcold
-        | s when String.length s > 5 && String.sub s 0 5 = "warm:" -> (
-            match float_of_string_opt (String.sub s 5 (String.length s - 5)) with
-            | Some f -> Mwarm f
-            | None ->
-                schema_error c el "bad warm dormancy factor in mode %S" raw;
-                Mwarm 0.5)
-        | other ->
-            schema_error c el "unknown spare mode %S" other;
-            Mhot)
-  in
-  {
-    rs_name = Option.value (attr_string c el "name") ~default:"?";
-    rs_mode = mode;
-    rs_primaries = refs_of c "primary" el;
-    rs_spares = refs_of c "spare" el;
-    rs_pos = c.locate el;
-  }
-
-let rec gate_of_el c el =
-  match X.name el with
-  | "basic" -> (
-      match X.attribute el "ref" with
-      | Some r -> Some (Gbasic (r, c.locate el))
-      | None ->
-          schema_error c el "missing attribute \"ref\"";
-          None)
-  | "and" ->
-      Some (Gand (List.filter_map (gate_of_el c) (X.child_elements el), c.locate el))
-  | "or" ->
-      Some (Gor (List.filter_map (gate_of_el c) (X.child_elements el), c.locate el))
-  | "kofn" ->
-      Some
-        (Gkofn
-           ( attr_int_opt c el "k" ~default:None,
-             List.filter_map (gate_of_el c) (X.child_elements el),
-             c.locate el ))
-  | other ->
-      schema_error c el "unexpected fault-tree element <%s>" other;
-      None
-
-let measure_of_el c el =
-  match (X.attribute el "name", X.attribute el "query") with
-  | Some name, Some query -> Some { ms_name = name; ms_query = query; ms_pos = c.locate el }
-  | _ ->
-      schema_error c el "a <measure> needs both name and query attributes";
-      None
-
-let of_doc ?(pos = no_pos) doc =
-  let c = { diags = []; locate = pos } in
-  (match doc with
-  | X.Element ("arcade", _, _) -> ()
-  | X.Element (other, _, _) -> schema_error c doc "expected root <arcade>, got <%s>" other
-  | X.Text _ -> schema_error c doc "expected a root element");
-  let components =
-    match X.find_child doc "components" with
-    | Some el -> List.map (component_of_el c) (X.find_children el "component")
-    | None ->
-        if (match doc with X.Element ("arcade", _, _) -> true | _ -> false) then
-          schema_error c doc "missing <components>";
-        []
-  in
-  let repair_units =
-    match X.find_child doc "repair-units" with
-    | Some el -> List.map (repair_unit_of_el c) (X.find_children el "repair-unit")
-    | None -> []
-  in
-  let spare_units =
-    match X.find_child doc "spare-units" with
-    | Some el -> List.map (spare_unit_of_el c) (X.find_children el "spare-unit")
-    | None -> []
-  in
-  let fault_tree =
-    match X.find_child doc "fault-tree" with
-    | Some el -> (
-        match X.child_elements el with
-        | [ root ] -> gate_of_el c root
-        | [] ->
-            schema_error c el "<fault-tree> must have exactly one root gate";
-            None
-        | root :: _ ->
-            schema_error c el "<fault-tree> must have exactly one root gate";
-            gate_of_el c root)
-    | None ->
-        schema_error c doc "missing <fault-tree>";
-        None
-  in
-  let measures =
-    match X.find_child doc "measures" with
-    | Some el -> List.filter_map (measure_of_el c) (X.find_children el "measure")
-    | None -> []
-  in
-  ( {
-      raw_name =
-        (match X.attribute doc "name" with Some n -> n | None -> "?");
-      raw_components = components;
-      raw_repair_units = repair_units;
-      raw_spare_units = spare_units;
-      raw_fault_tree = fault_tree;
-      raw_measures = measures;
-    },
-    List.rev c.diags )
-
-(* ------------------------------------------------------------------ *)
-(* Lowering a validated Core.Model into the raw form, so API-constructed
-   models run through the same rule set (positions are absent). *)
-
-let of_model (model : Core.Model.t) =
-  let mode_raw (m : Core.Component.failure_mode) pos =
-    {
-      rm_name = m.Core.Component.fm_name;
-      rm_mttf = Some m.Core.Component.fm_mttf;
-      rm_mttr = Some m.Core.Component.fm_mttr;
-      rm_stages = Some m.Core.Component.fm_repair_stages;
-      rm_pos = pos;
-    }
-  in
-  let components =
-    List.map
-      (fun (comp : Core.Component.t) ->
-        {
-          rc_name = comp.Core.Component.name;
-          rc_modes = List.map (fun m -> mode_raw m None) (Core.Component.modes comp);
-          rc_pos = None;
-        })
-      model.Core.Model.components
-  in
-  let repair_units =
-    List.map
-      (fun (ru : Core.Repair.t) ->
-        let strategy =
-          match ru.Core.Repair.strategy with
-          | Core.Repair.Dedicated -> Sdedicated
-          | Core.Repair.Fcfs -> Sfcfs
-          | Core.Repair.Frf -> Sfrf
-          | Core.Repair.Fff -> Sfff
-          | Core.Repair.Priority order -> Spriority order
-        in
-        {
-          rr_name = ru.Core.Repair.name;
-          rr_strategy = strategy;
-          rr_crews = Some ru.Core.Repair.crews;
-          rr_components = ru.Core.Repair.components;
-          rr_pos = None;
-        })
-      model.Core.Model.repair_units
-  in
-  let spare_units =
-    List.map
-      (fun (smu : Core.Spare.t) ->
-        {
-          rs_name = smu.Core.Spare.name;
-          rs_mode =
-            (match smu.Core.Spare.mode with
-            | Core.Spare.Hot -> Mhot
-            | Core.Spare.Warm f -> Mwarm f
-            | Core.Spare.Cold -> Mcold);
-          rs_primaries = smu.Core.Spare.primaries;
-          rs_spares = smu.Core.Spare.spares;
-          rs_pos = None;
-        })
-      model.Core.Model.spare_units
-  in
-  let rec lower_gate = function
-    | Fault_tree.Basic b -> Gbasic (b, None)
-    | Fault_tree.And gs -> Gand (List.map lower_gate gs, None)
-    | Fault_tree.Or gs -> Gor (List.map lower_gate gs, None)
-    | Fault_tree.Kofn (k, gs) -> Gkofn (Some k, List.map lower_gate gs, None)
-  in
-  {
-    raw_name = model.Core.Model.name;
-    raw_components = components;
-    raw_repair_units = repair_units;
-    raw_spare_units = spare_units;
-    raw_fault_tree = Some (lower_gate model.Core.Model.fault_tree);
-    raw_measures = [];
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rules *)
+(* Model-layer rules over the raw records Core.Xml_io.read returns, so that
+   every mistake Core.Model.make would throw on is instead reported
+   statically, with a source position, and several independent mistakes
+   surface in one pass. *)
 
 let diag ?hint ?position ~code ~severity ~subject fmt =
   D.make ?hint ?position ~code ~severity ~subject fmt
@@ -563,14 +198,14 @@ let check raw =
           push
             (diag ?position:ru.rr_pos ~code:"ARC-M007" ~severity:D.Error ~subject
                "crew count %d is not positive" k)
-      | Some k when ru.rr_strategy = Sdedicated && k <> 1 && k <> n ->
+      | Some k when ru.rr_strategy = Some Core.Repair.Dedicated && k <> 1 && k <> n ->
           push
             (diag ?position:ru.rr_pos ~code:"ARC-M006" ~severity:D.Warning ~subject
                "dedicated strategy ignores crews=%d (it acts as one crew per \
                 component, here %d)"
                k n
                ~hint:"drop the crews attribute or switch to fcfs/frf/fff")
-      | Some k when ru.rr_strategy <> Sdedicated && k > n ->
+      | Some k when ru.rr_strategy <> Some Core.Repair.Dedicated && k > n ->
           push
             (diag ?position:ru.rr_pos ~code:"ARC-M007" ~severity:D.Warning ~subject
                "%d crews for %d components: the extra crews can never be busy"
@@ -582,7 +217,7 @@ let check raw =
           (diag ?position:ru.rr_pos ~code:"ARC-M007" ~severity:D.Error ~subject
              "repair unit has no components");
       match ru.rr_strategy with
-      | Spriority order ->
+      | Some (Core.Repair.Priority order) ->
           let members = List.sort_uniq compare ru.rr_components in
           let listed = Hashtbl.create 8 in
           List.iter
@@ -672,7 +307,7 @@ let check raw =
                  ~subject "component %s is both a primary and a spare" p))
         smu.rs_primaries;
       (match smu.rs_mode with
-      | Mwarm f when f <= 0. || f >= 1. ->
+      | Core.Spare.Warm f when f <= 0. || f >= 1. ->
           push
             (diag ?position:smu.rs_pos ~code:"ARC-M012" ~severity:D.Error ~subject
                "warm dormancy factor %g is outside (0, 1)" f

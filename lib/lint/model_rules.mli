@@ -1,14 +1,13 @@
-(** Model-layer lint rules (ARC-M*, ARC-F*, ARC-X001).
+(** Model-layer lint rules (the ARC-M and ARC-F families).
 
-    The rules run over a {e raw} model — an unvalidated mirror of
-    {!Core.Model} extracted directly from the XML tree — so that every
-    mistake the validating constructors would throw on is instead reported
-    statically, with a source position, and several independent mistakes
-    surface in one pass.
+    The rules run over the raw records of {!Core.Xml_io.read}, an
+    unvalidated mirror of {!Core.Model} with source positions, so that
+    every mistake the validating constructors would throw on is instead
+    reported statically, with a source position, and several independent
+    mistakes surface in one pass. [read]'s own schema errors become
+    [ARC-X001] in {!Lint.lint_source}.
 
     Rule catalogue:
-    - [ARC-X001] (error): malformed schema item (missing/unparsable
-      attribute, unexpected element, parse error).
     - [ARC-M001] (error): reference to an unknown component or failure mode
       (from repair units, spare units or the fault tree).
     - [ARC-M002] (error): duplicate component name.
@@ -36,74 +35,5 @@
       (minimal cut sets unchanged without it).
     - [ARC-F004] (error): malformed gate (no inputs, k outside 1..n). *)
 
-type pos = (int * int) option
-
-type raw_mode = {
-  rm_name : string;
-  rm_mttf : float option;  (** [None]: missing or unparsable (ARC-X001) *)
-  rm_mttr : float option;
-  rm_stages : int option;
-  rm_pos : pos;
-}
-
-type raw_component = {
-  rc_name : string;
-  rc_modes : raw_mode list;  (** primary mode (["failed"]) first *)
-  rc_pos : pos;
-}
-
-type raw_strategy =
-  | Sdedicated
-  | Sfcfs
-  | Sfrf
-  | Sfff
-  | Spriority of string list  (** the priority order, most urgent first *)
-  | Sunknown of string
-
-type raw_repair_unit = {
-  rr_name : string;
-  rr_strategy : raw_strategy;
-  rr_crews : int option;  (** [None]: attribute absent *)
-  rr_components : string list;
-  rr_pos : pos;
-}
-
-type raw_spare_mode = Mhot | Mwarm of float | Mcold
-
-type raw_spare_unit = {
-  rs_name : string;
-  rs_mode : raw_spare_mode;
-  rs_primaries : string list;
-  rs_spares : string list;
-  rs_pos : pos;
-}
-
-type raw_gate =
-  | Gbasic of string * pos
-  | Gand of raw_gate list * pos
-  | Gor of raw_gate list * pos
-  | Gkofn of int option * raw_gate list * pos
-
-type raw_measure = { ms_name : string; ms_query : string; ms_pos : pos }
-
-type t = {
-  raw_name : string;
-  raw_components : raw_component list;
-  raw_repair_units : raw_repair_unit list;
-  raw_spare_units : raw_spare_unit list;
-  raw_fault_tree : raw_gate option;
-  raw_measures : raw_measure list;
-}
-
-val of_doc : ?pos:Xml_kit.locator -> Xml_kit.t -> t * Diagnostic.t list
-(** Extract a raw model from a parsed document. Never raises: malformed
-    pieces become [ARC-X001] diagnostics and the remaining structure is
-    kept best-effort. [pos] (from {!Xml_kit.parse_string_located}) anchors
-    diagnostics to source lines. *)
-
-val of_model : Core.Model.t -> t
-(** Lower an already-validated model so API-constructed models run through
-    the same rules (no source positions). *)
-
-val check : t -> Diagnostic.t list
+val check : Core.Xml_io.raw -> Diagnostic.t list
 (** Run all model-layer rules. *)

@@ -1243,6 +1243,21 @@ let prop_survivability_matches_absorbed =
 (* A view rooted at a random state against a build from that state. The
    two agree whenever the state reaches back to the root's whole state
    space (equal state counts); only the state numbering differs. *)
+(* lint_model lints the model's XML document through the one reader: the
+   same findings as linting the written file, positions aside. *)
+let prop_lint_model_is_lint_of_xml =
+  QCheck.Test.make ~count:40 ~name:"random models: lint_model = lint of its XML"
+    (QCheck.make random_model_gen)
+    (fun model ->
+      let findings diags =
+        List.sort compare
+          (List.map
+             (fun d -> Lint.Diagnostic.(d.code, d.subject, d.message))
+             diags)
+      in
+      findings (Lint.lint_model model)
+      = findings (Lint.lint_string (Xml_kit.to_string (Xml_io.to_xml model))))
+
 let prop_rooted_matches_rebuild =
   QCheck.Test.make ~count:25 ~name:"random models: rooted view = rebuild from the state"
     (QCheck.make QCheck.Gen.(pair random_model_gen nat))
@@ -2007,6 +2022,7 @@ let () =
           [
             prop_two_paths_agree; prop_measures_sane; prop_survivability_monotone;
             prop_survivability_matches_absorbed; prop_rooted_matches_rebuild;
+            prop_lint_model_is_lint_of_xml;
           ] );
       ( "symmetric-builds",
         List.map QCheck_alcotest.to_alcotest

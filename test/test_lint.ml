@@ -4,7 +4,6 @@
    raise Csl.Checker.Unsupported on the Line 2 DED model. *)
 
 module D = Lint.Diagnostic
-module MR = Lint.Model_rules
 module QR = Lint.Query_rules
 
 let codes diags = D.codes diags
@@ -60,6 +59,19 @@ let test_x001 () =
               <component name="b" mttf="2000" mttr="20"/>|}
           ()));
   check_silent "clean model" "ARC-X001" (lint (model_xml ()))
+
+(* Every schema error is its own positioned ARC-X001, not only the first:
+   three unparsable attributes on two elements. *)
+let test_x001_each_positioned () =
+  let diags, model = Lint.lint_file "fixtures/bad_cost.xml" in
+  let x001 = List.filter (fun d -> d.D.code = "ARC-X001") diags in
+  Alcotest.(check (list (pair string (option int))))
+    "one X001 per bad attribute, at its element"
+    [
+      ("<component>", Some 8); ("<repair-unit>", Some 12); ("<repair-unit>", Some 12);
+    ]
+    (List.map (fun d -> (d.D.subject, d.D.line)) x001);
+  Alcotest.(check bool) "no model" true (model = None)
 
 (* ------------------------------------------------------------------ *)
 (* Model layer *)
@@ -216,52 +228,24 @@ let test_m010 () =
   check_fires "huge stages" "ARC-M010" (lint (stages 100));
   check_silent "erlang-4" "ARC-M010" (lint (stages 4))
 
-(* The XML conflates priority order and membership, so ARC-M011 is only
-   reachable through the raw/API route. *)
-let raw_priority order members =
-  let comp name =
-    {
-      MR.rc_name = name;
-      rc_modes =
-        [
-          {
-            MR.rm_name = "failed";
-            rm_mttf = Some 1000.;
-            rm_mttr = Some 10.;
-            rm_stages = Some 1;
-            rm_pos = None;
-          };
-        ];
-      rc_pos = None;
-    }
-  in
-  {
-    MR.raw_name = "m";
-    raw_components = [ comp "a"; comp "b" ];
-    raw_repair_units =
-      [
-        {
-          MR.rr_name = "ru";
-          rr_strategy = MR.Spriority order;
-          rr_crews = Some 1;
-          rr_components = members;
-          rr_pos = None;
-        };
-      ];
-    raw_spare_units = [];
-    raw_fault_tree = Some (MR.Gor ([ MR.Gbasic ("a", None); MR.Gbasic ("b", None) ], None));
-    raw_measures = [];
-  }
+(* A priority strategy may name its order in the attribute
+   (strategy="priority:b,a"); ARC-M011 checks it against the unit's
+   members. *)
+let priority order =
+  model_xml
+    ~repair:
+      (Printf.sprintf
+         {|<repair-unit name="ru" strategy="priority:%s" crews="1">
+             <component ref="a"/><component ref="b"/>
+           </repair-unit>|}
+         order)
+    ()
 
 let test_m011 () =
-  check_fires "omission" "ARC-M011"
-    (MR.check (raw_priority [ "a" ] [ "a"; "b" ]));
-  check_fires "stranger" "ARC-M011"
-    (MR.check (raw_priority [ "a"; "b"; "z" ] [ "a"; "b" ]));
-  check_fires "duplicate" "ARC-M011"
-    (MR.check (raw_priority [ "a"; "a"; "b" ] [ "a"; "b" ]));
-  check_silent "exact cover" "ARC-M011"
-    (MR.check (raw_priority [ "b"; "a" ] [ "a"; "b" ]))
+  check_fires "omission" "ARC-M011" (lint (priority "a"));
+  check_fires "stranger" "ARC-M011" (lint (priority "a,b,z"));
+  check_fires "duplicate" "ARC-M011" (lint (priority "a,a,b"));
+  check_silent "exact cover" "ARC-M011" (lint (priority "b,a"))
 
 let test_m012 () =
   let with_spares spares = model_xml ~spares () in
@@ -608,6 +592,57 @@ let test_schema_error_position () =
         true
         (String.length msg >= 9 && String.sub msg 0 9 = "t.xml:3:1")
 
+(* of_xml raises Schema_error and nothing else, positioned: at the
+   offending element for a schema error, at the root for a model the
+   constructors reject (a negative mean time, a duplicate component). *)
+let test_of_xml_schema_error_only () =
+  let check_prefix what prefix f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Schema_error" what
+    | exception Core.Xml_io.Schema_error msg ->
+        Alcotest.(check string)
+          (what ^ ": message prefix")
+          prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  List.iter
+    (fun (file, at) ->
+      let path = "fixtures/" ^ file in
+      check_prefix file (path ^ ":" ^ at) (fun () -> Core.Xml_io.load path))
+    [
+      ("bad_cost.xml", "8:5: attribute failed-cost");
+      ("bad_units.xml", "10:5: unknown repair strategy");
+      ("no_name.xml", "4:1: missing attribute");
+      ("broken_model.xml", "9:1: Component.make");
+    ];
+  let doc, pos =
+    Xml_kit.parse_string_located
+      (model_xml
+         ~components:
+           {|<component name="a" mttf="1000" mttr="10"/>
+             <component name="a" mttf="1000" mttr="10"/>
+             <component name="b" mttf="2000" mttr="20"/>|}
+         ())
+  in
+  check_prefix "duplicate component" "dup.xml:1:1: Model: duplicate component a"
+    (fun () -> Core.Xml_io.of_xml ~file:"dup.xml" ~pos doc)
+
+(* Extra queries get the checks of the embedded measures, from the same
+   query pass: the split-chain warning fires for both. *)
+let test_extra_queries () =
+  let diags, _ =
+    Lint.lint_file ~queries:[ {|S=? [ "operational" ]|} ] "fixtures/broken_chain.xml"
+  in
+  let q007 =
+    List.filter_map
+      (fun d -> if d.D.code = "ARC-Q007" then Some d.D.subject else None)
+      diags
+  in
+  Alcotest.(check (list string))
+    "Q007 for the measure and the query"
+    [ "measure availability"; "query[0]" ]
+    q007
+
 (* The service-level labels lint accepts are exactly those the CSL model
    resolves, on every shipped model, whether the model is wrapped with
    lint's levels (as a daemon session does) or enumerates its own. *)
@@ -691,7 +726,7 @@ let test_shipped_models_clean () =
   Alcotest.(check bool) "found the shipped models" true (List.length files >= 12);
   List.iter
     (fun f ->
-      let diags = Lint.lint_file (Filename.concat models_dir f) in
+      let diags, _ = Lint.lint_file (Filename.concat models_dir f) in
       Alcotest.(check (list string)) (f ^ " is clean") [] (codes diags))
     files
 
@@ -719,7 +754,7 @@ let test_seeded_defects () =
       Alcotest.(check (list string))
         (file ^ " fires exactly the seeded codes")
         expected
-        (codes (Lint.lint_file file)))
+        (codes (fst (Lint.lint_file file))))
     expected_fixture_codes
 
 (* ------------------------------------------------------------------ *)
@@ -803,6 +838,66 @@ let prop_static_implies_dynamic =
               (Csl.Ast.to_string formula) msg)
 
 (* ------------------------------------------------------------------ *)
+(* Property: the one reader never raises. Mutants of the shipped models
+   (junk or dropped attributes, dropped, duplicated, renamed or wrapped
+   elements) lint without raising, and Xml_io.of_xml raises nothing but
+   Schema_error on them. *)
+
+let junk = [| ""; "x"; "-1"; "0"; "nan"; "1e999"; "maybe"; "warm:2"; "priority:zz" |]
+
+let rec mutate st node =
+  let pick n = Random.State.int st n = 0 in
+  match node with
+  | Xml_kit.Text _ -> [ node ]
+  | Xml_kit.Element (tag, attrs, kids) -> (
+      let attrs =
+        List.filter_map
+          (fun (k, v) ->
+            if pick 12 then None
+            else if pick 8 then Some (k, junk.(Random.State.int st (Array.length junk)))
+            else Some (k, v))
+          attrs
+      in
+      let el = Xml_kit.Element (tag, attrs, List.concat_map (mutate st) kids) in
+      match Random.State.int st 24 with
+      | 0 -> []
+      | 1 -> [ el; el ]
+      | 2 -> [ Xml_kit.Element ("bogus", [], [ el ]) ]
+      | 3 -> [ Xml_kit.Element (tag ^ "-x", attrs, []) ]
+      | _ -> [ el ])
+
+let test_mutants_never_raise () =
+  let st = Random.State.make [| 36 |] in
+  let files =
+    Sys.readdir models_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xml")
+    |> List.sort compare
+  in
+  Alcotest.(check int) "the shipped models" 12 (List.length files);
+  List.iter
+    (fun f ->
+      let doc = Xml_kit.parse_file (Filename.concat models_dir f) in
+      for i = 1 to 25 do
+        let mutant =
+          match mutate st doc with
+          | root :: _ -> root
+          | [] -> Xml_kit.Element ("arcade", [], [])
+        in
+        let src = Xml_kit.to_string mutant in
+        (match Lint.lint_source src with
+        | _ -> ()
+        | exception e ->
+            Alcotest.failf "%s mutant %d: lint raised %s\n%s" f i
+              (Printexc.to_string e) src);
+        match Core.Xml_io.of_xml mutant with
+        | _ | (exception Core.Xml_io.Schema_error _) -> ()
+        | exception e ->
+            Alcotest.failf "%s mutant %d: of_xml raised %s\n%s" f i
+              (Printexc.to_string e) src
+      done)
+    files
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "lint"
@@ -811,6 +906,7 @@ let () =
         [
           Alcotest.test_case "clean base" `Quick test_clean_base;
           Alcotest.test_case "ARC-X001" `Quick test_x001;
+          Alcotest.test_case "ARC-X001 per error" `Quick test_x001_each_positioned;
         ] );
       ( "model-rules",
         [
@@ -870,6 +966,9 @@ let () =
             test_csl_parser_position;
           Alcotest.test_case "lint_source model" `Quick test_lint_source_model;
           Alcotest.test_case "level labels agree" `Quick test_levels_agree;
+          Alcotest.test_case "of_xml raises Schema_error only" `Quick
+            test_of_xml_schema_error_only;
+          Alcotest.test_case "extra queries" `Quick test_extra_queries;
         ] );
       ( "sweeps",
         [
@@ -878,5 +977,6 @@ let () =
           Alcotest.test_case "seeded defects" `Quick test_seeded_defects;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_static_implies_dynamic ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_static_implies_dynamic ]
+        @ [ Alcotest.test_case "mutants never raise" `Quick test_mutants_never_raise ] );
     ]
