@@ -407,4 +407,5 @@ let load path =
   | doc, pos -> of_xml ~file:path ~pos doc
   | exception X.Parse_error { line; column; message } ->
       raise
-        (Schema_error (Printf.sprintf "%s:%d:%d: parse error: %s" path line column message))
+        (Schema_error
+           (Printf.sprintf "%s:%d:%d: parse error: %s" path line column message))
