@@ -1,7 +1,8 @@
 (* Load generator for the analysis daemon: replay a portfolio of model
    variants x the paper's measure queries against arcade_serve and report
    throughput, latency percentiles and amortization (session cache hits,
-   uniformization sweeps vs the one-query-per-request baseline). *)
+   answers from the sessions' memos, uniformization sweeps vs the
+   one-query-per-request baseline). *)
 
 open Cmdliner
 module Http = Server.Http
@@ -267,6 +268,7 @@ let load host port model variants requests clients out shutdown =
   let delta path = stat path after -. stat path before in
   let mixture_passes = delta [ "analysis"; "mixture_passes" ] in
   let naive_passes = float_of_int (naive_sweeps_per_request * ok) in
+  let answer_hits = delta [ "server"; "answer_hits" ] in
   let shits = delta [ "sessions"; "hits" ]
   and smisses = delta [ "sessions"; "misses" ] in
   let hit_rate =
@@ -349,6 +351,7 @@ let load host port model variants requests clients out shutdown =
               ("session_hit_rate", Json.num hit_rate);
               ("mixture_passes", Json.num mixture_passes);
               ("naive_mixture_passes", Json.num naive_passes);
+              ("answer_hits", Json.num answer_hits);
             ] );
         ("server", after);
         ( "server_metrics",
@@ -363,8 +366,9 @@ let load host port model variants requests clients out shutdown =
     (percentile latencies 50.) (percentile latencies 95.)
     (percentile latencies 99.);
   Printf.printf
-    "sessions: %.0f%% hit rate (%g hits / %g misses); sweeps: %g vs %g naive\n%!"
-    (100. *. hit_rate) shits smisses mixture_passes naive_passes;
+    "sessions: %.0f%% hit rate (%g hits / %g misses); sweeps: %g vs %g naive; \
+     answer hits: %g\n%!"
+    (100. *. hit_rate) shits smisses mixture_passes naive_passes answer_hits;
   (match out with
   | Some path ->
       Obs.write_file_atomic path (Json.to_string report);

@@ -56,6 +56,7 @@ type raw_measure = { ms_name : string; ms_query : string; ms_pos : pos }
 
 type raw = {
   raw_name : string;
+  raw_pos : pos;  (** the root element's *)
   raw_components : raw_component list;
   raw_repair_units : raw_repair_unit list;
   raw_spare_units : raw_spare_unit list;
@@ -328,6 +329,7 @@ let read ?(pos = fun _ -> None) doc =
   let raw_measures = List.filter_map Fun.id (section "measures" "measure" measure) in
   ( {
       raw_name;
+      raw_pos = pos doc;
       raw_components;
       raw_repair_units;
       raw_spare_units;
@@ -336,17 +338,27 @@ let read ?(pos = fun _ -> None) doc =
     },
     List.rev !errors )
 
+exception Rejected of error
+
 let to_model raw =
+  (* a constructor's rejection of a record is positioned at the record *)
+  let at err_pos err_subject f =
+    try f ()
+    with Invalid_argument err_message ->
+      raise (Rejected { err_pos; err_subject; err_message })
+  in
   let required what = function
     | Some v -> v
     | None -> invalid_arg ("Xml_io.to_model: no valid " ^ what)
   in
   let mode m =
+    at m.rm_pos "<mode>" @@ fun () ->
     Component.failure_mode ~name:m.rm_name ~mttf:(required "mttf" m.rm_mttf)
       ~mttr:(required "mttr" m.rm_mttr) ~failed_cost:m.rm_failed_cost
       ~repair_stages:(required "repair-stages" m.rm_stages) ()
   in
   let component rc =
+    at rc.rc_pos "<component>" @@ fun () ->
     match rc.rc_modes with
     | [] -> invalid_arg "Xml_io.to_model: component without a mode"
     | primary :: extra ->
@@ -358,6 +370,7 @@ let to_model raw =
           ~operational_cost:rc.rc_operational_cost ()
   in
   let repair_unit rr =
+    at rr.rr_pos "<repair-unit>" @@ fun () ->
     Repair.make ~name:rr.rr_name
       ~strategy:(required "strategy" rr.rr_strategy)
       ~components:rr.rr_components
@@ -366,23 +379,42 @@ let to_model raw =
       ~preemptive:rr.rr_preemptive ()
   in
   let spare_unit rs =
+    at rs.rs_pos "<spare-unit>" @@ fun () ->
     Spare.make ~name:rs.rs_name ~mode:rs.rs_mode ~primaries:rs.rs_primaries
       ~spares:rs.rs_spares ()
   in
   let rec gate = function
-    | Gbasic (name, _) -> Fault_tree.basic name
-    | Gand (inputs, _) -> Fault_tree.and_ (List.map gate inputs)
-    | Gor (inputs, _) -> Fault_tree.or_ (List.map gate inputs)
-    | Gkofn (k, inputs, _) -> Fault_tree.kofn (required "k" k) (List.map gate inputs)
+    | Gbasic (name, p) -> at p "<basic>" (fun () -> Fault_tree.basic name)
+    | Gand (inputs, p) ->
+        let inputs = List.map gate inputs in
+        at p "<and>" (fun () -> Fault_tree.and_ inputs)
+    | Gor (inputs, p) ->
+        let inputs = List.map gate inputs in
+        at p "<or>" (fun () -> Fault_tree.or_ inputs)
+    | Gkofn (k, inputs, p) ->
+        let inputs = List.map gate inputs in
+        at p "<kofn>" (fun () -> Fault_tree.kofn (required "k" k) inputs)
   in
-  let components = List.map component raw.raw_components in
-  let repair_units = List.map repair_unit raw.raw_repair_units in
-  let spare_units = List.map spare_unit raw.raw_spare_units in
-  let fault_tree = gate (required "fault tree" raw.raw_fault_tree) in
-  ( Model.make ~name:raw.raw_name ~components ~repair_units ~spare_units ~fault_tree (),
-    List.map
-      (fun ms -> { measure_name = ms.ms_name; query = ms.ms_query })
-      raw.raw_measures )
+  match
+    let components = List.map component raw.raw_components in
+    let repair_units = List.map repair_unit raw.raw_repair_units in
+    let spare_units = List.map spare_unit raw.raw_spare_units in
+    let fault_tree =
+      gate
+        (at raw.raw_pos "<fault-tree>" (fun () ->
+             required "fault tree" raw.raw_fault_tree))
+    in
+    at raw.raw_pos "<arcade>" @@ fun () ->
+    Model.make ~name:raw.raw_name ~components ~repair_units ~spare_units
+      ~fault_tree ()
+  with
+  | model ->
+      Ok
+        ( model,
+          List.map
+            (fun ms -> { measure_name = ms.ms_name; query = ms.ms_query })
+            raw.raw_measures )
+  | exception Rejected e -> Error e
 
 let locate ?file at =
   match (at, file) with
@@ -396,9 +428,9 @@ let of_xml ?file ?pos doc =
   match read ?pos doc with
   | _, first :: _ -> fail first.err_pos first.err_message
   | raw, [] -> (
-      try to_model raw
-      with Invalid_argument message ->
-        fail (match pos with Some pos -> pos doc | None -> None) message)
+      match to_model raw with
+      | Ok r -> r
+      | Error e -> fail e.err_pos e.err_message)
 
 let save ?measures path model = X.write_file path (to_xml ?measures model)
 

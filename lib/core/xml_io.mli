@@ -105,6 +105,7 @@ type raw_measure = { ms_name : string; ms_query : string; ms_pos : pos }
 
 type raw = {
   raw_name : string;
+  raw_pos : pos;  (** the root element's *)
   raw_components : raw_component list;
   raw_repair_units : raw_repair_unit list;
   raw_spare_units : raw_spare_unit list;
@@ -125,11 +126,12 @@ val read : ?pos:Xml_kit.locator -> Xml_kit.t -> raw * error list
     default takes its place. [pos] (from {!Xml_kit.parse_string_located})
     gives the positions. *)
 
-val to_model : raw -> Model.t * measure_spec list
-(** The model and its measures. Raises [Invalid_argument] when the
-    validating constructors ({!Model.make} and those it is built from)
-    reject the records, or when a required value is missing, which
-    {!read} has then reported as an error. *)
+val to_model : raw -> (Model.t * measure_spec list, error) result
+(** The model and its measures, or the first rejection: a validating
+    constructor ({!Model.make} and those it is built from) rejecting the
+    records, or a required value missing, which {!read} has then reported
+    as an error. The rejection is positioned at the record it concerns,
+    or at the root element when it concerns the model as a whole. *)
 
 val of_xml :
   ?file:string -> ?pos:Xml_kit.locator -> Xml_kit.t -> Model.t * measure_spec list
@@ -137,7 +139,7 @@ val of_xml :
     on the first schema error or on a model the constructors reject.
     When [pos] (and optionally [file]) are given, the message starts with
     a [file:line:column: ] prefix locating the offending element (the
-    root element for a constructor's rejection). *)
+    root element for a rejection of the model as a whole). *)
 
 val save : ?measures:measure_spec list -> string -> Model.t -> unit
 

@@ -73,10 +73,10 @@ let lint_doc ?file ?pos ?(queries = []) doc =
     else
       Obs.Trace.with_span "lint.queries" @@ fun _ ->
       match Core.Xml_io.to_model raw with
-      | model, _ ->
+      | Ok (model, _) ->
           let levels = Query_rules.levels_of_model model in
           (query_pass raw ~queries ~levels model, Some (model, levels))
-      | exception Invalid_argument msg -> ([ schema_failure msg ], None)
+      | Error e -> ([ schema_diag e ], None)
   in
   let all = static @ query_diags in
   let all =
@@ -185,6 +185,9 @@ let catalogue : D.rule list =
     r "ARC-M012" D.Error "model" "spare-unit structure"
       "no primaries, primary/spare overlap, double membership or a warm \
        factor outside (0, 1) break the activation policy";
+    r "ARC-M013" D.Error "model" "bad cost rate or empty name"
+      "the constructors reject negative cost rates and empty names, and a \
+       non-finite cost rate makes every cost measure non-finite";
     r "ARC-F001" D.Warning "model" "no-op gate"
       "single-input and/or, 1-of-n and n-of-n gates obscure the tree \
        without changing it";

@@ -290,6 +290,48 @@ let check raw =
           | _ -> ())
         rc.rc_modes)
     raw.raw_components;
+  (* Cost rates and names the constructors reject: ARC-M013, one per
+     attribute *)
+  let bad_cost ?position ~subject key v =
+    if v < 0. || not (Float.is_finite v) then
+      push
+        (diag ?position ~code:"ARC-M013" ~severity:D.Error ~subject
+           "%s=%g is not a non-negative finite cost rate" key v)
+  in
+  let empty_name ?position ?(what = "name") ~subject name =
+    if name = "" then
+      push
+        (diag ?position ~code:"ARC-M013" ~severity:D.Error ~subject "%s is empty"
+           what)
+  in
+  empty_name ?position:raw.raw_pos ~subject:"model" raw.raw_name;
+  List.iter
+    (fun rc ->
+      let subject = Printf.sprintf "component %s" rc.rc_name in
+      empty_name ?position:rc.rc_pos ~subject:"component" rc.rc_name;
+      bad_cost ?position:rc.rc_pos ~subject "operational-cost"
+        rc.rc_operational_cost;
+      List.iter
+        (fun m ->
+          empty_name ?position:m.rm_pos ~what:"mode name" ~subject m.rm_name;
+          let subject =
+            if m.rm_name = "failed" || m.rm_name = "" then subject
+            else Printf.sprintf "%s, mode %s" subject m.rm_name
+          in
+          bad_cost ?position:m.rm_pos ~subject "failed-cost" m.rm_failed_cost)
+        rc.rc_modes)
+    raw.raw_components;
+  List.iter
+    (fun ru ->
+      let subject = Printf.sprintf "repair unit %s" ru.rr_name in
+      empty_name ?position:ru.rr_pos ~subject:"repair unit" ru.rr_name;
+      bad_cost ?position:ru.rr_pos ~subject "idle-cost" ru.rr_idle_cost;
+      bad_cost ?position:ru.rr_pos ~subject "busy-cost" ru.rr_busy_cost)
+    raw.raw_repair_units;
+  List.iter
+    (fun smu ->
+      empty_name ?position:smu.rs_pos ~subject:"spare unit" smu.rs_name)
+    raw.raw_spare_units;
   (* Spare-unit structure: ARC-M012 *)
   let spare_member = Hashtbl.create 16 in
   List.iter

@@ -28,6 +28,8 @@
     - [ARC-M012] (error): spare-unit structure (no primaries,
       primary/spare overlap, a component in two spare units, warm factor
       outside (0, 1)).
+    - [ARC-M013] (error): a negative or non-finite cost rate, or an empty
+      name, one per attribute.
     - [ARC-F001] (warning): no-op gate (single-input and/or, 1-of-n,
       n-of-n).
     - [ARC-F002] (warning): structurally duplicate gate inputs.

@@ -41,6 +41,8 @@ type counters = {
   session_hits : counter;
   session_misses : counter;  (** session builds *)
   session_evictions : counter;
+  answer_hits : counter;  (** queries answered from a session's memo *)
+  lint_skips : counter;  (** admissions of bytes a live session accepted *)
   window_no_shared_work : counter;
       (** windows closed at once: no queued query shares a sweep *)
   window_all_queued : counter;
@@ -61,6 +63,8 @@ let counters =
     session_hits = m "session_hits";
     session_misses = m "session_misses";
     session_evictions = m "session_evictions";
+    answer_hits = m "answer_hits";
+    lint_skips = m "lint_skips";
     window_no_shared_work = m "window_no_shared_work";
     window_all_queued = m "window_all_queued";
     window_deadline = m "window_deadline";
@@ -141,8 +145,9 @@ let chain_name = function Symmetric -> "symmetric" | Full -> "full"
 
 (* A session is the parsed model; each chain is built the first time a
    query routed to it arrives. Only the scheduler touches a session's
-   chains, one group at a time (groups in a window hold distinct models,
-   windows run one after another), so the fields need no lock. *)
+   chains and answer memo, one group at a time (groups in a window hold
+   distinct models, windows run one after another), so those fields need
+   no lock. *)
 type session = {
   s_src : string;
   s_model : Core.Model.t;
@@ -150,13 +155,26 @@ type session = {
   s_exact : Ast.state_formula -> bool;
   mutable s_symmetric : Core.Measures.t option;
   mutable s_full : Core.Measures.t option;
+  s_answers : (string, Csl.Checker.result) Hashtbl.t;
+      (** successful answers by raw query text. Not by the printed AST:
+          [Ast.to_string] prints time bounds with [%g], so [C<=1000] and
+          [C<=1000.0001] print alike *)
+  mutable s_answer_bytes : int;  (** total length of [s_answers]' keys *)
   mutable last_used : int;  (** logical clock for LRU eviction *)
 }
+
+(* A session's memo bound: an answer past either is computed but not
+   stored, so a request body of up to [Http.max_body_bytes] cannot grow
+   a session without limit. *)
+let memo_max_entries = 256
+
+let memo_max_key_bytes = 65536
 
 type job = {
   j_src : string;
   j_model : Core.Model.t;
-      (** the model as admission's lint built it; a session miss keeps it *)
+      (** the model as admission's lint built it, or the live session's
+          when admission skipped lint; a session miss keeps it *)
   j_levels : float list option;  (** the service levels lint enumerated *)
   j_hash : int64;
   j_queries : (string * Ast.state_formula) list;
@@ -211,6 +229,8 @@ let build_session ~src ~model ~levels =
     s_exact = Core.Measures.exact_on_quotient model;
     s_symmetric = None;
     s_full = None;
+    s_answers = Hashtbl.create 8;
+    s_answer_bytes = 0;
     last_used = 0;
   }
 
@@ -260,26 +280,30 @@ let evict_over_capacity srv =
         Obs.Metrics.incr counters.session_evictions
   done
 
-(* Returns [(session, was_cached)]. Building happens outside the cache
-   lock: the scheduler processes windows sequentially and groups within
-   a window have distinct hashes, so no two builders race on one key. *)
-let get_session srv ~src ~model ~levels =
-  let h = model_hash src in
+(* Under [cm]: the live session built from exactly [src], whose hash is
+   [h]. *)
+let find_session srv h src =
+  Option.bind (Hashtbl.find_opt srv.cache h)
+    (List.find_opt (fun s -> String.equal s.s_src src))
+
+(* [job]'s session: returns [(session, was_cached)]. Building happens
+   outside the cache lock: the scheduler processes windows sequentially
+   and groups within a window have distinct hashes, so no two builders
+   race on one key. *)
+let get_session srv job =
+  let h = job.j_hash in
   let lookup () =
     Mutex.protect srv.cm (fun () ->
-        match Hashtbl.find_opt srv.cache h with
-        | None -> None
-        | Some sessions -> (
-            match List.find_opt (fun s -> String.equal s.s_src src) sessions with
-            | Some s ->
-                touch srv s;
-                Some s
-            | None -> None))
+        let found = find_session srv h job.j_src in
+        Option.iter (touch srv) found;
+        found)
   in
   match lookup () with
   | Some s -> (s, true)
   | None ->
-      let s = build_session ~src ~model ~levels in
+      let s =
+        build_session ~src:job.j_src ~model:job.j_model ~levels:job.j_levels
+      in
       Mutex.protect srv.cm (fun () ->
           let bucket =
             match Hashtbl.find_opt srv.cache h with Some l -> l | None -> []
@@ -293,21 +317,28 @@ let get_session srv ~src ~model ~levels =
 (* ------------------------------------------------------------------ *)
 (* Query evaluation with same-model batching                          *)
 
+(* One query's answer, or why it has none. *)
+type answer = (Csl.Checker.result, string) result
+
 (* a query slot: where one query's answer goes (job-order preserving) *)
 type slot = {
-  answers : Json.t option array;
+  answers : answer option array;
   idx : int;
   text : string;
   ast : Ast.state_formula;
 }
 
-let ok_value text v = Json.Obj [ ("query", Str text); ("value", Json.num v) ]
+let answer_json text = function
+  | Ok (Csl.Checker.Value v) -> Json.Obj [ ("query", Str text); ("value", Json.num v) ]
+  | Ok (Csl.Checker.Satisfied b) ->
+      Json.Obj [ ("query", Str text); ("satisfied", Bool b) ]
+  | Error msg -> Json.Obj [ ("query", Str text); ("error", Str msg) ]
 
-let ok_bool text b = Json.Obj [ ("query", Str text); ("satisfied", Bool b) ]
+let set_value slot v = slot.answers.(slot.idx) <- Some (Ok (Csl.Checker.Value v))
 
-let err_result text msg =
+let set_error answers idx msg =
   Obs.Metrics.incr counters.query_errors;
-  Json.Obj [ ("query", Str text); ("error", Str msg) ]
+  answers.(idx) <- Some (Error msg)
 
 let error_message = function
   | Csl.Checker.Unsupported msg -> msg
@@ -361,9 +392,7 @@ let eval_group (m : Core.Measures.t) key (slots : (slot * contribution) list) =
   let csl = Core.Measures.to_csl_model m in
   let chain = (Core.Measures.built m).Core.Semantics.chain in
   let fill_errors msg =
-    List.iter
-      (fun (slot, _) -> slot.answers.(slot.idx) <- Some (err_result slot.text msg))
-      slots
+    List.iter (fun (slot, _) -> set_error slot.answers slot.idx msg) slots
   in
   match key with
   | K_until _ -> (
@@ -383,10 +412,7 @@ let eval_group (m : Core.Measures.t) key (slots : (slot * contribution) list) =
           ~psi:psi_p ~bounds
       with
       | points ->
-          List.iter2
-            (fun (slot, _) (_, v) ->
-              slot.answers.(slot.idx) <- Some (ok_value slot.text v))
-            slots points
+          List.iter2 (fun (slot, _) (_, v) -> set_value slot v) slots points
       | exception e -> fill_errors (error_message e))
   | K_reward name -> (
       match (csl.Csl.Checker.reward name : Numeric.Vec.t option) with
@@ -427,25 +453,15 @@ let eval_group (m : Core.Measures.t) key (slots : (slot * contribution) list) =
                   ~times:cumul_ts )
           with
           | inst_points, cumul_points ->
-              List.iter2
-                (fun (slot, _) (_, v) ->
-                  slot.answers.(slot.idx) <- Some (ok_value slot.text v))
-                inst inst_points;
-              List.iter2
-                (fun (slot, _) (_, v) ->
-                  slot.answers.(slot.idx) <- Some (ok_value slot.text v))
-                cumul cumul_points
+              List.iter2 (fun (slot, _) (_, v) -> set_value slot v) inst inst_points;
+              List.iter2 (fun (slot, _) (_, v) -> set_value slot v) cumul cumul_points
           | exception e -> fill_errors (error_message e)))
 
 let eval_single m slot =
   let csl = Core.Measures.to_csl_model m in
-  let answer =
-    match Csl.Checker.check csl slot.ast with
-    | Csl.Checker.Value v -> ok_value slot.text v
-    | Csl.Checker.Satisfied b -> ok_bool slot.text b
-    | exception e -> err_result slot.text (error_message e)
-  in
-  slot.answers.(slot.idx) <- Some answer
+  match Csl.Checker.check csl slot.ast with
+  | r -> slot.answers.(slot.idx) <- Some (Ok r)
+  | exception e -> set_error slot.answers slot.idx (error_message e)
 
 let ns_to_ms ns = Int64.to_float ns /. 1e6
 
@@ -505,12 +521,25 @@ let await_job job =
 
 let hash_hex h = Printf.sprintf "%016Lx" h
 
+(* Stores a successful answer in the session's memo while the memo is
+   within its bounds. *)
+let remember s text r =
+  if
+    Hashtbl.length s.s_answers < memo_max_entries
+    && s.s_answer_bytes + String.length text <= memo_max_key_bytes
+    && not (Hashtbl.mem s.s_answers text)
+  then begin
+    Hashtbl.add s.s_answers text r;
+    s.s_answer_bytes <- s.s_answer_bytes + String.length text
+  end
+
 (* The whole group evaluation runs under the lead job's trace context, so
    the shared sweep spans (which may execute on a pool domain) join the
    lead request's trace; the other coalesced requests are listed on the
    group span. A query goes to the symmetric chain when [s_exact]
    accepts it and to the full chain otherwise, each built on first
-   use. *)
+   use. A query the session has answered before is answered from its
+   memo, and only the rest is evaluated. *)
 let process_group srv jobs =
   let j0 = List.hd jobs in
   let coalesced = List.length jobs in
@@ -529,9 +558,7 @@ let process_group srv jobs =
   match
     let session, was_cached =
       Obs.Trace.with_span "server.session" @@ fun s_span ->
-      let (_, was_cached) as r =
-        get_session srv ~src:j0.j_src ~model:j0.j_model ~levels:j0.j_levels
-      in
+      let (_, was_cached) as r = get_session srv j0 in
       if Obs.Trace.recording s_span then
         Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
       r
@@ -559,7 +586,7 @@ let process_group srv jobs =
           (fun k -> List.exists (fun (k', _) -> k' = k) slots)
           [ Symmetric; Full ]
     in
-    (was_cached, slots, List.map (fun k -> (k, chain session k)) kinds)
+    (was_cached, session, slots, List.map (fun k -> (k, chain session k)) kinds)
   with
   | exception e ->
       let msg =
@@ -578,30 +605,46 @@ let process_group srv jobs =
                  ("model_hash", Str (hash_hex job.j_hash));
                ]))
         jobs
-  | was_cached, slots, chains ->
+  | was_cached, session, slots, chains ->
+      (* a memo hit routes to a chain that answered it before, so the
+         chains above are all built already on an all-hit group *)
+      let fresh =
+        List.filter
+          (fun (_, slot) ->
+            match Hashtbl.find_opt session.s_answers slot.text with
+            | Some r ->
+                slot.answers.(slot.idx) <- Some (Ok r);
+                false
+            | None -> true)
+          slots
+      in
+      let answer_hits = List.length slots - List.length fresh in
+      Obs.Metrics.add counters.answer_hits answer_hits;
       (try
          List.iter
            (fun (kind, m) ->
              eval_slots m
                (List.filter_map
                   (fun (k, slot) -> if k = kind then Some slot else None)
-                  slots))
+                  fresh))
            chains
        with e ->
          (* defensive: eval paths catch per-group, but never drop a job *)
          let msg = error_message e in
          List.iter
-           (fun (job, answers) ->
+           (fun (_, answers) ->
              Array.iteri
-               (fun i a ->
-                 if Option.is_none a then
-                   answers.(i) <-
-                     Some
-                       (err_result
-                          (fst (List.nth job.j_queries i))
-                          msg))
+               (fun i a -> if Option.is_none a then set_error answers i msg)
                answers)
            jobs_with_answers);
+      (* errors are never stored: budgets and deadlines may make them
+         depend on time *)
+      List.iter
+        (fun (_, slot) ->
+          match slot.answers.(slot.idx) with
+          | Some (Ok r) -> remember session slot.text r
+          | Some (Error _) | None -> ())
+        fresh;
       (* the full chain's count from either chain: a symmetric build
          counts its orbits' members *)
       let states =
@@ -614,6 +657,7 @@ let process_group srv jobs =
         Obs.Trace.add_attr pg_span "session"
           (Obs.Str (if was_cached then "hit" else "miss"));
         Obs.Trace.add_attr pg_span "states" (Obs.Int states);
+        Obs.Trace.add_attr pg_span "answer_hits" (Obs.Int answer_hits);
         (* which chain answered, and its size: "chain" is "symmetric",
            "full" or "both", with "<kind>_states" per chain used *)
         Obs.Trace.add_attr pg_span "chain" (Obs.Str chains_tag);
@@ -642,12 +686,12 @@ let process_group srv jobs =
           job.j_session <- session_tag;
           job.j_chains <- chains_tag;
           let results =
-            Array.to_list
-              (Array.map
-                 (function
-                   | Some a -> a
-                   | None -> Json.Obj [ ("error", Json.Str "internal: unanswered query") ])
-                 answers)
+            List.mapi
+              (fun i (text, _) ->
+                match answers.(i) with
+                | Some a -> answer_json text a
+                | None -> Json.Obj [ ("error", Json.Str "internal: unanswered query") ])
+              job.j_queries
           in
           finish_job job 200
             (Json.Obj
@@ -847,6 +891,8 @@ let stats_json srv =
             sc "coalesced" counters.coalesced;
             sc "batch_groups" counters.batch_groups;
             sc "batched_queries" counters.batched_queries;
+            sc "answer_hits" counters.answer_hits;
+            sc "lint_skips" counters.lint_skips;
           ] );
       ( "sessions",
         Json.Obj
@@ -876,8 +922,11 @@ let stats_json srv =
 
 (* Admission: JSON decode, lint pre-flight, query parse — all before any
    state-space work; failures answer 4xx with positioned diagnostics.
-   Runs inside the request's root span, so the admission/lint/parse spans
-   and the enqueued job all carry the request's trace context. *)
+   Bytes a live session was built from passed lint before, so they skip
+   it and take that session's model; a rejected model has no session and
+   is linted every time. Runs inside the request's root span, so the
+   admission/lint/parse spans and the enqueued job all carry the
+   request's trace context. *)
 let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
     ~(meta : req_meta) =
   let reject status json =
@@ -914,14 +963,21 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
             (Json.Obj
                [ ("error", Str "\"queries\" must be an array of strings") ])
       | Some src, Some queries -> (
-          meta.m_hash <- Some (hash_hex (model_hash src));
+          let hash = model_hash src in
+          meta.m_hash <- Some (hash_hex hash);
+          let accepted = Mutex.protect srv.cm (fun () -> find_session srv hash src) in
           let diags, model =
-            Obs.Trace.with_span "server.lint" @@ fun l_span ->
-            let (diags, _) as linted = Lint.lint_source src in
-            if Obs.Trace.recording l_span then
-              Obs.Trace.add_attr l_span "diagnostics"
-                (Obs.Int (List.length diags));
-            linted
+            match accepted with
+            | Some s ->
+                Obs.Metrics.incr counters.lint_skips;
+                ([], Some (s.s_model, Some s.s_levels))
+            | None ->
+                Obs.Trace.with_span "server.lint" @@ fun l_span ->
+                let (diags, _) as linted = Lint.lint_source src in
+                if Obs.Trace.recording l_span then
+                  Obs.Trace.add_attr l_span "diagnostics"
+                    (Obs.Int (List.length diags));
+                linted
           in
           match model with
           | Some (model, levels) when not (Lint.has_errors diags) -> (
@@ -963,7 +1019,7 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                       j_src = src;
                       j_model = model;
                       j_levels = levels;
-                      j_hash = model_hash src;
+                      j_hash = hash;
                       j_queries;
                       j_shared =
                         List.exists

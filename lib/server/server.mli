@@ -19,7 +19,11 @@
     - {b Admission control}: every model is linted ({!Lint}) and every
       query parsed ({!Csl.Parser}) {e before} any state-space work;
       malformed requests get 4xx answers with positioned diagnostics
-      instead of mid-solve exceptions or dropped connections.
+      instead of mid-solve exceptions or dropped connections. Bytes a
+      live session was built from passed lint already and are not
+      linted again.
+    - {b Answer memo}: a session answers a query text it has answered
+      before from its memo (see {!memo_max_entries}), without a sweep.
     - {b Same-model query batching}: requests arriving within the batch
       window are grouped by model hash (the window closes as soon as no
       partner can share a sweep: see {!config}); within a group, time-bounded
@@ -63,6 +67,16 @@ type config = {
           (and at least two are) *)
   max_sessions : int;  (** LRU capacity of the session cache *)
 }
+
+val memo_max_entries : int
+(** The most answers one session memoizes. A session keeps every
+    successful answer, keyed by the query's raw text, and answers a later
+    request's identical query text from it; past this bound, or past
+    {!memo_max_key_bytes}, an answer is computed but not stored. Errors
+    are never stored. *)
+
+val memo_max_key_bytes : int
+(** The most query-text bytes one session's memo holds as keys. *)
 
 val default_config : unit -> config
 (** Defaults, overridable through the environment ([SERVER_HOST],

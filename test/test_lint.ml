@@ -247,6 +247,53 @@ let test_m011 () =
   check_fires "duplicate" "ARC-M011" (lint (priority "a,a,b"));
   check_silent "exact cover" "ARC-M011" (lint (priority "b,a"))
 
+(* one positioned diagnostic per bad attribute: a bad repair unit is
+   reported next to a bad component, where the constructors would stop at
+   the component *)
+let test_m013 () =
+  let m013 diags =
+    List.filter_map
+      (fun d ->
+        if d.D.code = "ARC-M013" then Some (d.D.subject, d.D.line <> None)
+        else None)
+      diags
+  in
+  Alcotest.(check (list (pair string bool)))
+    "two costs, two positioned diagnostics"
+    [ ("component a", true); ("repair unit ru", true) ]
+    (m013
+       (lint
+          (model_xml
+             ~components:
+               {|<component name="a" mttf="1000" mttr="10" failed-cost="-1"/>
+                 <component name="b" mttf="2000" mttr="20"/>|}
+             ~repair:
+               {|<repair-unit name="ru" strategy="fcfs" crews="1" busy-cost="-2">
+                   <component ref="a"/><component ref="b"/>
+                 </repair-unit>|}
+             ())));
+  check_fires "non-finite cost" "ARC-M013"
+    (lint
+       (model_xml
+          ~components:
+            {|<component name="a" mttf="1000" mttr="10" operational-cost="inf"/>
+              <component name="b" mttf="2000" mttr="20"/>|}
+          ()));
+  check_fires "empty model name" "ARC-M013" (lint (model_xml ~name:"" ()));
+  check_fires "empty spare-unit name" "ARC-M013"
+    (lint
+       (model_xml
+          ~spares:
+            {|<spare-unit name="" mode="hot"><primary ref="a"/><spare ref="b"/></spare-unit>|}
+          ()));
+  check_silent "zero costs" "ARC-M013"
+    (lint
+       (model_xml
+          ~components:
+            {|<component name="a" mttf="1000" mttr="10" failed-cost="0" operational-cost="0"/>
+              <component name="b" mttf="2000" mttr="20"/>|}
+          ()))
+
 let test_m012 () =
   let with_spares spares = model_xml ~spares () in
   check_fires "primary is spare" "ARC-M012"
@@ -593,8 +640,9 @@ let test_schema_error_position () =
         (String.length msg >= 9 && String.sub msg 0 9 = "t.xml:3:1")
 
 (* of_xml raises Schema_error and nothing else, positioned: at the
-   offending element for a schema error, at the root for a model the
-   constructors reject (a negative mean time, a duplicate component). *)
+   offending element for a schema error or a record the constructors
+   reject (a negative mean time), at the root for a model they reject as
+   a whole (a duplicate component). *)
 let test_of_xml_schema_error_only () =
   let check_prefix what prefix f =
     match f () with
@@ -613,7 +661,7 @@ let test_of_xml_schema_error_only () =
       ("bad_cost.xml", "8:5: attribute failed-cost");
       ("bad_units.xml", "10:5: unknown repair strategy");
       ("no_name.xml", "4:1: missing attribute");
-      ("broken_model.xml", "9:1: Component.make");
+      ("broken_model.xml", "14:5: Component.make");
     ];
   let doc, pos =
     Xml_kit.parse_string_located
@@ -922,6 +970,7 @@ let () =
           Alcotest.test_case "ARC-M010" `Quick test_m010;
           Alcotest.test_case "ARC-M011" `Quick test_m011;
           Alcotest.test_case "ARC-M012" `Quick test_m012;
+          Alcotest.test_case "ARC-M013" `Quick test_m013;
         ] );
       ( "fault-tree-rules",
         [

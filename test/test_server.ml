@@ -529,6 +529,167 @@ let test_shutdown_endpoint () =
   Server.stop srv
 
 (* ------------------------------------------------------------------ *)
+(* A session hit repeats no work: answers are memoized per session by
+   query text, and bytes a live session accepted are not linted again *)
+
+let results_of body =
+  match Json.list_field "results" (Json.parse body) with
+  | Some l -> l
+  | None -> Alcotest.fail ("no results in " ^ body)
+
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+(* [query]'s value on [tiny_model]'s full chain, from the checker *)
+let checker_value =
+  let csl =
+    lazy
+      (let xml, pos = Xml_kit.parse_string_located tiny_model in
+       Core.Measures.to_csl_model
+         (Core.Measures.analyze (fst (Core.Xml_io.of_xml ~pos xml))))
+  in
+  fun query ->
+    match Csl.Checker.check_string (Lazy.force csl) query with
+    | Csl.Checker.Value v -> v
+    | Csl.Checker.Satisfied _ -> Alcotest.fail "expected a value"
+
+let check_values queries body =
+  List.iter2
+    (fun query result ->
+      let expected = checker_value query in
+      Alcotest.(check (float (1e-12 *. Float.max 1. (Float.abs expected))))
+        query expected (num_field "value" result))
+    queries (results_of body)
+
+let test_memo_repeat () =
+  with_server (fun port ->
+      let status, first = post_analyze port in
+      Alcotest.(check int) "first status" 200 status;
+      let before = fetch_stats port in
+      let status, second = post_analyze port in
+      Alcotest.(check int) "second status" 200 status;
+      let after = fetch_stats port in
+      Alcotest.(check string) "byte-identical results"
+        (Json.to_string (Json.List (results_of first)))
+        (Json.to_string (Json.List (results_of second)));
+      let delta path = stat path after -. stat path before in
+      Alcotest.(check (float 0.)) "no sweep on the repeat" 0.
+        (delta [ "analysis"; "mixture_passes" ]);
+      Alcotest.(check (float 0.)) "every query a memo hit"
+        (float_of_int (List.length measure_queries))
+        (delta [ "server"; "answer_hits" ]))
+
+(* a memoized answer is the one its query gets in any other group: the
+   curve points of a shared sweep do not depend on their partners *)
+let test_memo_group_independent () =
+  let alone = [ "R{\"cost\"}=? [ C<=10 ]"; "P=? [ true U<=10 !\"full_service\" ]" ] in
+  let answer queries =
+    with_server (fun port -> snd (post_analyze ~queries port))
+  in
+  let solo = List.map (fun q -> results_of (answer [ q ])) alone in
+  with_server (fun port ->
+      ignore (post_analyze port);
+      ignore (post_analyze ~queries:[ "R{\"cost\"}=? [ C<=100 ]" ] port);
+      List.iter2
+        (fun q solo ->
+          let _, body = post_analyze ~queries:[ q ] port in
+          Alcotest.(check string) q
+            (Json.to_string (Json.List solo))
+            (Json.to_string (Json.List (results_of body))))
+        alone solo)
+
+(* [Ast.to_string] prints bounds with %g: a key on the printed AST would
+   answer the second query with the first one's value *)
+let test_memo_close_bounds () =
+  with_server (fun port ->
+      let values =
+        List.map
+          (fun q ->
+            let _, body = post_analyze ~queries:[ q ] port in
+            check_values [ q ] body;
+            num_field "value" (List.hd (results_of body)))
+          [ "R{\"cost\"}=? [ C<=1000 ]"; "R{\"cost\"}=? [ C<=1000.0001 ]" ]
+      in
+      Alcotest.(check bool) "the two bounds answer differently" true
+        (List.nth values 0 <> List.nth values 1))
+
+let test_memo_errors_not_stored () =
+  with_server (fun port ->
+      let q = "R{\"nope\"}=? [ C<=10 ]" in
+      let bodies =
+        List.init 3 (fun _ ->
+            let status, body = post_analyze ~queries:[ q ] port in
+            Alcotest.(check int) "status" 200 status;
+            (match results_of body with
+            | [ r ] ->
+                Alcotest.(check bool) "an error" true (Json.member "error" r <> None)
+            | _ -> Alcotest.fail "expected one result");
+            Json.to_string (Json.List (results_of body)))
+      in
+      Alcotest.(check (list string)) "same error each time"
+        (List.init 3 (fun _ -> List.hd bodies)) bodies;
+      let stats = fetch_stats port in
+      Alcotest.(check (float 0.)) "never a memo hit" 0.
+        (stat [ "server"; "answer_hits" ] stats);
+      Alcotest.(check (float 0.)) "evaluated each time" 3.
+        (stat [ "server"; "query_errors" ] stats))
+
+(* more distinct queries than a bound allows: every answer is right, and
+   a repeat finds exactly the bound's worth in the memo *)
+let test_memo_bounds () =
+  let check_bound label queries ~stored =
+    with_server (fun port ->
+        let status, first = post_analyze ~queries port in
+        Alcotest.(check int) (label ^ " status") 200 status;
+        check_values queries first;
+        let _, second = post_analyze ~queries port in
+        check_values queries second;
+        Alcotest.(check (float 0.)) (label ^ ": memo holds its bound")
+          (float_of_int stored)
+          (stat [ "server"; "answer_hits" ] (fetch_stats port)))
+  in
+  let n = Server.memo_max_entries + 10 in
+  check_bound "entries"
+    (List.init n (fun k -> Printf.sprintf "R{\"cost\"}=? [ C<=%d ]" (k + 1)))
+    ~stored:Server.memo_max_entries;
+  (* long texts: the key-byte bound binds first *)
+  let pad = String.make 1000 ' ' in
+  let long = List.init 80 (fun k -> Printf.sprintf "R{\"cost\"}=? [ C<=%d%s ]" (k + 1) pad) in
+  let len = String.length (List.hd long) in
+  Alcotest.(check bool) "the byte bound binds first" true
+    (80 * len > Server.memo_max_key_bytes
+    && Server.memo_max_key_bytes / len < Server.memo_max_entries);
+  check_bound "key bytes" long ~stored:(Server.memo_max_key_bytes / len)
+
+let test_lint_skip () =
+  with_server (fun port ->
+      let files () = counter "lint.files" in
+      let f0 = files () in
+      ignore (post_analyze port);
+      Alcotest.(check int) "a miss is linted" (f0 + 1) (files ());
+      let _, body = post_analyze port in
+      Alcotest.(check (option string)) "a hit" (Some "hit")
+        (Json.string_field "session" (Json.parse body));
+      Alcotest.(check int) "a hit is not linted" (f0 + 1) (files ());
+      Alcotest.(check (float 0.)) "one lint skip" 1.
+        (stat [ "server"; "lint_skips" ] (fetch_stats port));
+      ignore (post_analyze ~model:(tiny_model ^ " ") port);
+      Alcotest.(check int) "one byte more is linted" (f0 + 2) (files ());
+      let bad =
+        replace_once ~pat:{|<basic ref="b"/>|} ~by:{|<basic ref="ghost"/>|}
+          tiny_model
+      in
+      let rejections =
+        List.init 3 (fun _ ->
+            let status, body = post_analyze ~model:bad port in
+            Alcotest.(check int) "rejected" 422 status;
+            body)
+      in
+      Alcotest.(check (list string)) "same diagnostics every time"
+        (List.init 3 (fun _ -> List.hd rejections)) rejections;
+      Alcotest.(check int) "a rejected model is linted every time" (f0 + 5)
+        (files ()))
+
+(* ------------------------------------------------------------------ *)
 (* Observability over the wire: traceparent echo, Prometheus
    exposition, access log, flight dump on rejection *)
 
@@ -1065,6 +1226,19 @@ let () =
           Alcotest.test_case "malformed query" `Quick test_malformed_query;
           Alcotest.test_case "missing fields" `Quick test_missing_fields;
           Alcotest.test_case "lump field ignored" `Quick test_lump_field_ignored;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "repeat answers from the memo" `Quick
+            test_memo_repeat;
+          Alcotest.test_case "answers do not depend on their group" `Quick
+            test_memo_group_independent;
+          Alcotest.test_case "keys tell close bounds apart" `Quick
+            test_memo_close_bounds;
+          Alcotest.test_case "errors are not stored" `Quick
+            test_memo_errors_not_stored;
+          Alcotest.test_case "memo bounded" `Quick test_memo_bounds;
+          Alcotest.test_case "accepted bytes skip lint" `Quick test_lint_skip;
         ] );
       ( "batching",
         [
