@@ -3,6 +3,7 @@
    the XML <measures> element or given on the command line. *)
 
 open Cmdliner
+module Session = Core.Measures.Session
 
 let write_file path contents =
   let oc = open_out path in
@@ -31,22 +32,27 @@ let analyze input queries disaster stats dot_prefix trace metrics lint werror =
       prerr_endline msg;
       exit 1
   in
-  let m =
+  let fail msg =
+    Printf.eprintf "%s: %s\n" input msg;
+    exit 1
+  in
+  let session =
     try
       let initial =
         match disaster with
         | [] -> None
         | failed -> Some (Core.Semantics.disaster_state model ~failed)
       in
-      Core.Measures.analyze ?initial model
-    with Core.Semantics.Build_error msg ->
-      Printf.eprintf "%s: %s\n" input msg;
-      exit 1
+      Session.create ?initial model
+    with Core.Semantics.Build_error msg | Invalid_argument msg -> fail msg
   in
-  let built = Core.Measures.built m in
   (match dot_prefix with
   | None -> ()
   | Some prefix ->
+      let built =
+        try Core.Measures.built (Session.chain session Session.Full)
+        with Core.Semantics.Build_error msg -> fail msg
+      in
       write_file (prefix ^ "_model.dot") (Core.Export.model_to_dot model);
       write_file (prefix ^ "_fault_tree.dot")
         (Core.Export.fault_tree_to_dot model.Core.Model.fault_tree);
@@ -58,21 +64,30 @@ let analyze input queries disaster stats dot_prefix trace metrics lint werror =
          Format.printf
            "wrote %s_model.dot, %s_fault_tree.dot (chain too large for DOT)@." prefix
            prefix));
-  if stats then
-    Format.printf "%a@." Ctmc.Chain.pp_stats built.Core.Semantics.chain;
-  let csl = Core.Measures.to_csl_model m in
   let failures = ref 0 in
+  (* each query on the chain the session routes it to; a chain that
+     cannot be built fails the queries routed to it alone *)
   let run name query =
-    match Csl.Checker.check_string csl query with
-    | Csl.Checker.Value v -> Format.printf "%-30s %s = %.9f@." name query v
-    | Csl.Checker.Satisfied b -> Format.printf "%-30s %s = %b@." name query b
-    | exception (Csl.Checker.Unsupported msg | Failure msg) ->
-        incr failures;
-        Format.printf "%-30s %s : error (%s)@." name query msg
+    let error msg =
+      incr failures;
+      Format.printf "%-30s %s : error (%s)@." name query msg
+    in
+    match Csl.Parser.parse query with
     | exception Csl.Parser.Syntax_error { line; column; message; _ } ->
         incr failures;
         Format.printf "%-30s %s : syntax error at %d:%d (%s)@." name query line
           column message
+    | ast -> (
+        match
+          let kind = Session.route session ast in
+          Core.Measures.to_csl_model (Session.chain session kind)
+        with
+        | exception Core.Semantics.Build_error msg -> error msg
+        | csl -> (
+            match Csl.Checker.check_string csl query with
+            | Csl.Checker.Value v -> Format.printf "%-30s %s = %.9f@." name query v
+            | Csl.Checker.Satisfied b -> Format.printf "%-30s %s = %b@." name query b
+            | exception (Csl.Checker.Unsupported msg | Failure msg) -> error msg))
   in
   List.iter (fun { Core.Xml_io.measure_name; query } -> run measure_name query) measures;
   List.iteri (fun i q -> run (Printf.sprintf "query[%d]" i) q) queries;
@@ -83,6 +98,13 @@ let analyze input queries disaster stats dot_prefix trace metrics lint werror =
     run "unreliability(1000h)" "P=? [ true U<=1000 !\"full_service\" ]";
     run "steady-state cost" "R{\"cost\"}=? [ S ]"
   end;
+  if stats then
+    List.iter
+      (fun (kind, m) ->
+        Format.printf "%s %a@."
+          (Session.kind_name kind)
+          Ctmc.Chain.pp_stats (Core.Measures.built m).Core.Semantics.chain)
+      (Session.built session);
   if metrics then
     Format.printf "%a@." Obs.Metrics.pp (Obs.Metrics.snapshot ());
   if !failures > 0 then begin
@@ -102,7 +124,11 @@ let disaster_arg =
   Arg.(value & opt_all string [] & info [ "d"; "disaster" ] ~docv:"COMPONENT" ~doc)
 
 let stats_arg =
-  let doc = "Print state-space statistics before the results." in
+  let doc =
+    "After the results, print the statistics of each chain built, named \
+     $(b,symmetric) (the quotient under interchangeable components, which \
+     answers the group-invariant steady-state queries) or $(b,full)."
+  in
   Arg.(value & flag & info [ "s"; "stats" ] ~doc)
 
 let dot_arg =

@@ -11,16 +11,22 @@ type t = {
    tracing is off this is a single flag check. *)
 let span name f = Obs.Trace.with_span ("measures." ^ name) (fun _ -> f ())
 
+let tree_labels = [ "down"; "operational"; "full_service" ]
+
+let level_label i = Printf.sprintf "sl_ge_%d" i
+
+let reward_names = [ "cost"; "component_cost"; "repair_cost" ]
+
 let level_label_name levels x =
   let rec position i = function
     | [] -> invalid_arg "Measures: unknown service level"
     | l :: rest -> if Float.abs (l -. x) < 1e-9 then i else position (i + 1) rest
   in
-  Printf.sprintf "sl_ge_%d" (position 0 levels)
+  level_label (position 0 levels)
 
-(* [(label, literal)] for each fault-tree literal of component [name]:
-   ["<name>_failed"] (any mode) and ["<name>:<mode>"] per extra mode *)
-let literal_labels model name =
+(* ["<name>_failed"] (any mode) and ["<name>:<mode>"] per extra mode *)
+let component_labels c =
+  let name = c.Component.name in
   (name ^ "_failed", name)
   :: List.filter_map
        (fun m ->
@@ -28,7 +34,7 @@ let literal_labels model name =
          else
            let literal = name ^ ":" ^ m.Component.fm_name in
            Some (literal, literal))
-       (Component.modes (Model.component model name))
+       (Component.modes c)
 
 let make_csl_model ~analysis ~levels ~component_cost ~repair_cost ~cost built =
   let model = built.Semantics.model in
@@ -41,40 +47,35 @@ let make_csl_model ~analysis ~levels ~component_cost ~repair_cost ~cost built =
   in
   let component_labels =
     List.concat_map
-      (fun name ->
+      (fun c ->
         List.map
           (fun (label, literal) -> (label, literal_label literal))
-          (literal_labels model name))
-      (Model.component_names model)
+          (component_labels c))
+      model.Model.components
+  in
+  let tree_preds =
+    [
+      Semantics.down_pred built;
+      Semantics.operational_pred built;
+      Semantics.service_at_least built 1.;
+    ]
   in
   let labels =
-    [
-      ("down", Semantics.down_pred built);
-      ("operational", Semantics.operational_pred built);
-      ("full_service", Semantics.service_at_least built 1.);
-    ]
+    List.combine tree_labels tree_preds
     @ List.mapi
-        (fun i level ->
-          (Printf.sprintf "sl_ge_%d" i, Semantics.service_at_least built level))
+        (fun i level -> (level_label i, Semantics.service_at_least built level))
         levels
     @ component_labels
   in
   let rewards =
-    [
-      (Some "cost", cost);
-      (Some "component_cost", component_cost);
-      (Some "repair_cost", repair_cost);
-    ]
+    List.combine
+      (List.map Option.some reward_names)
+      [ cost; component_cost; repair_cost ]
   in
   Csl.Checker.of_chain ~analysis ~labels ~rewards built.Semantics.chain
 
-let wrap ?levels built =
+let wrap ~levels built =
   span "wrap" @@ fun () ->
-  let levels =
-    match levels with
-    | Some l -> l
-    | None -> Model.service_levels built.Semantics.model
-  in
   (* one session per state space: every measure below, and every CSL query
      through {!to_csl_model}, shares its cached transposed rates,
      Fox-Glynn weights and steady-state vector *)
@@ -95,7 +96,7 @@ let m_builds_full = Obs.Metrics.counter "measures.builds.full"
 
 let m_states = Obs.Metrics.counter "measures.states"
 
-let analyze ?max_states ?initial ?(symmetric = false) ?transitions ?levels model =
+let build ?max_states ?initial ~symmetric ?transitions ~levels model =
   let built =
     Obs.Trace.with_span "measures.build" @@ fun sp ->
     let built = Semantics.build ?max_states ~symmetric ?initial ?transitions model in
@@ -108,7 +109,10 @@ let analyze ?max_states ?initial ?(symmetric = false) ?transitions ?levels model
     end;
     built
   in
-  wrap ?levels built
+  wrap ~levels built
+
+let analyze ?max_states ?initial ?(symmetric = false) model =
+  build ?max_states ?initial ~symmetric ~levels:(Model.service_levels model) model
 
 (* The 5-strategy comparison as one call: each model builds and wraps
    independently (they have distinct state spaces, so their sweeps cannot
@@ -172,7 +176,9 @@ let exact_on_quotient model =
   | [] -> fun _ -> true
   | grouped ->
       let variant =
-        List.concat_map (fun name -> List.map fst (literal_labels model name)) grouped
+        List.concat_map
+          (fun name -> List.map fst (component_labels (Model.component model name)))
+          grouped
       in
       let rec pure = function
         | Csl.Ast.True | Csl.Ast.False -> true
@@ -186,6 +192,60 @@ let exact_on_quotient model =
       | Csl.Ast.S (_, f) -> pure f
       | Csl.Ast.R (_, _, Csl.Ast.Steady) -> true
       | _ -> false)
+
+module Session = struct
+  type measures = t
+
+  type kind = Symmetric | Full
+
+  (* Unlocked: forcing a chain mutates it, so one owner at a time. *)
+  type t = {
+    model : Model.t;
+    levels : float list;
+    exact : Csl.Ast.state_formula -> bool;
+    symmetric : measures Lazy.t;
+    full : measures Lazy.t;
+  }
+
+  let create ?initial ?levels model =
+    let levels =
+      match levels with Some l -> l | None -> Model.service_levels model
+    in
+    let symmetric = lazy (build ?initial ~symmetric:true ~levels model) in
+    (* a full build after the symmetric one takes its transition count,
+       so its rate matrix is written once *)
+    let full =
+      lazy
+        (let transitions =
+           if Lazy.is_val symmetric then
+             Some (snd (Lazy.force symmetric).built.Semantics.full_size)
+           else None
+         in
+         build ?initial ~symmetric:false ?transitions ~levels model)
+    in
+    { model; levels; exact = exact_on_quotient model; symmetric; full }
+
+  let model s = s.model
+
+  let levels s = s.levels
+
+  let kind_name = function Symmetric -> "symmetric" | Full -> "full"
+
+  let route s q = if s.exact q then Symmetric else Full
+
+  let chain s = function
+    | Symmetric -> Lazy.force s.symmetric
+    | Full -> Lazy.force s.full
+
+  let built s =
+    List.filter_map
+      (fun (kind, m) -> if Lazy.is_val m then Some (kind, Lazy.force m) else None)
+      [ (Symmetric, s.symmetric); (Full, s.full) ]
+
+  let full_size s =
+    let m = if Lazy.is_val s.full then s.full else s.symmetric in
+    fst (Lazy.force m).built.Semantics.full_size
+end
 
 let built t = t.built
 

@@ -19,22 +19,14 @@ type t = {
 }
 
 val analyze :
-  ?max_states:int ->
-  ?initial:Semantics.state ->
-  ?symmetric:bool ->
-  ?transitions:int ->
-  ?levels:float list ->
-  Model.t ->
-  t
+  ?max_states:int -> ?initial:Semantics.state -> ?symmetric:bool -> Model.t -> t
 (** Build the state space — and one cached {!Ctmc.Analysis} session over
     it — once; all measures below reuse both. [symmetric] (default
     [false]) builds the quotient under interchangeable components
     ({!Semantics.build}): the group-invariant measures (availability,
     service levels, costs, the fault tree) are exact on it, while the
     scenario measures and the labels of grouped components raise
-    [Invalid_argument]. [transitions] is {!Semantics.build}'s size hint;
-    [levels], when given, must be {!Model.service_levels} of the model,
-    which is then not enumerated again.
+    [Invalid_argument]. {!Session} picks the chain per query instead.
     The build runs under a [measures.build] span with
     [states] and [symmetric] attributes, the wrapping (cost vectors, CSL
     model) under [measures.wrap]. *)
@@ -76,24 +68,6 @@ val analyze_mixed_disasters :
     state not reachable from the all-up state raises {!rooted}'s
     [Invalid_argument]. *)
 
-val exact_on_quotient : Model.t -> Csl.Ast.state_formula -> bool
-(** [exact_on_quotient model q]: does [q], asked of {!to_csl_model} on
-    [analyze ~symmetric:true model], get the answer the full build gives?
-    Decided from the formula alone, nothing is built. Without symmetry
-    groups ({!Semantics.interchangeable}) every query does, since the
-    symmetric build is then the full one; every shipped model but
-    pipeline_modes (its pumps sit in a cold spare unit) has groups (the
-    lines' tanks, filters and pumps, substation's transformers and
-    feeders). Otherwise a query does when it
-    is a steady-state operator ([S=?], [S~p], [R{..}=? [ S ]], [R{..}~p
-    [ S ]]) whose operand is a boolean combination of labels other than
-    the ["<c>_failed"] and ["<c>:<mode>"] literals of grouped components:
-    the tree and service-level labels are group-invariant, reward
-    structures are invariant by construction, and an unknown label fails
-    alike on both builds. Transient operators, atomic expressions and
-    the literals of grouped components answer [false]. Partial
-    application finds the groups once. *)
-
 val built : t -> Semantics.built
 
 val analysis : t -> Ctmc.Analysis.t
@@ -101,11 +75,30 @@ val analysis : t -> Ctmc.Analysis.t
     share this model's caches. *)
 
 val to_csl_model : t -> Csl.Checker.model
-(** A CSL model with labels ["down"], ["operational"], ["full_service"],
-    ["sl_ge_<k>"] for each service level (k the level index),
-    ["<component>_failed"] per component (any mode) and
-    ["<component>:<mode>"] per extra failure mode, plus the reward
-    structures ["cost"], ["component_cost"], ["repair_cost"]. *)
+(** A CSL model with the labels {!tree_labels}, {!level_label}[ k] for
+    each service level (k the level index) and {!component_labels} of
+    every component, plus the reward structures {!reward_names}. *)
+
+(** {2 The CSL vocabulary}
+
+    The names {!to_csl_model} defines, for tools that check a query
+    against a model without building it (lint). *)
+
+val tree_labels : string list
+(** ["down"] (the fault tree holds), ["operational"] (it does not) and
+    ["full_service"] (service level 1). *)
+
+val level_label : int -> string
+(** ["sl_ge_<k>"]: service of at least the [k]-th of
+    {!Model.service_levels}. *)
+
+val component_labels : Component.t -> (string * string) list
+(** [(label, fault-tree literal)] per literal of the component:
+    ["<c>_failed"] for [c] (any mode) and ["<c>:<mode>"] for itself per
+    failure mode other than the primary ["failed"]. *)
+
+val reward_names : string list
+(** ["cost"], ["component_cost"] and ["repair_cost"]. *)
 
 val csl_queries : t -> (string * string) list
 (** Named example queries (measure name, CSL text) covering the paper's
@@ -200,3 +193,70 @@ val combined_availability : float list -> float
 (** Availability of a parallel composition of independent lines: at least
     one line available, [1 - prod (1 - a_i)] — the paper's
     [A1 + A2 - A1 A2] generalized. *)
+
+(** {2 Sessions: which chain answers a query} *)
+
+module Session : sig
+  type measures := t
+
+  type kind =
+    | Symmetric
+        (** the quotient under interchangeable components
+            ([analyze ~symmetric:true]); without groups it is the full
+            chain, bit for bit *)
+    | Full
+
+  type t
+  (** One model's chains, each built the first time it is asked for,
+      and the rule that routes a query to one of them. A session is
+      {e not} synchronized: building a chain mutates it, so one owner
+      (one domain or thread) at a time. *)
+
+  val create : ?initial:Semantics.state -> ?levels:float list -> Model.t -> t
+  (** Builds nothing. Enumerates the service levels unless [levels]
+      gives them (they must be {!Model.service_levels} of the model) and
+      finds the symmetry groups ({!Semantics.interchangeable}), each
+      once. Both chains start from [initial] (default
+      {!Semantics.all_up_state}). Raises [Invalid_argument] when the
+      levels cannot be enumerated. *)
+
+  val model : t -> Model.t
+
+  val levels : t -> float list
+
+  val route : t -> Csl.Ast.state_formula -> kind
+  (** [Symmetric] when the query, asked of {!to_csl_model} on the
+      symmetric chain, gets the answer the full chain gives; [Full]
+      otherwise. Decided from the formula alone, nothing is built. On a
+      model without symmetry groups every query routes to [Symmetric],
+      which is then the full chain. Otherwise a query does when it is a
+      steady-state operator ([S=?], [S~p], [R{..}=? [ S ]], [R{..}~p
+      [ S ]]) whose operand is a boolean combination of labels other
+      than the {!component_labels} of grouped components: the tree and
+      service-level labels are group-invariant, reward structures are
+      invariant by construction, and an unknown label fails alike on
+      both chains. Transient operators, atomic expressions and the
+      literals of grouped components route to [Full]. The groups were
+      found by {!create}; a call does no more than walk the formula. *)
+
+  val chain : t -> kind -> measures
+  (** The chain of that kind, built on first use. A full build after
+      the symmetric one takes its transition count as
+      {!Semantics.build}'s [transitions] hint. Raises
+      {!Semantics.Build_error} as {!analyze} does; a build that raised
+      raises the same exception on every later call, without building
+      again. *)
+
+  val built : t -> (kind * measures) list
+  (** The chains built so far, the symmetric one first. *)
+
+  val full_size : t -> int
+  (** The full chain's state count, read off the full chain when it is
+      built and otherwise off the symmetric one, which counts its
+      orbits' members (building it when neither is). The symmetric count
+      is exact when [initial] is fixed by every group permutation, as
+      the all-up state is. *)
+
+  val kind_name : kind -> string
+  (** ["symmetric"] or ["full"]. *)
+end

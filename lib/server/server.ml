@@ -136,25 +136,17 @@ let fresh_meta () =
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                           *)
 
-(* The two chains a session can answer from. The symmetric build is the
-   quotient under interchangeable components: smaller and cheaper, exact
-   for the queries {!Core.Measures.exact_on_quotient} accepts. *)
-type chain_kind = Symmetric | Full
+module Session = Core.Measures.Session
 
-let chain_name = function Symmetric -> "symmetric" | Full -> "full"
-
-(* A session is the parsed model; each chain is built the first time a
-   query routed to it arrives. Only the scheduler touches a session's
-   chains and answer memo, one group at a time (groups in a window hold
+(* A daemon session is a library session over the parsed model, which
+   builds each chain the first time a query routed to it arrives, and
+   the answers it gave. Only the scheduler touches a session's chains
+   and answer memo, one group at a time (groups in a window hold
    distinct models, windows run one after another), so those fields need
    no lock. *)
 type session = {
   s_src : string;
-  s_model : Core.Model.t;
-  s_levels : float list;  (** enumerated once, shared by both chains *)
-  s_exact : Ast.state_formula -> bool;
-  mutable s_symmetric : Core.Measures.t option;
-  mutable s_full : Core.Measures.t option;
+  s_chains : Session.t;
   s_answers : (string, Csl.Checker.result) Hashtbl.t;
       (** successful answers by raw query text. Not by the printed AST:
           [Ast.to_string] prints time bounds with [%g], so [C<=1000] and
@@ -223,31 +215,11 @@ let model_hash src = Ctmc.Analysis.fnv1a64 src
 let build_session ~src ~model ~levels =
   {
     s_src = src;
-    s_model = model;
-    s_levels =
-      (match levels with Some l -> l | None -> Core.Model.service_levels model);
-    s_exact = Core.Measures.exact_on_quotient model;
-    s_symmetric = None;
-    s_full = None;
+    s_chains = Session.create ?levels model;
     s_answers = Hashtbl.create 8;
     s_answer_bytes = 0;
     last_used = 0;
   }
-
-(* The session's chain of [kind], built on first use. *)
-let chain s kind =
-  match (kind, s.s_symmetric, s.s_full) with
-  | Symmetric, Some m, _ | Full, _, Some m -> m
-  | Symmetric, None, _ ->
-      let m =
-        Core.Measures.analyze ~symmetric:true ~levels:s.s_levels s.s_model
-      in
-      s.s_symmetric <- Some m;
-      m
-  | Full, _, None ->
-      let m = Core.Measures.analyze ~levels:s.s_levels s.s_model in
-      s.s_full <- Some m;
-      m
 
 let touch srv s =
   srv.clock <- srv.clock + 1;
@@ -536,9 +508,8 @@ let remember s text r =
 (* The whole group evaluation runs under the lead job's trace context, so
    the shared sweep spans (which may execute on a pool domain) join the
    lead request's trace; the other coalesced requests are listed on the
-   group span. A query goes to the symmetric chain when [s_exact]
-   accepts it and to the full chain otherwise, each built on first
-   use. A query the session has answered before is answered from its
+   group span. Each query goes to the chain {!Session.route} picks, built
+   on first use. A query the session has answered before is answered from its
    memo, and only the rest is evaluated. *)
 let process_group srv jobs =
   let j0 = List.hd jobs in
@@ -573,20 +544,21 @@ let process_group srv jobs =
         (fun (job, answers) ->
           List.mapi
             (fun idx (text, ast) ->
-              ( (if session.s_exact ast then Symmetric else Full),
+              ( Session.route session.s_chains ast,
                 { answers; idx; text; ast } ))
             job.j_queries)
         jobs_with_answers
     in
     (* a request without queries warms the session's cheaper chain *)
     let kinds =
-      if slots = [] then [ Symmetric ]
-      else
-        List.filter
-          (fun k -> List.exists (fun (k', _) -> k' = k) slots)
-          [ Symmetric; Full ]
+      match List.sort_uniq compare (List.map fst slots) with
+      | [] -> [ Session.Symmetric ]
+      | kinds -> kinds
     in
-    (was_cached, session, slots, List.map (fun k -> (k, chain session k)) kinds)
+    ( was_cached,
+      session,
+      slots,
+      List.map (fun k -> (k, Session.chain session.s_chains k)) kinds )
   with
   | exception e ->
       let msg =
@@ -645,13 +617,9 @@ let process_group srv jobs =
           | Some (Ok r) -> remember session slot.text r
           | Some (Error _) | None -> ())
         fresh;
-      (* the full chain's count from either chain: a symmetric build
-         counts its orbits' members *)
-      let states =
-        fst (Core.Measures.built (snd (List.hd chains))).Core.Semantics.full_size
-      in
+      let states = Session.full_size session.s_chains in
       let chains_tag =
-        match chains with [ (kind, _) ] -> chain_name kind | _ -> "both"
+        match chains with [ (kind, _) ] -> Session.kind_name kind | _ -> "both"
       in
       if Obs.Trace.recording pg_span then begin
         Obs.Trace.add_attr pg_span "session"
@@ -664,7 +632,7 @@ let process_group srv jobs =
         List.iter
           (fun (kind, m) ->
             Obs.Trace.add_attr pg_span
-              (chain_name kind ^ "_states")
+              (Session.kind_name kind ^ "_states")
               (Obs.Int
                  (Ctmc.Chain.states (Core.Measures.built m).Core.Semantics.chain)))
           chains;
@@ -970,7 +938,10 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
             match accepted with
             | Some s ->
                 Obs.Metrics.incr counters.lint_skips;
-                ([], Some (s.s_model, Some s.s_levels))
+                ( [],
+                  Some
+                    (Session.model s.s_chains, Some (Session.levels s.s_chains))
+                )
             | None ->
                 Obs.Trace.with_span "server.lint" @@ fun l_span ->
                 let (diags, _) as linted = Lint.lint_source src in

@@ -11,11 +11,12 @@
       Fox–Glynn weights, quotients and steady-state vector instead of
       rebuilding the state space per request. A
       capacity-bounded LRU keeps the portfolio's working set resident.
-    - {b Chains on demand}: a session holds the parsed model; the
-      queries {!Core.Measures.exact_on_quotient} accepts (steady-state
-      operators over group-invariant labels) are answered on the
-      symmetry-reduced build, built when the first of them arrives, and
-      every other query on the full build, built likewise.
+    - {b Chains on demand}: a session holds a
+      {!Core.Measures.Session} over the parsed model, which routes each
+      query: the steady-state operators over group-invariant labels are
+      answered on the symmetry-reduced build, built when the first of
+      them arrives, and every other query on the full build, built
+      likewise.
     - {b Admission control}: every model is linted ({!Lint}) and every
       query parsed ({!Csl.Parser}) {e before} any state-space work;
       malformed requests get 4xx answers with positioned diagnostics

@@ -20,15 +20,20 @@ type table = {
 type artifact = Table of table | Figure of figure
 
 (* ------------------------------------------------------------------ *)
-(* Chain cache: (line, config, disaster) -> Measures.t, shared by every
-   domain, plus the reliability models' chains under their own keys.
+(* Chain cache: one {!Measures.Session} per (line, config), shared by
+   every domain; the disaster views and the reliability models' chains
+   under their own keys.
 
-   One mutex guards both tables. Lookups and inserts run under it, builds
+   One mutex guards the tables. Lookups and inserts run under it, builds
    outside it, so a Line 1 FRF build never blocks a worker that only
-   reads a cached chain. No two workers build one key at once: the items
-   of one [parallel_map] touch disjoint chains (configs or lines), and
-   the maps themselves run one after another. Should a key still be
+   reads a cached chain. Every fan-out below is a {!Numeric.Parallel.map}
+   (PAR_DOMAINS governs its width) over configs or lines: each item is an
+   independent chain, so the items of one map touch disjoint sessions and
+   keys, and the maps themselves run one after another. No two workers
+   thus use one session or build one key at once; should a key still be
    built twice, the first insert wins and both callers get it. *)
+
+let sessions : (string, Measures.Session.t) Hashtbl.t = Hashtbl.create 32
 
 let chains : (string, Measures.t) Hashtbl.t = Hashtbl.create 32
 
@@ -57,6 +62,7 @@ let memo tbl key build =
 
 let clear_cache () =
   Mutex.protect cache_mutex (fun () ->
+      Hashtbl.reset sessions;
       Hashtbl.reset chains;
       Hashtbl.reset cost_pairs)
 
@@ -65,34 +71,25 @@ let cache_key line config disaster =
     (Facility.config_name config)
     (match disaster with None -> "-" | Some failed -> String.concat "," failed)
 
-let symmetric_key line config = cache_key line config None ^ "/symmetric"
+let session line config =
+  memo sessions (cache_key line config None) @@ fun () ->
+  Measures.Session.create (Facility.line_model line config)
 
 (* One state space per (line, config): a disaster entry is a view of the
-   all-up entry (Facility.after_disaster), sharing its chain, rate
-   operator and derived caches, so the figures rebuild nothing Table 1
-   has built. A full build whose symmetric build Table 1 has cached takes
-   its transition count from it, so its rate matrix is written once. *)
-let rec measures ?disaster line config =
-  memo chains (cache_key line config disaster) @@ fun () ->
+   all-up chain (Facility.after_disaster), sharing its chain, rate
+   operator and derived caches, so the figures rebuild nothing. *)
+let measures ?disaster line config =
+  let full () = Measures.Session.chain (session line config) Full in
   match disaster with
-  | None ->
-      let reduced =
-        Mutex.protect cache_mutex (fun () ->
-            Hashtbl.find_opt chains (symmetric_key line config))
-      in
-      let transitions =
-        Option.map (fun m -> snd (Measures.built m).Semantics.full_size) reduced
-      in
-      Measures.analyze ?transitions (Facility.line_model line config)
-  | Some failed -> Facility.after_disaster (measures line config) ~failed
+  | None -> full ()
+  | Some failed ->
+      memo chains (cache_key line config disaster) @@ fun () ->
+      Facility.after_disaster (full ()) ~failed
 
 (* Tables 1 and 2 read only group-invariant quantities (the full chain's
    size, counted by orbits, and the full-service availability), so they
-   run on symmetry-reduced chains ({!Measures.analyze} [~symmetric]),
-   cached apart from the figures' full chains. *)
-let table_measures line config =
-  memo chains (symmetric_key line config) @@ fun () ->
-  Measures.analyze ~symmetric:true (Facility.line_model line config)
+   run on the symmetric chains. *)
+let table_measures line config = Measures.Session.chain (session line config) Symmetric
 
 let cost_curve_pair ~disaster line config ~times =
   let key =
@@ -121,11 +118,6 @@ let grid fig_id upto points =
 
 let lines = [ Facility.Line1; Facility.Line2 ]
 
-(* Per-config (and per-line) fan-out: each element is an independent
-   chain, so the items of one map touch disjoint chains. PAR_DOMAINS
-   governs the width. *)
-let parallel_map f xs = Numeric.Parallel.map f xs
-
 (* Span helpers: one span per artifact and one nested span per strategy/
    series. Series spans run inside pool workers, so each lands on its
    own domain's trace track; the artifact span sits on the calling
@@ -147,7 +139,7 @@ let series_span id label f =
 let table1 () =
   artifact_span "table1" @@ fun () ->
   let rows =
-    parallel_map
+    Numeric.Parallel.map
       (fun config ->
         series_span "table1" (Facility.config_name config) @@ fun () ->
         Facility.config_name config
@@ -170,7 +162,7 @@ let table1 () =
 let table2 () =
   artifact_span "table2" @@ fun () ->
   let rows =
-    parallel_map
+    Numeric.Parallel.map
       (fun config ->
         series_span "table2" (Facility.config_name config) @@ fun () ->
         let avail line = Measures.availability (table_measures line config) in
@@ -199,7 +191,7 @@ let fig3 ?(points = default_points) () =
   artifact_span "fig3" @@ fun () ->
   let times = grid "fig3" 1000. points in
   let series =
-    parallel_map
+    Numeric.Parallel.map
       (fun line ->
         series_span "fig3" (Facility.line_name line) @@ fun () ->
         let m = reliability_measures line in
@@ -222,7 +214,7 @@ let survivability_fig ~fig_id ~title ~line ~disaster ~configs ~level ~horizon ~p
   artifact_span fig_id @@ fun () ->
   let times = grid fig_id horizon points in
   let series =
-    parallel_map
+    Numeric.Parallel.map
       (fun config ->
         series_span fig_id (Facility.config_name config) @@ fun () ->
         let m = measures ?disaster line config in
@@ -238,7 +230,7 @@ let cost_fig ~fig_id ~title ~kind ~line ~disaster ~configs ~horizon ~points =
   artifact_span fig_id @@ fun () ->
   let times = grid fig_id horizon points in
   let series =
-    parallel_map
+    Numeric.Parallel.map
       (fun config ->
         series_span fig_id (Facility.config_name config) @@ fun () ->
         let inst, acc = cost_curve_pair ~disaster line config ~times in

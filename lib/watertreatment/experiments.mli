@@ -14,12 +14,13 @@
     - {!fig10} / {!fig11}: instantaneous / accumulated cost, Line 2,
       Disaster 2.
 
-    Tables 1 and 2 read only group-invariant quantities, so they run on
-    the quotient under interchangeable components ({!Core.Semantics.build}
-    [~symmetric:true], 96–727 states per chain): Table 1 prints the full
-    chain's size counted by orbits. The figures run on full chains, built
-    once per (line, strategy) and shared across figures through an
-    internal cache; a disaster analysis is a view of that chain rooted at
+    Each (line, strategy) has one {!Core.Measures.Session}, kept in an
+    internal cache and shared by every artifact. Tables 1 and 2 read only
+    group-invariant quantities, so they run on its symmetric chain (the
+    quotient under interchangeable components, 96–727 states per chain):
+    Table 1 prints the full chain's size counted by orbits. The figures
+    run on its full chain, which takes its transition count from the
+    symmetric one when a table built that first; a disaster analysis is a view of that chain rooted at
     the disaster state ({!Facility.after_disaster}). Generating the full
     set costs one reduced construction per table chain, one full
     construction per (line, strategy) a figure uses, and one per
@@ -33,9 +34,9 @@
     sequential). The chain cache is one process-wide table behind a
     mutex, shared by every domain, so each chain is built once whichever
     domain first asks for it and whatever the domain count. The items of
-    one map touch disjoint chains, so no {!Core.Measures.t} (which
-    carries a mutable {!Ctmc.Analysis} session) is used by two domains at
-    once. Results are deterministic and identical for any domain
+    one map touch disjoint chains, so no session (which builds its chains
+    on demand) and no {!Core.Measures.t} (which carries a mutable
+    {!Ctmc.Analysis} session) is used by two domains at once. Results are deterministic and identical for any domain
     count. *)
 
 type series = { label : string; points : (float * float) list }

@@ -715,7 +715,8 @@ let test_levels_agree () =
               sl;
             List.iter
               (fun (how, levels) ->
-                let m = Core.Measures.analyze ~symmetric:true ?levels model in
+                let module S = Core.Measures.Session in
+                let m = S.chain (S.create ?levels model) S.Symmetric in
                 let csl = Core.Measures.to_csl_model m in
                 for i = 0 to n do
                   Alcotest.(check bool)
