@@ -16,11 +16,23 @@ type t = {
   extra_modes : failure_mode list;
 }
 
+(* A mean time must be finite (not NaN) and positive, a cost rate finite
+   and non-negative. *)
+let check_time who what t =
+  if not (Float.is_finite t) then
+    invalid_arg (Printf.sprintf "%s: %s must be finite (got %g)" who what t);
+  if t <= 0. then invalid_arg (Printf.sprintf "%s: %s must be positive" who what)
+
+let check_cost who c =
+  if not (Float.is_finite c && c >= 0.) then
+    invalid_arg (Printf.sprintf "%s: cost rate %g is not finite and non-negative" who c)
+
 let failure_mode ?(failed_cost = 3.) ?(repair_stages = 1) ~name ~mttf ~mttr () =
+  let who = "Component.failure_mode" in
   if name = "" then invalid_arg "Component.failure_mode: empty name";
-  if mttf <= 0. then invalid_arg "Component.failure_mode: MTTF must be positive";
-  if mttr <= 0. then invalid_arg "Component.failure_mode: MTTR must be positive";
-  if failed_cost < 0. then invalid_arg "Component.failure_mode: negative cost";
+  check_time who "MTTF" mttf;
+  check_time who "MTTR" mttr;
+  check_cost who failed_cost;
   if repair_stages < 1 then invalid_arg "Component.failure_mode: stages must be >= 1";
   {
     fm_name = name;
@@ -32,11 +44,12 @@ let failure_mode ?(failed_cost = 3.) ?(repair_stages = 1) ~name ~mttf ~mttr () =
 
 let make ?(failed_cost = 3.) ?(operational_cost = 0.) ?(repair_stages = 1)
     ?(extra_modes = []) ~name ~mttf ~mttr () =
+  let who = "Component.make" in
   if name = "" then invalid_arg "Component.make: empty name";
-  if mttf <= 0. then invalid_arg "Component.make: MTTF must be positive";
-  if mttr <= 0. then invalid_arg "Component.make: MTTR must be positive";
-  if failed_cost < 0. || operational_cost < 0. then
-    invalid_arg "Component.make: negative cost rate";
+  check_time who "MTTF" mttf;
+  check_time who "MTTR" mttr;
+  check_cost who failed_cost;
+  check_cost who operational_cost;
   if repair_stages < 1 then
     invalid_arg "Component.make: repair stages must be at least 1";
   let mode_names = "failed" :: List.map (fun m -> m.fm_name) extra_modes in

@@ -46,7 +46,7 @@ val failure_mode :
   unit ->
   failure_mode
 (** An extra failure mode ([failed_cost] defaults to [3.], [repair_stages]
-    to [1]). *)
+    to [1]). Raises [Invalid_argument] for the values {!make} rejects. *)
 
 val make :
   ?failed_cost:float ->
@@ -60,8 +60,9 @@ val make :
   t
 (** [failed_cost] defaults to [3.] and [operational_cost] to [0.] — the
     paper's cost model; [repair_stages] defaults to [1]. Raises
-    [Invalid_argument] for non-positive MTTF, MTTR or stage count, or an
-    empty name. *)
+    [Invalid_argument] for an MTTF or MTTR that is not positive and
+    finite (NaN included), a cost rate that is not finite and
+    non-negative, a non-positive stage count, or an empty name. *)
 
 val stage_rate : t -> float
 (** Rate of each Erlang repair stage: [repair_stages / mttr] (primary

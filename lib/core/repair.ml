@@ -29,7 +29,12 @@ let make ?(crews = 1) ?(idle_cost = 1.) ?(busy_cost = 0.) ?(preemptive = false)
   if components = [] then invalid_arg "Repair.make: no components";
   if has_duplicates components then invalid_arg "Repair.make: duplicate components";
   if crews <= 0 then invalid_arg "Repair.make: crews must be positive";
-  if idle_cost < 0. || busy_cost < 0. then invalid_arg "Repair.make: negative cost rate";
+  List.iter
+    (fun c ->
+      if not (Float.is_finite c && c >= 0.) then
+        invalid_arg
+          (Printf.sprintf "Repair.make: cost rate %g is not finite and non-negative" c))
+    [ idle_cost; busy_cost ];
   (match strategy with
   | Priority order ->
       if List.sort compare order <> List.sort compare components then

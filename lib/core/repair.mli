@@ -46,8 +46,9 @@ val make :
   t
 (** Defaults: [crews = 1], [idle_cost = 1.], [busy_cost = 0.] (the paper's
     cost model), [preemptive = false]. Raises [Invalid_argument] for an
-    empty component list, non-positive crew count, duplicate components, or
-    a [Priority] list that does not cover exactly the unit's components. *)
+    empty component list, non-positive crew count, duplicate components, a
+    cost rate that is not finite and non-negative (NaN included), or a
+    [Priority] list that does not cover exactly the unit's components. *)
 
 val strategy_to_string : strategy -> string
 

@@ -16,7 +16,7 @@ let make ~name ~mode ~primaries ~spares () =
         invalid_arg (Printf.sprintf "Spare.make: %s is both primary and spare" s))
     spares;
   (match mode with
-  | Warm f when f <= 0. || f >= 1. ->
+  | Warm f when not (f > 0. && f < 1.) ->
       invalid_arg "Spare.make: warm dormancy factor must be in (0, 1)"
   | Warm _ | Hot | Cold -> ());
   { name; primaries; spares; mode }

@@ -27,7 +27,8 @@ type t = private {
 val make :
   name:string -> mode:mode -> primaries:string list -> spares:string list -> unit -> t
 (** Raises [Invalid_argument] on empty name, empty primaries, overlap
-    between primaries and spares, or a warm factor outside (0, 1). *)
+    between primaries and spares, or a warm factor outside (0, 1) (NaN
+    included). *)
 
 val members : t -> string list
 (** Primaries followed by spares. *)

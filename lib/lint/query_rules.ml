@@ -27,37 +27,28 @@ let levels_of_model (model : Core.Model.t) =
   if List.length (Fault_tree.basics model.Core.Model.fault_tree) > 20 then None
   else Some (Core.Model.service_levels model)
 
-(* Mirrors Core.Measures.make_csl_model exactly: the labels are "down",
-   "operational", "full_service", "sl_ge_<i>" per service level, and
-   "<c>_failed" / "<c>:<mode>" per component; the rewards are "cost",
-   "component_cost" and "repair_cost". make_csl_model goes through
-   Csl.Checker.of_chain, whose atomic resolver is the constant None — so
-   every Atomic expression is statically an error (ARC-Q006). *)
+(* The names Core.Measures.to_csl_model defines, from Core.Measures
+   itself. Its CSL model goes through Csl.Checker.of_chain, whose atomic
+   resolver is the constant None — so every Atomic expression is
+   statically an error (ARC-Q006). *)
 let context_of_model ?(multiple_bsccs = false) ?levels (model : Core.Model.t) =
   let levels = match levels with Some l -> l | None -> levels_of_model model in
   let component_labels =
     List.concat_map
-      (fun (c : Core.Component.t) ->
-        (c.Core.Component.name ^ "_failed")
-        :: List.filter_map
-             (fun (m : Core.Component.failure_mode) ->
-               if m.Core.Component.fm_name = "failed" then None
-               else Some (c.Core.Component.name ^ ":" ^ m.Core.Component.fm_name))
-             (Core.Component.modes c))
+      (fun c -> List.map fst (Core.Measures.component_labels c))
       model.Core.Model.components
   in
   (* without the levels, any sl_ge_<digits> is accepted *)
   let level_labels =
     match levels with
     | None -> []
-    | Some l -> List.mapi (fun i _ -> Printf.sprintf "sl_ge_%d" i) l
+    | Some l -> List.mapi (fun i _ -> Core.Measures.level_label i) l
   in
   {
     model_name = model.Core.Model.name;
-    labels =
-      [ "down"; "operational"; "full_service" ] @ level_labels @ component_labels;
+    labels = Core.Measures.tree_labels @ level_labels @ component_labels;
     any_sl = levels = None;
-    rewards = [ Some "cost"; Some "component_cost"; Some "repair_cost" ];
+    rewards = List.map Option.some Core.Measures.reward_names;
     atomics = ANone;
     multiple_bsccs;
   }

@@ -39,10 +39,11 @@ val levels_of_model : Core.Model.t -> float list option
 
 val context_of_model :
   ?multiple_bsccs:bool -> ?levels:float list option -> Core.Model.t -> context
-(** The context matching [Core.Measures.make_csl_model] exactly: labels
-    [down], [operational], [full_service], [sl_ge_<i>], [<c>_failed],
-    [<c>:<mode>]; rewards [cost], [component_cost], [repair_cost]; no
-    resolvable atomics. [levels] (default {!levels_of_model}) gives the
+(** The context matching [Core.Measures.to_csl_model], from the names
+    {!Core.Measures} exports: its {!Core.Measures.tree_labels}, a
+    {!Core.Measures.level_label} per service level and the
+    {!Core.Measures.component_labels} of every component; its
+    {!Core.Measures.reward_names}; no resolvable atomics. [levels] (default {!levels_of_model}) gives the
     service levels; without them any [sl_ge_<digits>] label is accepted
     ([any_sl]). *)
 

@@ -45,9 +45,34 @@ let fcfs_unit ?(crews = 1) ?(preemptive = false) () =
 (* ------------------------------------------------------------------ *)
 (* Component / Repair / Spare / Model validation *)
 
+(* [f ()] raises Invalid_argument *)
+let rejected what f =
+  match f () with
+  | _ -> Alcotest.fail (what ^ ": expected Invalid_argument")
+  | exception Invalid_argument _ -> ()
+
 let test_component_validation () =
   Alcotest.check_raises "bad mttf" (Invalid_argument "Component.make: MTTF must be positive")
     (fun () -> ignore (Component.make ~name:"x" ~mttf:0. ~mttr:1. ()));
+  Alcotest.check_raises "nan mttf"
+    (Invalid_argument "Component.make: MTTF must be finite (got nan)") (fun () ->
+      ignore (Component.make ~name:"x" ~mttf:Float.nan ~mttr:1. ()));
+  List.iter
+    (fun x ->
+      let v = Printf.sprintf "%g" x in
+      rejected ("mttf " ^ v) (fun () -> Component.make ~name:"x" ~mttf:x ~mttr:1. ());
+      rejected ("mttr " ^ v) (fun () -> Component.make ~name:"x" ~mttf:1. ~mttr:x ());
+      rejected ("failed_cost " ^ v) (fun () ->
+          Component.make ~name:"x" ~mttf:1. ~mttr:1. ~failed_cost:x ());
+      rejected ("operational_cost " ^ v) (fun () ->
+          Component.make ~name:"x" ~mttf:1. ~mttr:1. ~operational_cost:x ());
+      rejected ("mode mttf " ^ v) (fun () ->
+          Component.failure_mode ~name:"m" ~mttf:x ~mttr:1. ());
+      rejected ("mode mttr " ^ v) (fun () ->
+          Component.failure_mode ~name:"m" ~mttf:1. ~mttr:x ());
+      rejected ("mode cost " ^ v) (fun () ->
+          Component.failure_mode ~name:"m" ~mttf:1. ~mttr:1. ~failed_cost:x ()))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
   let c = comp "x" in
   check_close "failure rate" 0.01 (Component.failure_rate c);
   check_close "repair rate" 0.5 (Component.repair_rate c)
@@ -61,7 +86,15 @@ let test_repair_validation () =
     (fun () ->
       ignore
         (Repair.make ~name:"r" ~strategy:(Repair.Priority [ "a" ])
-           ~components:[ "a"; "b" ] ()))
+           ~components:[ "a"; "b" ] ()));
+  List.iter
+    (fun x ->
+      let v = Printf.sprintf "%g" x in
+      rejected ("idle_cost " ^ v) (fun () ->
+          Repair.make ~name:"r" ~strategy:Repair.Fcfs ~components:[ "a" ] ~idle_cost:x ());
+      rejected ("busy_cost " ^ v) (fun () ->
+          Repair.make ~name:"r" ~strategy:Repair.Fcfs ~components:[ "a" ] ~busy_cost:x ()))
+    [ -1.; Float.nan; Float.infinity ]
 
 let test_repair_strategy_strings () =
   List.iter
@@ -94,7 +127,12 @@ let test_spare_activation () =
     (active (fun _ -> true));
   Alcotest.(check (list (pair string bool))) "p1 down: spare active"
     [ ("p1", false); ("p2", true); ("s1", true) ]
-    (active (fun c -> c <> "p1"))
+    (active (fun c -> c <> "p1"));
+  List.iter
+    (fun f ->
+      rejected (Printf.sprintf "warm factor %g" f) (fun () ->
+          Spare.make ~name:"s" ~mode:(Spare.Warm f) ~primaries:[ "p1" ] ~spares:[ "s1" ] ()))
+    [ 0.; 1.; Float.nan; Float.infinity ]
 
 let test_model_validation () =
   Alcotest.check_raises "duplicate names"
