@@ -1564,6 +1564,44 @@ let test_reduced_observations () =
   Alcotest.(check (list (list string))) "full build" [] (Semantics.symmetry_groups full);
   Alcotest.(check bool) "pump1 up" true (Semantics.component_up full 0 "pump1")
 
+(* A session asked only steady-state queries over group-invariant labels
+   builds the symmetric chain alone; the first transient query adds the
+   full one, and the full chain's size reads the same off either. *)
+let test_session_steady_builds () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  let module S = Measures.Session in
+  let count name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let builds () = (count "measures.builds.symmetric", count "measures.builds.full") in
+  let model, _ = Xml_io.load "../models/line2_frf-1.xml" in
+  let s = S.create model in
+  let ask text =
+    let q = Csl.Parser.parse text in
+    ignore (Csl.Checker.check (Measures.to_csl_model (S.chain s (S.route s q))) q)
+  in
+  let sym0, full0 = builds () in
+  List.iter ask
+    [
+      {|S=? [ "full_service" ]|};
+      {|S=? [ "operational" & !"sl_ge_0" ]|};
+      {|R{"cost"}=? [ S ]|};
+      {|R{"repair_cost"}=? [ S ]|};
+      {|S<0.5 [ "down" ]|};
+    ];
+  let sym1, full1 = builds () in
+  Alcotest.(check (pair int int)) "steady only: one symmetric build" (1, 0)
+    (sym1 - sym0, full1 - full0);
+  Alcotest.(check (list string)) "built" [ "symmetric" ]
+    (List.map (fun (k, _) -> S.kind_name k) (S.built s));
+  Alcotest.(check int) "full size from the orbits" 8129 (S.full_size s);
+  ask {|P=? [ true U<=10 !"full_service" ]|};
+  ask {|S=? [ "pump1_failed" ]|};
+  let sym2, full2 = builds () in
+  Alcotest.(check (pair int int)) "then one full build" (1, 1)
+    (sym2 - sym0, full2 - full0);
+  Alcotest.(check int) "full size from the full chain" 8129 (S.full_size s)
+
 (* Disaster starts: pre-filled queues and in-repair lists, spares, failure
    modes and Erlang stages in the initial state; last, the symmetric
    build from the same start, whose initial state is canonicalized whole. *)
@@ -1840,6 +1878,61 @@ let prop_symmetric_measures =
       && List.for_all2 close_rel (surv full) (surv sym)
       && List.for_all2 quotient_close (invariant_transient full) (invariant_transient sym))
 
+(* Queries over every label and reward of a model's CSL vocabulary, steady
+   and transient, with a grouped component's literal among them when the
+   model has groups. *)
+let session_queries model =
+  let levels = List.mapi (fun i _ -> Measures.level_label i) (Model.service_levels model) in
+  let literals =
+    List.concat_map
+      (fun c -> List.map fst (Measures.component_labels c))
+      model.Model.components
+  in
+  let labels = Measures.tree_labels @ levels @ literals in
+  List.concat_map
+    (fun l ->
+      [ Printf.sprintf "S=? [ \"%s\" ]" l; Printf.sprintf "P=? [ true U<=5 \"%s\" ]" l ])
+    labels
+  @ List.concat_map
+      (fun r ->
+        [ Printf.sprintf "R{\"%s\"}=? [ S ]" r; Printf.sprintf "R{\"%s\"}=? [ C<=5 ]" r ])
+      Measures.reward_names
+  @ [ "S=? [ !\"down\" & \"full_service\" ]"; "S>0.5 [ \"operational\" | \"down\" ]" ]
+
+(* a model and some of its components failed at the start *)
+let disaster_model_gen =
+  QCheck.Gen.(
+    let* model = any_symmetric_model_gen in
+    let names = Model.component_names model in
+    let* fails = list_repeat (List.length names) (float_bound_inclusive 1.) in
+    return (model, List.filteri (fun i _ -> List.nth fails i < 0.3) names))
+
+let prop_session_routes_exactly =
+  QCheck.Test.make ~count:40
+    ~name:"symmetric models: a session's symmetric answers = full"
+    (QCheck.make
+       ~print:(fun (m, failed) -> print_model m ^ " failed: " ^ String.concat "," failed)
+       disaster_model_gen)
+    (fun (model, failed) ->
+      let module S = Measures.Session in
+      List.for_all
+        (fun initial ->
+          let s = S.create ?initial model in
+          let on kind q = Csl.Checker.check (Measures.to_csl_model (S.chain s kind)) q in
+          List.for_all
+            (fun text ->
+              let q = Csl.Parser.parse text in
+              S.route s q = S.Full
+              ||
+              match (on S.Symmetric q, on S.Full q) with
+              | Csl.Checker.Value a, Csl.Checker.Value b -> close_rel a b
+              | Csl.Checker.Satisfied a, Csl.Checker.Satisfied b -> a = b
+              | _ -> false)
+            (session_queries model)
+          (* the tree labels always route to the quotient *)
+          && S.route s (Csl.Parser.parse "S=? [ \"full_service\" ]") = S.Symmetric)
+        [ None; Some (Semantics.disaster_state model ~failed) ])
+
 (* The full chain's states numbered by their orbit, the symmetric build's
    state ids ([None] when a state has no orbit there). *)
 let orbit_partition full sym =
@@ -2053,6 +2146,8 @@ let () =
           Alcotest.test_case "table 1" `Quick test_golden_table1;
           Alcotest.test_case "table 1, symmetric" `Quick test_golden_table1_symmetric;
           Alcotest.test_case "reduced observations" `Quick test_reduced_observations;
+          Alcotest.test_case "session: steady queries build no full chain" `Quick
+            test_session_steady_builds;
           Alcotest.test_case "disaster starts" `Quick test_golden_disasters;
           Alcotest.test_case "observations vs fault tree" `Quick
             test_observations_match_fault_tree;
@@ -2067,8 +2162,8 @@ let () =
       ( "symmetric-builds",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_symmetric_counts; prop_symmetric_measures; prop_orbits_lumpable;
-            prop_spoiled_no_group; prop_groups_order_free;
+            prop_symmetric_counts; prop_symmetric_measures; prop_session_routes_exactly;
+            prop_orbits_lumpable; prop_spoiled_no_group; prop_groups_order_free;
           ] );
       ( "to-prism",
         [
