@@ -53,15 +53,13 @@ let make_csl_model ~analysis ~levels ~component_cost ~repair_cost ~cost built =
           (component_labels c))
       model.Model.components
   in
-  let tree_preds =
-    [
-      Semantics.down_pred built;
-      Semantics.operational_pred built;
-      Semantics.service_at_least built 1.;
-    ]
-  in
   let labels =
-    List.combine tree_labels tree_preds
+    List.combine tree_labels
+      [
+        Semantics.down_pred built;
+        Semantics.operational_pred built;
+        Semantics.service_at_least built 1.;
+      ]
     @ List.mapi
         (fun i level -> (level_label i, Semantics.service_at_least built level))
         levels

@@ -509,8 +509,8 @@ let remember s text r =
    the shared sweep spans (which may execute on a pool domain) join the
    lead request's trace; the other coalesced requests are listed on the
    group span. Each query goes to the chain {!Session.route} picks, built
-   on first use. A query the session has answered before is answered from its
-   memo, and only the rest is evaluated. *)
+   on first use. A query the session has answered before is answered
+   from its memo, and only the rest is evaluated. *)
 let process_group srv jobs =
   let j0 = List.hd jobs in
   let coalesced = List.length jobs in

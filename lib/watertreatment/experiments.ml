@@ -79,7 +79,7 @@ let session line config =
    all-up chain (Facility.after_disaster), sharing its chain, rate
    operator and derived caches, so the figures rebuild nothing. *)
 let measures ?disaster line config =
-  let full () = Measures.Session.chain (session line config) Full in
+  let full () = Measures.Session.(chain (session line config) Full) in
   match disaster with
   | None -> full ()
   | Some failed ->
@@ -89,7 +89,8 @@ let measures ?disaster line config =
 (* Tables 1 and 2 read only group-invariant quantities (the full chain's
    size, counted by orbits, and the full-service availability), so they
    run on the symmetric chains. *)
-let table_measures line config = Measures.Session.chain (session line config) Symmetric
+let table_measures line config =
+  Measures.Session.(chain (session line config) Symmetric)
 
 let cost_curve_pair ~disaster line config ~times =
   let key =
