@@ -77,16 +77,6 @@ let modes c =
   }
   :: c.extra_modes
 
-let mode c k =
-  match List.nth_opt (modes c) k with
-  | Some m -> m
-  | None -> invalid_arg (Printf.sprintf "Component.mode: %s has no mode %d" c.name k)
-
 let mode_failure_rate m = 1. /. m.fm_mttf
 
 let mode_stage_rate m = float_of_int m.fm_repair_stages /. m.fm_mttr
-
-let equal a b = a = b
-
-let pp ppf c =
-  Format.fprintf ppf "%s (MTTF %g h, MTTR %g h)" c.name c.mttf c.mttr

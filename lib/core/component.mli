@@ -72,9 +72,6 @@ val modes : t -> failure_mode list
 (** All failure modes: the primary one (named ["failed"]) followed by
     [extra_modes]. *)
 
-val mode : t -> int -> failure_mode
-(** [mode c k] is the [k]-th failure mode (0 = primary). *)
-
 val mode_failure_rate : failure_mode -> float
 
 val mode_stage_rate : failure_mode -> float
@@ -85,7 +82,3 @@ val failure_rate : t -> float
 
 val repair_rate : t -> float
 (** [1 / mttr]. *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -89,12 +89,6 @@ let analyze ?analysis built =
   let indices = of_unavailabilities built.Semantics.model ~q in
   List.sort (fun a b -> compare b.birnbaum a.birnbaum) indices
 
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: q=%.5f birnbaum=%.5f improvement=%.5f raw=%.3f fussell-vesely=%.4f"
-    t.component t.unavailability t.birnbaum t.improvement_potential
-    t.risk_achievement_worth t.fussell_vesely
-
 let pp_table ppf indices =
   Format.fprintf ppf "  %-10s %-10s %-10s %-12s %-8s %-8s@." "component" "unavail."
     "birnbaum" "improvement" "RAW" "F-V";

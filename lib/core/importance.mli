@@ -39,13 +39,10 @@ val marginal_unavailabilities :
     (marginals of the joint steady-state distribution); keys are the fault
     tree's basic events (component names or ["c:mode"] references). *)
 
-val of_unavailabilities : Model.t -> q:(string * float) list -> t list
-(** All indices for every component, given the marginals. *)
-
 val analyze : ?analysis:Ctmc.Analysis.t -> Semantics.built -> t list
-(** {!marginal_unavailabilities} composed with {!of_unavailabilities},
-    sorted by decreasing Birnbaum importance. *)
-
-val pp : Format.formatter -> t -> unit
+(** Every index of every basic event, from its
+    {!marginal_unavailabilities} and {!system_unavailability} with that
+    event forced failed or perfect, sorted by decreasing Birnbaum
+    importance. *)
 
 val pp_table : Format.formatter -> t list -> unit

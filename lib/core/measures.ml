@@ -17,13 +17,6 @@ let level_label i = Printf.sprintf "sl_ge_%d" i
 
 let reward_names = [ "cost"; "component_cost"; "repair_cost" ]
 
-let level_label_name levels x =
-  let rec position i = function
-    | [] -> invalid_arg "Measures: unknown service level"
-    | l :: rest -> if Float.abs (l -. x) < 1e-9 then i else position (i + 1) rest
-  in
-  level_label (position 0 levels)
-
 (* ["<name>_failed"] (any mode) and ["<name>:<mode>"] per extra mode *)
 let component_labels c =
   let name = c.Component.name in
@@ -112,15 +105,6 @@ let build ?max_states ?initial ~symmetric ?transitions ~levels model =
 let analyze ?max_states ?initial ?(symmetric = false) model =
   build ?max_states ?initial ~symmetric ~levels:(Model.service_levels model) model
 
-(* The 5-strategy comparison as one call: each model builds and wraps
-   independently (they have distinct state spaces, so their sweeps cannot
-   share a matrix), fanned out over domains. The cross-strategy batching
-   happens inside each model: every measure suite rides the blocked
-   kernels ({!cost_curves}, the multi-RHS steady-state weights, the
-   multi-time sweeps). *)
-let analyze_all ?max_states models =
-  Numeric.Parallel.map (fun model -> analyze ?max_states model) models
-
 (* Mixture weights: finite, non-negative, with a finite positive total. *)
 let check_weights who weights =
   if weights = [] then invalid_arg (who ^ ": empty mixture");
@@ -157,13 +141,6 @@ let rooted t weighted =
     analysis;
     csl = { t.csl with Csl.Checker.chain; analysis };
   }
-
-let analyze_mixed_disasters ?max_states model disasters =
-  ignore (check_weights "Measures.analyze_mixed_disasters" (List.map fst disasters));
-  let states =
-    List.map (fun (w, failed) -> (w, Semantics.disaster_state model ~failed)) disasters
-  in
-  rooted (analyze ?max_states model) states
 
 (* A symmetric build answers exactly what every member of an orbit agrees
    on. Of the labels only the literals of grouped components tell members
@@ -251,20 +228,6 @@ let analysis t = t.analysis
 
 let to_csl_model t = t.csl
 
-let csl_queries t =
-  let levels = Model.service_levels t.built.Semantics.model in
-  [
-    ("unreliability(t)", "P=? [ true U<=1000 \"down\" ]");
-    ("availability", "S=? [ \"operational\" ]");
-    ("recovery(t)", "P=? [ true U<=10 \"full_service\" ]");
-    ( "survivability(x, t)",
-      Printf.sprintf "P=? [ true U<=10 \"%s\" ]"
-        (level_label_name levels (List.nth levels (List.length levels - 1))) );
-    ("instantaneous cost", "R{\"cost\"}=? [ I=4.5 ]");
-    ("accumulated cost", "R{\"cost\"}=? [ C<=10 ]");
-    ("steady-state cost", "R{\"cost\"}=? [ S ]");
-  ]
-
 let chain t = t.built.Semantics.chain
 
 let not_fully_operational t =
@@ -302,12 +265,6 @@ let any_service_availability t =
     (chain t)
     ~pred:(Semantics.operational_pred t.built)
 
-let instantaneous_availability t ~time =
-  span "instantaneous_availability" @@ fun () ->
-  Ctmc.Transient.probability_at ~analysis:t.analysis (chain t)
-    ~pred:(Semantics.service_at_least t.built 1.)
-    time
-
 let mean_time_to_degradation t =
   span "mean_time_to_degradation" @@ fun () ->
   Ctmc.Absorption.mean_time_from_init ~analysis:t.analysis (chain t)
@@ -333,8 +290,6 @@ let survivability_curve t ~service_level ~times =
     ~phi:(fun _ -> true)
     ~psi:(Semantics.service_at_least t.built service_level)
     ~bounds:times
-
-let recovery_probability t ~time = survivability t ~service_level:1. ~time
 
 (* Translate a witness path over chain states into component-event
    descriptions by diffing consecutive states. *)
@@ -364,8 +319,6 @@ let describe_scenario t psi =
       | [] | [ _ ] -> None (* already in the target: no scenario to tell *)
       | path -> Some (diffs path, w.Ctmc.Witness.probability))
 
-let most_likely_degradation_scenario t = describe_scenario t (not_fully_operational t)
-
 let most_likely_loss_scenario t = describe_scenario t (Semantics.down_pred t.built)
 
 let instantaneous_cost t ~time =
@@ -379,12 +332,6 @@ let accumulated_cost t ~time =
   Ctmc.Rewards.accumulated ~analysis:t.analysis (chain t)
     ~reward:t.cost
     ~upto:time
-
-let instantaneous_cost_curve t ~times =
-  span "instantaneous_cost_curve" @@ fun () ->
-  Ctmc.Rewards.instantaneous_curve ~analysis:t.analysis (chain t)
-    ~reward:t.cost
-    ~times
 
 let accumulated_cost_curve t ~times =
   span "accumulated_cost_curve" @@ fun () ->

@@ -1,10 +1,9 @@
 (** The paper's dependability and performability measures, as a high-level
     API over an Arcade model.
 
-    Every measure corresponds to a CSL/CSRL query (Section 3 of the paper);
-    the CSL strings are exposed through {!to_csl_model} and
-    {!csl_queries} so the same numbers can be reproduced through the
-    {!Csl.Checker} pipeline. *)
+    Every measure corresponds to a CSL/CSRL query (Section 3 of the paper),
+    so the same numbers can be reproduced by checking that query against
+    {!to_csl_model} through the {!Csl.Checker} pipeline. *)
 
 type t = {
   built : Semantics.built;
@@ -14,8 +13,8 @@ type t = {
           steady-state vector are each computed at most once. *)
   csl : Csl.Checker.model;
   cost : Ctmc.Rewards.structure;
-      (** {!Semantics.cost_structure}, computed once; the cost measures
-          and the CSL model's ["cost"] reward share it *)
+      (** the sum of {!Semantics.cost_structures}, computed once; the cost
+          measures and the CSL model's ["cost"] reward share it *)
 }
 
 val analyze :
@@ -31,15 +30,6 @@ val analyze :
     [states] and [symmetric] attributes, the wrapping (cost vectors, CSL
     model) under [measures.wrap]. *)
 
-val analyze_all :
-  ?max_states:int -> Model.t list -> t list
-(** [analyze_all models] is [List.map analyze models] fanned out over
-    domains ({!Numeric.Parallel.map}) — the paper's 5-strategy comparison
-    as one batch. Results align 1:1 with [models]. Within each model the
-    measure suite runs on the blocked kernels (multi-RHS steady-state
-    weights, batched cost curves), so the per-strategy suites are
-    individually cheaper as well as concurrent. *)
-
 val rooted : t -> (float * Semantics.state) list -> t
 (** [rooted t weighted] is [t] started from another initial distribution:
     each [(weight, state)] pair puts mass [weight] on [state] (weights are
@@ -53,20 +43,6 @@ val rooted : t -> (float * Semantics.state) list -> t
     [Invalid_argument "Measures.rooted: ..."] on an empty list, a weight
     that is negative or not finite, a total that is not finite and
     positive, or a state that is not in [t]'s chain. *)
-
-val analyze_mixed_disasters :
-  ?max_states:int -> Model.t -> (float * string list) list -> t
-(** GOOD analysis under an uncertain disaster: each [(weight, failed)] pair
-    contributes a disaster state with the given probability (weights are
-    normalized). Survivability and cost measures then average over the
-    disaster distribution — e.g. "two pumps fail with probability 0.9, all
-    four with probability 0.1". The state space is built once, from the
-    all-up state, and {!rooted} at the mixture. The weights are checked
-    before the build: an empty list, a weight that is negative or not
-    finite, or a total that is not finite and positive raises
-    [Invalid_argument "Measures.analyze_mixed_disasters: ..."]. A disaster
-    state not reachable from the all-up state raises {!rooted}'s
-    [Invalid_argument]. *)
 
 val built : t -> Semantics.built
 
@@ -100,19 +76,15 @@ val component_labels : Component.t -> (string * string) list
 val reward_names : string list
 (** ["cost"], ["component_cost"] and ["repair_cost"]. *)
 
-val csl_queries : t -> (string * string) list
-(** Named example queries (measure name, CSL text) covering the paper's
-    Section 3, evaluable against {!to_csl_model}. *)
-
 (** {2 Dependability measures} *)
 
 val unreliability : t -> time:float -> float
 (** [P=? (true U<=t "not fully operational")]. The paper's Fig. 3 defines
     S_down as "the process line is not fully operational" (service < 1,
     i.e. beyond the spare allowance); this follows that choice. Use a
-    repair-free model ({!Model.without_repairs}) for a pure reliability
-    reading; on a repairable chain this is the probability of a first
-    service degradation before [t]. *)
+    model without repair units (as {!Model.make} allows) for a pure
+    reliability reading; on a repairable chain this is the probability of
+    a first service degradation before [t]. *)
 
 val reliability : t -> time:float -> float
 (** [1 - unreliability]. *)
@@ -130,9 +102,6 @@ val availability : t -> float
 val any_service_availability : t -> float
 (** Long-run probability that the fault tree evaluates to false, i.e. that
     {e some} service is delivered. *)
-
-val instantaneous_availability : t -> time:float -> float
-(** Probability of being operational at time [t]. *)
 
 val mean_time_to_degradation : t -> float
 (** Expected time until the line is first not fully operational (system
@@ -153,19 +122,13 @@ val survivability : t -> service_level:float -> time:float -> float
 val survivability_curve :
   t -> service_level:float -> times:float list -> (float * float) list
 
-val recovery_probability : t -> time:float -> float
-(** Recovery to {e full} service (level 1). *)
-
-val most_likely_degradation_scenario : t -> (string list * float) option
-(** The most probable event sequence (component failures/repairs, as
-    human-readable descriptions) leading from the initial state to a
-    not-fully-operational state, with the probability of that jump
-    sequence in the embedded chain ({!Ctmc.Witness}). [None] if the
-    initial state is already degraded (trivial) or degradation is
-    unreachable. *)
-
 val most_likely_loss_scenario : t -> (string list * float) option
-(** As above, but to total service loss (the fault tree). *)
+(** The most probable event sequence (component failures/repairs, as
+    human-readable descriptions) leading from the initial state to total
+    service loss (the fault tree holds), with the probability of that jump
+    sequence in the embedded chain ({!Ctmc.Witness}). [None] if the
+    initial state has already lost service (trivial) or loss is
+    unreachable. *)
 
 (** {2 Costs (CSRL reward measures)} *)
 
@@ -174,8 +137,6 @@ val instantaneous_cost : t -> time:float -> float
 
 val accumulated_cost : t -> time:float -> float
 (** [R{"cost"}=? (C<=t)]. *)
-
-val instantaneous_cost_curve : t -> times:float list -> (float * float) list
 
 val accumulated_cost_curve : t -> times:float list -> (float * float) list
 

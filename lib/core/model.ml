@@ -104,22 +104,7 @@ let service_tree model = Fault_tree.dual model.fault_tree
 
 let service_levels model = Fault_tree.service_levels (service_tree model)
 
-let without_repairs model = { model with repair_units = [] }
-
 let with_repair_units model repair_units =
   let model = { model with repair_units } in
   validate model;
   model
-
-let pp ppf model =
-  Format.fprintf ppf "@[<v>model %s@,components:@," model.name;
-  List.iter (fun c -> Format.fprintf ppf "  %a@," Component.pp c) model.components;
-  if model.repair_units <> [] then begin
-    Format.fprintf ppf "repair units:@,";
-    List.iter (fun ru -> Format.fprintf ppf "  %a@," Repair.pp ru) model.repair_units
-  end;
-  if model.spare_units <> [] then begin
-    Format.fprintf ppf "spare units:@,";
-    List.iter (fun smu -> Format.fprintf ppf "  %a@," Spare.pp smu) model.spare_units
-  end;
-  Format.fprintf ppf "fault tree: %a@]" Fault_tree.pp model.fault_tree

@@ -51,12 +51,6 @@ val service_levels : t -> float list
 (** All quantitative service levels the model can be in, ascending
     (including 0 and 1). *)
 
-val without_repairs : t -> t
-(** The same model with every repair unit removed — the reliability view
-    (failures are permanent). *)
-
 val with_repair_units : t -> Repair.t list -> t
 (** Replace the repair organisation (used to compare strategies on one
     architecture). Re-validates. *)
-
-val pp : Format.formatter -> t -> unit

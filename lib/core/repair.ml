@@ -94,10 +94,3 @@ let priority_rank ru lookup name =
         | c :: rest -> if c = name then i else position (i + 1) rest
       in
       position 0 order
-
-let pp ppf ru =
-  Format.fprintf ppf "%s (%s, %d crew%s%s): %s" ru.name
-    (strategy_to_string ru.strategy) (crew_count ru)
-    (if crew_count ru = 1 then "" else "s")
-    (if ru.preemptive then ", preemptive" else "")
-    (String.concat ", " ru.components)

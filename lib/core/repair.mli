@@ -68,5 +68,3 @@ val priority_rank : t -> (string -> Component.t) -> string -> int
     component equally (rank 0), so arrival order decides. Ties between
     distinct components resolve by the component-list position only at
     dispatch time (FCFS), not here. *)
-
-val pp : Format.formatter -> t -> unit

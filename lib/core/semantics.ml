@@ -1288,12 +1288,6 @@ let state built s =
   let p = built.packed in
   decode p.ctx (Intern.key p.table s) 0
 
-let component_up built s name =
-  let p = built.packed in
-  let i = built.component_index name in
-  check_ungrouped "component_up" built i;
-  field_at p s p.ctx.up_f.(i) = 1
-
 let literal_pred built literal =
   let p = built.packed in
   let i, m = resolve_literal p.ctx literal in
@@ -1323,12 +1317,6 @@ let service_at_least built x =
   let p = built.packed in
   fun s -> (levels p).(s) >= x -. 1e-9
 
-let under_repair built s =
-  if reduced built then refuse "under_repair" "states are orbits";
-  let p = built.packed in
-  let key = Intern.key p.table s in
-  List.concat (List.init (Array.length p.ctx.rus) (fun u -> repairing p.ctx key 0 u))
-
 (* Cost structures: one pass over the packed states. *)
 let cost_structures built =
   let p = built.packed in
@@ -1357,7 +1345,3 @@ let cost_structures built =
       ctx.rus
   done;
   (comp_cost, ru_cost)
-
-let cost_structure built =
-  let comp, ru = cost_structures built in
-  Vec.add comp ru

@@ -113,8 +113,8 @@ val build :
     is the full build's size when [initial] is fixed by every group
     permutation (as the all-up state is). Without groups the build is the
     full one, bit for bit. On a reduced build the observations that tell group members apart raise
-    [Invalid_argument]: {!state}, {!under_repair}, and {!component_up} and
-    {!literal_pred} of a grouped component. *)
+    [Invalid_argument]: {!state}, and {!literal_pred} of a grouped
+    component. *)
 
 val symmetry_groups : built -> string list list
 (** The groups of interchangeable components a symmetric build reduced by, by
@@ -130,11 +130,6 @@ val interchangeable : Model.t -> string list list
 val state : built -> int -> state
 (** [state b s] decodes state [s] (a fresh record). Raises
     [Invalid_argument] on a reduced build. *)
-
-val component_up : built -> int -> string -> bool
-(** [component_up b s name]: is the component operational in state [s]?
-    Raises [Invalid_argument] for a grouped component of a reduced
-    build. *)
 
 val literal_pred : built -> string -> int -> bool
 (** Evaluate a fault-tree basic event (["c"] — failed in any mode — or
@@ -157,15 +152,7 @@ val service_at_least : built -> float -> int -> bool
     later predicates on [b] (or on a copy sharing its [packed] states)
     read that array. *)
 
-val under_repair : built -> int -> int list
-(** Component indices under repair in a state (across all units, including
-    dedicated ones). Raises [Invalid_argument] on a reduced build. *)
-
-val cost_structure : built -> Ctmc.Rewards.structure
-(** The paper's cost model per state: component costs (failed / operational
-    rates) plus, per repair unit, idle crews times idle cost and busy crews
-    times busy cost. *)
-
 val cost_structures : built -> Ctmc.Rewards.structure * Ctmc.Rewards.structure
-(** The two summands of {!cost_structure}, computed in one pass: component
-    costs and repair-unit crew costs. *)
+(** The paper's cost model per state as its two summands, computed in one
+    pass: component costs (failed / operational rates), and per repair
+    unit idle crews times idle cost plus busy crews times busy cost. *)

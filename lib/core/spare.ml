@@ -23,18 +23,6 @@ let make ~name ~mode ~primaries ~spares () =
 
 let members smu = smu.primaries @ smu.spares
 
-let active_set smu ~up =
-  let needed = List.length smu.primaries in
-  let _, assigned =
-    List.fold_left
-      (fun (active_count, acc) c ->
-        if up c && active_count < needed then (active_count + 1, (c, true) :: acc)
-        else (active_count, (c, false) :: acc))
-      (0, [])
-      (members smu)
-  in
-  List.rev assigned
-
 let dormancy_factor smu =
   match smu.mode with Hot -> 1. | Warm f -> f | Cold -> 0.
 
@@ -55,9 +43,3 @@ let mode_of_string s =
           | Some f -> Warm f
           | None -> invalid_arg (Printf.sprintf "Spare.mode_of_string: %S" s))
       | _ -> invalid_arg (Printf.sprintf "Spare.mode_of_string: %S" s))
-
-let pp ppf smu =
-  Format.fprintf ppf "%s (%s): %s + spares %s" smu.name
-    (mode_to_string smu.mode)
-    (String.concat ", " smu.primaries)
-    (String.concat ", " smu.spares)

@@ -33,17 +33,9 @@ val make :
 val members : t -> string list
 (** Primaries followed by spares. *)
 
-val active_set : t -> up:(string -> bool) -> (string * bool) list
-(** [(component, active)] for every member under the deterministic
-    activation policy: the first [length primaries] operational members (in
-    primaries-then-spares order) are active; every failed member counts as
-    inactive. *)
-
 val dormancy_factor : t -> float
 (** 1 for hot, the factor for warm, 0 for cold. *)
 
 val mode_to_string : mode -> string
 
 val mode_of_string : string -> mode
-
-val pp : Format.formatter -> t -> unit

@@ -432,8 +432,6 @@ let of_xml ?file ?pos doc =
       | Ok r -> r
       | Error e -> fail e.err_pos e.err_message)
 
-let save ?measures path model = X.write_file path (to_xml ?measures model)
-
 let load path =
   match X.parse_file_located path with
   | doc, pos -> of_xml ~file:path ~pos doc

@@ -141,10 +141,6 @@ val of_xml :
     a [file:line:column: ] prefix locating the offending element (the
     root element for a rejection of the model as a whole). *)
 
-val save : ?measures:measure_spec list -> string -> Model.t -> unit
-
 val load : string -> Model.t * measure_spec list
 (** {!of_xml} over a file, with positions. An XML parse error is a
     {!Schema_error} too. *)
-
-val fault_tree_to_xml : Fault_tree.t -> Xml_kit.t

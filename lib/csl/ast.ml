@@ -82,5 +82,3 @@ and reward_query_to_string = function
   | Instantaneous t -> Printf.sprintf "I=%g" t
   | Cumulative t -> Printf.sprintf "C<=%g" t
   | Steady -> "S"
-
-let pp ppf f = Format.pp_print_string ppf (to_string f)

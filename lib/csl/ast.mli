@@ -47,6 +47,4 @@ and reward_query =
   | Cumulative of float  (** [C<=t] *)
   | Steady  (** [S] *)
 
-val pp : Format.formatter -> state_formula -> unit
-
 val to_string : state_formula -> string

@@ -1,12 +1,11 @@
 module Vec = Numeric.Vec
 
 (* For non-target states s with almost-sure absorption:
-     t(s) = rho(s) / E(s) + sum_{s'} P_emb(s, s') t(s')
+     t(s) = 1 / E(s) + sum_{s'} P_emb(s, s') t(s')
    where E is the exit rate. Solve (I - A) t = b over the states that reach
    psi with probability 1; everything else is infinity. *)
-let expected_reward_to ?(tol = 1e-13) ?analysis m ~reward ~psi =
+let expected_time_to ?(tol = 1e-13) ?analysis m ~psi =
   let n = Chain.states m in
-  if Vec.dim reward <> n then invalid_arg "Absorption: reward dimension mismatch";
   let a = Analysis.for_chain analysis m in
   let reach = Reachability.eventually ~tol ~analysis:a m ~psi in
   let result = Vec.create n infinity in
@@ -26,16 +25,13 @@ let expected_reward_to ?(tol = 1e-13) ?analysis m ~reward ~psi =
         (fun i s ->
           (* a state certain to reach psi and not in psi must have exits *)
           assert (exits.(s) > 0.);
-          rhs.(i) <- reward.(s) /. exits.(s))
+          rhs.(i) <- 1. /. exits.(s))
         states;
       let x, _ =
         Numeric.Solver.solve_gauss_seidel ~tol ~order matrix rhs
       in
       Array.iteri (fun i s -> result.(s) <- x.(i)) states);
   result
-
-let expected_time_to ?tol ?analysis m ~psi =
-  expected_reward_to ?tol ?analysis m ~reward:(Vec.create (Chain.states m) 1.) ~psi
 
 let mean_time_from_init ?tol ?analysis m ~psi =
   let times = expected_time_to ?tol ?analysis m ~psi in

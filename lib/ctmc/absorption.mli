@@ -1,9 +1,8 @@
-(** Expected hitting (absorption) times and rewards.
+(** Expected hitting (absorption) times.
 
     Computes, per start state, the expected time until a target set is
     first hit — the engine behind system-level MTTF ("mean time to first
-    system failure") — and, more generally, the expected reward accumulated
-    until hitting the target. States that reach the target with probability
+    system failure"). States that reach the target with probability
     less than one get [infinity] (the conditional expectation is not what
     CSRL's reachability reward defines; PRISM makes the same choice).
 
@@ -15,17 +14,6 @@ val expected_time_to :
 (** [expected_time_to m ~psi] has entry [s] equal to the expected time to
     reach a [psi] state from [s] ([0.] on [psi] states themselves,
     [infinity] where the hit is not almost sure). *)
-
-val expected_reward_to :
-  ?tol:float ->
-  ?analysis:Analysis.t ->
-  Chain.t ->
-  reward:Numeric.Vec.t ->
-  psi:(int -> bool) ->
-  Numeric.Vec.t
-(** Expected reward accumulated (at the per-state rates [reward]) until
-    first hitting [psi]. [expected_time_to] is the special case of a
-    constant rate 1. *)
 
 val mean_time_from_init :
   ?tol:float -> ?analysis:Analysis.t -> Chain.t -> psi:(int -> bool) -> float

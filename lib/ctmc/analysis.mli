@@ -26,9 +26,9 @@ val with_init : t -> Numeric.Vec.t -> t
     the same states and rate operator, another initial distribution. It
     shares by reference every cache of [t] that depends on the rates
     alone — the uniformization rate, {!embedded}, {!rates_transposed},
-    {!sccs}, {!bottom_sccs} and the {!weights} table — so whichever of
-    the two sessions derives one of them first, both see it. The
-    steady-state vectors (BSCC weights) depend on the initial
+    the SCC decomposition, {!bottom_sccs} and the {!weights} table — so
+    whichever of the two sessions derives one of them first, both see it.
+    The steady-state vectors (BSCC weights) depend on the initial
     distribution and stay per session. Both sessions must
     stay in one domain. Raises [Invalid_argument] as {!Chain.with_init}
     does. *)
@@ -67,13 +67,10 @@ val rates_transposed : t -> Numeric.Sparse.t
     steady-state sweep read its rows; unbounded until searches it for
     coreachability. *)
 
-val sccs : t -> int array * int array array
-(** {!Numeric.Digraph.sccs} over the rate matrix itself, computed once
-    per session. *)
-
 val bottom_sccs : t -> int array array
-(** The recurrent classes, derived once per session from {!sccs}
-    (no second Tarjan run). *)
+(** The recurrent classes, derived once per session from the
+    {!Numeric.Digraph.sccs} decomposition of the rate matrix, itself
+    computed once per session (no second Tarjan run). *)
 
 val is_irreducible : t -> bool
 
@@ -103,7 +100,7 @@ val restricted_system :
     state's successors before the state itself, which collapses the
     Gauss–Seidel sweep count on DAG-like subgraphs (e.g. reachability
     systems of acyclic reliability models). Uses the session-cached
-    {!embedded} matrix and {!sccs}. [None] when [S] is empty, without
+    {!embedded} matrix and SCC decomposition. [None] when [S] is empty, without
     building either. *)
 
 val cached_steady : t -> tol:float -> (unit -> Numeric.Vec.t) -> Numeric.Vec.t
@@ -271,5 +268,5 @@ val check_times : string -> float list -> unit
     [mixture.weights] (Fox–Glynn) and [mixture.sweep] (blocked gathers
     plus the per-step accumulation) child phases ([mixture.sweep] carries
     [batch_width] and [streams] too); masked passes are no different.
-    {!rates_transposed} and {!sccs} build under [analysis.transpose_rates]
-    and [analysis.sccs] spans. *)
+    {!rates_transposed} and the SCC decomposition build under
+    [analysis.transpose_rates] and [analysis.sccs] spans. *)

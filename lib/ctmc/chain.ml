@@ -55,10 +55,6 @@ let with_init m init =
     invalid_arg "Chain.with_init: not a probability distribution";
   { m with init = Vec.copy init }
 
-let with_point_init m s =
-  if s < 0 || s >= m.n then invalid_arg "Chain.with_point_init: bad state";
-  { m with init = Vec.unit m.n s }
-
 let transition_count m = Sparse.nnz m.rates
 
 (* Absorbing rows count with exit rate 0, as in the chain with their

@@ -35,8 +35,6 @@ val initial : t -> Numeric.Vec.t
 
 val with_init : t -> Numeric.Vec.t -> t
 
-val with_point_init : t -> int -> t
-
 val transition_count : t -> int
 (** Number of (off-diagonal) transitions. *)
 

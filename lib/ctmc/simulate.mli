@@ -10,9 +10,6 @@ type path = (float * int) list
 (** A sampled trajectory as [(entry_time, state)] pairs in time order;
     the first entry time is [0.]. *)
 
-val sample_initial : Chain.t -> Numeric.Rng.t -> int
-(** Sample a start state from the chain's initial distribution. *)
-
 val run : Chain.t -> Numeric.Rng.t -> horizon:float -> path
 (** Simulate one trajectory from a sampled initial state up to [horizon].
     The path ends at the last state entered before (or at) the horizon; if

@@ -117,16 +117,8 @@ let solve ?tol ?analysis m =
         (fun () -> solve_fresh ?tol a m)
   | Some _ | None -> solve_fresh ?tol (Analysis.create m) m
 
-let long_run_probabilities ?tol ?analysis m ~preds =
-  let pi = solve ?tol ~analysis:(Analysis.for_chain analysis m) m in
-  List.map
-    (fun pred ->
-      let acc = ref 0. in
-      Array.iteri (fun s p -> if pred s then acc := !acc +. p) pi;
-      !acc)
-    preds
-
 let long_run_probability ?tol ?analysis m ~pred =
-  match long_run_probabilities ?tol ?analysis m ~preds:[ pred ] with
-  | [ x ] -> x
-  | _ -> assert false
+  let pi = solve ?tol ~analysis:(Analysis.for_chain analysis m) m in
+  let acc = ref 0. in
+  Array.iteri (fun s p -> if pred s then acc := !acc +. p) pi;
+  !acc

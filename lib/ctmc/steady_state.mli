@@ -32,13 +32,4 @@ val long_run_probability :
 (** [long_run_probability m ~pred] is the long-run fraction of time spent in
     states satisfying [pred] — CSL's [S=? [pred]]. *)
 
-val long_run_probabilities :
-  ?tol:float ->
-  ?analysis:Analysis.t ->
-  Chain.t ->
-  preds:(int -> bool) list ->
-  float list
-(** Batch form of {!long_run_probability}: one stationary solve serves
-    every predicate. Results align 1:1 with [preds]. *)
-
 val is_irreducible : ?analysis:Analysis.t -> Chain.t -> bool

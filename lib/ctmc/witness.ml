@@ -57,8 +57,3 @@ let most_probable_path m ~psi =
         if pred.(s) = -1 then s :: acc else collect pred.(s) (s :: acc)
       in
       Some { states = collect target []; probability = Float.exp (-.dist.(target)) }
-
-let pp ppf w =
-  Format.fprintf ppf "@[<h>p = %.4g:" w.probability;
-  List.iter (fun s -> Format.fprintf ppf " -> %d" s) w.states;
-  Format.fprintf ppf "@]"

@@ -18,5 +18,3 @@ val most_probable_path : Chain.t -> psi:(int -> bool) -> t option
 (** [None] when no target state is reachable from the initial
     distribution's support. A target state with positive initial mass
     yields the trivial path with probability 1. *)
-
-val pp : Format.formatter -> t -> unit

@@ -327,5 +327,3 @@ let of_string input =
   skip_ws ();
   if !pos <> n then error "trailing input";
   tree
-
-let equal a b = a = b

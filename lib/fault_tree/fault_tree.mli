@@ -78,7 +78,3 @@ val to_string : t -> string
 val of_string : string -> t
 (** Parses the {!to_string} syntax. Raises [Failure] with a position message
     on syntax errors. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

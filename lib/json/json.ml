@@ -250,10 +250,4 @@ let string_field key json =
 let list_field key json =
   match member key json with Some (List l) -> Some l | _ -> None
 
-let bool_field ?(default = false) key json =
-  match member key json with
-  | Some (Bool b) -> Some b
-  | None -> Some default
-  | Some _ -> None
-
 let num x = Num x

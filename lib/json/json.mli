@@ -31,8 +31,5 @@ val string_field : string -> t -> string option
 
 val list_field : string -> t -> t list option
 
-val bool_field : ?default:bool -> string -> t -> bool option
-(** [None] when present but not a boolean; [Some default] when absent. *)
-
 val num : float -> t
 (** [Num], with non-finite values preserved (they serialize as [null]). *)

@@ -19,7 +19,4 @@ val multiple_bsccs : Core.Xml_io.raw -> bool
     bound via the per-component skeleton product). Shared with the query
     layer (ARC-Q007). *)
 
-val stiffness_threshold : float
-(** Rate ratio at which ARC-C003 fires ([1e6]). *)
-
 val check : Core.Xml_io.raw -> Diagnostic.t list

@@ -1,7 +1,5 @@
 type severity = Error | Warning | Info
 
-let severity_rank = function Error -> 2 | Warning -> 1 | Info -> 0
-
 let severity_to_string = function
   | Error -> "error"
   | Warning -> "warning"
@@ -71,16 +69,6 @@ let sort diags = List.sort_uniq compare_diag diags
 
 let count severity diags =
   List.length (List.filter (fun d -> d.severity = severity) diags)
-
-let max_severity diags =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | Some s when severity_rank s >= severity_rank d.severity -> acc
-      | _ -> Some d.severity)
-    None diags
-
-let codes diags = List.sort_uniq compare (List.map (fun d -> d.code) diags)
 
 (* Small edit distance for "did you mean" hints on unknown names. *)
 let levenshtein a b =

@@ -7,9 +7,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_rank : severity -> int
-(** [Error] > [Warning] > [Info]. *)
-
 val severity_to_string : severity -> string
 
 type t = {
@@ -44,21 +41,12 @@ val make :
 
 val with_file : string -> t -> t
 
-val pp : Format.formatter -> t -> unit
-(** ["file:line:col: severity[CODE] subject: message"] plus an indented
-    hint line when present. *)
-
 val to_string : t -> string
 
 val sort : t list -> t list
 (** Sort by (file, line, column, code) and drop exact duplicates. *)
 
 val count : severity -> t list -> int
-
-val max_severity : t list -> severity option
-
-val codes : t list -> string list
-(** The distinct rule codes present, sorted. *)
 
 val did_you_mean : string -> string list -> string option
 (** A ["did you mean ...?"] hint when a close candidate (edit distance <= 2)

@@ -111,40 +111,11 @@ let dot_col v c r =
   done;
   !acc
 
-let check_alphas name v alphas =
-  if Array.length alphas <> v.mv_width then
-    invalid_arg (Printf.sprintf "Multivec.%s: %d coefficients for width %d"
-                   name (Array.length alphas) v.mv_width)
-
-let axpy alphas x y =
-  check_same_shape "axpy" x y;
-  check_alphas "axpy" x alphas;
-  let k = x.mv_width in
-  for i = 0 to x.mv_dim - 1 do
-    let base = i * k in
-    for c = 0 to k - 1 do
-      Array.unsafe_set y.buf (base + c)
-        (Array.unsafe_get y.buf (base + c)
-        +. (Array.unsafe_get alphas c *. Array.unsafe_get x.buf (base + c)))
-    done
-  done
-
 let axpy_uniform a x y =
   check_same_shape "axpy_uniform" x y;
   let m = Array.length x.buf in
   for p = 0 to m - 1 do
     Array.unsafe_set y.buf p (Array.unsafe_get y.buf p +. (a *. Array.unsafe_get x.buf p))
-  done
-
-let scale alphas v =
-  check_alphas "scale" v alphas;
-  let k = v.mv_width in
-  for i = 0 to v.mv_dim - 1 do
-    let base = i * k in
-    for c = 0 to k - 1 do
-      Array.unsafe_set v.buf (base + c)
-        (Array.unsafe_get alphas c *. Array.unsafe_get v.buf (base + c))
-    done
   done
 
 let scale_uniform a v =

@@ -73,16 +73,9 @@ val dot_col : t -> int -> Vec.t -> float
 (** [dot_col v c r] is the inner product [<v[:,c], r>] — the per-step
     reward projection of the batched uniformization sweep. *)
 
-val axpy : float array -> t -> t -> unit
-(** [axpy alphas x y] updates [y[:,c] <- y[:,c] + alphas.(c) * x[:,c]]
-    for every column; [alphas] must have length [width]. *)
-
 val axpy_uniform : float -> t -> t -> unit
-(** [axpy_uniform a x y] is {!axpy} with the same coefficient for every
-    column — dense matrices stored as multivectors add this way. *)
-
-val scale : float array -> t -> unit
-(** Per-column in-place scaling; [alphas] must have length [width]. *)
+(** [axpy_uniform a x y] updates [y <- a*x + y] with the same coefficient
+    for every column — dense matrices stored as multivectors add this way. *)
 
 val scale_uniform : float -> t -> unit
 

@@ -33,8 +33,6 @@ let bits64 g =
   g.s3 <- rotl g.s3 45;
   result
 
-let split g = create (bits64 g)
-
 let float g =
   (* top 53 bits -> [0,1) *)
   let bits = Int64.shift_right_logical (bits64 g) 11 in

@@ -9,18 +9,11 @@ type t
 val create : int64 -> t
 (** [create seed] builds a generator from a 64-bit seed. *)
 
-val split : t -> t
-(** A new generator statistically independent of the parent (jump by
-    reseeding from the parent's stream). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val float : t -> float
 (** Uniform in [[0, 1)]. 53-bit resolution. *)
-
-val uniform : t -> float -> float
-(** [uniform t x] is uniform in [[0, x)]. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [[0, n-1]]; [n] must be positive. Exactly

@@ -330,11 +330,6 @@ let iteri m f =
     iter_row m i (fun j x -> f i j x)
   done
 
-let fold m ~init ~f =
-  let acc = ref init in
-  iteri m (fun i j x -> acc := f !acc i j x);
-  !acc
-
 let mul_vec_into m x y =
   if Vec.dim x <> m.cols || Vec.dim y <> m.rows then
     invalid_arg "Sparse.mul_vec_into: dimension mismatch";
@@ -692,8 +687,3 @@ let equal ?(eps = 0.) a b =
        iteri b (fun i j x -> if Float.abs (x -. get a i j) > eps then ok := false);
        !ok
      end
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>sparse %dx%d (%d nnz)" m.rows m.cols (nnz m);
-  iteri m (fun i j x -> Format.fprintf ppf "@,(%d,%d) = %g" i j x);
-  Format.fprintf ppf "@]"

@@ -98,13 +98,8 @@ val row_start : t -> int -> int
 val col_at : t -> int -> int
 (** [col_at m p] is the column of the stored entry at position [p]. *)
 
-val fold : t -> init:'a -> f:('a -> int -> int -> float -> 'a) -> 'a
-
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec m x] is the matrix-vector product [m * x]. *)
-
-val mul_vec_into : t -> Vec.t -> Vec.t -> unit
-(** [mul_vec_into m x y] writes [m * x] into [y]. [x] and [y] must not alias. *)
 
 val vec_mul : Vec.t -> t -> Vec.t
 (** [vec_mul x m] is the vector-matrix product [x^T * m] (row vector). *)
@@ -183,5 +178,3 @@ val row_sums : t -> Vec.t
 val equal : ?eps:float -> t -> t -> bool
 (** Entry-wise comparison within [eps] (default [0.]), including entries
     stored in only one of the two matrices. *)
-
-val pp : Format.formatter -> t -> unit

@@ -39,8 +39,6 @@ let sum v =
   done;
   !acc
 
-let scale a v = Array.map (fun x -> a *. x) v
-
 let scale_in_place a v =
   for i = 0 to Array.length v - 1 do
     v.(i) <- a *. v.(i)
@@ -56,10 +54,6 @@ let add a b =
   check_same_dim "add" a b;
   Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
 
-let sub a b =
-  check_same_dim "sub" a b;
-  Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
-
 let normalize_l1 v =
   let s = sum v in
   if s <= 0. then invalid_arg "Vec.normalize_l1: non-positive sum";
@@ -74,25 +68,7 @@ let linf_distance a b =
   done;
   !acc
 
-let l1_norm v =
-  let acc = ref 0. in
-  for i = 0 to Array.length v - 1 do
-    acc := !acc +. Float.abs v.(i)
-  done;
-  !acc
-
 let max_entry v = Array.fold_left Float.max neg_infinity v
-
-let min_entry v = Array.fold_left Float.min infinity v
 
 let is_distribution ?(eps = 1e-9) v =
   Array.for_all (fun x -> x >= -.eps) v && Float.abs (sum v -. 1.) <= eps
-
-let pp ppf v =
-  Format.fprintf ppf "[|";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%g" x)
-    v;
-  Format.fprintf ppf "|]"

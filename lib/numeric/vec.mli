@@ -29,17 +29,10 @@ val dot : t -> t -> float
 
 val sum : t -> float
 
-val scale : float -> t -> t
-(** [scale a v] is a fresh vector [a * v]. *)
-
-val scale_in_place : float -> t -> unit
-
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] updates [y <- a*x + y]. *)
 
 val add : t -> t -> t
-
-val sub : t -> t -> t
 
 val normalize_l1 : t -> unit
 (** Scale in place so entries sum to 1. Raises [Invalid_argument] if the sum
@@ -48,14 +41,8 @@ val normalize_l1 : t -> unit
 val linf_distance : t -> t -> float
 (** Max-norm distance between two vectors of equal length. *)
 
-val l1_norm : t -> float
-
 val max_entry : t -> float
-
-val min_entry : t -> float
 
 val is_distribution : ?eps:float -> t -> bool
 (** True when all entries are non-negative and sum to 1 within [eps]
     (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -109,9 +109,6 @@ module Metrics : sig
       residuals, window widths and iteration counts alike. [buckets] is
       ignored when the name is already registered. *)
 
-  val default_buckets : float array
-  (** The decade grid used when [?buckets] is omitted. *)
-
   val latency_ms_buckets : float array
   (** A latency-shaped grid (0.25 ms to ~8 s, powers of two) for request
       and query timings in milliseconds. *)

@@ -92,12 +92,3 @@ let expr_vars expr =
   in
   go expr;
   List.rev !out
-
-let rec subst lookup expr =
-  match expr with
-  | Int_lit _ | Real_lit _ | Bool_lit _ -> expr
-  | Var name -> ( match lookup name with Some e -> e | None -> expr)
-  | Unop (op, e) -> Unop (op, subst lookup e)
-  | Binop (op, a, b) -> Binop (op, subst lookup a, subst lookup b)
-  | Ite (c, a, b) -> Ite (subst lookup c, subst lookup a, subst lookup b)
-  | Call (f, args) -> Call (f, List.map (subst lookup) args)

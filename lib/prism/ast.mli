@@ -87,6 +87,3 @@ type model = {
 val expr_vars : expr -> string list
 (** Free names referenced by an expression (variables, constants and
     formulas alike), in first-occurrence order. *)
-
-val subst : (string -> expr option) -> expr -> expr
-(** Capture-free substitution of names (used to expand formulas). *)

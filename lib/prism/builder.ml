@@ -275,8 +275,6 @@ let label_pred built name =
   let values = List.assoc name built.labels in
   fun s -> values.(s)
 
-let reward_structure built name = List.assoc name built.reward_structures
-
 let state_pred built expr =
   (* Rebuild a tiny evaluation context over the stored vectors. We do not
      keep the constants/formulas around in [built]; predicates passed here

@@ -33,9 +33,6 @@ val label_pred : built -> string -> int -> bool
 (** [label_pred b name] is the predicate of the named label; raises
     [Not_found] if the model has no such label. *)
 
-val reward_structure : built -> string option -> Numeric.Vec.t
-(** Find a reward structure by (optional) name; raises [Not_found]. *)
-
 val state_pred : built -> Ast.expr -> int -> bool
 (** Evaluate an arbitrary boolean expression as a predicate over built
     states (used by the CSL checker for nested formulas). *)

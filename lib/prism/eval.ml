@@ -64,8 +64,6 @@ let compare_values a b =
   | (Vint _ | Vreal _), (Vint _ | Vreal _) -> compare (as_number a) (as_number b)
   | _ -> error "cannot compare boolean with number"
 
-let value_equal a b = compare_values a b = 0
-
 let rec eval_with env visiting expr =
   let eval e = eval_with env visiting e in
   match expr with
@@ -178,8 +176,3 @@ let eval_constants defs =
       in
       resolved @ [ (const_name, v) ])
     [] defs
-
-let pp_value ppf = function
-  | Vbool b -> Format.pp_print_bool ppf b
-  | Vint i -> Format.pp_print_int ppf i
-  | Vreal r -> Format.fprintf ppf "%g" r

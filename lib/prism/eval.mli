@@ -34,7 +34,3 @@ val eval_number : env -> Ast.expr -> float
 val eval_constants : Ast.const_def list -> (string * value) list
 (** Resolve constant definitions in order; each may reference the previous
     ones. Checks the declared type of every constant. *)
-
-val value_equal : value -> value -> bool
-
-val pp_value : Format.formatter -> value -> unit

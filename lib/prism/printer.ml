@@ -61,8 +61,6 @@ let rec expr_prec level e =
 
 let expr_to_string e = expr_prec 0 e
 
-let pp_expr ppf e = Format.pp_print_string ppf (expr_to_string e)
-
 let update_to_string = function
   | [] -> "true"
   | assigns ->

@@ -6,8 +6,4 @@
 
 val expr_to_string : Ast.expr -> string
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-
-val pp_model : Format.formatter -> Ast.model -> unit
-
 val model_to_string : Ast.model -> string

@@ -28,8 +28,6 @@ type conn = {
 
 let conn fd = { fd; pending = "" }
 
-let conn_fd c = c.fd
-
 let chunk_size = 8192
 
 (* false on EOF *)

@@ -34,8 +34,6 @@ type conn
 
 val conn : Unix.file_descr -> conn
 
-val conn_fd : conn -> Unix.file_descr
-
 val read_request : conn -> request option
 (** Read one full request. [None] on clean EOF before the first byte of
     a request; raises {!Bad_request} on malformed or oversized input
@@ -53,9 +51,6 @@ val write_response :
 (** Write a complete response ([content_type] defaults to
     ["application/json"], [keep_alive] to [true]; [headers] are extra
     response headers, e.g. the echoed [traceparent]). *)
-
-val reason : int -> string
-(** Standard reason phrase for a status code. *)
 
 (** {2 A small client}
 

@@ -1379,7 +1379,3 @@ let wait srv =
 let stop srv =
   initiate_stop srv;
   wait srv
-
-let run ?config () =
-  let srv = start ?config () in
-  wait srv

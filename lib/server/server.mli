@@ -108,6 +108,3 @@ val stop : t -> unit
 
 val wait : t -> unit
 (** Block until the server stops (via {!stop} or [POST /shutdown]). *)
-
-val run : ?config:config -> unit -> unit
-(** {!start} then {!wait}. *)

@@ -232,5 +232,3 @@ let generators : (string * (unit -> Experiments.artifact)) list =
 let ids = List.map fst generators
 
 let by_id id = List.assoc_opt id generators
-
-let all () = List.map (fun (_, gen) -> gen ()) generators

@@ -30,8 +30,6 @@ val erlang_repair_table : ?levels:int list -> unit -> Experiments.table
     delays feel the distribution), while the recovery probabilities shift
     markedly — low-variance repairs finish later but more surely. *)
 
-val all : unit -> Experiments.artifact list
-
 val ids : string list
 
 val by_id : string -> (unit -> Experiments.artifact) option

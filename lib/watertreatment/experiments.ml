@@ -331,8 +331,6 @@ let ids = List.map fst generators
 
 let by_id id = List.assoc_opt id generators
 
-let all ?points () = List.map (fun (_, gen) -> gen ?points ()) generators
-
 (* ------------------------------------------------------------------ *)
 (* Artifact metadata (bench JSON observability) *)
 

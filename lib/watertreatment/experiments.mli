@@ -80,14 +80,11 @@ val fig10 : ?points:int -> unit -> figure
 
 val fig11 : ?points:int -> unit -> figure
 
-val all : ?points:int -> unit -> artifact list
-(** Every artifact in paper order. [points] is the number of curve samples
-    per figure (default 25), both ends of the time axis included: every
-    figure generator raises [Invalid_argument "Experiments.<id>: ..."] when
-    it is below 2. *)
-
 val by_id : string -> (?points:int -> unit -> artifact) option
-(** Look up an artifact generator by id ("table1", "fig7", ...). *)
+(** Look up an artifact generator by id ("table1", "fig7", ...). [points]
+    is the number of curve samples per figure (default 25), both ends of
+    the time axis included: every figure generator raises
+    [Invalid_argument "Experiments.<id>: ..."] when it is below 2. *)
 
 val ids : string list
 

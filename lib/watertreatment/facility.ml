@@ -15,8 +15,6 @@ let frf crews = { strategy = Repair.Frf; crews }
 
 let fff crews = { strategy = Repair.Fff; crews }
 
-let fcfs crews = { strategy = Repair.Fcfs; crews }
-
 let config_name { strategy; crews } =
   match strategy with
   | Repair.Dedicated -> "DED"

@@ -32,8 +32,6 @@ type config = {
 val ded : config
 val frf : int -> config
 val fff : int -> config
-val fcfs : int -> config
-
 val config_name : config -> string
 (** "DED", "FRF-1", "FFF-2", ... *)
 
@@ -52,8 +50,6 @@ val line_model : line -> config -> Core.Model.t
 
 val reliability_model : line -> Core.Model.t
 (** The repair-free variant used for Fig. 3. *)
-
-val pumps : line -> string list
 
 val disaster1 : line -> string list
 (** Disaster 1: all pumps of the line fail. *)

@@ -397,11 +397,6 @@ let to_string ?(indent = 2) doc =
   if indent > 0 then Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let write_file ?indent path doc =
-  let oc = open_out_bin path in
-  let finally () = close_out_noerr oc in
-  Fun.protect ~finally (fun () -> output_string oc (to_string ?indent doc))
-
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
 
@@ -414,13 +409,6 @@ let attribute node key =
   | Element (_, attrs, _) -> List.assoc_opt key attrs
   | Text _ -> None
 
-let attribute_exn node key =
-  match attribute node key with
-  | Some v -> v
-  | None ->
-      let where = match node with Element (tag, _, _) -> tag | Text _ -> "#text" in
-      failwith (Printf.sprintf "Xml_kit: missing attribute %S on <%s>" key where)
-
 let children = function
   | Element (_, _, kids) -> kids
   | Text _ -> []
@@ -432,13 +420,6 @@ let find_child node tag =
   List.find_opt
     (function Element (t, _, _) -> t = tag | Text _ -> false)
     (children node)
-
-let find_child_exn node tag =
-  match find_child node tag with
-  | Some el -> el
-  | None ->
-      let where = match node with Element (t, _, _) -> t | Text _ -> "#text" in
-      failwith (Printf.sprintf "Xml_kit: missing child <%s> under <%s>" tag where)
 
 let find_children node tag =
   List.filter
@@ -455,5 +436,3 @@ let text_content node =
   String.trim (Buffer.contents buf)
 
 let element tag attrs kids = Element (tag, attrs, kids)
-
-let text s = Text s

@@ -45,8 +45,6 @@ val to_string : ?indent:int -> t -> string
     Guaranteed inverse: [parse_string (to_string doc)] yields a tree equal
     to [doc] up to whitespace-only text normalization. *)
 
-val write_file : ?indent:int -> string -> t -> unit
-
 (** {2 Tree accessors} *)
 
 val name : t -> string
@@ -54,9 +52,6 @@ val name : t -> string
 
 val attribute : t -> string -> string option
 (** [attribute el key] is the attribute's value if present. *)
-
-val attribute_exn : t -> string -> string
-(** Raises [Failure] naming the element and attribute when missing. *)
 
 val children : t -> t list
 (** Child nodes of an element ([[]] for [Text]). *)
@@ -67,8 +62,6 @@ val child_elements : t -> t list
 val find_child : t -> string -> t option
 (** First child element with the given name. *)
 
-val find_child_exn : t -> string -> t
-
 val find_children : t -> string -> t list
 (** All child elements with the given name, in order. *)
 
@@ -76,8 +69,6 @@ val text_content : t -> string
 (** Concatenated text below the node (trimmed). *)
 
 val element : string -> (string * string) list -> t list -> t
-
-val text : string -> t
 
 val escape : string -> string
 (** Escape the five XML-special characters (ampersand, angle brackets and

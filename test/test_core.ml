@@ -118,16 +118,6 @@ let test_repair_ranks () =
   Alcotest.(check int) "slow repair later" 1 (Repair.priority_rank ru lookup "b")
 
 let test_spare_activation () =
-  let smu =
-    Spare.make ~name:"s" ~mode:Spare.Cold ~primaries:[ "p1"; "p2" ] ~spares:[ "s1" ] ()
-  in
-  let active up = Spare.active_set smu ~up in
-  Alcotest.(check (list (pair string bool))) "all up: spare dormant"
-    [ ("p1", true); ("p2", true); ("s1", false) ]
-    (active (fun _ -> true));
-  Alcotest.(check (list (pair string bool))) "p1 down: spare active"
-    [ ("p1", false); ("p2", true); ("s1", true) ]
-    (active (fun c -> c <> "p1"));
   List.iter
     (fun f ->
       rejected (Printf.sprintf "warm factor %g" f) (fun () ->
@@ -336,7 +326,8 @@ let test_semantics_cost_structure () =
       ~components:[ "a"; "b"; "c" ] ()
   in
   let built = Semantics.build (abc_model ~repair_units:[ ded ] ()) in
-  let cost = Semantics.cost_structure built in
+  let component_cost, repair_cost = Semantics.cost_structures built in
+  let cost = Numeric.Vec.add component_cost repair_cost in
   (* all-up state: 3 idle crews = 3; component cost 0 *)
   check_close "idle cost" 3. cost.(0);
   (* a state with k failures costs 3k (components) + (3-k) idle *)
@@ -683,7 +674,8 @@ let test_modes_mode_cost () =
       ~fault_tree:(Fault_tree.basic "c") ()
   in
   let built = Semantics.build model in
-  let cost = Semantics.cost_structure built in
+  let component_cost, repair_cost = Semantics.cost_structures built in
+  let cost = Numeric.Vec.add component_cost repair_cost in
   (* find the major-mode state: cost 10 + 0 idle crews... the dedicated
      crew is busy, idle = 0, so state cost = 10 *)
   let costs = Array.to_list cost |> List.sort compare in
@@ -800,8 +792,12 @@ let test_mean_time_measures () =
 let test_mixed_disasters () =
   let model = abc_model ~repair_units:[ fcfs_unit () ] () in
   let d_small = [ "a" ] and d_big = [ "a"; "b"; "c" ] in
-  let mixed = Measures.analyze_mixed_disasters model [ (0.75, d_big); (0.25, d_small) ] in
-  let pure failed = Measures.analyze ~initial:(Semantics.disaster_state model ~failed) model in
+  let disaster failed = Semantics.disaster_state model ~failed in
+  let mixed =
+    Measures.rooted (Measures.analyze model)
+      [ (0.75, disaster d_big); (0.25, disaster d_small) ]
+  in
+  let pure failed = Measures.analyze ~initial:(disaster failed) model in
   let level = 0.5 and time = 8. in
   let expected =
     (0.75 *. Measures.survivability (pure d_big) ~service_level:level ~time)
@@ -815,28 +811,7 @@ let test_mixed_disasters () =
     +. (0.25 *. Measures.accumulated_cost (pure d_small) ~time:5.)
   in
   check_close ~eps:1e-9 "mixed cost" expected_cost
-    (Measures.accumulated_cost mixed ~time:5.);
-  Alcotest.check_raises "empty mixture"
-    (Invalid_argument "Measures.analyze_mixed_disasters: empty mixture") (fun () ->
-      ignore (Measures.analyze_mixed_disasters model []))
-
-let test_mixed_disaster_weights () =
-  let model = abc_model ~repair_units:[ fcfs_unit () ] () in
-  let who = "Measures.analyze_mixed_disasters" in
-  (* max_states:1 makes any build fail: the weights are checked first *)
-  let rejects msg disasters =
-    Alcotest.check_raises msg (Invalid_argument (who ^ ": " ^ msg)) (fun () ->
-        ignore (Measures.analyze_mixed_disasters ~max_states:1 model disasters))
-  in
-  rejects "weights must be finite and non-negative (got nan)"
-    [ (Float.nan, [ "a" ]); (1., [ "b" ]) ];
-  rejects "weights must be finite and non-negative (got -0.5)"
-    [ (1., [ "a" ]); (-0.5, [ "b" ]) ];
-  rejects "weights must be finite and non-negative (got inf)"
-    [ (Float.infinity, [ "a" ]) ];
-  rejects "total weight must be finite and positive (got 0)" [ (0., [ "a" ]) ];
-  rejects "total weight must be finite and positive (got inf)"
-    [ (Float.max_float, [ "a" ]); (Float.max_float, [ "b" ]) ]
+    (Measures.accumulated_cost mixed ~time:5.)
 
 (* [rooted] is a view: it shares the parent's rate operator and the
    caches derived from it, whichever session derives them first *)
@@ -861,21 +836,28 @@ let test_rooted_shares_operator () =
 
 let test_rooted_rejects () =
   (* without repairs nothing leads back to all-up *)
-  let model = Model.without_repairs (abc_model ()) in
+  let model = abc_model () in
   let m =
     Measures.analyze ~initial:(Semantics.disaster_state model ~failed:[ "a" ]) model
   in
   Alcotest.check_raises "unreachable state"
     (Invalid_argument "Measures.rooted: state not in the chain") (fun () ->
       ignore (Measures.rooted m [ (1., Semantics.all_up_state model) ]));
-  Alcotest.check_raises "bad weight"
-    (Invalid_argument
-       "Measures.rooted: weights must be finite and non-negative (got nan)")
-    (fun () ->
-      ignore
-        (Measures.rooted m [ (Float.nan, Semantics.disaster_state model ~failed:[ "a" ]) ]));
-  Alcotest.check_raises "empty" (Invalid_argument "Measures.rooted: empty mixture")
-    (fun () -> ignore (Measures.rooted m []))
+  (* the weights are checked before any state is looked up *)
+  let rejects msg weights =
+    Alcotest.check_raises msg (Invalid_argument ("Measures.rooted: " ^ msg))
+      (fun () ->
+        ignore
+          (Measures.rooted m
+             (List.map (fun w -> (w, Semantics.all_up_state model)) weights)))
+  in
+  rejects "weights must be finite and non-negative (got nan)" [ Float.nan; 1. ];
+  rejects "weights must be finite and non-negative (got -0.5)" [ 1.; -0.5 ];
+  rejects "weights must be finite and non-negative (got inf)" [ Float.infinity ];
+  rejects "total weight must be finite and positive (got 0)" [ 0. ];
+  rejects "total weight must be finite and positive (got inf)"
+    [ Float.max_float; Float.max_float ];
+  rejects "empty mixture" []
 
 let test_two_repair_units_product () =
   (* two independent subsystems with their own repair units in one model:
@@ -926,9 +908,9 @@ let test_xml_roundtrip () =
   Alcotest.(check string) "name" model.Model.name model'.Model.name;
   Alcotest.(check int) "components" 3 (List.length model'.Model.components);
   Alcotest.(check bool) "components equal" true
-    (List.for_all2 Component.equal model.Model.components model'.Model.components);
+    (List.for_all2 ( = ) model.Model.components model'.Model.components);
   Alcotest.(check bool) "fault tree equal" true
-    (Fault_tree.equal model.Model.fault_tree model'.Model.fault_tree);
+    (model.Model.fault_tree = model'.Model.fault_tree);
   Alcotest.(check int) "measures" 1 (List.length measures');
   (* semantic equality: same availability *)
   check_close ~eps:1e-12 "same availability"
@@ -985,15 +967,13 @@ let test_degradation_scenario () =
     Repair.make ~name:"ded" ~strategy:Repair.Dedicated ~components:[ "a"; "b"; "c" ] ()
   in
   let m = Measures.analyze (abc_model ~repair_units:[ ded ] ()) in
-  match Measures.most_likely_degradation_scenario m with
+  match Measures.most_likely_loss_scenario m with
   | Some (events, p) ->
-      (* a single failure degrades service; the likeliest culprits are the
-         fast-failing a or b (equal rates), ahead of c *)
-      Alcotest.(check int) "one event" 1 (List.length events);
-      let event = List.hd events in
-      Alcotest.(check bool) "a or b fails" true
-        (event = "a fails" || event = "b fails");
-      check_close ~eps:1e-9 "jump probability" (0.01 /. 0.025) p
+      (* c alone loses service in one jump (rate 1/200 of the total
+         1/100+1/100+1/200); losing the a-b pair takes two jumps and is
+         far less likely *)
+      Alcotest.(check (list string)) "c fails" [ "c fails" ] events;
+      check_close ~eps:1e-9 "jump probability" (0.005 /. 0.025) p
   | None -> Alcotest.fail "expected a scenario"
 
 (* ------------------------------------------------------------------ *)
@@ -1526,8 +1506,6 @@ let test_reduced_observations () =
     | exception Invalid_argument _ -> ()
   in
   refused "state" (fun () -> ignore (Semantics.state built 0));
-  refused "component_up" (fun () -> ignore (Semantics.component_up built 0 "pump1"));
-  refused "under_repair" (fun () -> ignore (Semantics.under_repair built 0));
   refused "literal_pred" (fun () ->
       let (_ : int -> bool) = Semantics.literal_pred built "pump1" in
       ());
@@ -1536,7 +1514,6 @@ let test_reduced_observations () =
         (Csl.Checker.check_string (Measures.to_csl_model m)
            {|P=? [ true U<=10 "pump1_failed" ]|}));
   (* the reservoir has no twin: its observations stay *)
-  Alcotest.(check bool) "res up" true (Semantics.component_up built 0 "res");
   Alcotest.(check bool) "res literal" false (Semantics.literal_pred built "res" 0);
   check_close ~eps:1e-12 "availability" 0.8186317
     (Float.round (Measures.availability m *. 1e7) /. 1e7);
@@ -1562,7 +1539,7 @@ let test_reduced_observations () =
   (* a full build keeps every observation *)
   let full = Semantics.build model in
   Alcotest.(check (list (list string))) "full build" [] (Semantics.symmetry_groups full);
-  Alcotest.(check bool) "pump1 up" true (Semantics.component_up full 0 "pump1")
+  Alcotest.(check bool) "pump1 literal" false (Semantics.literal_pred full "pump1" 0)
 
 (* A session asked only steady-state queries over group-invariant labels
    builds the symmetric chain alone; the first transient query adds the
@@ -1807,7 +1784,7 @@ let symmetric_model_gen ~spoil =
          ~fault_tree:(Fault_tree.or_ (List.map (fun (_, t, _) -> t) groups))
          ()))
 
-let print_model m = Format.asprintf "%a" Model.pp m
+let print_model m = Xml_kit.to_string (Xml_io.to_xml m)
 
 (* Both kinds of generated model: with [spoil] the groups sit in warm or
    cold spare units or in Priority units with adjacent ranks, which
@@ -1851,8 +1828,16 @@ let invariant_transient m =
   let times = [ 0.5; 4.; 30. ] in
   let values curve = List.map snd curve in
   let inst, acc = Measures.cost_curves m ~times in
-  (Measures.instantaneous_availability m ~time:4.
-  :: values (Measures.reliability_curve m ~times))
+  let built = Measures.built m in
+  let full_service = Semantics.service_at_least built 1. in
+  let pi =
+    Ctmc.Transient.distribution ~analysis:(Measures.analysis m)
+      built.Semantics.chain 4.
+  in
+  let availability_at_4 =
+    Array.fold_left ( +. ) 0. (Array.mapi (fun s p -> if full_service s then p else 0.) pi)
+  in
+  (availability_at_4 :: values (Measures.reliability_curve m ~times))
   @ values inst @ values acc
 
 let prop_symmetric_measures =
@@ -2081,8 +2066,6 @@ let () =
           Alcotest.test_case "CSL agreement" `Quick test_measures_csl_agreement;
           Alcotest.test_case "combined availability" `Quick test_combined_availability;
           Alcotest.test_case "mixed disasters" `Quick test_mixed_disasters;
-          Alcotest.test_case "mixed disaster weights" `Quick
-            test_mixed_disaster_weights;
           Alcotest.test_case "rooted shares the operator" `Quick
             test_rooted_shares_operator;
           Alcotest.test_case "rooted rejects" `Quick test_rooted_rejects;

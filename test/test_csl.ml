@@ -9,7 +9,7 @@ module Chain = Ctmc.Chain
 let check_close ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
-let formula = Alcotest.testable Ast.pp ( = )
+let formula = Alcotest.testable (Fmt.of_to_string Ast.to_string) ( = )
 
 (* ------------------------------------------------------------------ *)
 (* Parser *)

@@ -20,6 +20,17 @@ let two_state a b = Chain.of_transitions ~states:2 [ (0, 1, a); (1, 0, b) ]
 
 let p0_exact a b t = (b /. (a +. b)) +. ((a /. (a +. b)) *. Float.exp (-.(a +. b) *. t))
 
+(* one stream through the kernel's vector face *)
+let mixture a ~dir ~coeff start ~times =
+  match Analysis.poisson_mixture_batch a ~dir [ { Analysis.start; coeff; times } ] with
+  | [ vs ] -> vs
+  | _ -> Alcotest.fail "expected one stream"
+
+let mass pred pi =
+  let acc = ref 0. in
+  Array.iteri (fun s p -> if pred s then acc := !acc +. p) pi;
+  !acc
+
 (* ------------------------------------------------------------------ *)
 (* Chain *)
 
@@ -146,18 +157,25 @@ let test_transient_erlang () =
 let test_transient_curve_matches_pointwise () =
   let m = two_state 1.5 0.5 in
   let times = [ 0.2; 1.0; 2.5; 7. ] in
-  let curve = Transient.curve m ~times in
-  List.iter
-    (fun (t, pi) ->
+  let curve =
+    mixture (Analysis.create m) ~dir:Analysis.Forward ~coeff:Analysis.Pmf
+      (Chain.initial m) ~times
+  in
+  List.iter2
+    (fun t pi ->
       let direct = Transient.distribution m t in
       check_close ~eps:1e-9 (Printf.sprintf "curve(%g)" t) direct.(0) pi.(0))
-    curve
+    times curve
 
 let test_transient_backward () =
   let a = 2. and b = 3. in
   let m = two_state a b in
   let v = [| 1.; 0. |] in
-  let u = Transient.backward m v 0.7 in
+  let u =
+    List.hd
+      (mixture (Analysis.create m) ~dir:Analysis.Backward ~coeff:Analysis.Pmf v
+         ~times:[ 0.7 ])
+  in
   check_close ~eps:1e-10 "backward from 0" (p0_exact a b 0.7) u.(0);
   check_close ~eps:1e-10 "backward from 1" (1. -. p0_exact b a 0.7) u.(1)
 
@@ -274,14 +292,6 @@ let test_hitting_time_not_almost_sure () =
   let m = Chain.of_transitions ~states:3 [ (0, 1, 1.); (0, 2, 3.) ] in
   let times = Ctmc.Absorption.expected_time_to m ~psi:(fun s -> s = 2) in
   Alcotest.(check bool) "conditional expectation refused" true (times.(0) = infinity)
-
-let test_hitting_reward () =
-  let m = two_state 2. 3. in
-  let r =
-    Ctmc.Absorption.expected_reward_to m ~reward:[| 7.; 0. |] ~psi:(fun s -> s = 1)
-  in
-  (* rate-7 reward over an expected 1/2 hour *)
-  check_close ~eps:1e-10 "scaled" 3.5 r.(0)
 
 let test_mean_time_from_init () =
   let m = Chain.of_transitions ~states:2 [ (0, 1, 0.25) ] in
@@ -731,9 +741,9 @@ let test_analysis_transient_equiv () =
         (Transient.distribution m t)
         (Transient.distribution ~analysis:a m t))
     [ 0.; 0.3; 1.7; 10. ];
-  check_close "probability_at"
-    (Transient.probability_at m ~pred:(fun s -> s >= 3) 2.)
-    (Transient.probability_at ~analysis:a m ~pred:(fun s -> s >= 3) 2.)
+  check_close "mass at t"
+    (mass (fun s -> s >= 3) (Transient.distribution m 2.))
+    (mass (fun s -> s >= 3) (Transient.distribution ~analysis:a m 2.))
 
 let test_analysis_reachability_equiv () =
   let m = analysis_chain () in
@@ -773,7 +783,7 @@ let test_analysis_steady_equiv () =
 let test_analysis_hit_counters () =
   let m = analysis_chain () in
   let a = Analysis.create m in
-  let query () = Transient.probability_at ~analysis:a m ~pred:(fun s -> s = 0) 2. in
+  let query () = mass (fun s -> s = 0) (Transient.distribution ~analysis:a m 2.) in
   let registry = Counts.start () in
   let (v1, (computes1, hits1), v2), spans =
     traced (fun () ->
@@ -896,8 +906,8 @@ let test_analysis_quotient_measures_agree () =
   let vec_on_blocks v = Array.map (fun members -> v.(List.hd members)) r.Lumping.blocks in
   let pred s = s = 1 || s = 2 in
   check_close "transient mass via quotient"
-    (Transient.probability_at m ~pred 2.3)
-    (Transient.probability_at q ~pred:(on_blocks pred) 2.3);
+    (mass pred (Transient.distribution m 2.3))
+    (mass (on_blocks pred) (Transient.distribution q 2.3));
   check_close "long-run mass via quotient"
     (Steady_state.long_run_probability m ~pred)
     (Steady_state.long_run_probability q ~pred:(on_blocks pred));
@@ -941,12 +951,6 @@ let test_analysis_wrong_chain_ignored () =
    evaluation, preserve the caller's times 1:1, and actually save SpMVs *)
 
 let multi_times = [ 0.4; 1.1; 2.6; 5.; 9.3 ]
-
-(* one stream through the kernel's vector face *)
-let mixture a ~dir ~coeff start ~times =
-  match Analysis.poisson_mixture_batch a ~dir [ { Analysis.start; coeff; times } ] with
-  | [ vs ] -> vs
-  | _ -> Alcotest.fail "expected one stream"
 
 let test_multi_kernel_matches_single () =
   let m = analysis_chain () in
@@ -1023,9 +1027,16 @@ let test_multi_kernel_counters () =
 let test_curve_preserves_times () =
   let m = two_state 1.5 0.5 in
   let times = [ 3.; 0.5; 3.; 0. ] in
-  let curve = Transient.curve m ~times in
-  Alcotest.(check (list (float 0.)))
-    "times preserved 1:1 (order and duplicates)" times (List.map fst curve);
+  let curve =
+    mixture (Analysis.create m) ~dir:Analysis.Forward ~coeff:Analysis.Pmf
+      (Chain.initial m) ~times
+  in
+  Alcotest.(check int) "one point per time (order and duplicates)"
+    (List.length times) (List.length curve);
+  List.iter2
+    (fun t pi ->
+      check_vec (Printf.sprintf "point at t=%g" t) (Transient.distribution m t) pi)
+    times curve;
   let reward = [| 1.; 4. |] in
   Alcotest.(check (list (float 0.)))
     "instantaneous curve aligned" times
@@ -1077,6 +1088,11 @@ let test_batch_kernel_matches_multi () =
 let test_transient_batch_entries () =
   let m = analysis_chain () in
   let n = Chain.states m in
+  let a = Analysis.create m in
+  let batch ~dir starts times =
+    Analysis.poisson_mixture_batch a ~dir
+      (List.map (fun start -> { Analysis.start; coeff = Analysis.Pmf; times }) starts)
+  in
   let starts = [ Chain.initial m; Numeric.Vec.unit n 3 ] in
   let times = [ 0.; 0.7; 4.2 ] in
   List.iter2
@@ -1084,18 +1100,22 @@ let test_transient_batch_entries () =
       List.iter2
         (fun t v ->
           check_vec
-            (Printf.sprintf "distribution_batch t=%g" t)
-            (Transient.distribution_from m start t)
+            (Printf.sprintf "forward batch t=%g" t)
+            (Transient.distribution (Chain.with_init m start) t)
             v)
         times vs)
     starts
-    (Transient.distribution_batch m ~starts ~times);
+    (batch ~dir:Analysis.Forward starts times);
   let values = [ [| 1.; 0.; 0.; 0.; 0. |]; [| 0.; 0.5; 0.; 0.; 2. |] ] in
   List.iter2
     (fun v u ->
-      check_vec "backward_batch" (Transient.backward m v 1.3) u)
+      check_vec "backward batch"
+        (List.hd
+           (mixture (Analysis.create m) ~dir:Analysis.Backward ~coeff:Analysis.Pmf
+              v ~times:[ 1.3 ]))
+        u)
     values
-    (Transient.backward_batch m values 1.3)
+    (List.map List.hd (batch ~dir:Analysis.Backward values [ 1.3 ]))
 
 let test_rewards_both_curves () =
   let m = analysis_chain () in
@@ -1116,19 +1136,21 @@ let test_rewards_both_curves () =
     acc
 
 let test_long_run_probabilities () =
-  (* reducible chain: the multi-RHS BSCC-weight solve behind one call must
-     match the per-predicate scalar entry point *)
+  (* reducible chain: every predicate asked of one session reads the one
+     multi-RHS BSCC-weight solve, and is the mass of its distribution *)
   let m = analysis_chain () in
+  let a = Analysis.create m in
   let preds =
     [ (fun s -> s = 0); (fun s -> s >= 3); (fun s -> s mod 2 = 1) ]
   in
-  List.iter2
-    (fun pred p ->
-      check_close ~eps:1e-9 "long-run mass"
-        (Steady_state.long_run_probability m ~pred)
-        p)
-    preds
-    (Steady_state.long_run_probabilities m ~preds)
+  let count = Counts.start () in
+  let pi = Steady_state.solve ~analysis:a m in
+  List.iter
+    (fun pred ->
+      check_close ~eps:0. "long-run mass" (mass pred pi)
+        (Steady_state.long_run_probability ~analysis:a m ~pred))
+    preds;
+  Alcotest.(check int) "one steady solve" 1 (count "steady_solves")
 
 let test_unbounded_until_scc_order () =
   (* layered DAG: i -> i+1 and i -> trap, with the goal at the chain's
@@ -1535,7 +1557,7 @@ let test_mask_edge_cases () =
   let psi s = s = 1 in
   List.iter
     (fun (_, p) -> check_close ~eps:1e-12 "start in psi" 1. p)
-    (Reachability.bounded_until_curve (Chain.with_point_init m 1)
+    (Reachability.bounded_until_curve (Chain.with_init m (Vec.unit n 1))
        ~phi:(fun _ -> true) ~psi ~bounds:(0. :: times));
   (* phi <> true: not-phi states absorb without counting; the masked
      pass runs the absorbed chain's step count *)
@@ -1639,7 +1661,7 @@ let time_entry_points =
   let m = analysis_chain () in
   let n = Chain.states m in
   let a = Analysis.create m in
-  let start = Chain.initial m and v = Array.make n 1. in
+  let start = Chain.initial m in
   let reward = Array.init n float_of_int in
   let drop f t = ignore (f t) in
   [
@@ -1647,12 +1669,7 @@ let time_entry_points =
       drop (fun t ->
           Analysis.poisson_mixture_batch a ~dir:Analysis.Forward
             [ { Analysis.start; coeff = Analysis.Pmf; times = [ 1.; t ] } ]) );
-    ("Transient.distribution_from", drop (Transient.distribution_from m start));
-    ( "Transient.distribution_batch",
-      drop (fun t -> Transient.distribution_batch m ~starts:[ start ] ~times:[ 1.; t ])
-    );
-    ("Transient.backward_batch", drop (Transient.backward_batch m [ v ]));
-    ("Transient.backward", drop (Transient.backward m v));
+    ("Transient.distribution", drop (Transient.distribution m));
     ( "Rewards.accumulated",
       drop (fun upto -> Rewards.accumulated m ~reward ~upto) );
   ]
@@ -2004,7 +2021,6 @@ let () =
           Alcotest.test_case "unreachable is infinite" `Quick test_hitting_time_unreachable;
           Alcotest.test_case "sub-probability hit is infinite" `Quick
             test_hitting_time_not_almost_sure;
-          Alcotest.test_case "reward until hit" `Quick test_hitting_reward;
           Alcotest.test_case "initial-weighted" `Quick test_mean_time_from_init;
         ] );
       ( "interval-until",

@@ -6,7 +6,7 @@
 module D = Lint.Diagnostic
 module QR = Lint.Query_rules
 
-let codes diags = D.codes diags
+let codes diags = List.sort_uniq compare (List.map (fun d -> d.D.code) diags)
 
 let has code diags = List.mem code (codes diags)
 

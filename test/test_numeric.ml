@@ -292,7 +292,9 @@ let builder_transpose m =
   Sparse.Builder.to_csr b
 
 let entries_bits m =
-  Sparse.fold m ~init:[] ~f:(fun acc i j x -> (i, j, Int64.bits_of_float x) :: acc)
+  let acc = ref [] in
+  Sparse.iteri m (fun i j x -> acc := (i, j, Int64.bits_of_float x) :: !acc);
+  !acc
 
 (* Stored zeros (left by [map]) must be dropped as the Builder drops them;
    everything else keeps its bits and its row order. *)

@@ -899,9 +899,8 @@ let test_registry_counts_session_work () =
   let a = Analysis.create m in
   ignore (Ctmc.Steady_state.solve ~analysis:a m);
   ignore (Ctmc.Steady_state.solve ~analysis:a m);
-  let pred s = s = 0 in
-  ignore (Ctmc.Transient.probability_at ~analysis:a m ~pred 2.);
-  ignore (Ctmc.Transient.probability_at ~analysis:a m ~pred 2.);
+  ignore (Ctmc.Transient.distribution ~analysis:a m 2.);
+  ignore (Ctmc.Transient.distribution ~analysis:a m 2.);
   Obs.Metrics.set_enabled false;
   let snap = Obs.Metrics.snapshot () in
   let registry name =

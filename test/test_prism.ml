@@ -330,7 +330,7 @@ endmodule
 
 let test_build_rewards_and_state_pred () =
   let b = build small_model in
-  let uptime = Builder.reward_structure b (Some "uptime") in
+  let uptime = List.assoc (Some "uptime") b.Builder.reward_structures in
   check_close "reward in initial state" 1. uptime.(0);
   let pred = Builder.state_pred b (parse_expr "up = false") in
   let n_down = ref 0 in

@@ -628,7 +628,7 @@ let test_fig6_curve_matches_pointwise () =
       check_curve
         ("instantaneous cost " ^ Facility.config_name config)
         times
-        (Measures.instantaneous_cost_curve m ~times)
+        (fst (Measures.cost_curves m ~times))
         (fun t -> Measures.instantaneous_cost m ~time:t))
     d1_equiv_configs
 
@@ -645,40 +645,6 @@ let test_fig7_curve_matches_pointwise () =
         (Measures.accumulated_cost_curve m ~times)
         (fun t -> Measures.accumulated_cost m ~time:t))
     d1_equiv_configs
-
-let test_analyze_all_matches_analyze () =
-  (* the paper's 5-strategy comparison through the batched entry point:
-     analyze_all (multi-RHS steady state, blocked cost curves, parallel
-     fan-out) must agree with five independent analyze calls to 1e-12 *)
-  let configs =
-    [ Facility.ded; Facility.frf 1; Facility.frf 2; Facility.fff 1; Facility.fff 2 ]
-  in
-  let batch =
-    Measures.analyze_all (List.map (Facility.line_model Facility.Line2) configs)
-  in
-  Alcotest.(check int) "result count" (List.length configs) (List.length batch);
-  let times = equiv_times 10. in
-  List.iter2
-    (fun config batched ->
-      let single = analyze Facility.Line2 config in
-      let name = Facility.config_name config in
-      check_close ~eps:1e-12 (name ^ " availability")
-        (Measures.availability single)
-        (Measures.availability batched);
-      check_close ~eps:1e-12 (name ^ " unreliability")
-        (Measures.unreliability single ~time:10.)
-        (Measures.unreliability batched ~time:10.);
-      let inst_s, acc_s = Measures.cost_curves single ~times in
-      let inst_b, acc_b = Measures.cost_curves batched ~times in
-      List.iter2
-        (fun (t, e) (_, a) ->
-          check_close ~eps:1e-12 (Printf.sprintf "%s inst cost %g" name t) e a)
-        inst_s inst_b;
-      List.iter2
-        (fun (t, e) (_, a) ->
-          check_close ~eps:1e-12 (Printf.sprintf "%s acc cost %g" name t) e a)
-        acc_s acc_b)
-    configs batch
 
 let test_scc_order_on_reliability_model () =
   (* the reliability models carry no repair unit, so their chains are DAGs
@@ -961,8 +927,6 @@ let () =
             test_fig6_curve_matches_pointwise;
           Alcotest.test_case "fig7 curve = pointwise" `Slow
             test_fig7_curve_matches_pointwise;
-          Alcotest.test_case "analyze_all = 5 x analyze" `Slow
-            test_analyze_all_matches_analyze;
           Alcotest.test_case "scc order on reliability model" `Quick
             test_scc_order_on_reliability_model;
         ] );

@@ -79,15 +79,12 @@ let test_accessors () =
   | Some el -> Alcotest.(check string) "find_child" "y" (X.name el)
   | None -> Alcotest.fail "y not found");
   Alcotest.(check (option string)) "missing attribute" None (X.attribute doc "nope");
-  (match X.attribute_exn (X.find_child_exn doc "x") "id" with
-  | "1" -> ()
-  | other -> Alcotest.failf "wrong first x: %s" other);
-  (match X.find_child_exn doc "zzz" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure for missing child")
+  Alcotest.(check (option string)) "first x" (Some "1")
+    (Option.bind (X.find_child doc "x") (fun x -> X.attribute x "id"));
+  Alcotest.(check bool) "missing child" true (X.find_child doc "zzz" = None)
 
 let test_serialize_escapes () =
-  let doc = X.element "a" [ ("k", "<&>\"'") ] [ X.text "x < y" ] in
+  let doc = X.element "a" [ ("k", "<&>\"'") ] [ X.Text "x < y" ] in
   let reparsed = parse (X.to_string doc) in
   Alcotest.(check (option string)) "attr preserved" (Some "<&>\"'")
     (X.attribute reparsed "k");
