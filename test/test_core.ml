@@ -852,12 +852,28 @@ let test_rooted_rejects () =
              (List.map (fun w -> (w, Semantics.all_up_state model)) weights)))
   in
   rejects "weights must be finite and non-negative (got nan)" [ Float.nan; 1. ];
-  rejects "weights must be finite and non-negative (got -0.5)" [ 1.; -0.5 ];
-  rejects "weights must be finite and non-negative (got inf)" [ Float.infinity ];
-  rejects "total weight must be finite and positive (got 0)" [ 0. ];
-  rejects "total weight must be finite and positive (got inf)"
-    [ Float.max_float; Float.max_float ];
   rejects "empty mixture" []
+
+let test_mixed_disaster_weights () =
+  let model = abc_model ~repair_units:[ fcfs_unit () ] () in
+  let base = Measures.analyze model in
+  let disaster failed = Semantics.disaster_state model ~failed in
+  let rejects msg mixture =
+    Alcotest.check_raises msg (Invalid_argument ("Measures.rooted: " ^ msg))
+      (fun () ->
+        ignore
+          (Measures.rooted base
+             (List.map (fun (w, failed) -> (w, disaster failed)) mixture)))
+  in
+  rejects "weights must be finite and non-negative (got nan)"
+    [ (Float.nan, [ "a" ]); (1., [ "b" ]) ];
+  rejects "weights must be finite and non-negative (got -0.5)"
+    [ (1., [ "a" ]); (-0.5, [ "b" ]) ];
+  rejects "weights must be finite and non-negative (got inf)"
+    [ (Float.infinity, [ "a" ]) ];
+  rejects "total weight must be finite and positive (got 0)" [ (0., [ "a" ]) ];
+  rejects "total weight must be finite and positive (got inf)"
+    [ (Float.max_float, [ "a" ]); (Float.max_float, [ "b" ]) ]
 
 let test_two_repair_units_product () =
   (* two independent subsystems with their own repair units in one model:
@@ -2066,6 +2082,8 @@ let () =
           Alcotest.test_case "CSL agreement" `Quick test_measures_csl_agreement;
           Alcotest.test_case "combined availability" `Quick test_combined_availability;
           Alcotest.test_case "mixed disasters" `Quick test_mixed_disasters;
+          Alcotest.test_case "mixed disaster weights" `Quick
+            test_mixed_disaster_weights;
           Alcotest.test_case "rooted shares the operator" `Quick
             test_rooted_shares_operator;
           Alcotest.test_case "rooted rejects" `Quick test_rooted_rejects;
