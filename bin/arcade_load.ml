@@ -11,7 +11,8 @@ module Http = Server.Http
    steady-state queries, one time-bounded until, both reward operators.
    Evaluated one query at a time these cost 3 uniformization sweeps per
    request (the S queries are steady-state solves); the daemon's batching
-   answers them in at most 2 sweeps per same-model group. *)
+   answers them in at most 2 sweeps per session, and a session's memo
+   answers a repeat without one. *)
 let queries =
   [
     "S=? [ \"full_service\" ]";
@@ -109,7 +110,6 @@ type tally = {
   mutable errors : int;
   mutable hits : int;
   mutable misses : int;
-  mutable coalesced : int;
   mutable slowest_ms : float;
   mutable slowest_trace : string;
       (** trace id of the slowest request — join it against the server's
@@ -124,7 +124,6 @@ let new_tally () =
     errors = 0;
     hits = 0;
     misses = 0;
-    coalesced = 0;
     slowest_ms = -1.;
     slowest_trace = "";
     error_traces = [];
@@ -177,7 +176,6 @@ let worker ~host ~port ~bodies ~next ~total tally =
           (match Json.string_field "session" (Json.parse resp) with
           | Some "hit" -> tally.hits <- tally.hits + 1
           | Some "miss" -> tally.misses <- tally.misses + 1
-          | Some "coalesced" -> tally.coalesced <- tally.coalesced + 1
           | _ -> ()
           | exception Json.Parse_error _ -> ())
       | _, _ -> record_error ()
@@ -255,8 +253,7 @@ let load host port model variants requests clients out shutdown =
   let ok = sum (fun t -> t.ok)
   and errors = sum (fun t -> t.errors)
   and hits = sum (fun t -> t.hits)
-  and misses = sum (fun t -> t.misses)
-  and coalesced = sum (fun t -> t.coalesced) in
+  and misses = sum (fun t -> t.misses) in
   let latencies =
     Array.of_list (Array.fold_left (fun acc t -> t.latencies_ms @ acc) [] tallies)
   in
@@ -343,7 +340,6 @@ let load host port model variants requests clients out shutdown =
             [
               ("hit", Json.num (float_of_int hits));
               ("miss", Json.num (float_of_int misses));
-              ("coalesced", Json.num (float_of_int coalesced));
             ] );
         ( "amortization",
           Json.Obj

@@ -1,9 +1,9 @@
 (* The Arcade analysis daemon: serve XML models + CSL/CSRL queries over
-   HTTP with a model-hash session cache and same-model query batching. *)
+   HTTP with a model-hash session cache and per-session answer memos. *)
 
 open Cmdliner
 
-let serve host port domains window_ms max_sessions =
+let serve host port domains max_sessions =
   Obs.init ();
   (* daemon-appropriate tracing defaults: bounded buffers (unless the
      operator chose a bound — or unbounded retention — explicitly) and
@@ -20,14 +20,13 @@ let serve host port domains window_ms max_sessions =
       Server.host = Option.value host ~default:dft.Server.host;
       port = Option.value port ~default:dft.Server.port;
       domains = Option.value domains ~default:dft.Server.domains;
-      batch_window_ms = Option.value window_ms ~default:dft.Server.batch_window_ms;
       max_sessions = Option.value max_sessions ~default:dft.Server.max_sessions;
     }
   in
   let srv = Server.start ~config () in
-  Printf.printf "arcade_serve: listening on %s:%d (%d domains, %dms window, %d sessions)\n%!"
+  Printf.printf "arcade_serve: listening on %s:%d (%d domains, %d sessions)\n%!"
     config.Server.host (Server.port srv) config.Server.domains
-    config.Server.batch_window_ms config.Server.max_sessions;
+    config.Server.max_sessions;
   Server.wait srv;
   Printf.printf "arcade_serve: stopped\n%!"
 
@@ -43,12 +42,6 @@ let domains =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
          ~doc:"Worker-pool size for distinct-model fan-out.")
 
-let window_ms =
-  Arg.(value & opt (some int) None & info [ "batch-window-ms" ] ~docv:"MS"
-         ~doc:"Batching window: the longest same-model requests may pile up; \
-               it closes early once no partner can share a sweep, and 0 \
-               turns it off (default $(b,SERVER_BATCH_WINDOW_MS) or 5).")
-
 let max_sessions =
   Arg.(value & opt (some int) None & info [ "max-sessions" ] ~docv:"N"
          ~doc:"LRU capacity of the model-hash session cache.")
@@ -61,14 +54,15 @@ let cmd =
       `P "Serve Arcade XML models and CSL/CSRL queries from long-lived \
           analysis sessions: models are keyed by content hash, so repeated \
           requests share transposed rate matrices, Fox-Glynn weights \
-          and steady-state vectors; same-model queries arriving \
-          within the batch window coalesce into single blocked sweeps.";
+          and steady-state vectors, and a query a session has answered \
+          before is answered from its memo; the time-bounded queries of \
+          one request ride shared blocked sweeps.";
       `P "Endpoints: POST /analyze, GET /health, GET /stats, GET /metrics, \
           POST /shutdown.";
     ]
   in
   Cmd.v
     (Cmd.info "arcade_serve" ~doc ~man)
-    Term.(const serve $ host $ port $ domains $ window_ms $ max_sessions)
+    Term.(const serve $ host $ port $ domains $ max_sessions)
 
 let () = exit (Cmd.eval cmd)

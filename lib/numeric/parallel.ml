@@ -11,19 +11,18 @@
    silently fall back to the recommended domain count, changing a
    benchmark's parallelism with no signal at all. Every numeric knob in
    the tree (PAR_DOMAINS, the server's SERVER_* knobs) goes through
-   [getenv_positive_int] (or [getenv_nonnegative_int] where 0 means
-   "off"), which warns once per variable on stderr and then ignores the
-   value. *)
+   [getenv_positive_int], which warns once per variable on stderr and
+   then ignores the value. *)
 let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
 
 let warned_mutex = Mutex.create ()
 
-let getenv_int ~min ~expected name =
+let getenv_positive_int name =
   match Sys.getenv_opt name with
   | None | Some "" -> None
   | Some v -> (
       match int_of_string_opt (String.trim v) with
-      | Some n when n >= min -> Some n
+      | Some n when n >= 1 -> Some n
       | Some _ | None ->
           let first =
             Mutex.protect warned_mutex (fun () ->
@@ -34,14 +33,9 @@ let getenv_int ~min ~expected name =
                 end)
           in
           if first then
-            Printf.eprintf "warning: ignoring %s=%S: expected %s\n%!" name v
-              expected;
+            Printf.eprintf
+              "warning: ignoring %s=%S: expected a positive integer\n%!" name v;
           None)
-
-let getenv_positive_int = getenv_int ~min:1 ~expected:"a positive integer"
-
-let getenv_nonnegative_int =
-  getenv_int ~min:0 ~expected:"a non-negative integer"
 
 let default_domains () =
   match getenv_positive_int "PAR_DOMAINS" with
@@ -128,8 +122,8 @@ module Pool = struct
         let all_done = Condition.create () in
         (* capture the submitting request's trace context at enqueue time
            and re-install it in whichever pool domain runs the task, so a
-           coalesced sweep executed on a worker shows up inside the
-           request's trace *)
+           sweep executed on a worker shows up inside the request's
+           trace *)
         let ctx = Obs.Trace.current_context () in
         Mutex.protect pool.m (fun () ->
             if pool.closed then

@@ -29,11 +29,6 @@ val getenv_positive_int : string -> int option
     numeric env knobs ([PAR_DOMAINS], the server's [SERVER_*] family)
     share this discipline. *)
 
-val getenv_nonnegative_int : string -> int option
-(** {!getenv_positive_int} for knobs where [0] means "off", such as
-    [SERVER_BATCH_WINDOW_MS]: [0] is accepted, negative or malformed
-    values warn once and yield [None]. *)
-
 val default_domains : unit -> int
 (** The width of [map]'s pool and the default size of {!Pool.create}: the
     [PAR_DOMAINS] environment variable when set to a positive integer

@@ -10,7 +10,6 @@ type config = {
   host : string;
   port : int;
   domains : int;
-  batch_window_ms : int;
   max_sessions : int;
 }
 
@@ -20,10 +19,6 @@ let default_config () =
     host = Option.value (Sys.getenv_opt "SERVER_HOST") ~default:"127.0.0.1";
     port = geti "SERVER_PORT" 8641;
     domains = geti "SERVER_DOMAINS" (min 4 (Parallel.default_domains ()));
-    batch_window_ms =
-      Option.value
-        (Parallel.getenv_nonnegative_int "SERVER_BATCH_WINDOW_MS")
-        ~default:5;
     max_sessions = geti "SERVER_MAX_SESSIONS" 256;
   }
 
@@ -43,12 +38,6 @@ type counters = {
   session_evictions : counter;
   answer_hits : counter;  (** queries answered from a session's memo *)
   lint_skips : counter;  (** admissions of bytes a live session accepted *)
-  window_no_shared_work : counter;
-      (** windows closed at once: no queued query shares a sweep *)
-  window_all_queued : counter;
-      (** windows closed once every open connection had a job queued *)
-  window_deadline : counter;  (** windows held for all of [batch_window_ms] *)
-  coalesced : counter;  (** same-model jobs beyond the first per window *)
   batch_groups : counter;  (** shared curve/batch sweeps executed *)
   batched_queries : counter;  (** queries answered by a shared sweep *)
 }
@@ -65,10 +54,6 @@ let counters =
     session_evictions = m "session_evictions";
     answer_hits = m "answer_hits";
     lint_skips = m "lint_skips";
-    window_no_shared_work = m "window_no_shared_work";
-    window_all_queued = m "window_all_queued";
-    window_deadline = m "window_deadline";
-    coalesced = m "coalesced";
     batch_groups = m "batch_groups";
     batched_queries = m "batched_queries";
   }
@@ -116,7 +101,6 @@ type req_meta = {
   mutable m_status : int;
   mutable m_hash : string option;
   mutable m_session : string option;
-  mutable m_coalesced : int;
   mutable m_queries : int;
   mutable m_kinds : string list;
   mutable m_chains : string option;
@@ -127,7 +111,6 @@ let fresh_meta () =
     m_status = 0;
     m_hash = None;
     m_session = None;
-    m_coalesced = 0;
     m_queries = 0;
     m_kinds = [];
     m_chains = None;
@@ -141,9 +124,9 @@ module Session = Core.Measures.Session
 (* A daemon session is a library session over the parsed model, which
    builds each chain the first time a query routed to it arrives, and
    the answers it gave. Only the scheduler touches a session's chains
-   and answer memo, one group at a time (groups in a window hold
-   distinct models, windows run one after another), so those fields need
-   no lock. *)
+   and answer memo, one job at a time (the groups of a batch hold
+   distinct models, and batches run one after another), so those fields
+   need no lock. *)
 type session = {
   s_src : string;
   s_chains : Session.t;
@@ -170,19 +153,15 @@ type job = {
   j_levels : float list option;  (** the service levels lint enumerated *)
   j_hash : int64;
   j_queries : (string * Ast.state_formula) list;
-  j_shared : bool;
-      (** some query is one [classify] batches, so a partner arriving in
-          the admission window could share its sweep *)
   j_ctx : Obs.Trace.context option;
       (** the submitting request's trace context; the scheduler re-installs
-          it around the group evaluation so coalesced sweeps join the lead
-          request's trace *)
+          it around the job's evaluation, so its spans join that request's
+          trace *)
   jm : Mutex.t;
   jc : Condition.t;
   mutable j_result : (int * Json.t) option;
-  mutable j_session : string;  (** "hit" / "miss" / "coalesced"; set before
+  mutable j_session : string;  (** "hit" / "miss" / "rejected"; set before
                                    [finish_job], read after [await_job] *)
-  mutable j_coalesced : int;
   mutable j_chains : string;  (** "symmetric" / "full" / "both", likewise *)
 }
 
@@ -195,7 +174,6 @@ type t = {
   qm : Mutex.t;
   qc : Condition.t;
   mutable running : bool;  (** guarded by [qm] *)
-  mutable conns : int;  (** open client connections, guarded by [qm] *)
   cache : (int64, session list) Hashtbl.t;
   mutable cache_count : int;
   mutable clock : int;
@@ -259,9 +237,9 @@ let find_session srv h src =
     (List.find_opt (fun s -> String.equal s.s_src src))
 
 (* [job]'s session: returns [(session, was_cached)]. Building happens
-   outside the cache lock: the scheduler processes windows sequentially
-   and groups within a window have distinct hashes, so no two builders
-   race on one key. *)
+   outside the cache lock: the scheduler processes batches sequentially
+   and groups within a batch have distinct model sources, so no two
+   builders race on one session. *)
 let get_session srv job =
   let h = job.j_hash in
   let lookup () =
@@ -477,7 +455,7 @@ let eval_slots m slots =
     (List.rev !singles)
 
 (* ------------------------------------------------------------------ *)
-(* Jobs and the batching scheduler                                    *)
+(* Jobs and the scheduler                                             *)
 
 let finish_job job status body =
   Mutex.protect job.jm (fun () ->
@@ -505,49 +483,32 @@ let remember s text r =
     s.s_answer_bytes <- s.s_answer_bytes + String.length text
   end
 
-(* The whole group evaluation runs under the lead job's trace context, so
-   the shared sweep spans (which may execute on a pool domain) join the
-   lead request's trace; the other coalesced requests are listed on the
-   group span. Each query goes to the chain {!Session.route} picks, built
-   on first use. A query the session has answered before is answered
-   from its memo, and only the rest is evaluated. *)
-let process_group srv jobs =
-  let j0 = List.hd jobs in
-  let coalesced = List.length jobs in
-  List.iter (fun j -> j.j_coalesced <- coalesced) jobs;
-  Obs.Trace.with_context j0.j_ctx @@ fun () ->
+(* One job, under its request's trace context, so its spans (which may
+   run on a pool domain) join that request's trace. Each query goes to
+   the chain {!Session.route} picks, built on first use. A query the
+   session has answered before is answered from its memo, and only the
+   rest is evaluated. *)
+let process_job srv job =
+  Obs.Trace.with_context job.j_ctx @@ fun () ->
   Obs.Trace.with_span "server.process_group"
-    ~attrs:
-      [
-        ("model_hash", Obs.Str (hash_hex j0.j_hash));
-        ("coalesced", Obs.Int coalesced);
-      ]
+    ~attrs:[ ("model_hash", Obs.Str (hash_hex job.j_hash)) ]
   @@ fun pg_span ->
-  let jobs_with_answers =
-    List.map (fun j -> (j, Array.make (List.length j.j_queries) None)) jobs
-  in
+  let answers = Array.make (List.length job.j_queries) None in
   match
     let session, was_cached =
       Obs.Trace.with_span "server.session" @@ fun s_span ->
-      let (_, was_cached) as r = get_session srv j0 in
+      let (_, was_cached) as r = get_session srv job in
       if Obs.Trace.recording s_span then
         Obs.Trace.add_attr s_span "cached" (Obs.Bool was_cached);
       r
     in
-    if was_cached then Obs.Metrics.add counters.session_hits coalesced
-    else begin
-      Obs.Metrics.incr counters.session_misses;
-      if coalesced > 1 then Obs.Metrics.add counters.session_hits (coalesced - 1)
-    end;
+    Obs.Metrics.incr
+      (if was_cached then counters.session_hits else counters.session_misses);
     let slots =
-      List.concat_map
-        (fun (job, answers) ->
-          List.mapi
-            (fun idx (text, ast) ->
-              ( Session.route session.s_chains ast,
-                { answers; idx; text; ast } ))
-            job.j_queries)
-        jobs_with_answers
+      List.mapi
+        (fun idx (text, ast) ->
+          (Session.route session.s_chains ast, { answers; idx; text; ast }))
+        job.j_queries
     in
     (* a request without queries warms the session's cheaper chain *)
     let kinds =
@@ -566,26 +527,23 @@ let process_group srv jobs =
         | Invalid_argument m | Failure m -> m
         | e -> Printexc.to_string e
       in
-      Obs.Metrics.add counters.rejected coalesced;
-      List.iter
-        (fun job ->
-          job.j_session <- "rejected";
-          finish_job job 422
-            (Json.Obj
-               [
-                 ("error", Str ("model rejected: " ^ msg));
-                 ("model_hash", Str (hash_hex job.j_hash));
-               ]))
-        jobs
+      Obs.Metrics.incr counters.rejected;
+      job.j_session <- "rejected";
+      finish_job job 422
+        (Json.Obj
+           [
+             ("error", Str ("model rejected: " ^ msg));
+             ("model_hash", Str (hash_hex job.j_hash));
+           ])
   | was_cached, session, slots, chains ->
       (* a memo hit routes to a chain that answered it before, so the
-         chains above are all built already on an all-hit group *)
+         chains above are all built already on an all-hit job *)
       let fresh =
         List.filter
           (fun (_, slot) ->
             match Hashtbl.find_opt session.s_answers slot.text with
             | Some r ->
-                slot.answers.(slot.idx) <- Some (Ok r);
+                answers.(slot.idx) <- Some (Ok r);
                 false
             | None -> true)
           slots
@@ -603,17 +561,14 @@ let process_group srv jobs =
        with e ->
          (* defensive: eval paths catch per-group, but never drop a job *)
          let msg = error_message e in
-         List.iter
-           (fun (_, answers) ->
-             Array.iteri
-               (fun i a -> if Option.is_none a then set_error answers i msg)
-               answers)
-           jobs_with_answers);
+         Array.iteri
+           (fun i a -> if Option.is_none a then set_error answers i msg)
+           answers);
       (* errors are never stored: budgets and deadlines may make them
          depend on time *)
       List.iter
         (fun (_, slot) ->
-          match slot.answers.(slot.idx) with
+          match answers.(slot.idx) with
           | Some (Ok r) -> remember session slot.text r
           | Some (Error _) | None -> ())
         fresh;
@@ -621,9 +576,9 @@ let process_group srv jobs =
       let chains_tag =
         match chains with [ (kind, _) ] -> Session.kind_name kind | _ -> "both"
       in
+      let session_tag = if was_cached then "hit" else "miss" in
       if Obs.Trace.recording pg_span then begin
-        Obs.Trace.add_attr pg_span "session"
-          (Obs.Str (if was_cached then "hit" else "miss"));
+        Obs.Trace.add_attr pg_span "session" (Obs.Str session_tag);
         Obs.Trace.add_attr pg_span "states" (Obs.Int states);
         Obs.Trace.add_attr pg_span "answer_hits" (Obs.Int answer_hits);
         (* which chain answered, and its size: "chain" is "symmetric",
@@ -637,7 +592,7 @@ let process_group srv jobs =
                  (Ctmc.Chain.states (Core.Measures.built m).Core.Semantics.chain)))
           chains;
         (* accuracy attrs: worst Fox–Glynn truncation error and last
-           solver residual observed by the work this group just ran *)
+           solver residual observed by the work this job just ran *)
         Obs.Trace.add_attr pg_span "fg_mass_deficit"
           (Obs.Float
              (Obs.Metrics.gauge_value
@@ -646,34 +601,27 @@ let process_group srv jobs =
           (Obs.Float
              (Obs.Metrics.gauge_value (Obs.Metrics.gauge "solver.last_residual")))
       end;
-      List.iteri
-        (fun i (job, answers) ->
-          let session_tag =
-            if was_cached then "hit" else if i = 0 then "miss" else "coalesced"
-          in
-          job.j_session <- session_tag;
-          job.j_chains <- chains_tag;
-          let results =
-            List.mapi
-              (fun i (text, _) ->
-                match answers.(i) with
-                | Some a -> answer_json text a
-                | None -> Json.Obj [ ("error", Json.Str "internal: unanswered query") ])
-              job.j_queries
-          in
-          finish_job job 200
-            (Json.Obj
-               [
-                 ("model_hash", Str (hash_hex job.j_hash));
-                 ("session", Str session_tag);
-                 ("states", Json.num (float_of_int states));
-                 ("coalesced", Json.num (float_of_int coalesced));
-                 ("results", List results);
-               ]))
-        jobs_with_answers
+      job.j_session <- session_tag;
+      job.j_chains <- chains_tag;
+      let results =
+        List.mapi
+          (fun i (text, _) ->
+            match answers.(i) with
+            | Some a -> answer_json text a
+            | None -> Json.Obj [ ("error", Json.Str "internal: unanswered query") ])
+          job.j_queries
+      in
+      finish_job job 200
+        (Json.Obj
+           [
+             ("model_hash", Str (hash_hex job.j_hash));
+             ("session", Str session_tag);
+             ("states", Json.num (float_of_int states));
+             ("results", List results);
+           ])
 
 (* group by model content, preserving arrival order of groups and of jobs
-   within a group *)
+   within a group, so that one session has one owner at a time *)
 let group_jobs jobs =
   let tbl : (string, job list ref) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
@@ -689,108 +637,27 @@ let group_jobs jobs =
     jobs;
   List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order
 
-(* Why an admission window closed. *)
-type closed_by = No_shared_work | All_queued | Deadline
-
-let closed_by_name = function
-  | No_shared_work -> "no_shared_work"
-  | All_queued -> "all_queued"
-  | Deadline -> "deadline"
-
-(* Under [qm]: the window closes early once waiting cannot pay. With no
-   queued query that [classify] batches there is no sweep to share (a
-   later partner finds the session and its cached vectors anyway). With
-   a job queued from every open connection, and at least two queued, no
-   partner can arrive: a keep-alive client sends again only after its
-   reply. Requiring two keeps a partner whose connection is still being
-   accepted from being cut off. *)
-let early_close srv =
-  let queued = Queue.length srv.queue in
-  if not (Queue.fold (fun shared j -> shared || j.j_shared) false srv.queue)
-  then Some No_shared_work
-  else if queued >= 2 && queued >= srv.conns then Some All_queued
-  else None
-
-(* The stdlib has no timed [Condition.wait]: a one-shot thread wakes the
-   scheduler once [deadline] has passed. A wake-up that finds the window
-   already closed is harmless, as every wait re-checks its condition. *)
-let wake_at srv deadline =
-  let rec sleep () =
-    let left = Int64.sub deadline (Obs.monotonic_ns ()) in
-    if left > 0L then begin
-      Thread.delay (Int64.to_float left /. 1e9);
-      sleep ()
-    end
-  in
-  ignore
-    (Thread.create
-       (fun () ->
-         sleep ();
-         Mutex.protect srv.qm (fun () -> Condition.broadcast srv.qc))
-       ()
-      : Thread.t)
-
-(* The admission window: let same-model requests pile up so they
-   coalesce into one sweep, for at most [batch_window_ms], re-checking
-   [early_close] on every arrival and every closed connection. Returns
-   the queued jobs. The hold is a [server.window] span in the lead job's
-   trace context. *)
-let hold_window srv lead =
-  Obs.Trace.with_context lead.j_ctx @@ fun () ->
-  Obs.Trace.with_span "server.window" @@ fun span ->
-  let t0 = Obs.monotonic_ns () in
-  let deadline =
-    Int64.add t0 (Int64.mul (Int64.of_int srv.cfg.batch_window_ms) 1_000_000L)
-  in
-  let closed_by, batch =
-    Mutex.protect srv.qm (fun () ->
-        let rec hold armed =
-          match early_close srv with
-          | Some reason -> reason
-          | None when Obs.monotonic_ns () >= deadline -> Deadline
-          | None ->
-              if not armed then wake_at srv deadline;
-              Condition.wait srv.qc srv.qm;
-              hold true
-        in
-        let closed_by = hold false in
-        let batch = List.of_seq (Queue.to_seq srv.queue) in
-        Queue.clear srv.queue;
-        (closed_by, batch))
-  in
-  Obs.Metrics.incr
-    (match closed_by with
-    | No_shared_work -> counters.window_no_shared_work
-    | All_queued -> counters.window_all_queued
-    | Deadline -> counters.window_deadline);
-  if Obs.Trace.recording span then begin
-    Obs.Trace.add_attr span "held_ms"
-      (Obs.Float (ns_to_ms (Int64.sub (Obs.monotonic_ns ()) t0)));
-    Obs.Trace.add_attr span "closed_by" (Obs.Str (closed_by_name closed_by))
-  end;
-  batch
-
+(* Waits for a non-empty queue and drains it. A group's jobs run one
+   after another, so a later one finds the session and memo an earlier
+   one filled. *)
 let scheduler srv =
   let rec loop () =
-    let lead =
+    let batch =
       Mutex.protect srv.qm (fun () ->
           while Queue.is_empty srv.queue && srv.running do
             Condition.wait srv.qc srv.qm
           done;
-          Queue.peek_opt srv.queue)
+          let batch = List.of_seq (Queue.to_seq srv.queue) in
+          Queue.clear srv.queue;
+          batch)
     in
-    (* only the scheduler dequeues, so a lead means a non-empty batch *)
-    match lead with
-    | None -> (* stopped and drained *) ()
-    | Some lead ->
-        let batch = hold_window srv lead in
-        let groups = group_jobs batch in
-        Obs.Metrics.add counters.coalesced (List.length batch - List.length groups);
-        (match groups with
-        | [ g ] -> process_group srv g
-        | gs ->
-            (* distinct models fan out across the fixed domain pool *)
-            ignore (Parallel.Pool.map srv.pool (process_group srv) gs : unit list));
+    match group_jobs batch with
+    | [] -> (* stopped and drained *) ()
+    | groups ->
+        (* distinct models fan out across the fixed domain pool *)
+        ignore
+          (Parallel.Pool.map srv.pool (List.iter (process_job srv)) groups
+            : unit list);
         loop ()
   in
   loop ()
@@ -832,17 +699,6 @@ let stats_json srv =
   let hits = Obs.Metrics.counter_value counters.session_hits
   and misses = Obs.Metrics.counter_value counters.session_misses in
   let live = Mutex.protect srv.cm (fun () -> srv.cache_count) in
-  (* every dispatched window closed for one of three reasons *)
-  let windows =
-    List.fold_left
-      (fun n k -> n + Obs.Metrics.counter_value k)
-      0
-      [
-        counters.window_no_shared_work;
-        counters.window_all_queued;
-        counters.window_deadline;
-      ]
-  in
   Json.Obj
     [
       ( "server",
@@ -852,11 +708,6 @@ let stats_json srv =
             sc "queries" counters.queries;
             sc "rejected" counters.rejected;
             sc "query_errors" counters.query_errors;
-            ("batch_windows", Json.num (float_of_int windows));
-            sc "window_no_shared_work" counters.window_no_shared_work;
-            sc "window_all_queued" counters.window_all_queued;
-            sc "window_deadline" counters.window_deadline;
-            sc "coalesced" counters.coalesced;
             sc "batch_groups" counters.batch_groups;
             sc "batched_queries" counters.batched_queries;
             sc "answer_hits" counters.answer_hits;
@@ -992,16 +843,11 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                       j_levels = levels;
                       j_hash = hash;
                       j_queries;
-                      j_shared =
-                        List.exists
-                          (fun (_, ast) -> Option.is_some (classify ast))
-                          j_queries;
                       j_ctx = Obs.Trace.current_context ();
                       jm = Mutex.create ();
                       jc = Condition.create ();
                       j_result = None;
                       j_session = "";
-                      j_coalesced = 0;
                       j_chains = "";
                     }
                   in
@@ -1023,7 +869,6 @@ let handle_analyze srv req ~(respond_json : status:int -> Json.t -> unit)
                     let status, body = await_job job in
                     if job.j_session <> "" then meta.m_session <- Some job.j_session;
                     if job.j_chains <> "" then meta.m_chains <- Some job.j_chains;
-                    meta.m_coalesced <- job.j_coalesced;
                     respond_json ~status body
                   end))
           | _ ->
@@ -1089,9 +934,6 @@ and write_access_log srv ~(req : Http.request) ~(meta : req_meta) ~trace_id
                   (match meta.m_chains with
                   | Some c -> [ ("chain", Json.Str c) ]
                   | None -> []);
-                  (if meta.m_coalesced > 0 then
-                     [ ("coalesced", Json.num (float_of_int meta.m_coalesced)) ]
-                   else []);
                   (if meta.m_queries > 0 then
                      [
                        ("queries", Json.num (float_of_int meta.m_queries));
@@ -1211,8 +1053,6 @@ and handle_request srv fd req =
       (match meta.m_session with
       | Some s -> Obs.Trace.add_attr span "session" (Obs.Str s)
       | None -> ());
-      if meta.m_coalesced > 0 then
-        Obs.Trace.add_attr span "coalesced" (Obs.Int meta.m_coalesced);
       if meta.m_queries > 0 then
         Obs.Trace.add_attr span "queries" (Obs.Int meta.m_queries)
     end;
@@ -1251,24 +1091,13 @@ let handle_conn srv fd =
           (Json.Obj [ ("error", Str msg) ])
       with Unix.Unix_error _ | Sys_error _ -> ())
   | Unix.Unix_error _ | End_of_file | Sys_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (* one fewer connection may be all an admission window waits for *)
-  Mutex.protect srv.qm (fun () ->
-      srv.conns <- srv.conns - 1;
-      Condition.signal srv.qc)
+  try Unix.close fd with Unix.Unix_error _ -> ()
 
 let accept_loop srv =
   let rec loop () =
     match Unix.accept srv.listen_fd with
     | fd, _ ->
-        (* counted at accept, before the handler thread exists, so an
-           admission window never mistakes it for absent *)
-        let keep_going =
-          Mutex.protect srv.qm (fun () ->
-              if srv.running then srv.conns <- srv.conns + 1;
-              srv.running)
-        in
-        if keep_going then begin
+        if Mutex.protect srv.qm (fun () -> srv.running) then begin
           ignore (Thread.create (handle_conn srv) fd : Thread.t);
           loop ()
         end
@@ -1347,7 +1176,6 @@ let start ?(config = default_config ()) () =
       qm = Mutex.create ();
       qc = Condition.create ();
       running = true;
-      conns = 0;
       cache = Hashtbl.create 64;
       cache_count = 0;
       clock = 0;

@@ -25,24 +25,24 @@
       linted again.
     - {b Answer memo}: a session answers a query text it has answered
       before from its memo (see {!memo_max_entries}), without a sweep.
-    - {b Same-model query batching}: requests arriving within the batch
-      window are grouped by model hash (the window closes as soon as no
-      partner can share a sweep: see {!config}); within a group, time-bounded
-      until queries with identical operands ride one
-      {!Ctmc.Reachability.bounded_until_curve} sweep, and
+    - {b Within-request batching}: the time-bounded until queries of one
+      request with identical operands ride one
+      {!Ctmc.Reachability.bounded_until_curve} sweep, and its
       instantaneous + cumulative reward queries on one reward structure
-      ride one blocked {!Ctmc.Rewards.both_curves} pass — N coalesced
-      requests cost one uniformization sweep, not N.
-    - {b Model fan-out}: distinct models in a window are dispatched
-      across a fixed {!Numeric.Parallel.Pool} of domains.
+      ride one blocked {!Ctmc.Rewards.both_curves} pass.
+    - {b Model fan-out}: the scheduler drains every queued request at
+      once and groups them by model source; a group's requests run one
+      after another (the later ones answered from the memo the first
+      filled), and distinct models are dispatched across a fixed
+      {!Numeric.Parallel.Pool} of domains.
 
     {2 Wire protocol}
 
     [POST /analyze] with body
     [{"model": "<arcade xml>", "queries": ["S=? [...]", ...]}]
     (other fields are ignored) answers
-    [{"model_hash": "…", "session": "hit"|"miss"|"coalesced",
-      "states": n, "coalesced": k, "results": [{"query": …, "value": v}
+    [{"model_hash": "…", "session": "hit"|"miss",
+      "states": n, "results": [{"query": …, "value": v}
       | {"query": …, "satisfied": b} | {"query": …, "error": m}, …]}].
 
     where [n] is the full chain's state count, whichever chain
@@ -60,12 +60,6 @@ type config = {
   host : string;  (** dotted-quad bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] picks an ephemeral port (see {!port}) *)
   domains : int;  (** worker-pool size for distinct-model fan-out *)
-  batch_window_ms : int;
-      (** the longest the scheduler lets same-model requests pile up
-          before dispatching a batch; [0] dispatches immediately. The
-          window closes early when no queued query is one a shared sweep
-          batches, or when every open connection has a request queued
-          (and at least two are) *)
   max_sessions : int;  (** LRU capacity of the session cache *)
 }
 
@@ -81,12 +75,10 @@ val memo_max_key_bytes : int
 
 val default_config : unit -> config
 (** Defaults, overridable through the environment ([SERVER_HOST],
-    [SERVER_PORT], [SERVER_DOMAINS], [SERVER_BATCH_WINDOW_MS],
-    [SERVER_MAX_SESSIONS]). Numeric knobs go through
-    {!Numeric.Parallel.getenv_positive_int} ([SERVER_BATCH_WINDOW_MS]
-    through {!Numeric.Parallel.getenv_nonnegative_int}, so [0] turns the
-    window off): malformed values warn on stderr and fall back, they
-    never silently change behavior. *)
+    [SERVER_PORT], [SERVER_DOMAINS], [SERVER_MAX_SESSIONS]). Numeric
+    knobs go through {!Numeric.Parallel.getenv_positive_int}: malformed
+    values warn on stderr and fall back, they never silently change
+    behavior. *)
 
 type t
 (** A running server (accept loop, scheduler and worker pool). *)

@@ -1184,17 +1184,6 @@ let test_getenv_positive_int () =
     "unset" None
     (Parallel.getenv_positive_int "PAR_TEST_KNOB_NEVER_SET")
 
-let test_getenv_nonnegative_int () =
-  let get name v =
-    Unix.putenv name v;
-    Parallel.getenv_nonnegative_int name
-  in
-  Alcotest.(check (option int)) "zero" (Some 0) (get "PAR_TEST_KNOB_G" "0");
-  Alcotest.(check (option int)) "valid" (Some 5) (get "PAR_TEST_KNOB_H" " 5");
-  Alcotest.(check (option int)) "negative" None (get "PAR_TEST_KNOB_I" "-1");
-  Alcotest.(check (option int)) "garbage" None (get "PAR_TEST_KNOB_J" "0ms");
-  Alcotest.(check (option int)) "empty" None (get "PAR_TEST_KNOB_K" "")
-
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
@@ -1393,7 +1382,5 @@ let () =
           Alcotest.test_case "pool shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "env knob parsing" `Quick
             test_getenv_positive_int;
-          Alcotest.test_case "env knob parsing, zero allowed" `Quick
-            test_getenv_nonnegative_int;
         ] );
     ]

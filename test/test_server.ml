@@ -45,15 +45,9 @@ let measure_queries =
     "R{\"cost\"}=? [ I=10 ]";
   ]
 
-let with_server ?(batch_window_ms = 2) f =
+let with_server f =
   let config =
-    {
-      Server.host = "127.0.0.1";
-      port = 0;
-      domains = 2;
-      batch_window_ms;
-      max_sessions = 8;
-    }
+    { Server.host = "127.0.0.1"; port = 0; domains = 2; max_sessions = 8 }
   in
   (* /stats reads the process-wide registry: start each daemon from a
      fresh one, as in a process that runs one daemon *)
@@ -340,7 +334,7 @@ let test_lump_field_ignored () =
 (* Concurrency, caching and amortization *)
 
 let test_concurrent_amortization () =
-  with_server ~batch_window_ms:10 (fun port ->
+  with_server (fun port ->
       let clients = 4 and per_client = 5 in
       (* sweeps are measured as a delta over the requests below *)
       let sweeps_before =
@@ -407,89 +401,20 @@ let test_distinct_models_fan_out () =
         "all live" 3.
         (stat [ "sessions"; "live" ] stats))
 
-(* The admission window closes as soon as waiting cannot pay. A 2 s
-   window makes the wall-clock margins wide: a request that closes early
-   answers well within 1 s. *)
-let windows_closed port =
-  let stats = fetch_stats port in
-  List.map
-    (fun reason -> (reason, stat [ "server"; "window_" ^ reason ] stats))
-    [ "no_shared_work"; "all_queued"; "deadline" ]
-
 let elapsed_s f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let test_window_no_shared_work () =
-  with_server ~batch_window_ms:2000 (fun port ->
-      let steady = [ "S=? [ \"full_service\" ]"; "S=? [ \"operational\" ]" ] in
-      for i = 1 to 2 do
-        let (status, _), s = elapsed_s (fun () -> post_analyze ~queries:steady port) in
-        Alcotest.(check int) "answered" 200 status;
-        Alcotest.(check bool)
-          (Printf.sprintf "request %d in %.3f s < 1 s" i s) true (s < 1.)
-      done;
-      Alcotest.(check (list (pair string (float 0.))))
-        "closed by" [ ("no_shared_work", 2.); ("all_queued", 0.); ("deadline", 0.) ]
-        (windows_closed port))
-
-let test_window_all_queued () =
-  with_server ~batch_window_ms:2000 (fun port ->
-      let clients = Array.init 2 (fun _ -> Http.connect ~host:"127.0.0.1" ~port) in
-      let replies = Array.make 2 (0, "") in
-      let (), s =
-        elapsed_s (fun () ->
-            Array.mapi
-              (fun i cl ->
-                Thread.create
-                  (fun () ->
-                    replies.(i) <-
-                      Http.call cl ~meth:"POST" ~path:"/analyze"
-                        ~body:(analyze_body ()) ())
-                  ())
-              clients
-            |> Array.iter Thread.join)
-      in
-      Array.iter Http.close clients;
-      Array.iter
-        (fun (status, body) ->
-          Alcotest.(check int) "answered" 200 status;
-          Alcotest.(check (float 0.))
-            "coalesced" 2.
-            (num_field "coalesced" (Json.parse body)))
-        replies;
-      Alcotest.(check bool) (Printf.sprintf "both in %.3f s < 1 s" s) true (s < 1.);
-      Alcotest.(check (list (pair string (float 0.))))
-        "closed by" [ ("no_shared_work", 0.); ("all_queued", 1.); ("deadline", 0.) ]
-        (windows_closed port))
-
-(* an idle open connection could still send a partner: the window runs
-   to its deadline *)
-let test_window_deadline () =
-  with_server ~batch_window_ms:2000 (fun port ->
+(* an idle keep-alive connection holds nothing up: a request whose
+   queries share sweeps is answered at once *)
+let test_idle_connection () =
+  with_server (fun port ->
       let idle = Http.connect ~host:"127.0.0.1" ~port in
       let (status, _), s = elapsed_s (fun () -> post_analyze port) in
       Http.close idle;
       Alcotest.(check int) "answered" 200 status;
-      Alcotest.(check bool) (Printf.sprintf "held %.3f s >= 2 s" s) true (s >= 2.);
-      Alcotest.(check (list (pair string (float 0.))))
-        "closed by" [ ("no_shared_work", 0.); ("all_queued", 0.); ("deadline", 1.) ]
-        (windows_closed port))
-
-(* [0] turns the window off, as [--batch-window-ms 0] does *)
-let test_window_env_zero () =
-  let window v =
-    Unix.putenv "SERVER_BATCH_WINDOW_MS" v;
-    (Server.default_config ()).Server.batch_window_ms
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "SERVER_BATCH_WINDOW_MS" "")
-    (fun () ->
-      Alcotest.(check int) "zero" 0 (window "0");
-      Alcotest.(check int) "positive" 7 (window "7");
-      Alcotest.(check int) "negative falls back" 5 (window "-3");
-      Alcotest.(check int) "unset" 5 (window ""))
+      Alcotest.(check bool) (Printf.sprintf "answered in %.3f s < 1 s" s) true (s < 1.))
 
 let test_metrics_endpoint () =
   with_server (fun port ->
@@ -508,13 +433,7 @@ let test_metrics_endpoint () =
 
 let test_shutdown_endpoint () =
   let config =
-    {
-      Server.host = "127.0.0.1";
-      port = 0;
-      domains = 1;
-      batch_window_ms = 0;
-      max_sessions = 4;
-    }
+    { Server.host = "127.0.0.1"; port = 0; domains = 1; max_sessions = 4 }
   in
   let srv = Server.start ~config () in
   let port = Server.port srv in
@@ -688,6 +607,49 @@ let test_lint_skip () =
         (List.init 3 (fun _ -> List.hd rejections)) rejections;
       Alcotest.(check int) "a rejected model is linted every time" (f0 + 5)
         (files ()))
+
+(* Two same-model requests in flight at once, on two connections: the
+   scheduler runs them one after another, and the second is answered
+   from the memo the first filled, so the pair costs one request's
+   sweeps *)
+let test_same_model_pair () =
+  let passes port = stat [ "analysis"; "mixture_passes" ] (fetch_stats port) in
+  let alone =
+    with_server (fun port ->
+        let before = passes port in
+        ignore (post_analyze port);
+        passes port -. before)
+  in
+  with_server (fun port ->
+      let before = fetch_stats port in
+      let clients = Array.init 2 (fun _ -> Http.connect ~host:"127.0.0.1" ~port) in
+      let replies = Array.make 2 (0, "") in
+      Array.mapi
+        (fun i cl ->
+          Thread.create
+            (fun () ->
+              replies.(i) <-
+                Http.call cl ~meth:"POST" ~path:"/analyze" ~body:(analyze_body ()) ())
+            ())
+        clients
+      |> Array.iter Thread.join;
+      Array.iter Http.close clients;
+      let after = fetch_stats port in
+      let delta path = stat path after -. stat path before in
+      Array.iter (fun (status, _) -> Alcotest.(check int) "answered" 200 status) replies;
+      Alcotest.(check (float 0.)) "session misses" 1. (delta [ "sessions"; "misses" ]);
+      Alcotest.(check (float 0.)) "session hits" 1. (delta [ "sessions"; "hits" ]);
+      Alcotest.(check (float 0.)) "the second answered from the memo"
+        (float_of_int (List.length measure_queries))
+        (delta [ "server"; "answer_hits" ]);
+      Alcotest.(check (float 0.)) "the sweeps of one request" alone
+        (delta [ "analysis"; "mixture_passes" ]);
+      let results (_, body) = Json.to_string (Json.List (results_of body)) in
+      Alcotest.(check string) "byte-identical results" (results replies.(0))
+        (results replies.(1));
+      let tag (_, body) = Option.get (Json.string_field "session" (Json.parse body)) in
+      Alcotest.(check (list string)) "session tags" [ "hit"; "miss" ]
+        (List.sort compare (List.map tag (Array.to_list replies))))
 
 (* ------------------------------------------------------------------ *)
 (* Observability over the wire: traceparent echo, Prometheus
@@ -1246,14 +1208,10 @@ let () =
             test_concurrent_amortization;
           Alcotest.test_case "distinct models fan out" `Quick
             test_distinct_models_fan_out;
-          Alcotest.test_case "window closes without shared work" `Quick
-            test_window_no_shared_work;
-          Alcotest.test_case "window closes once all connections queued"
-            `Quick test_window_all_queued;
-          Alcotest.test_case "idle connection holds the window" `Quick
-            test_window_deadline;
-          Alcotest.test_case "SERVER_BATCH_WINDOW_MS=0 accepted" `Quick
-            test_window_env_zero;
+          Alcotest.test_case "same-model pair shares the memo" `Quick
+            test_same_model_pair;
+          Alcotest.test_case "idle connection holds nothing up" `Quick
+            test_idle_connection;
         ] );
       ( "observability",
         [
